@@ -17,15 +17,14 @@ for h in traj.history:
     print("  ", h)
 print("certified truncation radius:", traj.certified_radius)
 
-m0 = traj.mass(0.0)
-drift = max(abs(traj.mass(t) - m0) / m0 for t in traj.instants)
+# norms are arrays over the stored times, the initial data first
+m0 = traj.masses[0]
+drift = np.abs(traj.masses - m0).max() / m0
 print(f"\ninitial mass {m0:g}, relative drift over the run: {drift:.2e}")
 
-sups = traj.series(traj.sup_norm)
-print("sup norm nonincreasing:", bool((np.diff(sups) <= 0).all()))
+print("sup norm nonincreasing:", bool((np.diff(traj.sup_norms) <= 0).all()))
 for q in (1.5, 2.0, 4.0):
-    vals = np.array([traj.lq_norm(t, q) for t in traj.instants])
-    print(f"l^{q} norm nonincreasing:", bool((np.diff(vals) <= 0).all()))
+    print(f"l^{q} norm nonincreasing:", bool((np.diff(traj.lq_norms(q)) <= 0).all()))
 
 fit = gf.fit_decay_exponent(traj, (10.0, 1e3), theoretical=-0.25, tolerance=0.05)
 print(f"\nfitted decay slope on [10, 1000]: {fit.slope:+.4f} "

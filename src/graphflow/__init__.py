@@ -11,7 +11,7 @@ boundedness and exponent fits.
 from .fields import Field, ball_indicator_field, delta_field
 from .graphs import (Cutoff, FiniteGraph, GraphGenerator, Region,
                      UnknownVertexError, ball, ball_measure_profile,
-                     complete_graph, cutoff_value, distance,
+                     complete_graph, distance,
                      generator_from_edges, generator_from_file,
                      lattice_generator, product_generator,
                      region_from_vertices)
@@ -23,10 +23,9 @@ from .faberkrahn import (FkProfile, PsiFunction, ball_radius_inverse,
                          dirichlet_p_eigenvalue, eigenvalue_grid_oracle,
                          fk_lattice, fk_profile_bruteforce, linf_lq_bound, psi,
                          psi_inverse, rayleigh_quotient)
-from .solver import (SolverConfig, Trajectory, comparison_check,
-                     gradient_entropy_integral, log_instants, lq_norm, mass,
-                     mass_radius, moment, solve_cauchy, solve_truncated,
-                     sup_norm)
+from .solver import (SolverConfig, SolverError, Trajectory, comparison_check,
+                     log_instants, mass_radius, moment, solve_cauchy,
+                     solve_truncated)
 from .estimates import (BoundCheck, ExponentFit, PowerLawSpec,
                         check_entropy_bound, check_lower_bound,
                         check_moment_bound, check_slow_decay, check_sup_bound,

@@ -20,6 +20,7 @@ outputs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -294,15 +295,15 @@ def export_trajectory(traj, out_dir, snapshots=False):
     qs = (1.5, 2.0, 4.0)
     cols = [
         ts,
-        [traj.mass(t) for t in ts],
-        [traj.sup_norm(t) for t in ts],
-        *[[traj.lq_norm(t, q) for t in ts] for q in qs],
+        traj.masses,
+        traj.sup_norms,
+        *[traj.lq_norms(q) for q in qs],
         np.concatenate([[traj.region.radius], traj.diagnostics["radius"]]),
         np.concatenate([[0], traj.diagnostics["accepted"]]),
         np.concatenate([[0], traj.diagnostics["rejected"]]),
         np.concatenate([[0.0], traj.diagnostics["max_scaled_error"]]),
         np.concatenate([[0.0], traj.diagnostics["clamped"]]),
-        [traj.boundary_sup(t) for t in ts],
+        traj.boundary_sups,
     ]
     header = ["t", "mass", "sup", "lq1.5", "lq2", "lq4", "radius",
               "accepted", "rejected", "max_scaled_error", "clamped",
@@ -375,7 +376,7 @@ def _fit_json(fit):
 # experiment runner
 
 
-def _run_one_check(chk, traj, profile, cfg, out):
+def _run_one_check(chk, traj, profile, cfg):
     """Execute one configured check; returns (json_dict, ratio_columns|None)."""
     typ = chk["type"]
     window = tuple(chk.get("window", estimates.DEFAULT_WINDOW))
@@ -420,6 +421,26 @@ def _run_one_check(chk, traj, profile, cfg, out):
     return _check_json(check, {"pass": passed}), check
 
 
+def _run_checks(cfg, traj, profile, out):
+    """Run the configured checks on ``traj``, writing ``check_<tag>.csv/.json``.
+
+    Returns the per-check JSON results and the ratio blocks by tag.
+    """
+    results = []
+    ratio_blocks = {}
+    for chk in cfg.get("checks", []):
+        result, block = _run_one_check(chk, traj, profile, cfg)
+        results.append(result)
+        if block is not None:
+            tag = result["tag"]
+            write_csv(out / f"check_{tag}.csv", ["t", "lhs", "rhs", "ratio"],
+                      [block.times, block.lhs, block.rhs, block.ratio])
+            ratio_blocks[tag] = block
+        (out / f"check_{result['tag']}.json").write_text(
+            json.dumps(result, indent=2, sort_keys=True) + "\n")
+    return results, ratio_blocks
+
+
 def run(cfg, out_dir, seed=None):
     """Run one experiment config; writes artifacts and returns the report."""
     errors = validate_config(cfg)
@@ -435,34 +456,17 @@ def run(cfg, out_dir, seed=None):
     scfg = build_solver_config(cfg["solver"])
     profile = build_profile(cfg, g, seed=seed)
     traj = solver.solve_cauchy(g, u0, scfg, center=center)
-    checks_json = []
-    ratio_blocks = {}
-    for chk in cfg.get("checks", []):
-        try:
-            result, block = _run_one_check(chk, traj, profile, cfg, out)
-        except solver.TruncationDeficitError:
-            # re-solve once on a doubled schedule before declaring failure
-            bigger = solver.SolverConfig(
-                p=scfg.p, instants=scfg.instants, rtol=scfg.rtol, atol=scfg.atol,
-                n0=2 * traj.region.radius, growth_factor=scfg.growth_factor,
-                max_expansions=scfg.max_expansions,
-                delta_boundary=scfg.delta_boundary, eps_trunc=scfg.eps_trunc)
-            traj = solver.solve_cauchy(g, u0, bigger, center=center)
-            result, block = _run_one_check(chk, traj, profile, cfg, out)
-        checks_json.append(result)
-        if block is not None:
-            tag = result["tag"]
-            write_csv(out / f"check_{tag}.csv", ["t", "lhs", "rhs", "ratio"],
-                      [block.times, block.lhs, block.rhs, block.ratio])
-            ratio_blocks[tag] = block
-        (out / f"check_{result['tag']}.json").write_text(
-            json.dumps(result, indent=2, sort_keys=True) + "\n")
+    try:
+        checks_json, ratio_blocks = _run_checks(cfg, traj, profile, out)
+    except solver.TruncationDeficitError:
+        # re-solve once from a doubled radius; every check and export then
+        # sees the new trajectory
+        bigger = dataclasses.replace(scfg, n0=2 * traj.region.radius)
+        traj = solver.solve_cauchy(g, u0, bigger, center=center)
+        checks_json, ratio_blocks = _run_checks(cfg, traj, profile, out)
     export_trajectory(traj, out, snapshots=cfg.get("snapshots", False))
     # plot-ready columns
-    ts = traj.instants
-    plot_cols = [ts,
-                 [traj.mass(t) for t in ts],
-                 [traj.sup_norm(t) for t in ts]]
+    plot_cols = [traj.instants, traj.masses[1:], traj.sup_norms[1:]]
     plot_header = ["t", "mass", "sup"]
     for tag, block in ratio_blocks.items():
         plot_header.append(f"ratio_{tag}")
@@ -579,8 +583,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return _dispatch(args)
-    except (solver.StepSizeUnderflowError, solver.TruncationConvergenceError,
-            faberkrahn.ConvergenceError) as e:
+    except (solver.SolverError, faberkrahn.ConvergenceError) as e:
         print(f"solver failure: {e}", file=sys.stderr)
         return 3
     except ValueError as e:  # ConfigError and malformed inputs
@@ -626,17 +629,8 @@ def _dispatch(args):
         out.mkdir(parents=True, exist_ok=True)
         seed = args.seed if args.seed is not None else cfg.get("seed", 0)
         profile = build_profile(cfg, g, seed=seed)
-        all_pass = True
-        for chk in cfg.get("checks", []):
-            result, block = _run_one_check(chk, traj, profile, cfg, out)
-            if block is not None:
-                write_csv(out / f"check_{result['tag']}.csv",
-                          ["t", "lhs", "rhs", "ratio"],
-                          [block.times, block.lhs, block.rhs, block.ratio])
-            (out / f"check_{result['tag']}.json").write_text(
-                json.dumps(result, indent=2, sort_keys=True) + "\n")
-            all_pass = all_pass and result.get("pass", True)
-        return 0 if all_pass else 1
+        results, _ = _run_checks(cfg, traj, profile, out)
+        return 0 if all(r.get("pass", True) for r in results) else 1
 
     if args.command == "fit":
         path = Path(args.traj_dir) / "trajectory.csv"

@@ -95,8 +95,8 @@ def fit_loglog(ts, ys, window, theoretical=None, tolerance=None, min_points=10):
 def fit_decay_exponent(traj: Trajectory, window=DEFAULT_WINDOW,
                        theoretical=None, tolerance=None):
     """Slope of log sup-norm against log t on the window."""
-    sups = traj.series(traj.sup_norm)
-    return fit_loglog(traj.instants, sups, window, theoretical, tolerance)
+    return fit_loglog(traj.instants, traj.sup_norms[1:], window, theoretical,
+                      tolerance)
 
 
 def fit_propagation_exponent(traj: Trajectory, eps, window=DEFAULT_WINDOW,
@@ -176,9 +176,9 @@ def check_sup_bound(traj: Trajectory, profile, window=DEFAULT_WINDOW,
     if verify_profile:
         _verify_profile(profile)
     window = _trim_window(traj, window)
-    m0 = traj.mass(0.0)
+    m0 = traj.masses[0]
     ts = traj.instants
-    lhs = traj.series(traj.sup_norm)
+    lhs = traj.sup_norms[1:]
     rhs = np.array([m0 * psi_inverse(profile, 1.0, 1.0 / (t * m0 ** (traj.p - 2.0)))
                     for t in ts])
     ratio = lhs / rhs
@@ -201,7 +201,8 @@ def check_lower_bound(traj: Trajectory, profile, x0=None, window=None,
     _require_certified(traj)
     ts = traj.instants
     window = _trim_window(traj, window) if window else (float(ts[0]), float(ts[-1]))
-    m0 = traj.mass(0.0)
+    m0 = traj.masses[0]
+    sups = traj.sup_norms[1:]
     support = np.abs(traj.values[0]) > 0
     s0 = int(traj.region.distances[support].max()) if support.any() else 0
     lhs = np.empty(len(ts))
@@ -212,15 +213,13 @@ def check_lower_bound(traj: Trajectory, profile, x0=None, window=None,
         R = mass_radius(traj, t, eps, x0=x0)
         radii[k] = R
         excluded[k] = s0 > R // 2
-        lhs[k] = traj.sup_norm(t) * 2.0 * ball_measure_at(traj, R, x0=x0)
+        lhs[k] = sups[k] * 2.0 * ball_measure_at(traj, R, x0=x0)
     ratio = lhs / rhs
     m = _window_mask(ts, window) & ~excluded
     verdict = float(ratio[m].min()) if m.any() else math.inf
     # profile-scaled companion: sup / (m0 psi_1^{-1}(...)) stays away from 0
-    scaled = np.array([
-        traj.sup_norm(t) / (m0 * psi_inverse(profile, 1.0,
-                                             1.0 / (t * m0 ** (traj.p - 2.0))))
-        for t in ts])
+    scaled = sups / np.array([
+        m0 * psi_inverse(profile, 1.0, 1.0 / (t * m0 ** (traj.p - 2.0))) for t in ts])
     extra = {
         "radii": radii,
         "excluded": excluded,
@@ -234,7 +233,7 @@ def check_lower_bound(traj: Trajectory, profile, x0=None, window=None,
 
 def confinement_radius_formula(traj, profile, t, Gamma=1.0):
     """Radius scale ``Gamma t^(1/p) m0^((p-2)/p) psi_1^{-1}(...)^((p-2)/p)``."""
-    m0 = traj.mass(0.0)
+    m0 = traj.masses[0]
     p = traj.p
     lam = psi_inverse(profile, 1.0, 1.0 / (t * m0 ** (p - 2.0)))
     return Gamma * t ** (1.0 / p) * m0 ** ((p - 2.0) / p) * lam ** ((p - 2.0) / p)
@@ -250,7 +249,7 @@ def check_moment_bound(traj: Trajectory, alpha, profile, x0=None,
         _verify_profile(profile)
     window = _trim_window(traj, window)
     ts = traj.instants
-    m0 = traj.mass(0.0)
+    m0 = traj.masses[0]
     lhs = np.array([moment(traj, t, alpha, x0=x0) for t in ts])
     rhs = np.array([confinement_radius_formula(traj, profile, t) ** alpha * m0
                     for t in ts])
@@ -267,19 +266,11 @@ def check_entropy_bound(traj: Trajectory, profile, window=DEFAULT_WINDOW,
     _require_certified(traj)
     if verify_profile:
         _verify_profile(profile)
-    if len(traj.instants) < 50:
-        raise ValueError("need at least 50 output instants for the quadrature")
+    lhs = traj.flux_integrals[1:]
     window = _trim_window(traj, window)
     p = traj.p
     ts = traj.instants
-    m0 = traj.mass(0.0)
-    U = traj.values
-    du = np.abs(U[:, traj.edges.ej] - U[:, traj.edges.ei])
-    integrand = 2.0 * (du ** (p - 1.0) @ traj.edges.w)
-    if len(traj.edges.bi):
-        integrand += 2.0 * (np.abs(U[:, traj.edges.bi]) ** (p - 1.0) @ traj.edges.bw)
-    dt = np.diff(traj.times)
-    lhs = np.cumsum(0.5 * (integrand[1:] + integrand[:-1]) * dt)
+    m0 = traj.masses[0]
     rhs = np.array([
         t ** (1.0 / p) * m0 ** (2.0 * (p - 1.0) / p)
         * psi_inverse(profile, 1.0, 1.0 / (t * m0 ** (p - 2.0))) ** ((p - 2.0) / p)
@@ -323,6 +314,8 @@ class PowerLawSpec:
         self.alpha = float(alpha)
         self.center = center if center is not None else (0,) * int(N)
         self.center_value = float(center_value)
+        self._counts = np.ones(1)       # ring sizes |S_r| for r = 0, 1, ...
+        self._ring_terms_by_exp = {}    # exponent -> |S_r| r^(-exponent)
 
     def value(self, distance):
         if distance == 0:
@@ -336,16 +329,31 @@ class PowerLawSpec:
                 for v, d in zip(reg.vertices, reg.distances)}
         return Field(g, vals)
 
+    def _ring_terms(self, e, r):
+        """``T[j] = |S_j| j^(-e)`` over the l1 spheres ``S_j`` for ``j = 1..len(T)-1 >= r``.
+
+        Ring counts grow geometrically on demand and every exponent keeps one
+        array, so repeated ring sums (balance-radius bisections, tail sums)
+        are slices of it.  Sums are taken over slices, not as differences of
+        prefix sums, which would cancel away the small tails.
+        """
+        if len(self._counts) <= r:
+            more = range(len(self._counts), max(r + 1, 2 * len(self._counts)))
+            self._counts = np.concatenate(
+                [self._counts, [l1_sphere_count(self.N, j) for j in more]])
+            self._ring_terms_by_exp.clear()
+        if e not in self._ring_terms_by_exp:
+            rs = np.arange(1, len(self._counts), dtype=float)
+            self._ring_terms_by_exp[e] = np.concatenate(
+                [[0.0], self._counts[1:] * rs ** (-e)])
+        return self._ring_terms_by_exp[e]
+
     def partial_mass(self, R):
         """Exact l1 norm over the ball ``B_R`` (unit lattice, degree 2N)."""
         deg = 2.0 * self.N
-        total = self.center_value * deg
-        if R >= 1:
-            rs = np.arange(1, int(R) + 1)
-            counts = np.array([l1_sphere_count(self.N, int(r)) for r in rs],
-                              dtype=float)
-            total += float(deg * (counts * rs ** (-self.alpha)).sum())
-        return total
+        R = int(R)
+        ring_sum = self._ring_terms(self.alpha, R)[1:R + 1].sum()
+        return self.center_value * deg + float(deg * ring_sum)
 
     def lq_tail(self, R, q, annulus_radius=None):
         """q-th power of the lq norm outside ``B_R``: ``(value, error_bound)``.
@@ -362,9 +370,7 @@ class PowerLawSpec:
             raise ValueError("analytic tail bound only available for N <= 2")
         M = int(annulus_radius) if annulus_radius is not None else max(2 * int(R), 200)
         deg = 2.0 * self.N
-        rs = np.arange(int(R) + 1, M + 1)
-        counts = np.array([l1_sphere_count(self.N, int(r)) for r in rs], dtype=float)
-        direct = float(deg * (counts * rs.astype(float) ** (-s)).sum())
+        direct = float(deg * self._ring_terms(s, M)[int(R) + 1:M + 1].sum())
         # remainder over r > M: ring counts are 2 (N=1) and 4r (N=2)
         if self.N == 1:
             integral = lambda x: 2.0 * deg * x ** (1.0 - s) / (s - 1.0)
@@ -432,7 +438,7 @@ def check_slow_decay(traj: Trajectory, spec: PowerLawSpec, q, profile,
     R_cap = int(traj.region.distances[support].max())
     ts = traj.instants
     p = traj.p
-    lhs = traj.series(traj.sup_norm)
+    lhs = traj.sup_norms[1:]
     rhs = np.empty(len(ts))
     radii = np.empty(len(ts), dtype=int)
     for k, t in enumerate(ts):

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import Field
-from .graphs import ball_measure_profile, region_edges, region_from_vertices
+from .graphs import ball_measure_profile, region_edges, region_from_vertices, rings
 from .operators import dirichlet_energy, require_exponent
 
 
@@ -173,13 +173,17 @@ def psi(profile, r, s):
 
 
 def psi_inverse(profile, r, y, rtol=1e-10, max_expand=600):
-    """Invert ``psi_r`` by geometric bisection on an expanding bracket.
+    """Invert ``psi_r``: in closed form on power-law profiles, else by bisection.
 
-    ``psi_r`` is strictly increasing whenever ``Lambda_p`` is nonincreasing,
-    so a two-sided multiplicative expansion from s = 1 brackets any y > 0.
+    On ``Lambda_p(v) = c0 v^(-p/N)``, ``psi_r(s) = c0 s^((p-2)/r + p/N)``.
+    Otherwise ``psi_r`` is strictly increasing whenever ``Lambda_p`` is
+    nonincreasing, so a geometric bisection on a two-sided multiplicative
+    expansion from s = 1 brackets any y > 0.
     """
     if y <= 0:
         raise ValueError("y must be positive")
+    if profile.kind == "closed_form":
+        return (y / profile.c0) ** (1.0 / ((profile.p - 2.0) / r + profile.p / profile.N))
     lo = hi = 1.0
     for _ in range(max_expand):
         if psi(profile, r, hi) >= y:
@@ -232,28 +236,14 @@ def ball_radius_inverse(g, x0, v, r_cap=10 ** 6):
     """
     if v <= 0:
         raise ValueError("v must be positive")
-    from collections import deque
-    total = g.degree(x0)
-    if total >= v:
-        return 0
-    dist = {x0: 0}
-    frontier = deque([x0])
-    R = 0
-    while frontier:
-        x = frontier.popleft()
-        d = dist[x]
-        for y, _ in g.neighbors(x):
-            if y not in dist:
-                dist[y] = d + 1
-                if d + 1 > r_cap:
-                    raise ConvergenceError(f"measure {v} not reached within radius {r_cap}")
-                total += g.degree(y)
-                R = max(R, d + 1)
-                frontier.append(y)
-        # a full ring is accumulated once BFS moves past it
-        if not frontier or dist[frontier[0]] > d:
-            if total >= v:
-                return R
+    total = 0.0
+    for R, ring in enumerate(rings(g, x0, r_cap + 1)):
+        if R > r_cap:
+            raise ConvergenceError(f"measure {v} not reached within radius {r_cap}")
+        for y in ring:
+            total += g.degree(y)
+        if total >= v:
+            return R
     raise ValueError(f"graph component measure {total} is below v={v}")
 
 
@@ -275,18 +265,9 @@ def rayleigh_quotient(g, region, f: Field, p):
     return dirichlet_energy(g, f, p, region) / denom
 
 
-def _phi_vec(s, p):
-    return np.sign(s) * np.abs(s) ** (p - 1.0)
-
-
 def _quotient_batch(F, edges, degrees, p):
     # F has shape (..., n); energy counts each undirected edge twice
-    df = F[..., edges.ei] - F[..., edges.ej]
-    energy = 2.0 * (np.abs(df) ** p * edges.w).sum(axis=-1)
-    if len(edges.bi):
-        energy += 2.0 * (np.abs(F[..., edges.bi]) ** p * edges.bw).sum(axis=-1)
-    denom = (np.abs(F) ** p * degrees).sum(axis=-1)
-    return energy, denom
+    return 2.0 * edges.power_sum(F, p), np.abs(F) ** p @ degrees
 
 
 def dirichlet_p_eigenvalue(g, region, p, tol=1e-10, starts=8, seed=0,
@@ -304,6 +285,7 @@ def dirichlet_p_eigenvalue(g, region, p, tol=1e-10, starts=8, seed=0,
     """
     p = require_exponent(p)
     edges = region_edges(g, region)
+    divergence = edges.divergence(p)
     degs = region.degrees
     n = len(region)
     rng = np.random.default_rng(seed)
@@ -320,14 +302,8 @@ def dirichlet_p_eigenvalue(g, region, p, tol=1e-10, starts=8, seed=0,
 
     def grad_quotient(f):
         # at p-normalized f: grad(E/D) = grad E - Q * grad D
-        ge = np.zeros(n)
-        if len(edges.ei):
-            flux = edges.w * _phi_vec(f[edges.ei] - f[edges.ej], p)
-            ge += np.bincount(edges.ei, flux, n) - np.bincount(edges.ej, flux, n)
-        if len(edges.bi):
-            ge += np.bincount(edges.bi, edges.bw * _phi_vec(f[edges.bi], p), n)
-        ge *= 2.0 * p
-        gd = p * degs * _phi_vec(f, p)
+        ge = -2.0 * p * divergence(f)
+        gd = p * degs * np.sign(f) * np.abs(f) ** (p - 1.0)
         return ge - quotient(f) * gd
 
     best = None

@@ -66,17 +66,15 @@ class Field:
     def scaled(self, c):
         return Field(self.generator, {v: c * x for v, x in self.values.items()})
 
-    def support_radius(self, x0, r_cap=None):
-        """Largest graph distance from ``x0`` to a support vertex."""
-        from .graphs import distance
-        cap = r_cap if r_cap is not None else 10 ** 6
-        r = 0
-        for v in self.support():
-            d = distance(self.generator, x0, v, cap)
-            if d is None:
-                raise ValueError(f"support vertex {v!r} unreachable from {x0!r}")
-            r = max(r, d)
-        return r
+    def support_radius(self, x0):
+        """Largest graph distance from ``x0`` to a support vertex (0 without support)."""
+        from .graphs import rings
+        remaining = set(self.values)
+        for d, ring in enumerate(rings(self.generator, x0, 10 ** 6)):
+            remaining.difference_update(ring)
+            if not remaining:
+                return d
+        raise ValueError(f"{len(remaining)} support vertices unreachable from {x0!r}")
 
     # -- weighted norms -------------------------------------------------
 

@@ -14,7 +14,6 @@ infinite graph.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -114,6 +113,30 @@ def region_from_vertices(g, vertices):
     return Region(g, verts, degs)
 
 
+def rings(g, x0, r_max=None):
+    """Breadth-first rings around ``x0``: yields the vertices at distance 0, 1, 2, ...
+
+    Each ring is a list in discovery order; the search stops after ring
+    ``r_max`` (when given) or when the component is exhausted.
+    """
+    g.degree(x0)  # validates the id
+    seen = {x0}
+    ring = [x0]
+    r = 0
+    while ring:
+        yield ring
+        if r == r_max:
+            return
+        nxt = []
+        for x in ring:
+            for y, _ in g.neighbors(x):
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        ring = nxt
+        r += 1
+
+
 def ball(g, x0, R):
     """Combinatorial ball ``B_R(x0)`` as a :class:`Region`.
 
@@ -122,28 +145,11 @@ def ball(g, x0, R):
     """
     if R < 0 or int(R) != R:
         raise ValueError(f"radius must be a nonnegative integer, got {R}")
-    dist = _bfs(g, x0, int(R))
+    dist = {v: d for d, ring in enumerate(rings(g, x0, int(R))) for v in ring}
     verts = sorted(dist, key=g.sort_key)
     degs = np.array([g.degree(v) for v in verts])
     dists = np.array([dist[v] for v in verts], dtype=np.int64)
     return Region(g, tuple(verts), degs, center=x0, radius=int(R), distances=dists)
-
-
-def _bfs(g, x0, r_max):
-    # truncated breadth-first search; returns {vertex: distance}
-    g.degree(x0)  # validates the id
-    dist = {x0: 0}
-    frontier = deque([x0])
-    while frontier:
-        x = frontier.popleft()
-        d = dist[x]
-        if d == r_max:
-            continue
-        for y, _ in g.neighbors(x):
-            if y not in dist:
-                dist[y] = d + 1
-                frontier.append(y)
-    return dist
 
 
 def distance(g, x, y, r_max):
@@ -155,22 +161,9 @@ def distance(g, x, y, r_max):
     if r_max < 0:
         raise ValueError("r_max must be >= 0")
     g.degree(y)  # validates the target id
-    if x == y:
-        return 0
-    dist = {x: 0}
-    frontier = deque([x])
-    g.degree(x)
-    while frontier:
-        z = frontier.popleft()
-        d = dist[z]
-        if d == r_max:
-            continue
-        for u, _ in g.neighbors(z):
-            if u not in dist:
-                if u == y:
-                    return d + 1
-                dist[u] = d + 1
-                frontier.append(u)
+    for d, ring in enumerate(rings(g, x, r_max)):
+        if y in ring:
+            return d
     return None
 
 
@@ -187,7 +180,7 @@ def distances_within(g, region, x0):
     # the region lies inside B_{radius}(center); any region vertex is within
     # radius + d(x0, center) of x0
     cap = 2 * (region.radius if region.radius is not None else len(region))
-    dist = _bfs(g, x0, cap)
+    dist = {v: d for d, ring in enumerate(rings(g, x0, cap)) for v in ring}
     missing = [v for v in region.vertices if v not in dist]
     if missing:
         raise GraphError(f"could not reach {len(missing)} region vertices from {x0!r}")
@@ -196,22 +189,63 @@ def distances_within(g, region, x0):
 
 def ball_measure_profile(g, x0, R_max):
     """Cumulative measures ``mu_w(B_r(x0))`` for ``r = 0..R_max``."""
-    dist = _bfs(g, x0, int(R_max))
     per_radius = np.zeros(int(R_max) + 1)
-    for v, d in dist.items():
-        per_radius[d] += g.degree(v)
+    for d, ring in enumerate(rings(g, x0, int(R_max))):
+        per_radius[d] = sum(g.degree(v) for v in ring)
     return np.cumsum(per_radius)
+
+
+def _odd_power(p):
+    # s -> |s|^(p-2) s, exact and cheaper at the two integer exponents in use
+    if p == 3.0:
+        return lambda s: np.abs(s) * s
+    if p == 4.0:
+        return lambda s: s * s * s
+    pm2 = p - 2.0
+    return lambda s: np.abs(s) ** pm2 * s
 
 
 @dataclass
 class RegionEdges:
-    """Edge arrays of a region: internal pairs (i < j) and outgoing stubs."""
+    """Edge arrays of a region: internal pairs (i < j) and outgoing stubs.
+
+    This is the edge-flux kernel of the region: every sum over edges
+    (p-Laplacian, Dirichlet energy, edge-flux integrals) goes through
+    :meth:`divergence` or :meth:`power_sum`.  Stubs see the zero exterior
+    value of a Dirichlet truncation.
+    """
 
     ei: np.ndarray        # internal edge tail indices
     ej: np.ndarray        # internal edge head indices, ej > ei
     w: np.ndarray         # internal edge weights
     bi: np.ndarray        # region-side indices of edges leaving the region
     bw: np.ndarray        # their weights
+    n: int                # number of region vertices
+
+    def divergence(self, p):
+        """Kernel ``u -> sum_y w(x,y) |u(y)-u(x)|^(p-2) (u(y)-u(x))`` over the region.
+
+        Built once per exponent; the returned function maps a state of
+        length ``n`` to the unnormalized p-Laplacian (stubs included).
+        """
+        ei, ej, w, bi, bw, n = self.ei, self.ej, self.w, self.bi, self.bw, self.n
+        odd_power = _odd_power(p)
+
+        def div(u):
+            flux = w * odd_power(u[ej] - u[ei])
+            return (np.bincount(ei, flux, n) - np.bincount(ej, flux, n)
+                    - np.bincount(bi, bw * odd_power(u[bi]), n))
+
+        return div
+
+    def power_sum(self, F, a):
+        """``sum w |F(y)-F(x)|^a`` over internal edges plus ``bw |F(x)|^a`` over stubs.
+
+        Each undirected edge counts once; ``F`` may carry leading batch
+        axes, which the result keeps.
+        """
+        return (np.abs(F[..., self.ej] - F[..., self.ei]) ** a @ self.w
+                + np.abs(F[..., self.bi]) ** a @ self.bw)
 
 
 def region_edges(g, region):
@@ -230,7 +264,7 @@ def region_edges(g, region):
     return RegionEdges(
         np.array(ei, dtype=np.int64), np.array(ej, dtype=np.int64),
         np.array(w, dtype=np.float64),
-        np.array(bi, dtype=np.int64), np.array(bw, dtype=np.float64))
+        np.array(bi, dtype=np.int64), np.array(bw, dtype=np.float64), len(region))
 
 
 @dataclass
@@ -253,7 +287,8 @@ class Cutoff:
         if self.R2 <= self.R1:
             raise ValueError(f"need R2 >= R1 + 1, got R1={self.R1}, R2={self.R2}")
         if self._dist is None:
-            self._dist = _bfs(self.generator, self.center, self.R2)
+            self._dist = {v: d for d, ring in enumerate(
+                rings(self.generator, self.center, self.R2)) for v in ring}
 
     def value(self, x):
         d = self._dist.get(x)
@@ -262,11 +297,6 @@ class Cutoff:
         if d <= self.R1:
             return 1.0
         return (self.R2 - d) / (self.R2 - self.R1)
-
-
-def cutoff_value(c: Cutoff, x):
-    """Evaluate the piecewise-linear-in-distance cutoff at ``x``."""
-    return c.value(x)
 
 
 # ----------------------------------------------------------------------
@@ -324,15 +354,8 @@ class FiniteGraph:
         return self._node_pos[u]
 
     def is_connected(self):
-        seen = {self.nodes[0]}
-        frontier = deque([self.nodes[0]])
-        while frontier:
-            u = frontier.popleft()
-            for v, _ in self.adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    frontier.append(v)
-        return len(seen) == len(self.nodes)
+        g = GraphGenerator(self.adj.__getitem__, self.name)
+        return sum(map(len, rings(g, self.nodes[0]))) == len(self.nodes)
 
 
 def complete_graph(k, name=None):

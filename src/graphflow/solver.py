@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,7 +27,11 @@ from .graphs import ball, distances_within, region_edges
 from .operators import require_exponent
 
 
-class StepSizeUnderflowError(RuntimeError):
+class SolverError(RuntimeError):
+    """The solver could not produce a trajectory (CLI exit code 3)."""
+
+
+class StepSizeUnderflowError(SolverError):
     """Step size fell below the underflow floor; carries the offending time."""
 
     def __init__(self, t, h):
@@ -35,7 +40,19 @@ class StepSizeUnderflowError(RuntimeError):
         self.h = h
 
 
-class TruncationConvergenceError(RuntimeError):
+class NonFiniteStateError(SolverError):
+    """The state or its derivative became NaN or infinite at time ``t``."""
+
+    def __init__(self, t):
+        super().__init__(f"non-finite state at t={t!r}")
+        self.t = t
+
+
+class NonFiniteInitialStepError(SolverError):
+    """The starting step size is not a positive finite number (overflowing data)."""
+
+
+class TruncationConvergenceError(SolverError):
     """Radius schedule exhausted before successive truncations agreed."""
 
     def __init__(self, message, residual=None):
@@ -43,7 +60,7 @@ class TruncationConvergenceError(RuntimeError):
         self.residual = residual
 
 
-class TruncationDeficitError(RuntimeError):
+class TruncationDeficitError(SolverError):
     """Requested mass fraction is not contained in the truncated ball."""
 
 
@@ -137,6 +154,9 @@ def _initial_step(rhs, y0, f0, t_end, rtol, atol):
     d1 = math.sqrt(float(np.mean((f0 / scale) ** 2)))
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, 0.1 * t_end)
+    if not 0.0 < h0 < math.inf:   # scaled norms overflowed
+        raise NonFiniteInitialStepError(
+            f"initial step {h0!r} from scaled norms {d0!r}, {d1!r}")
     y1 = y0 + h0 * f0
     f1 = rhs(h0, y1)
     d2 = math.sqrt(float(np.mean(((f1 - f0) / scale) ** 2))) / h0
@@ -158,6 +178,8 @@ def _integrate(rhs, y0, t_end, t_eval, rtol, atol, max_steps):
     y = y0.astype(float).copy()
     t = 0.0
     f = rhs(t, y)
+    if not np.isfinite(f).all():
+        raise NonFiniteStateError(t)
     K = np.empty((7, n))
     out = np.empty((len(t_eval), n))
     acc_at = np.zeros(len(t_eval), dtype=np.int64)
@@ -169,14 +191,17 @@ def _integrate(rhs, y0, t_end, t_eval, rtol, atol, max_steps):
     max_err_window = 0.0
     err_prev = 1e-4
     k_out = 0
+    err = 0.0
 
     steps = 0
     while t < t_end:
         if h < floor:
+            if not math.isfinite(err):
+                raise NonFiniteStateError(t)
             raise StepSizeUnderflowError(t, h)
         steps += 1
         if steps > max_steps:
-            raise RuntimeError(f"step budget {max_steps} exhausted at t={t}")
+            raise SolverError(f"step budget {max_steps} exhausted at t={t}")
         h = min(h, t_end - t)
         K[0] = f
         for i in range(1, 7):
@@ -184,7 +209,7 @@ def _integrate(rhs, y0, t_end, t_eval, rtol, atol, max_steps):
             K[i] = rhs(t + _DP_C[i] * h, yi)
         y_new = y + h * (_DP_B5 @ K)
         err = _error_norm(h * (_DP_E @ K), y, y_new, rtol, atol)
-        if err > 1.0:
+        if not err <= 1.0:   # a NaN estimate is a rejection too
             rejected += 1
             h *= 0.5          # halve-and-retry fallback
             continue
@@ -261,45 +286,51 @@ class Trajectory:
         vals = {v: row[i] for i, v in enumerate(self.region.vertices) if row[i] != 0.0}
         return Field(self.generator, vals)
 
-    def mass(self, t):
-        row = self.values[self.locate(t)]
-        return float(np.abs(row) @ self.region.degrees)
+    # whole-trajectory functionals: one entry per stored time, t = 0 first.
+    # Cached on first use (the stored values are final once built), so the
+    # arrays are shared between callers and must not be written to.
 
-    def sup_norm(self, t):
-        row = self.values[self.locate(t)]
-        return float(np.abs(row).max()) if len(row) else 0.0
+    @cached_property
+    def masses(self):
+        """Weighted l1 norms ``sum |u| d_w``."""
+        return np.abs(self.values) @ self.region.degrees
 
-    def lq_norm(self, t, q):
+    @cached_property
+    def sup_norms(self):
+        return np.abs(self.values).max(axis=1)
+
+    def lq_norms(self, q):
+        """Weighted lq norms ``(sum |u|^q d_w)^(1/q)``."""
         if q < 1:
             raise ValueError("q must be >= 1")
-        row = self.values[self.locate(t)]
-        return float((np.abs(row) ** q @ self.region.degrees) ** (1.0 / q))
+        a = np.abs(self.values)
+        np.power(a, q, out=a)
+        return (a @ self.region.degrees) ** (1.0 / q)
 
-    def boundary_sup(self, t):
-        # truncation boundary: vertices with at least one edge leaving the
-        # region (the distance-n ring on infinite graphs, empty when a
-        # finite graph fits inside the ball)
-        row = self.values[self.locate(t)]
+    @cached_property
+    def boundary_sups(self):
+        """Sups over the truncation boundary, the vertices with an edge leaving the region.
+
+        That is the distance-n ring on infinite graphs; it is empty when a
+        finite graph fits inside the ball.
+        """
         if len(self.edges.bi) == 0:
-            return 0.0
-        return float(np.abs(row[self.edges.bi]).max())
+            return np.zeros(len(self.times))
+        return np.abs(self.values[:, self.edges.bi]).max(axis=1)
 
-    def series(self, fn):
-        """Apply an instant functional over all output instants."""
-        return np.array([fn(t) for t in self.instants])
+    @cached_property
+    def flux_integrals(self):
+        """Time integral of the total (p-1)-power edge flux up to each time.
 
-
-def mass(traj, t):
-    """Weighted l1 norm of the state at instant ``t``."""
-    return traj.mass(t)
-
-
-def sup_norm(traj, t):
-    return traj.sup_norm(t)
-
-
-def lq_norm(traj, t, q):
-    return traj.lq_norm(t, q)
+        Trapezoidal quadrature over the stored times of
+        ``sum_{x,y} |u(y)-u(x)|^(p-1) w(x,y)`` (ordered pairs).  Requires a
+        reasonably dense output grid.
+        """
+        if len(self.instants) < 50:
+            raise ValueError("need at least 50 output instants for the quadrature")
+        integrand = 2.0 * self.edges.power_sum(self.values, self.p - 1.0)
+        steps = 0.5 * (integrand[1:] + integrand[:-1]) * np.diff(self.times)
+        return np.concatenate([[0.0], np.cumsum(steps)])
 
 
 def _resolve_center(g, u0: Field, center):
@@ -312,32 +343,10 @@ def _resolve_center(g, u0: Field, center):
 
 
 def _make_rhs(edges, degrees, p):
-    ei, ej, w = edges.ei, edges.ej, edges.w
-    bi, bw = edges.bi, edges.bw
-    n = len(degrees)
-    pm2 = p - 2.0
-    has_boundary = len(bi) > 0
-
-    if p == 3.0:
-        def odd_power(s):
-            return np.abs(s) * s
-    elif p == 4.0:
-        def odd_power(s):
-            return s * s * s
-    else:
-        def odd_power(s):
-            return np.abs(s) ** pm2 * s
-
-    has_internal = len(ei) > 0
+    div = edges.divergence(p)
 
     def rhs(t, u):
-        acc = np.zeros(n)
-        if has_internal:
-            flux = w * odd_power(u[ej] - u[ei])
-            acc += np.bincount(ei, flux, n) - np.bincount(ej, flux, n)
-        if has_boundary:
-            acc -= np.bincount(bi, bw * odd_power(u[bi]), n)
-        return acc / degrees
+        return div(u) / degrees
 
     return rhs
 
@@ -393,13 +402,13 @@ def solve_cauchy(g, u0: Field, cfg: SolverConfig, center=None):
     if cfg.n0 is not None:
         n = int(cfg.n0)
     else:
-        n = _support_radius(g, u0, center) + 8
+        n = u0.support_radius(center) + 8
     prev = None
     history = []
     last_diff = None
     for stage in range(cfg.max_expansions):
         traj = solve_truncated(g, u0, cfg, n, center=center)
-        leak = max((traj.boundary_sup(t) for t in traj.instants), default=0.0)
+        leak = float(traj.boundary_sups[1:].max())
         entry = {"n": n, "boundary_leak": leak, "diff_prev": None}
         if leak > delta:
             entry["expanded"] = "boundary_leak"
@@ -428,22 +437,8 @@ def solve_cauchy(g, u0: Field, cfg: SolverConfig, center=None):
         residual=last_diff)
 
 
-def _support_radius(g, u0, center):
-    if not u0.values:
-        return 0
-    from .graphs import _bfs
-    cap = 4
-    while True:
-        dist = _bfs(g, center, cap)
-        if all(v in dist for v in u0.values):
-            return max(dist[v] for v in u0.values)
-        cap *= 2
-        if cap > 10 ** 6:
-            raise ValueError("data support unreachable from the center")
-
-
 # ----------------------------------------------------------------------
-# trajectory functionals
+# comparison runs and per-instant functionals
 
 
 def comparison_check(g, u01: Field, u02: Field, cfg: SolverConfig, center=None):
@@ -461,25 +456,9 @@ def comparison_check(g, u01: Field, u02: Field, cfg: SolverConfig, center=None):
     return float((traj1.values - traj2.values).min())
 
 
-def gradient_entropy_integral(traj: Trajectory, t, p=None):
-    """Time integral of the total (p-1)-power edge flux up to ``t``.
-
-    Trapezoidal quadrature over the stored instants of
-    ``sum_{x,y} |u(y)-u(x)|^(p-1) w(x,y)`` (ordered pairs).  Requires a
-    reasonably dense output grid.
-    """
-    if len(traj.instants) < 50:
-        raise ValueError("need at least 50 output instants for the quadrature")
-    p = traj.p if p is None else p
-    k = traj.locate(t)
-    U = traj.values[:k + 1]
-    ts = traj.times[:k + 1]
-    du = np.abs(U[:, traj.edges.ej] - U[:, traj.edges.ei])
-    integrand = 2.0 * (du ** (p - 1.0) @ traj.edges.w)
-    if len(traj.edges.bi):
-        integrand += 2.0 * (np.abs(U[:, traj.edges.bi]) ** (p - 1.0) @ traj.edges.bw)
-    dt = np.diff(ts)
-    return float((0.5 * (integrand[1:] + integrand[:-1]) * dt).sum())
+def _distances(traj, x0):
+    return distances_within(traj.generator, traj.region,
+                            traj.region.center if x0 is None else x0)
 
 
 def mass_radius(traj: Trajectory, t, eps, x0=None):
@@ -491,9 +470,8 @@ def mass_radius(traj: Trajectory, t, eps, x0=None):
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0, 1)")
     row = traj.values[traj.locate(t)]
-    dists = (traj.region.distances if x0 is None or x0 == traj.region.center
-             else distances_within(traj.generator, traj.region, x0))
-    target = (1.0 - eps) * traj.mass(0.0)
+    dists = _distances(traj, x0)
+    target = (1.0 - eps) * traj.masses[0]
     ring_mass = np.bincount(dists, np.abs(row) * traj.region.degrees,
                             int(dists.max()) + 1)
     cum = np.cumsum(ring_mass)
@@ -510,13 +488,11 @@ def moment(traj: Trajectory, t, alpha, x0=None):
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must lie in (0, 1)")
     row = traj.values[traj.locate(t)]
-    dists = (traj.region.distances if x0 is None or x0 == traj.region.center
-             else distances_within(traj.generator, traj.region, x0))
+    dists = _distances(traj, x0)
     return float((dists.astype(float) ** alpha * row) @ traj.region.degrees)
 
 
 def ball_measure_at(traj: Trajectory, R, x0=None):
     """Measure of ``B_R(x0)`` within the trajectory's materialized region."""
-    dists = (traj.region.distances if x0 is None or x0 == traj.region.center
-             else distances_within(traj.generator, traj.region, x0))
+    dists = _distances(traj, x0)
     return float(traj.region.degrees[dists <= R].sum())

@@ -98,14 +98,12 @@ def test_criterion_01_exact_identities():
 
 def test_criterion_02_conservation_and_monotonicity(run_a):
     _, traj = run_a
-    m0 = traj.mass(0.0)
-    drift = max(abs(traj.mass(t) - m0) / m0 for t in traj.instants)
+    m0 = traj.masses[0]
+    drift = float(np.abs(traj.masses - m0).max() / m0)
     monotone = True
     for q in (1.5, 2.0, 4.0):
-        series = np.array([traj.lq_norm(t, q) for t in traj.instants])
-        monotone = monotone and bool((np.diff(series) <= 0).all())
-    sups = traj.series(traj.sup_norm)
-    monotone = monotone and bool((np.diff(sups) <= 0).all())
+        monotone = monotone and bool((np.diff(traj.lq_norms(q)[1:]) <= 0).all())
+    monotone = monotone and bool((np.diff(traj.sup_norms[1:]) <= 0).all())
     report(2, drift <= 1e-6 and monotone,
            f"mass drift {drift:.2e} (<=1e-6); lq/sup norms nonincreasing: {monotone}")
 

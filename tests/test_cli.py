@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 import graphflow as gf
-from graphflow import cli
+from graphflow import cli, solver
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -160,6 +161,61 @@ def test_main_solver_failure_exit_code(tmp_path):
     cfg_path.write_text(json.dumps(cfg))
     assert cli.main(["simulate", "--config", str(cfg_path),
                      "--out", str(tmp_path / "out")]) == 3
+
+
+@pytest.mark.parametrize("solver_cfg,checks", [
+    # overflowing data: the initial step cannot be sized
+    ({"p": 12.0, "t_min": 0.01, "t_max": 1.0, "num_instants": 5}, []),
+    # no truncation holds a (1 - 1e-17) share of the mass, even after the retry
+    ({"p": 3.0, "t_min": 0.01, "t_max": 20.0, "num_instants": 55, "n0": 8},
+     [{"type": "propagation_fit", "eps": 1e-17, "window": [0.5, 20]}]),
+])
+def test_main_typed_solver_failures_exit_3(tmp_path, capsys, solver_cfg, checks):
+    cfg = tiny_config(solver=solver_cfg, checks=checks)
+    if solver_cfg["p"] == 12.0:
+        cfg["initial_data"]["amplitude"] = 1e25
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli.main(["simulate", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out")]) == 3
+    assert "solver failure" in capsys.readouterr().err
+
+
+def test_run_deficit_retry_reruns_every_check(tmp_path, monkeypatch):
+    seen = []          # (check type, trajectory) per check call
+    real_check = cli._run_one_check
+
+    def check(chk, traj, profile, cfg):
+        seen.append((chk["type"], traj))
+        if len(seen) == 2:   # the second check on the first trajectory
+            raise solver.TruncationDeficitError("forced")
+        return real_check(chk, traj, profile, cfg)
+
+    configs = []
+    real_solve = solver.solve_cauchy
+
+    def solve(g, u0, scfg, center=None):
+        configs.append(scfg)
+        return real_solve(g, u0, scfg, center=center)
+
+    real_build = cli.build_solver_config
+    monkeypatch.setattr(cli, "build_solver_config",
+                        lambda s: dataclasses.replace(real_build(s), max_steps=54321))
+    monkeypatch.setattr(cli, "_run_one_check", check)
+    monkeypatch.setattr(solver, "solve_cauchy", solve)
+    cfg = tiny_config()
+    report = cli.run(cfg, tmp_path / "out")
+    first, final = seen[0][1], seen[-1][1]
+    assert final is not first
+    assert [typ for typ, _ in seen[2:]] == [c["type"] for c in cfg["checks"]]
+    assert all(traj is final for _, traj in seen[2:])
+    assert len(report["checks"]) == len(cfg["checks"]) and report["pass"]
+    assert configs[1].n0 == 2 * first.region.radius
+    assert configs[1].max_steps == 54321
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["certified_radius"] == final.certified_radius
+    rows = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()
+    assert int(rows[1].split(",")[6]) == final.region.radius
 
 
 def test_run_product_graph_family(tmp_path):

@@ -125,10 +125,10 @@ def test_weight_symmetry_exact(maker):
 
 def test_cutoff_values(z1):
     c = gf.Cutoff(z1, (0,), 2, 4)
-    assert gf.cutoff_value(c, (1,)) == 1.0
-    assert gf.cutoff_value(c, (3,)) == 0.5  # (R2 - d)/(R2 - R1)
-    assert gf.cutoff_value(c, (5,)) == 0.0
-    assert gf.cutoff_value(c, (-7,)) == 0.0
+    assert c.value((1,)) == 1.0
+    assert c.value((3,)) == 0.5  # (R2 - d)/(R2 - R1)
+    assert c.value((5,)) == 0.0
+    assert c.value((-7,)) == 0.0
 
 
 @pytest.mark.parametrize("dim,R1,R2", [(1, 2, 5), (2, 1, 4)])

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import graphflow as gf
-from graphflow.solver import (StepSizeUnderflowError, TruncationConvergenceError,
+from graphflow.solver import (NonFiniteStateError, SolverError,
+                              StepSizeUnderflowError, TruncationConvergenceError,
                               TruncationDeficitError, _integrate)
 
 
@@ -63,6 +64,22 @@ def test_stepper_underflow_reported():
                    1e-13, 1e-18, 3000)
 
 
+def test_stepper_nonfinite_rhs_is_a_typed_failure():
+    # a NaN error estimate must reject the step, never be accepted
+    def turns_nan(t, y):
+        return np.full_like(y, np.nan) if t > 0.5 else -y
+    with pytest.raises(NonFiniteStateError) as info:
+        _integrate(turns_nan, np.ones(3), 1.0, np.array([0.25, 1.0]),
+                   1e-8, 1e-12, 10 ** 6)
+    assert 0.4 < info.value.t <= 0.5
+    with pytest.raises(NonFiniteStateError):
+        _integrate(lambda t, y: np.full_like(y, np.inf), np.ones(2), 1.0, np.array([1.0]),
+                   1e-8, 1e-12, 10 ** 6)
+    with pytest.raises(SolverError, match="step budget"):
+        _integrate(lambda t, y: -y, np.ones(2), 1.0, np.array([1.0]),
+                   1e-8, 1e-12, 3)
+
+
 def test_zero_data_stays_zero(z1, short_cfg):
     traj = gf.solve_cauchy(z1, gf.Field(z1, {}), short_cfg, center=(0,))
     assert traj.certified
@@ -72,15 +89,13 @@ def test_zero_data_stays_zero(z1, short_cfg):
 def test_mass_conservation_and_monotone_norms(delta_run):
     traj = delta_run
     assert traj.certified
-    assert traj.mass(0.0) == 2.0
-    m0 = traj.mass(0.0)
-    drift = max(abs(traj.mass(t) - m0) / m0 for t in traj.instants)
+    assert traj.masses[0] == 2.0
+    m0 = traj.masses[0]
+    drift = float(np.abs(traj.masses - m0).max() / m0)
     assert drift <= 1e-8
-    sups = traj.series(traj.sup_norm)
-    assert (np.diff(sups) <= 0).all()
+    assert (np.diff(traj.sup_norms) <= 0).all()
     for q in (1.5, 2.0, 4.0):
-        norms = np.array([traj.lq_norm(t, q) for t in traj.instants])
-        assert (np.diff(norms) <= 0).all()
+        assert (np.diff(traj.lq_norms(q)) <= 0).all()
 
 
 def test_first_step_consistency_first_order(z1):
@@ -125,7 +140,9 @@ def test_truncation_convergence_failure(z1):
 
 def test_locate_rejects_off_grid(delta_run):
     with pytest.raises(ValueError):
-        delta_run.mass(0.12345)
+        delta_run.locate(0.12345)
+    with pytest.raises(ValueError):
+        delta_run.field_at(0.12345)
 
 
 def test_comparison_with_zero_gives_nonnegativity(z1):
@@ -168,7 +185,7 @@ def test_mass_radius_truncation_deficit(z1):
     # a tiny absorbing ball loses most of the mass by t = 100
     cfg = gf.SolverConfig(p=3.0, instants=gf.log_instants(0.1, 100.0, 9))
     traj = gf.solve_truncated(z1, gf.delta_field(z1, (0,)), cfg, 2)
-    assert traj.mass(100.0) < 0.5 * traj.mass(0.0)
+    assert traj.masses[traj.locate(100.0)] < 0.5 * traj.masses[0]
     with pytest.raises(TruncationDeficitError):
         gf.mass_radius(traj, 100.0, 0.5)
 
@@ -188,9 +205,8 @@ def test_moment_basics(z1, delta_run):
 
 
 def test_entropy_integral(delta_run):
-    assert gf.gradient_entropy_integral(delta_run, delta_run.instants[0]) > 0
-    series = [gf.gradient_entropy_integral(delta_run, t)
-              for t in delta_run.instants[::8]]
+    series = delta_run.flux_integrals
+    assert series[0] == 0.0 and series[1] > 0
     assert (np.diff(series) >= 0).all()
 
 
@@ -198,7 +214,7 @@ def test_entropy_needs_dense_grid(z1):
     cfg = gf.SolverConfig(p=3.0, instants=gf.log_instants(0.1, 1.0, 5))
     traj = gf.solve_cauchy(z1, gf.delta_field(z1, (0,)), cfg)
     with pytest.raises(ValueError):
-        gf.gradient_entropy_integral(traj, 1.0)
+        traj.flux_integrals
 
 
 def test_determinism_bitwise(z1, short_cfg):
@@ -217,11 +233,11 @@ def test_finite_graph_fully_covered_has_no_boundary():
                           max_expansions=3)
     traj = gf.solve_cauchy(g, gf.delta_field(g, "a"), cfg)
     assert traj.certified
-    assert all(traj.boundary_sup(t) == 0.0 for t in traj.instants)
-    m0 = traj.mass(0.0)
-    assert max(abs(traj.mass(t) - m0) for t in traj.instants) <= 1e-12 * m0
+    assert (traj.boundary_sups == 0.0).all()
+    m0 = traj.masses[0]
+    assert np.abs(traj.masses - m0).max() <= 1e-12 * m0
     # the flow relaxes toward the constant state on a finite graph
-    assert traj.sup_norm(20.0) < 0.5
+    assert traj.sup_norms[traj.locate(20.0)] < 0.5
 
 
 def test_truncation_differences_decrease(z1):
