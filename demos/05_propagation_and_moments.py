@@ -11,8 +11,9 @@ traj = gf.solve_cauchy(z1, gf.delta_field(z1, (0,), 1000.0), cfg)
 print("certified radius:", traj.certified_radius)
 
 print("\nhalf-mass radius growth:")
-for t, sup in zip(traj.times[1::10], traj.sup_norms[1::10]):
-    print(f"  t = {t:9.2f}: R = {gf.mass_radius(traj, t, 0.5):3d}, sup = {sup:9.4f}")
+radii = gf.mass_radius(traj, 0.5)
+for t, R, sup in zip(traj.times[1::10], radii[1::10], traj.sup_norms[1::10]):
+    print(f"  t = {t:9.2f}: R = {R:3d}, sup = {sup:9.4f}")
 
 fit = gf.fit_propagation_exponent(traj, 0.5, (10.0, 1e3),
                                   theoretical=0.25, tolerance=0.05)

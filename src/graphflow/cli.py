@@ -196,6 +196,9 @@ def validate_config(cfg):
                 errors.append("checks: slow_decay analytic tails require the lattice family")
         if chk["type"] == "moment_bound" and "alpha" not in chk:
             errors.append("checks: moment_bound requires alpha")
+        if chk["type"] == "propagation_fit" and 1.0 - chk.get("eps", 0.5) == 1.0:
+            errors.append("checks: propagation_fit eps is below float resolution "
+                          "(1 - eps == 1)")
     return errors
 
 

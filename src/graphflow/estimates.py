@@ -19,7 +19,7 @@ import numpy as np
 from .faberkrahn import check_assumptions, psi_inverse
 from .fields import Field
 from .graphs import ball
-from .solver import Trajectory, ball_measure_at, mass_radius, moment
+from .solver import Trajectory, mass_radius, moment
 
 DEFAULT_WINDOW = (10.0, 1e3)
 
@@ -102,8 +102,7 @@ def fit_decay_exponent(traj: Trajectory, window=DEFAULT_WINDOW,
 def fit_propagation_exponent(traj: Trajectory, eps, window=DEFAULT_WINDOW,
                              theoretical=None, tolerance=None, x0=None):
     """Slope of log mass-confinement radius against log t on the window."""
-    radii = np.array([mass_radius(traj, t, eps, x0=x0) for t in traj.instants],
-                     dtype=float)
+    radii = mass_radius(traj, eps, x0=x0)[1:].astype(float)
     return fit_loglog(traj.instants, radii, window, theoretical, tolerance)
 
 
@@ -165,6 +164,33 @@ def _require_certified(traj):
                          "(use solve_cauchy, not a bare truncation)")
 
 
+def _decay_scale(traj, profile):
+    """``lambda(t) = psi_1^{-1}(1/(t m0^(p-2)))`` at the instants.
+
+    The decay envelope of mass ``m0`` is ``m0 * lambda(t)``.
+    """
+    m0 = traj.masses[0]
+    return np.array([psi_inverse(profile, 1.0, 1.0 / (t * m0 ** (traj.p - 2.0)))
+                     for t in traj.instants])
+
+
+def _upper_check(tag, traj, profile, window, verify_profile, sides, extra=None):
+    """Upper-bound check of ``lhs/rhs`` with ``(lhs, rhs) = sides()`` over the instants.
+
+    The verdict is the fitted constant, the sup of the ratio over the
+    window trimmed to the horizon.
+    """
+    _require_certified(traj)
+    if verify_profile:
+        _verify_profile(profile)
+    window = _trim_window(traj, window)
+    lhs, rhs = sides()
+    ratio = lhs / rhs
+    verdict = float(ratio[_window_mask(traj.instants, window)].max())
+    return BoundCheck(tag, traj.instants, lhs, rhs, ratio, verdict, verdict,
+                      window, extra or {})
+
+
 def check_sup_bound(traj: Trajectory, profile, window=DEFAULT_WINDOW,
                     verify_profile=True):
     """Sup-norm against the mass-scaled decay envelope.
@@ -172,20 +198,9 @@ def check_sup_bound(traj: Trajectory, profile, window=DEFAULT_WINDOW,
     lhs = sup-norm, rhs = ``m0 * psi_1^{-1}(1/(t m0^(p-2)))``; the verdict
     is the fitted constant (sup of the ratio over the window).
     """
-    _require_certified(traj)
-    if verify_profile:
-        _verify_profile(profile)
-    window = _trim_window(traj, window)
-    m0 = traj.masses[0]
-    ts = traj.instants
-    lhs = traj.sup_norms[1:]
-    rhs = np.array([m0 * psi_inverse(profile, 1.0, 1.0 / (t * m0 ** (traj.p - 2.0)))
-                    for t in ts])
-    ratio = lhs / rhs
-    m = _window_mask(ts, window)
-    verdict = float(ratio[m].max())
-    return BoundCheck("sup_decay_upper", ts, lhs, rhs, ratio, verdict, verdict,
-                      window)
+    return _upper_check(
+        "sup_decay_upper", traj, profile, window, verify_profile,
+        lambda: (traj.sup_norms[1:], traj.masses[0] * _decay_scale(traj, profile)))
 
 
 def check_lower_bound(traj: Trajectory, profile, x0=None, window=None,
@@ -193,33 +208,29 @@ def check_lower_bound(traj: Trajectory, profile, x0=None, window=None,
     """Constant-free lower bound through the half-mass radius.
 
     At every instant, ``sup u(t) * 2 mu_w(B_R(t)) >= m0`` with ``R(t)`` the
-    minimal radius holding half the initial mass; instants whose radius
-    violates the support hypothesis (data support must sit inside
-    ``B_floor(R/2)``) are excluded and counted separately.  The second,
-    profile-scaled inequality is reported as a fitted constant only.
+    minimal radius around ``x0`` holding half the initial mass; instants
+    whose radius violates the support hypothesis (data support must sit
+    inside ``B_floor(R/2)(x0)``) are excluded and counted separately.  The
+    second, profile-scaled inequality is reported as a fitted constant only.
     """
     _require_certified(traj)
     ts = traj.instants
     window = _trim_window(traj, window) if window else (float(ts[0]), float(ts[-1]))
     m0 = traj.masses[0]
     sups = traj.sup_norms[1:]
+    radii = mass_radius(traj, eps, x0=x0)[1:]
+    dists = traj.distances(x0)
     support = np.abs(traj.values[0]) > 0
-    s0 = int(traj.region.distances[support].max()) if support.any() else 0
-    lhs = np.empty(len(ts))
+    s0 = int(dists[support].max()) if support.any() else 0
+    excluded = s0 > radii // 2
+    ball_measures = np.cumsum(np.bincount(dists, traj.region.degrees))
+    lhs = sups * 2.0 * ball_measures[radii]
     rhs = np.full(len(ts), m0)
-    radii = np.empty(len(ts), dtype=int)
-    excluded = np.zeros(len(ts), dtype=bool)
-    for k, t in enumerate(ts):
-        R = mass_radius(traj, t, eps, x0=x0)
-        radii[k] = R
-        excluded[k] = s0 > R // 2
-        lhs[k] = sups[k] * 2.0 * ball_measure_at(traj, R, x0=x0)
     ratio = lhs / rhs
     m = _window_mask(ts, window) & ~excluded
     verdict = float(ratio[m].min()) if m.any() else math.inf
     # profile-scaled companion: sup / (m0 psi_1^{-1}(...)) stays away from 0
-    scaled = sups / np.array([
-        m0 * psi_inverse(profile, 1.0, 1.0 / (t * m0 ** (traj.p - 2.0))) for t in ts])
+    scaled = sups / (m0 * _decay_scale(traj, profile))
     extra = {
         "radii": radii,
         "excluded": excluded,
@@ -231,55 +242,36 @@ def check_lower_bound(traj: Trajectory, profile, x0=None, window=None,
                       window, extra)
 
 
-def confinement_radius_formula(traj, profile, t, Gamma=1.0):
-    """Radius scale ``Gamma t^(1/p) m0^((p-2)/p) psi_1^{-1}(...)^((p-2)/p)``."""
-    m0 = traj.masses[0]
-    p = traj.p
-    lam = psi_inverse(profile, 1.0, 1.0 / (t * m0 ** (p - 2.0)))
-    return Gamma * t ** (1.0 / p) * m0 ** ((p - 2.0) / p) * lam ** ((p - 2.0) / p)
-
-
 def check_moment_bound(traj: Trajectory, alpha, profile, x0=None,
                        window=DEFAULT_WINDOW, verify_profile=True):
-    """Spread moment against ``R^alpha * m0`` with the formula radius."""
-    _require_certified(traj)
-    if not (0.0 < alpha < 1.0):
-        raise ValueError("alpha must lie in (0, 1)")
-    if verify_profile:
-        _verify_profile(profile)
-    window = _trim_window(traj, window)
-    ts = traj.instants
-    m0 = traj.masses[0]
-    lhs = np.array([moment(traj, t, alpha, x0=x0) for t in ts])
-    rhs = np.array([confinement_radius_formula(traj, profile, t) ** alpha * m0
-                    for t in ts])
-    ratio = lhs / rhs
-    m = _window_mask(ts, window)
-    verdict = float(ratio[m].max())
-    return BoundCheck("moment_upper", ts, lhs, rhs, ratio, verdict, verdict,
-                      window, {"alpha": alpha})
+    """Spread moment against ``R(t)^alpha * m0`` with the confinement radius scale.
+
+    ``R(t) = t^(1/p) m0^((p-2)/p) psi_1^{-1}(1/(t m0^(p-2)))^((p-2)/p)``.
+    """
+
+    def sides():
+        p = traj.p
+        m0 = traj.masses[0]
+        radius = (traj.instants ** (1.0 / p) * m0 ** ((p - 2.0) / p)
+                  * _decay_scale(traj, profile) ** ((p - 2.0) / p))
+        return moment(traj, alpha, x0=x0)[1:], radius ** alpha * m0
+
+    return _upper_check("moment_upper", traj, profile, window, verify_profile,
+                        sides, {"alpha": alpha})
 
 
 def check_entropy_bound(traj: Trajectory, profile, window=DEFAULT_WINDOW,
                         verify_profile=True):
     """Cumulative edge-flux integral against its time-amplitude envelope."""
-    _require_certified(traj)
-    if verify_profile:
-        _verify_profile(profile)
-    lhs = traj.flux_integrals[1:]
-    window = _trim_window(traj, window)
-    p = traj.p
-    ts = traj.instants
-    m0 = traj.masses[0]
-    rhs = np.array([
-        t ** (1.0 / p) * m0 ** (2.0 * (p - 1.0) / p)
-        * psi_inverse(profile, 1.0, 1.0 / (t * m0 ** (p - 2.0))) ** ((p - 2.0) / p)
-        for t in ts])
-    ratio = lhs / rhs
-    m = _window_mask(ts, window)
-    verdict = float(ratio[m].max())
-    return BoundCheck("gradient_flux_upper", ts, lhs, rhs, ratio, verdict,
-                      verdict, window)
+
+    def sides():
+        p = traj.p
+        rhs = (traj.instants ** (1.0 / p) * traj.masses[0] ** (2.0 * (p - 1.0) / p)
+               * _decay_scale(traj, profile) ** ((p - 2.0) / p))
+        return traj.flux_integrals[1:], rhs
+
+    return _upper_check("gradient_flux_upper", traj, profile, window,
+                        verify_profile, sides)
 
 
 # ----------------------------------------------------------------------
@@ -430,28 +422,24 @@ def check_slow_decay(traj: Trajectory, spec: PowerLawSpec, q, profile,
     to the envelope must stay bounded, and the fitted decay slope is
     compared with ``-alpha/(alpha(p-2)+p)``.
     """
-    _require_certified(traj)
-    if verify_profile:
-        _verify_profile(profile)
-    window = _trim_window(traj, window)
-    support = np.abs(traj.values[0]) > 0
-    R_cap = int(traj.region.distances[support].max())
     ts = traj.instants
     p = traj.p
-    lhs = traj.sup_norms[1:]
-    rhs = np.empty(len(ts))
     radii = np.empty(len(ts), dtype=int)
-    for k, t in enumerate(ts):
-        R = minimal_balance_radius(spec, q, t, profile, R_cap)
-        radii[k] = R
-        m_R = spec.partial_mass(R)
-        rhs[k] = m_R * psi_inverse(profile, 1.0, 1.0 / (t * m_R ** (p - 2.0)))
-    ratio = lhs / rhs
-    m = _window_mask(ts, window)
-    verdict = float(ratio[m].max())
-    check = BoundCheck("slow_decay_upper", ts, lhs, rhs, ratio, verdict,
-                       verdict, window, {"radii": radii})
-    fit = fit_loglog(ts, lhs, window,
+
+    def sides():
+        support = np.abs(traj.values[0]) > 0
+        R_cap = int(traj.region.distances[support].max())
+        rhs = np.empty(len(ts))
+        for k, t in enumerate(ts):
+            R = minimal_balance_radius(spec, q, t, profile, R_cap)
+            radii[k] = R
+            m_R = spec.partial_mass(R)
+            rhs[k] = m_R * psi_inverse(profile, 1.0, 1.0 / (t * m_R ** (p - 2.0)))
+        return traj.sup_norms[1:], rhs
+
+    check = _upper_check("slow_decay_upper", traj, profile, window,
+                         verify_profile, sides, {"radii": radii})
+    fit = fit_loglog(ts, check.lhs, check.window,
                      theoretical=-slow_decay_exponent(spec.alpha, p),
                      tolerance=tolerance)
     return check, fit

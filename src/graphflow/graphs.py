@@ -177,9 +177,11 @@ def distances_within(g, region, x0):
         raise ValueError(f"{x0!r} is not in the region")
     if region.center is not None and x0 == region.center and region.distances is not None:
         return region.distances
-    # the region lies inside B_{radius}(center); any region vertex is within
-    # radius + d(x0, center) of x0
-    cap = 2 * (region.radius if region.radius is not None else len(region))
+    # a ball B_radius(center) lies within radius + d(x0, center) of x0
+    if region.distances is not None:
+        cap = region.radius + int(region.distances[region.index[x0]])
+    else:
+        cap = 2 * len(region)
     dist = {v: d for d, ring in enumerate(rings(g, x0, cap)) for v in ring}
     missing = [v for v in region.vertices if v not in dist]
     if missing:

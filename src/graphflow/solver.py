@@ -281,6 +281,11 @@ class Trajectory:
                 return j
         raise ValueError(f"t={t} is not an output instant")
 
+    def distances(self, x0=None):
+        """Graph distances from ``x0`` (default: the ball center) to the region's vertices."""
+        return distances_within(self.generator, self.region,
+                                self.region.center if x0 is None else x0)
+
     def field_at(self, t):
         row = self.values[self.locate(t)]
         vals = {v: row[i] for i, v in enumerate(self.region.vertices) if row[i] != 0.0}
@@ -438,7 +443,7 @@ def solve_cauchy(g, u0: Field, cfg: SolverConfig, center=None):
 
 
 # ----------------------------------------------------------------------
-# comparison runs and per-instant functionals
+# comparison runs and distance functionals
 
 
 def comparison_check(g, u01: Field, u02: Field, cfg: SolverConfig, center=None):
@@ -456,43 +461,33 @@ def comparison_check(g, u01: Field, u02: Field, cfg: SolverConfig, center=None):
     return float((traj1.values - traj2.values).min())
 
 
-def _distances(traj, x0):
-    return distances_within(traj.generator, traj.region,
-                            traj.region.center if x0 is None else x0)
+def mass_radius(traj: Trajectory, eps, x0=None):
+    """Minimal radii around ``x0`` holding a ``(1-eps)`` fraction of the initial mass.
 
-
-def mass_radius(traj: Trajectory, t, eps, x0=None):
-    """Minimal radius containing a ``(1-eps)`` fraction of the initial mass.
-
-    Raises :class:`TruncationDeficitError` when the truncated ball does
-    not even hold that fraction at time ``t`` (the run needs a larger n).
+    One integer per stored time, t = 0 first.  Raises
+    :class:`TruncationDeficitError` when the truncated ball does not even
+    hold that fraction at some stored time (the run needs a larger n).
     """
-    if not (0.0 < eps < 1.0):
-        raise ValueError("eps must lie in (0, 1)")
-    row = traj.values[traj.locate(t)]
-    dists = _distances(traj, x0)
+    if not (0.0 < eps < 1.0) or 1.0 - eps == 1.0:
+        raise ValueError(f"eps must lie in (0, 1) with 1 - eps < 1, got {eps!r}")
+    dists = traj.distances(x0)
     target = (1.0 - eps) * traj.masses[0]
-    ring_mass = np.bincount(dists, np.abs(row) * traj.region.degrees,
-                            int(dists.max()) + 1)
-    cum = np.cumsum(ring_mass)
-    hit = np.nonzero(cum >= target)[0]
-    if len(hit) == 0:
+    bins = int(dists.max()) + 1
+    cum = np.cumsum([np.bincount(dists, np.abs(row) * traj.region.degrees, bins)
+                     for row in traj.values], axis=1)
+    short = np.nonzero(cum[:, -1] < target)[0]
+    if len(short):
+        held = cum[short[0], -1]
         raise TruncationDeficitError(
-            f"ball of radius {traj.region.radius} holds {cum[-1]:.6g} < "
-            f"{target:.6g} of the initial mass at t={t}")
-    return int(hit[0])
+            f"ball of radius {traj.region.radius} holds {held:.17g} < {target:.17g} "
+            f"of the initial mass at t={traj.times[short[0]]} "
+            f"(short by {target - held:.17g})")
+    return np.argmax(cum >= target, axis=1)
 
 
-def moment(traj: Trajectory, t, alpha, x0=None):
-    """Spread functional ``sum d(x, x0)^alpha u(x, t) d_w(x)`` over the ball."""
+def moment(traj: Trajectory, alpha, x0=None):
+    """Spread functionals ``sum d(x, x0)^alpha u(x, t) d_w(x)``, one per stored time."""
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must lie in (0, 1)")
-    row = traj.values[traj.locate(t)]
-    dists = _distances(traj, x0)
-    return float((dists.astype(float) ** alpha * row) @ traj.region.degrees)
-
-
-def ball_measure_at(traj: Trajectory, R, x0=None):
-    """Measure of ``B_R(x0)`` within the trajectory's materialized region."""
-    dists = _distances(traj, x0)
-    return float(traj.region.degrees[dists <= R].sum())
+    dists = traj.distances(x0)
+    return traj.values @ (dists.astype(float) ** alpha * traj.region.degrees)

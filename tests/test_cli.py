@@ -166,9 +166,6 @@ def test_main_solver_failure_exit_code(tmp_path):
 @pytest.mark.parametrize("solver_cfg,checks", [
     # overflowing data: the initial step cannot be sized
     ({"p": 12.0, "t_min": 0.01, "t_max": 1.0, "num_instants": 5}, []),
-    # no truncation holds a (1 - 1e-17) share of the mass, even after the retry
-    ({"p": 3.0, "t_min": 0.01, "t_max": 20.0, "num_instants": 55, "n0": 8},
-     [{"type": "propagation_fit", "eps": 1e-17, "window": [0.5, 20]}]),
 ])
 def test_main_typed_solver_failures_exit_3(tmp_path, capsys, solver_cfg, checks):
     cfg = tiny_config(solver=solver_cfg, checks=checks)
@@ -179,6 +176,22 @@ def test_main_typed_solver_failures_exit_3(tmp_path, capsys, solver_cfg, checks)
     assert cli.main(["simulate", "--config", str(cfg_path),
                      "--out", str(tmp_path / "out")]) == 3
     assert "solver failure" in capsys.readouterr().err
+
+
+def test_main_eps_below_float_resolution_exits_2(tmp_path, capsys):
+    # 1 - 1e-17 rounds to 1: no truncation could ever hold the whole mass
+    cfg = tiny_config(checks=[{"type": "propagation_fit", "eps": 1e-17,
+                               "window": [0.5, 20]}])
+    assert any("propagation_fit eps" in e for e in cli.validate_config(cfg))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli.main(["validate-config", str(cfg_path)]) == 2
+    assert cli.main(["simulate", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out")]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    cfg["checks"][0]["eps"] = 2.0 ** -52
+    assert cli.validate_config(cfg) == []
 
 
 def test_run_deficit_retry_reruns_every_check(tmp_path, monkeypatch):

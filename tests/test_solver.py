@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -169,16 +170,23 @@ def test_comparison_precondition_enforced(z1, short_cfg):
 
 
 def test_mass_radius_basics(delta_run):
-    assert gf.mass_radius(delta_run, 0.0, 0.5) == 0
-    assert gf.mass_radius(delta_run, 0.0, 0.01) == 0
-    r_wide = gf.mass_radius(delta_run, 100.0, 0.5)
-    r_tight = gf.mass_radius(delta_run, 100.0, 0.01)
+    wide = gf.mass_radius(delta_run, 0.5)
+    tight = gf.mass_radius(delta_run, 0.01)
+    assert wide.shape == tight.shape == delta_run.times.shape
+    assert wide[delta_run.locate(0.0)] == 0
+    assert tight[delta_run.locate(0.0)] == 0
+    r_wide = wide[delta_run.locate(100.0)]
+    r_tight = tight[delta_run.locate(100.0)]
     assert r_wide <= r_tight
 
 
 def test_mass_radius_eps_validation(delta_run):
     with pytest.raises(ValueError):
-        gf.mass_radius(delta_run, 1.0, 0.0)
+        gf.mass_radius(delta_run, 0.0)
+    # 1 - eps rounds to 1: the whole initial mass could never be met
+    with pytest.raises(ValueError):
+        gf.mass_radius(delta_run, 2.0 ** -54)
+    assert gf.mass_radius(delta_run, 2.0 ** -52)[0] == 0
 
 
 def test_mass_radius_truncation_deficit(z1):
@@ -186,21 +194,27 @@ def test_mass_radius_truncation_deficit(z1):
     cfg = gf.SolverConfig(p=3.0, instants=gf.log_instants(0.1, 100.0, 9))
     traj = gf.solve_truncated(z1, gf.delta_field(z1, (0,)), cfg, 2)
     assert traj.masses[traj.locate(100.0)] < 0.5 * traj.masses[0]
-    with pytest.raises(TruncationDeficitError):
-        gf.mass_radius(traj, 100.0, 0.5)
+    with pytest.raises(TruncationDeficitError) as info:
+        gf.mass_radius(traj, 0.5)
+    # the message prints both sides and the shortfall to full precision
+    held, target, short = map(float, re.search(
+        r"holds (\S+) < (\S+) .*short by (\S+)\)", str(info.value)).groups())
+    assert target == 0.5 * traj.masses[0]
+    assert held < target and short == target - held
 
 
 def test_moment_basics(z1, delta_run):
-    assert gf.moment(delta_run, 0.0, 0.5) == 0.0
+    assert gf.moment(delta_run, 0.5)[delta_run.locate(0.0)] == 0.0
     with pytest.raises(ValueError):
-        gf.moment(delta_run, 1.0, 1.5)
+        gf.moment(delta_run, 1.5)
     # data supported outside B_1: moment nondecreasing in alpha
     ring = gf.Field(z1, {(2,): 1.0, (-2,): 1.0, (3,): 0.5})
     cfg = gf.SolverConfig(p=3.0, instants=gf.log_instants(0.1, 1.0, 5))
     traj = gf.solve_cauchy(z1, ring, cfg, center=(0,))
     alphas = (0.2, 0.5, 0.8)
+    moments = [gf.moment(traj, a, x0=(0,)) for a in alphas]
     for t in (0.0, 1.0):
-        vals = [gf.moment(traj, t, a, x0=(0,)) for a in alphas]
+        vals = [m[traj.locate(t)] for m in moments]
         assert vals == sorted(vals)
 
 
