@@ -6,7 +6,9 @@ embedded Dormand-Prince 4(5) pair with PI step-size control and dense
 output at the configured instants.  :func:`solve_cauchy` re-solves on a
 growing radius schedule until two consecutive truncations agree on the
 smaller ball and the outer boundary ring stays numerically empty; the
-returned trajectory is tagged with the certified radius.
+returned trajectory is tagged with the certified radius.  A stage whose
+boundary ring leaks is stopped at the first leaking output instant and
+rerun on a larger ball.
 
 The right-hand side is locally Lipschitz on bounded sets and degenerate
 (not stiff) near flat states, so an explicit pair with adaptive steps is
@@ -167,12 +169,15 @@ def _initial_step(rhs, y0, f0, t_end, rtol, atol):
     return min(100 * h0, h1, t_end)
 
 
-def _integrate(rhs, y0, t_end, t_eval, rtol, atol, max_steps):
+def _integrate(rhs, y0, t_end, t_eval, rtol, atol, max_steps, stop=None):
     """Integrate y' = rhs(t, y) on [0, t_end], dense output at t_eval.
 
     Returns ``(Y, diag)`` where ``Y[k]`` is the solution at ``t_eval[k]``
     and ``diag`` carries cumulative accepted/rejected step counts and the
-    largest scaled local error seen before each output instant.
+    largest scaled local error seen before each output instant.  With a
+    predicate ``stop``, integration ends at the first output row for which
+    ``stop(row)`` is true: ``Y`` and the per-instant diagnostics then hold
+    only the rows reached, that one included.
     """
     n = len(y0)
     y = y0.astype(float).copy()
@@ -194,7 +199,8 @@ def _integrate(rhs, y0, t_end, t_eval, rtol, atol, max_steps):
     err = 0.0
 
     steps = 0
-    while t < t_end:
+    stopped = False
+    while t < t_end and not stopped:
         if h < floor:
             if not math.isfinite(err):
                 raise NonFiniteStateError(t)
@@ -225,6 +231,9 @@ def _integrate(rhs, y0, t_end, t_eval, rtol, atol, max_steps):
             err_at[k_out] = max_err_window
             max_err_window = 0.0
             k_out += 1
+            if stop is not None and stop(out[k_out - 1]):
+                stopped = True
+                break
         accepted += 1
         y, t, f = y_new, t_new, K[6].copy()   # FSAL: last stage is f(t_new, y_new)
         if err == 0.0:
@@ -234,11 +243,13 @@ def _integrate(rhs, y0, t_end, t_eval, rtol, atol, max_steps):
             factor = min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
         err_prev = max(err, 1e-10)
         h *= factor
-    if k_out < len(t_eval):
-        raise RuntimeError("integration ended before the last output instant")
-    diag = {"accepted": acc_at, "rejected": rej_at, "max_scaled_error": err_at,
+    if k_out < len(t_eval) and not stopped:
+        raise SolverError(f"integration ended at t={t} before the last output "
+                          f"instant {t_eval[-1]}")
+    diag = {"accepted": acc_at[:k_out], "rejected": rej_at[:k_out],
+            "max_scaled_error": err_at[:k_out],
             "total_accepted": accepted, "total_rejected": rejected}
-    return out, diag
+    return out[:k_out], diag
 
 
 # ----------------------------------------------------------------------
@@ -356,11 +367,14 @@ def _make_rhs(edges, degrees, p):
     return rhs
 
 
-def solve_truncated(g, u0: Field, cfg: SolverConfig, n, center=None):
+def solve_truncated(g, u0: Field, cfg: SolverConfig, n, center=None, delta=None):
     """Solve the flow on ``B_n`` with zero Dirichlet exterior values.
 
     The initial data must be supported inside the ball.  Output instants
-    follow the config; the row at t = 0 holds the data itself.
+    follow the config; the row at t = 0 holds the data itself.  With a
+    leak threshold ``delta``, integration stops at the first output
+    instant whose stored boundary sup exceeds it, and the trajectory ends
+    there.
     """
     center = _resolve_center(g, u0, center)
     region = ball(g, center, n)
@@ -372,17 +386,25 @@ def solve_truncated(g, u0: Field, cfg: SolverConfig, n, center=None):
     for v, x in u0.values.items():
         y0[region.index[v]] = x
     rhs = _make_rhs(edges, region.degrees, cfg.p)
+    nonneg = u0.is_nonnegative()
+    stop = None
+    if delta is not None and len(edges.bi):
+        bi = edges.bi
+
+        def stop(row):   # tests the stored value: nonnegative rows are clamped at 0
+            b = np.maximum(row[bi], 0.0) if nonneg else np.abs(row[bi])
+            return b.max() > delta
     Y, diag = _integrate(rhs, y0, float(cfg.instants[-1]), cfg.instants,
-                         cfg.rtol, cfg.atol, cfg.max_steps)
-    clamped = np.zeros(len(cfg.instants))
-    if u0.is_nonnegative():
+                         cfg.rtol, cfg.atol, cfg.max_steps, stop=stop)
+    clamped = np.zeros(len(Y))
+    if nonneg:
         neg = np.minimum(Y, 0.0)
         clamped = -neg.min(axis=1)
         np.maximum(Y, 0.0, out=Y)
-    times = np.concatenate([[0.0], cfg.instants])
+    times = np.concatenate([[0.0], cfg.instants[:len(Y)]])
     values = np.vstack([y0, Y])
     diagnostics = {
-        "radius": np.full(len(cfg.instants), n, dtype=np.int64),
+        "radius": np.full(len(Y), n, dtype=np.int64),
         "accepted": diag["accepted"],
         "rejected": diag["rejected"],
         "max_scaled_error": diag["max_scaled_error"],
@@ -397,8 +419,15 @@ def solve_cauchy(g, u0: Field, cfg: SolverConfig, center=None):
     Re-solves from t = 0 on a doubling radius schedule until (a) the outer
     boundary ring stays below the leak threshold at every instant and
     (b) two consecutive truncations differ by at most ``eps_trunc`` on the
-    smaller ball, uniformly over output instants.  Reproducibility beats
-    checkpointing at this scale, so every expansion restarts the clock.
+    smaller ball, uniformly over output instants.  A stage whose ring
+    leaks stops at the first leaking output instant, since later instants
+    cannot change its verdict.  Reproducibility beats checkpointing at
+    this scale, so every expansion restarts the clock.
+
+    Each ``history`` entry records the stage radius, its boundary leak
+    (at the stopping instant for a stage that leaked), ``diff_prev``, the
+    accepted and rejected step counts and ``stopped_at``, the instant a
+    leaking stage ended at (``None`` otherwise).
     """
     center = _resolve_center(g, u0, center)
     sup0 = u0.sup_norm()
@@ -412,9 +441,13 @@ def solve_cauchy(g, u0: Field, cfg: SolverConfig, center=None):
     history = []
     last_diff = None
     for stage in range(cfg.max_expansions):
-        traj = solve_truncated(g, u0, cfg, n, center=center)
+        traj = solve_truncated(g, u0, cfg, n, center=center, delta=delta)
         leak = float(traj.boundary_sups[1:].max())
-        entry = {"n": n, "boundary_leak": leak, "diff_prev": None}
+        diag = traj.diagnostics
+        entry = {"n": n, "boundary_leak": leak, "diff_prev": None,
+                 "accepted": int(diag["accepted"][-1]),
+                 "rejected": int(diag["rejected"][-1]),
+                 "stopped_at": float(traj.times[-1]) if leak > delta else None}
         if leak > delta:
             entry["expanded"] = "boundary_leak"
             history.append(entry)

@@ -20,3 +20,5 @@ def test_demo_runs(demo, tmp_path):
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
+    # demos clean up after themselves
+    assert not list(tmp_path.glob("graphflow_demo_*"))

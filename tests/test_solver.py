@@ -60,7 +60,7 @@ def test_stepper_underflow_reported():
     # an ODE the controller cannot satisfy at an absurd tolerance budget
     def stiff(t, y):
         return np.array([-1e12 * y[0] + math.sin(1e9 * t)])
-    with pytest.raises((StepSizeUnderflowError, RuntimeError)):
+    with pytest.raises(StepSizeUnderflowError):
         _integrate(stiff, np.array([1.0]), 10.0, np.array([10.0]),
                    1e-13, 1e-18, 3000)
 
@@ -79,6 +79,13 @@ def test_stepper_nonfinite_rhs_is_a_typed_failure():
     with pytest.raises(SolverError, match="step budget"):
         _integrate(lambda t, y: -y, np.ones(2), 1.0, np.array([1.0]),
                    1e-8, 1e-12, 3)
+
+
+def test_stepper_short_horizon_is_a_typed_failure():
+    # output instants past t_end are never reached: a solver failure (exit 3)
+    with pytest.raises(SolverError, match="before the last output instant"):
+        _integrate(lambda t, y: -y, np.ones(2), 1.0, np.array([0.5, 2.0]),
+                   1e-8, 1e-12, 10 ** 6)
 
 
 def test_zero_data_stays_zero(z1, short_cfg):
@@ -130,6 +137,11 @@ def test_boundary_leak_triggers_expansion(z1, short_cfg):
     assert traj.history[0]["expanded"] == "boundary_leak"
     assert traj.certified
     assert traj.certified_radius > 2
+    # the leaking stage stopped early, after fewer steps than a full solve
+    assert traj.history[0]["stopped_at"] < cfg.instants[-1]
+    full = gf.solve_truncated(z1, gf.delta_field(z1, (0,)), cfg, 2)
+    assert traj.history[0]["accepted"] < full.diagnostics["accepted"][-1]
+    assert traj.history[-1]["stopped_at"] is None
 
 
 def test_truncation_convergence_failure(z1):
