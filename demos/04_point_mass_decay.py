@@ -30,7 +30,7 @@ fit = gf.fit_decay_exponent(traj, (10.0, 1e3), theoretical=-0.25, tolerance=0.05
 print(f"\nfitted decay slope on [10, 1000]: {fit.slope:+.4f} "
       f"(predicted -1/4, stderr {fit.stderr:.1e}, R^2 = {fit.r2:.5f})")
 
-lat = gf.fk_lattice(1, 3.0)
+lat = gf.FkProfile.lattice(1, 3.0)
 chk = gf.check_sup_bound(traj, lat)
 print(f"sup-bound ratio: fitted constant {chk.verdict:.3f}, "
       f"upper-decade variation {chk.stability((100.0, 1e3)) * 100:.1f}%")

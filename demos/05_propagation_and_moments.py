@@ -19,7 +19,7 @@ fit = gf.fit_propagation_exponent(traj, 0.5, (10.0, 1e3),
                                   theoretical=0.25, tolerance=0.05)
 print(f"\nfitted radius slope on [10, 1000]: {fit.slope:+.4f} (predicted +1/4)")
 
-lat = gf.fk_lattice(1, 3.0)
+lat = gf.FkProfile.lattice(1, 3.0)
 lower = gf.check_lower_bound(traj, lat)
 print("constant-free lower bound sup * 2 mu_w(B_R) >= m0 holds everywhere:",
       lower.extra["holds_everywhere"], f"(worst ratio {lower.verdict:.4f})")

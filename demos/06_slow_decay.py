@@ -11,7 +11,7 @@ import graphflow as gf
 
 z1 = gf.lattice_generator(1)
 spec = gf.PowerLawSpec(N=1, alpha=0.5)   # center value defaults to 1
-lat = gf.fk_lattice(1, 3.0)
+lat = gf.FkProfile.lattice(1, 3.0)
 
 # --- the balance time of the data -----------------------------------------
 print("balance time T(R):")

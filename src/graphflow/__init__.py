@@ -17,12 +17,11 @@ from .graphs import (Cutoff, FiniteGraph, GraphGenerator, Region,
                      region_from_vertices)
 from .operators import (apply_plaplacian, dirichlet_energy, monotonicity_check,
                         monotonicity_gamma, summation_by_parts_residual)
-from .faberkrahn import (FkProfile, PsiFunction, ball_radius_inverse,
-                         check_assumptions, check_ball_measure_bound,
-                         check_psi_scaling_monotone, connected_subsets_containing,
-                         dirichlet_p_eigenvalue, eigenvalue_grid_oracle,
-                         fk_lattice, fk_profile_bruteforce, linf_lq_bound, psi,
-                         psi_inverse, rayleigh_quotient)
+from .faberkrahn import (FkProfile, ball_radius_inverse, check_assumptions,
+                         check_ball_measure_bound, check_psi_scaling_monotone,
+                         connected_subsets_containing, dirichlet_p_eigenvalue,
+                         eigenvalue_grid_oracle, fk_profile_bruteforce,
+                         linf_lq_bound, psi, psi_inverse, rayleigh_quotient)
 from .solver import (SolverConfig, SolverError, Trajectory, comparison_check,
                      log_instants, mass_radius, moment, solve_cauchy,
                      solve_truncated)

@@ -106,10 +106,9 @@ CONFIG_SCHEMA = {
                 "rtol": {"type": "number", "exclusiveMinimum": 0},
                 "atol": {"type": "number", "exclusiveMinimum": 0},
                 "n0": {"type": "integer", "minimum": 1},
-                "growth_factor": {"type": "number", "exclusiveMinimum": 1},
                 "max_expansions": {"type": "integer", "minimum": 1},
-                "delta_boundary": {"type": ["number", "null"]},
-                "eps_trunc": {"type": ["number", "null"]},
+                "delta_boundary": {"type": ["number", "null"], "exclusiveMinimum": 0},
+                "eps_trunc": {"type": ["number", "null"], "exclusiveMinimum": 0},
             },
         },
         "profile": {
@@ -250,8 +249,7 @@ def build_initial_field(g, data_cfg):
 def build_solver_config(solver_cfg):
     instants = solver.log_instants(solver_cfg["t_min"], solver_cfg["t_max"],
                                    solver_cfg["num_instants"])
-    keys = ("rtol", "atol", "n0", "growth_factor", "max_expansions",
-            "delta_boundary", "eps_trunc")
+    keys = ("rtol", "atol", "n0", "max_expansions", "delta_boundary", "eps_trunc")
     kwargs = {k: solver_cfg[k] for k in keys if k in solver_cfg}
     return solver.SolverConfig(p=solver_cfg["p"], instants=instants, **kwargs)
 
@@ -464,7 +462,7 @@ def run(cfg, out_dir, seed=None):
     except solver.TruncationDeficitError:
         # re-solve once from a doubled radius; every check and export then
         # sees the new trajectory
-        bigger = dataclasses.replace(scfg, n0=2 * traj.region.radius)
+        bigger = dataclasses.replace(scfg, n0=solver.RADIUS_GROWTH * traj.region.radius)
         traj = solver.solve_cauchy(g, u0, bigger, center=center)
         checks_json, ratio_blocks = _run_checks(cfg, traj, profile, out)
     export_trajectory(traj, out, snapshots=cfg.get("snapshots", False))

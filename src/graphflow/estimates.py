@@ -170,8 +170,7 @@ def _decay_scale(traj, profile):
     The decay envelope of mass ``m0`` is ``m0 * lambda(t)``.
     """
     m0 = traj.masses[0]
-    return np.array([psi_inverse(profile, 1.0, 1.0 / (t * m0 ** (traj.p - 2.0)))
-                     for t in traj.instants])
+    return psi_inverse(profile, 1.0, 1.0 / (traj.instants * m0 ** (traj.p - 2.0)))
 
 
 def _upper_check(tag, traj, profile, window, verify_profile, sides, extra=None):
@@ -325,8 +324,8 @@ class PowerLawSpec:
         """``T[j] = |S_j| j^(-e)`` over the l1 spheres ``S_j`` for ``j = 1..len(T)-1 >= r``.
 
         Ring counts grow geometrically on demand and every exponent keeps one
-        array, so repeated ring sums (balance-radius bisections, tail sums)
-        are slices of it.  Sums are taken over slices, not as differences of
+        array, so repeated ring sums (balance-time tables, tail sums) are
+        slices of it.  Sums are taken over slices, not as differences of
         prefix sums, which would cancel away the small tails.
         """
         if len(self._counts) <= r:
@@ -398,19 +397,18 @@ def slow_decay_T(spec: PowerLawSpec, q, R, profile, x0=None,
 
 
 def minimal_balance_radius(spec, q, t, profile, R_cap):
-    """Smallest integer R <= R_cap with ``T(R) >= t`` (T is nondecreasing)."""
-    if slow_decay_T(spec, q, R_cap, profile) < t:
-        raise ValueError(f"balance radius for t={t} exceeds the cap {R_cap}")
-    lo, hi = 0, int(R_cap)
-    if slow_decay_T(spec, q, 0, profile) >= t:
-        return 0
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if slow_decay_T(spec, q, mid, profile) >= t:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    """Smallest integer R <= R_cap with ``T(R) >= t``, for a scalar or an array t.
+
+    T is nondecreasing, so one table ``T(0..R_cap)`` answers every t by a
+    sorted search.
+    """
+    T = np.array([slow_decay_T(spec, q, R, profile) for R in range(int(R_cap) + 1)])
+    t = np.asarray(t, dtype=float)
+    if (t > T[-1]).any():
+        raise ValueError(
+            f"balance radius for t={t[t > T[-1]].min()} exceeds the cap {R_cap}")
+    radii = np.searchsorted(T, t)
+    return int(radii) if radii.ndim == 0 else radii
 
 
 def check_slow_decay(traj: Trajectory, spec: PowerLawSpec, q, profile,
@@ -429,12 +427,9 @@ def check_slow_decay(traj: Trajectory, spec: PowerLawSpec, q, profile,
     def sides():
         support = np.abs(traj.values[0]) > 0
         R_cap = int(traj.region.distances[support].max())
-        rhs = np.empty(len(ts))
-        for k, t in enumerate(ts):
-            R = minimal_balance_radius(spec, q, t, profile, R_cap)
-            radii[k] = R
-            m_R = spec.partial_mass(R)
-            rhs[k] = m_R * psi_inverse(profile, 1.0, 1.0 / (t * m_R ** (p - 2.0)))
+        radii[:] = minimal_balance_radius(spec, q, ts, profile, R_cap)
+        m_R = np.array([spec.partial_mass(R) for R in radii])
+        rhs = m_R * psi_inverse(profile, 1.0, 1.0 / (ts * m_R ** (p - 2.0)))
         return traj.sup_norms[1:], rhs
 
     check = _upper_check("slow_decay_upper", traj, profile, window,

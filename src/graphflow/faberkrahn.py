@@ -8,6 +8,11 @@ connected subsets.  The scaling function ``psi_r(s) = s^((p-2)/r) *
 Lambda_p(1/s)`` and its inverse translate the profile into time-amplitude
 decay rates.
 
+Both ``Lambda_p`` and ``psi_r`` are power laws or piecewise log-log linear,
+so their inverses are exact (closed form or one interpolation, no search).
+``lambda_value``, ``lambda_inverse``, ``psi`` and ``psi_inverse`` take a
+scalar or an array and return a float or an array to match.
+
 Structural assumptions on a profile (``v^(-p/N)/Lambda_p(v)`` nondecreasing,
 ``v^(-omega)/Lambda_p(v)`` nonincreasing) are not enforced at construction;
 :func:`check_assumptions` verifies them on an evaluation grid so that
@@ -28,7 +33,7 @@ from .operators import dirichlet_energy, require_exponent
 
 
 class ConvergenceError(RuntimeError):
-    """Raised when an iterative search exhausts its budget."""
+    """Raised when a search or an iteration has no answer within its range."""
 
 
 # ----------------------------------------------------------------------
@@ -70,6 +75,8 @@ class FkProfile:
             self.c0 = None
             self.table_v = vs
             self.table_lam = lams
+            self._log_v = np.log(vs)
+            self._log_lam = np.log(lams)
         else:
             raise ValueError(f"unknown profile kind {kind!r}")
 
@@ -83,48 +90,39 @@ class FkProfile:
         return cls(kind, p, N, omega_exp=omega_exp, table=pairs)
 
     def lambda_value(self, v):
-        """Evaluate ``Lambda_p(v)`` for v > 0."""
-        if v <= 0:
-            raise ValueError(f"measure must be positive, got {v}")
+        """Evaluate ``Lambda_p(v)`` for v > 0 (scalar or array)."""
+        v = _positive(v, "measure")
         if self.kind == "closed_form":
-            return self.c0 * v ** (-self.p / self.N)
+            return _like(v, self.c0 * v ** (-self.p / self.N))
         vs, lams = self.table_v, self.table_lam
-        if v < vs[0] or v > vs[-1]:
-            # constant continuation outside the tabulated range
-            self.extrapolations += 1
-            return float(lams[0] if v < vs[0] else lams[-1])
-        if len(vs) == 1:
-            return float(lams[0])
-        return float(np.exp(np.interp(np.log(v), np.log(vs), np.log(lams))))
+        below, above = v < vs[0], v > vs[-1]
+        # constant continuation outside the tabulated range
+        self.extrapolations += int(np.count_nonzero(below | above))
+        lam = np.exp(np.interp(np.log(v), self._log_v, self._log_lam))
+        return _like(v, np.where(below, lams[0], np.where(above, lams[-1], lam)))
 
-    def lambda_inverse(self, y, v_hint=1.0, max_expand=600):
-        """Largest ``v`` with ``Lambda_p(v) >= y`` (Lambda is nonincreasing)."""
-        if y <= 0:
-            raise ValueError("y must be positive")
+    def lambda_inverse(self, y):
+        """Largest ``v`` with ``Lambda_p(v) >= y`` (scalar or array ``y``).
+
+        On a table this is the crossing on the segment after the last knot
+        with ``Lambda >= y``, which is also the right end of a plateau at
+        ``y``.  No such ``v`` exists when ``y <= Lambda(v_max)`` (the
+        constant continuation never drops below ``y``) or when ``y`` is above
+        every knot.
+        """
+        y = _positive(y, "y")
         if self.kind == "closed_form":
-            return (y / self.c0) ** (-self.N / self.p)
-        lo = hi = float(v_hint)
-        for _ in range(max_expand):
-            if self.lambda_value(hi) < y:
-                break
-            hi *= 4.0
-        else:
-            raise ConvergenceError(f"Lambda never drops below {y}")
-        for _ in range(max_expand):
-            if self.lambda_value(lo) >= y:
-                break
-            lo /= 4.0
-        else:
-            raise ConvergenceError(f"Lambda never reaches {y}")
-        for _ in range(200):
-            mid = math.sqrt(lo * hi)
-            if self.lambda_value(mid) >= y:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-14 * hi:
-                break
-        return lo
+            return _like(y, (y / self.c0) ** (-self.N / self.p))
+        lams, lv, ll = self.table_lam, self._log_v, self._log_lam
+        if (y <= lams[-1]).any():
+            raise ConvergenceError(f"Lambda never drops below {np.min(y)}")
+        # tail_max[k] = max(Lambda at knots k, k+1, ...) is nonincreasing
+        tail_max = np.maximum.accumulate(lams[::-1])[::-1]
+        if (y > tail_max[0]).any():
+            raise ConvergenceError(f"Lambda never reaches {np.max(y)}")
+        k = np.searchsorted(-tail_max, -y, side="right") - 1
+        frac = (np.log(y) - ll[k]) / (ll[k + 1] - ll[k])
+        return _like(y, np.exp(lv[k] + frac * (lv[k + 1] - lv[k])))
 
     # -- serialization ---------------------------------------------------
 
@@ -158,74 +156,58 @@ class FkProfile:
         return cls.tabulated(pairs, p, N, omega_exp=omega_exp)
 
 
-def fk_lattice(N, p, c0=1.0):
-    """Closed-form lattice profile ``Lambda_p(v) = c0 * v^(-p/N)``."""
-    return FkProfile.lattice(N, p, c0)
+def _positive(x, name):
+    """``x`` as a float array (0-d scalars stay numpy scalars); all > 0."""
+    x = np.asarray(x, dtype=float)
+    if (x <= 0).any():
+        raise ValueError(f"{name} must be positive, got {np.min(x)}")
+    # numpy scalars (unlike 0-d arrays) compute powers exactly as Python does
+    return x[()] if x.ndim == 0 else x
+
+
+def _like(x, value):
+    return float(value) if np.ndim(x) == 0 else value
 
 
 def psi(profile, r, s):
     """Scaling function ``psi_r(s) = s^((p-2)/r) * Lambda_p(1/s)``."""
     if r < 1:
         raise ValueError("order r must be >= 1")
-    if s <= 0:
-        raise ValueError("argument s must be positive")
-    return s ** ((profile.p - 2.0) / r) * profile.lambda_value(1.0 / s)
+    s = _positive(s, "argument s")
+    return _like(s, s ** ((profile.p - 2.0) / r) * profile.lambda_value(1.0 / s))
 
 
-def psi_inverse(profile, r, y, rtol=1e-10, max_expand=600):
-    """Invert ``psi_r``: in closed form on power-law profiles, else by bisection.
+def psi_inverse(profile, r, y):
+    """Exact inverse of ``psi_r`` for a scalar or an array ``y``.
 
     On ``Lambda_p(v) = c0 v^(-p/N)``, ``psi_r(s) = c0 s^((p-2)/r + p/N)``.
-    Otherwise ``psi_r`` is strictly increasing whenever ``Lambda_p`` is
-    nonincreasing, so a geometric bisection on a two-sided multiplicative
-    expansion from s = 1 brackets any y > 0.
+    On a table, ``log psi_r`` is piecewise linear in ``log s`` with knots at
+    ``s = 1/v_k`` and slope ``(p-2)/r`` beyond the table, where ``Lambda_p``
+    is constant; it is inverted by interpolation between the knots and along
+    that slope outside them.
+
+    Raises
+    ------
+    ValueError
+        If the knot values of ``psi_r`` are not strictly increasing, which
+        breaks the structural assumptions on the profile.
     """
-    if y <= 0:
-        raise ValueError("y must be positive")
+    if r < 1:
+        raise ValueError("order r must be >= 1")
+    y = _positive(y, "y")
+    p = profile.p
     if profile.kind == "closed_form":
-        return (y / profile.c0) ** (1.0 / ((profile.p - 2.0) / r + profile.p / profile.N))
-    lo = hi = 1.0
-    for _ in range(max_expand):
-        if psi(profile, r, hi) >= y:
-            break
-        hi *= 4.0
-    else:
-        raise ConvergenceError(f"psi_{r} stays below {y} on the bracket")
-    for _ in range(max_expand):
-        if psi(profile, r, lo) <= y:
-            break
-        lo /= 4.0
-    else:
-        raise ConvergenceError(f"psi_{r} stays above {y} on the bracket")
-    mid = math.sqrt(lo * hi)
-    for _ in range(300):
-        val = psi(profile, r, mid)
-        if abs(val - y) <= rtol * y or (hi - lo) <= 1e-15 * hi:
-            return mid
-        if val < y:
-            lo = mid
-        else:
-            hi = mid
-        mid = math.sqrt(lo * hi)
-    return mid
-
-
-@dataclass
-class PsiFunction:
-    """Bound pair (profile, order): callable scaling function with inverse."""
-
-    profile: FkProfile
-    r: float = 1.0
-
-    def __post_init__(self):
-        if self.r < 1:
-            raise ValueError("order r must be >= 1")
-
-    def __call__(self, s):
-        return psi(self.profile, self.r, s)
-
-    def inverse(self, y, rtol=1e-10):
-        return psi_inverse(self.profile, self.r, y, rtol=rtol)
+        return _like(y, (y / profile.c0) ** (1.0 / ((p - 2.0) / r + p / profile.N)))
+    slope = (p - 2.0) / r
+    log_s = -profile._log_v[::-1]
+    log_psi = slope * log_s + profile._log_lam[::-1]
+    if (np.diff(log_psi) <= 0).any():
+        raise ValueError(f"psi_{r} is not increasing on the profile table")
+    ly = np.log(y)
+    u = np.where(ly < log_psi[0], log_s[0] + (ly - log_psi[0]) / slope,
+                 np.where(ly > log_psi[-1], log_s[-1] + (ly - log_psi[-1]) / slope,
+                          np.interp(ly, log_psi, log_s)))
+    return _like(y, np.exp(u))
 
 
 def ball_radius_inverse(g, x0, v, r_cap=10 ** 6):
@@ -493,7 +475,7 @@ def check_assumptions(profile, grid, rtol=1e-11):
     if grid.size < 100:
         raise ValueError("need a grid of at least 100 points")
     grid = np.sort(grid)
-    lam = np.array([profile.lambda_value(v) for v in grid])
+    lam = profile.lambda_value(grid)
     G_nd = grid ** (-profile.p / profile.N) / lam
     G_ni = grid ** (-profile.omega_exp) / lam
 
@@ -543,10 +525,7 @@ def check_psi_scaling_monotone(profile, b, taus, rtol=1e-9):
     p, N = profile.p, profile.N
     nu = N * (p - 2.0) / ((N * (p - 2.0) + p) * (p - 1.0))
     taus = np.sort(np.asarray(taus, dtype=float))
-    vals = np.array([
-        tau ** nu * psi_inverse(profile, 1.0, b / tau) ** ((p - 2.0) / (p - 1.0))
-        for tau in taus
-    ])
+    vals = taus ** nu * psi_inverse(profile, 1.0, b / taus) ** ((p - 2.0) / (p - 1.0))
     rel_drop = ((vals[:-1] - vals[1:]) / np.abs(vals[:-1])).max()
     return bool(rel_drop <= rtol), float(rel_drop), nu
 
@@ -562,7 +541,7 @@ def check_ball_measure_bound(g, x0, profile, c, s_values):
     if c < 1:
         raise ValueError("c must be >= 1")
     s_values = np.asarray(s_values, dtype=float)
-    lam = np.array([psi_inverse(profile, 1.0, 1.0 / s) for s in s_values])
+    lam = psi_inverse(profile, 1.0, 1.0 / s_values)
     R = (c * s_values * lam ** (profile.p - 2.0)) ** (1.0 / profile.p)
     radii = np.floor(R).astype(int)
     measures = ball_measure_profile(g, x0, int(radii.max()))

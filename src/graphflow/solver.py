@@ -75,12 +75,17 @@ def log_instants(t_min, t_max, count):
     return np.geomspace(t_min, t_max, int(count))
 
 
+# factor between the truncation radii of consecutive certification stages
+RADIUS_GROWTH = 2
+
+
 @dataclass
 class SolverConfig:
     """Configuration of the truncated-ball solver.
 
     ``delta_boundary`` and ``eps_trunc`` default to ``1e-10 * ||u0||_inf``
-    and ``1e-8 * ||u0||_inf`` respectively when left as ``None``.
+    and ``1e-8 * ||u0||_inf`` respectively when left as ``None``; set
+    values must be positive.
     """
 
     p: float
@@ -88,7 +93,6 @@ class SolverConfig:
     rtol: float = 1e-8
     atol: float = 1e-12
     n0: int | None = None
-    growth_factor: float = 2.0
     max_expansions: int = 8
     delta_boundary: float | None = None
     eps_trunc: float | None = None
@@ -105,8 +109,10 @@ class SolverConfig:
             raise ValueError("output instants must be strictly increasing")
         if self.rtol <= 0 or self.atol <= 0:
             raise ValueError("tolerances must be positive")
-        if self.growth_factor <= 1:
-            raise ValueError("growth factor must exceed 1")
+        for name in ("delta_boundary", "eps_trunc"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:
+                raise ValueError(f"{name} must be positive, got {value}")
         if self.n0 is not None and (self.n0 < 1 or int(self.n0) != self.n0):
             raise ValueError("n0 must be a positive integer")
 
@@ -152,8 +158,9 @@ def _error_norm(diff, y0, y1, rtol, atol):
 
 def _initial_step(rhs, y0, f0, t_end, rtol, atol):
     scale = atol + rtol * np.abs(y0)
-    d0 = math.sqrt(float(np.mean((y0 / scale) ** 2)))
-    d1 = math.sqrt(float(np.mean((f0 / scale) ** 2)))
+    with np.errstate(over="ignore"):   # an overflow is typed just below
+        d0 = math.sqrt(float(np.mean((y0 / scale) ** 2)))
+        d1 = math.sqrt(float(np.mean((f0 / scale) ** 2)))
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, 0.1 * t_end)
     if not 0.0 < h0 < math.inf:   # scaled norms overflowed
@@ -452,7 +459,7 @@ def solve_cauchy(g, u0: Field, cfg: SolverConfig, center=None):
             entry["expanded"] = "boundary_leak"
             history.append(entry)
             prev = None
-            n = int(math.ceil(n * cfg.growth_factor))
+            n *= RADIUS_GROWTH
             continue
         if prev is not None:
             gather = np.array([traj.region.index[v] for v in prev.region.vertices])
@@ -468,7 +475,7 @@ def solve_cauchy(g, u0: Field, cfg: SolverConfig, center=None):
         else:
             history.append(entry)
         prev = traj
-        n = int(math.ceil(n * cfg.growth_factor))
+        n *= RADIUS_GROWTH
     raise TruncationConvergenceError(
         f"no truncation convergence after {cfg.max_expansions} stages "
         f"(last successive-radius difference: {last_diff!r})",

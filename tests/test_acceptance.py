@@ -220,8 +220,8 @@ def test_criterion_09_psi_machinery(lat13):
     spread2 = gf.check_ball_measure_bound(
         z2, (0, 0), gf.FkProfile.lattice(2, 3.0, 1.0), 2.0,
         np.geomspace(3.2e7, 3.2e9, 21))["spread"]
-    report(9, worst_rt <= 1e-10 and mono_ok and spread1 <= 0.1 and spread2 <= 0.1,
-           f"psi round-trip worst {worst_rt:.2e} (<=1e-10); scaling check {mono_ok}; "
+    report(9, worst_rt <= 1e-13 and mono_ok and spread1 <= 0.1 and spread2 <= 0.1,
+           f"psi round-trip worst {worst_rt:.2e} (<=1e-13); scaling check {mono_ok}; "
            f"ball-measure constant spread Z1 {spread1:.3f}, Z2 {spread2:.3f} (<=0.1)")
 
 

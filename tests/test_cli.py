@@ -194,6 +194,23 @@ def test_main_eps_below_float_resolution_exits_2(tmp_path, capsys):
     assert cli.validate_config(cfg) == []
 
 
+@pytest.mark.parametrize("key,value", [("delta_boundary", -1.0), ("eps_trunc", 0.0)])
+def test_main_nonpositive_truncation_threshold_exits_2(tmp_path, capsys, key, value):
+    # a negative leak threshold would make every stage leak until the cap
+    cfg = tiny_config()
+    cfg["solver"][key] = value
+    assert any(key in e for e in cli.validate_config(cfg))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli.main(["validate-config", str(cfg_path)]) == 2
+    assert cli.main(["simulate", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out")]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    cfg["solver"][key] = None
+    assert cli.validate_config(cfg) == []
+
+
 def test_run_deficit_retry_reruns_every_check(tmp_path, monkeypatch):
     seen = []          # (check type, trajectory) per check call
     real_check = cli._run_one_check

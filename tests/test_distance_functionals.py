@@ -73,7 +73,7 @@ def test_functionals_match_per_instant_reference(request, run, x0):
         assert tight[k] == _reference_mass_radius(traj, t, 0.01, point)
         ref = _reference_moment(traj, t, 0.5, point)
         assert moments[k] == pytest.approx(ref, rel=1e-12, abs=1e-300)
-    chk = gf.check_lower_bound(traj, gf.fk_lattice(traj.generator.dimension, 3.0),
+    chk = gf.check_lower_bound(traj, gf.FkProfile.lattice(traj.generator.dimension, 3.0),
                                x0=x0)
     assert (chk.extra["radii"] == radii[1:]).all()
     measures = chk.lhs / (2.0 * traj.sup_norms[1:])
@@ -97,7 +97,7 @@ def bfs_runs(monkeypatch):
 
 @pytest.mark.parametrize("check", ["lower", "moment"])
 def test_checks_run_at_most_two_bfs(z2_run, bfs_runs, check):
-    lat = gf.fk_lattice(2, 3.0)
+    lat = gf.FkProfile.lattice(2, 3.0)
     run_check = {
         "lower": lambda x0: gf.check_lower_bound(z2_run, lat, x0=x0),
         "moment": lambda x0: gf.check_moment_bound(z2_run, 0.5, lat, x0=x0),
@@ -111,8 +111,8 @@ def test_checks_run_at_most_two_bfs(z2_run, bfs_runs, check):
 def test_lower_bound_support_hypothesis_is_measured_from_x0(z1_run):
     # data at 0 sits 3 away from x0 = 3, and every half-mass radius around
     # x0 stays below 6, so every instant violates s0 <= R // 2
-    chk = gf.check_lower_bound(z1_run, gf.fk_lattice(1, 3.0), x0=(3,))
+    chk = gf.check_lower_bound(z1_run, gf.FkProfile.lattice(1, 3.0), x0=(3,))
     assert (chk.extra["radii"] < 6).all()
     assert chk.extra["excluded"].all()
-    centered = gf.check_lower_bound(z1_run, gf.fk_lattice(1, 3.0))
+    centered = gf.check_lower_bound(z1_run, gf.FkProfile.lattice(1, 3.0))
     assert not centered.extra["excluded"].any()

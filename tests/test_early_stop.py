@@ -7,7 +7,6 @@ stage to t_max and applies that rule; the early-stopping solver must give
 the same stages, verdicts and certified trajectory bit for bit.
 """
 import json
-import math
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +14,7 @@ import numpy as np
 import graphflow as gf
 from graphflow import cli
 from graphflow.graphs import region_edges
-from graphflow.solver import _integrate, _make_rhs
+from graphflow.solver import RADIUS_GROWTH, _integrate, _make_rhs
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -46,7 +45,7 @@ def reference_cauchy(g, u0, cfg, center):
             prev = traj
         else:
             prev = traj
-        n = int(math.ceil(n * cfg.growth_factor))
+        n *= RADIUS_GROWTH
     raise AssertionError("reference schedule did not certify")
 
 

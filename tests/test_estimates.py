@@ -210,6 +210,21 @@ def test_minimal_balance_radius(lat1):
         gf.minimal_balance_radius(spec, 4.0, 1e30, lat1, 50)
 
 
+def test_minimal_balance_radius_array_matches_linear_scan(lat1):
+    spec = gf.PowerLawSpec(1, 0.5)
+    R_cap = 120
+    T = [gf.slow_decay_T(spec, 4.0, R, lat1) for R in range(R_cap + 1)]
+    # instants below T(0), on table values, between them and at T(R_cap)
+    ts = np.sort(np.concatenate([[0.5 * T[0], T[0], T[37], T[R_cap]],
+                                 np.geomspace(T[0], T[R_cap], 60)]))
+    radii = gf.minimal_balance_radius(spec, 4.0, ts, lat1, R_cap)
+    scan = [next(R for R in range(R_cap + 1) if T[R] >= t) for t in ts]
+    assert radii.tolist() == scan
+    assert [gf.minimal_balance_radius(spec, 4.0, t, lat1, R_cap) for t in ts] == scan
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        gf.minimal_balance_radius(spec, 4.0, np.append(ts, 2.0 * T[R_cap]), lat1, R_cap)
+
+
 def test_check_slow_decay_structure(z1, lat1):
     spec = gf.PowerLawSpec(1, 0.5)
     u0 = spec.field(z1, 60)

@@ -158,7 +158,7 @@ def test_lattice_profile_values(lat1):
 def test_psi_closed_form(lat1):
     # N=1, p=3, c0=1: psi_1(s) = s^4
     assert gf.psi(lat1, 1, 2.0) == 16.0
-    assert abs(gf.psi_inverse(lat1, 1, 16.0) - 2.0) <= 1e-10
+    assert abs(gf.psi_inverse(lat1, 1, 16.0) - 2.0) <= 1e-13
     # general order: exponent (N(p-2)+p r)/(N r)
     prof = gf.FkProfile.lattice(2, 3.0, 1.0)
     s = 1.7
@@ -181,15 +181,76 @@ def test_psi_round_trip(make_profile):
     rng = np.random.default_rng(9)
     for y in rng.uniform(1e-5, 1e5, 200):
         s = gf.psi_inverse(profile, 1, float(y))
-        assert abs(gf.psi(profile, 1, s) - y) <= 1e-10 * y
+        assert abs(gf.psi(profile, 1, s) - y) <= 1e-13 * y
 
 
-def test_psi_function_wrapper(lat1):
-    psi1 = gf.PsiFunction(lat1, 1.0)
-    assert psi1(2.0) == 16.0
-    assert abs(psi1.inverse(16.0) - 2.0) <= 1e-10
-    with pytest.raises(ValueError):
-        gf.PsiFunction(lat1, 0.5)
+def _power_table(lo, hi, n):
+    return gf.FkProfile.tabulated(
+        [(v, v ** -3.0) for v in np.geomspace(lo, hi, n)], 3.0, 1)
+
+
+@pytest.mark.parametrize("r", [1.0, 2.5])
+def test_tabulated_psi_inverse_round_trips_everywhere(r):
+    # knots at s = 1/v in [1e-2, 1e3]: probe below, inside and above them
+    profile = _power_table(1e-3, 1e2, 40)
+    for s in np.geomspace(1e-5, 1e5, 101):
+        y = gf.psi(profile, r, s)
+        back = gf.psi_inverse(profile, r, y)
+        assert abs(back - s) <= 1e-13 * s
+        assert abs(gf.psi(profile, r, back) - y) <= 1e-13 * y
+
+
+def test_psi_inverse_array_matches_scalar_calls(lat1):
+    ys = np.geomspace(1e-6, 1e6, 57)
+    for profile in (lat1, _power_table(1e-3, 1e2, 40)):
+        out = gf.psi_inverse(profile, 1, ys)
+        assert isinstance(out, np.ndarray) and out.shape == ys.shape
+        scalars = np.array([gf.psi_inverse(profile, 1, float(y)) for y in ys])
+        assert np.allclose(out, scalars, rtol=1e-15, atol=0.0)
+        assert isinstance(gf.psi_inverse(profile, 1, 3.0), float)
+        values = gf.psi(profile, 1, out)
+        assert np.allclose(values, [gf.psi(profile, 1, float(s)) for s in out],
+                           rtol=1e-15, atol=0.0)
+
+
+def test_psi_inverse_rejects_decreasing_table():
+    # Lambda rising faster than v^((p-2)/r) between two knots makes psi_r drop
+    bad = gf.FkProfile.tabulated([(1.0, 1.0), (2.0, 10.0)], 3.0, 1)
+    with pytest.raises(ValueError, match="not increasing"):
+        gf.psi_inverse(bad, 1, 0.5)
+
+
+def test_lambda_inverse_is_exact_on_a_table():
+    profile = _power_table(1e-3, 1e2, 40)
+    vs = np.geomspace(2e-3, 50.0, 31)
+    back = profile.lambda_inverse(profile.lambda_value(vs))
+    assert np.allclose(back, vs, rtol=1e-13, atol=0.0)
+    scalars = [profile.lambda_inverse(float(y)) for y in profile.lambda_value(vs)]
+    assert np.allclose(back, scalars, rtol=1e-15, atol=0.0)
+    with pytest.raises(gf.faberkrahn.ConvergenceError):
+        profile.lambda_inverse(profile.table_lam[-1])       # never drops below
+    with pytest.raises(gf.faberkrahn.ConvergenceError):
+        profile.lambda_inverse(2.0 * profile.table_lam[0])  # never reached
+
+
+def test_lambda_inverse_returns_right_end_of_plateau():
+    # two branches at the base: the heavy one gives a larger set with a
+    # larger eigenvalue, so the lower envelope is flat from 3.002 to 13
+    g = gf.generator_from_edges([("a", "b", 1.0), ("b", "e", 0.001), ("a", "c", 1.0),
+                                 ("c", "f", 10.0), ("f", "h", 1.0)])
+    prof = gf.fk_profile_bruteforce(g, "a", size_cap=3, p=3.0, seed=1)
+    vs, lams = prof.table_v, prof.table_lam
+    k = int(np.flatnonzero(vs == 13.0)[0])
+    assert lams[k - 1] == lams[k] > lams[k + 1]
+    assert abs(prof.lambda_inverse(lams[k]) - 13.0) <= 1e-13 * 13.0
+    # just above the plateau the crossing lies on the segment before it
+    v = prof.lambda_inverse(lams[k] * (1 + 1e-9))
+    assert vs[k - 2] < v < vs[k - 1]
+    # a table that is not monotone: the last knot with Lambda >= y wins
+    bumpy = gf.FkProfile.tabulated([(1.0, 4.0), (2.0, 1.0), (3.0, 2.0), (4.0, 0.5)],
+                                   3.0, 1)
+    v = bumpy.lambda_inverse(1.5)
+    assert 3.0 < v < 4.0 and abs(bumpy.lambda_value(v) - 1.5) <= 1e-13 * 1.5
 
 
 def test_psi_rejects_bad_arguments(lat1):
@@ -199,6 +260,10 @@ def test_psi_rejects_bad_arguments(lat1):
         gf.psi(lat1, 1, 0.0)
     with pytest.raises(ValueError):
         gf.psi_inverse(lat1, 1, -1.0)
+    with pytest.raises(ValueError):
+        gf.psi_inverse(lat1, 0.5, 1.0)
+    with pytest.raises(ValueError):
+        gf.psi(lat1, 1, np.array([1.0, 0.0]))
 
 
 def test_tabulated_extrapolation_flagged():
@@ -209,6 +274,10 @@ def test_tabulated_extrapolation_flagged():
     assert prof.extrapolations == 2
     assert prof.lambda_value(1.0) == 2.0   # constant continuation below
     assert prof.lambda_value(100.0) == 0.5
+    # an array call counts each element outside the table
+    lam = prof.lambda_value(np.array([1.0, 2.0, 3.0, 100.0]))
+    assert prof.extrapolations == 6
+    assert lam[0] == 2.0 and lam[3] == 0.5 and 0.5 < lam[2] < 2.0
 
 
 def test_profile_serialization_round_trips(lat1):

@@ -37,8 +37,10 @@ def test_config_validation():
         gf.SolverConfig(p=3.0, instants=np.array([1.0, 1.0]))
     with pytest.raises(ValueError):
         gf.SolverConfig(p=3.0, instants=good, rtol=0.0)
-    with pytest.raises(ValueError):
-        gf.SolverConfig(p=3.0, instants=good, growth_factor=1.0)
+    for name in ("delta_boundary", "eps_trunc"):
+        for bad in (0.0, -1.0):
+            with pytest.raises(ValueError, match=name):
+                gf.SolverConfig(p=3.0, instants=good, **{name: bad})
     with pytest.raises(ValueError):
         gf.SolverConfig(p=3.0, instants=good, n0=0)
     with pytest.raises(ValueError):
