@@ -198,6 +198,35 @@ def validate_config(cfg):
         if chk["type"] == "propagation_fit" and 1.0 - chk.get("eps", 0.5) == 1.0:
             errors.append("checks: propagation_fit eps is below float resolution "
                           "(1 - eps == 1)")
+    slow = any(c["type"] == "slow_decay" for c in cfg.get("checks", []))
+    if slow and not errors and not randomized:
+        # a brute-forced profile is too costly to build here: run() tests it once built
+        try:
+            g = build_generator(cfg["graph"])
+            errors += _slow_decay_horizon_errors(cfg, g, build_profile(cfg, g))
+        except (ValueError, OSError) as e:
+            errors.append(f"checks: slow_decay: {e}")
+    return errors
+
+
+def _slow_decay_horizon_errors(cfg, g, profile):
+    """Errors for slow_decay checks whose horizon is past the data's balance time.
+
+    The check calibrates its envelope at each instant t by the smallest
+    radius R with ``T(R) >= t`` inside the data's support, so ``t_max``
+    must not exceed T at the truncation radius.
+    """
+    errors = []
+    for chk in cfg.get("checks", []):
+        if chk["type"] == "slow_decay":
+            data = cfg["initial_data"]   # power-law data, as validated
+            spec = estimates.PowerLawSpec(g.dimension, data["alpha"],
+                                          center_value=data.get("center_value", 1.0))
+            R, t_max = data["truncation_radius"], cfg["solver"]["t_max"]
+            T = estimates.slow_decay_T(spec, chk["q"], R, profile)
+            if t_max > T:
+                errors.append(f"checks: slow_decay needs t_max <= T({R}) = {T:.6g}, the "
+                              f"balance time at the truncation radius (t_max = {t_max:g})")
     return errors
 
 
@@ -269,6 +298,27 @@ def build_profile(cfg, g, seed=0):
     center = _parse_center(cfg.get("initial_data", {}).get("center"), g)
     return faberkrahn.fk_profile_bruteforce(g, center, prof["size_cap"], p,
                                             seed=seed)
+
+
+# checks whose bounds rest on the profile's structural assumptions
+_PROFILE_CHECKS = {"sup_bound", "moment_bound", "entropy_bound", "slow_decay"}
+
+
+def _profile_for_checks(cfg, g, seed):
+    """Build the profile and vet it once for every configured check.
+
+    Its structural assumptions are verified once per run, not once per
+    check; a brute-forced profile also gets the slow-decay horizon test
+    that :func:`validate_config` leaves to this point.
+    """
+    profile = build_profile(cfg, g, seed=seed)
+    if cfg.get("profile", {}).get("kind") == "bruteforce":
+        errors = _slow_decay_horizon_errors(cfg, g, profile)
+        if errors:
+            raise ConfigError("; ".join(errors))
+    if {c["type"] for c in cfg.get("checks", [])} & _PROFILE_CHECKS:
+        estimates.require_profile(profile)
+    return profile
 
 
 # ----------------------------------------------------------------------
@@ -378,7 +428,10 @@ def _fit_json(fit):
 
 
 def _run_one_check(chk, traj, profile, cfg):
-    """Execute one configured check; returns (json_dict, ratio_columns|None)."""
+    """Execute one configured check; returns (json_dict, ratio_columns|None).
+
+    The profile must come from :func:`_profile_for_checks`, which verified it.
+    """
     typ = chk["type"]
     window = tuple(chk.get("window", estimates.DEFAULT_WINDOW))
     if typ == "decay_fit":
@@ -392,20 +445,23 @@ def _run_one_check(chk, traj, profile, cfg):
                                                  chk.get("tolerance"))
         return {"tag": "propagation_fit", **_fit_json(fit)}, None
     if typ == "sup_bound":
-        check = estimates.check_sup_bound(traj, profile, window)
+        check = estimates.check_sup_bound(traj, profile, window, verify_profile=False)
     elif typ == "lower_bound":
         check = estimates.check_lower_bound(traj, profile)
     elif typ == "moment_bound":
-        check = estimates.check_moment_bound(traj, chk["alpha"], profile, window=window)
+        check = estimates.check_moment_bound(traj, chk["alpha"], profile, window=window,
+                                             verify_profile=False)
     elif typ == "entropy_bound":
-        check = estimates.check_entropy_bound(traj, profile, window)
+        check = estimates.check_entropy_bound(traj, profile, window,
+                                              verify_profile=False)
     elif typ == "slow_decay":
         data = cfg["initial_data"]
         spec = estimates.PowerLawSpec(traj.generator.dimension, data["alpha"],
                                       center_value=data.get("center_value", 1.0))
         window = tuple(chk.get("window", (1e2, 1e4)))
         check, fit = estimates.check_slow_decay(traj, spec, chk["q"], profile,
-                                                window, chk.get("tolerance", 0.05))
+                                                window, chk.get("tolerance", 0.05),
+                                                verify_profile=False)
         out_json = _check_json(check, {"fit": _fit_json(fit),
                                        "pass": bool(fit.passed and
                                                     np.isfinite(check.verdict))})
@@ -449,13 +505,13 @@ def run(cfg, out_dir, seed=None):
         raise ConfigError("; ".join(errors))
     if seed is None:
         seed = cfg.get("seed", 0)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     g = build_generator(cfg["graph"])
     u0, center = build_initial_field(g, cfg.get("initial_data",
                                                 {"kind": "delta", "center": None}))
     scfg = build_solver_config(cfg["solver"])
-    profile = build_profile(cfg, g, seed=seed)
+    profile = _profile_for_checks(cfg, g, seed)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     traj = solver.solve_cauchy(g, u0, scfg, center=center)
     try:
         checks_json, ratio_blocks = _run_checks(cfg, traj, profile, out)
@@ -629,7 +685,7 @@ def _dispatch(args):
         out = Path(args.out or args.traj_dir)
         out.mkdir(parents=True, exist_ok=True)
         seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-        profile = build_profile(cfg, g, seed=seed)
+        profile = _profile_for_checks(cfg, g, seed)
         results, _ = _run_checks(cfg, traj, profile, out)
         return 0 if all(r.get("pass", True) for r in results) else 1
 

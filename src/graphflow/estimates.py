@@ -151,7 +151,12 @@ def _trim_window(traj, window):
     return (lo, hi)
 
 
-def _verify_profile(profile):
+def require_profile(profile):
+    """Raise ``ValueError`` unless ``profile`` passes :func:`check_assumptions`.
+
+    The upper-bound checks rely on these structural assumptions; a caller
+    that verified the profile once may pass ``verify_profile=False`` to them.
+    """
     grid = np.geomspace(1e-3, 1e9, 140)
     report = check_assumptions(profile, grid)
     if not report.all_ok:
@@ -181,7 +186,7 @@ def _upper_check(tag, traj, profile, window, verify_profile, sides, extra=None):
     """
     _require_certified(traj)
     if verify_profile:
-        _verify_profile(profile)
+        require_profile(profile)
     window = _trim_window(traj, window)
     lhs, rhs = sides()
     ratio = lhs / rhs

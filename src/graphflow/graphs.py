@@ -249,6 +249,29 @@ class RegionEdges:
         return (np.abs(F[..., self.ej] - F[..., self.ei]) ** a @ self.w
                 + np.abs(F[..., self.bi]) ** a @ self.bw)
 
+    def restrict(self, keep):
+        """Edge arrays of the sub-region ``keep`` (increasing region indices).
+
+        Vertex order and the order of the surviving internal edges are
+        preserved; an internal edge with one end outside ``keep`` becomes a
+        stub of the end inside, so the sub-region sees a zero exterior
+        there.  A ``keep`` that covers the region returns ``self``.
+        """
+        if len(keep) == self.n:
+            return self
+        pos = np.full(self.n, -1, dtype=np.int64)
+        pos[keep] = np.arange(len(keep))
+        pi, pj, pb = pos[self.ei], pos[self.ej], pos[self.bi]
+        inner = (pi >= 0) & (pj >= 0)
+        cut_i = (pi >= 0) & (pj < 0)
+        cut_j = (pj >= 0) & (pi < 0)
+        stub = pb >= 0
+        return RegionEdges(
+            pi[inner], pj[inner], self.w[inner],
+            np.concatenate([pb[stub], pi[cut_i], pj[cut_j]]),
+            np.concatenate([self.bw[stub], self.w[cut_i], self.w[cut_j]]),
+            len(keep))
+
 
 def region_edges(g, region):
     """Materialize the edge structure of a region against the full oracle."""

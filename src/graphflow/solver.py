@@ -10,6 +10,15 @@ returned trajectory is tagged with the certified radius.  A stage whose
 boundary ring leaks is stopped at the first leaking output instant and
 rerun on a larger ball.
 
+Each step runs on the active ball ``B_r(center)`` only, with ``r`` at
+least 7 layers past the farthest nonzero state value.  The degenerate flux
+underflows ahead of the front, so a large ball holds exact zeros for most
+of a run; one step spreads exact nonzeros by at most 7 layers (six stage
+inputs plus the FSAL evaluation), so every stage input is exactly 0 on
+ring ``r`` and beyond and the cut edges are exact zero-exterior stubs.
+Error norms still sum over the whole ball in whole-ball order, so the
+step sequence does not depend on ``r``.
+
 The right-hand side is locally Lipschitz on bounded sets and degenerate
 (not stiff) near flat states, so an explicit pair with adaptive steps is
 appropriate; rejected steps fall back to halve-and-retry with an explicit
@@ -151,16 +160,16 @@ _PI_ALPHA = 0.17          # err ** -alpha
 _PI_BETA = 0.04           # err_prev ** beta
 
 
-def _error_norm(diff, y0, y1, rtol, atol):
+def _error_norm(diff, y0, y1, rtol, atol, rms):
     scale = atol + rtol * np.maximum(np.abs(y0), np.abs(y1))
-    return math.sqrt(float(np.mean((diff / scale) ** 2)))
+    return rms(diff / scale)
 
 
-def _initial_step(rhs, y0, f0, t_end, rtol, atol):
+def _initial_step(rhs, y0, f0, t_end, rtol, atol, rms):
     scale = atol + rtol * np.abs(y0)
     with np.errstate(over="ignore"):   # an overflow is typed just below
-        d0 = math.sqrt(float(np.mean((y0 / scale) ** 2)))
-        d1 = math.sqrt(float(np.mean((f0 / scale) ** 2)))
+        d0 = rms(y0 / scale)
+        d1 = rms(f0 / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, 0.1 * t_end)
     if not 0.0 < h0 < math.inf:   # scaled norms overflowed
@@ -168,7 +177,7 @@ def _initial_step(rhs, y0, f0, t_end, rtol, atol):
             f"initial step {h0!r} from scaled norms {d0!r}, {d1!r}")
     y1 = y0 + h0 * f0
     f1 = rhs(h0, y1)
-    d2 = math.sqrt(float(np.mean(((f1 - f0) / scale) ** 2))) / h0
+    d2 = rms((f1 - f0) / scale) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -176,29 +185,81 @@ def _initial_step(rhs, y0, f0, t_end, rtol, atol):
     return min(100 * h0, h1, t_end)
 
 
-def _integrate(rhs, y0, t_end, t_eval, rtol, atol, max_steps, stop=None):
+# One step spreads exact nonzeros by at most _STEP_REACH layers: six stage
+# inputs, each one layer past the last, plus the FSAL evaluation.
+_STEP_REACH = 7
+# layers added past the reach whenever the active ball has to grow
+_ACTIVE_SLACK = 2
+
+
+def _support_radius(y, dist):
+    """Largest ``dist`` of a nonzero entry of ``y`` (0 for the zero state)."""
+    nz = dist[y != 0.0]
+    return int(nz.max()) if len(nz) else 0
+
+
+def _widen(v, at, m):
+    out = np.zeros(m)
+    out[at] = v
+    return out
+
+
+def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps, stop=None):
     """Integrate y' = rhs(t, y) on [0, t_end], dense output at t_eval.
 
-    Returns ``(Y, diag)`` where ``Y[k]`` is the solution at ``t_eval[k]``
-    and ``diag`` carries cumulative accepted/rejected step counts and the
-    largest scaled local error seen before each output instant.  With a
-    predicate ``stop``, integration ends at the first output row for which
-    ``stop(row)`` is true: ``Y`` and the per-instant diagnostics then hold
-    only the rows reached, that one included.
+    ``dist[i]`` is the center distance of vertex ``i`` and ``rhs_on(keep)``
+    builds the right-hand side on the vertices ``keep`` (increasing
+    indices) with a zero exterior.  Steps run on the active ball
+    ``dist <= r`` only: with ``s`` the largest distance of a nonzero state
+    entry, ``r >= s + 7`` holds at every step start, because one step
+    spreads exact nonzeros by at most 7 layers (6 stage inputs plus the
+    FSAL evaluation).  Every stage input is then exactly 0 from ring ``r``
+    on, so the cut edges are exact Dirichlet stubs and every stage value
+    outside the ball is exactly 0.  The ball regrows after an accepted step
+    that breaks the bound.  Error norms are RMS values over all
+    ``len(y0)`` entries, summed in the same order as over the whole
+    region, so the step sequence does not depend on the active ball.
+
+    Returns ``(Y, diag)`` where ``Y[k]`` is the full-length solution at
+    ``t_eval[k]`` and ``diag`` carries cumulative accepted/rejected step
+    counts, the largest scaled local error seen before each output
+    instant, the number of RHS evaluations and the largest active ball.
+    With a predicate ``stop``, integration ends at the first output row
+    for which ``stop(row)`` is true: ``Y`` and the per-instant diagnostics
+    then hold only the rows reached, that one included.
     """
     n = len(y0)
-    y = y0.astype(float).copy()
+    r_max = int(dist.max())
+
+    def activate(s):
+        # the active ball for a state supported within distance s, and its
+        # rim: the positions within 7 layers of its edge, where a nonzero
+        # calls for regrowing (None once the ball is the whole region)
+        r = min(s + _STEP_REACH + _ACTIVE_SLACK, r_max)
+        keep = np.flatnonzero(dist <= r)
+        rim = np.flatnonzero(dist[keep] > r - _STEP_REACH) if r < r_max else None
+        return keep, rim
+
+    keep, rim = activate(_support_radius(y0, dist))
+    rhs = rhs_on(keep)
+    y = y0[keep].astype(float)
+    sq = np.zeros(n)   # squared entries for the RMS, zero outside the active ball
+
+    def rms(v):   # summed over all n entries in whole-region order
+        sq[keep] = v ** 2
+        return math.sqrt(float(np.add.reduce(sq)) / n)
+
     t = 0.0
     f = rhs(t, y)
     if not np.isfinite(f).all():
         raise NonFiniteStateError(t)
-    K = np.empty((7, n))
-    out = np.empty((len(t_eval), n))
+    K = np.empty((7, len(keep)))
+    out = np.zeros((len(t_eval), n))
     acc_at = np.zeros(len(t_eval), dtype=np.int64)
     rej_at = np.zeros(len(t_eval), dtype=np.int64)
     err_at = np.zeros(len(t_eval))
     floor = 1e-14 * t_end
-    h = max(_initial_step(rhs, y, f, t_end, rtol, atol), floor)
+    h = max(_initial_step(rhs, y, f, t_end, rtol, atol, rms), floor)
     accepted = rejected = 0
     max_err_window = 0.0
     err_prev = 1e-4
@@ -221,7 +282,7 @@ def _integrate(rhs, y0, t_end, t_eval, rtol, atol, max_steps, stop=None):
             yi = y + h * (_DP_A[i] @ K[:i])
             K[i] = rhs(t + _DP_C[i] * h, yi)
         y_new = y + h * (_DP_B5 @ K)
-        err = _error_norm(h * (_DP_E @ K), y, y_new, rtol, atol)
+        err = _error_norm(h * (_DP_E @ K), y, y_new, rtol, atol, rms)
         if not err <= 1.0:   # a NaN estimate is a rejection too
             rejected += 1
             h *= 0.5          # halve-and-retry fallback
@@ -232,7 +293,7 @@ def _integrate(rhs, y0, t_end, t_eval, rtol, atol, max_steps, stop=None):
         while k_out < len(t_eval) and t_eval[k_out] <= t_new * (1 + 1e-15):
             theta = min((t_eval[k_out] - t) / h, 1.0)
             powers = theta ** np.arange(1, 5)
-            out[k_out] = y + h * (K.T @ (_DP_P @ powers))
+            out[k_out, keep] = y + h * (K.T @ (_DP_P @ powers))
             acc_at[k_out] = accepted + 1
             rej_at[k_out] = rejected
             err_at[k_out] = max_err_window
@@ -243,6 +304,13 @@ def _integrate(rhs, y0, t_end, t_eval, rtol, atol, max_steps, stop=None):
                 break
         accepted += 1
         y, t, f = y_new, t_new, K[6].copy()   # FSAL: last stage is f(t_new, y_new)
+        if rim is not None and y[rim].any():   # regrow before the next step
+            grown, rim = activate(_support_radius(y, dist[keep]))
+            at = np.searchsorted(grown, keep)
+            y, f = _widen(y, at, len(grown)), _widen(f, at, len(grown))
+            keep = grown
+            rhs = rhs_on(keep)
+            K = np.empty((7, len(keep)))
         if err == 0.0:
             factor = _MAX_FACTOR
         else:
@@ -255,7 +323,8 @@ def _integrate(rhs, y0, t_end, t_eval, rtol, atol, max_steps, stop=None):
                           f"instant {t_eval[-1]}")
     diag = {"accepted": acc_at[:k_out], "rejected": rej_at[:k_out],
             "max_scaled_error": err_at[:k_out],
-            "total_accepted": accepted, "total_rejected": rejected}
+            "total_accepted": accepted, "total_rejected": rejected,
+            "rhs_evals": 2 + 6 * steps, "active_vertices": len(keep)}
     return out[:k_out], diag
 
 
@@ -269,11 +338,13 @@ class Trajectory:
     ``times[0] = 0`` holds the initial data; the remaining entries match
     the configured output instants.  Values are clamped to be nonnegative
     when the data is (undershoot magnitude is logged per instant).
+    ``work`` holds the solver's totals for the solve that produced it:
+    ``rhs_evals`` and ``active_vertices``, the largest active ball.
     """
 
     def __init__(self, generator, p, config, region, edges, times, values,
                  diagnostics, certified=False, certified_radius=None,
-                 history=None):
+                 history=None, work=None):
         self.generator = generator
         self.p = p
         self.config = config
@@ -285,6 +356,7 @@ class Trajectory:
         self.certified = certified
         self.certified_radius = certified_radius
         self.history = history or []
+        self.work = work or {}
 
     @property
     def instants(self):
@@ -382,6 +454,10 @@ def solve_truncated(g, u0: Field, cfg: SolverConfig, n, center=None, delta=None)
     leak threshold ``delta``, integration stops at the first output
     instant whose stored boundary sup exceeds it, and the trajectory ends
     there.
+
+    Each step integrates only the active ball around the center that the
+    solution can reach within it (see :func:`_integrate`); the stored rows
+    are full-length and equal to a whole-ball solve up to rounding.
     """
     center = _resolve_center(g, u0, center)
     region = ball(g, center, n)
@@ -392,7 +468,10 @@ def solve_truncated(g, u0: Field, cfg: SolverConfig, n, center=None, delta=None)
     y0 = np.zeros(len(region))
     for v, x in u0.values.items():
         y0[region.index[v]] = x
-    rhs = _make_rhs(edges, region.degrees, cfg.p)
+
+    def rhs_on(keep):   # looks up the module's _make_rhs for every sub-ball
+        return _make_rhs(edges.restrict(keep), region.degrees[keep], cfg.p)
+
     nonneg = u0.is_nonnegative()
     stop = None
     if delta is not None and len(edges.bi):
@@ -401,8 +480,8 @@ def solve_truncated(g, u0: Field, cfg: SolverConfig, n, center=None, delta=None)
         def stop(row):   # tests the stored value: nonnegative rows are clamped at 0
             b = np.maximum(row[bi], 0.0) if nonneg else np.abs(row[bi])
             return b.max() > delta
-    Y, diag = _integrate(rhs, y0, float(cfg.instants[-1]), cfg.instants,
-                         cfg.rtol, cfg.atol, cfg.max_steps, stop=stop)
+    Y, diag = _integrate(rhs_on, region.distances, y0, float(cfg.instants[-1]),
+                         cfg.instants, cfg.rtol, cfg.atol, cfg.max_steps, stop=stop)
     clamped = np.zeros(len(Y))
     if nonneg:
         neg = np.minimum(Y, 0.0)
@@ -417,7 +496,9 @@ def solve_truncated(g, u0: Field, cfg: SolverConfig, n, center=None, delta=None)
         "max_scaled_error": diag["max_scaled_error"],
         "clamped": clamped,
     }
-    return Trajectory(g, cfg.p, cfg, region, edges, times, values, diagnostics)
+    work = {"rhs_evals": diag["rhs_evals"], "active_vertices": diag["active_vertices"]}
+    return Trajectory(g, cfg.p, cfg, region, edges, times, values, diagnostics,
+                      work=work)
 
 
 def solve_cauchy(g, u0: Field, cfg: SolverConfig, center=None):
@@ -431,10 +512,12 @@ def solve_cauchy(g, u0: Field, cfg: SolverConfig, center=None):
     cannot change its verdict.  Reproducibility beats checkpointing at
     this scale, so every expansion restarts the clock.
 
-    Each ``history`` entry records the stage radius, its boundary leak
-    (at the stopping instant for a stage that leaked), ``diff_prev``, the
-    accepted and rejected step counts and ``stopped_at``, the instant a
-    leaking stage ended at (``None`` otherwise).
+    Each ``history`` entry records the stage radius, its ``vertices`` and
+    ``edges`` (internal edges plus stubs), its boundary leak (at the
+    stopping instant for a stage that leaked), ``diff_prev``, the accepted
+    and rejected step counts, ``rhs_evals``, ``active_vertices`` (the
+    largest active ball the steps ran on) and ``stopped_at``, the instant
+    a leaking stage ended at (``None`` otherwise).
     """
     center = _resolve_center(g, u0, center)
     sup0 = u0.sup_norm()
@@ -451,9 +534,13 @@ def solve_cauchy(g, u0: Field, cfg: SolverConfig, center=None):
         traj = solve_truncated(g, u0, cfg, n, center=center, delta=delta)
         leak = float(traj.boundary_sups[1:].max())
         diag = traj.diagnostics
-        entry = {"n": n, "boundary_leak": leak, "diff_prev": None,
+        entry = {"n": n, "vertices": len(traj.region),
+                 "edges": len(traj.edges.ei) + len(traj.edges.bi),
+                 "boundary_leak": leak, "diff_prev": None,
                  "accepted": int(diag["accepted"][-1]),
                  "rejected": int(diag["rejected"][-1]),
+                 "rhs_evals": traj.work["rhs_evals"],
+                 "active_vertices": traj.work["active_vertices"],
                  "stopped_at": float(traj.times[-1]) if leak > delta else None}
         if leak > delta:
             entry["expanded"] = "boundary_leak"

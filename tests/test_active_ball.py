@@ -1,0 +1,146 @@
+"""Steps on the active ball are exact, and each stage reports its work.
+
+The solver integrates only the ball ``dist <= r`` with ``r`` at least 7
+layers past the farthest nonzero state entry.  The wrapped right-hand
+sides below assert the invariant that makes this exact: every input they
+see is exactly 0 on the sub-ball's stub vertices.  The same runs with the
+active ball forced to the whole region must give the same step counts,
+the same stopping instants and the same values up to rounding.
+"""
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import graphflow as gf
+from graphflow import cli, solver
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+WHOLE_REGION = 10 ** 6   # a slack that makes every active ball the whole region
+
+
+class CheckedRhs:
+    """Replacement for ``solver._make_rhs`` that checks the stub invariant.
+
+    Counts every RHS evaluation and records the size of each sub-ball it
+    was built on.  ``partial`` tells whether the edges it is handed next
+    belong to a sub-ball smaller than the region: the stubs of the whole
+    region are its own boundary, where the solution may be nonzero.
+    """
+
+    def __init__(self, make_rhs):
+        self.make_rhs = make_rhs
+        self.calls = 0
+        self.sizes = []
+        self.checked = 0
+        self.partial = True
+
+    def __call__(self, edges, degrees, p):
+        rhs = self.make_rhs(edges, degrees, p)
+        self.sizes.append(len(degrees))
+        stubs = np.unique(edges.bi) if self.partial else None
+
+        def checked(t, u):
+            self.calls += 1
+            if stubs is not None:
+                assert not u[stubs].any(), "nonzero input on a stub vertex"
+                self.checked += 1
+            return rhs(t, u)
+        return checked
+
+
+def _solve(monkeypatch, g, u0, cfg, center, slack=None):
+    checked = CheckedRhs(solver._make_rhs)
+    with monkeypatch.context() as m:
+        m.setattr(solver, "_make_rhs", checked)
+        if slack is not None:
+            m.setattr(solver, "_ACTIVE_SLACK", slack)
+        original_restrict = gf.graphs.RegionEdges.restrict
+
+        def restrict(edges, keep):
+            checked.partial = len(keep) < edges.n
+            return original_restrict(edges, keep)
+        m.setattr(gf.graphs.RegionEdges, "restrict", restrict)
+        traj = gf.solve_cauchy(g, u0, cfg, center=center)
+    return traj, checked
+
+
+# (N, data, center, SolverConfig arguments); p close to 2 underflows slowest,
+# so one step there spreads the most representable layers
+CASES = {
+    "z1_delta": (1, {(0,): 5.0}, (0,),
+                 dict(p=3.0, instants=gf.log_instants(1e-2, 100.0, 57), n0=4)),
+    "z1_delta_p2.5": (1, {(0,): 1.0}, (0,),
+                      dict(p=2.5, instants=gf.log_instants(1e-2, 30.0, 31), n0=8)),
+    "z2_delta": (2, {(0, 0): 30.0}, (0, 0),
+                 dict(p=3.0, instants=gf.log_instants(1e-2, 30.0, 31), n0=8)),
+    "z1_signed_dipole": (1, {(1,): -2.0, (-1,): 1.0}, (0,),
+                         dict(p=3.0, instants=gf.log_instants(1e-3, 10.0, 41), n0=3,
+                              delta_boundary=1e-5)),
+}
+
+
+@pytest.mark.parametrize("slack", [0, None], ids=["tight", "default"])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_active_ball_matches_whole_region(monkeypatch, case, slack):
+    N, data, center, kw = CASES[case]
+    g = gf.lattice_generator(N)
+    u0 = gf.Field(g, data)
+    cfg = gf.SolverConfig(**kw)
+    traj, checked = _solve(monkeypatch, g, u0, cfg, center, slack=slack)
+    whole, whole_checked = _solve(monkeypatch, g, u0, cfg, center, slack=WHOLE_REGION)
+    # the active ball was smaller than the region, so the stub check had work
+    assert checked.checked > 0 and min(checked.sizes) < max(checked.sizes)
+    assert whole_checked.checked == 0
+    assert traj.certified and traj.certified_radius == whole.certified_radius
+    keys = ("n", "vertices", "edges", "accepted", "rejected", "stopped_at", "rhs_evals")
+    assert [[h[k] for k in keys] for h in traj.history] == \
+        [[h[k] for k in keys] for h in whole.history]
+    assert [h["active_vertices"] for h in whole.history] == \
+        [h["vertices"] for h in whole.history]
+    assert traj.values.shape == whole.values.shape
+    assert np.abs(traj.values - whole.values).max() <= 1e-12 * u0.sup_norm()
+
+
+def test_stage_telemetry_counts_every_rhs_call(monkeypatch):
+    z1 = gf.lattice_generator(1)
+    cfg = gf.SolverConfig(p=3.0, instants=gf.log_instants(1e-2, 100.0, 57), n0=4)
+    traj, checked = _solve(monkeypatch, z1, gf.delta_field(z1, (0,), 5.0), cfg, (0,))
+    assert len(traj.history) > 1
+    assert sum(h["rhs_evals"] for h in traj.history) == checked.calls
+    for h in traj.history:
+        region = gf.ball(z1, (0,), h["n"])
+        edges = gf.graphs.region_edges(z1, region)
+        assert h["vertices"] == len(region)
+        assert h["edges"] == len(edges.ei) + len(edges.bi)
+        assert 0 < h["active_vertices"] <= h["vertices"]
+        # two evaluations start the run, then six per attempted step
+        assert h["rhs_evals"] == 2 + 6 * (h["accepted"] + h["rejected"])
+    # one stage alone: its count is the calls made while it ran (counted only)
+    checked = CheckedRhs(solver._make_rhs)
+    checked.partial = False
+    monkeypatch.setattr(solver, "_make_rhs", checked)
+    stage = gf.solve_truncated(z1, gf.delta_field(z1, (0,), 5.0), cfg, 16)
+    assert stage.work["rhs_evals"] == checked.calls
+    assert stage.work["active_vertices"] == max(checked.sizes)
+
+
+def test_active_ball_smaller_than_the_2d_stage():
+    cfg = json.loads((CONFIGS / "lattice2d_p3_decay.json").read_text())
+    g = cli.build_generator(cfg["graph"])
+    u0, center = cli.build_initial_field(g, cfg["initial_data"])
+    traj = gf.solve_cauchy(g, u0, cli.build_solver_config(cfg["solver"]), center=center)
+    stage = next(h for h in traj.history if h["n"] == 32)
+    assert stage["active_vertices"] < stage["vertices"] == len(gf.ball(g, center, 32))
+
+
+def test_manifest_records_stage_telemetry(tmp_path):
+    cfg = json.loads((CONFIGS / "lattice1d_p3_decay.json").read_text())
+    cli.run(cfg, tmp_path)
+    history = json.loads((tmp_path / "manifest.json").read_text())["expansion_history"]
+    assert history
+    for h in history:
+        assert {"vertices", "edges", "rhs_evals", "active_vertices"} <= h.keys()
+        assert 0 < h["active_vertices"] <= h["vertices"] < h["edges"]

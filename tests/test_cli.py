@@ -307,3 +307,46 @@ def test_trajectory_export_and_load_round_trip(tmp_path):
     again = cli.load_trajectory(outdir, z1)
     assert np.array_equal(again.values, traj.values)
     assert again.region.vertices == traj.region.vertices
+
+
+def test_slow_decay_horizon_past_the_balance_time_exits_2(tmp_path, capsys, monkeypatch):
+    # T(1) = 666 for this data: instants past it have no balance radius in the support
+    cfg = tiny_config(
+        initial_data={"kind": "power_law", "alpha": 0.5, "truncation_radius": 1,
+                      "center": [0]},
+        checks=[{"type": "slow_decay", "q": 4.0, "window": [10, 1000]}])
+    cfg["solver"]["t_max"] = 1000.0
+    assert any("slow_decay needs t_max" in e for e in cli.validate_config(cfg))
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved a config that validation rejects")
+    monkeypatch.setattr(solver, "solve_cauchy", no_solve)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli.main(["validate-config", str(cfg_path)]) == 2
+    assert cli.main(["simulate", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out")]) == 2
+    assert "slow_decay needs t_max" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    # a brute-forced profile is tested once built, still before the solve
+    brute = dict(cfg, profile={"kind": "bruteforce", "size_cap": 2})
+    assert cli.validate_config(brute) == []
+    with pytest.raises(cli.ConfigError, match="slow_decay needs t_max"):
+        cli.run(brute, tmp_path / "brute")
+    assert not (tmp_path / "brute").exists()
+    cfg["solver"]["t_max"] = 600.0
+    assert cli.validate_config(cfg) == []
+
+
+def test_run_verifies_the_profile_once(tmp_path, monkeypatch):
+    calls = []
+    real = gf.estimates.check_assumptions
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(gf.estimates, "check_assumptions", counted)
+    cfg = json.loads((CONFIG_DIR / "lattice1d_p3_decay.json").read_text())
+    assert sum(c["type"] in cli._PROFILE_CHECKS for c in cfg["checks"]) == 3
+    cli.run(cfg, tmp_path / "out")
+    assert len(calls) == 1

@@ -121,12 +121,15 @@ def test_integrate_stop_returns_bitwise_prefix():
     z1 = gf.lattice_generator(1)
     region = gf.ball(z1, (0,), 6)
     edges = region_edges(z1, region)
-    rhs = _make_rhs(edges, region.degrees, 3.0)
+
+    def rhs_on(keep):
+        return _make_rhs(edges.restrict(keep), region.degrees[keep], 3.0)
     y0 = np.zeros(len(region))
     y0[region.index[(0,)]] = 5.0
     t_eval = gf.log_instants(1e-3, 50.0, 40)
     edge_vertex = region.index[(6,)]
-    full, full_diag = _integrate(rhs, y0, 50.0, t_eval, 1e-8, 1e-12, 10 ** 6)
+    full, full_diag = _integrate(rhs_on, region.distances, y0, 50.0, t_eval,
+                                 1e-8, 1e-12, 10 ** 6)
     reached = np.nonzero(full[:, edge_vertex] > 1e-3)[0]
     assert 0 < reached[0] < len(t_eval) - 1
     k = reached[0] + 1
@@ -135,7 +138,8 @@ def test_integrate_stop_returns_bitwise_prefix():
     def stop(row):
         calls.append(row.copy())
         return row[edge_vertex] > 1e-3
-    Y, diag = _integrate(rhs, y0, 50.0, t_eval, 1e-8, 1e-12, 10 ** 6, stop=stop)
+    Y, diag = _integrate(rhs_on, region.distances, y0, 50.0, t_eval,
+                         1e-8, 1e-12, 10 ** 6, stop=stop)
     assert _same_bits(Y, full[:k])
     for key in ("accepted", "rejected", "max_scaled_error"):
         assert _same_bits(diag[key], full_diag[key][:k]), key
@@ -146,8 +150,9 @@ def test_integrate_stop_returns_bitwise_prefix():
 
 def test_integrate_with_a_stop_that_never_fires_runs_to_the_end():
     t_eval = np.geomspace(0.01, 2.0, 9)
-    full, _ = _integrate(lambda t, y: -y ** 3, np.ones(2), 2.0, t_eval,
-                         1e-8, 1e-12, 10 ** 6)
-    Y, diag = _integrate(lambda t, y: -y ** 3, np.ones(2), 2.0, t_eval,
-                         1e-8, 1e-12, 10 ** 6, stop=lambda row: False)
+    dist = np.zeros(2, dtype=np.int64)
+    full, _ = _integrate(lambda keep: lambda t, y: -y ** 3, dist, np.ones(2), 2.0,
+                         t_eval, 1e-8, 1e-12, 10 ** 6)
+    Y, diag = _integrate(lambda keep: lambda t, y: -y ** 3, dist, np.ones(2), 2.0,
+                         t_eval, 1e-8, 1e-12, 10 ** 6, stop=lambda row: False)
     assert _same_bits(Y, full) and len(diag["accepted"]) == 9

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import graphflow as gf
-from graphflow.graphs import GraphError
+from graphflow.graphs import GraphError, region_edges
 
 
 @pytest.fixture(scope="module")
@@ -192,3 +192,24 @@ def test_region_degrees_come_from_full_oracle(z2):
     # boundary vertices of a truncation keep the infinite-graph degree
     b = gf.ball(z2, (0, 0), 2)
     assert set(b.degrees) == {4.0}
+
+
+@pytest.mark.parametrize("graph", ["Z^2", "K_3 x Z^1"])
+def test_restrict_matches_edges_of_the_sub_ball(graph):
+    g = (gf.lattice_generator(2) if graph == "Z^2"
+         else gf.product_generator(gf.complete_graph(3), 1))
+    center = (0, 0)
+    big = gf.ball(g, center, 6)
+    edges = region_edges(g, big)
+    keep = np.flatnonzero(big.distances <= 3)
+    sub = edges.restrict(keep)
+    small = gf.ball(g, center, 3)
+    assert tuple(big.vertices[i] for i in keep) == small.vertices
+    ref = region_edges(g, small)
+    # internal edges keep their order; cut edges become stubs of their inside end
+    for name in ("ei", "ej", "w"):
+        assert np.array_equal(getattr(sub, name), getattr(ref, name)), name
+    assert sub.n == ref.n == len(keep)
+    assert sorted(zip(sub.bi.tolist(), sub.bw.tolist())) == \
+        sorted(zip(ref.bi.tolist(), ref.bw.tolist()))
+    assert edges.restrict(np.arange(len(big))) is edges

@@ -10,6 +10,12 @@ from graphflow.solver import (NonFiniteStateError, SolverError,
                               TruncationDeficitError, _integrate)
 
 
+def _integrate_ode(rhs, y0, *args, **kwargs):
+    """``_integrate`` on a plain ODE: no center distances, every component active."""
+    return _integrate(lambda keep: rhs, np.zeros(len(y0), dtype=np.int64), y0,
+                      *args, **kwargs)
+
+
 @pytest.fixture(scope="module")
 def z1():
     return gf.lattice_generator(1)
@@ -50,8 +56,8 @@ def test_config_validation():
 def test_stepper_against_exact_solution():
     # y' = -y^3  =>  y(t) = (1 + 2t)^(-1/2)
     t_eval = np.geomspace(0.01, 100.0, 30)
-    Y, diag = _integrate(lambda t, y: -y ** 3, np.array([1.0]), 100.0, t_eval,
-                         1e-10, 1e-14, 10 ** 6)
+    Y, diag = _integrate_ode(lambda t, y: -y ** 3, np.array([1.0]), 100.0, t_eval,
+                             1e-10, 1e-14, 10 ** 6)
     exact = (1.0 + 2.0 * t_eval) ** -0.5
     assert np.abs(Y[:, 0] - exact).max() <= 1e-8
     assert diag["total_accepted"] > 0
@@ -63,8 +69,8 @@ def test_stepper_underflow_reported():
     def stiff(t, y):
         return np.array([-1e12 * y[0] + math.sin(1e9 * t)])
     with pytest.raises(StepSizeUnderflowError):
-        _integrate(stiff, np.array([1.0]), 10.0, np.array([10.0]),
-                   1e-13, 1e-18, 3000)
+        _integrate_ode(stiff, np.array([1.0]), 10.0, np.array([10.0]),
+                       1e-13, 1e-18, 3000)
 
 
 def test_stepper_nonfinite_rhs_is_a_typed_failure():
@@ -72,22 +78,22 @@ def test_stepper_nonfinite_rhs_is_a_typed_failure():
     def turns_nan(t, y):
         return np.full_like(y, np.nan) if t > 0.5 else -y
     with pytest.raises(NonFiniteStateError) as info:
-        _integrate(turns_nan, np.ones(3), 1.0, np.array([0.25, 1.0]),
-                   1e-8, 1e-12, 10 ** 6)
+        _integrate_ode(turns_nan, np.ones(3), 1.0, np.array([0.25, 1.0]),
+                       1e-8, 1e-12, 10 ** 6)
     assert 0.4 < info.value.t <= 0.5
     with pytest.raises(NonFiniteStateError):
-        _integrate(lambda t, y: np.full_like(y, np.inf), np.ones(2), 1.0, np.array([1.0]),
-                   1e-8, 1e-12, 10 ** 6)
+        _integrate_ode(lambda t, y: np.full_like(y, np.inf), np.ones(2), 1.0,
+                       np.array([1.0]), 1e-8, 1e-12, 10 ** 6)
     with pytest.raises(SolverError, match="step budget"):
-        _integrate(lambda t, y: -y, np.ones(2), 1.0, np.array([1.0]),
-                   1e-8, 1e-12, 3)
+        _integrate_ode(lambda t, y: -y, np.ones(2), 1.0, np.array([1.0]),
+                       1e-8, 1e-12, 3)
 
 
 def test_stepper_short_horizon_is_a_typed_failure():
     # output instants past t_end are never reached: a solver failure (exit 3)
     with pytest.raises(SolverError, match="before the last output instant"):
-        _integrate(lambda t, y: -y, np.ones(2), 1.0, np.array([0.5, 2.0]),
-                   1e-8, 1e-12, 10 ** 6)
+        _integrate_ode(lambda t, y: -y, np.ones(2), 1.0, np.array([0.5, 2.0]),
+                       1e-8, 1e-12, 10 ** 6)
 
 
 def test_zero_data_stays_zero(z1, short_cfg):
