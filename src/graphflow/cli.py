@@ -178,6 +178,9 @@ def validate_config(cfg):
     if randomized and "seed" not in cfg:
         errors.append("seed: mandatory when a randomized operation is requested")
     data = cfg.get("initial_data")
+    if fam != "lattice" and "center" not in (data or {}):
+        # the default center is the lattice origin
+        errors.append(f"initial_data: the {fam} family requires a center")
     if data:
         kind = data["kind"]
         needs = {"delta": ["center"], "ball_indicator": ["center", "radius"],
@@ -305,11 +308,12 @@ _PROFILE_CHECKS = {"sup_bound", "moment_bound", "entropy_bound", "slow_decay"}
 
 
 def _profile_for_checks(cfg, g, seed):
-    """Build the profile and vet it once for every configured check.
+    """Build the profile and vet it before the solve.
 
-    Its structural assumptions are verified once per run, not once per
-    check; a brute-forced profile also gets the slow-decay horizon test
-    that :func:`validate_config` leaves to this point.
+    A profile that fails the structural assumptions a configured check
+    needs is rejected here; the checks read the same cached report.  A
+    brute-forced profile also gets the slow-decay horizon test that
+    :func:`validate_config` leaves to this point.
     """
     profile = build_profile(cfg, g, seed=seed)
     if cfg.get("profile", {}).get("kind") == "bruteforce":
@@ -349,7 +353,7 @@ def export_trajectory(traj, out_dir, snapshots=False):
         traj.masses,
         traj.sup_norms,
         *[traj.lq_norms(q) for q in qs],
-        np.concatenate([[traj.region.radius], traj.diagnostics["radius"]]),
+        np.full(len(ts), traj.region.radius),
         np.concatenate([[0], traj.diagnostics["accepted"]]),
         np.concatenate([[0], traj.diagnostics["rejected"]]),
         np.concatenate([[0.0], traj.diagnostics["max_scaled_error"]]),
@@ -387,21 +391,19 @@ def load_trajectory(run_dir, g):
         for v, x in fld.values.items():
             values[k, region.index[v]] = x
     diagnostics = {
-        "radius": np.full(len(cfg.instants), n, dtype=np.int64),
         "accepted": np.zeros(len(cfg.instants), dtype=np.int64),
         "rejected": np.zeros(len(cfg.instants), dtype=np.int64),
         "max_scaled_error": np.zeros(len(cfg.instants)),
         "clamped": np.zeros(len(cfg.instants)),
     }
-    return solver.Trajectory(g, cfg.p, cfg, region, edges, times, values,
-                             diagnostics, certified=manifest["certified"],
-                             certified_radius=n)
+    return solver.Trajectory(cfg, region, edges, times, values, diagnostics,
+                             certified=manifest["certified"])
 
 
 def _check_json(check, extras=None):
     out = {
         "tag": check.tag,
-        "fitted_constant": check.fitted_constant,
+        "fitted_constant": check.verdict,
         "verdict": check.verdict,
         "window": list(check.window),
     }
@@ -428,10 +430,7 @@ def _fit_json(fit):
 
 
 def _run_one_check(chk, traj, profile, cfg):
-    """Execute one configured check; returns (json_dict, ratio_columns|None).
-
-    The profile must come from :func:`_profile_for_checks`, which verified it.
-    """
+    """Execute one configured check; returns (json_dict, ratio_columns|None)."""
     typ = chk["type"]
     window = tuple(chk.get("window", estimates.DEFAULT_WINDOW))
     if typ == "decay_fit":
@@ -445,23 +444,20 @@ def _run_one_check(chk, traj, profile, cfg):
                                                  chk.get("tolerance"))
         return {"tag": "propagation_fit", **_fit_json(fit)}, None
     if typ == "sup_bound":
-        check = estimates.check_sup_bound(traj, profile, window, verify_profile=False)
+        check = estimates.check_sup_bound(traj, profile, window)
     elif typ == "lower_bound":
         check = estimates.check_lower_bound(traj, profile)
     elif typ == "moment_bound":
-        check = estimates.check_moment_bound(traj, chk["alpha"], profile, window=window,
-                                             verify_profile=False)
+        check = estimates.check_moment_bound(traj, chk["alpha"], profile, window=window)
     elif typ == "entropy_bound":
-        check = estimates.check_entropy_bound(traj, profile, window,
-                                              verify_profile=False)
+        check = estimates.check_entropy_bound(traj, profile, window)
     elif typ == "slow_decay":
         data = cfg["initial_data"]
         spec = estimates.PowerLawSpec(traj.generator.dimension, data["alpha"],
                                       center_value=data.get("center_value", 1.0))
         window = tuple(chk.get("window", (1e2, 1e4)))
         check, fit = estimates.check_slow_decay(traj, spec, chk["q"], profile,
-                                                window, chk.get("tolerance", 0.05),
-                                                verify_profile=False)
+                                                window, chk.get("tolerance", 0.05))
         out_json = _check_json(check, {"fit": _fit_json(fit),
                                        "pass": bool(fit.passed and
                                                     np.isfinite(check.verdict))})
@@ -682,10 +678,10 @@ def _dispatch(args):
             raise ConfigError("; ".join(errors))
         g = build_generator(cfg["graph"])
         traj = load_trajectory(args.traj_dir, g)
-        out = Path(args.out or args.traj_dir)
-        out.mkdir(parents=True, exist_ok=True)
         seed = args.seed if args.seed is not None else cfg.get("seed", 0)
         profile = _profile_for_checks(cfg, g, seed)
+        out = Path(args.out or args.traj_dir)
+        out.mkdir(parents=True, exist_ok=True)
         results, _ = _run_checks(cfg, traj, profile, out)
         return 0 if all(r.get("pass", True) for r in results) else 1
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .faberkrahn import check_assumptions, psi_inverse
+from .faberkrahn import psi_inverse
 from .fields import Field
 from .graphs import ball
 from .solver import Trajectory, mass_radius, moment
@@ -112,11 +112,11 @@ def fit_propagation_exponent(traj: Trajectory, eps, window=DEFAULT_WINDOW,
 
 @dataclass
 class BoundCheck:
-    """Ratio series lhs/rhs for one estimate, with its fitted constant.
+    """Ratio series lhs/rhs for one estimate, with its verdict.
 
     For upper bounds the verdict is the supremum of the ratio over the fit
-    window (the empirical constant); for the constant-free lower bound it
-    is the infimum, which must be >= 1.
+    window (the empirical, fitted constant); for the constant-free lower
+    bound it is the infimum, which must be >= 1.
     """
 
     tag: str
@@ -125,7 +125,6 @@ class BoundCheck:
     rhs: np.ndarray
     ratio: np.ndarray
     verdict: float
-    fitted_constant: float
     window: tuple
     extra: dict = field(default_factory=dict)
 
@@ -152,13 +151,12 @@ def _trim_window(traj, window):
 
 
 def require_profile(profile):
-    """Raise ``ValueError`` unless ``profile`` passes :func:`check_assumptions`.
+    """Raise ``ValueError`` unless ``profile`` passes its structural assumptions.
 
-    The upper-bound checks rely on these structural assumptions; a caller
-    that verified the profile once may pass ``verify_profile=False`` to them.
+    The upper-bound checks rely on them; the report is computed once per
+    profile (:attr:`FkProfile.assumptions`), so every check may vet it.
     """
-    grid = np.geomspace(1e-3, 1e9, 140)
-    report = check_assumptions(profile, grid)
+    report = profile.assumptions
     if not report.all_ok:
         raise ValueError(f"profile fails structural assumptions: {report.worst}")
 
@@ -178,32 +176,30 @@ def _decay_scale(traj, profile):
     return psi_inverse(profile, 1.0, 1.0 / (traj.instants * m0 ** (traj.p - 2.0)))
 
 
-def _upper_check(tag, traj, profile, window, verify_profile, sides, extra=None):
+def _upper_check(tag, traj, profile, window, sides, extra=None):
     """Upper-bound check of ``lhs/rhs`` with ``(lhs, rhs) = sides()`` over the instants.
 
     The verdict is the fitted constant, the sup of the ratio over the
-    window trimmed to the horizon.
+    window trimmed to the horizon.  The profile must pass its structural
+    assumptions.
     """
     _require_certified(traj)
-    if verify_profile:
-        require_profile(profile)
+    require_profile(profile)
     window = _trim_window(traj, window)
     lhs, rhs = sides()
     ratio = lhs / rhs
     verdict = float(ratio[_window_mask(traj.instants, window)].max())
-    return BoundCheck(tag, traj.instants, lhs, rhs, ratio, verdict, verdict,
-                      window, extra or {})
+    return BoundCheck(tag, traj.instants, lhs, rhs, ratio, verdict, window, extra or {})
 
 
-def check_sup_bound(traj: Trajectory, profile, window=DEFAULT_WINDOW,
-                    verify_profile=True):
+def check_sup_bound(traj: Trajectory, profile, window=DEFAULT_WINDOW):
     """Sup-norm against the mass-scaled decay envelope.
 
     lhs = sup-norm, rhs = ``m0 * psi_1^{-1}(1/(t m0^(p-2)))``; the verdict
     is the fitted constant (sup of the ratio over the window).
     """
     return _upper_check(
-        "sup_decay_upper", traj, profile, window, verify_profile,
+        "sup_decay_upper", traj, profile, window,
         lambda: (traj.sup_norms[1:], traj.masses[0] * _decay_scale(traj, profile)))
 
 
@@ -242,12 +238,11 @@ def check_lower_bound(traj: Trajectory, profile, x0=None, window=None,
         "scaled_ratio": scaled,
         "fitted_gamma0": float(scaled[m].min()) if m.any() else math.inf,
     }
-    return BoundCheck("mass_lower", ts, lhs, rhs, ratio, verdict, verdict,
-                      window, extra)
+    return BoundCheck("mass_lower", ts, lhs, rhs, ratio, verdict, window, extra)
 
 
 def check_moment_bound(traj: Trajectory, alpha, profile, x0=None,
-                       window=DEFAULT_WINDOW, verify_profile=True):
+                       window=DEFAULT_WINDOW):
     """Spread moment against ``R(t)^alpha * m0`` with the confinement radius scale.
 
     ``R(t) = t^(1/p) m0^((p-2)/p) psi_1^{-1}(1/(t m0^(p-2)))^((p-2)/p)``.
@@ -260,12 +255,10 @@ def check_moment_bound(traj: Trajectory, alpha, profile, x0=None,
                   * _decay_scale(traj, profile) ** ((p - 2.0) / p))
         return moment(traj, alpha, x0=x0)[1:], radius ** alpha * m0
 
-    return _upper_check("moment_upper", traj, profile, window, verify_profile,
-                        sides, {"alpha": alpha})
+    return _upper_check("moment_upper", traj, profile, window, sides, {"alpha": alpha})
 
 
-def check_entropy_bound(traj: Trajectory, profile, window=DEFAULT_WINDOW,
-                        verify_profile=True):
+def check_entropy_bound(traj: Trajectory, profile, window=DEFAULT_WINDOW):
     """Cumulative edge-flux integral against its time-amplitude envelope."""
 
     def sides():
@@ -274,8 +267,7 @@ def check_entropy_bound(traj: Trajectory, profile, window=DEFAULT_WINDOW,
                * _decay_scale(traj, profile) ** ((p - 2.0) / p))
         return traj.flux_integrals[1:], rhs
 
-    return _upper_check("gradient_flux_upper", traj, profile, window,
-                        verify_profile, sides)
+    return _upper_check("gradient_flux_upper", traj, profile, window, sides)
 
 
 # ----------------------------------------------------------------------
@@ -417,7 +409,7 @@ def minimal_balance_radius(spec, q, t, profile, R_cap):
 
 
 def check_slow_decay(traj: Trajectory, spec: PowerLawSpec, q, profile,
-                     window=(1e2, 1e4), tolerance=0.05, verify_profile=True):
+                     window=(1e2, 1e4), tolerance=0.05):
     """Decay envelope for slowly decaying data, plus the rate fit.
 
     For each instant the minimal balance radius R(t) defines the envelope
@@ -437,8 +429,8 @@ def check_slow_decay(traj: Trajectory, spec: PowerLawSpec, q, profile,
         rhs = m_R * psi_inverse(profile, 1.0, 1.0 / (ts * m_R ** (p - 2.0)))
         return traj.sup_norms[1:], rhs
 
-    check = _upper_check("slow_decay_upper", traj, profile, window,
-                         verify_profile, sides, {"radii": radii})
+    check = _upper_check("slow_decay_upper", traj, profile, window, sides,
+                         {"radii": radii})
     fit = fit_loglog(ts, check.lhs, check.window,
                      theoretical=-slow_decay_exponent(spec.alpha, p),
                      tolerance=tolerance)

@@ -16,14 +16,15 @@ scalar or an array and return a float or an array to match.
 Structural assumptions on a profile (``v^(-p/N)/Lambda_p(v)`` nondecreasing,
 ``v^(-omega)/Lambda_p(v)`` nonincreasing) are not enforced at construction;
 :func:`check_assumptions` verifies them on an evaluation grid so that
-deliberately broken profiles can be used as counterexamples.
+deliberately broken profiles can be used as counterexamples;
+:attr:`FkProfile.assumptions` caches that report on a standard grid.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -38,6 +39,9 @@ class ConvergenceError(RuntimeError):
 
 # ----------------------------------------------------------------------
 # profiles
+
+# measures on which a profile's structural assumptions are checked
+_ASSUMPTION_GRID = np.geomspace(1e-3, 1e9, 140)
 
 
 class FkProfile:
@@ -124,17 +128,16 @@ class FkProfile:
         frac = (np.log(y) - ll[k]) / (ll[k + 1] - ll[k])
         return _like(y, np.exp(lv[k] + frac * (lv[k + 1] - lv[k])))
 
+    @cached_property
+    def assumptions(self):
+        """:func:`check_assumptions` report on the standard grid, computed on first use.
+
+        A profile is final once built, so every check that relies on the
+        assumptions shares this one report.
+        """
+        return check_assumptions(self, _ASSUMPTION_GRID)
+
     # -- serialization ---------------------------------------------------
-
-    def to_json_text(self):
-        if self.kind != "closed_form":
-            raise ValueError("JSON form is for closed-form profiles")
-        return json.dumps({"c0": self.c0, "N": self.N, "p": self.p})
-
-    @classmethod
-    def from_json_text(cls, text):
-        obj = json.loads(text)
-        return cls.lattice(obj["N"], obj["p"], obj["c0"])
 
     def to_csv_text(self):
         if self.kind == "closed_form":

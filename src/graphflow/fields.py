@@ -2,14 +2,13 @@
 
 A :class:`Field` is a sparse map ``vertex -> value``; reads off the support
 return 0.  Norms use the weighted counting measure: ``||f||_q^q =
-sum |f(x)|^q d_w(x)`` and ``||f||_inf = sup |f|``.  Serialization is
-text-based ("vertex_id,value" CSV and a JSON variant) with 17 significant
-digits, which round-trips float64 bit-exactly.
+sum |f(x)|^q d_w(x)`` and ``||f||_inf = sup |f|``.  Serialization is a
+"vertex_id,value" CSV with 17 significant digits, which round-trips
+float64 bit-exactly.
 """
 
 from __future__ import annotations
 
-import json
 import math
 
 
@@ -116,15 +115,6 @@ class Field:
             key, val = ln.rsplit(",", 1)
             values[vertex_from_str(key)] = float(val)
         return cls(generator, values)
-
-    def to_json_text(self):
-        obj = {vertex_to_str(v): self.values[v] for v in self.support()}
-        return json.dumps({"field": obj}, indent=None, separators=(",", ":"))
-
-    @classmethod
-    def from_json_text(cls, generator, text):
-        obj = json.loads(text)
-        return cls(generator, {vertex_from_str(k): v for k, v in obj["field"].items()})
 
 
 def delta_field(generator, x0, amplitude=1.0):

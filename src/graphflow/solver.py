@@ -223,10 +223,11 @@ def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps, stop=None
     Returns ``(Y, diag)`` where ``Y[k]`` is the full-length solution at
     ``t_eval[k]`` and ``diag`` carries cumulative accepted/rejected step
     counts, the largest scaled local error seen before each output
-    instant, the number of RHS evaluations and the largest active ball.
-    With a predicate ``stop``, integration ends at the first output row
-    for which ``stop(row)`` is true: ``Y`` and the per-instant diagnostics
-    then hold only the rows reached, that one included.
+    instant, the number of RHS evaluations, the largest active ball and
+    whether ``stop`` fired.  With a predicate ``stop``, integration ends at
+    the first output row for which ``stop(row)`` is true: ``Y`` and the
+    per-instant diagnostics then hold only the rows reached, that one
+    included.
     """
     n = len(y0)
     r_max = int(dist.max())
@@ -324,7 +325,8 @@ def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps, stop=None
     diag = {"accepted": acc_at[:k_out], "rejected": rej_at[:k_out],
             "max_scaled_error": err_at[:k_out],
             "total_accepted": accepted, "total_rejected": rejected,
-            "rhs_evals": 2 + 6 * steps, "active_vertices": len(keep)}
+            "rhs_evals": 2 + 6 * steps, "active_vertices": len(keep),
+            "stopped": stopped}
     return out[:k_out], diag
 
 
@@ -338,15 +340,14 @@ class Trajectory:
     ``times[0] = 0`` holds the initial data; the remaining entries match
     the configured output instants.  Values are clamped to be nonnegative
     when the data is (undershoot magnitude is logged per instant).
-    ``work`` holds the solver's totals for the solve that produced it:
-    ``rhs_evals`` and ``active_vertices``, the largest active ball.
+    ``history`` lists the records of the truncation stages that produced
+    the trajectory (see :func:`solve_truncated` and :func:`solve_cauchy`).
+    The generator, the exponent and the certified radius are read from
+    the region and the config.
     """
 
-    def __init__(self, generator, p, config, region, edges, times, values,
-                 diagnostics, certified=False, certified_radius=None,
-                 history=None, work=None):
-        self.generator = generator
-        self.p = p
+    def __init__(self, config, region, edges, times, values, diagnostics,
+                 certified=False, history=None):
         self.config = config
         self.region = region
         self.edges = edges
@@ -354,9 +355,20 @@ class Trajectory:
         self.values = values
         self.diagnostics = diagnostics
         self.certified = certified
-        self.certified_radius = certified_radius
         self.history = history or []
-        self.work = work or {}
+
+    @property
+    def generator(self):
+        return self.region.generator
+
+    @property
+    def p(self):
+        return self.config.p
+
+    @property
+    def certified_radius(self):
+        """The ball radius once certified, else ``None``."""
+        return self.region.radius if self.certified else None
 
     @property
     def instants(self):
@@ -399,7 +411,7 @@ class Trajectory:
         if q < 1:
             raise ValueError("q must be >= 1")
         a = np.abs(self.values)
-        np.power(a, q, out=a)
+        np.power(a, q, out=a, where=a > 0)   # most entries are exact zeros
         return (a @ self.region.degrees) ** (1.0 / q)
 
     @cached_property
@@ -458,6 +470,14 @@ def solve_truncated(g, u0: Field, cfg: SolverConfig, n, center=None, delta=None)
     Each step integrates only the active ball around the center that the
     solution can reach within it (see :func:`_integrate`); the stored rows
     are full-length and equal to a whole-ball solve up to rounding.
+
+    The returned ``history`` is this stage's one record: the radius ``n``,
+    its ``vertices`` and ``edges`` (internal edges plus stubs), the
+    ``boundary_leak`` (largest stored boundary sup after t = 0), the
+    ``accepted`` and ``rejected`` step counts, ``rhs_evals``,
+    ``active_vertices`` (the largest active ball the steps ran on) and
+    ``stopped_at``, the instant a leaking stage stopped at (``None`` when
+    it ran to the end).
     """
     center = _resolve_center(g, u0, center)
     region = ball(g, center, n)
@@ -484,21 +504,23 @@ def solve_truncated(g, u0: Field, cfg: SolverConfig, n, center=None, delta=None)
                          cfg.instants, cfg.rtol, cfg.atol, cfg.max_steps, stop=stop)
     clamped = np.zeros(len(Y))
     if nonneg:
-        neg = np.minimum(Y, 0.0)
-        clamped = -neg.min(axis=1)
+        clamped = -np.minimum(Y, 0.0).min(axis=1)
         np.maximum(Y, 0.0, out=Y)
     times = np.concatenate([[0.0], cfg.instants[:len(Y)]])
-    values = np.vstack([y0, Y])
     diagnostics = {
-        "radius": np.full(len(Y), n, dtype=np.int64),
         "accepted": diag["accepted"],
         "rejected": diag["rejected"],
         "max_scaled_error": diag["max_scaled_error"],
         "clamped": clamped,
     }
-    work = {"rhs_evals": diag["rhs_evals"], "active_vertices": diag["active_vertices"]}
-    return Trajectory(g, cfg.p, cfg, region, edges, times, values, diagnostics,
-                      work=work)
+    traj = Trajectory(cfg, region, edges, times, np.vstack([y0, Y]), diagnostics)
+    traj.history = [{
+        "n": n, "vertices": len(region), "edges": len(edges.ei) + len(edges.bi),
+        "boundary_leak": float(traj.boundary_sups[1:].max()),
+        "accepted": int(diag["accepted"][-1]), "rejected": int(diag["rejected"][-1]),
+        "rhs_evals": diag["rhs_evals"], "active_vertices": diag["active_vertices"],
+        "stopped_at": float(times[-1]) if diag["stopped"] else None}]
+    return traj
 
 
 def solve_cauchy(g, u0: Field, cfg: SolverConfig, center=None):
@@ -512,12 +534,11 @@ def solve_cauchy(g, u0: Field, cfg: SolverConfig, center=None):
     cannot change its verdict.  Reproducibility beats checkpointing at
     this scale, so every expansion restarts the clock.
 
-    Each ``history`` entry records the stage radius, its ``vertices`` and
-    ``edges`` (internal edges plus stubs), its boundary leak (at the
-    stopping instant for a stage that leaked), ``diff_prev``, the accepted
-    and rejected step counts, ``rhs_evals``, ``active_vertices`` (the
-    largest active ball the steps ran on) and ``stopped_at``, the instant
-    a leaking stage ended at (``None`` otherwise).
+    ``history`` holds the record of every stage (see
+    :func:`solve_truncated`), each with ``diff_prev``, its largest
+    difference from the previous stage on the smaller ball (``None`` when
+    there is none to compare), and ``expanded = "boundary_leak"`` on a
+    stage that leaked.
     """
     center = _resolve_center(g, u0, center)
     sup0 = u0.sup_norm()
@@ -532,35 +553,22 @@ def solve_cauchy(g, u0: Field, cfg: SolverConfig, center=None):
     last_diff = None
     for stage in range(cfg.max_expansions):
         traj = solve_truncated(g, u0, cfg, n, center=center, delta=delta)
-        leak = float(traj.boundary_sups[1:].max())
-        diag = traj.diagnostics
-        entry = {"n": n, "vertices": len(traj.region),
-                 "edges": len(traj.edges.ei) + len(traj.edges.bi),
-                 "boundary_leak": leak, "diff_prev": None,
-                 "accepted": int(diag["accepted"][-1]),
-                 "rejected": int(diag["rejected"][-1]),
-                 "rhs_evals": traj.work["rhs_evals"],
-                 "active_vertices": traj.work["active_vertices"],
-                 "stopped_at": float(traj.times[-1]) if leak > delta else None}
-        if leak > delta:
+        entry = traj.history[0]
+        entry["diff_prev"] = None
+        history.append(entry)
+        if entry["stopped_at"] is not None:
             entry["expanded"] = "boundary_leak"
-            history.append(entry)
             prev = None
             n *= RADIUS_GROWTH
             continue
         if prev is not None:
             gather = np.array([traj.region.index[v] for v in prev.region.vertices])
-            diff = float(np.abs(traj.values[:, gather] - prev.values).max())
-            entry["diff_prev"] = diff
-            history.append(entry)
-            last_diff = diff
-            if diff <= eps:
+            last_diff = entry["diff_prev"] = float(
+                np.abs(traj.values[:, gather] - prev.values).max())
+            if last_diff <= eps:
                 traj.certified = True
-                traj.certified_radius = n
                 traj.history = history
                 return traj
-        else:
-            history.append(entry)
         prev = traj
         n *= RADIUS_GROWTH
     raise TruncationConvergenceError(

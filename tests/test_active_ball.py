@@ -123,8 +123,8 @@ def test_stage_telemetry_counts_every_rhs_call(monkeypatch):
     checked.partial = False
     monkeypatch.setattr(solver, "_make_rhs", checked)
     stage = gf.solve_truncated(z1, gf.delta_field(z1, (0,), 5.0), cfg, 16)
-    assert stage.work["rhs_evals"] == checked.calls
-    assert stage.work["active_vertices"] == max(checked.sizes)
+    assert stage.history[0]["rhs_evals"] == checked.calls
+    assert stage.history[0]["active_vertices"] == max(checked.sizes)
 
 
 def test_active_ball_smaller_than_the_2d_stage():

@@ -77,13 +77,37 @@ def test_run_writes_artifacts(tmp_path):
     assert manifest["certified"]
 
 
+def _tree_bytes(root):
+    """Every file under ``root`` by relative path, with its bytes."""
+    return {str(f.relative_to(root)): f.read_bytes()
+            for f in sorted(Path(root).rglob("*")) if f.is_file()}
+
+
 def test_run_deterministic_bytes(tmp_path):
-    cli.run(tiny_config(), tmp_path / "a")
-    cli.run(tiny_config(), tmp_path / "b")
-    for name in ["trajectory.csv", "plotdata.csv", "check_sup_decay_upper.csv",
-                 "report.json"]:
-        assert (tmp_path / "a" / name).read_bytes() == \
-            (tmp_path / "b" / name).read_bytes()
+    cli.run(tiny_config(snapshots=True), tmp_path / "a")
+    cli.run(tiny_config(snapshots=True), tmp_path / "b")
+    a, b = _tree_bytes(tmp_path / "a"), _tree_bytes(tmp_path / "b")
+    for name in ["manifest.json", "report.json", "trajectory.csv", "plotdata.csv",
+                 "check_sup_decay_upper.csv", "check_sup_decay_upper.json",
+                 "check_decay_fit.json", "check_mass_lower.json", "fields/t_0000.csv"]:
+        assert name in a, name
+    assert a == b
+
+
+def test_simulate_jobs_matches_serial_bytes(tmp_path):
+    decay = tiny_config()
+    slow = tiny_config(checks=[{"type": "entropy_bound", "window": [0.5, 20]}])
+    slow["solver"]["p"] = 4.0
+    paths = []
+    for name, cfg in (("decay", decay), ("p4", slow)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(cfg))
+    args = ["simulate", "--config", *map(str, paths)]
+    assert cli.main([*args, "--out", str(tmp_path / "serial")]) == 0
+    assert cli.main([*args, "--out", str(tmp_path / "pool"), "--jobs", "2"]) == 0
+    serial = _tree_bytes(tmp_path / "serial")
+    assert {"decay/manifest.json", "p4/check_gradient_flux_upper.json"} <= serial.keys()
+    assert _tree_bytes(tmp_path / "pool") == serial
 
 
 def test_run_rejects_invalid_config(tmp_path):
@@ -340,13 +364,62 @@ def test_slow_decay_horizon_past_the_balance_time_exits_2(tmp_path, capsys, monk
 
 def test_run_verifies_the_profile_once(tmp_path, monkeypatch):
     calls = []
-    real = gf.estimates.check_assumptions
+    real = gf.faberkrahn.check_assumptions
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
-    monkeypatch.setattr(gf.estimates, "check_assumptions", counted)
+    monkeypatch.setattr(gf.faberkrahn, "check_assumptions", counted)
     cfg = json.loads((CONFIG_DIR / "lattice1d_p3_decay.json").read_text())
     assert sum(c["type"] in cli._PROFILE_CHECKS for c in cfg["checks"]) == 3
     cli.run(cfg, tmp_path / "out")
     assert len(calls) == 1
+
+
+def _broken_profile_file(tmp_path):
+    # a lattice power law with one bump: not v^(-p/N)/Lambda nondecreasing
+    vs = np.geomspace(1e-2, 1e4, 120)
+    lams = vs ** -3.0
+    lams[60] *= 4.0
+    path = tmp_path / "bump.csv"
+    path.write_text(gf.FkProfile.tabulated(list(zip(vs, lams)), 3.0, 1).to_csv_text())
+    return path
+
+
+def test_verify_rejects_a_broken_profile_without_writing(tmp_path, capsys):
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(tiny_config(snapshots=True)))
+    run = tmp_path / "run"
+    assert cli.main(["simulate", "--config", str(good), "--out", str(run)]) == 0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(tiny_config(
+        profile={"kind": "tabulated", "path": str(_broken_profile_file(tmp_path))},
+        checks=[{"type": "sup_bound", "window": [0.5, 20]}])))
+    vout = tmp_path / "verify"
+    assert cli.main(["verify", "--config", str(bad), "--traj-dir", str(run),
+                     "--out", str(vout)]) == 2
+    assert "structural assumptions" in capsys.readouterr().err
+    assert not vout.exists()
+
+
+@pytest.mark.parametrize("family", ["product", "custom"])
+def test_non_lattice_family_requires_a_center(tmp_path, capsys, family):
+    # the default center is the lattice origin, which these graphs lack
+    if family == "product":
+        graph = {"family": "product", "N": 1, "H": {"edges": [["a", "b", 1.0]]}}
+        profile = {"kind": "lattice", "c0": 1.0}
+    else:
+        adjacency = tmp_path / "cycle.txt"
+        adjacency.write_text("a b 1\nb c 1\nc d 1\nd a 1\n")
+        graph = {"family": "custom", "adjacency_file": str(adjacency)}
+        profile = {"kind": "bruteforce", "size_cap": 2}   # centered at the data
+    cfg = tiny_config(graph=graph, profile=profile, checks=[])
+    del cfg["initial_data"]
+    assert any("requires a center" in e for e in cli.validate_config(cfg))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli.main(["validate-config", str(cfg_path)]) == 2
+    assert cli.main(["simulate", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out")]) == 2
+    assert "requires a center" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
