@@ -374,22 +374,38 @@ def export_trajectory(traj, out_dir, snapshots=False):
 def load_trajectory(run_dir, g):
     """Rebuild a Trajectory from an exported run directory (needs snapshots)."""
     run_dir = Path(run_dir)
-    manifest = json.loads((run_dir / "manifest.json").read_text())
-    scfg = manifest["config"]["solver"]
-    cfg = build_solver_config(scfg)
-    center = vertex_from_str(manifest["center"])
-    n = manifest["certified_radius"]
-    region = ball(g, center, n)
-    edges = region_edges(g, region)
+    try:
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        scfg = manifest["config"]["solver"]
+        center = vertex_from_str(manifest["center"])
+        n = manifest["certified_radius"]
+        certified = manifest["certified"]
+    except (OSError, json.JSONDecodeError) as e:
+        raise ConfigError(f"cannot read the manifest of {run_dir}: {e}") from None
+    except KeyError as e:
+        raise ConfigError(f"manifest of {run_dir} lacks key {e}") from None
+    if not isinstance(n, int) or n < 0:
+        raise ConfigError(f"manifest of {run_dir} has no certified radius: {n!r}")
     fdir = run_dir / "fields"
     if not fdir.is_dir():
         raise ConfigError("run directory has no field snapshots; re-run with snapshots=true")
+    cfg = build_solver_config(scfg)
+    region = ball(g, center, n)
+    edges = region_edges(g, region)
     times = np.concatenate([[0.0], cfg.instants])
     values = np.zeros((len(times), len(region)))
     for k in range(len(times)):
-        fld = Field.from_csv_text(g, (fdir / f"t_{k:04d}.csv").read_text())
+        path = fdir / f"t_{k:04d}.csv"
+        try:
+            fld = Field.from_csv_text(g, path.read_text())
+        except OSError as e:
+            raise ConfigError(f"cannot read snapshot {path}: {e}") from None
         for v, x in fld.values.items():
-            values[k, region.index[v]] = x
+            i = region.index.get(v)
+            if i is None:
+                raise ConfigError(f"snapshot {path} has vertex {v!r} outside the "
+                                  f"certified ball B_{n}({center!r})")
+            values[k, i] = x
     diagnostics = {
         "accepted": np.zeros(len(cfg.instants), dtype=np.int64),
         "rejected": np.zeros(len(cfg.instants), dtype=np.int64),
@@ -397,7 +413,7 @@ def load_trajectory(run_dir, g):
         "clamped": np.zeros(len(cfg.instants)),
     }
     return solver.Trajectory(cfg, region, edges, times, values, diagnostics,
-                             certified=manifest["certified"])
+                             certified=certified)
 
 
 def _check_json(check, extras=None):

@@ -7,14 +7,23 @@ a per-generator total order (integer coordinate tuples for lattices and
 products, file insertion order for custom graphs), which fixes every
 summation order and makes runs bitwise reproducible.
 
-Degrees are always computed from the full oracle, so boundary vertices of
-a truncated region carry the same weighted degree ``d_w(x)`` as in the
+Degrees are always those of the full graph, so boundary vertices of a
+truncated region carry the same weighted degree ``d_w(x)`` as in the
 infinite graph.
+
+On ``Z^N`` a ball is the l1 ball, enumerated in closed form with numpy,
+and the edge arrays of a region are found by integer-key lookup; both
+follow the generator's sorted table of unit offsets, which also orders
+the oracle's neighbor lists.  The ring BFS serves products, custom graphs
+and distance queries.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import add
 
 import numpy as np
 
@@ -44,7 +53,14 @@ class GraphGenerator:
     sort_key : callable, optional
         Total order on vertex ids; defaults to the identity (works for
         coordinate tuples).
+
+    ``unit_offsets`` is the sorted ``(2N, N)`` table of unit offsets on the
+    unit-weight lattice ``Z^N`` (set by :func:`lattice_generator`), which
+    selects the closed-form ball and the array edge build; ``None`` on
+    every other graph.
     """
+
+    unit_offsets = None
 
     def __init__(self, neighbor_fn, name, dimension=None, sort_key=None):
         self._neighbor_fn = neighbor_fn
@@ -137,19 +153,45 @@ def rings(g, x0, r_max=None):
         r += 1
 
 
+# coordinates and box keys of the array paths on Z^N stay below this bound
+_KEY_LIMIT = 2 ** 62
+
+
 def ball(g, x0, R):
     """Combinatorial ball ``B_R(x0)`` as a :class:`Region`.
 
-    BFS from ``x0`` truncated at radius ``R``; degrees are taken from the
-    full oracle, not the truncation.
+    On ``Z^N`` the l1 ball ``|x - x0|_1 <= R`` in closed form, elsewhere a
+    BFS from ``x0`` truncated at radius ``R``; degrees are those of the
+    full graph, not the truncation.
     """
     if R < 0 or int(R) != R:
         raise ValueError(f"radius must be a nonnegative integer, got {R}")
+    if g.unit_offsets is not None:
+        g.degree(x0)  # validates the id
+        if max(map(abs, x0)) + R < _KEY_LIMIT:
+            return _lattice_ball(g, x0, int(R))
     dist = {v: d for d, ring in enumerate(rings(g, x0, int(R))) for v in ring}
     verts = sorted(dist, key=g.sort_key)
     degs = np.array([g.degree(v) for v in verts])
     dists = np.array([dist[v] for v in verts], dtype=np.int64)
     return Region(g, tuple(verts), degs, center=x0, radius=int(R), distances=dists)
+
+
+def _lattice_ball(g, x0, R):
+    # B_R(x0) on Z^N in lexicographic order, one coordinate at a time: a
+    # prefix with l1 budget b left takes the values -b..b, in order, next
+    offs = np.zeros((1, 0), dtype=np.int64)
+    left = np.array([R], dtype=np.int64)
+    for _ in range(g.dimension):
+        width = 2 * left + 1
+        parent = np.repeat(np.arange(len(left)), width)
+        c = np.arange(len(parent)) - (np.cumsum(width) - width + left)[parent]
+        offs = np.column_stack([offs[parent], c])
+        left = left[parent] - np.abs(c)
+    coords = offs + np.array(x0, dtype=np.int64)
+    return Region(g, tuple(zip(*coords.T.tolist())),
+                  np.full(len(coords), float(len(g.unit_offsets))),
+                  center=x0, radius=R, distances=R - left)
 
 
 def distance(g, x, y, r_max):
@@ -274,7 +316,15 @@ class RegionEdges:
 
 
 def region_edges(g, region):
-    """Materialize the edge structure of a region against the full oracle."""
+    """Materialize the edge structure of a region against the full graph.
+
+    Internal edges and stubs come in the order of a loop over the region's
+    vertices and, per vertex, over its oracle neighbors.  On ``Z^N`` the
+    neighbors are found by integer-key lookup instead of oracle calls.
+    """
+    coords = _lattice_coords(g, region.vertices)
+    if coords is not None:
+        return _lattice_edges(g.unit_offsets, coords)
     ei, ej, w, bi, bw = [], [], [], [], []
     for i, x in enumerate(region.vertices):
         for y, wt in g.neighbors(x):
@@ -290,6 +340,47 @@ def region_edges(g, region):
         np.array(ei, dtype=np.int64), np.array(ej, dtype=np.int64),
         np.array(w, dtype=np.float64),
         np.array(bi, dtype=np.int64), np.array(bw, dtype=np.float64), len(region))
+
+
+def _lattice_coords(g, vertices):
+    # (n, N) int64 coordinates of Z^N ids the oracle accepts, else None: other
+    # families, ids the oracle must reject, and boxes too wide for int64 keys
+    # take the oracle loop
+    N = g.dimension
+    if (g.unit_offsets is None or set(map(type, vertices)) != {tuple}
+            or set(map(len, vertices)) != {N}
+            or not set(map(type, chain.from_iterable(vertices))) <= {int, bool}):
+        return None
+    try:
+        coords = np.fromiter(chain.from_iterable(vertices), dtype=np.int64,
+                             count=len(vertices) * N).reshape(-1, N)
+    except OverflowError:
+        return None
+    lo, hi = coords.min(axis=0).tolist(), coords.max(axis=0).tolist()
+    if (max(map(abs, lo + hi)) >= _KEY_LIMIT
+            or math.prod(b - a + 3 for a, b in zip(lo, hi)) >= _KEY_LIMIT):
+        return None
+    return coords
+
+
+def _lattice_edges(offsets, coords):
+    # mixed-radix keys over the region's bounding box padded by one layer,
+    # last coordinate fastest, so a unit offset shifts a key by a constant
+    n, deg = len(coords), len(offsets)
+    lo = coords.min(axis=0) - 1
+    span = coords.max(axis=0) + 2 - lo
+    stride = np.append(np.cumprod(span[:0:-1])[::-1], 1)
+    keys = (coords - lo) @ stride
+    order = np.argsort(keys, kind="stable")
+    nbr = (keys[:, None] + offsets @ stride).ravel()   # oracle loop order
+    at = np.minimum(np.searchsorted(keys, nbr, sorter=order), n - 1)
+    j = order[at]
+    found = keys[j] == nbr
+    i = np.repeat(np.arange(n), deg)
+    inner = found & (j > i)
+    out = ~found
+    return RegionEdges(i[inner], j[inner], np.ones(np.count_nonzero(inner)),
+                       i[out], np.ones(np.count_nonzero(out)), n)
 
 
 @dataclass
@@ -333,20 +424,19 @@ def lattice_generator(N):
     if N < 1 or int(N) != N:
         raise ValueError(f"lattice dimension must be a positive integer, got {N}")
     N = int(N)
+    # x + d sorts as d does, so the neighbor lists come out sorted
+    offsets = sorted(tuple(s * (i == k) for i in range(N))
+                     for k in range(N) for s in (-1, 1))
 
     def nbrs(x):
         if not (isinstance(x, tuple) and len(x) == N
                 and all(isinstance(c, int) for c in x)):
             raise UnknownVertexError(f"not a {N}-tuple of ints: {x!r}")
-        out = []
-        for k in range(N):
-            for s in (-1, 1):
-                y = x[:k] + (x[k] + s,) + x[k + 1:]
-                out.append((y, 1.0))
-        out.sort(key=lambda e: e[0])
-        return out
+        return [(tuple(map(add, x, d)), 1.0) for d in offsets]
 
-    return GraphGenerator(nbrs, name=f"Z^{N}", dimension=N)
+    g = GraphGenerator(nbrs, name=f"Z^{N}", dimension=N)
+    g.unit_offsets = np.array(offsets, dtype=np.int64)
+    return g
 
 
 class FiniteGraph:

@@ -220,14 +220,14 @@ def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps, stop=None
     ``len(y0)`` entries, summed in the same order as over the whole
     region, so the step sequence does not depend on the active ball.
 
-    Returns ``(Y, diag)`` where ``Y[k]`` is the full-length solution at
-    ``t_eval[k]`` and ``diag`` carries cumulative accepted/rejected step
-    counts, the largest scaled local error seen before each output
-    instant, the number of RHS evaluations, the largest active ball and
-    whether ``stop`` fired.  With a predicate ``stop``, integration ends at
-    the first output row for which ``stop(row)`` is true: ``Y`` and the
-    per-instant diagnostics then hold only the rows reached, that one
-    included.
+    Returns ``(Y, diag)`` where ``Y[0]`` is ``y0`` and ``Y[k + 1]`` the
+    full-length solution at ``t_eval[k]``, all rows in one buffer, and
+    ``diag`` carries cumulative accepted/rejected step counts, the largest
+    scaled local error seen before each output instant, the number of RHS
+    evaluations, the largest active ball and whether ``stop`` fired.  With
+    a predicate ``stop``, integration ends at the first output row for
+    which ``stop(row)`` is true: ``Y`` and the per-instant diagnostics then
+    hold only the rows reached, that one included.
     """
     n = len(y0)
     r_max = int(dist.max())
@@ -255,7 +255,8 @@ def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps, stop=None
     if not np.isfinite(f).all():
         raise NonFiniteStateError(t)
     K = np.empty((7, len(keep)))
-    out = np.zeros((len(t_eval), n))
+    out = np.zeros((len(t_eval) + 1, n))
+    out[0] = y0
     acc_at = np.zeros(len(t_eval), dtype=np.int64)
     rej_at = np.zeros(len(t_eval), dtype=np.int64)
     err_at = np.zeros(len(t_eval))
@@ -294,13 +295,13 @@ def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps, stop=None
         while k_out < len(t_eval) and t_eval[k_out] <= t_new * (1 + 1e-15):
             theta = min((t_eval[k_out] - t) / h, 1.0)
             powers = theta ** np.arange(1, 5)
-            out[k_out, keep] = y + h * (K.T @ (_DP_P @ powers))
+            out[k_out + 1, keep] = y + h * (K.T @ (_DP_P @ powers))
             acc_at[k_out] = accepted + 1
             rej_at[k_out] = rejected
             err_at[k_out] = max_err_window
             max_err_window = 0.0
             k_out += 1
-            if stop is not None and stop(out[k_out - 1]):
+            if stop is not None and stop(out[k_out]):
                 stopped = True
                 break
         accepted += 1
@@ -327,7 +328,7 @@ def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps, stop=None
             "total_accepted": accepted, "total_rejected": rejected,
             "rhs_evals": 2 + 6 * steps, "active_vertices": len(keep),
             "stopped": stopped}
-    return out[:k_out], diag
+    return out[:k_out + 1], diag
 
 
 # ----------------------------------------------------------------------
@@ -502,18 +503,18 @@ def solve_truncated(g, u0: Field, cfg: SolverConfig, n, center=None, delta=None)
             return b.max() > delta
     Y, diag = _integrate(rhs_on, region.distances, y0, float(cfg.instants[-1]),
                          cfg.instants, cfg.rtol, cfg.atol, cfg.max_steps, stop=stop)
-    clamped = np.zeros(len(Y))
+    clamped = np.zeros(len(Y) - 1)
     if nonneg:
-        clamped = -np.minimum(Y, 0.0).min(axis=1)
+        clamped = -np.minimum(Y[1:], 0.0).min(axis=1)
         np.maximum(Y, 0.0, out=Y)
-    times = np.concatenate([[0.0], cfg.instants[:len(Y)]])
+    times = np.concatenate([[0.0], cfg.instants[:len(Y) - 1]])
     diagnostics = {
         "accepted": diag["accepted"],
         "rejected": diag["rejected"],
         "max_scaled_error": diag["max_scaled_error"],
         "clamped": clamped,
     }
-    traj = Trajectory(cfg, region, edges, times, np.vstack([y0, Y]), diagnostics)
+    traj = Trajectory(cfg, region, edges, times, Y, diagnostics)
     traj.history = [{
         "n": n, "vertices": len(region), "edges": len(edges.ei) + len(edges.bi),
         "boundary_leak": float(traj.boundary_sups[1:].max()),

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -162,6 +163,55 @@ def test_main_verify_subcommand(tmp_path):
     assert cli.main(["verify", "--config", str(cfg_path), "--traj-dir", str(out),
                      "--out", str(vout)]) == 0
     assert (vout / "check_sup_decay_upper.json").exists()
+
+
+@pytest.fixture(scope="module")
+def verified_run(tmp_path_factory):
+    root = tmp_path_factory.mktemp("verified_run")
+    cfg_path = root / "cfg.json"
+    cfg_path.write_text(json.dumps(tiny_config(snapshots=True)))
+    assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(root / "run")]) == 0
+    return cfg_path, root / "run"
+
+
+def _edit_manifest(run, edit):
+    manifest = json.loads((run / "manifest.json").read_text())
+    edit(manifest)
+    (run / "manifest.json").write_text(json.dumps(manifest))
+
+
+def _no_fields(run):
+    shutil.rmtree(run / "fields")
+
+
+def _vertex_outside_the_ball(run):
+    with open(run / "fields" / "t_0000.csv", "a") as f:
+        f.write("1000,0.5\n")
+
+
+@pytest.mark.parametrize("damage, message", [
+    (lambda run: shutil.rmtree(run), "cannot read the manifest"),
+    (lambda run: _edit_manifest(run, lambda m: m.pop("certified_radius")),
+     "lacks key 'certified_radius'"),
+    (lambda run: _edit_manifest(run, lambda m: m.update(certified_radius=None)),
+     "has no certified radius"),
+    (_no_fields, "no field snapshots"),
+    (_vertex_outside_the_ball, "outside the certified ball"),
+], ids=["missing_dir", "missing_key", "null_radius", "no_fields", "vertex_outside_ball"])
+def test_verify_bad_trajectory_dir_exits_2(tmp_path, capsys, monkeypatch, verified_run,
+                                           damage, message):
+    cfg_path, run = verified_run
+    traj_dir = tmp_path / "run"
+    shutil.copytree(run, traj_dir)
+    damage(traj_dir)
+    if damage is _no_fields:   # the directory is judged before any ball is built
+
+        def no_ball(*args):
+            raise AssertionError("ball built before the snapshots were found")
+        monkeypatch.setattr(cli, "ball", no_ball)
+    assert cli.main(["verify", "--config", str(cfg_path), "--traj-dir", str(traj_dir),
+                     "--out", str(tmp_path / "verify")]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_main_missing_config_is_usage_error(tmp_path):

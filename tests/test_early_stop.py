@@ -130,7 +130,7 @@ def test_integrate_stop_returns_bitwise_prefix():
     edge_vertex = region.index[(6,)]
     full, full_diag = _integrate(rhs_on, region.distances, y0, 50.0, t_eval,
                                  1e-8, 1e-12, 10 ** 6)
-    reached = np.nonzero(full[:, edge_vertex] > 1e-3)[0]
+    reached = np.nonzero(full[1:, edge_vertex] > 1e-3)[0]   # row 0 is y0
     assert 0 < reached[0] < len(t_eval) - 1
     k = reached[0] + 1
     calls = []
@@ -140,12 +140,12 @@ def test_integrate_stop_returns_bitwise_prefix():
         return row[edge_vertex] > 1e-3
     Y, diag = _integrate(rhs_on, region.distances, y0, 50.0, t_eval,
                          1e-8, 1e-12, 10 ** 6, stop=stop)
-    assert _same_bits(Y, full[:k])
+    assert _same_bits(Y, full[:k + 1]) and _same_bits(Y[0], y0)
     for key in ("accepted", "rejected", "max_scaled_error"):
         assert _same_bits(diag[key], full_diag[key][:k]), key
     assert diag["total_accepted"] < full_diag["total_accepted"]
     # the predicate saw every row it was handed, in order, and stopped at once
-    assert len(calls) == k and _same_bits(np.array(calls), Y)
+    assert len(calls) == k and _same_bits(np.array(calls), Y[1:])
 
 
 def test_integrate_with_a_stop_that_never_fires_runs_to_the_end():
@@ -155,4 +155,4 @@ def test_integrate_with_a_stop_that_never_fires_runs_to_the_end():
                          t_eval, 1e-8, 1e-12, 10 ** 6)
     Y, diag = _integrate(lambda keep: lambda t, y: -y ** 3, dist, np.ones(2), 2.0,
                          t_eval, 1e-8, 1e-12, 10 ** 6, stop=lambda row: False)
-    assert _same_bits(Y, full) and len(diag["accepted"]) == 9
+    assert _same_bits(Y, full) and len(Y) == 10 and len(diag["accepted"]) == 9

@@ -59,7 +59,8 @@ def test_stepper_against_exact_solution():
     Y, diag = _integrate_ode(lambda t, y: -y ** 3, np.array([1.0]), 100.0, t_eval,
                              1e-10, 1e-14, 10 ** 6)
     exact = (1.0 + 2.0 * t_eval) ** -0.5
-    assert np.abs(Y[:, 0] - exact).max() <= 1e-8
+    assert Y[0, 0] == 1.0 and len(Y) == len(t_eval) + 1   # the t = 0 row first
+    assert np.abs(Y[1:, 0] - exact).max() <= 1e-8
     assert diag["total_accepted"] > 0
     assert (np.diff(diag["accepted"]) >= 0).all()
 
