@@ -380,6 +380,7 @@ def load_trajectory(run_dir, g):
         center = vertex_from_str(manifest["center"])
         n = manifest["certified_radius"]
         certified = manifest["certified"]
+        cfg = build_solver_config(scfg)
     except (OSError, json.JSONDecodeError) as e:
         raise ConfigError(f"cannot read the manifest of {run_dir}: {e}") from None
     except KeyError as e:
@@ -389,7 +390,6 @@ def load_trajectory(run_dir, g):
     fdir = run_dir / "fields"
     if not fdir.is_dir():
         raise ConfigError("run directory has no field snapshots; re-run with snapshots=true")
-    cfg = build_solver_config(scfg)
     region = ball(g, center, n)
     edges = region_edges(g, region)
     times = np.concatenate([[0.0], cfg.instants])
@@ -655,7 +655,7 @@ def main(argv=None):
     except (solver.SolverError, faberkrahn.ConvergenceError) as e:
         print(f"solver failure: {e}", file=sys.stderr)
         return 3
-    except ValueError as e:  # ConfigError and malformed inputs
+    except (ValueError, OSError) as e:  # ConfigError, malformed or unreadable inputs
         print(f"config error: {e}", file=sys.stderr)
         return 2
 
@@ -707,9 +707,11 @@ def _dispatch(args):
             raise ConfigError(f"no trajectory.csv under {args.traj_dir}")
         with open(path) as f:
             header = f.readline().strip().split(",")
-            data = np.loadtxt(f, delimiter=",")
+            rows = [line.split(",") for line in f if line.strip()]
         if args.column not in header:
             raise ConfigError(f"column {args.column!r} not in {header}")
+        # 2-d even with zero or one rows; a malformed row is a ValueError
+        data = np.array(rows, dtype=float).reshape(len(rows), len(header))
         ts = data[:, header.index("t")]
         ys = data[:, header.index(args.column)]
         fit = estimates.fit_loglog(ts, ys, tuple(args.window))

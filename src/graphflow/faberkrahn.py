@@ -47,10 +47,10 @@ _ASSUMPTION_GRID = np.geomspace(1e-3, 1e9, 140)
 class FkProfile:
     """Representation of the map ``v -> Lambda_p(v)``.
 
-    ``kind`` is one of ``"closed_form"`` (lattice power law ``c0 v^(-p/N)``),
-    ``"tabulated"`` or ``"bruteforced"`` (both piecewise log-log linear
-    through ``(v, Lambda)`` pairs, constant beyond the table; evaluations in
-    the extended range are counted in ``extrapolations``).
+    ``kind`` is ``"closed_form"`` (lattice power law ``c0 v^(-p/N)``) or
+    ``"tabulated"`` (piecewise log-log linear through ``(v, Lambda)`` pairs,
+    read from a file or brute-forced, constant beyond the table; evaluations
+    in the extended range are counted in ``extrapolations``).
     """
 
     def __init__(self, kind, p, N, omega_exp=None, c0=None, table=None):
@@ -66,7 +66,7 @@ class FkProfile:
                 raise ValueError("closed-form profile needs c0 > 0")
             self.c0 = float(c0)
             self.table_v = self.table_lam = None
-        elif kind in ("tabulated", "bruteforced"):
+        elif kind == "tabulated":
             pairs = sorted((float(v), float(lam)) for v, lam in table)
             if not pairs:
                 raise ValueError("empty profile table")
@@ -90,8 +90,8 @@ class FkProfile:
         return cls("closed_form", p, N, c0=c0)
 
     @classmethod
-    def tabulated(cls, pairs, p, N, omega_exp=None, kind="tabulated"):
-        return cls(kind, p, N, omega_exp=omega_exp, table=pairs)
+    def tabulated(cls, pairs, p, N, omega_exp=None):
+        return cls("tabulated", p, N, omega_exp=omega_exp, table=pairs)
 
     def lambda_value(self, v):
         """Evaluate ``Lambda_p(v)`` for v > 0 (scalar or array)."""
@@ -443,8 +443,7 @@ def fk_profile_bruteforce(g, base, size_cap, p, tol=1e-10, starts=8, seed=0):
     for v in vs:
         running = min(running, per_measure[v])
         envelope.append((v, running))
-    return FkProfile.tabulated(envelope, p, getattr(g, "dimension", None) or 1.0,
-                               kind="bruteforced")
+    return FkProfile.tabulated(envelope, p, getattr(g, "dimension", None) or 1.0)
 
 
 # ----------------------------------------------------------------------

@@ -11,18 +11,17 @@ Degrees are always those of the full graph, so boundary vertices of a
 truncated region carry the same weighted degree ``d_w(x)`` as in the
 infinite graph.
 
-On ``Z^N`` a ball is the l1 ball, enumerated in closed form with numpy,
-and the edge arrays of a region are found by integer-key lookup; both
-follow the generator's sorted table of unit offsets, which also orders
-the oracle's neighbor lists.  The ring BFS serves products, custom graphs
-and distance queries.
+On ``Z^N`` a ball is the l1 ball, enumerated in closed form with numpy;
+it keeps its integer coordinates, from which its edge arrays are found by
+integer-key lookup.  Both follow the generator's sorted table of unit
+offsets, which also orders the oracle's neighbor lists.  The ring BFS
+serves products, custom graphs and distance queries, and every other
+region takes the oracle loop for its edges.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from itertools import chain
 from operator import add
 
 import numpy as np
@@ -94,6 +93,9 @@ class Region:
 
     ``vertices`` are in canonical order; ``distances`` holds combinatorial
     distances from ``center`` when the region is a ball, else ``None``.
+    ``coords`` is the ``(n, N)`` int64 coordinate array of a ball built by
+    :func:`ball` on ``Z^N`` whose padded bounding box has int64 keys, which
+    selects the key-lookup edge build; ``None`` on every other region.
     """
 
     generator: GraphGenerator
@@ -103,6 +105,7 @@ class Region:
     radius: int | None = None
     distances: np.ndarray | None = None
     index: dict = field(default=None, repr=False)
+    coords: np.ndarray | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         if self.index is None:
@@ -189,9 +192,12 @@ def _lattice_ball(g, x0, R):
         offs = np.column_stack([offs[parent], c])
         left = left[parent] - np.abs(c)
     coords = offs + np.array(x0, dtype=np.int64)
-    return Region(g, tuple(zip(*coords.T.tolist())),
-                  np.full(len(coords), float(len(g.unit_offsets))),
-                  center=x0, radius=R, distances=R - left)
+    region = Region(g, tuple(zip(*coords.T.tolist())),
+                    np.full(len(coords), float(len(g.unit_offsets))),
+                    center=x0, radius=R, distances=R - left)
+    if (2 * R + 3) ** g.dimension < _KEY_LIMIT:   # the padded box has int64 keys
+        region.coords = coords
+    return region
 
 
 def distance(g, x, y, r_max):
@@ -319,12 +325,12 @@ def region_edges(g, region):
     """Materialize the edge structure of a region against the full graph.
 
     Internal edges and stubs come in the order of a loop over the region's
-    vertices and, per vertex, over its oracle neighbors.  On ``Z^N`` the
-    neighbors are found by integer-key lookup instead of oracle calls.
+    vertices and, per vertex, over its oracle neighbors.  For a ball built
+    by :func:`ball` on ``Z^N`` the neighbors are found by integer-key lookup
+    on ``region.coords`` instead of oracle calls.
     """
-    coords = _lattice_coords(g, region.vertices)
-    if coords is not None:
-        return _lattice_edges(g.unit_offsets, coords)
+    if g.unit_offsets is not None and region.coords is not None:
+        return _lattice_edges(g.unit_offsets, region.coords)
     ei, ej, w, bi, bw = [], [], [], [], []
     for i, x in enumerate(region.vertices):
         for y, wt in g.neighbors(x):
@@ -340,27 +346,6 @@ def region_edges(g, region):
         np.array(ei, dtype=np.int64), np.array(ej, dtype=np.int64),
         np.array(w, dtype=np.float64),
         np.array(bi, dtype=np.int64), np.array(bw, dtype=np.float64), len(region))
-
-
-def _lattice_coords(g, vertices):
-    # (n, N) int64 coordinates of Z^N ids the oracle accepts, else None: other
-    # families, ids the oracle must reject, and boxes too wide for int64 keys
-    # take the oracle loop
-    N = g.dimension
-    if (g.unit_offsets is None or set(map(type, vertices)) != {tuple}
-            or set(map(len, vertices)) != {N}
-            or not set(map(type, chain.from_iterable(vertices))) <= {int, bool}):
-        return None
-    try:
-        coords = np.fromiter(chain.from_iterable(vertices), dtype=np.int64,
-                             count=len(vertices) * N).reshape(-1, N)
-    except OverflowError:
-        return None
-    lo, hi = coords.min(axis=0).tolist(), coords.max(axis=0).tolist()
-    if (max(map(abs, lo + hi)) >= _KEY_LIMIT
-            or math.prod(b - a + 3 for a, b in zip(lo, hi)) >= _KEY_LIMIT):
-        return None
-    return coords
 
 
 def _lattice_edges(offsets, coords):

@@ -197,7 +197,10 @@ def _vertex_outside_the_ball(run):
      "has no certified radius"),
     (_no_fields, "no field snapshots"),
     (_vertex_outside_the_ball, "outside the certified ball"),
-], ids=["missing_dir", "missing_key", "null_radius", "no_fields", "vertex_outside_ball"])
+    (lambda run: _edit_manifest(run, lambda m: m["config"]["solver"].pop("t_min")),
+     "lacks key 't_min'"),
+], ids=["missing_dir", "missing_key", "null_radius", "no_fields", "vertex_outside_ball",
+        "no_t_min"])
 def test_verify_bad_trajectory_dir_exits_2(tmp_path, capsys, monkeypatch, verified_run,
                                            damage, message):
     cfg_path, run = verified_run
@@ -216,6 +219,31 @@ def test_verify_bad_trajectory_dir_exits_2(tmp_path, capsys, monkeypatch, verifi
 
 def test_main_missing_config_is_usage_error(tmp_path):
     assert cli.main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2
+
+
+@pytest.mark.parametrize("edit", [
+    lambda cfg, nope: cfg.update(initial_data={"kind": "file", "path": nope}),
+    lambda cfg, nope: cfg.update(graph={"family": "custom", "adjacency_file": nope},
+                                 initial_data={"kind": "delta", "center": "a"}),
+    lambda cfg, nope: cfg.update(profile={"kind": "tabulated", "path": nope}),
+], ids=["initial_data_file", "adjacency_file", "tabulated_profile"])
+def test_main_missing_input_file_exits_2(tmp_path, capsys, edit):
+    cfg = tiny_config()
+    edit(cfg, str(tmp_path / "nope.csv"))
+    assert cli.validate_config(cfg) == []
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli.main(["simulate", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out")]) == 2
+    assert "nope.csv" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rows", [0, 1])
+def test_main_fit_on_too_few_rows_exits_2(tmp_path, capsys, rows):
+    lines = ["t,mass,sup"] + ["0.5,1,0.25"] * rows
+    (tmp_path / "trajectory.csv").write_text("\n".join(lines) + "\n")
+    assert cli.main(["fit", "--traj-dir", str(tmp_path)]) == 2
+    assert "usable instants" in capsys.readouterr().err
 
 
 def test_main_check_failure_exit_code(tmp_path):

@@ -106,6 +106,35 @@ def test_coordinates_beyond_int64_keys_take_the_oracle_paths():
     assert_same_edges(g, gf.region_from_vertices(g, [(0, 0), (2 ** 40, 2 ** 40)]))
 
 
+def test_ball_whose_box_exceeds_int64_keys_takes_the_oracle_loop():
+    # Z^32, R = 1: 65 vertices in a padded box of 5^32 ~ 2.3e22 keys
+    g = gf.lattice_generator(32)
+    b = gf.ball(g, (7,) * 32, 1)
+    assert len(b) == 65 and b.coords is None
+    assert_same_ball(b, gf.ball(reference(g), (7,) * 32, 1))
+    assert_same_edges(g, b)
+
+
+class Unreadable:
+    """Stands in for a vertex tuple that must not be read."""
+
+    def _fail(self, *args):
+        raise AssertionError("region.vertices was read")
+
+    __iter__ = __len__ = __getitem__ = __contains__ = _fail
+
+
+def test_lattice_ball_edges_come_from_its_coordinates():
+    g = LATTICES[3]
+    b = gf.ball(g, (2, 0, -5), 6)
+    want = region_edges(reference(g), b)
+    b.vertices = Unreadable()
+    got = region_edges(g, b)
+    for name in ("ei", "ej", "w", "bi", "bw"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert got.n == want.n
+
+
 def test_lattice_ball_and_edges_skip_the_oracle(monkeypatch):
     g = gf.lattice_generator(3)
     calls = []
