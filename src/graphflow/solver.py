@@ -3,12 +3,16 @@
 The flow ``du/dt = Delta_p u`` is solved as a finite ODE system on a ball
 ``B_n`` with ``u = 0`` outside (method of lines), using an explicit
 embedded Dormand-Prince 4(5) pair with PI step-size control and dense
-output at the configured instants.  :func:`solve_cauchy` re-solves on a
+output at the configured instants.  :func:`solve_cauchy` solves on a
 growing radius schedule until two consecutive truncations agree on the
 smaller ball and the outer boundary ring stays numerically empty; the
 returned trajectory is tagged with the certified radius.  A stage whose
-boundary ring leaks is stopped at the first leaking output instant and
-rerun on a larger ball.
+boundary ring leaks is stopped at the first leaking output instant.  Each
+stage on a larger ball resumes from the previous stage instead of
+restarting at t = 0: it takes over the integrator state and stored rows
+at the end of the previous stage's leading steps that kept every stage
+input exactly 0 on its boundary ring, which are the same steps on the
+larger ball.
 
 Each step runs on the active ball ``B_r(center)`` only, with ``r`` at
 least 7 layers past the farthest nonzero state value.  The degenerate flux
@@ -204,7 +208,8 @@ def _widen(v, at, m):
     return out
 
 
-def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps, stop=None):
+def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps, stop=None,
+               start=None):
     """Integrate y' = rhs(t, y) on [0, t_end], dense output at t_eval.
 
     ``dist[i]`` is the center distance of vertex ``i`` and ``rhs_on(keep)``
@@ -224,51 +229,86 @@ def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps, stop=None
     full-length solution at ``t_eval[k]``, all rows in one buffer, and
     ``diag`` carries cumulative accepted/rejected step counts, the largest
     scaled local error seen before each output instant, the number of RHS
-    evaluations, the largest active ball and whether ``stop`` fired.  With
-    a predicate ``stop``, integration ends at the first output row for
-    which ``stop(row)`` is true: ``Y`` and the per-instant diagnostics then
-    hold only the rows reached, that one included.
+    evaluations made by this call, the largest active ball and whether
+    ``stop`` fired.  With a predicate ``stop``, integration ends at the
+    first output row for which ``stop(row)`` is true: ``Y`` and the
+    per-instant diagnostics then hold only the rows reached, that one
+    included.
+
+    ``diag["resume"]`` is the integrator state after the leading steps
+    that started with ``s + 7 <= dist.max()``, so that every stage input
+    was exactly 0 on the outer ring (``None`` when the first step did not).
+    On any larger ball those steps evaluate the same right-hand side
+    values and rows; only the error norm divides the same sum of squares
+    by more entries, so each of them passes there too.  ``start = (state,
+    at, Y, diag)`` continues from such a state of a run on a smaller ball,
+    whose vertex ``i`` is vertex ``at[i]`` here and whose rows and
+    per-instant diagnostics were ``Y`` and ``diag``: the rows up to
+    ``state["t"]`` are copied, widened by zeros, and stepping goes on from
+    there; ``diag["resumed_at"]`` is that instant (``None`` from t = 0).
+    The step counts, and the ``max_steps`` budget, include the steps taken
+    over.
     """
     n = len(y0)
     r_max = int(dist.max())
 
     def activate(s):
-        # the active ball for a state supported within distance s, and its
-        # rim: the positions within 7 layers of its edge, where a nonzero
-        # calls for regrowing (None once the ball is the whole region)
+        # the active ball for a state supported within distance s; its rim,
+        # the positions within 7 layers of its edge, where a nonzero calls
+        # for regrowing (None once the ball is the whole region); and the
+        # positions within 7 layers of the outer ring, where a nonzero ends
+        # the leading boundary-free steps
         r = min(s + _STEP_REACH + _ACTIVE_SLACK, r_max)
         keep = np.flatnonzero(dist <= r)
         rim = np.flatnonzero(dist[keep] > r - _STEP_REACH) if r < r_max else None
-        return keep, rim
+        return keep, rim, np.flatnonzero(dist[keep] > r_max - _STEP_REACH)
 
-    keep, rim = activate(_support_radius(y0, dist))
+    if start is None:
+        y = y0
+    else:
+        state, at, Y_prev, diag_prev = start
+        y = _widen(state["y"], at[state["keep"]], n)
+    keep, rim, near = activate(_support_radius(y, dist))
     rhs = rhs_on(keep)
-    y = y0[keep].astype(float)
+    y = y[keep].astype(float)
     sq = np.zeros(n)   # squared entries for the RMS, zero outside the active ball
 
     def rms(v):   # summed over all n entries in whole-region order
         sq[keep] = v ** 2
         return math.sqrt(float(np.add.reduce(sq)) / n)
 
-    t = 0.0
-    f = rhs(t, y)
-    if not np.isfinite(f).all():
-        raise NonFiniteStateError(t)
     K = np.empty((7, len(keep)))
     out = np.zeros((len(t_eval) + 1, n))
-    out[0] = y0
     acc_at = np.zeros(len(t_eval), dtype=np.int64)
     rej_at = np.zeros(len(t_eval), dtype=np.int64)
     err_at = np.zeros(len(t_eval))
     floor = 1e-14 * t_end
-    h = max(_initial_step(rhs, y, f, t_end, rtol, atol, rms), floor)
-    accepted = rejected = 0
-    max_err_window = 0.0
-    err_prev = 1e-4
-    k_out = 0
+    resume = None
+    if start is None:
+        t = 0.0
+        f = rhs(t, y)
+        if not np.isfinite(f).all():
+            raise NonFiniteStateError(t)
+        out[0] = y0
+        h = max(_initial_step(rhs, y, f, t_end, rtol, atol, rms), floor)
+        accepted = rejected = steps = k_out = 0
+        max_err_window = 0.0
+        err_prev = 1e-4
+    else:
+        f = _widen(state["f"], at[state["keep"]], n)[keep]
+        t, h, err_prev = state["t"], state["h"], state["err_prev"]
+        max_err_window = state["err_window"]
+        accepted, rejected = state["accepted"], state["rejected"]
+        steps, k_out = state["steps"], state["k_out"]
+        out[:k_out + 1, at] = Y_prev[:k_out + 1]
+        acc_at[:k_out] = diag_prev["accepted"][:k_out]
+        rej_at[:k_out] = diag_prev["rejected"][:k_out]
+        err_at[:k_out] = diag_prev["max_scaled_error"][:k_out]
+        resume = dict(state, y=y, f=f, keep=keep)   # still valid on a larger ball
+    free = not y[near].any()   # the next step keeps the outer ring at 0
+    steps_before = steps
     err = 0.0
 
-    steps = 0
     stopped = False
     while t < t_end and not stopped:
         if h < floor:
@@ -307,9 +347,9 @@ def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps, stop=None
         accepted += 1
         y, t, f = y_new, t_new, K[6].copy()   # FSAL: last stage is f(t_new, y_new)
         if rim is not None and y[rim].any():   # regrow before the next step
-            grown, rim = activate(_support_radius(y, dist[keep]))
-            at = np.searchsorted(grown, keep)
-            y, f = _widen(y, at, len(grown)), _widen(f, at, len(grown))
+            grown, rim, near = activate(_support_radius(y, dist[keep]))
+            at_grown = np.searchsorted(grown, keep)
+            y, f = _widen(y, at_grown, len(grown)), _widen(f, at_grown, len(grown))
             keep = grown
             rhs = rhs_on(keep)
             K = np.empty((7, len(keep)))
@@ -320,14 +360,21 @@ def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps, stop=None
             factor = min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
         err_prev = max(err, 1e-10)
         h *= factor
+        if free and not stopped:   # references: y and f are new arrays every step
+            resume = {"t": t, "y": y, "f": f, "keep": keep, "h": h,
+                      "err_prev": err_prev, "err_window": max_err_window,
+                      "accepted": accepted, "rejected": rejected, "steps": steps,
+                      "k_out": k_out}
+            free = not y[near].any()
     if k_out < len(t_eval) and not stopped:
         raise SolverError(f"integration ended at t={t} before the last output "
                           f"instant {t_eval[-1]}")
     diag = {"accepted": acc_at[:k_out], "rejected": rej_at[:k_out],
             "max_scaled_error": err_at[:k_out],
             "total_accepted": accepted, "total_rejected": rejected,
-            "rhs_evals": 2 + 6 * steps, "active_vertices": len(keep),
-            "stopped": stopped}
+            "rhs_evals": (2 if start is None else 0) + 6 * (steps - steps_before),
+            "active_vertices": len(keep), "stopped": stopped, "resume": resume,
+            "resumed_at": None if start is None else state["t"]}
     return out[:k_out + 1], diag
 
 
@@ -343,12 +390,14 @@ class Trajectory:
     when the data is (undershoot magnitude is logged per instant).
     ``history`` lists the records of the truncation stages that produced
     the trajectory (see :func:`solve_truncated` and :func:`solve_cauchy`).
+    ``resume_point`` is the integrator state a solve on a larger ball can
+    continue from (see :func:`_integrate`), ``None`` when there is none.
     The generator, the exponent and the certified radius are read from
     the region and the config.
     """
 
     def __init__(self, config, region, edges, times, values, diagnostics,
-                 certified=False, history=None):
+                 certified=False, history=None, resume_point=None):
         self.config = config
         self.region = region
         self.edges = edges
@@ -357,6 +406,7 @@ class Trajectory:
         self.diagnostics = diagnostics
         self.certified = certified
         self.history = history or []
+        self.resume_point = resume_point
 
     @property
     def generator(self):
@@ -450,6 +500,11 @@ def _resolve_center(g, u0: Field, center):
                key=lambda kv: (-abs(kv[1]), g.sort_key(kv[0])))[0]
 
 
+def _positions(region, sub):
+    """Index in ``region`` of each vertex of the sub-region ``sub``."""
+    return np.array([region.index[v] for v in sub.vertices], dtype=np.int64)
+
+
 def _make_rhs(edges, degrees, p):
     div = edges.divergence(p)
 
@@ -459,7 +514,8 @@ def _make_rhs(edges, degrees, p):
     return rhs
 
 
-def solve_truncated(g, u0: Field, cfg: SolverConfig, n, center=None, delta=None):
+def solve_truncated(g, u0: Field, cfg: SolverConfig, n, center=None, delta=None,
+                    resume=None):
     """Solve the flow on ``B_n`` with zero Dirichlet exterior values.
 
     The initial data must be supported inside the ball.  Output instants
@@ -472,13 +528,21 @@ def solve_truncated(g, u0: Field, cfg: SolverConfig, n, center=None, delta=None)
     solution can reach within it (see :func:`_integrate`); the stored rows
     are full-length and equal to a whole-ball solve up to rounding.
 
+    ``resume`` is the trajectory of the same problem on a smaller ball
+    about the same center.  The solve then takes over its integrator state
+    at its ``resume_point``, the end of its leading steps that kept every
+    stage input exactly 0 on its boundary ring, with its rows and
+    per-instant diagnostics up to there, instead of starting at t = 0.
+
     The returned ``history`` is this stage's one record: the radius ``n``,
     its ``vertices`` and ``edges`` (internal edges plus stubs), the
     ``boundary_leak`` (largest stored boundary sup after t = 0), the
-    ``accepted`` and ``rejected`` step counts, ``rhs_evals``,
-    ``active_vertices`` (the largest active ball the steps ran on) and
-    ``stopped_at``, the instant a leaking stage stopped at (``None`` when
-    it ran to the end).
+    cumulative ``accepted`` and ``rejected`` step counts, ``rhs_evals``
+    (the evaluations this call made), ``active_vertices`` (the largest
+    active ball the steps ran on), ``stopped_at``, the instant a leaking
+    stage stopped at (``None`` when it ran to the end), and
+    ``resumed_at``, the instant taken over from ``resume`` (``None`` when
+    the solve started at t = 0).
     """
     center = _resolve_center(g, u0, center)
     region = ball(g, center, n)
@@ -493,6 +557,14 @@ def solve_truncated(g, u0: Field, cfg: SolverConfig, n, center=None, delta=None)
     def rhs_on(keep):   # looks up the module's _make_rhs for every sub-ball
         return _make_rhs(edges.restrict(keep), region.degrees[keep], cfg.p)
 
+    start = None
+    if resume is not None:
+        if resume.region.center != center or resume.region.radius > n:
+            raise ValueError(f"cannot resume B_{n}({center!r}) from "
+                             f"B_{resume.region.radius}({resume.region.center!r})")
+        if resume.resume_point is not None:
+            start = (resume.resume_point, _positions(region, resume.region),
+                     resume.values, resume.diagnostics)
     nonneg = u0.is_nonnegative()
     stop = None
     if delta is not None and len(edges.bi):
@@ -502,11 +574,16 @@ def solve_truncated(g, u0: Field, cfg: SolverConfig, n, center=None, delta=None)
             b = np.maximum(row[bi], 0.0) if nonneg else np.abs(row[bi])
             return b.max() > delta
     Y, diag = _integrate(rhs_on, region.distances, y0, float(cfg.instants[-1]),
-                         cfg.instants, cfg.rtol, cfg.atol, cfg.max_steps, stop=stop)
+                         cfg.instants, cfg.rtol, cfg.atol, cfg.max_steps, stop=stop,
+                         start=start)
     clamped = np.zeros(len(Y) - 1)
     if nonneg:
-        clamped = -np.minimum(Y[1:], 0.0).min(axis=1)
-        np.maximum(Y, 0.0, out=Y)
+        k = 0   # rows taken over from ``resume`` are clamped already
+        if start is not None:
+            k = start[0]["k_out"]
+            clamped[:k] = resume.diagnostics["clamped"][:k]
+        clamped[k:] = -np.minimum(Y[k + 1:], 0.0).min(axis=1)
+        np.maximum(Y[k + 1:], 0.0, out=Y[k + 1:])
     times = np.concatenate([[0.0], cfg.instants[:len(Y) - 1]])
     diagnostics = {
         "accepted": diag["accepted"],
@@ -514,26 +591,31 @@ def solve_truncated(g, u0: Field, cfg: SolverConfig, n, center=None, delta=None)
         "max_scaled_error": diag["max_scaled_error"],
         "clamped": clamped,
     }
-    traj = Trajectory(cfg, region, edges, times, Y, diagnostics)
+    traj = Trajectory(cfg, region, edges, times, Y, diagnostics,
+                      resume_point=diag["resume"])
     traj.history = [{
         "n": n, "vertices": len(region), "edges": len(edges.ei) + len(edges.bi),
         "boundary_leak": float(traj.boundary_sups[1:].max()),
         "accepted": int(diag["accepted"][-1]), "rejected": int(diag["rejected"][-1]),
         "rhs_evals": diag["rhs_evals"], "active_vertices": diag["active_vertices"],
-        "stopped_at": float(times[-1]) if diag["stopped"] else None}]
+        "stopped_at": float(times[-1]) if diag["stopped"] else None,
+        "resumed_at": diag["resumed_at"]}]
     return traj
 
 
 def solve_cauchy(g, u0: Field, cfg: SolverConfig, center=None):
     """Solve the Cauchy problem with automatic domain expansion.
 
-    Re-solves from t = 0 on a doubling radius schedule until (a) the outer
-    boundary ring stays below the leak threshold at every instant and
-    (b) two consecutive truncations differ by at most ``eps_trunc`` on the
-    smaller ball, uniformly over output instants.  A stage whose ring
-    leaks stops at the first leaking output instant, since later instants
-    cannot change its verdict.  Reproducibility beats checkpointing at
-    this scale, so every expansion restarts the clock.
+    Solves on a doubling radius schedule until (a) the outer boundary ring
+    stays below the leak threshold at every instant and (b) two
+    consecutive truncations differ by at most ``eps_trunc`` on the smaller
+    ball, uniformly over output instants.  A stage whose ring leaks stops
+    at the first leaking output instant, since later instants cannot
+    change its verdict.  Each stage after the first takes over the
+    previous stage's integrator state at the end of its leading steps
+    whose every stage input was exactly 0 on its boundary ring (see
+    :func:`solve_truncated`); those steps are a valid error-controlled
+    solve on the larger ball, so only the rest is integrated again.
 
     ``history`` holds the record of every stage (see
     :func:`solve_truncated`), each with ``diff_prev``, its largest
@@ -549,11 +631,12 @@ def solve_cauchy(g, u0: Field, cfg: SolverConfig, center=None):
         n = int(cfg.n0)
     else:
         n = u0.support_radius(center) + 8
-    prev = None
+    prev = last = None   # the last stage that did not leak, and the last stage
     history = []
     last_diff = None
     for stage in range(cfg.max_expansions):
-        traj = solve_truncated(g, u0, cfg, n, center=center, delta=delta)
+        traj = last = solve_truncated(g, u0, cfg, n, center=center, delta=delta,
+                                      resume=last)
         entry = traj.history[0]
         entry["diff_prev"] = None
         history.append(entry)
@@ -563,7 +646,7 @@ def solve_cauchy(g, u0: Field, cfg: SolverConfig, center=None):
             n *= RADIUS_GROWTH
             continue
         if prev is not None:
-            gather = np.array([traj.region.index[v] for v in prev.region.vertices])
+            gather = _positions(traj.region, prev.region)
             last_diff = entry["diff_prev"] = float(
                 np.abs(traj.values[:, gather] - prev.values).max())
             if last_diff <= eps:
@@ -603,9 +686,14 @@ def mass_radius(traj: Trajectory, eps, x0=None):
     One integer per stored time, t = 0 first.  Raises
     :class:`TruncationDeficitError` when the truncated ball does not even
     hold that fraction at some stored time (the run needs a larger n).
+    ``eps`` must exceed ``len(region) * 2**-53``, the rounding of a mass
+    sum over the region relative to the mass: a target any closer to the
+    initial mass would be met or missed by round-off alone.
     """
-    if not (0.0 < eps < 1.0) or 1.0 - eps == 1.0:
-        raise ValueError(f"eps must lie in (0, 1) with 1 - eps < 1, got {eps!r}")
+    floor = len(traj.region) * 2.0 ** -53
+    if not (floor < eps < 1.0):
+        raise ValueError(f"eps must lie in ({floor!r}, 1), above the rounding of a "
+                         f"mass sum over {len(traj.region)} vertices, got {eps!r}")
     dists = traj.distances(x0)
     target = (1.0 - eps) * traj.masses[0]
     bins = int(dists.max()) + 1

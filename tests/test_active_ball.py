@@ -107,17 +107,32 @@ def test_active_ball_matches_whole_region(monkeypatch, case, slack):
 def test_stage_telemetry_counts_every_rhs_call(monkeypatch):
     z1 = gf.lattice_generator(1)
     cfg = gf.SolverConfig(p=3.0, instants=gf.log_instants(1e-2, 100.0, 57), n0=4)
-    traj, checked = _solve(monkeypatch, z1, gf.delta_field(z1, (0,), 5.0), cfg, (0,))
+    u0 = gf.delta_field(z1, (0,), 5.0)
+    traj, checked = _solve(monkeypatch, z1, u0, cfg, (0,))
     assert len(traj.history) > 1
     assert sum(h["rhs_evals"] for h in traj.history) == checked.calls
+    assert traj.history[0]["resumed_at"] is None
+    assert any(h["resumed_at"] is not None for h in traj.history)
+    prev = None
     for h in traj.history:
         region = gf.ball(z1, (0,), h["n"])
         edges = gf.graphs.region_edges(z1, region)
         assert h["vertices"] == len(region)
         assert h["edges"] == len(edges.ei) + len(edges.bi)
         assert 0 < h["active_vertices"] <= h["vertices"]
-        # two evaluations start the run, then six per attempted step
-        assert h["rhs_evals"] == 2 + 6 * (h["accepted"] + h["rejected"])
+        # the stage again, by hand, from the stage before it
+        stage = gf.solve_truncated(z1, u0, cfg, h["n"], center=(0,),
+                                   delta=1e-10 * u0.sup_norm(), resume=prev)
+        assert stage.history[0].items() <= h.items()
+        # two evaluations start a run at t = 0, then six per attempted step;
+        # a resumed stage makes only the six per step after its resume point
+        if h["resumed_at"] is None:
+            assert h["rhs_evals"] == 2 + 6 * (h["accepted"] + h["rejected"])
+        else:
+            start = prev.resume_point
+            assert h["resumed_at"] == start["t"]
+            assert h["rhs_evals"] == 6 * (h["accepted"] + h["rejected"] - start["steps"])
+        prev = stage
     # one stage alone: its count is the calls made while it ran (counted only)
     checked = CheckedRhs(solver._make_rhs)
     checked.partial = False

@@ -4,7 +4,10 @@ The expansion rule is "expand iff the stored boundary sup exceeds the leak
 threshold at some instant t > 0", so instants after the first leaking one
 cannot change a stage's verdict.  The reference below integrates every
 stage to t_max and applies that rule; the early-stopping solver must give
-the same stages, verdicts and certified trajectory bit for bit.
+the same stages, verdicts and certified trajectory bit for bit.  Each
+reference stage resumes from the previous full stage, as the solver's do
+from its stopped ones: the resume point falls before any leak, so the
+early stop changes none of its bits.
 """
 import json
 from pathlib import Path
@@ -27,13 +30,14 @@ def reference_cauchy(g, u0, cfg, center):
     """The expansion loop with every stage integrated to t_max.
 
     Returns the certified trajectory and, per stage, ``(n, traj, leaking)``
-    where ``leaking[k]`` tells whether instant ``k`` (t > 0) leaks.
+    where ``leaking[k]`` tells whether instant ``k`` (t > 0) leaks.  Every
+    stage after the first resumes from the full stage before it.
     """
     delta = _threshold(u0, cfg)
     eps = cfg.eps_trunc if cfg.eps_trunc is not None else 1e-8 * u0.sup_norm()
-    n, prev, stages = int(cfg.n0), None, []
+    n, prev, last, stages = int(cfg.n0), None, None, []
     for _ in range(cfg.max_expansions):
-        traj = gf.solve_truncated(g, u0, cfg, n, center=center)
+        traj = last = gf.solve_truncated(g, u0, cfg, n, center=center, resume=last)
         leaking = traj.boundary_sups[1:] > delta
         stages.append((n, traj, leaking))
         if leaking.any():
@@ -64,20 +68,24 @@ def assert_matches_reference(g, u0, cfg, center):
         assert _same_bits(traj.diagnostics[key], arr), key
     # same radii and verdicts; a leaking stage ends at its first leaking instant
     assert [h["n"] for h in traj.history] == [n for n, _, _ in stages]
+    assert any(h["resumed_at"] is not None for h in traj.history)
     assert [h.get("expanded") == "boundary_leak" for h in traj.history] == \
         [bool(leaking.any()) for _, _, leaking in stages]
     delta = _threshold(u0, cfg)
-    for h, (n, full, leaking) in zip(traj.history, stages):
+    for i, (h, (n, full, leaking)) in enumerate(zip(traj.history, stages)):
         last = int(np.argmax(leaking)) if leaking.any() else len(leaking) - 1
         assert h["accepted"] == full.diagnostics["accepted"][last]
         assert h["rejected"] == full.diagnostics["rejected"][last]
+        assert h["resumed_at"] == full.history[0]["resumed_at"]
         if not leaking.any():
             assert h["stopped_at"] is None
             continue
         assert h["stopped_at"] == full.times[last + 1]
         assert h["boundary_leak"] == full.boundary_sups[last + 1]
         # the stopped stage is the bitwise prefix of the full one
-        stopped = gf.solve_truncated(g, u0, cfg, n, center=center, delta=delta)
+        resume = stages[i - 1][1] if i else None
+        stopped = gf.solve_truncated(g, u0, cfg, n, center=center, delta=delta,
+                                     resume=resume)
         assert _same_bits(stopped.values, full.values[:last + 2])
         assert _same_bits(stopped.times, full.times[:last + 2])
         for key, arr in full.diagnostics.items():

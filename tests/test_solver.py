@@ -204,10 +204,19 @@ def test_mass_radius_basics(delta_run):
 def test_mass_radius_eps_validation(delta_run):
     with pytest.raises(ValueError):
         gf.mass_radius(delta_run, 0.0)
+    with pytest.raises(ValueError):
+        gf.mass_radius(delta_run, 1.0)
     # 1 - eps rounds to 1: the whole initial mass could never be met
     with pytest.raises(ValueError):
         gf.mass_radius(delta_run, 2.0 ** -54)
-    assert gf.mass_radius(delta_run, 2.0 ** -52)[0] == 0
+    # at or below len(region) * 2^-53 the target lies within the rounding of
+    # the mass sums, so round-off alone would decide whether it is met
+    floor = len(delta_run.region) * 2.0 ** -53
+    assert 2.0 ** -52 < floor
+    for eps in (2.0 ** -52, floor):
+        with pytest.raises(ValueError, match="rounding of a mass sum"):
+            gf.mass_radius(delta_run, eps)
+    assert gf.mass_radius(delta_run, np.nextafter(floor, 1.0))[0] == 0
 
 
 def test_mass_radius_truncation_deficit(z1):
