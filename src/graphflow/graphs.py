@@ -246,13 +246,14 @@ def ball_measure_profile(g, x0, R_max):
 
 
 def _odd_power(p):
-    # s -> |s|^(p-2) s, exact and cheaper at the two integer exponents in use
+    # s -> |s|^(p-2) s in place, exact and cheaper at the two integer
+    # exponents in use
     if p == 3.0:
-        return lambda s: np.abs(s) * s
+        return lambda s: np.multiply(s, np.abs(s), out=s)
     if p == 4.0:
-        return lambda s: s * s * s
+        return lambda s: np.multiply(s, s * s, out=s)
     pm2 = p - 2.0
-    return lambda s: np.abs(s) ** pm2 * s
+    return lambda s: np.multiply(s, np.abs(s) ** pm2, out=s)
 
 
 @dataclass
@@ -276,15 +277,28 @@ class RegionEdges:
         """Kernel ``u -> sum_y w(x,y) |u(y)-u(x)|^(p-2) (u(y)-u(x))`` over the region.
 
         Built once per exponent; the returned function maps a state of
-        length ``n`` to the unnormalized p-Laplacian (stubs included).
+        length ``n`` to a fresh array holding the unnormalized p-Laplacian
+        (stubs included).  The stub weights are summed per region vertex
+        here, so a call gathers and scatters over the vertices that have a
+        stub instead of over every stub.
         """
-        ei, ej, w, bi, bw, n = self.ei, self.ej, self.w, self.bi, self.bw, self.n
+        ei, ej, w, n = self.ei, self.ej, self.w, self.n
+        sv = np.flatnonzero(np.bincount(self.bi, minlength=n))
+        sw = np.bincount(self.bi, self.bw, n)[sv]
         odd_power = _odd_power(p)
 
         def div(u):
-            flux = w * odd_power(u[ej] - u[ei])
-            return (np.bincount(ei, flux, n) - np.bincount(ej, flux, n)
-                    - np.bincount(bi, bw * odd_power(u[bi]), n))
+            flux = u[ej]
+            flux -= u[ei]
+            odd_power(flux)
+            flux *= w
+            # an empty index array makes bincount return int64 zeros
+            out = np.bincount(ei, flux, n).astype(np.float64, copy=False)
+            out -= np.bincount(ej, flux, n)
+            stub = odd_power(u[sv])
+            stub *= sw
+            out[sv] -= stub
+            return out
 
         return div
 

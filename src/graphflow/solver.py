@@ -133,7 +133,7 @@ class SolverConfig:
 # ----------------------------------------------------------------------
 # Dormand-Prince 4(5) with PI control and quartic dense output
 
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 _DP_A = [
     np.array([]),
     np.array([1 / 5]),
@@ -143,9 +143,11 @@ _DP_A = [
     np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
     np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
 ]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920,
-                  -17253 / 339200, 22 / 525, -1 / 40])
+# the fifth-order weights over the error weights (fifth minus fourth order)
+_DP_BE = np.array([
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
+    [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40],
+])
 # quartic interpolant coefficients for the pair (Shampine's free interpolant)
 _DP_P = np.array([
     [1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
@@ -162,11 +164,6 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
 _PI_ALPHA = 0.17          # err ** -alpha
 _PI_BETA = 0.04           # err_prev ** beta
-
-
-def _error_norm(diff, y0, y1, rtol, atol, rms):
-    scale = atol + rtol * np.maximum(np.abs(y0), np.abs(y1))
-    return rms(diff / scale)
 
 
 def _initial_step(rhs, y0, f0, t_end, rtol, atol, rms):
@@ -277,7 +274,13 @@ def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps, stop=None
         sq[keep] = v ** 2
         return math.sqrt(float(np.add.reduce(sq)) / n)
 
-    K = np.empty((7, len(keep)))
+    def buffers(m):
+        # stages, a stage input, the step and error rows, and per stage i
+        # the stages K[:i] its input combines
+        K = np.empty((7, m))
+        return K, np.empty(m), np.empty((2, m)), [K[:i] for i in range(7)]
+
+    K, yi, step, heads = buffers(len(keep))
     out = np.zeros((len(t_eval) + 1, n))
     acc_at = np.zeros(len(t_eval), dtype=np.int64)
     rej_at = np.zeros(len(t_eval), dtype=np.int64)
@@ -305,7 +308,7 @@ def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps, stop=None
         rej_at[:k_out] = diag_prev["rejected"][:k_out]
         err_at[:k_out] = diag_prev["max_scaled_error"][:k_out]
         resume = dict(state, y=y, f=f, keep=keep)   # still valid on a larger ball
-    free = not y[near].any()   # the next step keeps the outer ring at 0
+    free = not np.count_nonzero(y[near])   # the next step keeps the outer ring at 0
     steps_before = steps
     err = 0.0
 
@@ -320,11 +323,18 @@ def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps, stop=None
             raise SolverError(f"step budget {max_steps} exhausted at t={t}")
         h = min(h, t_end - t)
         K[0] = f
-        for i in range(1, 7):
-            yi = y + h * (_DP_A[i] @ K[:i])
+        for i in range(1, 7):   # y + h (A_i K[:i]); h A_i first would round differently
+            np.matmul(_DP_A[i], heads[i], out=yi)
+            yi *= h
+            yi += y
             K[i] = rhs(t + _DP_C[i] * h, yi)
-        y_new = y + h * (_DP_B5 @ K)
-        err = _error_norm(h * (_DP_E @ K), y, y_new, rtol, atol, rms)
+        np.matmul(_DP_BE, K, out=step)   # the step and the error, one product
+        step *= h
+        y_new = y + step[0]
+        scale = np.maximum(np.abs(y), np.abs(y_new))
+        scale *= rtol
+        scale += atol
+        err = rms(step[1] / scale)
         if not err <= 1.0:   # a NaN estimate is a rejection too
             rejected += 1
             h *= 0.5          # halve-and-retry fallback
@@ -346,13 +356,13 @@ def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps, stop=None
                 break
         accepted += 1
         y, t, f = y_new, t_new, K[6].copy()   # FSAL: last stage is f(t_new, y_new)
-        if rim is not None and y[rim].any():   # regrow before the next step
+        if rim is not None and np.count_nonzero(y[rim]):   # regrow before the next step
             grown, rim, near = activate(_support_radius(y, dist[keep]))
             at_grown = np.searchsorted(grown, keep)
             y, f = _widen(y, at_grown, len(grown)), _widen(f, at_grown, len(grown))
             keep = grown
             rhs = rhs_on(keep)
-            K = np.empty((7, len(keep)))
+            K, yi, step, heads = buffers(len(keep))
         if err == 0.0:
             factor = _MAX_FACTOR
         else:
@@ -365,7 +375,7 @@ def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps, stop=None
                       "err_prev": err_prev, "err_window": max_err_window,
                       "accepted": accepted, "rejected": rejected, "steps": steps,
                       "k_out": k_out}
-            free = not y[near].any()
+            free = not np.count_nonzero(y[near])
     if k_out < len(t_eval) and not stopped:
         raise SolverError(f"integration ended at t={t} before the last output "
                           f"instant {t_eval[-1]}")
@@ -509,7 +519,9 @@ def _make_rhs(edges, degrees, p):
     div = edges.divergence(p)
 
     def rhs(t, u):
-        return div(u) / degrees
+        out = div(u)
+        out /= degrees
+        return out
 
     return rhs
 

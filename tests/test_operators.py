@@ -141,26 +141,55 @@ def test_monotonicity_rejects_bad_domain():
         gf.monotonicity_check(2.0, 1.0, 1.0, 2.0)
 
 
+def _ball_edges(g, x0, R):
+    from graphflow.graphs import region_edges
+    region = gf.ball(g, x0, R)
+    return g, region, region_edges(g, region)
+
+
+def _weighted_ball_edges():
+    # B_1(o) = {o, v, c}: v has two stubs of different weights (to a and b),
+    # c one stub (to a), and the internal edges have weights of their own
+    g = gf.generator_from_edges([("o", "v", 1.5), ("o", "c", 0.75), ("v", "a", 0.5),
+                                 ("v", "b", 3.0), ("c", "a", 2.0), ("a", "b", 1.25)])
+    g, region, edges = _ball_edges(g, "o", 1)
+    v = region.index["v"]
+    assert sorted(edges.bw[edges.bi == v].tolist()) == [0.5, 3.0]
+    return g, region, edges
+
+
+def _sub_ball_edges(g, x0, R, r):
+    # B_r cut out of B_R's edge arrays: the cut edges become stubs of B_r
+    g, region, edges = _ball_edges(g, x0, R)
+    keep = np.flatnonzero(region.distances <= r)
+    sub = gf.region_from_vertices(g, [region.vertices[i] for i in keep])
+    assert list(sub.vertices) == [region.vertices[i] for i in keep]
+    return g, sub, edges.restrict(keep)
+
+
+# every maker is a lambda, so the case ids stay <lambda>0, <lambda>1, ...
 @pytest.mark.parametrize("maker", [
-    lambda: (gf.lattice_generator(1), (0,), 4),
-    lambda: (gf.lattice_generator(2), (0, 0), 3),
-    lambda: (gf.product_generator(gf.complete_graph(2), 1), (0, 0), 3),
+    lambda: _ball_edges(gf.lattice_generator(1), (0,), 4),
+    lambda: _ball_edges(gf.lattice_generator(2), (0, 0), 3),
+    lambda: _ball_edges(gf.product_generator(gf.complete_graph(2), 1), (0, 0), 3),
+    lambda: _weighted_ball_edges(),
+    lambda: _ball_edges(gf.lattice_generator(2), (0, 0), 0),   # no internal edges
+    lambda: _sub_ball_edges(gf.lattice_generator(2), (0, 0), 4, 2),
 ])
 @pytest.mark.parametrize("p", [2.5, 3.0, 4.0])
 def test_edge_kernel_matches_pointwise_oracle(maker, p):
     # the vectorized kernel (solver RHS, eigenvalue gradient, energies)
     # against the dict-based operators, boundary stubs included
-    from graphflow.graphs import region_edges
     from graphflow.solver import _make_rhs
-    g, x0, R = maker()
-    region = gf.ball(g, x0, R)
-    edges = region_edges(g, region)
+    g, region, edges = maker()
     assert len(edges.bi) > 0
     rng = np.random.default_rng(12)
     for _ in range(5):
         vals = rng.standard_normal(len(region))
         u = gf.Field(g, dict(zip(region.vertices, vals.tolist())))
-        lap = edges.divergence(p)(vals) / region.degrees
+        div = edges.divergence(p)(vals)
+        assert div.dtype == np.float64
+        lap = div / region.degrees
         oracle = np.array([gf.apply_plaplacian(g, u, p, x) for x in region.vertices])
         scale = np.abs(vals).max() ** (p - 1.0)
         assert np.abs(lap - oracle).max() <= 1e-12 * scale
