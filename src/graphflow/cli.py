@@ -145,7 +145,6 @@ CONFIG_SCHEMA = {
         },
         "seed": {"type": "integer", "minimum": 0},
         "snapshots": {"type": "boolean"},
-        "output_dir": {"type": "string"},
     },
 }
 
@@ -354,15 +353,11 @@ def export_trajectory(traj, out_dir, snapshots=False):
         traj.sup_norms,
         *[traj.lq_norms(q) for q in qs],
         np.full(len(ts), traj.region.radius),
-        np.concatenate([[0], traj.diagnostics["accepted"]]),
-        np.concatenate([[0], traj.diagnostics["rejected"]]),
-        np.concatenate([[0.0], traj.diagnostics["max_scaled_error"]]),
-        np.concatenate([[0.0], traj.diagnostics["clamped"]]),
+        *(traj.diagnostics[name] for name in solver.ROW_DIAGNOSTICS.names),
         traj.boundary_sups,
     ]
     header = ["t", "mass", "sup", "lq1.5", "lq2", "lq4", "radius",
-              "accepted", "rejected", "max_scaled_error", "clamped",
-              "boundary_sup"]
+              *solver.ROW_DIAGNOSTICS.names, "boundary_sup"]
     write_csv(out / "trajectory.csv", header, cols)
     if snapshots:
         fdir = out / "fields"
@@ -406,12 +401,8 @@ def load_trajectory(run_dir, g):
                 raise ConfigError(f"snapshot {path} has vertex {v!r} outside the "
                                   f"certified ball B_{n}({center!r})")
             values[k, i] = x
-    diagnostics = {
-        "accepted": np.zeros(len(cfg.instants), dtype=np.int64),
-        "rejected": np.zeros(len(cfg.instants), dtype=np.int64),
-        "max_scaled_error": np.zeros(len(cfg.instants)),
-        "clamped": np.zeros(len(cfg.instants)),
-    }
+    table = np.zeros(len(times), dtype=solver.ROW_DIAGNOSTICS)   # snapshots carry none
+    diagnostics = {name: table[name] for name in table.dtype.names}
     return solver.Trajectory(cfg, region, edges, times, values, diagnostics,
                              certified=certified)
 

@@ -74,7 +74,7 @@ class FkProfile:
             lams = np.array([lam for _, lam in pairs])
             if (vs <= 0).any() or (lams <= 0).any():
                 raise ValueError("profile table entries must be positive")
-            if len(np.unique(vs)) != len(vs):
+            if (np.diff(vs) == 0).any():
                 raise ValueError("duplicate measures in profile table")
             self.c0 = None
             self.table_v = vs

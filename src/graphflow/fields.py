@@ -54,9 +54,6 @@ class Field:
         """Support vertices in canonical order."""
         return sorted(self.values, key=self.generator.sort_key)
 
-    def is_nonnegative(self):
-        return all(x >= 0.0 for x in self.values.values())
-
     def dominates(self, other):
         """True if ``self >= other`` pointwise."""
         keys = set(self.values) | set(other.values)

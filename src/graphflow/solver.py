@@ -205,6 +205,11 @@ def _widen(v, at, m):
     return out
 
 
+# the solver diagnostics of one stored row
+ROW_DIAGNOSTICS = np.dtype([("accepted", np.int64), ("rejected", np.int64),
+                            ("max_scaled_error", float), ("clamped", float)])
+
+
 def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps, stop=None,
                start=None):
     """Integrate y' = rhs(t, y) on [0, t_end], dense output at t_eval.
@@ -223,13 +228,16 @@ def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps, stop=None
     region, so the step sequence does not depend on the active ball.
 
     Returns ``(Y, diag)`` where ``Y[0]`` is ``y0`` and ``Y[k + 1]`` the
-    full-length solution at ``t_eval[k]``, all rows in one buffer, and
-    ``diag`` carries cumulative accepted/rejected step counts, the largest
-    scaled local error seen before each output instant, the number of RHS
-    evaluations made by this call, the largest active ball and whether
-    ``stop`` fired.  With a predicate ``stop``, integration ends at the
-    first output row for which ``stop(row)`` is true: ``Y`` and the
-    per-instant diagnostics then hold only the rows reached, that one
+    full-length solution at ``t_eval[k]``, all rows in one buffer.  Each
+    row is final when written: for nonnegative ``y0`` it is clamped at 0.
+    ``diag`` holds one entry per stored row, t = 0 first (all 0 there):
+    the cumulative ``accepted`` and ``rejected`` step counts, the largest
+    scaled local error seen since the previous row (``max_scaled_error``)
+    and the undershoot the clamp removed (``clamped``).  It also holds the
+    number of RHS evaluations made by this call, the largest active ball
+    and whether ``stop`` fired.  With a predicate ``stop``, integration
+    ends at the first stored row for which ``stop(row)`` is true: ``Y``
+    and the per-row diagnostics then hold only the rows reached, that one
     included.
 
     ``diag["resume"]`` is the integrator state after the leading steps
@@ -237,14 +245,14 @@ def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps, stop=None
     was exactly 0 on the outer ring (``None`` when the first step did not).
     On any larger ball those steps evaluate the same right-hand side
     values and rows; only the error norm divides the same sum of squares
-    by more entries, so each of them passes there too.  ``start = (state,
-    at, Y, diag)`` continues from such a state of a run on a smaller ball,
-    whose vertex ``i`` is vertex ``at[i]`` here and whose rows and
-    per-instant diagnostics were ``Y`` and ``diag``: the rows up to
-    ``state["t"]`` are copied, widened by zeros, and stepping goes on from
-    there; ``diag["resumed_at"]`` is that instant (``None`` from t = 0).
-    The step counts, and the ``max_steps`` budget, include the steps taken
-    over.
+    by more entries, so each of them passes there too.  The state refers
+    to the stored rows and their diagnostics, final up to its instant.
+    ``start = (state, at)`` continues from such a state of a run on a
+    smaller ball, whose vertex ``i`` is vertex ``at[i]`` here: the rows up
+    to ``state["t"]`` and their diagnostics are copied, the rows widened
+    by zeros, and stepping goes on from there; ``diag["resumed_at"]`` is
+    that instant (``None`` from t = 0).  The step counts, and the
+    ``max_steps`` budget, include the steps taken over.
     """
     n = len(y0)
     r_max = int(dist.max())
@@ -263,7 +271,7 @@ def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps, stop=None
     if start is None:
         y = y0
     else:
-        state, at, Y_prev, diag_prev = start
+        state, at = start
         y = _widen(state["y"], at[state["keep"]], n)
     keep, rim, near = activate(_support_radius(y, dist))
     rhs = rhs_on(keep)
@@ -282,9 +290,8 @@ def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps, stop=None
 
     K, yi, step, heads = buffers(len(keep))
     out = np.zeros((len(t_eval) + 1, n))
-    acc_at = np.zeros(len(t_eval), dtype=np.int64)
-    rej_at = np.zeros(len(t_eval), dtype=np.int64)
-    err_at = np.zeros(len(t_eval))
+    table = np.zeros(len(t_eval) + 1, dtype=ROW_DIAGNOSTICS)   # per row of out
+    clamp = bool((y0 >= 0.0).all())
     floor = 1e-14 * t_end
     resume = None
     if start is None:
@@ -303,11 +310,10 @@ def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps, stop=None
         max_err_window = state["err_window"]
         accepted, rejected = state["accepted"], state["rejected"]
         steps, k_out = state["steps"], state["k_out"]
-        out[:k_out + 1, at] = Y_prev[:k_out + 1]
-        acc_at[:k_out] = diag_prev["accepted"][:k_out]
-        rej_at[:k_out] = diag_prev["rejected"][:k_out]
-        err_at[:k_out] = diag_prev["max_scaled_error"][:k_out]
-        resume = dict(state, y=y, f=f, keep=keep)   # still valid on a larger ball
+        out[:k_out + 1, at] = state["out"][:k_out + 1]
+        table[:k_out + 1] = state["table"][:k_out + 1]
+        # still valid on a larger ball
+        resume = dict(state, y=y, f=f, keep=keep, out=out, table=table)
     free = not np.count_nonzero(y[near])   # the next step keeps the outer ring at 0
     steps_before = steps
     err = 0.0
@@ -345,12 +351,15 @@ def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps, stop=None
         while k_out < len(t_eval) and t_eval[k_out] <= t_new * (1 + 1e-15):
             theta = min((t_eval[k_out] - t) / h, 1.0)
             powers = theta ** np.arange(1, 5)
-            out[k_out + 1, keep] = y + h * (K.T @ (_DP_P @ powers))
-            acc_at[k_out] = accepted + 1
-            rej_at[k_out] = rejected
-            err_at[k_out] = max_err_window
-            max_err_window = 0.0
+            row = y + h * (K.T @ (_DP_P @ powers))
+            undershoot = 0.0
+            if clamp:   # the zeros outside the active ball need no clamp
+                undershoot = max(0.0, -row.min())
+                np.maximum(row, 0.0, out=row)
             k_out += 1
+            out[k_out, keep] = row
+            table[k_out] = (accepted + 1, rejected, max_err_window, undershoot)
+            max_err_window = 0.0
             if stop is not None and stop(out[k_out]):
                 stopped = True
                 break
@@ -374,17 +383,16 @@ def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps, stop=None
             resume = {"t": t, "y": y, "f": f, "keep": keep, "h": h,
                       "err_prev": err_prev, "err_window": max_err_window,
                       "accepted": accepted, "rejected": rejected, "steps": steps,
-                      "k_out": k_out}
+                      "k_out": k_out, "out": out, "table": table}
             free = not np.count_nonzero(y[near])
     if k_out < len(t_eval) and not stopped:
         raise SolverError(f"integration ended at t={t} before the last output "
                           f"instant {t_eval[-1]}")
-    diag = {"accepted": acc_at[:k_out], "rejected": rej_at[:k_out],
-            "max_scaled_error": err_at[:k_out],
-            "total_accepted": accepted, "total_rejected": rejected,
-            "rhs_evals": (2 if start is None else 0) + 6 * (steps - steps_before),
-            "active_vertices": len(keep), "stopped": stopped, "resume": resume,
-            "resumed_at": None if start is None else state["t"]}
+    diag = {name: table[name][:k_out + 1] for name in ROW_DIAGNOSTICS.names}
+    diag.update(total_accepted=accepted, total_rejected=rejected,
+                rhs_evals=(2 if start is None else 0) + 6 * (steps - steps_before),
+                active_vertices=len(keep), stopped=stopped, resume=resume,
+                resumed_at=None if start is None else state["t"])
     return out[:k_out + 1], diag
 
 
@@ -397,7 +405,11 @@ class Trajectory:
 
     ``times[0] = 0`` holds the initial data; the remaining entries match
     the configured output instants.  Values are clamped to be nonnegative
-    when the data is (undershoot magnitude is logged per instant).
+    when the data is.  ``diagnostics`` maps each name of
+    :data:`ROW_DIAGNOSTICS` to one entry per stored time, t = 0 first (all
+    0 there): cumulative ``accepted`` and ``rejected`` steps, the largest
+    ``max_scaled_error`` since the previous time and the ``clamped``
+    undershoot.
     ``history`` lists the records of the truncation stages that produced
     the trajectory (see :func:`solve_truncated` and :func:`solve_cauchy`).
     ``resume_point`` is the integrator state a solve on a larger ball can
@@ -531,10 +543,12 @@ def solve_truncated(g, u0: Field, cfg: SolverConfig, n, center=None, delta=None,
     """Solve the flow on ``B_n`` with zero Dirichlet exterior values.
 
     The initial data must be supported inside the ball.  Output instants
-    follow the config; the row at t = 0 holds the data itself.  With a
-    leak threshold ``delta``, integration stops at the first output
-    instant whose stored boundary sup exceeds it, and the trajectory ends
-    there.
+    follow the config; the row at t = 0 holds the data itself.  Each row
+    and its diagnostics are final when :func:`_integrate` writes them
+    (clamped at 0 for nonnegative data), one diagnostics entry per row,
+    t = 0 first.  With a leak threshold ``delta``, integration stops at
+    the first output instant whose stored boundary sup exceeds it, and
+    the trajectory ends there.
 
     Each step integrates only the active ball around the center that the
     solution can reach within it (see :func:`_integrate`); the stored rows
@@ -543,8 +557,8 @@ def solve_truncated(g, u0: Field, cfg: SolverConfig, n, center=None, delta=None,
     ``resume`` is the trajectory of the same problem on a smaller ball
     about the same center.  The solve then takes over its integrator state
     at its ``resume_point``, the end of its leading steps that kept every
-    stage input exactly 0 on its boundary ring, with its rows and
-    per-instant diagnostics up to there, instead of starting at t = 0.
+    stage input exactly 0 on its boundary ring, with its rows and their
+    diagnostics up to there, instead of starting at t = 0.
 
     The returned ``history`` is this stage's one record: the radius ``n``,
     its ``vertices`` and ``edges`` (internal edges plus stubs), the
@@ -575,34 +589,16 @@ def solve_truncated(g, u0: Field, cfg: SolverConfig, n, center=None, delta=None,
             raise ValueError(f"cannot resume B_{n}({center!r}) from "
                              f"B_{resume.region.radius}({resume.region.center!r})")
         if resume.resume_point is not None:
-            start = (resume.resume_point, _positions(region, resume.region),
-                     resume.values, resume.diagnostics)
-    nonneg = u0.is_nonnegative()
+            start = (resume.resume_point, _positions(region, resume.region))
     stop = None
     if delta is not None and len(edges.bi):
-        bi = edges.bi
-
-        def stop(row):   # tests the stored value: nonnegative rows are clamped at 0
-            b = np.maximum(row[bi], 0.0) if nonneg else np.abs(row[bi])
-            return b.max() > delta
+        def stop(row):
+            return np.abs(row[edges.bi]).max() > delta
     Y, diag = _integrate(rhs_on, region.distances, y0, float(cfg.instants[-1]),
                          cfg.instants, cfg.rtol, cfg.atol, cfg.max_steps, stop=stop,
                          start=start)
-    clamped = np.zeros(len(Y) - 1)
-    if nonneg:
-        k = 0   # rows taken over from ``resume`` are clamped already
-        if start is not None:
-            k = start[0]["k_out"]
-            clamped[:k] = resume.diagnostics["clamped"][:k]
-        clamped[k:] = -np.minimum(Y[k + 1:], 0.0).min(axis=1)
-        np.maximum(Y[k + 1:], 0.0, out=Y[k + 1:])
     times = np.concatenate([[0.0], cfg.instants[:len(Y) - 1]])
-    diagnostics = {
-        "accepted": diag["accepted"],
-        "rejected": diag["rejected"],
-        "max_scaled_error": diag["max_scaled_error"],
-        "clamped": clamped,
-    }
+    diagnostics = {name: diag[name] for name in ROW_DIAGNOSTICS.names}
     traj = Trajectory(cfg, region, edges, times, Y, diagnostics,
                       resume_point=diag["resume"])
     traj.history = [{

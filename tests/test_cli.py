@@ -42,6 +42,18 @@ def test_validate_rejects_unknown_key():
     assert errors and any("grpah" in e for e in errors)
 
 
+def test_validate_rejects_output_dir(tmp_path):
+    # the run directory comes from --out or GRAPHFLOW_OUT, never from the config
+    cfg = tiny_config(output_dir="elsewhere")
+    errors = cli.validate_config(cfg)
+    assert errors and any("output_dir" in e for e in errors)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "run"
+    assert cli.main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+    assert not (tmp_path / "elsewhere").exists()
+
+
 def test_validate_rejects_p_two():
     cfg = tiny_config()
     cfg["solver"]["p"] = 2.0

@@ -74,8 +74,8 @@ def assert_matches_reference(g, u0, cfg, center):
     delta = _threshold(u0, cfg)
     for i, (h, (n, full, leaking)) in enumerate(zip(traj.history, stages)):
         last = int(np.argmax(leaking)) if leaking.any() else len(leaking) - 1
-        assert h["accepted"] == full.diagnostics["accepted"][last]
-        assert h["rejected"] == full.diagnostics["rejected"][last]
+        assert h["accepted"] == full.diagnostics["accepted"][last + 1]
+        assert h["rejected"] == full.diagnostics["rejected"][last + 1]
         assert h["resumed_at"] == full.history[0]["resumed_at"]
         if not leaking.any():
             assert h["stopped_at"] is None
@@ -89,7 +89,7 @@ def assert_matches_reference(g, u0, cfg, center):
         assert _same_bits(stopped.values, full.values[:last + 2])
         assert _same_bits(stopped.times, full.times[:last + 2])
         for key, arr in full.diagnostics.items():
-            assert _same_bits(stopped.diagnostics[key], arr[:last + 1]), key
+            assert _same_bits(stopped.diagnostics[key], arr[:last + 2]), key
     return traj, stages
 
 
@@ -150,7 +150,7 @@ def test_integrate_stop_returns_bitwise_prefix():
                          1e-8, 1e-12, 10 ** 6, stop=stop)
     assert _same_bits(Y, full[:k + 1]) and _same_bits(Y[0], y0)
     for key in ("accepted", "rejected", "max_scaled_error"):
-        assert _same_bits(diag[key], full_diag[key][:k]), key
+        assert _same_bits(diag[key], full_diag[key][:k + 1]), key
     assert diag["total_accepted"] < full_diag["total_accepted"]
     # the predicate saw every row it was handed, in order, and stopped at once
     assert len(calls) == k and _same_bits(np.array(calls), Y[1:])
@@ -163,4 +163,4 @@ def test_integrate_with_a_stop_that_never_fires_runs_to_the_end():
                          t_eval, 1e-8, 1e-12, 10 ** 6)
     Y, diag = _integrate(lambda keep: lambda t, y: -y ** 3, dist, np.ones(2), 2.0,
                          t_eval, 1e-8, 1e-12, 10 ** 6, stop=lambda row: False)
-    assert _same_bits(Y, full) and len(Y) == 10 and len(diag["accepted"]) == 9
+    assert _same_bits(Y, full) and len(Y) == 10 and len(diag["accepted"]) == 10

@@ -1,7 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import graphflow as gf
+
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = ROOT / "configs"
 
 # minimum of the Rayleigh quotient over the 3-vertex path in Z^1 at p=3,
 # frozen from the exhaustive grid oracle (step 1e-3)
@@ -294,8 +302,24 @@ def test_profile_validation():
         gf.FkProfile.lattice(1, 3.0, c0=0.0)
     with pytest.raises(ValueError):
         gf.FkProfile.tabulated([(1.0, -1.0)], 3.0, 1)
-    with pytest.raises(ValueError):
-        gf.FkProfile.tabulated([(1.0, 1.0), (1.0, 2.0)], 3.0, 1)
+    for table in ([(1.0, 1.0), (1.0, 2.0)], [(4.0, 1.0), (2.0, 2.0), (4.0, 0.5)]):
+        with pytest.raises(ValueError, match="duplicate measures"):
+            gf.FkProfile.tabulated(table, 3.0, 1)
+
+
+def test_fk_build_does_not_import_numpy_ma(tmp_path):
+    # numpy.ma is a sizeable import that nothing in an fk build needs
+    script = (
+        "import json, sys\n"
+        "from graphflow import cli\n"
+        f"cli.run_fk(json.loads(open({str(CONFIGS / 'fk_lattice1d.json')!r}).read()), "
+        f"{str(tmp_path / 'fk')!r})\n"
+        "print('numpy.ma' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.split() == ["False"]
 
 
 # ----------------------------------------------------------------------

@@ -54,7 +54,7 @@ def test_resumed_rows_are_the_previous_rows_widened_by_zeros(case):
             widened[:, _positions(stage.region, prev.region)] = prev.values[:k + 1]
             assert _same_bits(stage.values[:k + 1], widened)
             for key, arr in prev.diagnostics.items():
-                assert _same_bits(stage.diagnostics[key][:k], arr[:k]), key
+                assert _same_bits(stage.diagnostics[key][:k + 1], arr[:k + 1]), key
             copied = max(copied, k)
         prev = stage
         n *= RADIUS_GROWTH

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 
@@ -5,7 +6,8 @@ import numpy as np
 import pytest
 
 import graphflow as gf
-from graphflow.solver import (NonFiniteStateError, SolverError,
+from graphflow import cli
+from graphflow.solver import (ROW_DIAGNOSTICS, NonFiniteStateError, SolverError,
                               StepSizeUnderflowError, TruncationConvergenceError,
                               TruncationDeficitError, _integrate)
 
@@ -132,6 +134,43 @@ def test_first_step_consistency_first_order(z1):
 def test_solution_nonnegative_with_clamp_logged(delta_run):
     assert float(delta_run.values.min()) >= 0.0
     assert (delta_run.diagnostics["clamped"] <= 1e-12).all()
+
+
+def test_no_undershoot_is_logged_as_positive_zero(delta_run, tmp_path):
+    assert not np.signbit(delta_run.diagnostics["clamped"]).any()
+    cli.export_trajectory(delta_run, tmp_path)
+    lines = (tmp_path / "trajectory.csv").read_text().splitlines()
+    assert not any("-0" in line.split(",") for line in lines[1:])
+
+
+def test_diagnostics_have_one_entry_per_stored_row(z1, tmp_path):
+    u0 = gf.delta_field(z1, (0,), 5.0)
+    cfg = gf.SolverConfig(p=3.0, instants=gf.log_instants(1e-2, 100.0, 57), n0=4)
+    bare = gf.solve_truncated(z1, u0, cfg, 8)
+    resumed = gf.solve_cauchy(z1, u0, cfg, center=(0,))
+    assert resumed.history[-1]["resumed_at"] is not None
+    stopped = gf.solve_truncated(z1, u0, cfg, 4, delta=1e-10 * u0.sup_norm())
+    assert stopped.history[0]["stopped_at"] is not None
+    assert len(stopped.times) < len(bare.times)
+    outdir = tmp_path / "run"
+    cli.export_trajectory(resumed, outdir, snapshots=True)
+    manifest = {
+        "config": {"solver": {"p": 3.0, "t_min": 1e-2, "t_max": 100.0,
+                              "num_instants": 57}},
+        "center": "0",
+        "certified": resumed.certified,
+        "certified_radius": resumed.certified_radius,
+    }
+    (outdir / "manifest.json").write_text(json.dumps(manifest))
+    loaded = cli.load_trajectory(outdir, z1)
+    for traj in (bare, resumed, stopped, loaded):
+        assert traj.diagnostics.keys() == set(ROW_DIAGNOSTICS.names)
+        for key, arr in traj.diagnostics.items():
+            assert len(arr) == len(traj.times) and arr[0] == 0, key
+    # the step counts grow from row to row, and the last one is the stage's
+    for traj in (bare, resumed, stopped):
+        assert (np.diff(traj.diagnostics["accepted"]) >= 0).all()
+        assert traj.diagnostics["accepted"][-1] == traj.history[-1]["accepted"]
 
 
 def test_truncated_support_violation(z1, short_cfg):
