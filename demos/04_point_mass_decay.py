@@ -1,8 +1,9 @@
 """Cauchy flow of a point mass: conservation, monotone norms, decay rate.
 
-The solver integrates on a ball, expands it until two consecutive
-truncations agree, and certifies the result. On Z^1 at p = 3 the sup norm
-of a finite-mass solution decays like t^(-1/4).
+The solver integrates on a ball and doubles it whenever the solution could
+reach its boundary ring; the first ball the solution never reaches is
+certified. On Z^1 at p = 3 the sup norm of a finite-mass solution decays
+like t^(-1/4).
 """
 import numpy as np
 

@@ -12,15 +12,20 @@ Configs are JSON documents validated against :data:`CONFIG_SCHEMA`
 * ``plotdata.csv``     -- plot-ready columns;
 * ``report.json``      -- aggregated verdicts.
 
+Each run solves once, on the certified ball of :func:`solver.solve_cauchy`,
+and every check reads that trajectory.  In a batch, each config writes
+under ``<out>/<config file stem>``; two configs whose stems clash are a
+config error before any run starts.
+
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage/config error,
-3 solver failure.  Identical (config, seed) pairs produce byte-identical
+3 solver failure (a check that finds the ball short of a mass fraction it
+needs is one too).  Identical (config, seed) pairs produce byte-identical
 outputs.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import os
@@ -107,8 +112,6 @@ CONFIG_SCHEMA = {
                 "atol": {"type": "number", "exclusiveMinimum": 0},
                 "n0": {"type": "integer", "minimum": 1},
                 "max_expansions": {"type": "integer", "minimum": 1},
-                "delta_boundary": {"type": ["number", "null"], "exclusiveMinimum": 0},
-                "eps_trunc": {"type": ["number", "null"], "exclusiveMinimum": 0},
             },
         },
         "profile": {
@@ -280,7 +283,7 @@ def build_initial_field(g, data_cfg):
 def build_solver_config(solver_cfg):
     instants = solver.log_instants(solver_cfg["t_min"], solver_cfg["t_max"],
                                    solver_cfg["num_instants"])
-    keys = ("rtol", "atol", "n0", "max_expansions", "delta_boundary", "eps_trunc")
+    keys = ("rtol", "atol", "n0", "max_expansions")
     kwargs = {k: solver_cfg[k] for k in keys if k in solver_cfg}
     return solver.SolverConfig(p=solver_cfg["p"], instants=instants, **kwargs)
 
@@ -453,7 +456,7 @@ def _run_one_check(chk, traj, profile, cfg):
     if typ == "sup_bound":
         check = estimates.check_sup_bound(traj, profile, window)
     elif typ == "lower_bound":
-        check = estimates.check_lower_bound(traj, profile)
+        check = estimates.check_lower_bound(traj, profile, window=chk.get("window"))
     elif typ == "moment_bound":
         check = estimates.check_moment_bound(traj, chk["alpha"], profile, window=window)
     elif typ == "entropy_bound":
@@ -516,14 +519,7 @@ def run(cfg, out_dir, seed=None):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     traj = solver.solve_cauchy(g, u0, scfg, center=center)
-    try:
-        checks_json, ratio_blocks = _run_checks(cfg, traj, profile, out)
-    except solver.TruncationDeficitError:
-        # re-solve once from a doubled radius; every check and export then
-        # sees the new trajectory
-        bigger = dataclasses.replace(scfg, n0=solver.RADIUS_GROWTH * traj.region.radius)
-        traj = solver.solve_cauchy(g, u0, bigger, center=center)
-        checks_json, ratio_blocks = _run_checks(cfg, traj, profile, out)
+    checks_json, ratio_blocks = _run_checks(cfg, traj, profile, out)
     export_trajectory(traj, out, snapshots=cfg.get("snapshots", False))
     # plot-ready columns
     plot_cols = [traj.instants, traj.masses[1:], traj.sup_norms[1:]]
@@ -666,6 +662,11 @@ def _dispatch(args):
         multi = len(args.config) > 1
         tasks = [(path, _default_out(args, path, multi), args.seed)
                  for path in args.config]
+        outs = [out for _, out, _ in tasks]
+        shared = sorted({out for out in outs if outs.count(out) > 1})
+        if shared:
+            raise ConfigError(f"configs with the same file name would share the output "
+                              f"directories {shared}")
         if args.jobs > 1 and len(tasks) > 1:
             with ProcessPoolExecutor(max_workers=args.jobs) as ex:
                 passes = list(ex.map(_simulate_path, tasks))

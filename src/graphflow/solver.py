@@ -4,15 +4,15 @@ The flow ``du/dt = Delta_p u`` is solved as a finite ODE system on a ball
 ``B_n`` with ``u = 0`` outside (method of lines), using an explicit
 embedded Dormand-Prince 4(5) pair with PI step-size control and dense
 output at the configured instants.  :func:`solve_cauchy` solves on a
-growing radius schedule until two consecutive truncations agree on the
-smaller ball and the outer boundary ring stays numerically empty; the
-returned trajectory is tagged with the certified radius.  A stage whose
-boundary ring leaks is stopped at the first leaking output instant.  Each
-stage on a larger ball resumes from the previous stage instead of
-restarting at t = 0: it takes over the integrator state and stored rows
-at the end of the previous stage's leading steps that kept every stage
-input exactly 0 on its boundary ring, which are the same steps on the
-larger ball.
+growing radius schedule until a stage reaches the last instant with every
+stage input of every step exactly 0 on its outer boundary ring; the
+returned trajectory is tagged with that certified radius.  No flux then
+crossed the truncation, so the ball solve is a solve of the Cauchy
+problem, and only integration error remains.  A stage stops before its
+first step whose inputs could reach the ring, and the next stage, on a
+ball ``RADIUS_GROWTH`` times larger, resumes from there: it takes over the
+integrator state and stored rows, which are the same steps on the larger
+ball.
 
 Each step runs on the active ball ``B_r(center)`` only, with ``r`` at
 least 7 layers past the farthest nonzero state value.  The degenerate flux
@@ -68,11 +68,7 @@ class NonFiniteInitialStepError(SolverError):
 
 
 class TruncationConvergenceError(SolverError):
-    """Radius schedule exhausted before successive truncations agreed."""
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
+    """Radius schedule exhausted: the solution reached the boundary ring of every stage."""
 
 
 class TruncationDeficitError(SolverError):
@@ -94,12 +90,7 @@ RADIUS_GROWTH = 2
 
 @dataclass
 class SolverConfig:
-    """Configuration of the truncated-ball solver.
-
-    ``delta_boundary`` and ``eps_trunc`` default to ``1e-10 * ||u0||_inf``
-    and ``1e-8 * ||u0||_inf`` respectively when left as ``None``; set
-    values must be positive.
-    """
+    """Configuration of the truncated-ball solver."""
 
     p: float
     instants: np.ndarray
@@ -107,8 +98,6 @@ class SolverConfig:
     atol: float = 1e-12
     n0: int | None = None
     max_expansions: int = 8
-    delta_boundary: float | None = None
-    eps_trunc: float | None = None
     max_steps: int = 1_000_000
 
     def __post_init__(self):
@@ -122,10 +111,6 @@ class SolverConfig:
             raise ValueError("output instants must be strictly increasing")
         if self.rtol <= 0 or self.atol <= 0:
             raise ValueError("tolerances must be positive")
-        for name in ("delta_boundary", "eps_trunc"):
-            value = getattr(self, name)
-            if value is not None and not value > 0:
-                raise ValueError(f"{name} must be positive, got {value}")
         if self.n0 is not None and (self.n0 < 1 or int(self.n0) != self.n0):
             raise ValueError("n0 must be a positive integer")
 
@@ -210,8 +195,8 @@ ROW_DIAGNOSTICS = np.dtype([("accepted", np.int64), ("rejected", np.int64),
                             ("max_scaled_error", float), ("clamped", float)])
 
 
-def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps, stop=None,
-               start=None):
+def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps,
+               stop_at_ring=False, start=None):
     """Integrate y' = rhs(t, y) on [0, t_end], dense output at t_eval.
 
     ``dist[i]`` is the center distance of vertex ``i`` and ``rhs_on(keep)``
@@ -234,15 +219,16 @@ def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps, stop=None
     the cumulative ``accepted`` and ``rejected`` step counts, the largest
     scaled local error seen since the previous row (``max_scaled_error``)
     and the undershoot the clamp removed (``clamped``).  It also holds the
-    number of RHS evaluations made by this call, the largest active ball
-    and whether ``stop`` fired.  With a predicate ``stop``, integration
-    ends at the first stored row for which ``stop(row)`` is true: ``Y``
-    and the per-row diagnostics then hold only the rows reached, that one
-    included.
+    number of RHS evaluations made by this call and the largest active
+    ball.
 
-    ``diag["resume"]`` is the integrator state after the leading steps
-    that started with ``s + 7 <= dist.max()``, so that every stage input
-    was exactly 0 on the outer ring (``None`` when the first step did not).
+    The leading steps that start with ``s + 7 <= dist.max()`` keep every
+    stage input exactly 0 on the outer ring.  With ``stop_at_ring``,
+    integration ends before the first step that does not:
+    ``diag["stopped_at"]`` is then that step's start time (``None`` when
+    the run reached ``t_end``), and ``Y`` and the per-row diagnostics hold
+    only the rows up to it.  ``diag["resume"]`` is the integrator state
+    after the leading steps (``None`` when the first step was not one).
     On any larger ball those steps evaluate the same right-hand side
     values and rows; only the error norm divides the same sum of squares
     by more entries, so each of them passes there too.  The state refers
@@ -318,8 +304,11 @@ def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps, stop=None
     steps_before = steps
     err = 0.0
 
-    stopped = False
-    while t < t_end and not stopped:
+    stopped_at = None
+    while t < t_end:
+        if stop_at_ring and not free:
+            stopped_at = t
+            break
         if h < floor:
             if not math.isfinite(err):
                 raise NonFiniteStateError(t)
@@ -360,9 +349,6 @@ def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps, stop=None
             out[k_out, keep] = row
             table[k_out] = (accepted + 1, rejected, max_err_window, undershoot)
             max_err_window = 0.0
-            if stop is not None and stop(out[k_out]):
-                stopped = True
-                break
         accepted += 1
         y, t, f = y_new, t_new, K[6].copy()   # FSAL: last stage is f(t_new, y_new)
         if rim is not None and np.count_nonzero(y[rim]):   # regrow before the next step
@@ -379,19 +365,19 @@ def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps, stop=None
             factor = min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
         err_prev = max(err, 1e-10)
         h *= factor
-        if free and not stopped:   # references: y and f are new arrays every step
+        if free:   # references: y and f are new arrays every step
             resume = {"t": t, "y": y, "f": f, "keep": keep, "h": h,
                       "err_prev": err_prev, "err_window": max_err_window,
                       "accepted": accepted, "rejected": rejected, "steps": steps,
                       "k_out": k_out, "out": out, "table": table}
             free = not np.count_nonzero(y[near])
-    if k_out < len(t_eval) and not stopped:
+    if k_out < len(t_eval) and stopped_at is None:
         raise SolverError(f"integration ended at t={t} before the last output "
                           f"instant {t_eval[-1]}")
     diag = {name: table[name][:k_out + 1] for name in ROW_DIAGNOSTICS.names}
     diag.update(total_accepted=accepted, total_rejected=rejected,
                 rhs_evals=(2 if start is None else 0) + 6 * (steps - steps_before),
-                active_vertices=len(keep), stopped=stopped, resume=resume,
+                active_vertices=len(keep), stopped_at=stopped_at, resume=resume,
                 resumed_at=None if start is None else state["t"])
     return out[:k_out + 1], diag
 
@@ -538,7 +524,7 @@ def _make_rhs(edges, degrees, p):
     return rhs
 
 
-def solve_truncated(g, u0: Field, cfg: SolverConfig, n, center=None, delta=None,
+def solve_truncated(g, u0: Field, cfg: SolverConfig, n, center=None, stop_at_ring=False,
                     resume=None):
     """Solve the flow on ``B_n`` with zero Dirichlet exterior values.
 
@@ -546,9 +532,11 @@ def solve_truncated(g, u0: Field, cfg: SolverConfig, n, center=None, delta=None,
     follow the config; the row at t = 0 holds the data itself.  Each row
     and its diagnostics are final when :func:`_integrate` writes them
     (clamped at 0 for nonnegative data), one diagnostics entry per row,
-    t = 0 first.  With a leak threshold ``delta``, integration stops at
-    the first output instant whose stored boundary sup exceeds it, and
-    the trajectory ends there.
+    t = 0 first.  With ``stop_at_ring``, integration stops before the
+    first step whose stage inputs could be nonzero on the boundary ring,
+    and the trajectory ends at the last output instant before it; until
+    then no flux crossed the truncation.  A ball without stubs (one that
+    covers a finite graph) has no ring to reach and always runs to the end.
 
     Each step integrates only the active ball around the center that the
     solution can reach within it (see :func:`_integrate`); the stored rows
@@ -563,12 +551,12 @@ def solve_truncated(g, u0: Field, cfg: SolverConfig, n, center=None, delta=None,
     The returned ``history`` is this stage's one record: the radius ``n``,
     its ``vertices`` and ``edges`` (internal edges plus stubs), the
     ``boundary_leak`` (largest stored boundary sup after t = 0), the
-    cumulative ``accepted`` and ``rejected`` step counts, ``rhs_evals``
-    (the evaluations this call made), ``active_vertices`` (the largest
-    active ball the steps ran on), ``stopped_at``, the instant a leaking
-    stage stopped at (``None`` when it ran to the end), and
-    ``resumed_at``, the instant taken over from ``resume`` (``None`` when
-    the solve started at t = 0).
+    cumulative ``accepted`` and ``rejected`` step counts where it ended,
+    ``rhs_evals`` (the evaluations this call made), ``active_vertices``
+    (the largest active ball the steps ran on), ``stopped_at``, the time a
+    stage that reached its ring stopped at (``None`` when it ran to the
+    end), and ``resumed_at``, the time taken over from ``resume`` (``None``
+    when the solve started at t = 0).
     """
     center = _resolve_center(g, u0, center)
     region = ball(g, center, n)
@@ -590,23 +578,19 @@ def solve_truncated(g, u0: Field, cfg: SolverConfig, n, center=None, delta=None,
                              f"B_{resume.region.radius}({resume.region.center!r})")
         if resume.resume_point is not None:
             start = (resume.resume_point, _positions(region, resume.region))
-    stop = None
-    if delta is not None and len(edges.bi):
-        def stop(row):
-            return np.abs(row[edges.bi]).max() > delta
     Y, diag = _integrate(rhs_on, region.distances, y0, float(cfg.instants[-1]),
-                         cfg.instants, cfg.rtol, cfg.atol, cfg.max_steps, stop=stop,
-                         start=start)
+                         cfg.instants, cfg.rtol, cfg.atol, cfg.max_steps,
+                         stop_at_ring=stop_at_ring and len(edges.bi) > 0, start=start)
     times = np.concatenate([[0.0], cfg.instants[:len(Y) - 1]])
     diagnostics = {name: diag[name] for name in ROW_DIAGNOSTICS.names}
     traj = Trajectory(cfg, region, edges, times, Y, diagnostics,
                       resume_point=diag["resume"])
     traj.history = [{
         "n": n, "vertices": len(region), "edges": len(edges.ei) + len(edges.bi),
-        "boundary_leak": float(traj.boundary_sups[1:].max()),
-        "accepted": int(diag["accepted"][-1]), "rejected": int(diag["rejected"][-1]),
+        "boundary_leak": float(traj.boundary_sups[1:].max(initial=0.0)),
+        "accepted": diag["total_accepted"], "rejected": diag["total_rejected"],
         "rhs_evals": diag["rhs_evals"], "active_vertices": diag["active_vertices"],
-        "stopped_at": float(times[-1]) if diag["stopped"] else None,
+        "stopped_at": diag["stopped_at"],
         "resumed_at": diag["resumed_at"]}]
     return traj
 
@@ -614,59 +598,35 @@ def solve_truncated(g, u0: Field, cfg: SolverConfig, n, center=None, delta=None,
 def solve_cauchy(g, u0: Field, cfg: SolverConfig, center=None):
     """Solve the Cauchy problem with automatic domain expansion.
 
-    Solves on a doubling radius schedule until (a) the outer boundary ring
-    stays below the leak threshold at every instant and (b) two
-    consecutive truncations differ by at most ``eps_trunc`` on the smaller
-    ball, uniformly over output instants.  A stage whose ring leaks stops
-    at the first leaking output instant, since later instants cannot
-    change its verdict.  Each stage after the first takes over the
-    previous stage's integrator state at the end of its leading steps
-    whose every stage input was exactly 0 on its boundary ring (see
-    :func:`solve_truncated`); those steps are a valid error-controlled
-    solve on the larger ball, so only the rest is integrated again.
+    Solves on a radius schedule that starts at ``n0`` (default: the data's
+    support radius plus 8) and grows by ``RADIUS_GROWTH``.  Each stage
+    stops before its first step whose stage inputs could reach its
+    boundary ring, and the next stage resumes from there (see
+    :func:`solve_truncated`).  The first stage that reaches the last
+    instant is certified: every step it took or took over kept every stage
+    input exactly 0 on its ring, so no flux crossed the truncation and the
+    trajectory is that of the Cauchy problem up to integration error.
+    Raises :class:`TruncationConvergenceError` when ``max_expansions``
+    stages all stop.
 
     ``history`` holds the record of every stage (see
-    :func:`solve_truncated`), each with ``diff_prev``, its largest
-    difference from the previous stage on the smaller ball (``None`` when
-    there is none to compare), and ``expanded = "boundary_leak"`` on a
-    stage that leaked.
+    :func:`solve_truncated`).
     """
     center = _resolve_center(g, u0, center)
-    sup0 = u0.sup_norm()
-    delta = cfg.delta_boundary if cfg.delta_boundary is not None else 1e-10 * sup0
-    eps = cfg.eps_trunc if cfg.eps_trunc is not None else 1e-8 * sup0
-    if cfg.n0 is not None:
-        n = int(cfg.n0)
-    else:
-        n = u0.support_radius(center) + 8
-    prev = last = None   # the last stage that did not leak, and the last stage
-    history = []
-    last_diff = None
-    for stage in range(cfg.max_expansions):
-        traj = last = solve_truncated(g, u0, cfg, n, center=center, delta=delta,
-                                      resume=last)
-        entry = traj.history[0]
-        entry["diff_prev"] = None
-        history.append(entry)
-        if entry["stopped_at"] is not None:
-            entry["expanded"] = "boundary_leak"
-            prev = None
-            n *= RADIUS_GROWTH
-            continue
-        if prev is not None:
-            gather = _positions(traj.region, prev.region)
-            last_diff = entry["diff_prev"] = float(
-                np.abs(traj.values[:, gather] - prev.values).max())
-            if last_diff <= eps:
-                traj.certified = True
-                traj.history = history
-                return traj
-        prev = traj
+    n = int(cfg.n0) if cfg.n0 is not None else u0.support_radius(center) + 8
+    history, traj = [], None
+    for _ in range(cfg.max_expansions):
+        traj = solve_truncated(g, u0, cfg, n, center=center, stop_at_ring=True,
+                               resume=traj)
+        history += traj.history
+        if traj.history[0]["stopped_at"] is None:
+            traj.certified = True
+            traj.history = history
+            return traj
         n *= RADIUS_GROWTH
     raise TruncationConvergenceError(
-        f"no truncation convergence after {cfg.max_expansions} stages "
-        f"(last successive-radius difference: {last_diff!r})",
-        residual=last_diff)
+        f"the solution reached the boundary ring of each of {cfg.max_expansions} "
+        f"stages (last radius {traj.region.radius}, at t={traj.history[0]['stopped_at']!r})")
 
 
 # ----------------------------------------------------------------------
@@ -693,7 +653,9 @@ def mass_radius(traj: Trajectory, eps, x0=None):
 
     One integer per stored time, t = 0 first.  Raises
     :class:`TruncationDeficitError` when the truncated ball does not even
-    hold that fraction at some stored time (the run needs a larger n).
+    hold that fraction at some stored time.  A certified trajectory loses
+    no mass through its ring, so there only integrator rounding can cause
+    that, and a larger ball would not help.
     ``eps`` must exceed ``len(region) * 2**-53``, the rounding of a mass
     sum over the region relative to the mass: a target any closer to the
     initial mass would be met or missed by round-off alone.

@@ -5,7 +5,10 @@ layers past the farthest nonzero state entry.  The wrapped right-hand
 sides below assert the invariant that makes this exact: every input they
 see is exactly 0 on the sub-ball's stub vertices.  The same runs with the
 active ball forced to the whole region must give the same step counts,
-the same stopping instants and the same values up to rounding.
+the same stopping times and the same values up to rounding.  They also
+assert the invariant that makes the truncation itself exact: every input
+of every stage of ``solve_cauchy`` is exactly 0 on the stage's own stub
+vertices, so no flux crosses the truncation.
 """
 import json
 from pathlib import Path
@@ -28,6 +31,8 @@ class CheckedRhs:
     was built on.  ``partial`` tells whether the edges it is handed next
     belong to a sub-ball smaller than the region: the stubs of the whole
     region are its own boundary, where the solution may be nonzero.
+    ``ring`` holds the positions, in that sub-ball, of the region's own
+    stub vertices, where every input is checked to be exactly 0.
     """
 
     def __init__(self, make_rhs):
@@ -35,18 +40,24 @@ class CheckedRhs:
         self.calls = 0
         self.sizes = []
         self.checked = 0
+        self.ring_checked = 0
         self.partial = True
+        self.ring = np.empty(0, dtype=np.int64)
 
     def __call__(self, edges, degrees, p):
         rhs = self.make_rhs(edges, degrees, p)
         self.sizes.append(len(degrees))
         stubs = np.unique(edges.bi) if self.partial else None
+        ring = self.ring
 
         def checked(t, u):
             self.calls += 1
             if stubs is not None:
                 assert not u[stubs].any(), "nonzero input on a stub vertex"
                 self.checked += 1
+            if len(ring):
+                assert not u[ring].any(), "nonzero input on the stage's ring"
+                self.ring_checked += 1
             return rhs(t, u)
         return checked
 
@@ -61,6 +72,7 @@ def _solve(monkeypatch, g, u0, cfg, center, slack=None):
 
         def restrict(edges, keep):
             checked.partial = len(keep) < edges.n
+            checked.ring = np.flatnonzero(np.isin(keep, edges.bi))
             return original_restrict(edges, keep)
         m.setattr(gf.graphs.RegionEdges, "restrict", restrict)
         traj = gf.solve_cauchy(g, u0, cfg, center=center)
@@ -77,8 +89,7 @@ CASES = {
     "z2_delta": (2, {(0, 0): 30.0}, (0, 0),
                  dict(p=3.0, instants=gf.log_instants(1e-2, 30.0, 31), n0=8)),
     "z1_signed_dipole": (1, {(1,): -2.0, (-1,): 1.0}, (0,),
-                         dict(p=3.0, instants=gf.log_instants(1e-3, 10.0, 41), n0=3,
-                              delta_boundary=1e-5)),
+                         dict(p=3.0, instants=gf.log_instants(1e-3, 10.0, 41), n0=3)),
 }
 
 
@@ -104,6 +115,28 @@ def test_active_ball_matches_whole_region(monkeypatch, case, slack):
     assert np.abs(traj.values - whole.values).max() <= 1e-12 * u0.sup_norm()
 
 
+@pytest.mark.parametrize("case", [*sorted(CASES), "k3_x_z1"])
+def test_every_stage_input_is_zero_on_the_stage_ring(monkeypatch, case):
+    if case == "k3_x_z1":
+        g = gf.product_generator(
+            gf.FiniteGraph([("a", "b", 1.0), ("b", "c", 1.0), ("c", "a", 1.0)]), 1)
+        u0, center = gf.delta_field(g, (0, 0), 5.0), (0, 0)
+        cfg = gf.SolverConfig(p=3.0, instants=gf.log_instants(1e-2, 100.0, 41), n0=4)
+    else:
+        N, data, center, kw = CASES[case]
+        g = gf.lattice_generator(N)
+        u0, cfg = gf.Field(g, data), gf.SolverConfig(**kw)
+    for slack in (None, WHOLE_REGION):
+        traj, checked = _solve(monkeypatch, g, u0, cfg, center, slack=slack)
+        # some stage reached its ring and stopped
+        assert traj.certified and len(traj.history) > 1
+        assert all(h["boundary_leak"] == 0.0 for h in traj.history)
+        assert checked.ring_checked > 0
+    # an active ball short of the ring leaves exact zeros there; the whole
+    # region holds the ring, so each of its inputs was checked
+    assert checked.ring_checked == checked.calls
+
+
 def test_stage_telemetry_counts_every_rhs_call(monkeypatch):
     z1 = gf.lattice_generator(1)
     cfg = gf.SolverConfig(p=3.0, instants=gf.log_instants(1e-2, 100.0, 57), n0=4)
@@ -121,8 +154,8 @@ def test_stage_telemetry_counts_every_rhs_call(monkeypatch):
         assert h["edges"] == len(edges.ei) + len(edges.bi)
         assert 0 < h["active_vertices"] <= h["vertices"]
         # the stage again, by hand, from the stage before it
-        stage = gf.solve_truncated(z1, u0, cfg, h["n"], center=(0,),
-                                   delta=1e-10 * u0.sup_norm(), resume=prev)
+        stage = gf.solve_truncated(z1, u0, cfg, h["n"], center=(0,), stop_at_ring=True,
+                                   resume=prev)
         assert stage.history[0].items() <= h.items()
         # two evaluations start a run at t = 0, then six per attempted step;
         # a resumed stage makes only the six per step after its resume point

@@ -3,14 +3,20 @@
 ``bench/spans.py`` replaces module attributes to record spans and counts,
 so renaming or deleting one of them breaks the benchmark without failing
 any other test.  The tracer also wraps ``solver._make_rhs`` to time each
-RHS call.
+RHS call.  Likewise ``bench/workloads.py`` calls graphflow with fixed
+argument shapes and the tracer reads fixed result fields: a signature or
+field change would turn benchmark operations into failures, so both are
+pinned here.
 """
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
+
+import graphflow as gf
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -33,3 +39,32 @@ def test_traced_name_resolves_to_a_callable(module, attr):
     for part in attr.split("."):
         owner = getattr(owner, part)
     assert callable(owner)
+
+
+# the call shapes of bench/workloads.py, bound against the current signatures
+CALL_SHAPES = {
+    "cli.run": (("cfg", "out"), {}),
+    "cli.run_fk": (("cfg", "out"), {"seed": 0}),
+    "cli.build_profile": (("cfg", "g"), {}),
+    "solver.SolverConfig": ((), {"p": 3.0, "instants": None, "rtol": 1e-10,
+                                 "atol": 1e-14, "n0": 10}),
+    "solver.comparison_check": (("g", "u01", "u02", "cfg"), {"center": (0,)}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CALL_SHAPES))
+def test_benchmark_call_shape_binds(name):
+    module, attr = name.split(".")
+    fn = getattr(importlib.import_module(f"graphflow.{module}"), attr)
+    args, kwargs = CALL_SHAPES[name]
+    inspect.signature(fn).bind(*args, **kwargs)
+
+
+def test_fields_the_tracer_reads():
+    z1 = gf.lattice_generator(1)
+    u0 = gf.delta_field(z1, (0,))
+    cfg = gf.SolverConfig(p=3.0, instants=gf.log_instants(0.1, 1.0, 3))
+    diag = gf.solve_truncated(z1, u0, cfg, 8).diagnostics
+    assert int(diag["accepted"][-1]) > 0 and int(diag["rejected"][-1]) >= 0
+    traj = gf.solve_cauchy(z1, u0, cfg)
+    assert traj.certified is True and len(traj.region) > 0

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import shutil
 from pathlib import Path
@@ -258,6 +257,34 @@ def test_main_fit_on_too_few_rows_exits_2(tmp_path, capsys, rows):
     assert "usable instants" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_main_configs_sharing_an_output_directory_exit_2(tmp_path, capsys, jobs):
+    # a/x.json and b/x.json would both write <out>/x
+    paths = []
+    for sub in ("a", "b"):
+        (tmp_path / sub).mkdir()
+        paths.append(tmp_path / sub / "x.json")
+        paths[-1].write_text(json.dumps(tiny_config()))
+    assert cli.main(["simulate", "--config", *map(str, paths), "--jobs", jobs,
+                     "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "share the output" in err
+    assert not (tmp_path / "out").exists()   # no run started
+
+
+def test_run_lower_bound_reads_its_window(tmp_path):
+    cfg = tiny_config(checks=[{"type": "lower_bound", "window": [2.0, 20.0]}])
+    cli.run(cfg, tmp_path / "out")
+    result = json.loads((tmp_path / "out" / "check_mass_lower.json").read_text())
+    assert result["window"] == [2.0, 20.0]
+    rows = np.loadtxt(tmp_path / "out" / "check_mass_lower.csv", delimiter=",",
+                      skiprows=1)
+    t, ratio = rows[:, 0], rows[:, 3]
+    inside = (t >= 2.0) & (t <= 20.0)
+    # delta data: no instant is excluded, so the verdict is the window's minimum
+    assert result["verdict"] == ratio[inside].min() > ratio.min()
+
+
 def test_main_check_failure_exit_code(tmp_path):
     cfg = tiny_config(checks=[{"type": "decay_fit", "window": [0.5, 20],
                                "theoretical_slope": 1.0, "tolerance": 0.01}])
@@ -268,9 +295,9 @@ def test_main_check_failure_exit_code(tmp_path):
 
 
 def test_main_solver_failure_exit_code(tmp_path):
+    # the solution reaches the ring of B_8 before t = 20, and no second stage may run
     cfg = tiny_config()
-    cfg["solver"]["eps_trunc"] = 1e-300
-    cfg["solver"]["max_expansions"] = 2
+    cfg["solver"]["max_expansions"] = 1
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     assert cli.main(["simulate", "--config", str(cfg_path),
@@ -308,58 +335,33 @@ def test_main_eps_below_float_resolution_exits_2(tmp_path, capsys):
     assert cli.validate_config(cfg) == []
 
 
-@pytest.mark.parametrize("key,value", [("delta_boundary", -1.0), ("eps_trunc", 0.0)])
-def test_main_nonpositive_truncation_threshold_exits_2(tmp_path, capsys, key, value):
-    # a negative leak threshold would make every stage leak until the cap
-    cfg = tiny_config()
-    cfg["solver"][key] = value
-    assert any(key in e for e in cli.validate_config(cfg))
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(cfg))
-    assert cli.main(["validate-config", str(cfg_path)]) == 2
-    assert cli.main(["simulate", "--config", str(cfg_path),
-                     "--out", str(tmp_path / "out")]) == 2
-    assert "config error" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
-    cfg["solver"][key] = None
-    assert cli.validate_config(cfg) == []
-
-
-def test_run_deficit_retry_reruns_every_check(tmp_path, monkeypatch):
-    seen = []          # (check type, trajectory) per check call
+def test_run_deficit_exits_3_after_one_solve(tmp_path, monkeypatch, capsys):
+    # a certified ball loses no mass through its ring, so a larger one would
+    # not help: a deficit is a solver failure, with no second solve
     real_check = cli._run_one_check
+    seen = []
 
     def check(chk, traj, profile, cfg):
-        seen.append((chk["type"], traj))
-        if len(seen) == 2:   # the second check on the first trajectory
+        seen.append(chk["type"])
+        if len(seen) == 2:
             raise solver.TruncationDeficitError("forced")
         return real_check(chk, traj, profile, cfg)
 
-    configs = []
+    solves = []
     real_solve = solver.solve_cauchy
 
     def solve(g, u0, scfg, center=None):
-        configs.append(scfg)
+        solves.append(scfg)
         return real_solve(g, u0, scfg, center=center)
 
-    real_build = cli.build_solver_config
-    monkeypatch.setattr(cli, "build_solver_config",
-                        lambda s: dataclasses.replace(real_build(s), max_steps=54321))
     monkeypatch.setattr(cli, "_run_one_check", check)
     monkeypatch.setattr(solver, "solve_cauchy", solve)
-    cfg = tiny_config()
-    report = cli.run(cfg, tmp_path / "out")
-    first, final = seen[0][1], seen[-1][1]
-    assert final is not first
-    assert [typ for typ, _ in seen[2:]] == [c["type"] for c in cfg["checks"]]
-    assert all(traj is final for _, traj in seen[2:])
-    assert len(report["checks"]) == len(cfg["checks"]) and report["pass"]
-    assert configs[1].n0 == 2 * first.region.radius
-    assert configs[1].max_steps == 54321
-    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-    assert manifest["certified_radius"] == final.certified_radius
-    rows = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()
-    assert int(rows[1].split(",")[6]) == final.region.radius
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(tiny_config()))
+    assert cli.main(["simulate", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out")]) == 3
+    assert "solver failure: forced" in capsys.readouterr().err
+    assert len(solves) == 1 and len(seen) == 2
 
 
 def test_run_product_graph_family(tmp_path):
@@ -386,6 +388,9 @@ def test_run_custom_graph_family(tmp_path):
         checks=[])
     report = cli.run(cfg, tmp_path / "out")
     assert report["certified"]
+    # the ball covers the cycle, so there is no ring and one stage certifies
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert [h["n"] for h in manifest["expansion_history"]] == [2]
     # finite graph: the whole cycle fits in B_2 and mass is conserved
     traj_csv = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()
     masses = [float(r.split(",")[1]) for r in traj_csv[1:]]

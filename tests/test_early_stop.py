@@ -1,13 +1,13 @@
-"""A leaking truncation stage stops at its first leaking output instant.
+"""A truncation stage stops before its first step that could reach its ring.
 
-The expansion rule is "expand iff the stored boundary sup exceeds the leak
-threshold at some instant t > 0", so instants after the first leaking one
-cannot change a stage's verdict.  The reference below integrates every
-stage to t_max and applies that rule; the early-stopping solver must give
-the same stages, verdicts and certified trajectory bit for bit.  Each
-reference stage resumes from the previous full stage, as the solver's do
-from its stopped ones: the resume point falls before any leak, so the
-early stop changes none of its bits.
+The certificate rule is "certify the first stage whose every step kept
+every stage input exactly 0 on its boundary ring", so once a step cannot
+promise that, the rest of the stage cannot change the schedule.  The
+reference below integrates every stage to t_max, each resuming from the
+previous full stage, and certifies the first stage whose resume point is
+t_max; the early-stopping solver must give the same stages and the same
+certified trajectory bit for bit.  A stopped stage ends at its resume
+point, so the stage after it starts from the same state either way.
 """
 import json
 from pathlib import Path
@@ -22,33 +22,19 @@ from graphflow.solver import RADIUS_GROWTH, _integrate, _make_rhs
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
-def _threshold(u0, cfg):
-    return cfg.delta_boundary if cfg.delta_boundary is not None else 1e-10 * u0.sup_norm()
-
-
 def reference_cauchy(g, u0, cfg, center):
     """The expansion loop with every stage integrated to t_max.
 
-    Returns the certified trajectory and, per stage, ``(n, traj, leaking)``
-    where ``leaking[k]`` tells whether instant ``k`` (t > 0) leaks.  Every
-    stage after the first resumes from the full stage before it.
+    Returns the certified trajectory and every stage's full trajectory.
+    Every stage after the first resumes from the full stage before it.
     """
-    delta = _threshold(u0, cfg)
-    eps = cfg.eps_trunc if cfg.eps_trunc is not None else 1e-8 * u0.sup_norm()
-    n, prev, last, stages = int(cfg.n0), None, None, []
+    n, last, stages = int(cfg.n0), None, []
     for _ in range(cfg.max_expansions):
         traj = last = gf.solve_truncated(g, u0, cfg, n, center=center, resume=last)
-        leaking = traj.boundary_sups[1:] > delta
-        stages.append((n, traj, leaking))
-        if leaking.any():
-            prev = None
-        elif prev is not None:
-            gather = np.array([traj.region.index[v] for v in prev.region.vertices])
-            if np.abs(traj.values[:, gather] - prev.values).max() <= eps:
-                return traj, stages
-            prev = traj
-        else:
-            prev = traj
+        stages.append(traj)
+        point = traj.resume_point
+        if point is not None and point["t"] == cfg.instants[-1]:
+            return traj, stages
         n *= RADIUS_GROWTH
     raise AssertionError("reference schedule did not certify")
 
@@ -66,30 +52,28 @@ def assert_matches_reference(g, u0, cfg, center):
     assert traj.diagnostics.keys() == ref.diagnostics.keys()
     for key, arr in ref.diagnostics.items():
         assert _same_bits(traj.diagnostics[key], arr), key
-    # same radii and verdicts; a leaking stage ends at its first leaking instant
-    assert [h["n"] for h in traj.history] == [n for n, _, _ in stages]
+    assert [h["n"] for h in traj.history] == [s.region.radius for s in stages]
     assert any(h["resumed_at"] is not None for h in traj.history)
-    assert [h.get("expanded") == "boundary_leak" for h in traj.history] == \
-        [bool(leaking.any()) for _, _, leaking in stages]
-    delta = _threshold(u0, cfg)
-    for i, (h, (n, full, leaking)) in enumerate(zip(traj.history, stages)):
-        last = int(np.argmax(leaking)) if leaking.any() else len(leaking) - 1
-        assert h["accepted"] == full.diagnostics["accepted"][last + 1]
-        assert h["rejected"] == full.diagnostics["rejected"][last + 1]
+    assert all(h["boundary_leak"] == 0.0 for h in traj.history)
+    for i, (h, full) in enumerate(zip(traj.history, stages)):
         assert h["resumed_at"] == full.history[0]["resumed_at"]
-        if not leaking.any():
+        if full is ref:
             assert h["stopped_at"] is None
             continue
-        assert h["stopped_at"] == full.times[last + 1]
-        assert h["boundary_leak"] == full.boundary_sups[last + 1]
+        # a stopped stage ends where its leading boundary-free steps end
+        point = full.resume_point
+        k = 0 if point is None else point["k_out"]
+        assert h["stopped_at"] == (0.0 if point is None else point["t"])
+        assert h["accepted"] == (0 if point is None else point["accepted"])
+        assert h["rejected"] == (0 if point is None else point["rejected"])
         # the stopped stage is the bitwise prefix of the full one
-        resume = stages[i - 1][1] if i else None
-        stopped = gf.solve_truncated(g, u0, cfg, n, center=center, delta=delta,
-                                     resume=resume)
-        assert _same_bits(stopped.values, full.values[:last + 2])
-        assert _same_bits(stopped.times, full.times[:last + 2])
+        resume = stages[i - 1] if i else None
+        stopped = gf.solve_truncated(g, u0, cfg, full.region.radius, center=center,
+                                     stop_at_ring=True, resume=resume)
+        assert _same_bits(stopped.values, full.values[:k + 1])
+        assert _same_bits(stopped.times, full.times[:k + 1])
         for key, arr in full.diagnostics.items():
-            assert _same_bits(stopped.diagnostics[key], arr[:last + 2]), key
+            assert _same_bits(stopped.diagnostics[key], arr[:k + 1]), key
     return traj, stages
 
 
@@ -99,68 +83,62 @@ def test_propagation_config_matches_full_stages():
     u0, center = cli.build_initial_field(g, cfg["initial_data"])
     scfg = cli.build_solver_config(cfg["solver"])
     traj, stages = assert_matches_reference(g, u0, scfg, center)
-    # the first stage leaks and stops well before t_max
+    # the first stage reaches its ring and stops well before t_max
     assert traj.history[0]["stopped_at"] < scfg.instants[-1]
-    assert traj.history[0]["accepted"] < stages[0][1].diagnostics["accepted"][-1]
+    assert traj.history[0]["accepted"] < stages[0].diagnostics["accepted"][-1]
 
 
 def test_small_first_ball_matches_full_stages():
     z1 = gf.lattice_generator(1)
     cfg = gf.SolverConfig(p=3.0, instants=gf.log_instants(1e-2, 100.0, 57), n0=2)
     traj, stages = assert_matches_reference(z1, gf.delta_field(z1, (0,)), cfg, (0,))
-    assert sum(bool(leaking.any()) for _, _, leaking in stages) >= 2
+    assert sum(h["stopped_at"] is not None for h in traj.history) >= 2
 
 
 def test_signed_dipole_matches_full_stages():
-    # the larger negative lobe reaches the ring first, so only the absolute
-    # boundary value stops the stage at its first leaking instant
+    # the stop tests exact zeros, so the negative lobe counts as much as the
+    # positive one
     z1 = gf.lattice_generator(1)
     u0 = gf.Field(z1, {(1,): -2.0, (-1,): 1.0})
-    cfg = gf.SolverConfig(p=3.0, instants=gf.log_instants(1e-3, 10.0, 41), n0=3,
-                          delta_boundary=1e-5)
+    cfg = gf.SolverConfig(p=3.0, instants=gf.log_instants(1e-3, 10.0, 41), n0=3)
     traj, stages = assert_matches_reference(z1, u0, cfg, (0,))
-    n, full, leaking = stages[0]
-    first = int(np.argmax(leaking)) + 1
-    assert leaking.any() and full.values[first, full.edges.bi].min() < -_threshold(u0, cfg)
-    assert full.values[first, full.edges.bi].max() <= _threshold(u0, cfg)
+    assert (traj.values < 0).any() and (traj.values > 0).any()
+    assert any(h["stopped_at"] for h in traj.history)   # a stage stopped after t = 0
 
 
-def test_integrate_stop_returns_bitwise_prefix():
+def _delta_on_ball(radius, amplitude, t_eval):
+    """``_integrate`` arguments for a Z^1 delta at p = 3 on ``B_radius``."""
     z1 = gf.lattice_generator(1)
-    region = gf.ball(z1, (0,), 6)
+    region = gf.ball(z1, (0,), radius)
     edges = region_edges(z1, region)
 
     def rhs_on(keep):
         return _make_rhs(edges.restrict(keep), region.degrees[keep], 3.0)
     y0 = np.zeros(len(region))
-    y0[region.index[(0,)]] = 5.0
-    t_eval = gf.log_instants(1e-3, 50.0, 40)
-    edge_vertex = region.index[(6,)]
-    full, full_diag = _integrate(rhs_on, region.distances, y0, 50.0, t_eval,
-                                 1e-8, 1e-12, 10 ** 6)
-    reached = np.nonzero(full[1:, edge_vertex] > 1e-3)[0]   # row 0 is y0
-    assert 0 < reached[0] < len(t_eval) - 1
-    k = reached[0] + 1
-    calls = []
+    y0[region.index[(0,)]] = amplitude
+    return (rhs_on, region.distances, y0, float(t_eval[-1]), t_eval, 1e-8, 1e-12, 10 ** 6)
 
-    def stop(row):
-        calls.append(row.copy())
-        return row[edge_vertex] > 1e-3
-    Y, diag = _integrate(rhs_on, region.distances, y0, 50.0, t_eval,
-                         1e-8, 1e-12, 10 ** 6, stop=stop)
-    assert _same_bits(Y, full[:k + 1]) and _same_bits(Y[0], y0)
+
+def test_integrate_stop_returns_bitwise_prefix():
+    args = _delta_on_ball(16, 5.0, gf.log_instants(1e-3, 50.0, 40))
+    full, full_diag = _integrate(*args)
+    Y, diag = _integrate(*args, stop_at_ring=True)
+    assert full_diag["stopped_at"] is None
+    point = full_diag["resume"]
+    k = point["k_out"]
+    assert 0 < k < len(args[4])
+    assert 0.0 < diag["stopped_at"] == point["t"] < 50.0
+    assert _same_bits(Y, full[:k + 1]) and _same_bits(Y[0], args[2])
     for key in ("accepted", "rejected", "max_scaled_error"):
         assert _same_bits(diag[key], full_diag[key][:k + 1]), key
-    assert diag["total_accepted"] < full_diag["total_accepted"]
-    # the predicate saw every row it was handed, in order, and stopped at once
-    assert len(calls) == k and _same_bits(np.array(calls), Y[1:])
+    assert diag["total_accepted"] == point["accepted"] < full_diag["total_accepted"]
+    assert diag["resume"]["t"] == point["t"]
 
 
 def test_integrate_with_a_stop_that_never_fires_runs_to_the_end():
-    t_eval = np.geomspace(0.01, 2.0, 9)
-    dist = np.zeros(2, dtype=np.int64)
-    full, _ = _integrate(lambda keep: lambda t, y: -y ** 3, dist, np.ones(2), 2.0,
-                         t_eval, 1e-8, 1e-12, 10 ** 6)
-    Y, diag = _integrate(lambda keep: lambda t, y: -y ** 3, dist, np.ones(2), 2.0,
-                         t_eval, 1e-8, 1e-12, 10 ** 6, stop=lambda row: False)
-    assert _same_bits(Y, full) and len(Y) == 10 and len(diag["accepted"]) == 10
+    # the support of a unit delta stays 7 layers inside ring 24 up to t = 10
+    args = _delta_on_ball(24, 1.0, gf.log_instants(1e-2, 10.0, 31))
+    full, _ = _integrate(*args)
+    Y, diag = _integrate(*args, stop_at_ring=True)
+    assert diag["stopped_at"] is None and diag["resume"]["t"] == 10.0
+    assert _same_bits(Y, full) and len(Y) == 32 and len(diag["accepted"]) == 32

@@ -19,9 +19,9 @@ CASES = {
                  dict(p=3.0, instants=gf.log_instants(1e-2, 100.0, 57), n0=4)),
     "z2_delta": (2, {(0, 0): 30.0}, (0, 0),
                  dict(p=3.0, instants=gf.log_instants(1e-2, 30.0, 31), n0=8)),
+    # instants from 1e-5, so that rows before the resume point at 5.5e-5 are taken over
     "z1_signed_dipole": (1, {(1,): -2.0, (-1,): 1.0}, (0,),
-                         dict(p=3.0, instants=gf.log_instants(1e-3, 10.0, 41), n0=3,
-                              delta_boundary=1e-5)),
+                         dict(p=3.0, instants=gf.log_instants(1e-5, 10.0, 41), n0=3)),
 }
 
 
@@ -38,11 +38,10 @@ def _same_bits(a, b):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_resumed_rows_are_the_previous_rows_widened_by_zeros(case):
     g, u0, cfg, center = _case(case)
-    delta = cfg.delta_boundary or 1e-10 * u0.sup_norm()
     traj = gf.solve_cauchy(g, u0, cfg, center=center)
     prev, n, copied = None, cfg.n0, 0
     while n <= traj.certified_radius:   # the stages of solve_cauchy, by hand
-        stage = gf.solve_truncated(g, u0, cfg, n, center=center, delta=delta,
+        stage = gf.solve_truncated(g, u0, cfg, n, center=center, stop_at_ring=True,
                                    resume=prev)
         if prev is None or prev.resume_point is None:
             assert stage.history[0]["resumed_at"] is None
@@ -62,6 +61,17 @@ def test_resumed_rows_are_the_previous_rows_widened_by_zeros(case):
     assert copied > 0   # some stage took over output rows, not only steps
 
 
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_each_stage_resumes_where_the_stage_before_it_stopped(case):
+    g, u0, cfg, center = _case(case)
+    traj = gf.solve_cauchy(g, u0, cfg, center=center)
+    assert traj.history[-1]["stopped_at"] is None
+    for h, after in zip(traj.history, traj.history[1:]):
+        # a stage stopped before its first step leaves the next one to start at t = 0
+        assert h["stopped_at"] is not None
+        assert after["resumed_at"] == (h["stopped_at"] or None)
+
+
 def test_stage_resumed_from_a_boundary_free_stage_repeats_it_exactly():
     z1 = gf.lattice_generator(1)
     u0 = gf.delta_field(z1, (0,), 1.0)
@@ -70,12 +80,17 @@ def test_stage_resumed_from_a_boundary_free_stage_repeats_it_exactly():
     # the support stays 7 layers inside ring 24: every step is taken over
     assert not first.values[:, first.region.distances > 24 - 7].any()
     assert first.resume_point["t"] == cfg.instants[-1]
+    again = gf.solve_truncated(z1, u0, cfg, 48, center=(0,), stop_at_ring=True,
+                               resume=first)
+    assert again.history[0]["resumed_at"] == cfg.instants[-1]
+    assert again.history[0]["rhs_evals"] == 0 and again.history[0]["stopped_at"] is None
+    widened = np.zeros_like(again.values)
+    widened[:, _positions(again.region, first.region)] = first.values
+    assert _same_bits(again.values, widened)
+    # so such a stage is certified, with no second stage to confirm it
     traj = gf.solve_cauchy(z1, u0, cfg, center=(0,))
-    assert [h["n"] for h in traj.history] == [24, 48]
-    assert traj.history[1]["resumed_at"] == cfg.instants[-1]
-    assert traj.history[1]["rhs_evals"] == 0
-    assert traj.history[1]["diff_prev"] == 0.0
-    assert traj.certified and traj.certified_radius == 48
+    assert [h["n"] for h in traj.history] == [24]
+    assert traj.certified and _same_bits(traj.values, first.values)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -85,7 +100,7 @@ def test_resumed_solve_matches_a_fresh_solve(case):
     assert any(h["resumed_at"] is not None for h in traj.history)
     fresh = gf.solve_truncated(g, u0, cfg, traj.certified_radius, center=center)
     assert fresh.history[0]["resumed_at"] is None
-    # measured: 0.06, 0.22 and 1.34 rtol * ||u0|| on Z^1, Z^2 and the dipole
+    # measured: 0.05, 0.22 and 0.17 rtol * ||u0|| on Z^1, Z^2 and the dipole
     gap = np.abs(traj.values - fresh.values).max()
     assert gap <= 10 * cfg.rtol * u0.sup_norm()
 
