@@ -3,16 +3,15 @@
 The flow ``du/dt = Delta_p u`` is solved as a finite ODE system on a ball
 ``B_n`` with ``u = 0`` outside (method of lines), using an explicit
 embedded Dormand-Prince 4(5) pair with PI step-size control and dense
-output at the configured instants.  :func:`solve_cauchy` solves on a
-growing radius schedule until a stage reaches the last instant with every
-stage input of every step exactly 0 on its outer boundary ring; the
-returned trajectory is tagged with that certified radius.  No flux then
-crossed the truncation, so the ball solve is a solve of the Cauchy
-problem, and only integration error remains.  A stage stops before its
-first step whose inputs could reach the ring, and the next stage, on a
-ball ``RADIUS_GROWTH`` times larger, resumes from there: it takes over the
-integrator state and stored rows, which are the same steps on the larger
-ball.
+output at the configured instants.  :func:`solve_cauchy` runs one
+integration whose ball grows in place: before each step whose stage
+inputs could reach the boundary ring, the ball becomes ``RADIUS_GROWTH``
+times larger, the state and the stored rows are widened by zeros, and
+stepping goes on with the same integrator state.  Every stage input of
+every step is then exactly 0 on the ring of the ball the step ran on, so
+no flux crossed the truncation and the ball solve is a solve of the
+Cauchy problem; only integration error remains.  The returned trajectory
+is tagged with the radius of its last ball, the certified radius.
 
 Each step runs on the active ball ``B_r(center)`` only, with ``r`` at
 least 7 layers past the farthest nonzero state value.  The degenerate flux
@@ -68,7 +67,7 @@ class NonFiniteInitialStepError(SolverError):
 
 
 class TruncationConvergenceError(SolverError):
-    """Radius schedule exhausted: the solution reached the boundary ring of every stage."""
+    """Radius schedule exhausted: the solution reached the boundary ring of every ball."""
 
 
 class TruncationDeficitError(SolverError):
@@ -84,7 +83,7 @@ def log_instants(t_min, t_max, count):
     return np.geomspace(t_min, t_max, int(count))
 
 
-# factor between the truncation radii of consecutive certification stages
+# factor between the radii of consecutive balls of a growing solve
 RADIUS_GROWTH = 2
 
 
@@ -113,6 +112,8 @@ class SolverConfig:
             raise ValueError("tolerances must be positive")
         if self.n0 is not None and (self.n0 < 1 or int(self.n0) != self.n0):
             raise ValueError("n0 must be a positive integer")
+        if self.max_expansions < 1 or int(self.max_expansions) != self.max_expansions:
+            raise ValueError("max_expansions must be a positive integer")
 
 
 # ----------------------------------------------------------------------
@@ -195,8 +196,7 @@ ROW_DIAGNOSTICS = np.dtype([("accepted", np.int64), ("rejected", np.int64),
                             ("max_scaled_error", float), ("clamped", float)])
 
 
-def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps,
-               stop_at_ring=False, start=None):
+def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps, grow=None):
     """Integrate y' = rhs(t, y) on [0, t_end], dense output at t_eval.
 
     ``dist[i]`` is the center distance of vertex ``i`` and ``rhs_on(keep)``
@@ -208,37 +208,33 @@ def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps,
     FSAL evaluation).  Every stage input is then exactly 0 from ring ``r``
     on, so the cut edges are exact Dirichlet stubs and every stage value
     outside the ball is exactly 0.  The ball regrows after an accepted step
-    that breaks the bound.  Error norms are RMS values over all
-    ``len(y0)`` entries, summed in the same order as over the whole
-    region, so the step sequence does not depend on the active ball.
+    that breaks the bound.  Error norms are RMS values over all entries of
+    the ball the step runs on, summed in the same order as over the whole
+    ball, so the step sequence does not depend on the active ball.
 
-    Returns ``(Y, diag)`` where ``Y[0]`` is ``y0`` and ``Y[k + 1]`` the
-    full-length solution at ``t_eval[k]``, all rows in one buffer.  Each
-    row is final when written: for nonnegative ``y0`` it is clamped at 0.
-    ``diag`` holds one entry per stored row, t = 0 first (all 0 there):
-    the cumulative ``accepted`` and ``rejected`` step counts, the largest
-    scaled local error seen since the previous row (``max_scaled_error``)
-    and the undershoot the clamp removed (``clamped``).  It also holds the
-    number of RHS evaluations made by this call and the largest active
-    ball.
+    With ``grow``, every step keeps every stage input exactly 0 on the
+    outer ring ``dist.max()``: before each step, the first one included,
+    that starts with a nonzero within 7 layers of that ring, the run moves
+    onto a larger ball.  ``grow(t)`` returns its ``dist`` and ``rhs_on``,
+    the positions ``at`` of the current vertices in it, and whether it has
+    a ring to reach (a ball that covers a finite graph has none).  The
+    state, the FSAL value and the stored rows are widened by zeros, the
+    active ball is rebuilt from the support, and stepping goes on with the
+    same step size, controller state and counters: nothing is redone.
+    Without ``grow`` the ball is fixed, and the solution may reach its ring.
 
-    The leading steps that start with ``s + 7 <= dist.max()`` keep every
-    stage input exactly 0 on the outer ring.  With ``stop_at_ring``,
-    integration ends before the first step that does not:
-    ``diag["stopped_at"]`` is then that step's start time (``None`` when
-    the run reached ``t_end``), and ``Y`` and the per-row diagnostics hold
-    only the rows up to it.  ``diag["resume"]`` is the integrator state
-    after the leading steps (``None`` when the first step was not one).
-    On any larger ball those steps evaluate the same right-hand side
-    values and rows; only the error norm divides the same sum of squares
-    by more entries, so each of them passes there too.  The state refers
-    to the stored rows and their diagnostics, final up to its instant.
-    ``start = (state, at)`` continues from such a state of a run on a
-    smaller ball, whose vertex ``i`` is vertex ``at[i]`` here: the rows up
-    to ``state["t"]`` and their diagnostics are copied, the rows widened
-    by zeros, and stepping goes on from there; ``diag["resumed_at"]`` is
-    that instant (``None`` from t = 0).  The step counts, and the
-    ``max_steps`` budget, include the steps taken over.
+    Returns ``(Y, diag)`` where ``Y[0]`` is ``y0`` (widened to the last
+    ball) and ``Y[k + 1]`` the solution at ``t_eval[k]``, all rows in one
+    buffer.  Each row is final when written: for nonnegative ``y0`` it is
+    clamped at 0.  ``diag`` holds one entry per stored row, t = 0 first
+    (all 0 there): the cumulative ``accepted`` and ``rejected`` step
+    counts, the largest scaled local error seen since the previous row
+    (``max_scaled_error``) and the undershoot the clamp removed
+    (``clamped``).  ``diag["balls"]`` has one record per ball the run was
+    on: the time ``t`` it moved onto it (0.0 for the first), the
+    ``rhs_evals`` made on it, the cumulative ``accepted`` and ``rejected``
+    step counts when it was left, and the largest active ball
+    (``active_vertices``).  The ``max_steps`` budget counts every attempt.
     """
     n = len(y0)
     r_max = int(dist.max())
@@ -247,21 +243,16 @@ def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps,
         # the active ball for a state supported within distance s; its rim,
         # the positions within 7 layers of its edge, where a nonzero calls
         # for regrowing (None once the ball is the whole region); and the
-        # positions within 7 layers of the outer ring, where a nonzero ends
-        # the leading boundary-free steps
+        # positions within 7 layers of the outer ring, where a nonzero calls
+        # for a larger ball
         r = min(s + _STEP_REACH + _ACTIVE_SLACK, r_max)
         keep = np.flatnonzero(dist <= r)
         rim = np.flatnonzero(dist[keep] > r - _STEP_REACH) if r < r_max else None
         return keep, rim, np.flatnonzero(dist[keep] > r_max - _STEP_REACH)
 
-    if start is None:
-        y = y0
-    else:
-        state, at = start
-        y = _widen(state["y"], at[state["keep"]], n)
-    keep, rim, near = activate(_support_radius(y, dist))
+    keep, rim, near = activate(_support_radius(y0, dist))
     rhs = rhs_on(keep)
-    y = y[keep].astype(float)
+    y = y0[keep].astype(float)
     sq = np.zeros(n)   # squared entries for the RMS, zero outside the active ball
 
     def rms(v):   # summed over all n entries in whole-region order
@@ -276,39 +267,45 @@ def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps,
 
     K, yi, step, heads = buffers(len(keep))
     out = np.zeros((len(t_eval) + 1, n))
+    out[0] = y0
     table = np.zeros(len(t_eval) + 1, dtype=ROW_DIAGNOSTICS)   # per row of out
     clamp = bool((y0 >= 0.0).all())
     floor = 1e-14 * t_end
-    resume = None
-    if start is None:
-        t = 0.0
-        f = rhs(t, y)
-        if not np.isfinite(f).all():
-            raise NonFiniteStateError(t)
-        out[0] = y0
-        h = max(_initial_step(rhs, y, f, t_end, rtol, atol, rms), floor)
-        accepted = rejected = steps = k_out = 0
-        max_err_window = 0.0
-        err_prev = 1e-4
-    else:
-        f = _widen(state["f"], at[state["keep"]], n)[keep]
-        t, h, err_prev = state["t"], state["h"], state["err_prev"]
-        max_err_window = state["err_window"]
-        accepted, rejected = state["accepted"], state["rejected"]
-        steps, k_out = state["steps"], state["k_out"]
-        out[:k_out + 1, at] = state["out"][:k_out + 1]
-        table[:k_out + 1] = state["table"][:k_out + 1]
-        # still valid on a larger ball
-        resume = dict(state, y=y, f=f, keep=keep, out=out, table=table)
-    free = not np.count_nonzero(y[near])   # the next step keeps the outer ring at 0
-    steps_before = steps
-    err = 0.0
+    t, f = 0.0, None   # f: the FSAL value, once the first step is sized
+    accepted = rejected = steps = k_out = 0
+    max_err_window = err = 0.0
+    err_prev = 1e-4
+    balls, t_in, ball_evals = [], 0.0, 0   # the balls left; this one's start and work
 
-    stopped_at = None
+    def record():
+        return {"t": t_in, "rhs_evals": ball_evals, "accepted": accepted,
+                "rejected": rejected, "active_vertices": len(keep)}
+
     while t < t_end:
-        if stop_at_ring and not free:
-            stopped_at = t
-            break
+        if grow is not None and np.count_nonzero(y[near]):   # the step could reach the ring
+            balls.append(record())
+            dist, rhs_on, at, ringed = grow(t)
+            if not ringed:   # a ball without a ring is never left
+                grow = None
+            n, r_max = len(dist), int(dist.max())
+            moved = at[keep]   # the active positions in the larger ball
+            y = _widen(y, moved, n)
+            keep, rim, near = activate(_support_radius(y, dist))
+            y = y[keep]
+            if f is not None:
+                f = _widen(f, moved, n)[keep]
+            rows = np.zeros((len(out), n))
+            rows[:k_out + 1, at] = out[:k_out + 1]
+            out, sq, t_in, ball_evals = rows, np.zeros(n), t, 0
+            rhs = rhs_on(keep)
+            K, yi, step, heads = buffers(len(keep))
+            continue
+        if f is None:   # size the first step on the ball it runs on
+            f = rhs(t, y)
+            if not np.isfinite(f).all():
+                raise NonFiniteStateError(t)
+            h = max(_initial_step(rhs, y, f, t_end, rtol, atol, rms), floor)
+            ball_evals += 2
         if h < floor:
             if not math.isfinite(err):
                 raise NonFiniteStateError(t)
@@ -323,6 +320,7 @@ def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps,
             yi *= h
             yi += y
             K[i] = rhs(t + _DP_C[i] * h, yi)
+        ball_evals += 6
         np.matmul(_DP_BE, K, out=step)   # the step and the error, one product
         step *= h
         y_new = y + step[0]
@@ -365,20 +363,11 @@ def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps,
             factor = min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
         err_prev = max(err, 1e-10)
         h *= factor
-        if free:   # references: y and f are new arrays every step
-            resume = {"t": t, "y": y, "f": f, "keep": keep, "h": h,
-                      "err_prev": err_prev, "err_window": max_err_window,
-                      "accepted": accepted, "rejected": rejected, "steps": steps,
-                      "k_out": k_out, "out": out, "table": table}
-            free = not np.count_nonzero(y[near])
-    if k_out < len(t_eval) and stopped_at is None:
+    if k_out < len(t_eval):
         raise SolverError(f"integration ended at t={t} before the last output "
                           f"instant {t_eval[-1]}")
     diag = {name: table[name][:k_out + 1] for name in ROW_DIAGNOSTICS.names}
-    diag.update(total_accepted=accepted, total_rejected=rejected,
-                rhs_evals=(2 if start is None else 0) + 6 * (steps - steps_before),
-                active_vertices=len(keep), stopped_at=stopped_at, resume=resume,
-                resumed_at=None if start is None else state["t"])
+    diag["balls"] = [*balls, record()]
     return out[:k_out + 1], diag
 
 
@@ -396,16 +385,14 @@ class Trajectory:
     0 there): cumulative ``accepted`` and ``rejected`` steps, the largest
     ``max_scaled_error`` since the previous time and the ``clamped``
     undershoot.
-    ``history`` lists the records of the truncation stages that produced
-    the trajectory (see :func:`solve_truncated` and :func:`solve_cauchy`).
-    ``resume_point`` is the integrator state a solve on a larger ball can
-    continue from (see :func:`_integrate`), ``None`` when there is none.
+    ``history`` has one record per ball the solve that produced the
+    trajectory was on (see :func:`solve_truncated`).
     The generator, the exponent and the certified radius are read from
     the region and the config.
     """
 
     def __init__(self, config, region, edges, times, values, diagnostics,
-                 certified=False, history=None, resume_point=None):
+                 certified=False, history=None):
         self.config = config
         self.region = region
         self.edges = edges
@@ -414,7 +401,6 @@ class Trajectory:
         self.diagnostics = diagnostics
         self.certified = certified
         self.history = history or []
-        self.resume_point = resume_point
 
     @property
     def generator(self):
@@ -524,109 +510,91 @@ def _make_rhs(edges, degrees, p):
     return rhs
 
 
-def solve_truncated(g, u0: Field, cfg: SolverConfig, n, center=None, stop_at_ring=False,
-                    resume=None):
+def solve_truncated(g, u0: Field, cfg: SolverConfig, n, center=None, grow=False):
     """Solve the flow on ``B_n`` with zero Dirichlet exterior values.
 
     The initial data must be supported inside the ball.  Output instants
     follow the config; the row at t = 0 holds the data itself.  Each row
     and its diagnostics are final when :func:`_integrate` writes them
     (clamped at 0 for nonnegative data), one diagnostics entry per row,
-    t = 0 first.  With ``stop_at_ring``, integration stops before the
-    first step whose stage inputs could be nonzero on the boundary ring,
-    and the trajectory ends at the last output instant before it; until
-    then no flux crossed the truncation.  A ball without stubs (one that
-    covers a finite graph) has no ring to reach and always runs to the end.
+    t = 0 first.  Each step integrates only the active ball around the
+    center that the solution can reach (see :func:`_integrate`); the
+    stored rows are full-length and equal to a whole-ball solve up to
+    rounding.
 
-    Each step integrates only the active ball around the center that the
-    solution can reach within it (see :func:`_integrate`); the stored rows
-    are full-length and equal to a whole-ball solve up to rounding.
+    A fixed ball (``grow=False``) may let the solution reach its boundary
+    ring and leak through it.  With ``grow``, the solve moves onto the ball
+    ``RADIUS_GROWTH`` times larger before each step, the first one
+    included, whose stage inputs could be nonzero on the ring, and goes on
+    there with the same integrator state, so no flux ever crosses the
+    truncation and the trajectory is certified.  A ball without stubs (one
+    that covers a finite graph) has no ring to reach and is never left.
+    Raises :class:`TruncationConvergenceError` when the solution would
+    have to leave the ``max_expansions``-th ball.
 
-    ``resume`` is the trajectory of the same problem on a smaller ball
-    about the same center.  The solve then takes over its integrator state
-    at its ``resume_point``, the end of its leading steps that kept every
-    stage input exactly 0 on its boundary ring, with its rows and their
-    diagnostics up to there, instead of starting at t = 0.
-
-    The returned ``history`` is this stage's one record: the radius ``n``,
-    its ``vertices`` and ``edges`` (internal edges plus stubs), the
-    ``boundary_leak`` (largest stored boundary sup after t = 0), the
-    cumulative ``accepted`` and ``rejected`` step counts where it ended,
-    ``rhs_evals`` (the evaluations this call made), ``active_vertices``
-    (the largest active ball the steps ran on), ``stopped_at``, the time a
-    stage that reached its ring stopped at (``None`` when it ran to the
-    end), and ``resumed_at``, the time taken over from ``resume`` (``None``
-    when the solve started at t = 0).
+    The returned ``history`` has one record per ball the solve was on: the
+    radius ``n``, its ``vertices`` and ``edges`` (internal edges plus
+    stubs), the time ``t`` the solve moved onto it (0.0 for the first),
+    ``rhs_evals`` (the evaluations made on it), the cumulative
+    ``accepted`` and ``rejected`` step counts when it was left, and
+    ``active_vertices`` (the largest active ball the steps ran on).  The
+    record of the returned ball also has its ``boundary_leak``, the
+    largest stored boundary sup after t = 0.
     """
     center = _resolve_center(g, u0, center)
-    region = ball(g, center, n)
+    balls = []   # (radius, region, edges) of each ball the solve was on
+
+    def enter(radius):
+        region = ball(g, center, radius)
+        edges = region_edges(g, region)
+        balls.append((radius, region, edges))
+
+        def rhs_on(keep):   # looks up the module's _make_rhs for every sub-ball
+            return _make_rhs(edges.restrict(keep), region.degrees[keep], cfg.p)
+        return region, rhs_on, len(edges.bi) > 0
+
+    def grow_ball(t):
+        radius, region, _ = balls[-1]
+        if len(balls) >= cfg.max_expansions:
+            raise TruncationConvergenceError(
+                f"the solution reached the boundary ring of each of {len(balls)} balls "
+                f"(last radius {radius}, at t={t!r})")
+        larger, rhs_on, ringed = enter(RADIUS_GROWTH * radius)
+        return larger.distances, rhs_on, _positions(larger, region), ringed
+
+    region, rhs_on, ringed = enter(n)
     for v in u0.support():
         if v not in region:
             raise ValueError(f"data support at {v!r} lies outside B_{n}({center!r})")
-    edges = region_edges(g, region)
     y0 = np.zeros(len(region))
     for v, x in u0.values.items():
         y0[region.index[v]] = x
-
-    def rhs_on(keep):   # looks up the module's _make_rhs for every sub-ball
-        return _make_rhs(edges.restrict(keep), region.degrees[keep], cfg.p)
-
-    start = None
-    if resume is not None:
-        if resume.region.center != center or resume.region.radius > n:
-            raise ValueError(f"cannot resume B_{n}({center!r}) from "
-                             f"B_{resume.region.radius}({resume.region.center!r})")
-        if resume.resume_point is not None:
-            start = (resume.resume_point, _positions(region, resume.region))
     Y, diag = _integrate(rhs_on, region.distances, y0, float(cfg.instants[-1]),
                          cfg.instants, cfg.rtol, cfg.atol, cfg.max_steps,
-                         stop_at_ring=stop_at_ring and len(edges.bi) > 0, start=start)
-    times = np.concatenate([[0.0], cfg.instants[:len(Y) - 1]])
+                         grow=grow_ball if grow and ringed else None)
+    _, region, edges = balls[-1]
+    times = np.concatenate([[0.0], cfg.instants])
     diagnostics = {name: diag[name] for name in ROW_DIAGNOSTICS.names}
-    traj = Trajectory(cfg, region, edges, times, Y, diagnostics,
-                      resume_point=diag["resume"])
-    traj.history = [{
-        "n": n, "vertices": len(region), "edges": len(edges.ei) + len(edges.bi),
-        "boundary_leak": float(traj.boundary_sups[1:].max(initial=0.0)),
-        "accepted": diag["total_accepted"], "rejected": diag["total_rejected"],
-        "rhs_evals": diag["rhs_evals"], "active_vertices": diag["active_vertices"],
-        "stopped_at": diag["stopped_at"],
-        "resumed_at": diag["resumed_at"]}]
+    traj = Trajectory(cfg, region, edges, times, Y, diagnostics, certified=grow)
+    traj.history = [{"n": radius, "vertices": len(reg), "edges": len(e.ei) + len(e.bi),
+                     **counts} for (radius, reg, e), counts in zip(balls, diag["balls"])]
+    traj.history[-1]["boundary_leak"] = float(traj.boundary_sups[1:].max(initial=0.0))
     return traj
 
 
 def solve_cauchy(g, u0: Field, cfg: SolverConfig, center=None):
-    """Solve the Cauchy problem with automatic domain expansion.
+    """Solve the Cauchy problem on a ball that grows in place.
 
-    Solves on a radius schedule that starts at ``n0`` (default: the data's
-    support radius plus 8) and grows by ``RADIUS_GROWTH``.  Each stage
-    stops before its first step whose stage inputs could reach its
-    boundary ring, and the next stage resumes from there (see
-    :func:`solve_truncated`).  The first stage that reaches the last
-    instant is certified: every step it took or took over kept every stage
-    input exactly 0 on its ring, so no flux crossed the truncation and the
-    trajectory is that of the Cauchy problem up to integration error.
-    Raises :class:`TruncationConvergenceError` when ``max_expansions``
-    stages all stop.
-
-    ``history`` holds the record of every stage (see
-    :func:`solve_truncated`).
+    One :func:`solve_truncated` solve with ``grow``, from ``n0`` (default:
+    the data's support radius plus 8).  Every stage input of every step
+    is exactly 0 on the ring of the ball the step ran on, so no flux
+    crossed the truncation: the trajectory is certified, at the radius of
+    the last ball, and is that of the Cauchy problem up to integration
+    error.  ``history`` holds one record per ball.
     """
     center = _resolve_center(g, u0, center)
     n = int(cfg.n0) if cfg.n0 is not None else u0.support_radius(center) + 8
-    history, traj = [], None
-    for _ in range(cfg.max_expansions):
-        traj = solve_truncated(g, u0, cfg, n, center=center, stop_at_ring=True,
-                               resume=traj)
-        history += traj.history
-        if traj.history[0]["stopped_at"] is None:
-            traj.certified = True
-            traj.history = history
-            return traj
-        n *= RADIUS_GROWTH
-    raise TruncationConvergenceError(
-        f"the solution reached the boundary ring of each of {cfg.max_expansions} "
-        f"stages (last radius {traj.region.radius}, at t={traj.history[0]['stopped_at']!r})")
+    return solve_truncated(g, u0, cfg, n, center=center, grow=True)
 
 
 # ----------------------------------------------------------------------

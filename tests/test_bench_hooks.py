@@ -68,3 +68,23 @@ def test_fields_the_tracer_reads():
     assert int(diag["accepted"][-1]) > 0 and int(diag["rejected"][-1]) >= 0
     traj = gf.solve_cauchy(z1, u0, cfg)
     assert traj.certified is True and len(traj.region) > 0
+
+
+def test_a_growing_cauchy_solve_is_one_truncated_solve():
+    # the tracer reads a solve's totals from the one solve_truncated call
+    # under solve_cauchy, so a growth must not add calls
+    z1 = gf.lattice_generator(1)
+    cfg = gf.SolverConfig(p=3.0, instants=gf.log_instants(1e-2, 100.0, 57), n0=4)
+    tracer = _spans_module().Tracer()
+    tracer.install()
+    try:
+        traj = gf.solver.solve_cauchy(z1, gf.delta_field(z1, (0,), 5.0), cfg)
+    finally:
+        tracer.uninstall()
+    assert len(traj.history) > 2 and traj.history[-1]["t"] > 0.0
+    calls = [s.name for s in tracer.spans]
+    assert calls.count("solver.solve_truncated") == calls.count("solver.integrate") == 1
+    [span] = [s for s in tracer.spans if s.name == "solver.solve_truncated"]
+    assert span.info == {"evals": sum(h["rhs_evals"] for h in traj.history),
+                         "accepted": traj.history[-1]["accepted"],
+                         "rejected": traj.history[-1]["rejected"]}

@@ -295,7 +295,7 @@ def test_main_check_failure_exit_code(tmp_path):
 
 
 def test_main_solver_failure_exit_code(tmp_path):
-    # the solution reaches the ring of B_8 before t = 20, and no second stage may run
+    # the solution reaches the ring of B_8 before t = 20, and no second ball may be used
     cfg = tiny_config()
     cfg["solver"]["max_expansions"] = 1
     cfg_path = tmp_path / "cfg.json"

@@ -1,17 +1,26 @@
-"""Each certification stage resumes from the previous stage's resume point.
+"""A growing solve resumes on each larger ball where it left the smaller one.
 
-A stage's resume point is its integrator state after the leading steps
-that started with the support at least 7 layers inside its boundary ring,
-so that every stage input of those steps was exactly 0 there.  On a larger
-ball those steps compute the same values, and their error norm is smaller,
-so a stage on the larger ball takes them over with their rows instead of
-integrating them again.
+Before a step whose stage inputs could reach the boundary ring, the solve
+moves onto the ball ``RADIUS_GROWTH`` times larger: the state, the FSAL
+value and the stored rows are widened by zeros and stepping goes on with
+the same integrator state.  So the rows written before a growth are the
+rows of the same run kept on the smaller ball, and a solve that never
+grows is the fixed-ball solve, bit for bit.
 """
+import json
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import graphflow as gf
-from graphflow.solver import RADIUS_GROWTH, _positions
+from graphflow import cli
+from graphflow.graphs import region_edges
+from graphflow.solver import (RADIUS_GROWTH, TruncationConvergenceError, _integrate,
+                              _make_rhs, _positions)
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 # (N, data, center, SolverConfig arguments)
 CASES = {
@@ -19,7 +28,7 @@ CASES = {
                  dict(p=3.0, instants=gf.log_instants(1e-2, 100.0, 57), n0=4)),
     "z2_delta": (2, {(0, 0): 30.0}, (0, 0),
                  dict(p=3.0, instants=gf.log_instants(1e-2, 30.0, 31), n0=8)),
-    # instants from 1e-5, so that rows before the resume point at 5.5e-5 are taken over
+    # instants from 1e-5, so that rows are written before the growth at 5.5e-5
     "z1_signed_dipole": (1, {(1,): -2.0, (-1,): 1.0}, (0,),
                          dict(p=3.0, instants=gf.log_instants(1e-5, 10.0, 41), n0=3)),
 }
@@ -35,82 +44,213 @@ def _same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _kept_on(g, u0, cfg, center, radii):
+    """``_integrate`` growing through the balls ``radii`` and then kept on the last.
+
+    The growth callbacks are those of ``solve_truncated``, except that the
+    last ball is never left: the run goes on there as on a fixed ball.
+    Returns the last region, the rows and the diagnostics.
+    """
+    regions = [gf.ball(g, center, n) for n in radii]
+
+    def rhs_on(region):
+        edges = region_edges(g, region)
+        return lambda keep: _make_rhs(edges.restrict(keep), region.degrees[keep], cfg.p)
+
+    def grow(t):
+        k = len(grown) + 1
+        grown.append(t)
+        # report no ring on the last ball, so that it is never left
+        return (regions[k].distances, rhs_on(regions[k]),
+                _positions(regions[k], regions[k - 1]), k + 1 < len(regions))
+
+    grown = []
+    y0 = np.zeros(len(regions[0]))
+    for v, x in u0.values.items():
+        y0[regions[0].index[v]] = x
+    Y, diag = _integrate(rhs_on(regions[0]), regions[0].distances, y0,
+                         float(cfg.instants[-1]), cfg.instants, cfg.rtol, cfg.atol,
+                         cfg.max_steps, grow=grow if len(regions) > 1 else None)
+    return regions[-1], Y, diag
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_resumed_rows_are_the_previous_rows_widened_by_zeros(case):
     g, u0, cfg, center = _case(case)
     traj = gf.solve_cauchy(g, u0, cfg, center=center)
-    prev, n, copied = None, cfg.n0, 0
-    while n <= traj.certified_radius:   # the stages of solve_cauchy, by hand
-        stage = gf.solve_truncated(g, u0, cfg, n, center=center, stop_at_ring=True,
-                                   resume=prev)
-        if prev is None or prev.resume_point is None:
-            assert stage.history[0]["resumed_at"] is None
-        else:
-            t, k = prev.resume_point["t"], prev.resume_point["k_out"]
-            assert stage.history[0]["resumed_at"] == t > 0.0
-            assert (stage.times[:k + 1] <= t * (1 + 1e-15)).all()
-            widened = np.zeros((k + 1, len(stage.region)))
-            widened[:, _positions(stage.region, prev.region)] = prev.values[:k + 1]
-            assert _same_bits(stage.values[:k + 1], widened)
-            for key, arr in prev.diagnostics.items():
-                assert _same_bits(stage.diagnostics[key][:k + 1], arr[:k + 1]), key
-            copied = max(copied, k)
-        prev = stage
-        n *= RADIUS_GROWTH
-    assert _same_bits(stage.values, traj.values)
-    assert copied > 0   # some stage took over output rows, not only steps
+    radii = [h["n"] for h in traj.history]
+    assert len(radii) > 1
+    written = 0
+    for k, after in enumerate(traj.history[1:], start=1):
+        # the same run kept on ball k - 1 instead of moving onto ball k
+        region, Y, diag = _kept_on(g, u0, cfg, center, radii[:k])
+        if k == 1:   # that is the fixed-ball solve on the first ball
+            fixed = gf.solve_truncated(g, u0, cfg, radii[0], center=center)
+            assert _same_bits(fixed.values, Y)
+        m = int(np.count_nonzero(traj.times <= after["t"] * (1 + 1e-15)))
+        widened = np.zeros((m, len(traj.region)))
+        widened[:, _positions(traj.region, region)] = Y[:m]
+        assert _same_bits(traj.values[:m], widened)
+        for key, arr in traj.diagnostics.items():
+            assert _same_bits(arr[:m], diag[key][:m]), key
+        written = max(written, m - 1)
+    assert written > 0   # some growth came after rows had been written
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_each_stage_resumes_where_the_stage_before_it_stopped(case):
     g, u0, cfg, center = _case(case)
     traj = gf.solve_cauchy(g, u0, cfg, center=center)
-    assert traj.history[-1]["stopped_at"] is None
-    for h, after in zip(traj.history, traj.history[1:]):
-        # a stage stopped before its first step leaves the next one to start at t = 0
-        assert h["stopped_at"] is not None
-        assert after["resumed_at"] == (h["stopped_at"] or None)
+    assert traj.history[0]["t"] == 0.0
+    # each ball is about the solve's center, RADIUS_GROWTH times the last
+    assert traj.region.center == center
+    assert traj.certified_radius == traj.history[-1]["n"]
+    for k, (h, after) in enumerate(zip(traj.history, traj.history[1:]), start=1):
+        assert after["n"] == RADIUS_GROWTH * h["n"]
+        assert h["t"] <= after["t"] < cfg.instants[-1]
+        assert h["accepted"] <= after["accepted"] and h["rejected"] <= after["rejected"]
+        # a solve allowed only k balls gives up exactly where this one moved on
+        capped = gf.SolverConfig(**{**CASES[case][3], "max_expansions": k})
+        with pytest.raises(TruncationConvergenceError,
+                           match=re.escape(f"radius {h['n']}, at t={after['t']!r})")):
+            gf.solve_cauchy(g, u0, capped, center=center)
 
 
-def test_stage_resumed_from_a_boundary_free_stage_repeats_it_exactly():
+def test_resume_needs_a_smaller_ball_about_the_same_center():
+    # the solve resumes only on a larger ball about its own center, so every
+    # vertex of the ball it leaves has a place, at the same distance, there
+    z1 = gf.lattice_generator(1)
+    u0 = gf.delta_field(z1, (0,))
+    cfg = gf.SolverConfig(p=3.0, instants=gf.log_instants(1e-2, 1.0, 5), n0=2)
+    for center in [(0,), (1,)]:
+        traj = gf.solve_cauchy(z1, u0, cfg, center=center)
+        assert traj.region.center == center and len(traj.history) > 1
+        for h, after in zip(traj.history, traj.history[1:]):
+            small, large = gf.ball(z1, center, h["n"]), gf.ball(z1, center, after["n"])
+            at = _positions(large, small)
+            assert len(np.unique(at)) == len(small) < len(large)
+            assert (large.distances[at] == small.distances).all()
+        assert traj.values[0, traj.region.index[(0,)]] == 1.0
+    with pytest.raises(ValueError, match="outside"):
+        gf.solve_truncated(z1, u0, cfg, 2, center=(5,), grow=True)
+
+
+def test_a_solve_that_never_grows_is_the_fixed_ball_solve():
     z1 = gf.lattice_generator(1)
     u0 = gf.delta_field(z1, (0,), 1.0)
     cfg = gf.SolverConfig(p=3.0, instants=gf.log_instants(1e-2, 10.0, 31), n0=24)
-    first = gf.solve_truncated(z1, u0, cfg, 24, center=(0,))
-    # the support stays 7 layers inside ring 24: every step is taken over
-    assert not first.values[:, first.region.distances > 24 - 7].any()
-    assert first.resume_point["t"] == cfg.instants[-1]
-    again = gf.solve_truncated(z1, u0, cfg, 48, center=(0,), stop_at_ring=True,
-                               resume=first)
-    assert again.history[0]["resumed_at"] == cfg.instants[-1]
-    assert again.history[0]["rhs_evals"] == 0 and again.history[0]["stopped_at"] is None
-    widened = np.zeros_like(again.values)
-    widened[:, _positions(again.region, first.region)] = first.values
-    assert _same_bits(again.values, widened)
-    # so such a stage is certified, with no second stage to confirm it
-    traj = gf.solve_cauchy(z1, u0, cfg, center=(0,))
-    assert [h["n"] for h in traj.history] == [24]
-    assert traj.certified and _same_bits(traj.values, first.values)
+    fixed = gf.solve_truncated(z1, u0, cfg, 24, center=(0,))
+    # the support stays 7 layers inside ring 24, so no step could reach it
+    assert not fixed.values[:, fixed.region.distances > 24 - 7].any()
+    grown = gf.solve_truncated(z1, u0, cfg, 24, center=(0,), grow=True)
+    assert [h["n"] for h in grown.history] == [24] and grown.certified
+    assert not fixed.certified
+    assert grown.history == fixed.history
+    for traj in (grown, gf.solve_cauchy(z1, u0, cfg, center=(0,))):
+        assert _same_bits(traj.values, fixed.values)
+        assert _same_bits(traj.times, fixed.times)
+        for key, arr in fixed.diagnostics.items():
+            assert _same_bits(traj.diagnostics[key], arr), key
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_resumed_solve_matches_a_fresh_solve(case):
     g, u0, cfg, center = _case(case)
     traj = gf.solve_cauchy(g, u0, cfg, center=center)
-    assert any(h["resumed_at"] is not None for h in traj.history)
+    assert any(h["t"] > 0.0 for h in traj.history)
     fresh = gf.solve_truncated(g, u0, cfg, traj.certified_radius, center=center)
-    assert fresh.history[0]["resumed_at"] is None
+    assert len(fresh.history) == 1
     # measured: 0.05, 0.22 and 0.17 rtol * ||u0|| on Z^1, Z^2 and the dipole
     gap = np.abs(traj.values - fresh.values).max()
     assert gap <= 10 * cfg.rtol * u0.sup_norm()
 
 
-def test_resume_needs_a_smaller_ball_about_the_same_center():
+def test_first_ball_within_reach_of_the_data_is_left_before_any_work():
     z1 = gf.lattice_generator(1)
-    u0 = gf.delta_field(z1, (0,))
-    cfg = gf.SolverConfig(p=3.0, instants=gf.log_instants(1e-2, 1.0, 5))
-    small = gf.solve_truncated(z1, u0, cfg, 16, center=(0,))
-    with pytest.raises(ValueError, match="cannot resume"):
-        gf.solve_truncated(z1, u0, cfg, 8, center=(0,), resume=small)
-    with pytest.raises(ValueError, match="cannot resume"):
-        gf.solve_truncated(z1, u0, cfg, 32, center=(1,), resume=small)
+    kw = dict(p=3.0, instants=gf.log_instants(0.1, 5.0, 7), rtol=1e-10, atol=1e-14)
+    # support radius 4 on B_10: the first step could reach ring 10, and a
+    # delta on B_2 and on B_4 could reach theirs
+    for u0, radii in [(gf.Field(z1, {(k,): 1.0 + 0.1 * k for k in range(-4, 5)}), [10, 20]),
+                      (gf.delta_field(z1, (0,)), [2, 4, 8])]:
+        *left, n = radii
+        traj = gf.solve_cauchy(z1, u0, gf.SolverConfig(**kw, n0=left[0]), center=(0,))
+        assert [h["n"] for h in traj.history[:len(radii)]] == radii
+        assert [(h["rhs_evals"], h["accepted"]) for h in traj.history[:len(left)]] == \
+            [(0, 0)] * len(left)
+        same = gf.solve_cauchy(z1, u0, gf.SolverConfig(**kw, n0=n), center=(0,))
+        assert same.history[0]["n"] == n and same.history[0]["t"] == 0.0
+        assert traj.history[len(left):] == same.history
+        assert _same_bits(traj.values, same.values)
+        for key, arr in same.diagnostics.items():
+            assert _same_bits(traj.diagnostics[key], arr), key
+
+
+def test_propagation_config_grows_after_rows_were_written():
+    cfg = json.loads((CONFIGS / "lattice1d_p3_propagation.json").read_text())
+    g = cli.build_generator(cfg["graph"])
+    u0, center = cli.build_initial_field(g, cfg["initial_data"])
+    scfg = cli.build_solver_config(cfg["solver"])
+    traj = gf.solve_cauchy(g, u0, scfg, center=center)
+    first, after = traj.history
+    assert 0.0 < after["t"] < scfg.instants[-1]
+    # the fixed solve on the first ball takes the same steps up to the growth,
+    # and more after it
+    fixed = gf.solve_truncated(g, u0, scfg, first["n"], center=center)
+    assert first["accepted"] < fixed.history[0]["accepted"]
+    m = int(np.count_nonzero(traj.times <= after["t"] * (1 + 1e-15)))
+    assert m > 1
+    widened = np.zeros((m, len(traj.region)))
+    widened[:, _positions(traj.region, fixed.region)] = fixed.values[:m]
+    assert _same_bits(traj.values[:m], widened)
+    for key, arr in fixed.diagnostics.items():
+        assert _same_bits(traj.diagnostics[key][:m], arr[:m]), key
+    assert traj.diagnostics["accepted"][m - 1] <= first["accepted"]
+
+
+def _delta_on_ball(radius, amplitude, t_eval):
+    """``_integrate`` arguments for a Z^1 delta at p = 3 on ``B_radius``."""
+    z1 = gf.lattice_generator(1)
+    region = gf.ball(z1, (0,), radius)
+    edges = region_edges(z1, region)
+
+    def rhs_on(keep):
+        return _make_rhs(edges.restrict(keep), region.degrees[keep], 3.0)
+    y0 = np.zeros(len(region))
+    y0[region.index[(0,)]] = amplitude
+    return (rhs_on, region.distances, y0, float(t_eval[-1]), t_eval, 1e-8, 1e-12, 10 ** 6)
+
+
+def test_integrate_rows_before_a_growth_are_the_fixed_run_rows():
+    t_eval = gf.log_instants(1e-3, 50.0, 40)
+    args = _delta_on_ball(16, 5.0, t_eval)
+    rhs_on, dist = _delta_on_ball(32, 5.0, t_eval)[:2]
+    z1 = gf.lattice_generator(1)
+    at = _positions(gf.ball(z1, (0,), 32), gf.ball(z1, (0,), 16))
+    grown_at = []
+
+    def grow(t):   # onto B_32, reported without a ring: it is never left
+        grown_at.append(t)
+        return dist, rhs_on, at, False
+    fixed, fixed_diag = _integrate(*args)
+    Y, diag = _integrate(*args, grow=grow)
+    [t] = grown_at
+    assert 0.0 < t < 50.0 and [b["t"] for b in diag["balls"]] == [0.0, t]
+    k = int(np.count_nonzero(t_eval <= t * (1 + 1e-15)))
+    assert 0 < k < len(t_eval)
+    assert _same_bits(Y[:k + 1, at], fixed[:k + 1]) and _same_bits(Y[0, at], args[2])
+    assert not Y[:k + 1, np.setdiff1d(np.arange(Y.shape[1]), at)].any()
+    for key in ("accepted", "rejected", "max_scaled_error"):
+        assert _same_bits(diag[key][:k + 1], fixed_diag[key][:k + 1]), key
+    assert diag["balls"][0]["accepted"] < fixed_diag["balls"][0]["accepted"]
+
+
+def test_integrate_with_a_growth_that_never_fires_is_the_fixed_run():
+    # the support of a unit delta stays 7 layers inside ring 24 up to t = 10
+    args = _delta_on_ball(24, 1.0, gf.log_instants(1e-2, 10.0, 31))
+
+    def grow(t):
+        raise AssertionError("grew")
+    fixed, fixed_diag = _integrate(*args)
+    Y, diag = _integrate(*args, grow=grow)
+    assert _same_bits(Y, fixed) and len(Y) == 32 and len(diag["accepted"]) == 32
+    assert diag["balls"] == fixed_diag["balls"] and len(diag["balls"]) == 1

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import re
@@ -51,6 +52,13 @@ def test_config_validation():
         gf.log_instants(1.0, 0.1, 5)
 
 
+@pytest.mark.parametrize("max_expansions", [0, 2.5])
+def test_config_rejects_a_ball_cap_solve_cauchy_cannot_use(max_expansions):
+    with pytest.raises(ValueError, match="max_expansions must be a positive integer"):
+        gf.SolverConfig(p=3.0, instants=gf.log_instants(0.1, 10, 5),
+                        max_expansions=max_expansions)
+
+
 def test_stepper_against_exact_solution():
     # y' = -y^3  =>  y(t) = (1 + 2t)^(-1/2)
     t_eval = np.geomspace(0.01, 100.0, 30)
@@ -59,7 +67,7 @@ def test_stepper_against_exact_solution():
     exact = (1.0 + 2.0 * t_eval) ** -0.5
     assert Y[0, 0] == 1.0 and len(Y) == len(t_eval) + 1   # the t = 0 row first
     assert np.abs(Y[1:, 0] - exact).max() <= 1e-8
-    assert diag["total_accepted"] > 0
+    assert diag["balls"][-1]["accepted"] > 0
     assert (np.diff(diag["accepted"]) >= 0).all()
 
 
@@ -143,33 +151,27 @@ def test_diagnostics_have_one_entry_per_stored_row(z1, tmp_path):
     u0 = gf.delta_field(z1, (0,), 5.0)
     cfg = gf.SolverConfig(p=3.0, instants=gf.log_instants(1e-2, 100.0, 57), n0=4)
     bare = gf.solve_truncated(z1, u0, cfg, 8)
-    resumed = gf.solve_cauchy(z1, u0, cfg, center=(0,))
-    assert resumed.history[-1]["resumed_at"] is not None
-    stopped = gf.solve_truncated(z1, u0, cfg, 16, stop_at_ring=True)
-    assert stopped.history[0]["stopped_at"] is not None
-    assert 1 < len(stopped.times) < len(bare.times)
+    grown = gf.solve_cauchy(z1, u0, cfg, center=(0,))
+    assert grown.history[-1]["t"] > 0.0
     outdir = tmp_path / "run"
-    cli.export_trajectory(resumed, outdir, snapshots=True)
+    cli.export_trajectory(grown, outdir, snapshots=True)
     manifest = {
         "config": {"solver": {"p": 3.0, "t_min": 1e-2, "t_max": 100.0,
                               "num_instants": 57}},
         "center": "0",
-        "certified": resumed.certified,
-        "certified_radius": resumed.certified_radius,
+        "certified": grown.certified,
+        "certified_radius": grown.certified_radius,
     }
     (outdir / "manifest.json").write_text(json.dumps(manifest))
     loaded = cli.load_trajectory(outdir, z1)
-    for traj in (bare, resumed, stopped, loaded):
+    for traj in (bare, grown, loaded):
         assert traj.diagnostics.keys() == set(ROW_DIAGNOSTICS.names)
         for key, arr in traj.diagnostics.items():
             assert len(arr) == len(traj.times) and arr[0] == 0, key
-    # the step counts grow from row to row, and the last one is the stage's;
-    # a stopped stage may have stepped on past its last row
-    for traj in (bare, resumed, stopped):
+    # the step counts grow from row to row, and the last one is the solve's
+    for traj in (bare, grown):
         assert (np.diff(traj.diagnostics["accepted"]) >= 0).all()
-    for traj in (bare, resumed):
         assert traj.diagnostics["accepted"][-1] == traj.history[-1]["accepted"]
-    assert stopped.diagnostics["accepted"][-1] <= stopped.history[0]["accepted"]
 
 
 def test_truncated_support_violation(z1, short_cfg):
@@ -181,22 +183,23 @@ def test_truncated_support_violation(z1, short_cfg):
 def test_boundary_leak_triggers_expansion(z1, short_cfg):
     cfg = gf.SolverConfig(p=3.0, instants=short_cfg.instants, n0=2)
     traj = gf.solve_cauchy(z1, gf.delta_field(z1, (0,)), cfg)
-    assert traj.history[0]["stopped_at"] is not None
     assert traj.certified
     assert traj.certified_radius > 2
-    # the stage that reached its ring stopped early, after fewer steps than a
-    # full solve
-    assert traj.history[0]["stopped_at"] < cfg.instants[-1]
+    # the first step could already reach ring 2, so B_2 is left at t = 0;
+    # some later ball is left part way through the run
+    assert traj.history[1]["t"] == 0.0
+    assert any(0.0 < h["t"] < cfg.instants[-1] for h in traj.history)
+    # the fixed B_2 leaks through its ring; the grown solve's last ball does not
     full = gf.solve_truncated(z1, gf.delta_field(z1, (0,)), cfg, 2)
-    assert traj.history[0]["accepted"] < full.diagnostics["accepted"][-1]
-    assert traj.history[-1]["stopped_at"] is None
+    assert full.history[0]["boundary_leak"] > 0.0
+    assert traj.history[-1]["boundary_leak"] == 0.0
 
 
 def test_truncation_convergence_failure(z1):
     # the default first ball, B_8, is too small to hold the solution to t = 10
     cfg = gf.SolverConfig(p=3.0, instants=gf.log_instants(0.1, 10.0, 9),
                           max_expansions=1)
-    with pytest.raises(TruncationConvergenceError, match="each of 1 stages"):
+    with pytest.raises(TruncationConvergenceError, match="each of 1 balls"):
         gf.solve_cauchy(z1, gf.delta_field(z1, (0,)), cfg)
 
 
@@ -317,10 +320,36 @@ def test_finite_graph_fully_covered_has_no_boundary():
                           max_expansions=3)
     traj = gf.solve_cauchy(g, gf.delta_field(g, "a"), cfg)
     assert traj.certified
-    # no ring to reach, so the first stage runs to the end and is certified
+    # no ring to reach, so the first ball is never left and is certified
     assert [h["n"] for h in traj.history] == [2]
     assert (traj.boundary_sups == 0.0).all()
     m0 = traj.masses[0]
     assert np.abs(traj.masses - m0).max() <= 1e-12 * m0
     # the flow relaxes toward the constant state on a finite graph
     assert traj.sup_norms[traj.locate(20.0)] < 0.5
+
+
+def test_finite_graph_covered_after_growth_is_never_left():
+    # a 20-cycle: B_2, B_4 and B_8 have stubs, B_16 holds the whole cycle
+    g = gf.generator_from_edges([(k, (k + 1) % 20, 1.0) for k in range(20)])
+    cfg = gf.SolverConfig(p=3.0, instants=gf.log_instants(0.1, 200.0, 9), n0=2)
+    traj = gf.solve_cauchy(g, gf.delta_field(g, 0), cfg)
+    assert traj.certified and [h["n"] for h in traj.history] == [2, 4, 8, 16]
+    assert len(traj.edges.bi) == 0 and len(traj.region) == 20
+    m0 = traj.masses[0]
+    assert np.abs(traj.masses - m0).max() <= 1e-12 * m0
+
+
+def test_a_growing_solve_leaves_no_reference_cycles(z1):
+    # every ball's region and edge arrays would outlive the solve until the
+    # next full collection, which numpy allocations do not trigger
+    cfg = gf.SolverConfig(p=3.0, instants=gf.log_instants(1e-2, 100.0, 57), n0=4)
+    gc.collect()
+    gc.disable()
+    try:
+        traj = gf.solve_cauchy(z1, gf.delta_field(z1, (0,), 5.0), cfg)
+        assert len(traj.history) > 2
+        del traj
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
