@@ -203,6 +203,12 @@ def validate_config(cfg):
         if chk["type"] == "propagation_fit" and 1.0 - chk.get("eps", 0.5) == 1.0:
             errors.append("checks: propagation_fit eps is below float resolution "
                           "(1 - eps == 1)")
+    prop = any(c["type"] == "propagation_fit" for c in cfg.get("checks", []))
+    if prop and not errors:
+        try:
+            errors += _propagation_eps_errors(cfg)
+        except (ValueError, OSError) as e:
+            errors.append(f"checks: propagation_fit: {e}")
     slow = any(c["type"] == "slow_decay" for c in cfg.get("checks", []))
     if slow and not errors and not randomized:
         # a brute-forced profile is too costly to build here: run() tests it once built
@@ -212,6 +218,20 @@ def validate_config(cfg):
         except (ValueError, OSError) as e:
             errors.append(f"checks: slow_decay: {e}")
     return errors
+
+
+def _propagation_eps_errors(cfg):
+    # every ball a solve can end on contains its first ball B_n0, so
+    # mass_radius would reject an eps at or below |B_n0| 2^-53 after the solve
+    g = build_generator(cfg["graph"])
+    u0, center = build_initial_field(g, cfg.get("initial_data", _DELTA_AT_ORIGIN))
+    n0 = solver.first_radius(u0, build_solver_config(cfg["solver"]), center)
+    size = len(ball(g, center, n0))
+    floor = size * 2.0 ** -53
+    return [f"checks: propagation_fit eps {c['eps']!r} is at or below {floor!r}, the "
+            f"rounding of a mass sum over the {size} vertices of the first ball B_{n0}"
+            for c in cfg["checks"]
+            if c["type"] == "propagation_fit" and c.get("eps", 0.5) <= floor]
 
 
 def _slow_decay_horizon_errors(cfg, g, profile):
@@ -252,6 +272,10 @@ def build_generator(graph_cfg):
         H = FiniteGraph([tuple(e) for e in graph_cfg["H"]["edges"]], name="H")
         return product_generator(H, graph_cfg["N"])
     return generator_from_file(graph_cfg["adjacency_file"])
+
+
+# the initial data of a config without an initial_data section
+_DELTA_AT_ORIGIN = {"kind": "delta", "center": None}
 
 
 def _parse_center(raw, g):
@@ -512,8 +536,7 @@ def run(cfg, out_dir, seed=None):
     if seed is None:
         seed = cfg.get("seed", 0)
     g = build_generator(cfg["graph"])
-    u0, center = build_initial_field(g, cfg.get("initial_data",
-                                                {"kind": "delta", "center": None}))
+    u0, center = build_initial_field(g, cfg.get("initial_data", _DELTA_AT_ORIGIN))
     scfg = build_solver_config(cfg["solver"])
     profile = _profile_for_checks(cfg, g, seed)
     out = Path(out_dir)

@@ -593,8 +593,17 @@ def solve_cauchy(g, u0: Field, cfg: SolverConfig, center=None):
     error.  ``history`` holds one record per ball.
     """
     center = _resolve_center(g, u0, center)
-    n = int(cfg.n0) if cfg.n0 is not None else u0.support_radius(center) + 8
-    return solve_truncated(g, u0, cfg, n, center=center, grow=True)
+    return solve_truncated(g, u0, cfg, first_radius(u0, cfg, center), center=center,
+                           grow=True)
+
+
+def first_radius(u0: Field, cfg: SolverConfig, center):
+    """Radius of the first ball of :func:`solve_cauchy`, which every later ball contains.
+
+    ``cfg.n0`` when set, else the data's support radius around ``center``
+    plus 8.
+    """
+    return int(cfg.n0) if cfg.n0 is not None else u0.support_radius(center) + 8
 
 
 # ----------------------------------------------------------------------

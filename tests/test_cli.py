@@ -331,7 +331,30 @@ def test_main_eps_below_float_resolution_exits_2(tmp_path, capsys):
                      "--out", str(tmp_path / "out")]) == 2
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
-    cfg["checks"][0]["eps"] = 2.0 ** -52
+    cfg["checks"][0]["eps"] = 2.0 ** -48   # above the first ball's floor 17 * 2^-53
+    assert cli.validate_config(cfg) == []
+
+
+def test_main_eps_within_the_first_balls_rounding_exits_2(tmp_path, capsys):
+    # every ball the solve can end on contains B_8, whose mass sums round at
+    # |B_8| 2^-53 = 1.9e-15: mass_radius would reject eps = 2^-52 after the
+    # solve, so validation rejects it before, and no output directory is made
+    cfg = tiny_config(checks=[{"type": "propagation_fit", "eps": 2.0 ** -52,
+                               "window": [0.5, 20]}])
+    errors = cli.validate_config(cfg)
+    assert len(errors) == 1 and "17 vertices of the first ball B_8" in errors[0]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli.main(["simulate", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out")]) == 2
+    assert "propagation_fit eps" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    # without n0 the first ball is B_{support radius + 8}: 19 vertices here
+    del cfg["solver"]["n0"]
+    cfg["initial_data"] = {"kind": "ball_indicator", "center": [0], "radius": 1}
+    cfg["checks"][0]["eps"] = 19 * 2.0 ** -53
+    assert "19 vertices of the first ball B_9" in cli.validate_config(cfg)[0]
+    cfg["checks"][0]["eps"] = 20 * 2.0 ** -53
     assert cli.validate_config(cfg) == []
 
 

@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import graphflow as gf
 from graphflow.operators import monotonicity_gamma, phi
+from test_bfs_properties import finite_graph   # random connected weighted graphs
+
+exponents = st.sampled_from([2.5, 3.0, 4.0])
 
 
 @pytest.fixture(scope="module")
@@ -196,3 +201,113 @@ def test_edge_kernel_matches_pointwise_oracle(maker, p):
         assert np.array_equal(_make_rhs(edges, region.degrees, p)(0.0, vals), lap)
         energy = gf.dirichlet_energy(g, u, p, region)
         assert abs(2.0 * edges.power_sum(vals, p) - energy) <= 1e-12 * energy
+
+
+# ----------------------------------------------------------------------
+# the neighbour-table kernel against a bincount oracle
+
+def _odd_power(s, p):   # as graphs._odd_power rounds it
+    if p == 3.0:
+        return s * np.abs(s)
+    if p == 4.0:
+        return s * (s * s)
+    return s * np.abs(s) ** (p - 2.0)
+
+
+def bincount_divergence(edges, p, u):
+    """Each internal flux once, added at its tail and taken from its head,
+    minus the stub term; also the per-vertex sum of the terms' sizes."""
+    n = edges.n
+    f = _odd_power(u[edges.ej] - u[edges.ei], p) * edges.w
+    stub = _odd_power(u[edges.bi], p) * edges.bw
+    # an empty index array makes bincount return int64 zeros
+    out = np.bincount(edges.ei, f, n).astype(np.float64) - np.bincount(edges.ej, f, n)
+    out -= np.bincount(edges.bi, stub, n)
+    size = (np.bincount(edges.ei, np.abs(f), n) + np.bincount(edges.ej, np.abs(f), n)
+            + np.bincount(edges.bi, np.abs(stub), n))
+    return out, size
+
+
+def _state(seed, n):
+    # random signs and magnitudes, with exact zeros as on an active ball's rim
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 3.0)
+    u[rng.random(n) < 0.3] = 0.0
+    return u
+
+
+def _assert_agrees(edges, p, seed, rtol=1e-13):
+    u = _state(seed, edges.n)
+    want, size = bincount_divergence(edges, p, u)
+    got = edges.divergence(p)(u)
+    assert got.dtype == np.float64 and got.shape == (edges.n,)
+    assert np.all(np.abs(got - want) <= rtol * size)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(-20, 20), st.integers(0, 12), st.data(), exponents,
+       st.integers(0, 2 ** 32 - 1))
+def test_edge_table_is_bitwise_the_bincount_formula_on_z1(x0, R, data, p, seed):
+    # every column has two terms, f(x -> x+1) and -f(x-1 -> x) or a stub's
+    r = data.draw(st.integers(0, R))
+    edges = _sub_ball_edges(gf.lattice_generator(1), (x0,), R, r)[2]
+    u = _state(seed, edges.n)
+    assert np.array_equal(edges.divergence(p)(u), bincount_divergence(edges, p, u)[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["Z^2", "Z^3", "K_3 x Z^1"]), st.data(), exponents,
+       st.integers(0, 2 ** 32 - 1))
+def test_edge_table_agrees_with_the_bincount_formula(graph, data, p, seed):
+    g, x0, R_max = {"Z^2": (gf.lattice_generator(2), (1, -2), 6),
+                    "Z^3": (gf.lattice_generator(3), (0, 0, 0), 4),
+                    "K_3 x Z^1": (gf.product_generator(gf.complete_graph(3), 1),
+                                  (1, 0), 5)}[graph]
+    R = data.draw(st.integers(0, R_max))   # R = 0: stubs only, no internal edges
+    _assert_agrees(_sub_ball_edges(g, x0, R, data.draw(st.integers(0, R)))[2], p, seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(finite_graph(), st.integers(0, 3), exponents, st.integers(0, 2 ** 32 - 1))
+def test_edge_table_on_random_weighted_graphs(edge_list, R, p, seed):
+    # irregular degrees: short columns are padded, and a small ball has stubs
+    g = gf.generator_from_edges(edge_list)
+    _assert_agrees(_ball_edges(g, edge_list[0][0], R)[2], p, seed)
+    whole = _ball_edges(g, edge_list[0][0], 8)[2]   # covers the graph
+    assert len(whole.bi) == 0
+    u = _state(seed, whole.n)
+    _, size = bincount_divergence(whole, p, u)
+    # every flux leaves one end and enters the other
+    assert abs(np.add.reduce(whole.divergence(p)(u))) <= 1e-13 * size.sum()
+
+
+def test_short_columns_pad_with_the_vertex_itself():
+    # vertex 1 joined to 0, 2 and 3: columns of 3 and of 1 entries.  Padding
+    # with the zero exterior slot instead would compute (0 - 1e120)^3 * 0,
+    # an overflow and a NaN, where every difference is exactly 0
+    g = gf.generator_from_edges([("0", "1", 1.0), ("1", "2", 2.0), ("1", "3", 1.0)])
+    edges = _ball_edges(g, "1", 1)[2]
+    assert edges.n == 4 and len(edges.bi) == 0
+    assert np.array_equal(edges.divergence(4.0)(np.full(4, 1e120)), np.zeros(4))
+    # K_4 has no short column: the same result as the bincount formula
+    k4 = gf.generator_from_edges([(a, b, 1.0 + i) for i, (a, b) in enumerate(
+        [("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"), ("c", "d")])])
+    edges = _ball_edges(k4, "a", 1)[2]
+    const = np.full(4, 1e120)
+    assert np.array_equal(edges.divergence(4.0)(const), np.zeros(4))
+    assert np.array_equal(bincount_divergence(edges, 4.0, const)[0], np.zeros(4))
+    for seed in range(5):
+        _assert_agrees(edges, 4.0, seed)
+
+
+def test_edge_table_returns_a_fresh_array():
+    # _initial_step keeps f0 while it evaluates f1
+    edges = _ball_edges(gf.lattice_generator(2), (0, 0), 4)[2]
+    div = edges.divergence(3.0)
+    u0, u1 = _state(1, edges.n), _state(2, edges.n)
+    f0 = div(u0)
+    f0_copy = f0.copy()
+    f1 = div(u1)
+    assert not np.shares_memory(f0, f1)
+    assert np.array_equal(f0, f0_copy)
+    assert np.array_equal(div(u0), f0)
