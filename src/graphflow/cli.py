@@ -13,7 +13,9 @@ Configs are JSON documents validated against :data:`CONFIG_SCHEMA`
 * ``report.json``      -- aggregated verdicts.
 
 Each run solves once, on the certified ball of :func:`solver.solve_cauchy`,
-and every check reads that trajectory.  In a batch, each config writes
+and every check reads that trajectory.  The output directory is made only
+after the solve and every check have run, so a config, solver or check
+error leaves none.  In a batch, each config writes
 under ``<out>/<config file stem>``; two configs whose stems clash are a
 config error before any run starts.
 
@@ -437,7 +439,6 @@ def load_trajectory(run_dir, g):
 def _check_json(check, extras=None):
     out = {
         "tag": check.tag,
-        "fitted_constant": check.verdict,
         "verdict": check.verdict,
         "window": list(check.window),
     }
@@ -509,23 +510,24 @@ def _run_one_check(chk, traj, profile, cfg):
 
 
 def _run_checks(cfg, traj, profile, out):
-    """Run the configured checks on ``traj``, writing ``check_<tag>.csv/.json``.
+    """Run the configured checks on ``traj``, then write ``check_<tag>.csv/.json``.
 
-    Returns the per-check JSON results and the ratio blocks by tag.
+    Every check runs before ``out`` is made, so a check that raises leaves
+    no output directory.  Returns the per-check JSON results and the ratio
+    blocks by tag.
     """
-    results = []
+    runs = [_run_one_check(chk, traj, profile, cfg) for chk in cfg.get("checks", [])]
+    out.mkdir(parents=True, exist_ok=True)
     ratio_blocks = {}
-    for chk in cfg.get("checks", []):
-        result, block = _run_one_check(chk, traj, profile, cfg)
-        results.append(result)
+    for result, block in runs:
+        tag = result["tag"]
         if block is not None:
-            tag = result["tag"]
             write_csv(out / f"check_{tag}.csv", ["t", "lhs", "rhs", "ratio"],
                       [block.times, block.lhs, block.rhs, block.ratio])
             ratio_blocks[tag] = block
-        (out / f"check_{result['tag']}.json").write_text(
+        (out / f"check_{tag}.json").write_text(
             json.dumps(result, indent=2, sort_keys=True) + "\n")
-    return results, ratio_blocks
+    return [result for result, _ in runs], ratio_blocks
 
 
 def run(cfg, out_dir, seed=None):
@@ -540,7 +542,6 @@ def run(cfg, out_dir, seed=None):
     scfg = build_solver_config(cfg["solver"])
     profile = _profile_for_checks(cfg, g, seed)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     traj = solver.solve_cauchy(g, u0, scfg, center=center)
     checks_json, ratio_blocks = _run_checks(cfg, traj, profile, out)
     export_trajectory(traj, out, snapshots=cfg.get("snapshots", False))
@@ -712,7 +713,6 @@ def _dispatch(args):
         seed = args.seed if args.seed is not None else cfg.get("seed", 0)
         profile = _profile_for_checks(cfg, g, seed)
         out = Path(args.out or args.traj_dir)
-        out.mkdir(parents=True, exist_ok=True)
         results, _ = _run_checks(cfg, traj, profile, out)
         return 0 if all(r.get("pass", True) for r in results) else 1
 

@@ -4,23 +4,21 @@ The flow ``du/dt = Delta_p u`` is solved as a finite ODE system on a ball
 ``B_n`` with ``u = 0`` outside (method of lines), using an explicit
 embedded Dormand-Prince 4(5) pair with PI step-size control and dense
 output at the configured instants.  :func:`solve_cauchy` runs one
-integration whose ball grows in place: before each step whose stage
-inputs could reach the boundary ring, the ball becomes ``RADIUS_GROWTH``
-times larger, the state and the stored rows are widened by zeros, and
-stepping goes on with the same integrator state.  Every stage input of
-every step is then exactly 0 on the ring of the ball the step ran on, so
-no flux crossed the truncation and the ball solve is a solve of the
-Cauchy problem; only integration error remains.  The returned trajectory
-is tagged with the radius of its last ball, the certified radius.
+integration whose ball grows in place.
 
-Each step runs on the active ball ``B_r(center)`` only, with ``r`` at
-least 7 layers past the farthest nonzero state value.  The degenerate flux
-underflows ahead of the front, so a large ball holds exact zeros for most
-of a run; one step spreads exact nonzeros by at most 7 layers (six stage
-inputs plus the FSAL evaluation), so every stage input is exactly 0 on
-ring ``r`` and beyond and the cut edges are exact zero-exterior stubs.
-Error norms still sum over the whole ball in whole-ball order, so the
-step sequence does not depend on ``r``.
+Each step runs on the active ball ``B_r(center)`` only, under one rule:
+no step starts with a nonzero within 7 layers of the active ball's edge.
+One step spreads exact nonzeros by at most 7 layers (six stage inputs
+plus the FSAL evaluation), so every stage input is exactly 0 on ring
+``r`` and beyond and the cut edges are exact zero-exterior stubs.  Before
+a step the rule forbids, the active ball regrows around the support, and
+where that edge is the boundary ring the ball first becomes
+``RADIUS_GROWTH`` times larger: the state and the stored rows are widened
+by zeros and stepping goes on with the same integrator state.  No flux
+crosses the truncation, so the ball solve is a solve of the Cauchy
+problem, tagged with the radius of its last ball (the certified radius);
+only integration error remains.  Error norms sum over the whole ball in
+whole-ball order, so the step sequence does not depend on ``r``.
 
 The right-hand side is locally Lipschitz on bounded sets and degenerate
 (not stiff) near flat states, so an explicit pair with adaptive steps is
@@ -202,26 +200,27 @@ def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps, grow=None
     ``dist[i]`` is the center distance of vertex ``i`` and ``rhs_on(keep)``
     builds the right-hand side on the vertices ``keep`` (increasing
     indices) with a zero exterior.  Steps run on the active ball
-    ``dist <= r`` only: with ``s`` the largest distance of a nonzero state
-    entry, ``r >= s + 7`` holds at every step start, because one step
-    spreads exact nonzeros by at most 7 layers (6 stage inputs plus the
-    FSAL evaluation).  Every stage input is then exactly 0 from ring ``r``
-    on, so the cut edges are exact Dirichlet stubs and every stage value
-    outside the ball is exactly 0.  The ball regrows after an accepted step
-    that breaks the bound.  Error norms are RMS values over all entries of
-    the ball the step runs on, summed in the same order as over the whole
-    ball, so the step sequence does not depend on the active ball.
+    ``dist <= r`` only, under one rule kept at one site, the top of the
+    step loop: no step starts with a nonzero in the rim, the last 7 layers
+    of the active ball.  One step spreads exact nonzeros by at most 7
+    layers (6 stage inputs plus the FSAL evaluation), so every stage input
+    is then exactly 0 from ring ``r`` on and the cut edges are exact
+    Dirichlet stubs.  A nonzero in the rim moves the run onto the active
+    ball ``r = s + 9`` (at most the outer ring) for the support radius
+    ``s``.  The right-hand side and the stage buffers are built right
+    before the first attempt on an active ball.  Error norms are RMS values
+    over all entries of the ball the step runs on, summed in whole-ball
+    order, so the step sequence does not depend on the active ball.
 
-    With ``grow``, every step keeps every stage input exactly 0 on the
-    outer ring ``dist.max()``: before each step, the first one included,
-    that starts with a nonzero within 7 layers of that ring, the run moves
-    onto a larger ball.  ``grow(t)`` returns its ``dist`` and ``rhs_on``,
-    the positions ``at`` of the current vertices in it, and whether it has
-    a ring to reach (a ball that covers a finite graph has none).  The
-    state, the FSAL value and the stored rows are widened by zeros, the
-    active ball is rebuilt from the support, and stepping goes on with the
-    same step size, controller state and counters: nothing is redone.
-    Without ``grow`` the ball is fixed, and the solution may reach its ring.
+    With ``grow``, the rim of an active ball that reaches the outer ring
+    ``dist.max()`` is that ring's last 7 layers, and when ``s`` lies in
+    them the run first moves onto a larger ball.  ``grow(t)`` returns its
+    ``dist`` and ``rhs_on``, the positions ``at`` of the current vertices
+    in it, and whether it has a ring to reach (a ball that covers a finite
+    graph has none).  The state, the FSAL value and the stored rows are
+    widened by zeros, and stepping goes on with the same step size,
+    controller state and counters: nothing is redone.  Without ``grow`` the
+    ball is fixed, and the solution may reach its ring.
 
     Returns ``(Y, diag)`` where ``Y[0]`` is ``y0`` (widened to the last
     ball) and ``Y[k + 1]`` the solution at ``t_eval[k]``, all rows in one
@@ -240,18 +239,16 @@ def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps, grow=None
     r_max = int(dist.max())
 
     def activate(s):
-        # the active ball for a state supported within distance s; its rim,
-        # the positions within 7 layers of its edge, where a nonzero calls
-        # for regrowing (None once the ball is the whole region); and the
-        # positions within 7 layers of the outer ring, where a nonzero calls
-        # for a larger ball
+        # the active ball for a state supported within distance s, and its
+        # rim (None when its edge is the ring of a ball that is never left)
         r = min(s + _STEP_REACH + _ACTIVE_SLACK, r_max)
         keep = np.flatnonzero(dist <= r)
-        rim = np.flatnonzero(dist[keep] > r - _STEP_REACH) if r < r_max else None
-        return keep, rim, np.flatnonzero(dist[keep] > r_max - _STEP_REACH)
+        if r == r_max and grow is None:
+            return keep, None
+        return keep, np.flatnonzero(dist[keep] > r - _STEP_REACH)
 
-    keep, rim, near = activate(_support_radius(y0, dist))
-    rhs = rhs_on(keep)
+    keep, rim = activate(_support_radius(y0, dist))
+    rhs = None   # built right before the first attempt on an active ball
     y = y0[keep].astype(float)
     sq = np.zeros(n)   # squared entries for the RMS, zero outside the active ball
 
@@ -265,14 +262,13 @@ def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps, grow=None
         K = np.empty((7, m))
         return K, np.empty(m), np.empty((2, m)), [K[:i] for i in range(7)]
 
-    K, yi, step, heads = buffers(len(keep))
     out = np.zeros((len(t_eval) + 1, n))
     out[0] = y0
     table = np.zeros(len(t_eval) + 1, dtype=ROW_DIAGNOSTICS)   # per row of out
     clamp = bool((y0 >= 0.0).all())
     floor = 1e-14 * t_end
     t, f = 0.0, None   # f: the FSAL value, once the first step is sized
-    accepted = rejected = steps = k_out = 0
+    accepted = rejected = k_out = 0
     max_err_window = err = 0.0
     err_prev = 1e-4
     balls, t_in, ball_evals = [], 0.0, 0   # the balls left; this one's start and work
@@ -282,24 +278,28 @@ def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps, grow=None
                 "rejected": rejected, "active_vertices": len(keep)}
 
     while t < t_end:
-        if grow is not None and np.count_nonzero(y[near]):   # the step could reach the ring
-            balls.append(record())
-            dist, rhs_on, at, ringed = grow(t)
-            if not ringed:   # a ball without a ring is never left
-                grow = None
-            n, r_max = len(dist), int(dist.max())
-            moved = at[keep]   # the active positions in the larger ball
-            y = _widen(y, moved, n)
-            keep, rim, near = activate(_support_radius(y, dist))
-            y = y[keep]
+        if rim is not None and np.count_nonzero(y[rim]):   # a step could reach the edge
+            s, at = _support_radius(y, dist[keep]), keep
+            if grow is not None and s > r_max - _STEP_REACH:   # ... of the whole ball
+                balls.append(record())
+                dist, rhs_on, moved, ringed = grow(t)
+                if not ringed:   # a ball without a ring is never left
+                    grow = None
+                n, r_max = len(dist), int(dist.max())
+                rows = np.zeros((len(out), n))
+                rows[:k_out + 1, moved] = out[:k_out + 1]
+                out, sq, t_in, ball_evals = rows, np.zeros(n), t, 0
+                at = moved[keep]   # the active positions in the larger ball
+            keep, rim = activate(s)
+            at = np.searchsorted(keep, at)
+            y = _widen(y, at, len(keep))
             if f is not None:
-                f = _widen(f, moved, n)[keep]
-            rows = np.zeros((len(out), n))
-            rows[:k_out + 1, at] = out[:k_out + 1]
-            out, sq, t_in, ball_evals = rows, np.zeros(n), t, 0
+                f = _widen(f, at, len(keep))
+            rhs = None
+            continue
+        if rhs is None:
             rhs = rhs_on(keep)
             K, yi, step, heads = buffers(len(keep))
-            continue
         if f is None:   # size the first step on the ball it runs on
             f = rhs(t, y)
             if not np.isfinite(f).all():
@@ -310,8 +310,7 @@ def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps, grow=None
             if not math.isfinite(err):
                 raise NonFiniteStateError(t)
             raise StepSizeUnderflowError(t, h)
-        steps += 1
-        if steps > max_steps:
+        if accepted + rejected >= max_steps:
             raise SolverError(f"step budget {max_steps} exhausted at t={t}")
         h = min(h, t_end - t)
         K[0] = f
@@ -349,13 +348,6 @@ def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps, grow=None
             max_err_window = 0.0
         accepted += 1
         y, t, f = y_new, t_new, K[6].copy()   # FSAL: last stage is f(t_new, y_new)
-        if rim is not None and np.count_nonzero(y[rim]):   # regrow before the next step
-            grown, rim, near = activate(_support_radius(y, dist[keep]))
-            at_grown = np.searchsorted(grown, keep)
-            y, f = _widen(y, at_grown, len(grown)), _widen(f, at_grown, len(grown))
-            keep = grown
-            rhs = rhs_on(keep)
-            K, yi, step, heads = buffers(len(keep))
         if err == 0.0:
             factor = _MAX_FACTOR
         else:

@@ -166,6 +166,34 @@ def test_stage_telemetry_counts_every_rhs_call(monkeypatch):
     assert fixed.history[0]["active_vertices"] == max(checked.sizes)
 
 
+@pytest.mark.parametrize("data,n0", [
+    ({(k,): 1.0 + 0.1 * k for k in range(-4, 5)}, 10),   # left at t = 0: B_10
+    ({(0,): 1.0}, 2),                                    # left at t = 0: B_2, B_4
+], ids=["support9_n0_10", "delta_n0_2"])
+def test_every_rhs_built_is_evaluated(monkeypatch, data, n0):
+    # an RHS is built right before the first attempt on an active ball, so a
+    # ball the solve leaves at t = 0 builds none
+    z1 = gf.lattice_generator(1)
+    builds = []   # [vertices, calls] of each RHS built
+    make_rhs = solver._make_rhs
+
+    def counted(edges, degrees, p):
+        rhs, build = make_rhs(edges, degrees, p), [len(degrees), 0]
+        builds.append(build)
+
+        def call(t, u):
+            build[1] += 1
+            return rhs(t, u)
+        return call
+    monkeypatch.setattr(solver, "_make_rhs", counted)
+    cfg = gf.SolverConfig(p=3.0, instants=gf.log_instants(0.1, 5.0, 7),
+                          rtol=1e-10, atol=1e-14, n0=n0)
+    traj = gf.solve_cauchy(z1, gf.Field(z1, data), cfg, center=(0,))
+    assert traj.history[0]["t"] == 0.0 and traj.history[0]["rhs_evals"] == 0
+    assert all(calls > 0 for _, calls in builds), builds
+    assert sum(calls for _, calls in builds) == sum(h["rhs_evals"] for h in traj.history)
+
+
 def test_active_ball_smaller_than_the_2d_stage():
     cfg = json.loads((CONFIGS / "lattice2d_p3_decay.json").read_text())
     g = cli.build_generator(cfg["graph"])

@@ -358,6 +358,24 @@ def test_main_eps_within_the_first_balls_rounding_exits_2(tmp_path, capsys):
     assert cli.validate_config(cfg) == []
 
 
+def test_main_eps_within_the_certified_balls_rounding_leaves_no_output(tmp_path, capsys):
+    # eps 4e-15 clears the first ball's floor |B_8| 2^-53 = 1.9e-15, so it
+    # validates; the solve ends on B_32, whose floor 65 * 2^-53 = 7.2e-15
+    # mass_radius rejects.  Only the solve knows the certified radius, so the
+    # error comes after it, but every check runs before the output directory
+    # is made
+    cfg = tiny_config(checks=[{"type": "decay_fit", "window": [0.5, 20]},
+                              {"type": "propagation_fit", "eps": 4e-15,
+                               "window": [0.5, 20]}])
+    assert cli.validate_config(cfg) == []
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert "65 vertices" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_deficit_exits_3_after_one_solve(tmp_path, monkeypatch, capsys):
     # a certified ball loses no mass through its ring, so a larger one would
     # not help: a deficit is a solver failure, with no second solve
