@@ -1,7 +1,8 @@
 """Cauchy flow of a point mass: conservation, monotone norms, decay rate.
 
-The solver runs one integration on a ball that doubles in place before any
-step that could reach its boundary ring; the ball it ends on is certified,
+The solver runs one integration on a ball that grows in place, by a factor
+of 3/2 in radius, before any step that could reach its boundary ring; the
+ball it ends on is certified,
 and the history has one record per ball, with the time it was entered. On Z^1 at p = 3 the sup norm of a finite-mass solution decays
 like t^(-1/4).
 """

@@ -12,13 +12,15 @@ One step spreads exact nonzeros by at most 7 layers (six stage inputs
 plus the FSAL evaluation), so every stage input is exactly 0 on ring
 ``r`` and beyond and the cut edges are exact zero-exterior stubs.  Before
 a step the rule forbids, the active ball regrows around the support, and
-where that edge is the boundary ring the ball first becomes
-``RADIUS_GROWTH`` times larger: the state and the stored rows are widened
-by zeros and stepping goes on with the same integrator state.  No flux
-crosses the truncation, so the ball solve is a solve of the Cauchy
+where that edge is the boundary ring of ``B_R`` the ball first becomes
+``B_ceil(1.5 R)`` (``RADIUS_GROWTH``): the state and the stored rows are
+widened by zeros and stepping goes on with the same integrator state.  No
+flux crosses the truncation, so the ball solve is a solve of the Cauchy
 problem, tagged with the radius of its last ball (the certified radius);
 only integration error remains.  Error norms sum over the whole ball in
-whole-ball order, so the step sequence does not depend on ``r``.
+whole-ball order and divide by the size of the first ball ``B_n0`` for the
+whole run, so the step sequence depends neither on ``r`` nor on the balls
+a solve grows through.
 
 The right-hand side is locally Lipschitz on bounded sets and degenerate
 (not stiff) near flat states, so an explicit pair with adaptive steps is
@@ -81,8 +83,8 @@ def log_instants(t_min, t_max, count):
     return np.geomspace(t_min, t_max, int(count))
 
 
-# factor between the radii of consecutive balls of a growing solve
-RADIUS_GROWTH = 2
+# factor between the radii of consecutive balls of a growing solve (rounded up)
+RADIUS_GROWTH = 1.5
 
 
 @dataclass
@@ -94,7 +96,7 @@ class SolverConfig:
     rtol: float = 1e-8
     atol: float = 1e-12
     n0: int | None = None
-    max_expansions: int = 8
+    max_expansions: int = 13
     max_steps: int = 1_000_000
 
     def __post_init__(self):
@@ -194,7 +196,8 @@ ROW_DIAGNOSTICS = np.dtype([("accepted", np.int64), ("rejected", np.int64),
                             ("max_scaled_error", float), ("clamped", float)])
 
 
-def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps, grow=None):
+def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps, grow=None,
+               norm_size=None):
     """Integrate y' = rhs(t, y) on [0, t_end], dense output at t_eval.
 
     ``dist[i]`` is the center distance of vertex ``i`` and ``rhs_on(keep)``
@@ -208,9 +211,12 @@ def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps, grow=None
     Dirichlet stubs.  A nonzero in the rim moves the run onto the active
     ball ``r = s + 9`` (at most the outer ring) for the support radius
     ``s``.  The right-hand side and the stage buffers are built right
-    before the first attempt on an active ball.  Error norms are RMS values
-    over all entries of the ball the step runs on, summed in whole-ball
-    order, so the step sequence does not depend on the active ball.
+    before the first attempt on an active ball.  Error norms are RMS values:
+    sums of squares over all entries of the ball the step runs on, in
+    whole-ball order, divided by ``norm_size`` (default ``len(y0)``, the
+    first ball's size) for the whole run.  So the step sequence depends
+    neither on the active ball nor on the balls a growing run moves onto,
+    up to the rounding of sums over arrays of different length.
 
     With ``grow``, the rim of an active ball that reaches the outer ring
     ``dist.max()`` is that ring's last 7 layers, and when ``s`` lies in
@@ -251,10 +257,11 @@ def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps, grow=None
     rhs = None   # built right before the first attempt on an active ball
     y = y0[keep].astype(float)
     sq = np.zeros(n)   # squared entries for the RMS, zero outside the active ball
+    size = n if norm_size is None else norm_size
 
     def rms(v):   # summed over all n entries in whole-region order
         sq[keep] = v ** 2
-        return math.sqrt(float(np.add.reduce(sq)) / n)
+        return math.sqrt(float(np.add.reduce(sq)) / size)
 
     def buffers(m):
         # stages, a stage input, the step and error rows, and per stage i
@@ -512,17 +519,20 @@ def solve_truncated(g, u0: Field, cfg: SolverConfig, n, center=None, grow=False)
     t = 0 first.  Each step integrates only the active ball around the
     center that the solution can reach (see :func:`_integrate`); the
     stored rows are full-length and equal to a whole-ball solve up to
-    rounding.
+    rounding.  Every error norm divides by ``|B_n0|`` for ``n0 =
+    first_radius(u0, cfg, center)``, counted in ``B_n`` (all of ``B_n``
+    when it is the smaller ball), so the steps do not depend on ``n`` or
+    on the balls a growing solve moves onto.
 
     A fixed ball (``grow=False``) may let the solution reach its boundary
     ring and leak through it.  With ``grow``, the solve moves onto the ball
-    ``RADIUS_GROWTH`` times larger before each step, the first one
-    included, whose stage inputs could be nonzero on the ring, and goes on
-    there with the same integrator state, so no flux ever crosses the
-    truncation and the trajectory is certified.  A ball without stubs (one
-    that covers a finite graph) has no ring to reach and is never left.
-    Raises :class:`TruncationConvergenceError` when the solution would
-    have to leave the ``max_expansions``-th ball.
+    of radius ``ceil(RADIUS_GROWTH * R)`` before each step, the first one
+    included, whose stage inputs could be nonzero on the ring of ``B_R``,
+    and goes on there with the same integrator state, so no flux ever
+    crosses the truncation and the trajectory is certified.  A ball
+    without stubs (one that covers a finite graph) has no ring to reach
+    and is never left.  Raises :class:`TruncationConvergenceError` when
+    the solution would have to leave the ``max_expansions``-th ball.
 
     The returned ``history`` has one record per ball the solve was on: the
     radius ``n``, its ``vertices`` and ``edges`` (internal edges plus
@@ -534,42 +544,54 @@ def solve_truncated(g, u0: Field, cfg: SolverConfig, n, center=None, grow=False)
     largest stored boundary sup after t = 0.
     """
     center = _resolve_center(g, u0, center)
-    balls = []   # (radius, region, edges) of each ball the solve was on
+    region = ball(g, center, n)
+    return _solve_on(g, u0, cfg, region, region_edges(g, region),
+                     _norm_size(region, first_radius(u0, cfg, center)), grow)
 
-    def enter(radius):
-        region = ball(g, center, radius)
-        edges = region_edges(g, region)
-        balls.append((radius, region, edges))
 
+def _norm_size(region, n0):
+    """``|B_n0|`` counted in the ball ``region``: what error norms divide by."""
+    return int(np.count_nonzero(region.distances <= n0))
+
+
+def _solve_on(g, u0, cfg, region, edges, norm_size, grow=False):
+    """:func:`solve_truncated` on the built ball ``region`` with its ``edges``."""
+    balls = [(region, edges)]   # each ball the solve was on
+
+    def on(region, edges):
         def rhs_on(keep):   # looks up the module's _make_rhs for every sub-ball
             return _make_rhs(edges.restrict(keep), region.degrees[keep], cfg.p)
-        return region, rhs_on, len(edges.bi) > 0
+        return rhs_on
 
     def grow_ball(t):
-        radius, region, _ = balls[-1]
+        smaller = balls[-1][0]
         if len(balls) >= cfg.max_expansions:
             raise TruncationConvergenceError(
                 f"the solution reached the boundary ring of each of {len(balls)} balls "
-                f"(last radius {radius}, at t={t!r})")
-        larger, rhs_on, ringed = enter(RADIUS_GROWTH * radius)
-        return larger.distances, rhs_on, _positions(larger, region), ringed
+                f"(last radius {smaller.radius}, at t={t!r})")
+        larger = ball(g, smaller.center, math.ceil(RADIUS_GROWTH * smaller.radius))
+        edges = region_edges(g, larger)
+        balls.append((larger, edges))
+        return (larger.distances, on(larger, edges), _positions(larger, smaller),
+                len(edges.bi) > 0)
 
-    region, rhs_on, ringed = enter(n)
     for v in u0.support():
         if v not in region:
-            raise ValueError(f"data support at {v!r} lies outside B_{n}({center!r})")
+            raise ValueError(f"data support at {v!r} lies outside "
+                             f"B_{region.radius}({region.center!r})")
     y0 = np.zeros(len(region))
     for v, x in u0.values.items():
         y0[region.index[v]] = x
-    Y, diag = _integrate(rhs_on, region.distances, y0, float(cfg.instants[-1]),
+    Y, diag = _integrate(on(region, edges), region.distances, y0, float(cfg.instants[-1]),
                          cfg.instants, cfg.rtol, cfg.atol, cfg.max_steps,
-                         grow=grow_ball if grow and ringed else None)
-    _, region, edges = balls[-1]
+                         grow=grow_ball if grow and len(edges.bi) else None,
+                         norm_size=norm_size)
+    region, edges = balls[-1]
     times = np.concatenate([[0.0], cfg.instants])
     diagnostics = {name: diag[name] for name in ROW_DIAGNOSTICS.names}
     traj = Trajectory(cfg, region, edges, times, Y, diagnostics, certified=grow)
-    traj.history = [{"n": radius, "vertices": len(reg), "edges": len(e.ei) + len(e.bi),
-                     **counts} for (radius, reg, e), counts in zip(balls, diag["balls"])]
+    traj.history = [{"n": reg.radius, "vertices": len(reg), "edges": len(e.ei) + len(e.bi),
+                     **counts} for (reg, e), counts in zip(balls, diag["balls"])]
     traj.history[-1]["boundary_leak"] = float(traj.boundary_sups[1:].max(initial=0.0))
     return traj
 
@@ -578,11 +600,13 @@ def solve_cauchy(g, u0: Field, cfg: SolverConfig, center=None):
     """Solve the Cauchy problem on a ball that grows in place.
 
     One :func:`solve_truncated` solve with ``grow``, from ``n0`` (default:
-    the data's support radius plus 8).  Every stage input of every step
-    is exactly 0 on the ring of the ball the step ran on, so no flux
-    crossed the truncation: the trajectory is certified, at the radius of
-    the last ball, and is that of the Cauchy problem up to integration
-    error.  ``history`` holds one record per ball.
+    the data's support radius plus 8).  Each growth moves from ``B_R`` to
+    ``B_ceil(1.5 R)``, and every error norm divides by ``|B_n0|``.  Every
+    stage input of every step is exactly 0 on the ring of the ball the
+    step ran on, so no flux crossed the truncation: the trajectory is
+    certified, at the radius of the last ball, and is that of the Cauchy
+    problem up to integration error.  ``history`` holds one record per
+    ball.
     """
     center = _resolve_center(g, u0, center)
     return solve_truncated(g, u0, cfg, first_radius(u0, cfg, center), center=center,
@@ -605,15 +629,23 @@ def first_radius(u0: Field, cfg: SolverConfig, center):
 def comparison_check(g, u01: Field, u02: Field, cfg: SolverConfig, center=None):
     """Worst signed gap ``min (u1 - u2)`` for ordered data ``u01 >= u02``.
 
-    Both problems are solved with the same schedule (the certified radius
-    of the larger datum); order preservation means the result is bounded
-    below by solver noise.
+    ``u01`` is solved by :func:`solve_cauchy`; ``u02`` on the same ball,
+    fixed, with the same error norm.  Order preservation means the result
+    is bounded below by solver noise.  Raises
+    :class:`TruncationConvergenceError` when the solution of ``u02``
+    reaches that ball's ring, where its gap would hold truncation error.
     """
     if not u01.dominates(u02):
         raise ValueError("precondition u01 >= u02 violated")
     center = _resolve_center(g, u01, center)
     traj1 = solve_cauchy(g, u01, cfg, center=center)
-    traj2 = solve_truncated(g, u02, cfg, traj1.region.radius, center=center)
+    traj2 = _solve_on(g, u02, cfg, traj1.region, traj1.edges,
+                      _norm_size(traj1.region, first_radius(u01, cfg, center)))
+    leak = traj2.history[-1]["boundary_leak"]
+    if leak > 0.0:
+        raise TruncationConvergenceError(
+            f"the solution of the smaller datum reached the boundary ring of "
+            f"B_{traj1.region.radius} (boundary sup {leak!r})")
     return float((traj1.values - traj2.values).min())
 
 

@@ -199,8 +199,8 @@ def test_active_ball_smaller_than_the_2d_stage():
     g = cli.build_generator(cfg["graph"])
     u0, center = cli.build_initial_field(g, cfg["initial_data"])
     traj = gf.solve_cauchy(g, u0, cli.build_solver_config(cfg["solver"]), center=center)
-    stage = next(h for h in traj.history if h["n"] == 32)
-    assert stage["active_vertices"] < stage["vertices"] == len(gf.ball(g, center, 32))
+    stage = next(h for h in traj.history if h["n"] == 36)
+    assert stage["active_vertices"] < stage["vertices"] == len(gf.ball(g, center, 36))
 
 
 def test_manifest_records_stage_telemetry(tmp_path):

@@ -360,7 +360,7 @@ def test_main_eps_within_the_first_balls_rounding_exits_2(tmp_path, capsys):
 
 def test_main_eps_within_the_certified_balls_rounding_leaves_no_output(tmp_path, capsys):
     # eps 4e-15 clears the first ball's floor |B_8| 2^-53 = 1.9e-15, so it
-    # validates; the solve ends on B_32, whose floor 65 * 2^-53 = 7.2e-15
+    # validates; the solve ends on B_18, whose floor 37 * 2^-53 = 4.1e-15
     # mass_radius rejects.  Only the solve knows the certified radius, so the
     # error comes after it, but every check runs before the output directory
     # is made
@@ -372,7 +372,7 @@ def test_main_eps_within_the_certified_balls_rounding_leaves_no_output(tmp_path,
     cfg_path.write_text(json.dumps(cfg))
     out = tmp_path / "out"
     assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
-    assert "65 vertices" in capsys.readouterr().err
+    assert "37 vertices" in capsys.readouterr().err
     assert not out.exists()
 
 

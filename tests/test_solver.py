@@ -226,6 +226,17 @@ def test_comparison_scaled_pair(z1):
     assert gap >= -1e-8 * 1.0
 
 
+def test_comparison_partner_that_reaches_the_ring_is_a_typed_error(z1):
+    # the partner runs on the certified ball of u01, fixed; a far larger
+    # negative datum spreads past it, so its gap would hold truncation error
+    cfg = gf.SolverConfig(p=3.0, instants=gf.log_instants(0.1, 5.0, 7),
+                          rtol=1e-10, atol=1e-14)
+    u01 = gf.delta_field(z1, (0,), 1.0)
+    assert gf.comparison_check(z1, u01, gf.delta_field(z1, (0,), -1.0), cfg) >= -1e-8
+    with pytest.raises(TruncationConvergenceError, match="smaller datum reached"):
+        gf.comparison_check(z1, u01, gf.delta_field(z1, (0,), -1000.0), cfg)
+
+
 def test_comparison_precondition_enforced(z1, short_cfg):
     u01 = gf.Field(z1, {(0,): 1.0})
     u02 = gf.Field(z1, {(1,): 1.0})
@@ -330,11 +341,11 @@ def test_finite_graph_fully_covered_has_no_boundary():
 
 
 def test_finite_graph_covered_after_growth_is_never_left():
-    # a 20-cycle: B_2, B_4 and B_8 have stubs, B_16 holds the whole cycle
+    # a 20-cycle: B_2, B_3, B_5 and B_8 have stubs, B_12 holds the whole cycle
     g = gf.generator_from_edges([(k, (k + 1) % 20, 1.0) for k in range(20)])
     cfg = gf.SolverConfig(p=3.0, instants=gf.log_instants(0.1, 200.0, 9), n0=2)
     traj = gf.solve_cauchy(g, gf.delta_field(g, 0), cfg)
-    assert traj.certified and [h["n"] for h in traj.history] == [2, 4, 8, 16]
+    assert traj.certified and [h["n"] for h in traj.history] == [2, 3, 5, 8, 12]
     assert len(traj.edges.bi) == 0 and len(traj.region) == 20
     m0 = traj.masses[0]
     assert np.abs(traj.masses - m0).max() <= 1e-12 * m0
