@@ -4,8 +4,10 @@ Infinite graphs are represented by a neighbor oracle ``x -> [(y, w), ...]``
 and are never materialized globally; only combinatorial balls are turned
 into concrete :class:`Region` objects.  Vertex ids are hashable values with
 a per-generator total order (integer coordinate tuples for lattices and
-products, file insertion order for custom graphs), which fixes every
-summation order and makes runs bitwise reproducible.
+products, file insertion order for custom graphs).  A ball lists its
+vertices ring by ring, in that order within a ring, so ``B_r`` is the
+first ``|B_r|`` vertices of every larger ball about the same center.
+This fixes every summation order and makes runs bitwise reproducible.
 
 Degrees are always those of the full graph, so boundary vertices of a
 truncated region carry the same weighted degree ``d_w(x)`` as in the
@@ -22,6 +24,7 @@ region takes the oracle loop for its edges.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import add
 
 import numpy as np
@@ -91,8 +94,10 @@ class GraphGenerator:
 class Region:
     """Finite materialized vertex set with oracle degrees cached.
 
-    ``vertices`` are in canonical order; ``distances`` holds combinatorial
-    distances from ``center`` when the region is a ball, else ``None``.
+    ``vertices`` are in canonical order, ring order on a ball, whose
+    ``distances`` from ``center`` are then nondecreasing (``None`` on any
+    other region).  ``index`` maps each vertex to its position, built on
+    first use.
     ``coords`` is the ``(n, N)`` int64 coordinate array of a ball built by
     :func:`ball` on ``Z^N`` whose padded bounding box has int64 keys, which
     selects the key-lookup edge build; ``None`` on every other region.
@@ -104,12 +109,11 @@ class Region:
     center: object = None
     radius: int | None = None
     distances: np.ndarray | None = None
-    index: dict = field(default=None, repr=False)
     coords: np.ndarray | None = field(init=False, default=None, repr=False)
 
-    def __post_init__(self):
-        if self.index is None:
-            self.index = {v: i for i, v in enumerate(self.vertices)}
+    @cached_property
+    def index(self):
+        return {v: i for i, v in enumerate(self.vertices)}
 
     @property
     def measure(self):
@@ -165,7 +169,8 @@ def ball(g, x0, R):
 
     On ``Z^N`` the l1 ball ``|x - x0|_1 <= R`` in closed form, elsewhere a
     BFS from ``x0`` truncated at radius ``R``; degrees are those of the
-    full graph, not the truncation.
+    full graph, not the truncation.  The vertices come in ring order, by
+    distance and then by ``g.sort_key``.
     """
     if R < 0 or int(R) != R:
         raise ValueError(f"radius must be a nonnegative integer, got {R}")
@@ -173,16 +178,19 @@ def ball(g, x0, R):
         g.degree(x0)  # validates the id
         if max(map(abs, x0)) + R < _KEY_LIMIT:
             return _lattice_ball(g, x0, int(R))
-    dist = {v: d for d, ring in enumerate(rings(g, x0, int(R))) for v in ring}
-    verts = sorted(dist, key=g.sort_key)
+    verts, dists = [], []
+    for d, ring in enumerate(rings(g, x0, int(R))):
+        verts += sorted(ring, key=g.sort_key)
+        dists += [d] * len(ring)
     degs = np.array([g.degree(v) for v in verts])
-    dists = np.array([dist[v] for v in verts], dtype=np.int64)
-    return Region(g, tuple(verts), degs, center=x0, radius=int(R), distances=dists)
+    return Region(g, tuple(verts), degs, center=x0, radius=int(R),
+                  distances=np.array(dists, dtype=np.int64))
 
 
 def _lattice_ball(g, x0, R):
     # B_R(x0) on Z^N in lexicographic order, one coordinate at a time: a
-    # prefix with l1 budget b left takes the values -b..b, in order, next
+    # prefix with l1 budget b left takes the values -b..b, in order, next;
+    # then stably by distance, into ring order
     offs = np.zeros((1, 0), dtype=np.int64)
     left = np.array([R], dtype=np.int64)
     for _ in range(g.dimension):
@@ -191,10 +199,11 @@ def _lattice_ball(g, x0, R):
         c = np.arange(len(parent)) - (np.cumsum(width) - width + left)[parent]
         offs = np.column_stack([offs[parent], c])
         left = left[parent] - np.abs(c)
-    coords = offs + np.array(x0, dtype=np.int64)
+    order = np.argsort(R - left, kind="stable")
+    coords = offs[order] + np.array(x0, dtype=np.int64)
     region = Region(g, tuple(zip(*coords.T.tolist())),
                     np.full(len(coords), float(len(g.unit_offsets))),
-                    center=x0, radius=R, distances=R - left)
+                    center=x0, radius=R, distances=(R - left)[order])
     if (2 * R + 3) ** g.dimension < _KEY_LIMIT:   # the padded box has int64 keys
         region.coords = coords
     return region
@@ -332,28 +341,21 @@ class RegionEdges:
         return (np.abs(F[..., self.ej] - F[..., self.ei]) ** a @ self.w
                 + np.abs(F[..., self.bi]) ** a @ self.bw)
 
-    def restrict(self, keep):
-        """Edge arrays of the sub-region ``keep`` (increasing region indices).
+    def restrict(self, m):
+        """Edge arrays of the sub-region of the first ``m`` vertices.
 
-        Vertex order and the order of the surviving internal edges are
-        preserved; an internal edge with one end outside ``keep`` becomes a
-        stub of the end inside, so the sub-region sees a zero exterior
-        there.  A ``keep`` that covers the region returns ``self``.
+        On a ball that is the ball ``B_r`` of size ``m``.  Internal edges
+        keep their order; one with ``ei < m <= ej`` becomes a stub of its
+        tail, a zero exterior there.  ``m = n`` returns ``self``.
         """
-        if len(keep) == self.n:
+        if m == self.n:
             return self
-        pos = np.full(self.n, -1, dtype=np.int64)
-        pos[keep] = np.arange(len(keep))
-        pi, pj, pb = pos[self.ei], pos[self.ej], pos[self.bi]
-        inner = (pi >= 0) & (pj >= 0)
-        cut_i = (pi >= 0) & (pj < 0)
-        cut_j = (pj >= 0) & (pi < 0)
-        stub = pb >= 0
-        return RegionEdges(
-            pi[inner], pj[inner], self.w[inner],
-            np.concatenate([pb[stub], pi[cut_i], pj[cut_j]]),
-            np.concatenate([self.bw[stub], self.w[cut_i], self.w[cut_j]]),
-            len(keep))
+        inner = self.ej < m   # then ei < m too
+        cut = (self.ei < m) & ~inner
+        stub = self.bi < m
+        return RegionEdges(self.ei[inner], self.ej[inner], self.w[inner],
+                           np.concatenate([self.bi[stub], self.ei[cut]]),
+                           np.concatenate([self.bw[stub], self.w[cut]]), m)
 
 
 def region_edges(g, region):

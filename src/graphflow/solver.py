@@ -13,14 +13,15 @@ plus the FSAL evaluation), so every stage input is exactly 0 on ring
 ``r`` and beyond and the cut edges are exact zero-exterior stubs.  Before
 a step the rule forbids, the active ball regrows around the support, and
 where that edge is the boundary ring of ``B_R`` the ball first becomes
-``B_ceil(1.5 R)`` (``RADIUS_GROWTH``): the state and the stored rows are
-widened by zeros and stepping goes on with the same integrator state.  No
-flux crosses the truncation, so the ball solve is a solve of the Cauchy
-problem, tagged with the radius of its last ball (the certified radius);
-only integration error remains.  Error norms sum over the whole ball in
-whole-ball order and divide by the size of the first ball ``B_n0`` for the
-whole run, so the step sequence depends neither on ``r`` nor on the balls
-a solve grows through.
+``B_ceil(1.5 R)`` (``RADIUS_GROWTH``).  A ball lists its vertices ring by
+ring, so the active ball and every smaller ball are prefixes of it: the
+state and the stored rows are padded with zero columns and stepping goes
+on with the same integrator state.  No flux crosses the truncation, so
+the ball solve is a solve of the Cauchy problem, tagged with the radius
+of its last ball (the certified radius); only integration error remains.
+Error norms sum over the whole ball and divide by the size of the first
+ball ``B_n0`` for the whole run, so the step sequence depends neither on
+``r`` nor on the balls a solve grows through.
 
 The right-hand side is locally Lipschitz on bounded sets and degenerate
 (not stiff) near flat states, so an explicit pair with adaptive steps is
@@ -180,15 +181,9 @@ _ACTIVE_SLACK = 2
 
 
 def _support_radius(y, dist):
-    """Largest ``dist`` of a nonzero entry of ``y`` (0 for the zero state)."""
-    nz = dist[y != 0.0]
-    return int(nz.max()) if len(nz) else 0
-
-
-def _widen(v, at, m):
-    out = np.zeros(m)
-    out[at] = v
-    return out
+    """``dist`` at the last nonzero of ``y``, its support radius (0 if none)."""
+    nz = np.flatnonzero(y)
+    return int(dist[nz[-1]]) if len(nz) else 0
 
 
 # the solver diagnostics of one stored row
@@ -200,35 +195,35 @@ def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps, grow=None
                norm_size=None):
     """Integrate y' = rhs(t, y) on [0, t_end], dense output at t_eval.
 
-    ``dist[i]`` is the center distance of vertex ``i`` and ``rhs_on(keep)``
-    builds the right-hand side on the vertices ``keep`` (increasing
-    indices) with a zero exterior.  Steps run on the active ball
-    ``dist <= r`` only, under one rule kept at one site, the top of the
-    step loop: no step starts with a nonzero in the rim, the last 7 layers
-    of the active ball.  One step spreads exact nonzeros by at most 7
-    layers (6 stage inputs plus the FSAL evaluation), so every stage input
-    is then exactly 0 from ring ``r`` on and the cut edges are exact
-    Dirichlet stubs.  A nonzero in the rim moves the run onto the active
-    ball ``r = s + 9`` (at most the outer ring) for the support radius
-    ``s``.  The right-hand side and the stage buffers are built right
+    ``dist[i]`` is the center distance of vertex ``i``, nondecreasing (a
+    ball in ring order), and ``rhs_on(m)`` builds the right-hand side on
+    the first ``m`` vertices with a zero exterior.  Steps run on the active
+    ball ``dist <= r``, a prefix, only, under one rule kept at one site,
+    the top of the step loop: no step starts with a nonzero in the rim,
+    the last 7 layers of the active ball.  One step spreads exact nonzeros
+    by at most 7 layers (6 stage inputs plus the FSAL evaluation), so
+    every stage input is then exactly 0 from ring ``r`` on and the cut
+    edges are exact Dirichlet stubs.  A nonzero in the rim moves the run
+    onto the active ball ``r = s + 9`` (at most the outer ring) for the
+    support radius ``s``.  The right-hand side and the stage buffers are built right
     before the first attempt on an active ball.  Error norms are RMS values:
-    sums of squares over all entries of the ball the step runs on, in
-    whole-ball order, divided by ``norm_size`` (default ``len(y0)``, the
-    first ball's size) for the whole run.  So the step sequence depends
+    sums of squares over all entries of the ball the step runs on (zero
+    past the active ball), divided by ``norm_size`` (default ``len(y0)``,
+    the first ball's size) for the whole run.  So the step sequence depends
     neither on the active ball nor on the balls a growing run moves onto,
     up to the rounding of sums over arrays of different length.
 
     With ``grow``, the rim of an active ball that reaches the outer ring
     ``dist.max()`` is that ring's last 7 layers, and when ``s`` lies in
-    them the run first moves onto a larger ball.  ``grow(t)`` returns its
-    ``dist`` and ``rhs_on``, the positions ``at`` of the current vertices
-    in it, and whether it has a ring to reach (a ball that covers a finite
-    graph has none).  The state, the FSAL value and the stored rows are
-    widened by zeros, and stepping goes on with the same step size,
-    controller state and counters: nothing is redone.  Without ``grow`` the
-    ball is fixed, and the solution may reach its ring.
+    them the run first moves onto a larger ball, the current one its
+    prefix.  ``grow(t)`` returns its ``dist`` and ``rhs_on`` and whether
+    it has a ring to reach (a ball that covers a finite graph has none).
+    The state, the FSAL value and the stored rows are padded with zero
+    columns, and stepping goes on with the same step size, controller
+    state and counters: nothing is redone.  Without ``grow`` the ball is
+    fixed, and the solution may reach its ring.
 
-    Returns ``(Y, diag)`` where ``Y[0]`` is ``y0`` (widened to the last
+    Returns ``(Y, diag)`` where ``Y[0]`` is ``y0`` (padded to the last
     ball) and ``Y[k + 1]`` the solution at ``t_eval[k]``, all rows in one
     buffer.  Each row is final when written: for nonnegative ``y0`` it is
     clamped at 0.  ``diag`` holds one entry per stored row, t = 0 first
@@ -245,22 +240,23 @@ def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps, grow=None
     r_max = int(dist.max())
 
     def activate(s):
-        # the active ball for a state supported within distance s, and its
-        # rim (None when its edge is the ring of a ball that is never left)
+        # the active ball's size for a state supported within distance s,
+        # and its rim's start (None when its edge is the ring of a ball that
+        # is never left)
         r = min(s + _STEP_REACH + _ACTIVE_SLACK, r_max)
-        keep = np.flatnonzero(dist <= r)
+        m = int(np.searchsorted(dist, r, side="right"))
         if r == r_max and grow is None:
-            return keep, None
-        return keep, np.flatnonzero(dist[keep] > r - _STEP_REACH)
+            return m, None
+        return m, int(np.searchsorted(dist, r - _STEP_REACH, side="right"))
 
-    keep, rim = activate(_support_radius(y0, dist))
+    m, rim = activate(_support_radius(y0, dist))
     rhs = None   # built right before the first attempt on an active ball
-    y = y0[keep].astype(float)
+    y = y0[:m].astype(float)
     sq = np.zeros(n)   # squared entries for the RMS, zero outside the active ball
     size = n if norm_size is None else norm_size
 
-    def rms(v):   # summed over all n entries in whole-region order
-        sq[keep] = v ** 2
+    def rms(v):   # summed over all n entries: a sum over the prefix rounds differently
+        sq[:len(v)] = v ** 2
         return math.sqrt(float(np.add.reduce(sq)) / size)
 
     def buffers(m):
@@ -282,31 +278,29 @@ def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps, grow=None
 
     def record():
         return {"t": t_in, "rhs_evals": ball_evals, "accepted": accepted,
-                "rejected": rejected, "active_vertices": len(keep)}
+                "rejected": rejected, "active_vertices": m}
 
     while t < t_end:
-        if rim is not None and np.count_nonzero(y[rim]):   # a step could reach the edge
-            s, at = _support_radius(y, dist[keep]), keep
+        if rim is not None and y[rim:].any():   # a step could reach the edge
+            s = _support_radius(y, dist)
             if grow is not None and s > r_max - _STEP_REACH:   # ... of the whole ball
                 balls.append(record())
-                dist, rhs_on, moved, ringed = grow(t)
+                dist, rhs_on, ringed = grow(t)
                 if not ringed:   # a ball without a ring is never left
                     grow = None
+                rows = np.zeros((len(out), len(dist)))
+                rows[:k_out + 1, :n] = out[:k_out + 1]
                 n, r_max = len(dist), int(dist.max())
-                rows = np.zeros((len(out), n))
-                rows[:k_out + 1, moved] = out[:k_out + 1]
                 out, sq, t_in, ball_evals = rows, np.zeros(n), t, 0
-                at = moved[keep]   # the active positions in the larger ball
-            keep, rim = activate(s)
-            at = np.searchsorted(keep, at)
-            y = _widen(y, at, len(keep))
+            m, rim = activate(s)
+            y = np.pad(y, (0, m - len(y)))
             if f is not None:
-                f = _widen(f, at, len(keep))
+                f = np.pad(f, (0, m - len(f)))
             rhs = None
             continue
         if rhs is None:
-            rhs = rhs_on(keep)
-            K, yi, step, heads = buffers(len(keep))
+            rhs = rhs_on(m)
+            K, yi, step, heads = buffers(m)
         if f is None:   # size the first step on the ball it runs on
             f = rhs(t, y)
             if not np.isfinite(f).all():
@@ -350,7 +344,7 @@ def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps, grow=None
                 undershoot = max(0.0, -row.min())
                 np.maximum(row, 0.0, out=row)
             k_out += 1
-            out[k_out, keep] = row
+            out[k_out, :m] = row
             table[k_out] = (accepted + 1, rejected, max_err_window, undershoot)
             max_err_window = 0.0
         accepted += 1
@@ -493,11 +487,6 @@ def _resolve_center(g, u0: Field, center):
                key=lambda kv: (-abs(kv[1]), g.sort_key(kv[0])))[0]
 
 
-def _positions(region, sub):
-    """Index in ``region`` of each vertex of the sub-region ``sub``."""
-    return np.array([region.index[v] for v in sub.vertices], dtype=np.int64)
-
-
 def _make_rhs(edges, degrees, p):
     div = edges.divergence(p)
 
@@ -517,19 +506,19 @@ def solve_truncated(g, u0: Field, cfg: SolverConfig, n, center=None, grow=False)
     and its diagnostics are final when :func:`_integrate` writes them
     (clamped at 0 for nonnegative data), one diagnostics entry per row,
     t = 0 first.  Each step integrates only the active ball around the
-    center that the solution can reach (see :func:`_integrate`); the
-    stored rows are full-length and equal to a whole-ball solve up to
-    rounding.  Every error norm divides by ``|B_n0|`` for ``n0 =
-    first_radius(u0, cfg, center)``, counted in ``B_n`` (all of ``B_n``
-    when it is the smaller ball), so the steps do not depend on ``n`` or
-    on the balls a growing solve moves onto.
+    center that the solution can reach (see :func:`_integrate`), a prefix
+    of the ball; the stored rows are full-length and equal to a whole-ball
+    solve up to rounding.  Every error norm divides by ``|B_n0|`` for
+    ``n0 = first_radius(u0, cfg, center)``, counted in ``B_n`` (all of
+    ``B_n`` when it is the smaller ball), so the steps do not depend on
+    ``n`` or on the balls a growing solve moves onto.
 
     A fixed ball (``grow=False``) may let the solution reach its boundary
     ring and leak through it.  With ``grow``, the solve moves onto the ball
     of radius ``ceil(RADIUS_GROWTH * R)`` before each step, the first one
     included, whose stage inputs could be nonzero on the ring of ``B_R``,
-    and goes on there with the same integrator state, so no flux ever
-    crosses the truncation and the trajectory is certified.  A ball
+    and goes on there, its prefix ``B_R``, with the same integrator state,
+    so no flux ever crosses the truncation and the trajectory is certified.  A ball
     without stubs (one that covers a finite graph) has no ring to reach
     and is never left.  Raises :class:`TruncationConvergenceError` when
     the solution would have to leave the ``max_expansions``-th ball.
@@ -559,8 +548,8 @@ def _solve_on(g, u0, cfg, region, edges, norm_size, grow=False):
     balls = [(region, edges)]   # each ball the solve was on
 
     def on(region, edges):
-        def rhs_on(keep):   # looks up the module's _make_rhs for every sub-ball
-            return _make_rhs(edges.restrict(keep), region.degrees[keep], cfg.p)
+        def rhs_on(m):   # looks up the module's _make_rhs for every sub-ball
+            return _make_rhs(edges.restrict(m), region.degrees[:m], cfg.p)
         return rhs_on
 
     def grow_ball(t):
@@ -572,8 +561,7 @@ def _solve_on(g, u0, cfg, region, edges, norm_size, grow=False):
         larger = ball(g, smaller.center, math.ceil(RADIUS_GROWTH * smaller.radius))
         edges = region_edges(g, larger)
         balls.append((larger, edges))
-        return (larger.distances, on(larger, edges), _positions(larger, smaller),
-                len(edges.bi) > 0)
+        return larger.distances, on(larger, edges), len(edges.bi) > 0
 
     for v in u0.support():
         if v not in region:

@@ -71,10 +71,10 @@ def _solve(monkeypatch, g, u0, cfg, center, slack=None):
             m.setattr(solver, "_ACTIVE_SLACK", slack)
         original_restrict = gf.graphs.RegionEdges.restrict
 
-        def restrict(edges, keep):
-            checked.partial = len(keep) < edges.n
-            checked.ring = np.flatnonzero(np.isin(keep, edges.bi))
-            return original_restrict(edges, keep)
+        def restrict(edges, m):   # the sub-ball of the first m vertices
+            checked.partial = m < edges.n
+            checked.ring = np.unique(edges.bi[edges.bi < m])
+            return original_restrict(edges, m)
         m.setattr(gf.graphs.RegionEdges, "restrict", restrict)
         traj = gf.solve_cauchy(g, u0, cfg, center=center)
     return traj, checked

@@ -43,7 +43,8 @@ def test_lattice_bfs_is_l1(case, R):
             assert gf.distance(g, x0, v, d - 1) is None
     b = gf.ball(g, x0, R)
     box = itertools.product(*[range(c - R, c + R + 1) for c in x0])
-    inside = sorted(v for v in box if l1(x0, v) <= R)
+    # ring order: by distance, then lexicographically within a ring
+    inside = sorted((v for v in box if l1(x0, v) <= R), key=lambda v: (l1(x0, v), v))
     assert list(b.vertices) == inside
     assert list(b.distances) == [l1(x0, v) for v in inside]
     f = gf.Field(g, {v: 1.0 for v in support})

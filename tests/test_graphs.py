@@ -80,8 +80,8 @@ def test_ball_z1(z1):
     b = gf.ball(z1, (0,), 2)
     assert len(b) == 5
     assert b.measure == 10.0
-    assert b.vertices == ((-2,), (-1,), (0,), (1,), (2,))
-    assert list(b.distances) == [2, 1, 0, 1, 2]
+    assert b.vertices == ((0,), (-1,), (1,), (-2,), (2,))
+    assert list(b.distances) == [0, 1, 1, 2, 2]
 
 
 def test_ball_z2_r1(z2):
@@ -201,15 +201,15 @@ def test_restrict_matches_edges_of_the_sub_ball(graph):
     center = (0, 0)
     big = gf.ball(g, center, 6)
     edges = region_edges(g, big)
-    keep = np.flatnonzero(big.distances <= 3)
-    sub = edges.restrict(keep)
     small = gf.ball(g, center, 3)
-    assert tuple(big.vertices[i] for i in keep) == small.vertices
+    m = len(small)
+    assert big.vertices[:m] == small.vertices
+    sub = edges.restrict(m)
     ref = region_edges(g, small)
     # internal edges keep their order; cut edges become stubs of their inside end
     for name in ("ei", "ej", "w"):
         assert np.array_equal(getattr(sub, name), getattr(ref, name)), name
-    assert sub.n == ref.n == len(keep)
+    assert sub.n == ref.n == m
     assert sorted(zip(sub.bi.tolist(), sub.bw.tolist())) == \
         sorted(zip(ref.bi.tolist(), ref.bw.tolist()))
-    assert edges.restrict(np.arange(len(big))) is edges
+    assert edges.restrict(len(big)) is edges

@@ -164,12 +164,12 @@ def _weighted_ball_edges():
 
 
 def _sub_ball_edges(g, x0, R, r):
-    # B_r cut out of B_R's edge arrays: the cut edges become stubs of B_r
+    # B_r cut out of B_R's edge arrays, whose first |B_r| vertices it is:
+    # the cut edges become stubs of B_r
     g, region, edges = _ball_edges(g, x0, R)
-    keep = np.flatnonzero(region.distances <= r)
-    sub = gf.region_from_vertices(g, [region.vertices[i] for i in keep])
-    assert list(sub.vertices) == [region.vertices[i] for i in keep]
-    return g, sub, edges.restrict(keep)
+    sub = gf.ball(g, x0, r)
+    assert region.vertices[:len(sub)] == sub.vertices
+    return g, sub, edges.restrict(len(sub))
 
 
 # every maker is a lambda, so the case ids stay <lambda>0, <lambda>1, ...

@@ -18,8 +18,7 @@ import pytest
 import graphflow as gf
 from graphflow import cli
 from graphflow.graphs import region_edges
-from graphflow.solver import (RADIUS_GROWTH, TruncationConvergenceError, _integrate,
-                              _make_rhs, _positions)
+from graphflow.solver import RADIUS_GROWTH, TruncationConvergenceError, _integrate, _make_rhs
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -56,14 +55,13 @@ def _kept_on(g, u0, cfg, center, radii):
 
     def rhs_on(region):
         edges = region_edges(g, region)
-        return lambda keep: _make_rhs(edges.restrict(keep), region.degrees[keep], cfg.p)
+        return lambda m: _make_rhs(edges.restrict(m), region.degrees[:m], cfg.p)
 
     def grow(t):
         k = len(grown) + 1
         grown.append(t)
         # report no ring on the last ball, so that it is never left
-        return (regions[k].distances, rhs_on(regions[k]),
-                _positions(regions[k], regions[k - 1]), k + 1 < len(regions))
+        return regions[k].distances, rhs_on(regions[k]), k + 1 < len(regions)
 
     grown = []
     y0 = np.zeros(len(regions[0]))
@@ -89,8 +87,10 @@ def test_resumed_rows_are_the_previous_rows_widened_by_zeros(case):
             fixed = gf.solve_truncated(g, u0, cfg, radii[0], center=center)
             assert _same_bits(fixed.values, Y)
         m = int(np.count_nonzero(traj.times <= after["t"] * (1 + 1e-15)))
+        # each ball is the first vertices of the next
+        assert traj.region.vertices[:len(region)] == region.vertices
         widened = np.zeros((m, len(traj.region)))
-        widened[:, _positions(traj.region, region)] = Y[:m]
+        widened[:, :len(region)] = Y[:m]
         assert _same_bits(traj.values[:m], widened)
         for key, arr in traj.diagnostics.items():
             assert _same_bits(arr[:m], diag[key][:m]), key
@@ -119,8 +119,8 @@ def test_each_stage_resumes_where_the_stage_before_it_stopped(case):
 
 
 def test_resume_needs_a_smaller_ball_about_the_same_center():
-    # the solve resumes only on a larger ball about its own center, so every
-    # vertex of the ball it leaves has a place, at the same distance, there
+    # the solve resumes only on a larger ball about its own center, whose
+    # first vertices are the ball it leaves, at the same distances
     z1 = gf.lattice_generator(1)
     u0 = gf.delta_field(z1, (0,))
     cfg = gf.SolverConfig(p=3.0, instants=gf.log_instants(1e-2, 1.0, 5), n0=2)
@@ -129,9 +129,9 @@ def test_resume_needs_a_smaller_ball_about_the_same_center():
         assert traj.region.center == center and len(traj.history) > 1
         for h, after in zip(traj.history, traj.history[1:]):
             small, large = gf.ball(z1, center, h["n"]), gf.ball(z1, center, after["n"])
-            at = _positions(large, small)
-            assert len(np.unique(at)) == len(small) < len(large)
-            assert (large.distances[at] == small.distances).all()
+            m = len(small)
+            assert large.vertices[:m] == small.vertices and m < len(large)
+            assert (large.distances[:m] == small.distances).all()
         assert traj.values[0, traj.region.index[(0,)]] == 1.0
     with pytest.raises(ValueError, match="outside"):
         gf.solve_truncated(z1, u0, cfg, 2, center=(5,), grow=True)
@@ -207,8 +207,9 @@ def test_propagation_config_grows_after_rows_were_written():
     assert first["accepted"] < fixed.history[0]["accepted"]
     m = int(np.count_nonzero(traj.times <= after["t"] * (1 + 1e-15)))
     assert m > 1
+    assert traj.region.vertices[:len(fixed.region)] == fixed.region.vertices
     widened = np.zeros((m, len(traj.region)))
-    widened[:, _positions(traj.region, fixed.region)] = fixed.values[:m]
+    widened[:, :len(fixed.region)] = fixed.values[:m]
     assert _same_bits(traj.values[:m], widened)
     for key, arr in fixed.diagnostics.items():
         assert _same_bits(traj.diagnostics[key][:m], arr[:m]), key
@@ -221,8 +222,8 @@ def _delta_on_ball(radius, amplitude, t_eval):
     region = gf.ball(z1, (0,), radius)
     edges = region_edges(z1, region)
 
-    def rhs_on(keep):
-        return _make_rhs(edges.restrict(keep), region.degrees[keep], 3.0)
+    def rhs_on(m):
+        return _make_rhs(edges.restrict(m), region.degrees[:m], 3.0)
     y0 = np.zeros(len(region))
     y0[region.index[(0,)]] = amplitude
     return (rhs_on, region.distances, y0, float(t_eval[-1]), t_eval, 1e-8, 1e-12, 10 ** 6)
@@ -232,21 +233,20 @@ def test_integrate_rows_before_a_growth_are_the_fixed_run_rows():
     t_eval = gf.log_instants(1e-3, 50.0, 40)
     args = _delta_on_ball(16, 5.0, t_eval)
     rhs_on, dist = _delta_on_ball(32, 5.0, t_eval)[:2]
-    z1 = gf.lattice_generator(1)
-    at = _positions(gf.ball(z1, (0,), 32), gf.ball(z1, (0,), 16))
+    m = len(args[2])   # B_16 is the first m vertices of B_32
     grown_at = []
 
     def grow(t):   # onto B_32, reported without a ring: it is never left
         grown_at.append(t)
-        return dist, rhs_on, at, False
+        return dist, rhs_on, False
     fixed, fixed_diag = _integrate(*args)
     Y, diag = _integrate(*args, grow=grow)
     [t] = grown_at
     assert 0.0 < t < 50.0 and [b["t"] for b in diag["balls"]] == [0.0, t]
     k = int(np.count_nonzero(t_eval <= t * (1 + 1e-15)))
     assert 0 < k < len(t_eval)
-    assert _same_bits(Y[:k + 1, at], fixed[:k + 1]) and _same_bits(Y[0, at], args[2])
-    assert not Y[:k + 1, np.setdiff1d(np.arange(Y.shape[1]), at)].any()
+    assert _same_bits(Y[:k + 1, :m], fixed[:k + 1]) and _same_bits(Y[0, :m], args[2])
+    assert not Y[:k + 1, m:].any()
     for key in ("accepted", "rejected", "max_scaled_error"):
         assert _same_bits(diag[key][:k + 1], fixed_diag[key][:k + 1]), key
     assert diag["balls"][0]["accepted"] < fixed_diag["balls"][0]["accepted"]
