@@ -6,19 +6,24 @@ embedded Dormand-Prince 4(5) pair with PI step-size control and dense
 output at the configured instants.  :func:`solve_cauchy` runs one
 integration whose ball grows in place.
 
-Each step runs on the active ball ``B_r(center)`` only, under one rule:
-no step starts with a nonzero within 7 layers of the active ball's edge.
-One step spreads exact nonzeros by at most 7 layers (six stage inputs
-plus the FSAL evaluation), so every stage input is exactly 0 on ring
-``r`` and beyond and the cut edges are exact zero-exterior stubs.  Before
-a step the rule forbids, the active ball regrows around the support, and
-where that edge is the boundary ring of ``B_R`` the ball first becomes
-``B_ceil(1.5 R)`` (``RADIUS_GROWTH``).  A ball lists its vertices ring by
-ring, so the active ball and every smaller ball are prefixes of it: the
-state and the stored rows are padded with zero columns and stepping goes
-on with the same integrator state.  No flux crosses the truncation, so
-the ball solve is a solve of the Cauchy problem, tagged with the radius
-of its last ball (the certified radius); only integration error remains.
+Each step runs on the active ball ``B_r(center)`` only, ``r = s + 4``
+for the support radius ``s``, under two rules.  No step starts with a
+nonzero on the active ball's last two rings, so its first stage is 0 on
+ring ``r``; and an attempt whose later stages are nonzero on ring ``r``
+is voided and redone on ``B_{r+4}``.  So every stage input of a step
+that counts is exactly 0 on ring ``r`` and beyond, and the cut edges are
+exact zero-exterior stubs.  Exact nonzeros spread far less than the 7
+layers a step could reach, so a voided attempt is rare.  The boundary
+ring of ``B_R`` keeps the a priori rule: no step starts with a nonzero
+within 7 layers of it (six stage inputs plus the FSAL evaluation).
+Before a step that rule forbids, the first one included, the ball
+becomes ``B_ceil(1.5 R)`` (``RADIUS_GROWTH``).  A ball lists its
+vertices ring by ring, so the active ball and every smaller ball are
+prefixes of it: the state and the stored rows are padded with zero
+columns and stepping goes on with the same integrator state.  No flux
+crosses the truncation, so the ball solve is a solve of the Cauchy
+problem, tagged with the radius of its last ball (the certified radius);
+only integration error remains.
 Error norms sum over the whole ball and divide by the size of the first
 ball ``B_n0`` for the whole run, so the step sequence depends neither on
 ``r`` nor on the balls a solve grows through.
@@ -176,8 +181,9 @@ def _initial_step(rhs, y0, f0, t_end, rtol, atol, rms):
 # One step spreads exact nonzeros by at most _STEP_REACH layers: six stage
 # inputs, each one layer past the last, plus the FSAL evaluation.
 _STEP_REACH = 7
-# layers added past the reach whenever the active ball has to grow
-_ACTIVE_SLACK = 2
+# layers from the support to the active ball's edge, and the layers a voided
+# attempt adds to it (at least 2: the edge's last two rings must be 0)
+_ACTIVE_MARGIN = 4
 
 
 def _support_radius(y, dist):
@@ -198,30 +204,34 @@ def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps, grow=None
     ``dist[i]`` is the center distance of vertex ``i``, nondecreasing (a
     ball in ring order), and ``rhs_on(m)`` builds the right-hand side on
     the first ``m`` vertices with a zero exterior.  Steps run on the active
-    ball ``dist <= r``, a prefix, only, under one rule kept at one site,
-    the top of the step loop: no step starts with a nonzero in the rim,
-    the last 7 layers of the active ball.  One step spreads exact nonzeros
-    by at most 7 layers (6 stage inputs plus the FSAL evaluation), so
-    every stage input is then exactly 0 from ring ``r`` on and the cut
-    edges are exact Dirichlet stubs.  A nonzero in the rim moves the run
-    onto the active ball ``r = s + 9`` (at most the outer ring) for the
-    support radius ``s``.  The right-hand side and the stage buffers are built right
-    before the first attempt on an active ball.  Error norms are RMS values:
-    sums of squares over all entries of the ball the step runs on (zero
-    past the active ball), divided by ``norm_size`` (default ``len(y0)``,
-    the first ball's size) for the whole run.  So the step sequence depends
+    ball ``dist <= r``, a prefix, only.  Two rules make that exact.  At the
+    top of the step loop, no step starts with a nonzero in the rim, rings
+    ``r - 1`` and ``r``, so the first stage ``K[0]`` is 0 on ring ``r``; a
+    nonzero there moves the run onto the active ball ``r = s + 4`` (at
+    most the outer ring) for the support radius ``s``.  After the six
+    stages of an attempt on a ball short of the outer ring, one check: if
+    ``K[1:6]`` is nonzero on ring ``r``, the attempt is voided and redone
+    on ``r + 4`` with the same step size and controller state.  Otherwise
+    every stage input, ``y_new`` included, is exactly 0 from ring ``r``
+    on, and the cut edges are exact Dirichlet stubs.  The right-hand side
+    and the stage buffers are built right before the first attempt on an
+    active ball.  Error norms are RMS values: sums of squares over all
+    entries of the ball the step runs on (zero past the active ball),
+    divided by ``norm_size`` (default ``len(y0)``, the first ball's size)
+    for the whole run.  So the step sequence depends
     neither on the active ball nor on the balls a growing run moves onto,
     up to the rounding of sums over arrays of different length.
 
-    With ``grow``, the rim of an active ball that reaches the outer ring
-    ``dist.max()`` is that ring's last 7 layers, and when ``s`` lies in
-    them the run first moves onto a larger ball, the current one its
-    prefix.  ``grow(t)`` returns its ``dist`` and ``rhs_on`` and whether
-    it has a ring to reach (a ball that covers a finite graph has none).
-    The state, the FSAL value and the stored rows are padded with zero
-    columns, and stepping goes on with the same step size, controller
-    state and counters: nothing is redone.  Without ``grow`` the ball is
-    fixed, and the solution may reach its ring.
+    With ``grow``, the outer ring ``dist.max()`` keeps the a priori rule:
+    the rim also holds its last 7 layers (one step spreads exact nonzeros
+    by at most 7), and when ``s`` lies in them the run first moves onto a
+    larger ball, the current one its prefix.  ``grow(t)`` returns its
+    ``dist`` and ``rhs_on`` and whether it has a ring to reach (a ball
+    that covers a finite graph has none).  The state, the FSAL value and
+    the stored rows are padded with zero columns, and stepping goes on
+    with the same step size, controller state and counters: a growth
+    redoes nothing.  Without ``grow`` the ball is fixed, and the solution
+    may reach its ring.
 
     Returns ``(Y, diag)`` where ``Y[0]`` is ``y0`` (padded to the last
     ball) and ``Y[k + 1]`` the solution at ``t_eval[k]``, all rows in one
@@ -232,24 +242,27 @@ def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps, grow=None
     (``max_scaled_error``) and the undershoot the clamp removed
     (``clamped``).  ``diag["balls"]`` has one record per ball the run was
     on: the time ``t`` it moved onto it (0.0 for the first), the
-    ``rhs_evals`` made on it, the cumulative ``accepted`` and ``rejected``
-    step counts when it was left, and the largest active ball
-    (``active_vertices``).  The ``max_steps`` budget counts every attempt.
+    ``rhs_evals`` made on it (six per attempt, voided ones included, and
+    two more that size the first step), the cumulative ``accepted``,
+    ``rejected`` and ``redone`` (voided) attempt counts when it was left,
+    and the largest active ball (``active_vertices``).  The ``max_steps``
+    budget counts every attempt.
     """
     n = len(y0)
     r_max = int(dist.max())
 
-    def activate(s):
-        # the active ball's size for a state supported within distance s,
-        # and its rim's start (None when its edge is the ring of a ball that
-        # is never left)
-        r = min(s + _STEP_REACH + _ACTIVE_SLACK, r_max)
+    def activate(r):
+        # the active ball B_r: its radius, its size, its rim's start (None
+        # when its edge is the ring of a ball that is never left) and ring
+        # r's start
         m = int(np.searchsorted(dist, r, side="right"))
         if r == r_max and grow is None:
-            return m, None
-        return m, int(np.searchsorted(dist, r - _STEP_REACH, side="right"))
+            return r, m, None, m
+        edge = r - 2 if grow is None else min(r - 2, r_max - _STEP_REACH)
+        return (r, m, int(np.searchsorted(dist, edge, side="right")),
+                int(np.searchsorted(dist, r)))
 
-    m, rim = activate(_support_radius(y0, dist))
+    r, m, rim, ring = activate(min(_support_radius(y0, dist) + _ACTIVE_MARGIN, r_max))
     rhs = None   # built right before the first attempt on an active ball
     y = y0[:m].astype(float)
     sq = np.zeros(n)   # squared entries for the RMS, zero outside the active ball
@@ -271,17 +284,17 @@ def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps, grow=None
     clamp = bool((y0 >= 0.0).all())
     floor = 1e-14 * t_end
     t, f = 0.0, None   # f: the FSAL value, once the first step is sized
-    accepted = rejected = k_out = 0
+    accepted = rejected = redone = k_out = 0
     max_err_window = err = 0.0
     err_prev = 1e-4
     balls, t_in, ball_evals = [], 0.0, 0   # the balls left; this one's start and work
 
     def record():
         return {"t": t_in, "rhs_evals": ball_evals, "accepted": accepted,
-                "rejected": rejected, "active_vertices": m}
+                "rejected": rejected, "redone": redone, "active_vertices": m}
 
     while t < t_end:
-        if rim is not None and y[rim:].any():   # a step could reach the edge
+        if rim is not None and y[rim:].any():   # K[0] could reach the edge
             s = _support_radius(y, dist)
             if grow is not None and s > r_max - _STEP_REACH:   # ... of the whole ball
                 balls.append(record())
@@ -292,7 +305,8 @@ def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps, grow=None
                 rows[:k_out + 1, :n] = out[:k_out + 1]
                 n, r_max = len(dist), int(dist.max())
                 out, sq, t_in, ball_evals = rows, np.zeros(n), t, 0
-            m, rim = activate(s)
+            # never smaller: a voided attempt may have moved r past s + 4
+            r, m, rim, ring = activate(max(r, min(s + _ACTIVE_MARGIN, r_max)))
             y = np.pad(y, (0, m - len(y)))
             if f is not None:
                 f = np.pad(f, (0, m - len(f)))
@@ -301,6 +315,7 @@ def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps, grow=None
         if rhs is None:
             rhs = rhs_on(m)
             K, yi, step, heads = buffers(m)
+            at_ring = K[1:6, ring:]   # the stages past K[0] on ring r
         if f is None:   # size the first step on the ball it runs on
             f = rhs(t, y)
             if not np.isfinite(f).all():
@@ -311,7 +326,7 @@ def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps, grow=None
             if not math.isfinite(err):
                 raise NonFiniteStateError(t)
             raise StepSizeUnderflowError(t, h)
-        if accepted + rejected >= max_steps:
+        if accepted + rejected + redone >= max_steps:
             raise SolverError(f"step budget {max_steps} exhausted at t={t}")
         h = min(h, t_end - t)
         K[0] = f
@@ -321,6 +336,11 @@ def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps, grow=None
             yi += y
             K[i] = rhs(t + _DP_C[i] * h, yi)
         ball_evals += 6
+        if m < n and np.count_nonzero(at_ring):   # a stage reached ring r: void, redo
+            redone += 1
+            r, m, rim, ring = activate(min(r + _ACTIVE_MARGIN, r_max))
+            y, f, rhs = np.pad(y, (0, m - len(y))), np.pad(f, (0, m - len(f))), None
+            continue
         np.matmul(_DP_BE, K, out=step)   # the step and the error, one product
         step *= h
         y_new = y + step[0]
@@ -508,10 +528,11 @@ def solve_truncated(g, u0: Field, cfg: SolverConfig, n, center=None, grow=False)
     t = 0 first.  Each step integrates only the active ball around the
     center that the solution can reach (see :func:`_integrate`), a prefix
     of the ball; the stored rows are full-length and equal to a whole-ball
-    solve up to rounding.  Every error norm divides by ``|B_n0|`` for
-    ``n0 = first_radius(u0, cfg, center)``, counted in ``B_n`` (all of
-    ``B_n`` when it is the smaller ball), so the steps do not depend on
-    ``n`` or on the balls a growing solve moves onto.
+    solve up to rounding (bit for bit on the shipped configs).  Every error
+    norm divides by ``|B_n0|`` for ``n0 = first_radius(u0, cfg, center)``,
+    counted in ``B_n`` (all of ``B_n`` when it is the smaller ball), so the
+    steps do not depend on ``n`` or on the balls a growing solve moves
+    onto.
 
     A fixed ball (``grow=False``) may let the solution reach its boundary
     ring and leak through it.  With ``grow``, the solve moves onto the ball
@@ -527,7 +548,8 @@ def solve_truncated(g, u0: Field, cfg: SolverConfig, n, center=None, grow=False)
     radius ``n``, its ``vertices`` and ``edges`` (internal edges plus
     stubs), the time ``t`` the solve moved onto it (0.0 for the first),
     ``rhs_evals`` (the evaluations made on it), the cumulative
-    ``accepted`` and ``rejected`` step counts when it was left, and
+    ``accepted`` and ``rejected`` step counts and ``redone`` attempts (the
+    voided ones, see :func:`_integrate`) when it was left, and
     ``active_vertices`` (the largest active ball the steps ran on).  The
     record of the returned ball also has its ``boundary_leak``, the
     largest stored boundary sup after t = 0.

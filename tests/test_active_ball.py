@@ -1,14 +1,17 @@
 """Steps on the active ball are exact, and each ball reports its work.
 
-The solver integrates only the ball ``dist <= r`` with ``r`` at least 7
-layers past the farthest nonzero state entry.  The wrapped right-hand
-sides below assert the invariant that makes this exact: every input they
-see is exactly 0 on the sub-ball's stub vertices.  The same runs with the
+The solver integrates only the ball ``dist <= r`` with ``r`` 4 layers
+past the farthest nonzero state entry, and voids and redoes on a larger
+ball an attempt whose stages reached ring ``r``.  The wrapped right-hand
+sides below assert the invariant that makes this exact: every input of
+every attempt that counts is exactly 0 on the sub-ball's stub vertices;
+only a voided attempt may see a nonzero there.  The same runs with the
 active ball forced to the whole region must give the same step counts,
-the same growth times and the same values up to rounding.  They also
-assert the invariant that makes the truncation itself exact: every input
-of every step of ``solve_cauchy`` is exactly 0 on the stub vertices of
-the ball the step ran on, so no flux crosses the truncation.
+the same growth times and the same values up to rounding, with six RHS
+evaluations per voided attempt more.  They also assert the invariant that
+makes the truncation itself exact: every input of every step of
+``solve_cauchy`` is exactly 0 on the stub vertices of the ball the step
+ran on, so no flux crosses the truncation.
 """
 import json
 from pathlib import Path
@@ -21,25 +24,28 @@ from graphflow import cli, solver
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
-WHOLE_REGION = 10 ** 6   # a slack that makes every active ball the whole region
+WHOLE_REGION = 10 ** 6   # a margin that makes every active ball the whole region
+TIGHT = 2   # the least margin: the active ball's last two rings must be 0
 
 
 class CheckedRhs:
     """Replacement for ``solver._make_rhs`` that checks the stub invariant.
 
     Counts every RHS evaluation and records the size of each sub-ball it
-    was built on.  ``partial`` tells whether the edges it is handed next
-    belong to a sub-ball smaller than the region: the stubs of the whole
-    region are its own boundary, where the solution may be nonzero.
-    ``ring`` holds the positions, in that sub-ball, of the region's own
-    stub vertices, where every input is checked to be exactly 0.  A growing
-    solve restricts the edges of each new ball, so the ring follows it.
+    was built on, and the time and stub flag of each call to it.
+    ``partial`` tells whether the edges it is handed next belong to a
+    sub-ball smaller than the region: the stubs of the whole region are its
+    own boundary, where the solution may be nonzero.  ``ring`` holds the
+    positions, in that sub-ball, of the region's own stub vertices, where
+    every input is checked to be exactly 0.  A growing solve restricts the
+    edges of each new ball, so the ring follows it.
     """
 
     def __init__(self, make_rhs):
         self.make_rhs = make_rhs
         self.calls = 0
         self.sizes = []
+        self.builds = []   # per RHS built: (time, nonzero on a stub) per call
         self.checked = 0
         self.ring_checked = 0
         self.partial = True
@@ -50,11 +56,13 @@ class CheckedRhs:
         self.sizes.append(len(degrees))
         stubs = np.unique(edges.bi) if self.partial else None
         ring = self.ring
+        calls = []
+        self.builds.append(calls)
 
         def checked(t, u):
             self.calls += 1
+            calls.append((t, stubs is not None and bool(u[stubs].any())))
             if stubs is not None:
-                assert not u[stubs].any(), "nonzero input on a stub vertex"
                 self.checked += 1
             if len(ring):
                 assert not u[ring].any(), "nonzero input on the stage's ring"
@@ -62,13 +70,39 @@ class CheckedRhs:
             return rhs(t, u)
         return checked
 
+    def voided(self):
+        """Indices of the RHS builds whose last attempt was voided.
 
-def _solve(monkeypatch, g, u0, cfg, center, slack=None):
+        A voided attempt is redone first thing on the next, larger active
+        ball, at the same ``t`` with the same ``h``: its six stage times are
+        the first six of the next build.
+        """
+        return [k for k, (calls, after) in enumerate(zip(self.builds, self.builds[1:]))
+                if [t for t, _ in calls[-6:]] == [t for t, _ in after[:6]]]
+
+    def verify(self, redone):
+        """Only the ``redone`` voided attempts saw a nonzero stub input."""
+        voided = self.voided()
+        assert len(voided) == redone
+        for k, calls in enumerate(self.builds):
+            counted = calls[:-6] if k in voided else calls
+            assert not any(nonzero for _, nonzero in counted), \
+                "nonzero input on a stub vertex"
+        for k in voided:
+            assert self.sizes[k] < self.sizes[k + 1]
+
+
+def _redone(traj):
+    """The voided attempts on each ball of ``traj.history``."""
+    return np.diff([0] + [h["redone"] for h in traj.history]).tolist()
+
+
+def _solve(monkeypatch, g, u0, cfg, center, margin=None):
     checked = CheckedRhs(solver._make_rhs)
     with monkeypatch.context() as m:
         m.setattr(solver, "_make_rhs", checked)
-        if slack is not None:
-            m.setattr(solver, "_ACTIVE_SLACK", slack)
+        if margin is not None:
+            m.setattr(solver, "_ACTIVE_MARGIN", margin)
         original_restrict = gf.graphs.RegionEdges.restrict
 
         def restrict(edges, m):   # the sub-ball of the first m vertices
@@ -77,6 +111,7 @@ def _solve(monkeypatch, g, u0, cfg, center, slack=None):
             return original_restrict(edges, m)
         m.setattr(gf.graphs.RegionEdges, "restrict", restrict)
         traj = gf.solve_cauchy(g, u0, cfg, center=center)
+    checked.verify(traj.history[-1]["redone"])
     return traj, checked
 
 
@@ -91,25 +126,35 @@ CASES = {
                  dict(p=3.0, instants=gf.log_instants(1e-2, 30.0, 31), n0=8)),
     "z1_signed_dipole": (1, {(1,): -2.0, (-1,): 1.0}, (0,),
                          dict(p=3.0, instants=gf.log_instants(1e-3, 10.0, 41), n0=3)),
+    # random data on the radius-2 ball of Z^2, as in the comparison ensemble
+    "z2_random": (2, dict(zip(gf.ball(gf.lattice_generator(2), (0, 0), 2).vertices,
+                              np.random.default_rng(7).uniform(0.0, 1.5, 13).tolist())),
+                  (0, 0), dict(p=3.0, instants=gf.log_instants(0.1, 5.0, 7),
+                               rtol=1e-10, atol=1e-14, n0=10)),
 }
 
 
-@pytest.mark.parametrize("slack", [0, None], ids=["tight", "default"])
+@pytest.mark.parametrize("margin", [TIGHT, None], ids=["tight", "default"])
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_active_ball_matches_whole_region(monkeypatch, case, slack):
+def test_active_ball_matches_whole_region(monkeypatch, case, margin):
     N, data, center, kw = CASES[case]
     g = gf.lattice_generator(N)
     u0 = gf.Field(g, data)
     cfg = gf.SolverConfig(**kw)
-    traj, checked = _solve(monkeypatch, g, u0, cfg, center, slack=slack)
-    whole, whole_checked = _solve(monkeypatch, g, u0, cfg, center, slack=WHOLE_REGION)
+    traj, checked = _solve(monkeypatch, g, u0, cfg, center, margin=margin)
+    whole, whole_checked = _solve(monkeypatch, g, u0, cfg, center, margin=WHOLE_REGION)
     # the active ball was smaller than the region, so the stub check had work
     assert checked.checked > 0 and min(checked.sizes) < max(checked.sizes)
-    assert whole_checked.checked == 0
+    assert whole_checked.checked == 0 and sum(_redone(whole)) == 0
+    # each case voids an attempt, and only voided attempts saw a stub nonzero
+    assert sum(_redone(traj)) > 0
     assert traj.certified and traj.certified_radius == whole.certified_radius
-    keys = ("n", "vertices", "edges", "accepted", "rejected", "t", "rhs_evals")
+    keys = ("n", "vertices", "edges", "accepted", "rejected", "t")
     assert [[h[k] for k in keys] for h in traj.history] == \
         [[h[k] for k in keys] for h in whole.history]
+    # a voided attempt costs its six evaluations and changes nothing else
+    assert [h["rhs_evals"] - 6 * k for h, k in zip(traj.history, _redone(traj))] == \
+        [h["rhs_evals"] for h in whole.history]
     assert [h["active_vertices"] for h in whole.history] == \
         [h["vertices"] for h in whole.history]
     assert traj.values.shape == whole.values.shape
@@ -127,8 +172,8 @@ def test_every_stage_input_is_zero_on_the_stage_ring(monkeypatch, case):
         N, data, center, kw = CASES[case]
         g = gf.lattice_generator(N)
         u0, cfg = gf.Field(g, data), gf.SolverConfig(**kw)
-    for slack in (None, WHOLE_REGION):
-        traj, checked = _solve(monkeypatch, g, u0, cfg, center, slack=slack)
+    for margin in (None, WHOLE_REGION):
+        traj, checked = _solve(monkeypatch, g, u0, cfg, center, margin=margin)
         # the solve had to leave some ball, and never let a step reach a ring
         assert traj.certified and len(traj.history) > 1
         assert traj.history[-1]["boundary_leak"] == 0.0
@@ -153,10 +198,12 @@ def test_stage_telemetry_counts_every_rhs_call(monkeypatch):
         assert h["vertices"] == len(region)
         assert h["edges"] == len(edges.ei) + len(edges.bi)
         assert 0 < h["active_vertices"] <= h["vertices"]
-        # two evaluations size the first step, then six per step attempted
+        # two evaluations size the first step, then six per attempt, voided
+        # ones included
         start = 2 if k == sized else 0
-        assert h["rhs_evals"] == start + 6 * (h["accepted"] + h["rejected"] - steps)
-        steps = h["accepted"] + h["rejected"]
+        attempts = h["accepted"] + h["rejected"] + h["redone"]
+        assert h["rhs_evals"] == start + 6 * (attempts - steps)
+        steps = attempts
     # a fixed ball: its count is the calls made while it ran (counted only)
     checked = CheckedRhs(solver._make_rhs)
     checked.partial = False
@@ -209,5 +256,26 @@ def test_manifest_records_stage_telemetry(tmp_path):
     history = json.loads((tmp_path / "manifest.json").read_text())["expansion_history"]
     assert history
     for h in history:
-        assert {"vertices", "edges", "rhs_evals", "active_vertices"} <= h.keys()
+        assert {"vertices", "edges", "rhs_evals", "redone", "active_vertices"} <= h.keys()
         assert 0 < h["active_vertices"] <= h["vertices"] < h["edges"]
+
+
+SHIPPED = ("lattice1d_p3_decay", "lattice1d_p3_propagation", "lattice1d_p3_slow_decay",
+           "lattice1d_p4_decay", "lattice2d_p3_decay")
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_shipped_config_matches_the_whole_region(monkeypatch, name):
+    cfg = json.loads((CONFIGS / f"{name}.json").read_text())
+    g = cli.build_generator(cfg["graph"])
+    u0, center = cli.build_initial_field(g, cfg["initial_data"])
+    scfg = cli.build_solver_config(cfg["solver"])
+    traj = gf.solve_cauchy(g, u0, scfg, center=center)
+    monkeypatch.setattr(solver, "_ACTIVE_MARGIN", WHOLE_REGION)
+    whole = gf.solve_cauchy(g, u0, scfg, center=center)
+    assert traj.certified_radius == whole.certified_radius
+    assert [(h["n"], h["t"], h["accepted"], h["rejected"]) for h in traj.history] == \
+        [(h["n"], h["t"], h["accepted"], h["rejected"]) for h in whole.history]
+    assert np.array_equal(traj.values, whole.values)
+    for key, arr in whole.diagnostics.items():
+        assert np.array_equal(traj.diagnostics[key], arr), key

@@ -6,6 +6,12 @@ flow preserves order, ``u01 >= u02`` implies ``u1 >= u2`` at all times.
 The bounds are those of the benchmark's mass guard and comparison
 ensemble: 1e-12 relative to the initial mass, and a worst gap of
 ``-1e-8 ||u01||_inf``.
+
+The flow is also invariant under amplitude-time scaling: ``Delta_p`` is
+homogeneous of degree ``p - 1``, so ``lam u(x, lam^(p-2) t)`` solves it
+with data ``lam u0``.  The two solves take different steps (the starting
+step is not scale-covariant), so they agree to the integration
+tolerance, not to round-off.
 """
 
 import numpy as np
@@ -58,3 +64,33 @@ def test_comparison_principle_on_random_ordered_pairs(graph, data):
     assume(u01.values)
     gap = gf.comparison_check(g, u01, u02, COMPARISON_CFG, center=center)
     assert gap >= -GAP_RTOL * u01.sup_norm()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([1, 2]), exponents, st.floats(0.1, 10.0), st.data())
+def test_amplitude_time_scaling(N, p, lam, data):
+    g, center = gf.lattice_generator(N), (0,) * N
+    support = gf.ball(g, center, 2 if N == 1 else 1).vertices
+    values = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=len(support),
+                                max_size=len(support)))
+    u0 = gf.Field(g, dict(zip(support, values)))
+    assume(u0.values)
+    v0 = gf.Field(g, {x: lam * y for x, y in u0.values.items()})
+    times = gf.log_instants(0.01, 10.0, 9)
+    rtol, atol = 1e-8, 1e-12
+    # u is read at lam^(p-2) t; the error norms of v are lam times those of u
+    u = gf.solve_cauchy(g, u0, gf.SolverConfig(p=p, instants=lam ** (p - 2) * times,
+                                               rtol=rtol, atol=atol, n0=8), center=center)
+    v = gf.solve_cauchy(g, v0, gf.SolverConfig(p=p, instants=times, rtol=rtol,
+                                               atol=lam * atol, n0=8), center=center)
+    # both certified balls hold the solution and one is a prefix of the other
+    small, large = sorted((u.values.shape[1], v.values.shape[1]))
+    assert u.region.vertices[:small] == v.region.vertices[:small]
+    lam_u = np.pad(lam * u.values, ((0, 0), (0, large - u.values.shape[1])))
+    v_vals = np.pad(v.values, ((0, 0), (0, large - v.values.shape[1])))
+    # one local error of at most rtol (relative to the sup norm, which does
+    # not grow) per accepted step of either solve; the flow contracts the
+    # sup distance of two solutions, so it does not amplify them
+    steps = int(u.diagnostics["accepted"][-1] + v.diagnostics["accepted"][-1])
+    bound = steps * (rtol * lam * u0.sup_norm() + lam * atol)
+    assert np.abs(lam_u - v_vals).max() <= bound

@@ -96,6 +96,35 @@ def test_stepper_nonfinite_rhs_is_a_typed_failure():
                        1e-8, 1e-12, 3)
 
 
+def test_growth_after_a_voided_attempt_never_shrinks_the_active_ball():
+    # A path with one vertex per ring and data on ring 5 of B_12, two
+    # rings short of the growth rule's reach.  The first attempt's first
+    # stage touches ring 9, the active ball's edge: it is voided and redone
+    # on the whole ball B_12.  From t = 0.01 the support reaches ring 6 and
+    # the ball grows; the active ball B_{6+4} = B_10 would be smaller than
+    # the state it has to hold.
+    calls = []
+
+    def rhs_on(m):
+        def rhs(t, y):
+            calls.append(m)
+            f = np.zeros(m)
+            if len(calls) == 3:   # after the two that size the first step
+                f[-1] = 1e-300
+            elif t >= 0.01:
+                f[6] = 1e-300
+            return f
+        return rhs
+
+    y0 = np.zeros(13)
+    y0[5] = 1.0
+    Y, diag = _integrate(rhs_on, np.arange(13), y0, 1.0, np.array([1.0]), 1e-8, 1e-12,
+                         10 ** 6, grow=lambda t: (np.arange(19), rhs_on, True))
+    first, grown = diag["balls"]
+    assert first["redone"] == 1 and first["active_vertices"] == 13
+    assert grown["active_vertices"] == 13 and Y.shape == (2, 19) and Y[-1, 6] > 0.0
+
+
 def test_stepper_short_horizon_is_a_typed_failure():
     # output instants past t_end are never reached: a solver failure (exit 3)
     with pytest.raises(SolverError, match="before the last output instant"):
