@@ -24,6 +24,8 @@ columns and stepping goes on with the same integrator state.  No flux
 crosses the truncation, so the ball solve is a solve of the Cauchy
 problem, tagged with the radius of its last ball (the certified radius);
 only integration error remains.
+Partner data (``solve_cauchy(..., partners=...)``, the comparison check)
+are integrated in the same call, in lockstep, each with its own steps.
 Error norms sum over the whole ball and divide by the size of the first
 ball ``B_n0`` for the whole run, so the step sequence depends neither on
 ``r`` nor on the balls a solve grows through.
@@ -158,24 +160,31 @@ _PI_ALPHA = 0.17          # err ** -alpha
 _PI_BETA = 0.04           # err_prev ** beta
 
 
-def _initial_step(rhs, y0, f0, t_end, rtol, atol, rms):
+def _initial_step(rhs, y0, f0, t_end, rtol, atol, rms, per_row):
+    # one starting step per row; rms gives one norm per row and per_row
+    # broadcasts one value per row over the rows' blocks
     scale = atol + rtol * np.abs(y0)
     with np.errstate(over="ignore"):   # an overflow is typed just below
-        d0 = rms(y0 / scale)
-        d1 = rms(f0 / scale)
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, 0.1 * t_end)
-    if not 0.0 < h0 < math.inf:   # scaled norms overflowed
-        raise NonFiniteInitialStepError(
-            f"initial step {h0!r} from scaled norms {d0!r}, {d1!r}")
-    y1 = y0 + h0 * f0
-    f1 = rhs(h0, y1)
-    d2 = rms((f1 - f0) / scale) / h0
-    if max(d1, d2) <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
-    return min(100 * h0, h1, t_end)
+        d0s, d1s = rms(y0 / scale), rms(f0 / scale)
+    h0s = []
+    for d0, d1 in zip(d0s, d1s):
+        h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+        h0 = min(h0, 0.1 * t_end)
+        if not 0.0 < h0 < math.inf:   # scaled norms overflowed
+            raise NonFiniteInitialStepError(
+                f"initial step {h0!r} from scaled norms {d0!r}, {d1!r}")
+        h0s.append(h0)
+    y1 = y0 + per_row(h0s) * f0
+    f1 = rhs(h0s[0], y1)
+    hs = []
+    for h0, d1, d in zip(h0s, d1s, rms((f1 - f0) / scale)):
+        d2 = d / h0
+        if max(d1, d2) <= 1e-15:
+            h1 = max(1e-6, h0 * 1e-3)
+        else:
+            h1 = (0.01 / max(d1, d2)) ** 0.2
+        hs.append(min(100 * h0, h1, t_end))
+    return hs
 
 
 # One step spreads exact nonzeros by at most _STEP_REACH layers: six stage
@@ -187,14 +196,33 @@ _ACTIVE_MARGIN = 4
 
 
 def _support_radius(y, dist):
-    """``dist`` at the last nonzero of ``y``, its support radius (0 if none)."""
-    nz = np.flatnonzero(y)
+    """``dist`` at the last nonzero of ``y``, its support radius (0 if none).
+
+    A 2-d ``y`` holds one state per row: the radius of their union.
+    """
+    nz = np.flatnonzero(np.atleast_2d(y).any(axis=0))
     return int(dist[nz[-1]]) if len(nz) else 0
 
 
 # the solver diagnostics of one stored row
 ROW_DIAGNOSTICS = np.dtype([("accepted", np.int64), ("rejected", np.int64),
                             ("max_scaled_error", float), ("clamped", float)])
+
+
+class _Row:
+    """The integrator state of one row of a lockstep run."""
+
+    __slots__ = ("k", "t", "h", "err", "err_prev", "accepted", "rejected", "k_out",
+                 "max_err", "clamp", "t_in", "balls")
+
+    def __init__(self, k, clamp):
+        self.k = k            # the row's index in y0
+        self.t = self.err = self.max_err = self.t_in = 0.0
+        self.h = None
+        self.err_prev = 1e-4
+        self.accepted = self.rejected = self.k_out = 0
+        self.clamp = clamp
+        self.balls = []       # a record per ball left
 
 
 def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps, grow=None,
@@ -222,6 +250,20 @@ def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps, grow=None
     neither on the active ball nor on the balls a growing run moves onto,
     up to the rounding of sums over arrays of different length.
 
+    A 2-d ``y0`` holds ``K`` independent states, one per row, integrated
+    in lockstep: one loop iteration is one attempt for every row that has
+    not reached ``t_end``, and the right-hand side is called on the rows'
+    active blocks stacked into one state of length ``K m``; for ``K > 1``
+    rows ``rhs_on(m, K)`` builds it on ``K`` disjoint copies of the first
+    ``m`` vertices (see :meth:`RegionEdges.stacked`).  Each row has
+    its own ``t``, step size, controller state, error norm, counters and
+    dense output, and accepts or rejects on its own error.  The active
+    ball and the growth follow the union of the rows' supports, and a
+    voided attempt is redone for every row.  A row's stages are one
+    contiguous ``(7, m)`` block, so its stage products round as in a run
+    of that row alone; a row leaves the stack once it reaches ``t_end``.
+    With one row the arrays are those of a 1-d run.
+
     With ``grow``, the outer ring ``dist.max()`` keeps the a priori rule:
     the rim also holds its last 7 layers (one step spreads exact nonzeros
     by at most 7), and when ``s`` lies in them the run first moves onto a
@@ -235,7 +277,8 @@ def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps, grow=None
 
     Returns ``(Y, diag)`` where ``Y[0]`` is ``y0`` (padded to the last
     ball) and ``Y[k + 1]`` the solution at ``t_eval[k]``, all rows in one
-    buffer.  Each row is final when written: for nonnegative ``y0`` it is
+    buffer; for a 2-d ``y0``, a list with one such pair per row.  Each row
+    is final when written: for nonnegative ``y0`` it is
     clamped at 0.  ``diag`` holds one entry per stored row, t = 0 first
     (all 0 there): the cumulative ``accepted`` and ``rejected`` step
     counts, the largest scaled local error seen since the previous row
@@ -243,13 +286,17 @@ def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps, grow=None
     (``clamped``).  ``diag["balls"]`` has one record per ball the run was
     on: the time ``t`` it moved onto it (0.0 for the first), the
     ``rhs_evals`` made on it (six per attempt, voided ones included, and
-    two more that size the first step), the cumulative ``accepted``,
+    two more that size the first step; each call evaluates every row in
+    the stack), the cumulative ``accepted``,
     ``rejected`` and ``redone`` (voided) attempt counts when it was left,
     and the largest active ball (``active_vertices``).  The ``max_steps``
     budget counts every attempt.
     """
-    n = len(y0)
+    states = np.atleast_2d(y0)
+    n = states.shape[1]
     r_max = int(dist.max())
+    n_out = len(t_eval)
+    t_out = [*np.asarray(t_eval, dtype=float).tolist(), math.inf]   # then a sentinel
 
     def activate(r):
         # the active ball B_r: its radius, its size, its rim's start (None
@@ -262,126 +309,184 @@ def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps, grow=None
         return (r, m, int(np.searchsorted(dist, edge, side="right")),
                 int(np.searchsorted(dist, r)))
 
-    r, m, rim, ring = activate(min(_support_radius(y0, dist) + _ACTIVE_MARGIN, r_max))
-    rhs = None   # built right before the first attempt on an active ball
-    y = y0[:m].astype(float)
-    sq = np.zeros(n)   # squared entries for the RMS, zero outside the active ball
+    def widen(v, m):   # each row's block padded with zeros to length m
+        return np.pad(v, [(0, 0)] * (v.ndim - 1) + [(0, m - v.shape[-1])])
+
+    def per_row(values):   # one value per live row, broadcast over its block
+        return values[0] if len(values) == 1 else np.array(values)[:, None]
+
+    r, m, rim, ring = activate(min(_support_radius(states, dist) + _ACTIVE_MARGIN, r_max))
+    rows = [_Row(k, bool((v >= 0.0).all())) for k, v in enumerate(states)]
+    live = list(rows)   # the rows short of t_end; a 1-row state is 1-d
+    y = states[:, :m].astype(float)
+    y = y[0] if len(live) == 1 else y
+    rhs = None   # built, with the buffers, right before the first attempt on an active ball
     size = n if norm_size is None else norm_size
 
-    def rms(v):   # summed over all n entries: a sum over the prefix rounds differently
-        sq[:len(v)] = v ** 2
-        return math.sqrt(float(np.add.reduce(sq)) / size)
+    def rms(v):   # one per live row, summed over all n entries of its row (a
+        np.square(v, out=sq_m)   # sum over the prefix rounds differently)
+        sums = np.add.reduce(sq, axis=-1, keepdims=sq.ndim == 1)
+        return [math.sqrt(x / size) for x in sums.tolist()]
 
-    def buffers(m):
-        # stages, a stage input, the step and error rows, and per stage i
-        # the stages K[:i] its input combines
-        K = np.empty((7, m))
-        return K, np.empty(m), np.empty((2, m)), [K[:i] for i in range(7)]
+    def build(k):
+        # for k rows: the right-hand side on the active ball, on k stacked
+        # copies of it; the squared entries for the RMS (zero outside the
+        # active ball) and their active part; the stages, row by row in
+        # contiguous (7, m) blocks; the assignable stage rows; a stage
+        # input, flat and by row; the step and error rows and the product
+        # that writes them; the stages K[:i] each input combines; the
+        # stages past K[0] on ring r
+        sq = np.zeros(n if k == 1 else (k, n))
+        S = np.empty((k, 7, m))
+        yi = np.empty(k * m)
+        step = np.empty((2, m) if k == 1 else (2, k, m))
+        if k == 1:
+            rhs = rhs_on(m)
+            stage, heads = S[0], [S[0, :i] for i in range(7)]
+            product = (S[0], step)
+        else:
+            stacked = rhs_on(m, k)
 
-    out = np.zeros((len(t_eval) + 1, n))
-    out[0] = y0
-    table = np.zeros(len(t_eval) + 1, dtype=ROW_DIAGNOSTICS)   # per row of out
-    clamp = bool((y0 >= 0.0).all())
+            def rhs(t, u):   # one block per row
+                return stacked(t, u.reshape(-1)).reshape(k, m)
+            stage, heads = S.transpose(1, 0, 2), [S[:, :i] for i in range(7)]
+            product = (S, step.transpose(1, 0, 2))
+        return (rhs, sq, sq[..., :m], S, stage, yi, yi.reshape(stage.shape[1:]), step,
+                product, heads, S[:, 1:6, ring:])
+
+    out = np.zeros((len(rows), n_out + 1, n))
+    out[:, 0] = states
+    table = np.zeros((len(rows), n_out + 1), dtype=ROW_DIAGNOSTICS)   # per row of out
     floor = 1e-14 * t_end
-    t, f = 0.0, None   # f: the FSAL value, once the first step is sized
-    accepted = rejected = redone = k_out = 0
-    max_err_window = err = 0.0
-    err_prev = 1e-4
-    balls, t_in, ball_evals = [], 0.0, 0   # the balls left; this one's start and work
+    f = None   # the FSAL value once the first step is sized, K[0] while it has buffers
+    attempts = redone = 0
+    ball_evals = 0   # the work on this ball
 
-    def record():
-        return {"t": t_in, "rhs_evals": ball_evals, "accepted": accepted,
-                "rejected": rejected, "redone": redone, "active_vertices": m}
+    def record(row):
+        return {"t": row.t_in, "rhs_evals": ball_evals, "accepted": row.accepted,
+                "rejected": row.rejected, "redone": redone, "active_vertices": m}
 
-    while t < t_end:
-        if rim is not None and y[rim:].any():   # K[0] could reach the edge
+    while live:
+        if rim is not None and np.count_nonzero(y[..., rim:]):   # K[0] could reach the edge
             s = _support_radius(y, dist)
             if grow is not None and s > r_max - _STEP_REACH:   # ... of the whole ball
-                balls.append(record())
-                dist, rhs_on, ringed = grow(t)
+                for row in rows:
+                    row.balls.append(record(row))
+                    row.t_in = row.t
+                dist, rhs_on, ringed = grow(live[0].t)
                 if not ringed:   # a ball without a ring is never left
                     grow = None
-                rows = np.zeros((len(out), len(dist)))
-                rows[:k_out + 1, :n] = out[:k_out + 1]
+                wider = np.zeros((len(rows), n_out + 1, len(dist)))
+                for row in rows:
+                    wider[row.k, :row.k_out + 1, :n] = out[row.k, :row.k_out + 1]
                 n, r_max = len(dist), int(dist.max())
-                out, sq, t_in, ball_evals = rows, np.zeros(n), t, 0
+                out, ball_evals = wider, 0
             # never smaller: a voided attempt may have moved r past s + 4
             r, m, rim, ring = activate(max(r, min(s + _ACTIVE_MARGIN, r_max)))
-            y = np.pad(y, (0, m - len(y)))
+            y, rhs = widen(y, m), None
             if f is not None:
-                f = np.pad(f, (0, m - len(f)))
-            rhs = None
+                f = widen(f, m)
             continue
         if rhs is None:
-            rhs = rhs_on(m)
-            K, yi, step, heads = buffers(m)
-            at_ring = K[1:6, ring:]   # the stages past K[0] on ring r
-        if f is None:   # size the first step on the ball it runs on
-            f = rhs(t, y)
+            rhs, sq, sq_m, S, stage, yi, yo, step, product, heads, at_ring = build(len(live))
+            if f is not None:
+                stage[0] = f
+                f = stage[0]
+        if f is None:   # size the first steps on the ball they run on
+            stage[0] = rhs(live[0].t, y)
+            f = stage[0]
             if not np.isfinite(f).all():
-                raise NonFiniteStateError(t)
-            h = max(_initial_step(rhs, y, f, t_end, rtol, atol, rms), floor)
+                raise NonFiniteStateError(live[0].t)
+            for row, h in zip(live, _initial_step(rhs, y, f, t_end, rtol, atol, rms,
+                                                  per_row)):
+                row.h = max(h, floor)
             ball_evals += 2
-        if h < floor:
-            if not math.isfinite(err):
-                raise NonFiniteStateError(t)
-            raise StepSizeUnderflowError(t, h)
-        if accepted + rejected + redone >= max_steps:
-            raise SolverError(f"step budget {max_steps} exhausted at t={t}")
-        h = min(h, t_end - t)
-        K[0] = f
+        for row in live:
+            if row.h < floor:
+                if not math.isfinite(row.err):
+                    raise NonFiniteStateError(row.t)
+                raise StepSizeUnderflowError(row.t, row.h)
+            row.h = min(row.h, t_end - row.t)
+        if attempts >= max_steps:
+            raise SolverError(f"step budget {max_steps} exhausted at t={row.t}")
+        t, h = row.t, row.h   # the stage times handed to the right-hand side
+        hv = h if len(live) == 1 else per_row([row.h for row in live])
         for i in range(1, 7):   # y + h (A_i K[:i]); h A_i first would round differently
-            np.matmul(_DP_A[i], heads[i], out=yi)
-            yi *= h
-            yi += y
-            K[i] = rhs(t + _DP_C[i] * h, yi)
+            np.matmul(_DP_A[i], heads[i], out=yo)
+            yo *= hv
+            yo += y
+            stage[i] = rhs(t + _DP_C[i] * h, yi)
         ball_evals += 6
+        attempts += 1
         if m < n and np.count_nonzero(at_ring):   # a stage reached ring r: void, redo
             redone += 1
             r, m, rim, ring = activate(min(r + _ACTIVE_MARGIN, r_max))
-            y, f, rhs = np.pad(y, (0, m - len(y))), np.pad(f, (0, m - len(f))), None
+            y, f, rhs = widen(y, m), widen(f, m), None
             continue
-        np.matmul(_DP_BE, K, out=step)   # the step and the error, one product
-        step *= h
+        np.matmul(_DP_BE, product[0], out=product[1])   # the step and the error, one product
+        step *= hv
         y_new = y + step[0]
         scale = np.maximum(np.abs(y), np.abs(y_new))
         scale *= rtol
         scale += atol
-        err = rms(step[1] / scale)
-        if not err <= 1.0:   # a NaN estimate is a rejection too
-            rejected += 1
-            h *= 0.5          # halve-and-retry fallback
-            continue
-        max_err_window = max(max_err_window, err)
-        t_new = t + h
-        # dense output inside (t, t_new]
-        while k_out < len(t_eval) and t_eval[k_out] <= t_new * (1 + 1e-15):
-            theta = min((t_eval[k_out] - t) / h, 1.0)
-            powers = theta ** np.arange(1, 5)
-            row = y + h * (K.T @ (_DP_P @ powers))
-            undershoot = 0.0
-            if clamp:   # the zeros outside the active ball need no clamp
-                undershoot = max(0.0, -row.min())
-                np.maximum(row, 0.0, out=row)
-            k_out += 1
-            out[k_out, :m] = row
-            table[k_out] = (accepted + 1, rejected, max_err_window, undershoot)
-            max_err_window = 0.0
-        accepted += 1
-        y, t, f = y_new, t_new, K[6].copy()   # FSAL: last stage is f(t_new, y_new)
-        if err == 0.0:
-            factor = _MAX_FACTOR
-        else:
-            factor = _SAFETY * err ** (-_PI_ALPHA) * err_prev ** _PI_BETA
-            factor = min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
-        err_prev = max(err, 1e-10)
-        h *= factor
-    if k_out < len(t_eval):
-        raise SolverError(f"integration ended at t={t} before the last output "
-                          f"instant {t_eval[-1]}")
-    diag = {name: table[name][:k_out + 1] for name in ROW_DIAGNOSTICS.names}
-    diag["balls"] = [*balls, record()]
-    return out[:k_out + 1], diag
+        np.divide(step[1], scale, out=scale)   # the scaled error
+        stayed, finished = [], False   # the rows that rejected; a row reached t_end
+        for j, (row, err) in enumerate(zip(live, rms(scale))):
+            row.err = err
+            if not err <= 1.0:   # a NaN estimate is a rejection too
+                row.rejected += 1
+                row.h *= 0.5      # halve-and-retry fallback
+                stayed.append(j)
+                continue
+            row.max_err = max(row.max_err, err)
+            t, h = row.t, row.h
+            t_new = t + h
+            # dense output inside (t, t_new]
+            while t_out[row.k_out] <= t_new * (1 + 1e-15):
+                theta = min((t_out[row.k_out] - t) / h, 1.0)
+                powers = theta ** np.arange(1, 5)
+                value = y.reshape(len(live), m)[j] + h * (S[j].T @ (_DP_P @ powers))
+                undershoot = 0.0
+                if row.clamp:   # the zeros outside the active ball need no clamp
+                    undershoot = max(0.0, -value.min())
+                    np.maximum(value, 0.0, out=value)
+                row.k_out += 1
+                out[row.k, row.k_out, :m] = value
+                table[row.k, row.k_out] = (row.accepted + 1, row.rejected, row.max_err,
+                                           undershoot)
+                row.max_err = 0.0
+            row.accepted += 1
+            row.t = t_new
+            if err == 0.0:
+                factor = _MAX_FACTOR
+            else:
+                factor = _SAFETY * err ** (-_PI_ALPHA) * row.err_prev ** _PI_BETA
+                factor = min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
+            row.err_prev = max(err, 1e-10)
+            row.h *= factor
+            finished = finished or t_new >= t_end
+        if len(stayed) < len(live):   # FSAL: the last stage is f(t_new, y_new)
+            for j in stayed:   # only with several rows
+                y_new[j], stage[6][j] = y[j], f[j]
+            stage[0] = stage[6]
+            y = y_new
+        if finished:   # finished rows leave the stack
+            keep = [j for j, row in enumerate(live) if row.t < t_end]
+            live = [live[j] for j in keep]
+            if live:
+                y, f = (v.reshape(-1, m)[keep] for v in (y, f))
+                if len(live) == 1:
+                    y, f = y[0], f[0]
+                rhs = None
+    results = []
+    for row in rows:
+        if row.k_out < n_out:
+            raise SolverError(f"integration ended at t={row.t} before the last output "
+                              f"instant {t_eval[-1]}")
+        diag = {name: table[row.k][name] for name in ROW_DIAGNOSTICS.names}
+        diag["balls"] = [*row.balls, record(row)]
+        results.append((out[row.k], diag))
+    return results if np.ndim(y0) > 1 else results[0]
 
 
 # ----------------------------------------------------------------------
@@ -399,7 +504,9 @@ class Trajectory:
     ``max_scaled_error`` since the previous time and the ``clamped``
     undershoot.
     ``history`` has one record per ball the solve that produced the
-    trajectory was on (see :func:`solve_truncated`).
+    trajectory was on (see :func:`solve_truncated`).  ``partners`` holds
+    the trajectories of the partner data solved in the same call, on the
+    same ball.
     The generator, the exponent and the certified radius are read from
     the region and the config.
     """
@@ -414,6 +521,7 @@ class Trajectory:
         self.diagnostics = diagnostics
         self.certified = certified
         self.history = history or []
+        self.partners = []
 
     @property
     def generator(self):
@@ -518,7 +626,8 @@ def _make_rhs(edges, degrees, p):
     return rhs
 
 
-def solve_truncated(g, u0: Field, cfg: SolverConfig, n, center=None, grow=False):
+def solve_truncated(g, u0: Field, cfg: SolverConfig, n, center=None, grow=False,
+                    partners=()):
     """Solve the flow on ``B_n`` with zero Dirichlet exterior values.
 
     The initial data must be supported inside the ball.  Output instants
@@ -529,17 +638,23 @@ def solve_truncated(g, u0: Field, cfg: SolverConfig, n, center=None, grow=False)
     center that the solution can reach (see :func:`_integrate`), a prefix
     of the ball; the stored rows are full-length and equal to a whole-ball
     solve up to rounding (bit for bit on the shipped configs).  Every error
-    norm divides by ``|B_n0|`` for ``n0 = first_radius(u0, cfg, center)``,
-    counted in ``B_n`` (all of ``B_n`` when it is the smaller ball), so the
-    steps do not depend on ``n`` or on the balls a growing solve moves
-    onto.
+    norm divides by ``|B_n0|`` for ``n0 = first_radius(u0, cfg, center,
+    partners)``, counted in ``B_n`` (all of ``B_n`` when it is the smaller
+    ball), so the steps do not depend on ``n`` or on the balls a growing
+    solve moves onto.
+
+    ``partners`` are further data solved in the same :func:`_integrate`
+    call, in lockstep with ``u0``: each keeps its own steps, and the
+    balls follow the union of the supports.  Their trajectories, on the
+    same ball, are the returned trajectory's ``partners``.
 
     A fixed ball (``grow=False``) may let the solution reach its boundary
     ring and leak through it.  With ``grow``, the solve moves onto the ball
     of radius ``ceil(RADIUS_GROWTH * R)`` before each step, the first one
     included, whose stage inputs could be nonzero on the ring of ``B_R``,
     and goes on there, its prefix ``B_R``, with the same integrator state,
-    so no flux ever crosses the truncation and the trajectory is certified.  A ball
+    so no flux ever crosses the truncation and the trajectories are
+    certified.  A ball
     without stubs (one that covers a finite graph) has no ring to reach
     and is never left.  Raises :class:`TruncationConvergenceError` when
     the solution would have to leave the ``max_expansions``-th ball.
@@ -556,22 +671,13 @@ def solve_truncated(g, u0: Field, cfg: SolverConfig, n, center=None, grow=False)
     """
     center = _resolve_center(g, u0, center)
     region = ball(g, center, n)
-    return _solve_on(g, u0, cfg, region, region_edges(g, region),
-                     _norm_size(region, first_radius(u0, cfg, center)), grow)
-
-
-def _norm_size(region, n0):
-    """``|B_n0|`` counted in the ball ``region``: what error norms divide by."""
-    return int(np.count_nonzero(region.distances <= n0))
-
-
-def _solve_on(g, u0, cfg, region, edges, norm_size, grow=False):
-    """:func:`solve_truncated` on the built ball ``region`` with its ``edges``."""
+    edges = region_edges(g, region)
     balls = [(region, edges)]   # each ball the solve was on
 
     def on(region, edges):
-        def rhs_on(m):   # looks up the module's _make_rhs for every sub-ball
-            return _make_rhs(edges.restrict(m), region.degrees[:m], cfg.p)
+        def rhs_on(m, k=1):   # looks up the module's _make_rhs for every sub-ball
+            return _make_rhs(edges.restrict(m).stacked(k), np.tile(region.degrees[:m], k),
+                             cfg.p)
         return rhs_on
 
     def grow_ball(t):
@@ -585,51 +691,62 @@ def _solve_on(g, u0, cfg, region, edges, norm_size, grow=False):
         balls.append((larger, edges))
         return larger.distances, on(larger, edges), len(edges.bi) > 0
 
-    for v in u0.support():
-        if v not in region:
-            raise ValueError(f"data support at {v!r} lies outside "
-                             f"B_{region.radius}({region.center!r})")
-    y0 = np.zeros(len(region))
-    for v, x in u0.values.items():
-        y0[region.index[v]] = x
-    Y, diag = _integrate(on(region, edges), region.distances, y0, float(cfg.instants[-1]),
-                         cfg.instants, cfg.rtol, cfg.atol, cfg.max_steps,
-                         grow=grow_ball if grow and len(edges.bi) else None,
-                         norm_size=norm_size)
+    y0 = np.zeros((1 + len(partners), len(region)))
+    for row, u in zip(y0, [u0, *partners]):
+        for v in u.support():
+            if v not in region:
+                raise ValueError(f"data support at {v!r} lies outside "
+                                 f"B_{region.radius}({region.center!r})")
+        for v, x in u.values.items():
+            row[region.index[v]] = x
+    n0 = first_radius(u0, cfg, center, partners)
+    solved = _integrate(on(region, edges), region.distances, y0, float(cfg.instants[-1]),
+                        cfg.instants, cfg.rtol, cfg.atol, cfg.max_steps,
+                        grow=grow_ball if grow and len(edges.bi) else None,
+                        norm_size=int(np.count_nonzero(region.distances <= n0)))
     region, edges = balls[-1]
     times = np.concatenate([[0.0], cfg.instants])
-    diagnostics = {name: diag[name] for name in ROW_DIAGNOSTICS.names}
-    traj = Trajectory(cfg, region, edges, times, Y, diagnostics, certified=grow)
-    traj.history = [{"n": reg.radius, "vertices": len(reg), "edges": len(e.ei) + len(e.bi),
-                     **counts} for (reg, e), counts in zip(balls, diag["balls"])]
-    traj.history[-1]["boundary_leak"] = float(traj.boundary_sups[1:].max(initial=0.0))
-    return traj
+    trajs = []
+    for Y, diag in solved:
+        diagnostics = {name: diag[name] for name in ROW_DIAGNOSTICS.names}
+        traj = Trajectory(cfg, region, edges, times, Y, diagnostics, certified=grow)
+        traj.history = [{"n": reg.radius, "vertices": len(reg),
+                         "edges": len(e.ei) + len(e.bi), **counts}
+                        for (reg, e), counts in zip(balls, diag["balls"])]
+        traj.history[-1]["boundary_leak"] = float(traj.boundary_sups[1:].max(initial=0.0))
+        trajs.append(traj)
+    trajs[0].partners = trajs[1:]
+    return trajs[0]
 
 
-def solve_cauchy(g, u0: Field, cfg: SolverConfig, center=None):
+def solve_cauchy(g, u0: Field, cfg: SolverConfig, center=None, partners=()):
     """Solve the Cauchy problem on a ball that grows in place.
 
     One :func:`solve_truncated` solve with ``grow``, from ``n0`` (default:
-    the data's support radius plus 8).  Each growth moves from ``B_R`` to
-    ``B_ceil(1.5 R)``, and every error norm divides by ``|B_n0|``.  Every
+    the largest support radius of the data and its ``partners``, plus 8).
+    Each growth moves from ``B_R`` to ``B_ceil(1.5 R)``, and every error
+    norm divides by ``|B_n0|``.  Every
     stage input of every step is exactly 0 on the ring of the ball the
     step ran on, so no flux crossed the truncation: the trajectory is
     certified, at the radius of the last ball, and is that of the Cauchy
     problem up to integration error.  ``history`` holds one record per
-    ball.
+    ball.  The ``partners`` are solved in the same call, in lockstep, and
+    their trajectories (``traj.partners``) are certified on the same ball.
     """
     center = _resolve_center(g, u0, center)
-    return solve_truncated(g, u0, cfg, first_radius(u0, cfg, center), center=center,
-                           grow=True)
+    return solve_truncated(g, u0, cfg, first_radius(u0, cfg, center, partners),
+                           center=center, grow=True, partners=partners)
 
 
-def first_radius(u0: Field, cfg: SolverConfig, center):
+def first_radius(u0: Field, cfg: SolverConfig, center, partners=()):
     """Radius of the first ball of :func:`solve_cauchy`, which every later ball contains.
 
-    ``cfg.n0`` when set, else the data's support radius around ``center``
-    plus 8.
+    ``cfg.n0`` when set, else the largest support radius of ``u0`` and its
+    ``partners`` around ``center``, plus 8.
     """
-    return int(cfg.n0) if cfg.n0 is not None else u0.support_radius(center) + 8
+    if cfg.n0 is not None:
+        return int(cfg.n0)
+    return max(u.support_radius(center) for u in (u0, *partners)) + 8
 
 
 # ----------------------------------------------------------------------
@@ -639,23 +756,16 @@ def first_radius(u0: Field, cfg: SolverConfig, center):
 def comparison_check(g, u01: Field, u02: Field, cfg: SolverConfig, center=None):
     """Worst signed gap ``min (u1 - u2)`` for ordered data ``u01 >= u02``.
 
-    ``u01`` is solved by :func:`solve_cauchy`; ``u02`` on the same ball,
-    fixed, with the same error norm.  Order preservation means the result
-    is bounded below by solver noise.  Raises
-    :class:`TruncationConvergenceError` when the solution of ``u02``
-    reaches that ball's ring, where its gap would hold truncation error.
+    One :func:`solve_cauchy` call solves ``u01`` with ``u02`` as its
+    partner: both rows step in lockstep on one growing ball that follows
+    their union, with the same error norm, and both are certified.  Order
+    preservation means the result is bounded below by solver noise.
     """
     if not u01.dominates(u02):
         raise ValueError("precondition u01 >= u02 violated")
     center = _resolve_center(g, u01, center)
-    traj1 = solve_cauchy(g, u01, cfg, center=center)
-    traj2 = _solve_on(g, u02, cfg, traj1.region, traj1.edges,
-                      _norm_size(traj1.region, first_radius(u01, cfg, center)))
-    leak = traj2.history[-1]["boundary_leak"]
-    if leak > 0.0:
-        raise TruncationConvergenceError(
-            f"the solution of the smaller datum reached the boundary ring of "
-            f"B_{traj1.region.radius} (boundary sup {leak!r})")
+    traj1 = solve_cauchy(g, u01, cfg, center=center, partners=(u02,))
+    [traj2] = traj1.partners
     return float((traj1.values - traj2.values).min())
 
 

@@ -88,3 +88,41 @@ def test_a_growing_cauchy_solve_is_one_truncated_solve():
     assert span.info == {"evals": sum(h["rhs_evals"] for h in traj.history),
                          "accepted": traj.history[-1]["accepted"],
                          "rejected": traj.history[-1]["rejected"]}
+
+
+def test_a_comparison_pair_is_one_cauchy_solve_through_the_module():
+    # bench/workloads.py's mass guard rebinds solver.solve_cauchy and checks
+    # the masses of the 2-d values it returns, u01's; the tracer reads each
+    # pair's work from one solve_truncated and one integrate span
+    z1 = gf.lattice_generator(1)
+    cfg = gf.SolverConfig(p=3.0, instants=gf.log_instants(0.1, 5.0, 7),
+                          rtol=1e-10, atol=1e-14, n0=10)
+    pairs = [(gf.Field(z1, {(0,): 1.0, (2,): 0.5}), gf.Field(z1, {(0,): 0.5})),
+             (gf.Field(z1, {(0,): 1.0}), gf.Field(z1, {(0,): 0.5, (6,): -0.5}))]
+    spans = _spans_module()
+    for module, _ in spans.SPANNED:   # the tracer wraps functions of each
+        importlib.import_module(f"graphflow.{module}")
+    original = gf.solver.solve_cauchy
+    shapes = []
+
+    def guarded(*args, **kwargs):
+        traj = original(*args, **kwargs)
+        shapes.append((traj.values.shape, len(traj.region)))
+        return traj
+    undo = spans.rebind(original, guarded)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        gaps = [gf.solver.comparison_check(z1, u01, u02, cfg, center=(0,))
+                for u01, u02 in pairs]
+    finally:
+        tracer.uninstall()
+        undo()
+    assert min(gaps) >= -1e-8
+    # one solve per pair, 2-d values: a row per stored time, a column per vertex
+    assert len(shapes) == len(pairs)
+    assert [shape for shape, _ in shapes] == [(len(cfg.instants) + 1, n) for _, n in shapes]
+    calls = [s.name for s in tracer.spans]
+    for name in ("solver.comparison_check", "solver.solve_cauchy",
+                 "solver.solve_truncated", "solver.integrate"):
+        assert calls.count(name) == len(pairs), name

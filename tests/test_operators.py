@@ -311,3 +311,41 @@ def test_edge_table_returns_a_fresh_array():
     assert not np.shares_memory(f0, f1)
     assert np.array_equal(f0, f0_copy)
     assert np.array_equal(div(u0), f0)
+
+
+# ----------------------------------------------------------------------
+# K states stacked block by block: the kernel of K disjoint copies
+
+STACKED = {
+    "Z^1": lambda: _sub_ball_edges(gf.lattice_generator(1), (0,), 9, 6),
+    "Z^2": lambda: _sub_ball_edges(gf.lattice_generator(2), (1, -2), 6, 4),
+    "Z^3": lambda: _sub_ball_edges(gf.lattice_generator(3), (0, 0, 0), 4, 3),
+    "K_3 x Z^1": lambda: _sub_ball_edges(gf.product_generator(gf.complete_graph(3), 1),
+                                         (1, 0), 5, 2),
+    # degrees 2 and 3, so the short columns are padded, and weighted stubs
+    "weighted": _weighted_ball_edges,
+}
+
+
+@pytest.mark.parametrize("K", [2, 3, 5])
+@pytest.mark.parametrize("p", [2.5, 3.0, 4.0])
+@pytest.mark.parametrize("case", sorted(STACKED))
+def test_stacked_blocks_are_bitwise_their_own_calls(case, p, K):
+    # a solver step evaluates the rows of a lockstep run as one state of K
+    # blocks; each block must round as the call on it alone
+    g, region, edges = STACKED[case]()
+    assert len(edges.bi) > 0
+    blocks = [_state(100 * K + b, edges.n) for b in range(K)]
+    blocks[1][:] = 0.0   # a zero row next to nonzero ones
+    blocks[-1] *= 1e-150   # and one near underflow
+    stacked = edges.stacked(K)
+    assert stacked.n == K * edges.n and edges.stacked(1) is edges
+    got = stacked.divergence(p)(np.concatenate(blocks))
+    want = np.concatenate([edges.divergence(p)(u) for u in blocks])
+    assert got.dtype == np.float64 and np.array_equal(got, want)
+    # the solver's right-hand side divides each block by its degrees
+    from graphflow.solver import _make_rhs
+    rhs = _make_rhs(stacked, np.tile(region.degrees, K), p)
+    one = _make_rhs(edges, region.degrees, p)
+    assert np.array_equal(rhs(0.0, np.concatenate(blocks)),
+                          np.concatenate([one(0.0, u) for u in blocks]))

@@ -255,15 +255,35 @@ def test_comparison_scaled_pair(z1):
     assert gap >= -1e-8 * 1.0
 
 
-def test_comparison_partner_that_reaches_the_ring_is_a_typed_error(z1):
-    # the partner runs on the certified ball of u01, fixed; a far larger
-    # negative datum spreads past it, so its gap would hold truncation error
+def test_comparison_partner_that_outgrows_u01_is_certified(z1):
+    # the partner shares u01's growing ball, which follows the union of the
+    # supports: a far larger negative datum spreads past u01's own ball,
+    # and the shared ball grows with it, so its gap holds no truncation error
     cfg = gf.SolverConfig(p=3.0, instants=gf.log_instants(0.1, 5.0, 7),
                           rtol=1e-10, atol=1e-14)
     u01 = gf.delta_field(z1, (0,), 1.0)
     assert gf.comparison_check(z1, u01, gf.delta_field(z1, (0,), -1.0), cfg) >= -1e-8
-    with pytest.raises(TruncationConvergenceError, match="smaller datum reached"):
-        gf.comparison_check(z1, u01, gf.delta_field(z1, (0,), -1000.0), cfg)
+    u02 = gf.delta_field(z1, (0,), -1000.0)
+    solo = gf.solve_cauchy(z1, u01, cfg)
+    traj = gf.solve_cauchy(z1, u01, cfg, partners=(u02,))
+    [partner] = traj.partners
+    assert partner.certified and partner.history[-1]["boundary_leak"] == 0.0
+    assert partner.certified_radius == traj.certified_radius > solo.certified_radius
+    assert gf.comparison_check(z1, u01, u02, cfg) >= -1e-8 * u01.sup_norm()
+
+
+def test_comparison_partner_supported_outside_u01_ball(z1):
+    # ordered data whose smaller datum lies far past u01's support: the
+    # shared first ball covers both supports (radius 40 + 8), where a solve
+    # of u01 alone ends on B_18 and leaves the partner's datum outside
+    cfg = gf.SolverConfig(p=3.0, instants=gf.log_instants(0.1, 5.0, 7),
+                          rtol=1e-10, atol=1e-14)
+    u01 = gf.delta_field(z1, (0,), 1.0)
+    u02 = gf.Field(z1, {(0,): 0.5, (40,): -0.5})
+    assert u01.dominates(u02)
+    assert gf.comparison_check(z1, u01, u02, cfg) >= -1e-8 * u01.sup_norm()
+    traj = gf.solve_cauchy(z1, u01, cfg, partners=(u02,))
+    assert traj.history[0]["n"] == 48 and traj.partners[0].certified
 
 
 def test_comparison_precondition_enforced(z1, short_cfg):
