@@ -282,6 +282,7 @@ class RegionEdges:
     bi: np.ndarray        # region-side indices of edges leaving the region
     bw: np.ndarray        # their weights
     n: int                # number of region vertices
+    wj: np.ndarray | None = None   # head-side weights of directed edges (None: w)
 
     def divergence(self, p):
         """Kernel ``u -> sum_y w(x,y) |u(y)-u(x)|^(p-2) (u(y)-u(x))`` over the region.
@@ -306,6 +307,10 @@ class RegionEdges:
         needs no padding.  The table costs ``16 k n`` bytes for as long as
         the kernel lives, against 24 per internal edge and 16 per stub in
         the arrays, and each call computes every internal flux twice.
+
+        With head-side weights ``wj`` (an orbit quotient, see
+        :func:`orbit_quotient`) the head's entry of an edge takes ``wj``
+        instead of ``w``; the table and the call are the same.
         """
         n = self.n
         # sort the entries, then the pads, by vertex, stably, and lay them
@@ -317,7 +322,8 @@ class RegionEdges:
         order = np.argsort(np.concatenate([src, pad]), kind="stable")
         nbr = np.concatenate([self.ej, self.ei, np.full(len(self.bi), n), pad])[order]
         nbr = np.ascontiguousarray(nbr.reshape(n, k).T)
-        W = np.concatenate([self.w, self.w, self.bw, np.zeros(len(pad))])[order]
+        W = np.concatenate([self.w, self.w if self.wj is None else self.wj, self.bw,
+                            np.zeros(len(pad))])[order]
         W = np.ascontiguousarray(W.reshape(n, k).T)
         ext = np.zeros(n + 1)   # ext[n] is the zero exterior of every stub
         odd_power = _odd_power(p)
@@ -357,14 +363,16 @@ class RegionEdges:
         shift = self.n * np.arange(k)[:, None]
         return RegionEdges((self.ei + shift).ravel(), (self.ej + shift).ravel(),
                            np.tile(self.w, k), (self.bi + shift).ravel(),
-                           np.tile(self.bw, k), k * self.n)
+                           np.tile(self.bw, k), k * self.n,
+                           None if self.wj is None else np.tile(self.wj, k))
 
     def restrict(self, m):
         """Edge arrays of the sub-region of the first ``m`` vertices.
 
         On a ball that is the ball ``B_r`` of size ``m``.  Internal edges
         keep their order; one with ``ei < m <= ej`` becomes a stub of its
-        tail, a zero exterior there.  ``m = n`` returns ``self``.
+        tail, a zero exterior there, at its tail-side weight.  ``m = n``
+        returns ``self``.
         """
         if m == self.n:
             return self
@@ -373,7 +381,8 @@ class RegionEdges:
         stub = self.bi < m
         return RegionEdges(self.ei[inner], self.ej[inner], self.w[inner],
                            np.concatenate([self.bi[stub], self.ei[cut]]),
-                           np.concatenate([self.bw[stub], self.w[cut]]), m)
+                           np.concatenate([self.bw[stub], self.w[cut]]), m,
+                           None if self.wj is None else self.wj[inner])
 
 
 def region_edges(g, region):
@@ -421,6 +430,61 @@ def _lattice_edges(offsets, coords):
     out = ~found
     return RegionEdges(i[inner], j[inner], np.ones(np.count_nonzero(inner)),
                        i[out], np.ones(np.count_nonzero(out)), n)
+
+
+def orbit_constant(values, center):
+    """Whether ``values`` (a vertex -> value dict on ``Z^N``) is constant on orbits.
+
+    The orbits are those of the signed coordinate permutations about
+    ``center``.  Exact: a vertex and its image under each generator
+    (negating the first offset, swapping the first two, shifting them
+    cyclically) carry equal values, and off the support both are 0.
+    """
+    moves = [lambda d: (-d[0], *d[1:]), lambda d: (d[1], d[0], *d[2:]),
+             lambda d: (*d[1:], d[0])][:1 if len(center) == 1 else 3]
+    for v, x in values.items():
+        d = tuple(a - c for a, c in zip(v, center))
+        if any(values.get(tuple(map(add, center, move(d)))) != x for move in moves):
+            return False
+    return True
+
+
+def orbit_quotient(region, edges):
+    """A ``Z^N`` ball modulo the signed coordinate permutations about its center.
+
+    Orbits are keyed by the sorted absolute offsets from the center and
+    numbered by their first vertex in the ring-ordered ball, so each lies
+    on one ring and the orbits of a smaller concentric ball are a prefix.
+    Returns the orbit of each vertex, the ring and the degree of each
+    orbit, and the quotient's edge arrays.  Those carry directed weights
+    ``w(O, O') = sum_{x in O, y in O'} w(x, y) / |O|`` and stubs summed
+    the same way, so a state constant on orbits evolves as its orbit values
+    do; ``|O| w(O, O')`` is symmetric, so ``sum |O| d(O) u(O)`` is
+    conserved.
+    """
+    coords = region.coords if region.coords is not None else np.array(region.vertices)
+    keys = np.sort(np.abs(coords - np.array(region.center)), axis=1)
+    if region.coords is not None:   # (R + 1)^N < (2R + 3)^N: one int64 key per row
+        keys = keys @ (region.radius + 1) ** np.arange(keys.shape[1])
+    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)                 # the orbits by first vertex
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    orbit_of, first, k = rank[inverse.ravel()], first[order], len(order)
+    sizes = np.bincount(orbit_of)
+    # the weight sum over each pair of orbits, lower orbit first; an edge
+    # inside one orbit has no flux
+    a, b = orbit_of[edges.ei], orbit_of[edges.ej]
+    cross = a != b
+    pair, at = np.unique(np.minimum(a, b)[cross] * k + np.maximum(a, b)[cross],
+                         return_inverse=True)
+    total = np.bincount(at, edges.w[cross])
+    oi, oj = pair // k, pair % k
+    stub = np.bincount(orbit_of[edges.bi], edges.bw, minlength=k)
+    bi = np.flatnonzero(stub)
+    return (orbit_of, region.distances[first], region.degrees[first],
+            RegionEdges(oi, oj, total / sizes[oi], bi, stub[bi] / sizes[bi], k,
+                        wj=total / sizes[oj]))
 
 
 @dataclass

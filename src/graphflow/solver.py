@@ -45,7 +45,7 @@ from functools import cached_property
 import numpy as np
 
 from .fields import Field
-from .graphs import ball, distances_within, region_edges
+from .graphs import ball, distances_within, orbit_constant, orbit_quotient, region_edges
 from .operators import require_exponent
 
 
@@ -193,6 +193,9 @@ _STEP_REACH = 7
 # layers from the support to the active ball's edge, and the layers a voided
 # attempt adds to it (at least 2: the edge's last two rings must be 0)
 _ACTIVE_MARGIN = 4
+# solve data constant on the orbits of the signed coordinate permutations
+# about a Z^N center with one unknown per orbit (see solve_truncated)
+_ORBIT_QUOTIENT = True
 
 
 def _support_radius(y, dist):
@@ -226,7 +229,7 @@ class _Row:
 
 
 def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps, grow=None,
-               norm_size=None):
+               norm_size=None, lift=None):
     """Integrate y' = rhs(t, y) on [0, t_end], dense output at t_eval.
 
     ``dist[i]`` is the center distance of vertex ``i``, nondecreasing (a
@@ -248,7 +251,10 @@ def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps, grow=None
     divided by ``norm_size`` (default ``len(y0)``, the first ball's size)
     for the whole run.  So the step sequence depends
     neither on the active ball nor on the balls a growing run moves onto,
-    up to the rounding of sums over arrays of different length.
+    up to the rounding of sums over arrays of different length.  With
+    ``lift``, the entry of each vertex of the ball (an orbit quotient, see
+    :func:`solve_truncated`), the norms sum over the vertices in their
+    order, ``y[..., lift]``, as a solve on the vertices does.
 
     A 2-d ``y0`` holds ``K`` independent states, one per row, integrated
     in lockstep: one loop iteration is one attempt for every row that has
@@ -268,8 +274,9 @@ def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps, grow=None
     the rim also holds its last 7 layers (one step spreads exact nonzeros
     by at most 7), and when ``s`` lies in them the run first moves onto a
     larger ball, the current one its prefix.  ``grow(t)`` returns its
-    ``dist`` and ``rhs_on`` and whether it has a ring to reach (a ball
-    that covers a finite graph has none).  The state, the FSAL value and
+    ``dist`` and ``rhs_on``, whether it has a ring to reach (a ball
+    that covers a finite graph has none) and, with ``lift``, its
+    lift.  The state, the FSAL value and
     the stored rows are padded with zero columns, and stepping goes on
     with the same step size, controller state and counters: a growth
     redoes nothing.  Without ``grow`` the ball is fixed, and the solution
@@ -289,8 +296,9 @@ def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps, grow=None
     two more that size the first step; each call evaluates every row in
     the stack), the cumulative ``accepted``,
     ``rejected`` and ``redone`` (voided) attempt counts when it was left,
-    and the largest active ball (``active_vertices``).  The ``max_steps``
-    budget counts every attempt.
+    and the largest active ball, in entries (``unknowns``) and in
+    vertices (``active_vertices``, the entries without ``lift``).  The
+    ``max_steps`` budget counts every attempt.
     """
     states = np.atleast_2d(y0)
     n = states.shape[1]
@@ -324,9 +332,16 @@ def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps, grow=None
     size = n if norm_size is None else norm_size
 
     def rms(v):   # one per live row, summed over all n entries of its row (a
-        np.square(v, out=sq_m)   # sum over the prefix rounds differently)
+        if lift is None:         # sum over the prefix rounds differently)
+            np.square(v, out=sq_m)
+        else:   # the active vertices are a prefix of the ball's too
+            np.take(v, lift[:sq_m.shape[-1]], axis=-1, out=sq_m, mode="clip")
+            np.square(sq_m, out=sq_m)
         sums = np.add.reduce(sq, axis=-1, keepdims=sq.ndim == 1)
         return [math.sqrt(x / size) for x in sums.tolist()]
+
+    def active_vertices():   # the vertices of the active ball
+        return m if lift is None else int(np.count_nonzero(lift < m))
 
     def build(k):
         # for k rows: the right-hand side on the active ball, on k stacked
@@ -336,7 +351,8 @@ def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps, grow=None
         # input, flat and by row; the step and error rows and the product
         # that writes them; the stages K[:i] each input combines; the
         # stages past K[0] on ring r
-        sq = np.zeros(n if k == 1 else (k, n))
+        size_sq = n if lift is None else len(lift)
+        sq = np.zeros(size_sq if k == 1 else (k, size_sq))
         S = np.empty((k, 7, m))
         yi = np.empty(k * m)
         step = np.empty((2, m) if k == 1 else (2, k, m))
@@ -351,8 +367,8 @@ def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps, grow=None
                 return stacked(t, u.reshape(-1)).reshape(k, m)
             stage, heads = S.transpose(1, 0, 2), [S[:, :i] for i in range(7)]
             product = (S, step.transpose(1, 0, 2))
-        return (rhs, sq, sq[..., :m], S, stage, yi, yi.reshape(stage.shape[1:]), step,
-                product, heads, S[:, 1:6, ring:])
+        return (rhs, sq, sq[..., :active_vertices()], S, stage, yi,
+                yi.reshape(stage.shape[1:]), step, product, heads, S[:, 1:6, ring:])
 
     out = np.zeros((len(rows), n_out + 1, n))
     out[:, 0] = states
@@ -364,7 +380,8 @@ def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps, grow=None
 
     def record(row):
         return {"t": row.t_in, "rhs_evals": ball_evals, "accepted": row.accepted,
-                "rejected": row.rejected, "redone": redone, "active_vertices": m}
+                "rejected": row.rejected, "redone": redone, "unknowns": m,
+                "active_vertices": active_vertices()}
 
     while live:
         if rim is not None and np.count_nonzero(y[..., rim:]):   # K[0] could reach the edge
@@ -373,7 +390,9 @@ def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps, grow=None
                 for row in rows:
                     row.balls.append(record(row))
                     row.t_in = row.t
-                dist, rhs_on, ringed = grow(live[0].t)
+                dist, rhs_on, ringed, *new = grow(live[0].t)
+                if lift is not None:
+                    [lift] = new
                 if not ringed:   # a ball without a ring is never left
                     grow = None
                 wider = np.zeros((len(rows), n_out + 1, len(dist)))
@@ -637,7 +656,7 @@ def solve_truncated(g, u0: Field, cfg: SolverConfig, n, center=None, grow=False,
     t = 0 first.  Each step integrates only the active ball around the
     center that the solution can reach (see :func:`_integrate`), a prefix
     of the ball; the stored rows are full-length and equal to a whole-ball
-    solve up to rounding (bit for bit on the shipped configs).  Every error
+    solve up to rounding (bit for bit on the vertex path).  Every error
     norm divides by ``|B_n0|`` for ``n0 = first_radius(u0, cfg, center,
     partners)``, counted in ``B_n`` (all of ``B_n`` when it is the smaller
     ball), so the steps do not depend on ``n`` or on the balls a growing
@@ -647,6 +666,12 @@ def solve_truncated(g, u0: Field, cfg: SolverConfig, n, center=None, grow=False,
     call, in lockstep with ``u0``: each keeps its own steps, and the
     balls follow the union of the supports.  Their trajectories, on the
     same ball, are the returned trajectory's ``partners``.
+
+    When every datum is constant on the orbits of the signed coordinate
+    permutations about a ``Z^N`` center (a centred delta, radial data),
+    the solve has one unknown per orbit (:func:`graphs.orbit_quotient`)
+    and the stored rows are lifted to the vertices of the last ball: a
+    solve on the vertices up to rounding, with the same steps.
 
     A fixed ball (``grow=False``) may let the solution reach its boundary
     ring and leak through it.  With ``grow``, the solve moves onto the ball
@@ -664,21 +689,36 @@ def solve_truncated(g, u0: Field, cfg: SolverConfig, n, center=None, grow=False,
     stubs), the time ``t`` the solve moved onto it (0.0 for the first),
     ``rhs_evals`` (the evaluations made on it), the cumulative
     ``accepted`` and ``rejected`` step counts and ``redone`` attempts (the
-    voided ones, see :func:`_integrate`) when it was left, and
-    ``active_vertices`` (the largest active ball the steps ran on).  The
+    voided ones, see :func:`_integrate`) when it was left, and the
+    largest active ball the steps ran on, in ``active_vertices`` and in
+    ``unknowns`` (its orbits on the quotient, else its vertices).  The
     record of the returned ball also has its ``boundary_leak``, the
     largest stored boundary sup after t = 0.
     """
     center = _resolve_center(g, u0, center)
+    data = [u0, *partners]
     region = ball(g, center, n)
     edges = region_edges(g, region)
-    balls = [(region, edges)]   # each ball the solve was on
+    for u in data:
+        for v in u.support():
+            if v not in region:
+                raise ValueError(f"data support at {v!r} lies outside "
+                                 f"B_{region.radius}({region.center!r})")
+    quotient = (_ORBIT_QUOTIENT and region.coords is not None
+                and all(orbit_constant(u.values, center) for u in data))
 
     def on(region, edges):
+        # the ball's unknowns: their distances, rhs_on and the lift to the
+        # vertices (None on the vertices themselves)
+        dist, degrees, lift = region.distances, region.degrees, None
+        if quotient:
+            lift, dist, degrees, edges = orbit_quotient(region, edges)
+
         def rhs_on(m, k=1):   # looks up the module's _make_rhs for every sub-ball
-            return _make_rhs(edges.restrict(m).stacked(k), np.tile(region.degrees[:m], k),
-                             cfg.p)
-        return rhs_on
+            return _make_rhs(edges.restrict(m).stacked(k), np.tile(degrees[:m], k), cfg.p)
+        return dist, rhs_on, lift
+
+    balls = [(region, edges, on(region, edges))]   # each ball the solve was on
 
     def grow_ball(t):
         smaller = balls[-1][0]
@@ -688,31 +728,32 @@ def solve_truncated(g, u0: Field, cfg: SolverConfig, n, center=None, grow=False,
                 f"(last radius {smaller.radius}, at t={t!r})")
         larger = ball(g, smaller.center, math.ceil(RADIUS_GROWTH * smaller.radius))
         edges = region_edges(g, larger)
-        balls.append((larger, edges))
-        return larger.distances, on(larger, edges), len(edges.bi) > 0
+        balls.append((larger, edges, on(larger, edges)))
+        dist, rhs_on, lift = balls[-1][2]
+        return dist, rhs_on, len(edges.bi) > 0, lift
 
-    y0 = np.zeros((1 + len(partners), len(region)))
-    for row, u in zip(y0, [u0, *partners]):
-        for v in u.support():
-            if v not in region:
-                raise ValueError(f"data support at {v!r} lies outside "
-                                 f"B_{region.radius}({region.center!r})")
+    dist, rhs_on, lift = balls[0][2]
+    y0 = np.zeros((len(data), len(dist)))
+    for row, u in zip(y0, data):
         for v, x in u.values.items():
-            row[region.index[v]] = x
+            i = region.index[v]
+            row[i if lift is None else lift[i]] = x
     n0 = first_radius(u0, cfg, center, partners)
-    solved = _integrate(on(region, edges), region.distances, y0, float(cfg.instants[-1]),
-                        cfg.instants, cfg.rtol, cfg.atol, cfg.max_steps,
+    solved = _integrate(rhs_on, dist, y0, float(cfg.instants[-1]), cfg.instants, cfg.rtol,
+                        cfg.atol, cfg.max_steps,
                         grow=grow_ball if grow and len(edges.bi) else None,
-                        norm_size=int(np.count_nonzero(region.distances <= n0)))
-    region, edges = balls[-1]
+                        norm_size=int(np.count_nonzero(region.distances <= n0)),
+                        lift=lift)
+    region, edges, (*_, lift) = balls[-1]
     times = np.concatenate([[0.0], cfg.instants])
     trajs = []
     for Y, diag in solved:
         diagnostics = {name: diag[name] for name in ROW_DIAGNOSTICS.names}
-        traj = Trajectory(cfg, region, edges, times, Y, diagnostics, certified=grow)
+        values = Y if lift is None else Y[:, lift]
+        traj = Trajectory(cfg, region, edges, times, values, diagnostics, certified=grow)
         traj.history = [{"n": reg.radius, "vertices": len(reg),
                          "edges": len(e.ei) + len(e.bi), **counts}
-                        for (reg, e), counts in zip(balls, diag["balls"])]
+                        for (reg, e, _), counts in zip(balls, diag["balls"])]
         traj.history[-1]["boundary_leak"] = float(traj.boundary_sups[1:].max(initial=0.0))
         trajs.append(traj)
     trajs[0].partners = trajs[1:]

@@ -14,6 +14,7 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import graphflow as gf
@@ -25,6 +26,10 @@ def _spans_module():
     spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    # Tracer.install looks each traced module up in sys.modules, and
+    # ``import graphflow`` does not import all of them
+    for name, _ in {*module.SPANNED, *module.COUNTED}:
+        importlib.import_module(f"graphflow.{name}")
     return module
 
 
@@ -100,8 +105,6 @@ def test_a_comparison_pair_is_one_cauchy_solve_through_the_module():
     pairs = [(gf.Field(z1, {(0,): 1.0, (2,): 0.5}), gf.Field(z1, {(0,): 0.5})),
              (gf.Field(z1, {(0,): 1.0}), gf.Field(z1, {(0,): 0.5, (6,): -0.5}))]
     spans = _spans_module()
-    for module, _ in spans.SPANNED:   # the tracer wraps functions of each
-        importlib.import_module(f"graphflow.{module}")
     original = gf.solver.solve_cauchy
     shapes = []
 
@@ -126,3 +129,39 @@ def test_a_comparison_pair_is_one_cauchy_solve_through_the_module():
     for name in ("solver.comparison_check", "solver.solve_cauchy",
                  "solver.solve_truncated", "solver.integrate"):
         assert calls.count(name) == len(pairs), name
+
+
+def test_a_centred_lattice_solve_keeps_the_guard_and_the_tracer_whole(monkeypatch):
+    # a centred Z^3 delta is solved on the orbit quotient; the mass guard of
+    # bench/workloads.py reads the lifted values against the ball's degrees,
+    # and the tracer counts len(degrees) per RHS call, one per orbit
+    z3 = gf.lattice_generator(3)
+    cfg = gf.SolverConfig(p=3.0, instants=gf.log_instants(0.01, 3.0, 9), n0=6)
+    spans = _spans_module()
+    sizes = []
+    make_rhs = gf.solver._make_rhs
+
+    def recorded(edges, degrees, p):
+        sizes.append(len(degrees))
+        return make_rhs(edges, degrees, p)
+    monkeypatch.setattr(gf.solver, "_make_rhs", recorded)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        traj = gf.solver.solve_cauchy(z3, gf.delta_field(z3, (0, 0, 0), 30.0), cfg)
+    finally:
+        tracer.uninstall()
+    assert len(traj.history) > 1
+    assert traj.values.shape == (len(cfg.instants) + 1, len(traj.region))
+    masses = np.abs(traj.values) @ traj.region.degrees
+    assert np.all(np.abs(masses - masses[0]) <= 1e-12 * masses[0])
+    # one entry per orbit of an active ball B_r: the sorted offsets a <= b <= c
+    # with a + b + c <= r
+    orbits = [sum(1 for c in range(r + 1) for b in range(c + 1) for a in range(b + 1)
+                  if a + b + c <= r) for r in range(traj.region.radius + 1)]
+    assert sizes and set(sizes) <= set(orbits)
+    last = traj.history[-1]
+    assert max(sizes) == last["unknowns"] < last["active_vertices"] <= last["vertices"]
+    r = orbits.index(last["unknowns"])
+    assert last["active_vertices"] == len(gf.ball(z3, (0, 0, 0), r))
+    assert tracer.counts["solver.rhs_evals"] == sum(h["rhs_evals"] for h in traj.history)

@@ -1,0 +1,195 @@
+"""Centred lattice data are solved with one unknown per symmetry orbit.
+
+The signed coordinate permutations about a ``Z^N`` center fix each ring
+and commute with ``Delta_p``, so data constant on their orbits stay so.
+``solve_truncated`` then integrates one unknown per orbit, on directed
+weights ``w(O, O') = sum_{x in O, y in O'} w(x, y) / |O|``, with error
+norms summed over the lifted state, and lifts the stored rows to the
+vertices of the last ball.  The sums run in another order, so the lifted
+solve equals the solve on the vertices up to rounding, with the same steps;
+any other datum takes the vertex path unchanged.
+"""
+
+import dataclasses
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import graphflow as gf
+from graphflow import cli, solver
+from graphflow.graphs import orbit_constant, orbit_quotient, region_edges
+from test_integration_error import sup_gaps
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def _both(g, data, cfg, center, partners=()):
+    """The solve as shipped and the same solve with the quotient switched off."""
+    u0 = gf.Field(g, data)
+    traj = gf.solve_cauchy(g, u0, cfg, center=center, partners=partners)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(solver, "_ORBIT_QUOTIENT", False)
+        full = gf.solve_cauchy(g, u0, cfg, center=center, partners=partners)
+    return traj, full
+
+
+def _orbit_data(g, center, radius, values):
+    """The datum on ``B_radius(center)`` with ``values[k]`` on its ``k``-th orbit."""
+    region = gf.ball(g, center, radius)
+    orbit_of = orbit_quotient(region, region_edges(g, region))[0]
+    return {v: values[orbit_of[i]] for i, v in enumerate(region.vertices)}
+
+
+# The two solves take their steps on error estimates that round apart; where
+# an estimate is mostly rounding noise (the first, tiny steps) the step size
+# controller turns that into step sizes a fraction of a percent apart, and
+# the values then differ by a fraction of the integration error.  Measured
+# over 700 random data like these at rtol 1e-8: at most 0.076 of the vertex
+# solve's integration error, up to 2.9e-10 ||u0||_inf; the step totals
+# were equal in each.
+REFINEMENT_SHARE = 0.25
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 3), st.sampled_from([2.5, 3.0, 4.0]), st.integers(-3, 3),
+       st.integers(0, 2), st.data())
+def test_the_quotient_solve_is_the_vertex_solve(N, p, shift, radius, data):
+    g = gf.lattice_generator(N)
+    center = (shift,) * N
+    region = gf.ball(g, center, radius)
+    k = orbit_quotient(region, region_edges(g, region))[3].n
+    value = st.sampled_from([0.0, 0.5, -1.0, 2.0]) | st.floats(-2.0, 2.0)
+    values = data.draw(st.lists(value, min_size=k, max_size=k))
+    if not any(values):
+        values[0] = 1.0
+    u0 = _orbit_data(g, center, radius, values)
+    cfg = gf.SolverConfig(p=p, instants=gf.log_instants(0.01, 2.0, 6))
+    traj, full = _both(g, u0, cfg, center)
+    assert traj.history[-1]["unknowns"] < traj.history[-1]["active_vertices"]
+    for key in ("accepted", "rejected"):
+        assert traj.diagnostics[key][-1] == full.diagnostics[key][-1], key
+    # the integration error of the vertex solve, measured by refinement
+    fine_cfg = gf.SolverConfig(p=p, instants=cfg.instants, rtol=cfg.rtol / 100,
+                               atol=cfg.atol / 100)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(solver, "_ORBIT_QUOTIENT", False)
+        fine = gf.solve_cauchy(g, gf.Field(g, u0), fine_cfg, center=center)
+    error = sup_gaps(full.values, fine.values).max()
+    assert traj.values.shape == full.values.shape
+    gap = np.abs(traj.values - full.values).max()
+    assert gap <= max(1e-10 * max(map(abs, values)), REFINEMENT_SHARE * error)
+    # the certificate carries over: an orbit is 0 iff each of its vertices is
+    assert traj.certified_radius == full.certified_radius
+    assert traj.history[-1]["boundary_leak"] == full.history[-1]["boundary_leak"] == 0.0
+
+
+def _quotient_calls(monkeypatch):
+    calls = []
+    build = solver.orbit_quotient
+
+    def counted(region, edges):
+        calls.append(len(region))
+        return build(region, edges)
+    monkeypatch.setattr(solver, "orbit_quotient", counted)
+    return calls
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_asymmetric_data_take_the_vertex_path_bit_for_bit(monkeypatch):
+    z2 = gf.lattice_generator(2)
+    cfg = gf.SolverConfig(p=3.0, instants=gf.log_instants(0.1, 5.0, 7),
+                          rtol=1e-10, atol=1e-14, n0=10)
+    calls = _quotient_calls(monkeypatch)
+    # symmetric under the reflections, not under the swap of coordinates
+    u0 = {(1, 0): 1.0, (-1, 0): 1.0, (0, 0): 2.0}
+    traj, full = _both(z2, u0, cfg, (0, 0))
+    assert calls == []
+    assert _same_bits(traj.values, full.values)
+    # one asymmetric row of a lockstep call puts every row on the vertices
+    sym = _orbit_data(z2, (0, 0), 1, [2.0, 1.0])
+    partner = gf.Field(z2, {**sym, (0, 1): 0.5})
+    traj, full = _both(z2, sym, cfg, (0, 0), partners=(partner,))
+    assert calls == []
+    for a, b in [(traj, full), (traj.partners[0], full.partners[0])]:
+        assert _same_bits(a.values, b.values)
+        assert a.history == b.history
+    # the symmetric datum alone takes the quotient, on each ball it grows through
+    traj, _ = _both(z2, sym, cfg, (0, 0))
+    assert calls == [h["vertices"] for h in traj.history]
+
+
+def test_orbit_constant_is_exact():
+    z3 = gf.lattice_generator(3)
+    center = (1, -2, 0)
+    values = _orbit_data(z3, center, 2, [1.0, -0.5, 0.25, 0.25, 2.0])
+    assert orbit_constant(values, center)
+    assert not orbit_constant(values, (0, 0, 0))
+    for v in set(values) - {center}:   # a change or a removal at any other vertex breaks it
+        assert not orbit_constant({**values, v: np.nextafter(values[v], 9.0)}, center)
+        assert not orbit_constant({w: x for w, x in values.items() if w != v}, center)
+    # a datum invariant under the reflections and the swap of the first two
+    # coordinates, not under the cyclic shift
+    assert not orbit_constant({(0, 0, 1): 1.0, (0, 0, -1): 1.0}, (0, 0, 0))
+    assert orbit_constant({}, center)
+
+
+@pytest.mark.parametrize("N, radius", [(1, 5), (2, 6), (3, 5)])
+def test_the_quotient_of_a_ball(N, radius):
+    g = gf.lattice_generator(N)
+    center = (2,) * N
+    region = gf.ball(g, center, radius)
+    edges = region_edges(g, region)
+    orbit_of, distances, degrees, e = orbit_quotient(region, edges)
+    sizes = np.bincount(orbit_of)
+    # orbits lie on one ring, in ring order, and a smaller ball's are a prefix
+    assert np.array_equal(region.distances, distances[orbit_of])
+    assert (np.diff(distances) >= 0).all()
+    smaller = gf.ball(g, center, radius - 2)
+    assert np.array_equal(orbit_quotient(smaller, region_edges(g, smaller))[0],
+                          orbit_of[:len(smaller)])
+    assert np.array_equal(degrees, region.degrees[:len(sizes)])
+    # a ball too large for int64 box keys has no coords: keyed by its vertex tuples
+    bare = dataclasses.replace(region)
+    assert bare.coords is None
+    assert np.array_equal(orbit_quotient(bare, edges)[0], orbit_of)
+    # |O| w(O, O') is the edge weight between the two orbits, both ways
+    assert np.array_equal(sizes[e.ei] * e.w, sizes[e.ej] * e.wj)
+    assert np.array_equal(sizes[e.bi] * e.bw,
+                          np.bincount(orbit_of[edges.bi], edges.bw)[e.bi])
+    # a state constant on orbits: the lifted quotient divergence is the
+    # vertex divergence, on the ball and on its sub-balls
+    u = np.random.default_rng(N).standard_normal(len(sizes))
+    for m in (len(sizes), int(np.count_nonzero(distances <= radius - 3))):
+        n = int(sizes[:m].sum())   # the vertices of those orbits, a prefix
+        full = edges.restrict(n).divergence(3.0)(u[orbit_of[:n]])
+        lifted = e.restrict(m).divergence(3.0)(u[:m])[orbit_of[:n]]
+        assert np.abs(full - lifted).max() <= 1e-13 * np.abs(u).max() ** 2
+
+
+@pytest.mark.parametrize("name", ["lattice1d_p3_propagation", "lattice2d_p3_decay"])
+def test_shipped_config_on_the_quotient(monkeypatch, name):
+    cfg = json.loads((CONFIGS / f"{name}.json").read_text())
+    g = cli.build_generator(cfg["graph"])
+    u0, center = cli.build_initial_field(g, cfg["initial_data"])
+    scfg = cli.build_solver_config(cfg["solver"])
+    calls = _quotient_calls(monkeypatch)
+    traj, full = _both(g, u0.values, scfg, center)
+    assert calls
+    assert traj.certified_radius == full.certified_radius
+    # the same balls and steps; steps taken on sums that round apart grow
+    # the ball at times that agree to rounding
+    keys = ("n", "accepted", "rejected", "rhs_evals", "redone", "active_vertices")
+    assert [[h[k] for k in keys] for h in traj.history] == \
+        [[h[k] for k in keys] for h in full.history]
+    assert np.allclose([h["t"] for h in traj.history], [h["t"] for h in full.history],
+                       rtol=1e-9, atol=0.0)
+    assert np.abs(traj.values - full.values).max() <= 1e-12 * u0.sup_norm()
+    m0 = traj.masses[0]
+    assert np.abs(traj.masses - m0).max() <= 1e-12 * m0

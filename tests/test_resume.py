@@ -17,7 +17,7 @@ import pytest
 
 import graphflow as gf
 from graphflow import cli
-from graphflow.graphs import region_edges
+from graphflow.graphs import orbit_constant, orbit_quotient, region_edges
 from graphflow.solver import RADIUS_GROWTH, TruncationConvergenceError, _integrate, _make_rhs
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -49,27 +49,38 @@ def _kept_on(g, u0, cfg, center, radii):
 
     The growth callbacks are those of ``solve_truncated``, except that the
     last ball is never left: the run goes on there as on a fixed ball.
+    Data constant on orbits is solved on the orbit quotient, as there, and
+    the rows are lifted to the last ball.
     Returns the last region, the rows and the diagnostics.
     """
     regions = [gf.ball(g, center, n) for n in radii]
+    quotient = orbit_constant(u0.values, center)
 
-    def rhs_on(region):
+    def unknowns(region):   # distances, rhs_on and lift, as in solve_truncated
         edges = region_edges(g, region)
-        return lambda m: _make_rhs(edges.restrict(m), region.degrees[:m], cfg.p)
+        dist, degrees, lift = region.distances, region.degrees, None
+        if quotient:
+            lift, dist, degrees, edges = orbit_quotient(region, edges)
+        return dist, lambda m: _make_rhs(edges.restrict(m), degrees[:m], cfg.p), lift
 
     def grow(t):
         k = len(grown) + 1
         grown.append(t)
+        dist, rhs_on, lift = unknowns(regions[k])
         # report no ring on the last ball, so that it is never left
-        return regions[k].distances, rhs_on(regions[k]), k + 1 < len(regions)
+        return dist, rhs_on, k + 1 < len(regions), lift
 
     grown = []
-    y0 = np.zeros(len(regions[0]))
+    dist, rhs_on, lift = unknowns(regions[0])
+    y0 = np.zeros(len(dist))
     for v, x in u0.values.items():
-        y0[regions[0].index[v]] = x
-    Y, diag = _integrate(rhs_on(regions[0]), regions[0].distances, y0,
-                         float(cfg.instants[-1]), cfg.instants, cfg.rtol, cfg.atol,
-                         cfg.max_steps, grow=grow if len(regions) > 1 else None)
+        i = regions[0].index[v]
+        y0[i if lift is None else lift[i]] = x
+    Y, diag = _integrate(rhs_on, dist, y0, float(cfg.instants[-1]), cfg.instants, cfg.rtol,
+                         cfg.atol, cfg.max_steps, grow=grow if len(regions) > 1 else None,
+                         norm_size=len(y0) if lift is None else len(lift), lift=lift)
+    if quotient:
+        Y = Y[:, unknowns(regions[-1])[2]]
     return regions[-1], Y, diag
 
 
