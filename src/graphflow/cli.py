@@ -41,7 +41,7 @@ import jsonschema
 from . import estimates, faberkrahn, solver
 from .fields import Field, ball_indicator_field, delta_field, vertex_from_str, vertex_to_str
 from .graphs import (FiniteGraph, ball, generator_from_file, lattice_generator,
-                     product_generator, region_edges)
+                     orbit_quotient, product_generator)
 
 __version__ = "0.1.0"
 
@@ -415,7 +415,6 @@ def load_trajectory(run_dir, g):
     if not fdir.is_dir():
         raise ConfigError("run directory has no field snapshots; re-run with snapshots=true")
     region = ball(g, center, n)
-    edges = region_edges(g, region)
     times = np.concatenate([[0.0], cfg.instants])
     values = np.zeros((len(times), len(region)))
     for k in range(len(times)):
@@ -432,8 +431,14 @@ def load_trajectory(run_dir, g):
             values[k, i] = x
     table = np.zeros(len(times), dtype=solver.ROW_DIAGNOSTICS)   # snapshots carry none
     diagnostics = {name: table[name] for name in table.dtype.names}
-    return solver.Trajectory(cfg, region, edges, times, values, diagnostics,
-                             certified=certified)
+    # rows constant on orbits are read on them, as the solve that wrote them did
+    orbits = None
+    if region.coords is not None:
+        lift, first, _ = orbit_quotient(region)
+        if np.array_equal(values[:, first][:, lift], values):
+            orbits = lift, first
+    return solver.Trajectory(cfg, region, None, times, values, diagnostics,
+                             certified=certified, orbits=orbits)
 
 
 def _check_json(check, extras=None):

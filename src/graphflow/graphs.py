@@ -230,10 +230,10 @@ def distances_within(g, region, x0):
     Distances are measured in the full graph (paths may leave the region).
     ``x0`` must itself belong to the region.
     """
+    if region.center is not None and x0 == region.center and region.distances is not None:
+        return region.distances   # without building the region's index
     if x0 not in region:
         raise ValueError(f"{x0!r} is not in the region")
-    if region.center is not None and x0 == region.center and region.distances is not None:
-        return region.distances
     # a ball B_radius(center) lies within radius + d(x0, center) of x0
     if region.distances is not None:
         cap = region.radius + int(region.distances[region.index[x0]])
@@ -449,42 +449,56 @@ def orbit_constant(values, center):
     return True
 
 
-def orbit_quotient(region, edges):
+def orbit_quotient(region):
     """A ``Z^N`` ball modulo the signed coordinate permutations about its center.
 
     Orbits are keyed by the sorted absolute offsets from the center and
     numbered by their first vertex in the ring-ordered ball, so each lies
     on one ring and the orbits of a smaller concentric ball are a prefix.
-    Returns the orbit of each vertex, the ring and the degree of each
-    orbit, and the quotient's edge arrays.  Those carry directed weights
+    Returns the orbit of each vertex, the first vertex of each orbit and
+    the quotient's edge arrays.  Those carry directed weights
     ``w(O, O') = sum_{x in O, y in O'} w(x, y) / |O|`` and stubs summed
     the same way, so a state constant on orbits evolves as its orbit values
     do; ``|O| w(O, O')`` is symmetric, so ``sum |O| d(O) u(O)`` is
     conserved.
+
+    The group acts transitively on each orbit, so on the unit-weight
+    lattice ``w(O, O')`` is the number of the first vertex's neighbours
+    in ``O'`` and its stubs are those past the radius: only ``2N``
+    neighbours per orbit are keyed.  No edge joins two vertices of one
+    orbit, as every edge joins adjacent rings.
     """
     coords = region.coords if region.coords is not None else np.array(region.vertices)
-    keys = np.sort(np.abs(coords - np.array(region.center)), axis=1)
-    if region.coords is not None:   # (R + 1)^N < (2R + 3)^N: one int64 key per row
-        keys = keys @ (region.radius + 1) ** np.arange(keys.shape[1])
-    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    center, offsets = np.array(region.center), region.generator.unit_offsets
+    R, N = region.radius, len(region.center)
+    # (R + 1)^N < (2R + 3)^N: with int64 box keys, one int64 key per row
+    radix = None if region.coords is None else (R + 1) ** np.arange(N)
+
+    def keys_of(rel):
+        keys = np.sort(np.abs(rel), axis=1)
+        return keys if radix is None else keys @ radix
+
+    known, first, inverse = np.unique(keys_of(coords - center), axis=0,
+                                      return_index=True, return_inverse=True)
     order = np.argsort(first)                 # the orbits by first vertex
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
     orbit_of, first, k = rank[inverse.ravel()], first[order], len(order)
-    sizes = np.bincount(orbit_of)
-    # the weight sum over each pair of orbits, lower orbit first; an edge
-    # inside one orbit has no flux
-    a, b = orbit_of[edges.ei], orbit_of[edges.ej]
-    cross = a != b
-    pair, at = np.unique(np.minimum(a, b)[cross] * k + np.maximum(a, b)[cross],
-                         return_inverse=True)
-    total = np.bincount(at, edges.w[cross])
-    oi, oj = pair // k, pair % k
-    stub = np.bincount(orbit_of[edges.bi], edges.bw, minlength=k)
+    # each first vertex's neighbours: from orbit a into the orbit b of
+    # their key inside the ball, else a stub of a
+    rel = (coords[first, None] - center + offsets).reshape(-1, N)
+    a = np.repeat(np.arange(k), len(offsets))
+    inside = np.abs(rel).sum(axis=1) <= R
+    # every key inside is known, so the known keys keep their places
+    _, at = np.unique(np.concatenate([known, keys_of(rel[inside])]), axis=0,
+                      return_inverse=True)
+    a, b, stub = a[inside], rank[at.ravel()[k:]], np.bincount(a[~inside], minlength=k)
+    pair, at = np.unique(np.minimum(a, b) * k + np.maximum(a, b), return_inverse=True)
+    w, wj = (np.bincount(at[side], minlength=len(pair)).astype(float)
+             for side in (a < b, a > b))
     bi = np.flatnonzero(stub)
-    return (orbit_of, region.distances[first], region.degrees[first],
-            RegionEdges(oi, oj, total / sizes[oi], bi, stub[bi] / sizes[bi], k,
-                        wj=total / sizes[oj]))
+    return orbit_of, first, RegionEdges(pair // k, pair % k, w, bi,
+                                        stub[bi].astype(float), k, wj=wj)
 
 
 @dataclass

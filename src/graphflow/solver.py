@@ -528,19 +528,30 @@ class Trajectory:
     same ball.
     The generator, the exponent and the certified radius are read from
     the region and the config.
+
+    ``orbits`` is ``(lift, first)``, the orbit of each vertex and the
+    first vertex of each orbit, when the rows are constant on the orbits
+    of :func:`graphs.orbit_quotient`; ``values`` still holds every vertex
+    (see :meth:`columns`).  ``edges`` is built on first use when not given.
     """
 
     def __init__(self, config, region, edges, times, values, diagnostics,
-                 certified=False, history=None):
+                 certified=False, history=None, orbits=None):
         self.config = config
         self.region = region
-        self.edges = edges
+        if edges is not None:
+            self.edges = edges
         self.times = times
         self.values = values
         self.diagnostics = diagnostics
         self.certified = certified
         self.history = history or []
         self.partners = []
+        self.orbits = orbits
+
+    @cached_property
+    def edges(self):
+        return region_edges(self.generator, self.region)
 
     @property
     def generator(self):
@@ -578,6 +589,19 @@ class Trajectory:
         vals = {v: row[i] for i, v in enumerate(self.region.vertices) if row[i] != 0.0}
         return Field(self.generator, vals)
 
+    def columns(self, x0=None):
+        """The columns of ``values`` a weighted sum over the vertices reads.
+
+        Returns them, their weights and their distances from ``x0``: with
+        orbits about ``x0`` (the center), each orbit's first vertex at
+        weight ``|O| d_w(O)``, else every vertex (a slice) at ``d_w``.
+        """
+        if self.orbits is None or x0 not in (None, self.region.center):
+            return slice(None), self.region.degrees, self.distances(x0)
+        lift, first = self.orbits
+        weights = np.bincount(lift) * self.region.degrees[first]
+        return first, weights, self.region.distances[first]
+
     # whole-trajectory functionals: one entry per stored time, t = 0 first.
     # Cached on first use (the stored values are final once built), so the
     # arrays are shared between callers and must not be written to.
@@ -585,27 +609,33 @@ class Trajectory:
     @cached_property
     def masses(self):
         """Weighted l1 norms ``sum |u| d_w``."""
-        return np.abs(self.values) @ self.region.degrees
+        cols, weights, _ = self.columns()
+        return np.abs(self.values[:, cols]) @ weights
 
     @cached_property
     def sup_norms(self):
-        return np.abs(self.values).max(axis=1)
+        return np.abs(self.values[:, self.columns()[0]]).max(axis=1)
 
     def lq_norms(self, q):
         """Weighted lq norms ``(sum |u|^q d_w)^(1/q)``."""
         if q < 1:
             raise ValueError("q must be >= 1")
-        a = np.abs(self.values)
+        cols, weights, _ = self.columns()
+        a = np.abs(self.values[:, cols])
         np.power(a, q, out=a, where=a > 0)   # most entries are exact zeros
-        return (a @ self.region.degrees) ** (1.0 / q)
+        return (a @ weights) ** (1.0 / q)
 
     @cached_property
     def boundary_sups(self):
         """Sups over the truncation boundary, the vertices with an edge leaving the region.
 
-        That is the distance-n ring on infinite graphs; it is empty when a
-        finite graph fits inside the ball.
+        That is the distance-n ring on infinite graphs (its orbits on
+        orbit-constant rows); it is empty when a finite graph fits inside
+        the ball.
         """
+        if self.orbits is not None:
+            cols, _, dists = self.columns()
+            return np.abs(self.values[:, cols[dists == self.region.radius]]).max(axis=1)
         if len(self.edges.bi) == 0:
             return np.zeros(len(self.times))
         return np.abs(self.values[:, self.edges.bi]).max(axis=1)
@@ -671,7 +701,9 @@ def solve_truncated(g, u0: Field, cfg: SolverConfig, n, center=None, grow=False,
     permutations about a ``Z^N`` center (a centred delta, radial data),
     the solve has one unknown per orbit (:func:`graphs.orbit_quotient`)
     and the stored rows are lifted to the vertices of the last ball: a
-    solve on the vertices up to rounding, with the same steps.
+    solve on the vertices up to rounding, with the same steps.  It builds
+    no vertex edge arrays; the trajectories keep the orbits, and their
+    ``edges`` are built on first use.
 
     A fixed ball (``grow=False``) may let the solution reach its boundary
     ring and leak through it.  With ``grow``, the solve moves onto the ball
@@ -686,7 +718,8 @@ def solve_truncated(g, u0: Field, cfg: SolverConfig, n, center=None, grow=False,
 
     The returned ``history`` has one record per ball the solve was on: the
     radius ``n``, its ``vertices`` and ``edges`` (internal edges plus
-    stubs), the time ``t`` the solve moved onto it (0.0 for the first),
+    stubs, ``sum |O| w(O, O') + sum |O| bw(O)`` on the quotient), the
+    time ``t`` the solve moved onto it (0.0 for the first),
     ``rhs_evals`` (the evaluations made on it), the cumulative
     ``accepted`` and ``rejected`` step counts and ``redone`` attempts (the
     voided ones, see :func:`_integrate`) when it was left, and the
@@ -698,27 +731,28 @@ def solve_truncated(g, u0: Field, cfg: SolverConfig, n, center=None, grow=False,
     center = _resolve_center(g, u0, center)
     data = [u0, *partners]
     region = ball(g, center, n)
-    edges = region_edges(g, region)
-    for u in data:
-        for v in u.support():
-            if v not in region:
-                raise ValueError(f"data support at {v!r} lies outside "
-                                 f"B_{region.radius}({region.center!r})")
     quotient = (_ORBIT_QUOTIENT and region.coords is not None
                 and all(orbit_constant(u.values, center) for u in data))
 
-    def on(region, edges):
-        # the ball's unknowns: their distances, rhs_on and the lift to the
-        # vertices (None on the vertices themselves)
-        dist, degrees, lift = region.distances, region.degrees, None
+    def on(region):
+        # the ball, its unknowns' edge arrays, its vertex edge count, its
+        # lift and first vertices (None on the vertices), and its unknowns'
+        # distances and rhs_on
         if quotient:
-            lift, dist, degrees, edges = orbit_quotient(region, edges)
+            lift, first, edges = orbit_quotient(region)
+            sizes = np.bincount(lift)   # |O| w(O, O') is the vertex edge count
+            count = int(sizes[edges.ei] @ edges.w + sizes[edges.bi] @ edges.bw)
+            dist, degrees = region.distances[first], region.degrees[first]
+        else:
+            edges, lift, first = region_edges(g, region), None, None
+            count = len(edges.ei) + len(edges.bi)
+            dist, degrees = region.distances, region.degrees
 
         def rhs_on(m, k=1):   # looks up the module's _make_rhs for every sub-ball
             return _make_rhs(edges.restrict(m).stacked(k), np.tile(degrees[:m], k), cfg.p)
-        return dist, rhs_on, lift
+        return region, edges, count, lift, first, dist, rhs_on
 
-    balls = [(region, edges, on(region, edges))]   # each ball the solve was on
+    balls = [on(region)]   # each ball the solve was on
 
     def grow_ball(t):
         smaller = balls[-1][0]
@@ -727,33 +761,42 @@ def solve_truncated(g, u0: Field, cfg: SolverConfig, n, center=None, grow=False,
                 f"the solution reached the boundary ring of each of {len(balls)} balls "
                 f"(last radius {smaller.radius}, at t={t!r})")
         larger = ball(g, smaller.center, math.ceil(RADIUS_GROWTH * smaller.radius))
-        edges = region_edges(g, larger)
-        balls.append((larger, edges, on(larger, edges)))
-        dist, rhs_on, lift = balls[-1][2]
+        balls.append(on(larger))
+        _, edges, _, lift, _, dist, rhs_on = balls[-1]
         return dist, rhs_on, len(edges.bi) > 0, lift
 
-    dist, rhs_on, lift = balls[0][2]
+    _, edges, _, lift, first, dist, rhs_on = balls[0]
     y0 = np.zeros((len(data), len(dist)))
     for row, u in zip(y0, data):
-        for v, x in u.values.items():
-            i = region.index[v]
-            row[i if lift is None else lift[i]] = x
+        if lift is None:
+            for v, x in u.values.items():
+                if v in region:
+                    row[region.index[v]] = x
+            held = np.count_nonzero(row)
+        else:   # the data are constant on orbits: each takes its first vertex's value
+            row[:] = [u[region.vertices[i]] for i in first]
+            held = int(np.bincount(lift)[row != 0].sum())
+        if held < len(u):
+            v = next(v for v in u.support() if v not in region)
+            raise ValueError(f"data support at {v!r} lies outside "
+                             f"B_{region.radius}({region.center!r})")
     n0 = first_radius(u0, cfg, center, partners)
     solved = _integrate(rhs_on, dist, y0, float(cfg.instants[-1]), cfg.instants, cfg.rtol,
                         cfg.atol, cfg.max_steps,
                         grow=grow_ball if grow and len(edges.bi) else None,
                         norm_size=int(np.count_nonzero(region.distances <= n0)),
                         lift=lift)
-    region, edges, (*_, lift) = balls[-1]
+    region, edges, _, lift, first, *_ = balls[-1]
     times = np.concatenate([[0.0], cfg.instants])
     trajs = []
     for Y, diag in solved:
         diagnostics = {name: diag[name] for name in ROW_DIAGNOSTICS.names}
-        values = Y if lift is None else Y[:, lift]
-        traj = Trajectory(cfg, region, edges, times, values, diagnostics, certified=grow)
-        traj.history = [{"n": reg.radius, "vertices": len(reg),
-                         "edges": len(e.ei) + len(e.bi), **counts}
-                        for (reg, e, _), counts in zip(balls, diag["balls"])]
+        orbits = None if lift is None else (lift, first)
+        traj = Trajectory(cfg, region, None if orbits else edges, times,
+                          Y if orbits is None else Y[:, lift], diagnostics,
+                          certified=grow, orbits=orbits)
+        traj.history = [{"n": reg.radius, "vertices": len(reg), "edges": count, **counts}
+                        for (reg, _, count, *_), counts in zip(balls, diag["balls"])]
         traj.history[-1]["boundary_leak"] = float(traj.boundary_sups[1:].max(initial=0.0))
         trajs.append(traj)
     trajs[0].partners = trajs[1:]
@@ -826,10 +869,10 @@ def mass_radius(traj: Trajectory, eps, x0=None):
     if not (floor < eps < 1.0):
         raise ValueError(f"eps must lie in ({floor!r}, 1), above the rounding of a "
                          f"mass sum over {len(traj.region)} vertices, got {eps!r}")
-    dists = traj.distances(x0)
+    cols, weights, dists = traj.columns(x0)
     target = (1.0 - eps) * traj.masses[0]
     bins = int(dists.max()) + 1
-    cum = np.cumsum([np.bincount(dists, np.abs(row) * traj.region.degrees, bins)
+    cum = np.cumsum([np.bincount(dists, np.abs(row[cols]) * weights, bins)
                      for row in traj.values], axis=1)
     short = np.nonzero(cum[:, -1] < target)[0]
     if len(short):
@@ -842,7 +885,10 @@ def mass_radius(traj: Trajectory, eps, x0=None):
 
 
 def moment(traj: Trajectory, alpha, x0=None):
-    """Spread functionals ``sum d(x, x0)^alpha u(x, t) d_w(x)``, one per stored time."""
+    """Spread functionals ``sum d(x, x0)^alpha u(x, t) d_w(x)``, one per stored time.
+
+    Summed over the vertices even on orbits, whose sum rounds apart.
+    """
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must lie in (0, 1)")
     dists = traj.distances(x0)

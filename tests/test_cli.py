@@ -176,6 +176,26 @@ def test_main_verify_subcommand(tmp_path):
     assert (vout / "check_sup_decay_upper.json").exists()
 
 
+SIMULATE_CONFIGS = sorted(p.stem for p in CONFIG_DIR.glob("*.json")
+                          if "checks" in json.loads(p.read_text()))
+
+
+@pytest.mark.parametrize("name", SIMULATE_CONFIGS)
+def test_verify_writes_the_check_json_of_the_direct_run(tmp_path, name):
+    # the stored trajectory is read back on the orbits the solve ran on, so
+    # every check number comes from the same sums, bit for bit
+    cfg = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    cli.run(dict(cfg, snapshots=True), tmp_path / "run")
+    vout = tmp_path / "verify"
+    assert cli.main(["verify", "--config", str(cfg_path), "--traj-dir",
+                     str(tmp_path / "run"), "--out", str(vout)]) == 0
+    direct, verified = ({p.name: p.read_bytes() for p in sorted(d.glob("check_*.json"))}
+                        for d in (tmp_path / "run", vout))
+    assert direct and verified == direct
+
+
 @pytest.fixture(scope="module")
 def verified_run(tmp_path_factory):
     root = tmp_path_factory.mktemp("verified_run")

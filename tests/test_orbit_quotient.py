@@ -7,7 +7,9 @@ weights ``w(O, O') = sum_{x in O, y in O'} w(x, y) / |O|``, with error
 norms summed over the lifted state, and lifts the stored rows to the
 vertices of the last ball.  The sums run in another order, so the lifted
 solve equals the solve on the vertices up to rounding, with the same steps;
-any other datum takes the vertex path unchanged.
+any other datum takes the vertex path unchanged.  The quotient is built
+from one vertex per orbit, bitwise as the sums over the vertex edge arrays
+would give it, and the trajectory's functionals sum over the orbits.
 """
 
 import dataclasses
@@ -40,7 +42,7 @@ def _both(g, data, cfg, center, partners=()):
 def _orbit_data(g, center, radius, values):
     """The datum on ``B_radius(center)`` with ``values[k]`` on its ``k``-th orbit."""
     region = gf.ball(g, center, radius)
-    orbit_of = orbit_quotient(region, region_edges(g, region))[0]
+    orbit_of = orbit_quotient(region)[0]
     return {v: values[orbit_of[i]] for i, v in enumerate(region.vertices)}
 
 
@@ -61,7 +63,7 @@ def test_the_quotient_solve_is_the_vertex_solve(N, p, shift, radius, data):
     g = gf.lattice_generator(N)
     center = (shift,) * N
     region = gf.ball(g, center, radius)
-    k = orbit_quotient(region, region_edges(g, region))[3].n
+    k = orbit_quotient(region)[2].n
     value = st.sampled_from([0.0, 0.5, -1.0, 2.0]) | st.floats(-2.0, 2.0)
     values = data.draw(st.lists(value, min_size=k, max_size=k))
     if not any(values):
@@ -91,9 +93,9 @@ def _quotient_calls(monkeypatch):
     calls = []
     build = solver.orbit_quotient
 
-    def counted(region, edges):
+    def counted(region):
         calls.append(len(region))
-        return build(region, edges)
+        return build(region)
     monkeypatch.setattr(solver, "orbit_quotient", counted)
     return calls
 
@@ -146,19 +148,21 @@ def test_the_quotient_of_a_ball(N, radius):
     center = (2,) * N
     region = gf.ball(g, center, radius)
     edges = region_edges(g, region)
-    orbit_of, distances, degrees, e = orbit_quotient(region, edges)
+    orbit_of, first, e = orbit_quotient(region)
+    distances, degrees = region.distances[first], region.degrees[first]
     sizes = np.bincount(orbit_of)
+    # each orbit is numbered by its first vertex
+    assert np.array_equal(first, np.unique(orbit_of, return_index=True)[1])
     # orbits lie on one ring, in ring order, and a smaller ball's are a prefix
     assert np.array_equal(region.distances, distances[orbit_of])
     assert (np.diff(distances) >= 0).all()
     smaller = gf.ball(g, center, radius - 2)
-    assert np.array_equal(orbit_quotient(smaller, region_edges(g, smaller))[0],
-                          orbit_of[:len(smaller)])
+    assert np.array_equal(orbit_quotient(smaller)[0], orbit_of[:len(smaller)])
     assert np.array_equal(degrees, region.degrees[:len(sizes)])
     # a ball too large for int64 box keys has no coords: keyed by its vertex tuples
     bare = dataclasses.replace(region)
     assert bare.coords is None
-    assert np.array_equal(orbit_quotient(bare, edges)[0], orbit_of)
+    assert np.array_equal(orbit_quotient(bare)[0], orbit_of)
     # |O| w(O, O') is the edge weight between the two orbits, both ways
     assert np.array_equal(sizes[e.ei] * e.w, sizes[e.ej] * e.wj)
     assert np.array_equal(sizes[e.bi] * e.bw,
@@ -193,3 +197,112 @@ def test_shipped_config_on_the_quotient(monkeypatch, name):
     assert np.abs(traj.values - full.values).max() <= 1e-12 * u0.sup_norm()
     m0 = traj.masses[0]
     assert np.abs(traj.masses - m0).max() <= 1e-12 * m0
+
+
+def _pair_sums(region, edges):
+    """The quotient's edge arrays summed over the vertex edge arrays: the oracle.
+
+    ``w(O, O') = sum_{x in O, y in O'} w(x, y) / |O|``, one entry per pair
+    of orbits with an edge between them, lower orbit first, in the order of
+    ``np.unique``; stubs summed per orbit the same way.
+    """
+    orbit_of = orbit_quotient(region)[0]
+    k = int(orbit_of.max()) + 1
+    sizes = np.bincount(orbit_of)
+    a, b = orbit_of[edges.ei], orbit_of[edges.ej]
+    cross = a != b
+    pair, at = np.unique(np.minimum(a, b)[cross] * k + np.maximum(a, b)[cross],
+                         return_inverse=True)
+    total = np.bincount(at, edges.w[cross])
+    oi, oj = pair // k, pair % k
+    stub = np.bincount(orbit_of[edges.bi], edges.bw, minlength=k)
+    bi = np.flatnonzero(stub)
+    return gf.graphs.RegionEdges(oi, oj, total / sizes[oi], bi, stub[bi] / sizes[bi], k,
+                                 wj=total / sizes[oj])
+
+
+@pytest.mark.parametrize("N, radii", [(1, [0, 1, 2, 7, 40]), (2, [0, 1, 2, 9]),
+                                      (3, [0, 1, 3, 8]), (4, [0, 1, 2, 5])])
+@pytest.mark.parametrize("shift", [0, 3, -2])
+def test_the_representative_build_is_the_pair_sum_build(N, radii, shift):
+    # each orbit's weights are counted from its first vertex's 2N neighbours
+    g = gf.lattice_generator(N)
+    center = tuple(shift + i for i in range(N))
+    for radius in radii:
+        region = gf.ball(g, center, radius)
+        for r in (region, dataclasses.replace(region)):   # int64 keys, vertex tuples
+            got, want = orbit_quotient(r)[2], _pair_sums(region, region_edges(g, region))
+            assert got.n == want.n
+            for name in ("ei", "ej", "w", "wj", "bi", "bw"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and _same_bits(a, b), (radius, name)
+
+
+def test_a_centred_solve_stays_on_its_orbits(monkeypatch):
+    # no vertex edge arrays are built; the functionals sum over orbits and
+    # agree with their sums over the vertices
+    z3 = gf.lattice_generator(3)
+    cfg = gf.SolverConfig(p=3.0, instants=gf.log_instants(0.01, 3.0, 9), n0=6)
+    calls = []
+    build = solver.region_edges
+
+    def counted(g, region):
+        calls.append(len(region))
+        return build(g, region)
+    monkeypatch.setattr(solver, "region_edges", counted)
+    traj = gf.solve_cauchy(z3, gf.delta_field(z3, (0, 0, 0), 30.0), cfg)
+    assert calls == [] and traj.orbits is not None and len(traj.history) > 1
+    edges = build(z3, traj.region)
+    for name in ("ei", "ej", "w", "bi", "bw"):
+        assert _same_bits(getattr(traj.edges, name), getattr(edges, name)), name
+    assert calls == [len(traj.region)]
+    # the history counts the vertex edges of each ball from the orbits
+    for h in traj.history:
+        e = build(z3, gf.ball(z3, (0, 0, 0), h["n"]))
+        assert h["edges"] == len(e.ei) + len(e.bi)
+    vertex = solver.Trajectory(cfg, traj.region, edges, traj.times, traj.values,
+                               traj.diagnostics, certified=True)
+    for name in ("sup_norms", "boundary_sups"):
+        assert _same_bits(getattr(traj, name), getattr(vertex, name)), name
+    for eps in (0.5, 0.1, 1e-3):
+        assert _same_bits(solver.mass_radius(traj, eps), solver.mass_radius(vertex, eps))
+    lq = [(traj.lq_norms(q), vertex.lq_norms(q)) for q in (1.5, 2.0, 4.0)]
+    for ours, theirs in [(traj.masses, vertex.masses), *lq]:
+        assert np.abs(ours - theirs).max() <= 1e-14 * np.abs(theirs).max()
+    # the moment sums over the vertices; so does mass_radius about another
+    # vertex, whose distances are not constant on the orbits
+    assert _same_bits(solver.moment(traj, 0.5), solver.moment(vertex, 0.5))
+    x0 = (1, 0, 0)
+    assert _same_bits(solver.mass_radius(traj, 0.5, x0=x0),
+                      solver.mass_radius(vertex, 0.5, x0=x0))
+    # on a fixed ball the solution reaches the ring, whose orbits hold the boundary sups
+    leaky = gf.solve_truncated(z3, gf.delta_field(z3, (0, 0, 0), 30.0), cfg, 3)
+    assert leaky.orbits is not None and leaky.history[-1]["boundary_leak"] > 0.0
+    vertex = solver.Trajectory(cfg, leaky.region, None, leaky.times, leaky.values,
+                               leaky.diagnostics)
+    assert _same_bits(leaky.boundary_sups, vertex.boundary_sups)
+
+
+@pytest.mark.parametrize("data", [{(0, 0): 2.0, (1, 0): 1.0, (0, 1): 1.0, (-1, 0): 1.0,
+                                   (0, -1): 1.0},
+                                  {(0, 0): 2.0, (1, 0): 1.0}])
+def test_a_stored_trajectory_is_read_on_the_same_orbits(tmp_path, data):
+    z2 = gf.lattice_generator(2)
+    cfg = gf.SolverConfig(p=3.0, instants=gf.log_instants(0.1, 10.0, 9), n0=8)
+    traj = gf.solve_cauchy(z2, gf.Field(z2, data), cfg, center=(0, 0))
+    cli.export_trajectory(traj, tmp_path, snapshots=True)
+    manifest = {"config": {"solver": {"p": 3.0, "t_min": 0.1, "t_max": 10.0,
+                                      "num_instants": 9, "n0": 8}},
+                "center": "0:0", "certified": traj.certified,
+                "certified_radius": traj.certified_radius}
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    again = cli.load_trajectory(tmp_path, z2)
+    assert _same_bits(again.values, traj.values)
+    assert (traj.orbits is not None) == orbit_constant(data, (0, 0))
+    if traj.orbits is None:   # asymmetric data: the vertices, both times
+        assert again.orbits is None
+    else:
+        assert all(map(_same_bits, again.orbits, traj.orbits))
+    for name in ("masses", "sup_norms", "boundary_sups"):
+        assert _same_bits(getattr(again, name), getattr(traj, name)), name
+    assert _same_bits(again.lq_norms(2.0), traj.lq_norms(2.0))

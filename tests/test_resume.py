@@ -57,10 +57,12 @@ def _kept_on(g, u0, cfg, center, radii):
     quotient = orbit_constant(u0.values, center)
 
     def unknowns(region):   # distances, rhs_on and lift, as in solve_truncated
-        edges = region_edges(g, region)
-        dist, degrees, lift = region.distances, region.degrees, None
         if quotient:
-            lift, dist, degrees, edges = orbit_quotient(region, edges)
+            lift, first, edges = orbit_quotient(region)
+            dist, degrees = region.distances[first], region.degrees[first]
+        else:
+            edges, dist, degrees, lift = (region_edges(g, region), region.distances,
+                                          region.degrees, None)
         return dist, lambda m: _make_rhs(edges.restrict(m), degrees[:m], cfg.p), lift
 
     def grow(t):
