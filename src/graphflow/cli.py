@@ -383,10 +383,9 @@ def export_trajectory(traj, out_dir, snapshots=False):
         *[traj.lq_norms(q) for q in qs],
         np.full(len(ts), traj.region.radius),
         *(traj.diagnostics[name] for name in solver.ROW_DIAGNOSTICS.names),
-        traj.boundary_sups,
     ]
     header = ["t", "mass", "sup", "lq1.5", "lq2", "lq4", "radius",
-              *solver.ROW_DIAGNOSTICS.names, "boundary_sup"]
+              *solver.ROW_DIAGNOSTICS.names]
     write_csv(out / "trajectory.csv", header, cols)
     if snapshots:
         fdir = out / "fields"
@@ -396,7 +395,11 @@ def export_trajectory(traj, out_dir, snapshots=False):
 
 
 def load_trajectory(run_dir, g):
-    """Rebuild a Trajectory from an exported run directory (needs snapshots)."""
+    """Rebuild a Trajectory from an exported run directory (needs snapshots).
+
+    Only a run whose manifest says it is certified is read: every bound
+    check needs the solution of the Cauchy problem.
+    """
     run_dir = Path(run_dir)
     try:
         manifest = json.loads((run_dir / "manifest.json").read_text())
@@ -409,6 +412,9 @@ def load_trajectory(run_dir, g):
         raise ConfigError(f"cannot read the manifest of {run_dir}: {e}") from None
     except KeyError as e:
         raise ConfigError(f"manifest of {run_dir} lacks key {e}") from None
+    if certified is not True:
+        raise ConfigError(f"manifest of {run_dir} is not of a certified run: "
+                          f"certified={certified!r}")
     if not isinstance(n, int) or n < 0:
         raise ConfigError(f"manifest of {run_dir} has no certified radius: {n!r}")
     fdir = run_dir / "fields"
@@ -437,8 +443,7 @@ def load_trajectory(run_dir, g):
         lift, first, _ = orbit_quotient(region)
         if np.array_equal(values[:, first][:, lift], values):
             orbits = lift, first
-    return solver.Trajectory(cfg, region, None, times, values, diagnostics,
-                             certified=certified, orbits=orbits)
+    return solver.Trajectory(cfg, region, None, times, values, diagnostics, orbits=orbits)
 
 
 def _check_json(check, extras=None):

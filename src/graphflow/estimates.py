@@ -161,12 +161,6 @@ def require_profile(profile):
         raise ValueError(f"profile fails structural assumptions: {report.worst}")
 
 
-def _require_certified(traj):
-    if not traj.certified:
-        raise ValueError("bound checks need a certified trajectory "
-                         "(use solve_cauchy, not a bare truncation)")
-
-
 def _decay_scale(traj, profile):
     """``lambda(t) = psi_1^{-1}(1/(t m0^(p-2)))`` at the instants.
 
@@ -183,7 +177,6 @@ def _upper_check(tag, traj, profile, window, sides, extra=None):
     window trimmed to the horizon.  The profile must pass its structural
     assumptions.
     """
-    _require_certified(traj)
     require_profile(profile)
     window = _trim_window(traj, window)
     lhs, rhs = sides()
@@ -213,7 +206,6 @@ def check_lower_bound(traj: Trajectory, profile, x0=None, window=None,
     inside ``B_floor(R/2)(x0)``) are excluded and counted separately.  The
     second, profile-scaled inequality is reported as a fitted constant only.
     """
-    _require_certified(traj)
     ts = traj.instants
     window = _trim_window(traj, window) if window else (float(ts[0]), float(ts[-1]))
     m0 = traj.masses[0]

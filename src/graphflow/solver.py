@@ -3,8 +3,9 @@
 The flow ``du/dt = Delta_p u`` is solved as a finite ODE system on a ball
 ``B_n`` with ``u = 0`` outside (method of lines), using an explicit
 embedded Dormand-Prince 4(5) pair with PI step-size control and dense
-output at the configured instants.  :func:`solve_cauchy` runs one
-integration whose ball grows in place.
+output at the configured instants.  There is one solve mode:
+:func:`solve_truncated`, under :func:`solve_cauchy`, runs one integration
+whose ball grows in place before the solution could reach its ring.
 
 Each step runs on the active ball ``B_r(center)`` only, ``r = s + 4``
 for the support radius ``s``, under two rules.  No step starts with a
@@ -279,8 +280,8 @@ def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps, grow=None
     lift.  The state, the FSAL value and
     the stored rows are padded with zero columns, and stepping goes on
     with the same step size, controller state and counters: a growth
-    redoes nothing.  Without ``grow`` the ball is fixed, and the solution
-    may reach its ring.
+    redoes nothing.  Without ``grow`` the ball is fixed (one without a
+    ring, in :func:`solve_truncated`), and the solution may reach its ring.
 
     Returns ``(Y, diag)`` where ``Y[0]`` is ``y0`` (padded to the last
     ball) and ``Y[k + 1]`` the solution at ``t_eval[k]``, all rows in one
@@ -513,8 +514,11 @@ def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps, grow=None
 
 
 class Trajectory:
-    """Time-indexed solution snapshots on a materialized ball.
+    """Time-indexed solution snapshots on a certified ball.
 
+    The solution of the Cauchy problem, exactly 0 outside ``region``: no
+    flux crossed its ring (see :func:`solve_truncated`), so ``certified``
+    is always true and the certified radius is the region's.
     ``times[0] = 0`` holds the initial data; the remaining entries match
     the configured output instants.  Values are clamped to be nonnegative
     when the data is.  ``diagnostics`` maps each name of
@@ -526,8 +530,7 @@ class Trajectory:
     trajectory was on (see :func:`solve_truncated`).  ``partners`` holds
     the trajectories of the partner data solved in the same call, on the
     same ball.
-    The generator, the exponent and the certified radius are read from
-    the region and the config.
+    The generator and the exponent are read from the region and the config.
 
     ``orbits`` is ``(lift, first)``, the orbit of each vertex and the
     first vertex of each orbit, when the rows are constant on the orbits
@@ -535,8 +538,10 @@ class Trajectory:
     (see :meth:`columns`).  ``edges`` is built on first use when not given.
     """
 
+    certified = True
+
     def __init__(self, config, region, edges, times, values, diagnostics,
-                 certified=False, history=None, orbits=None):
+                 history=None, orbits=None):
         self.config = config
         self.region = region
         if edges is not None:
@@ -544,7 +549,6 @@ class Trajectory:
         self.times = times
         self.values = values
         self.diagnostics = diagnostics
-        self.certified = certified
         self.history = history or []
         self.partners = []
         self.orbits = orbits
@@ -563,8 +567,7 @@ class Trajectory:
 
     @property
     def certified_radius(self):
-        """The ball radius once certified, else ``None``."""
-        return self.region.radius if self.certified else None
+        return self.region.radius
 
     @property
     def instants(self):
@@ -626,21 +629,6 @@ class Trajectory:
         return (a @ weights) ** (1.0 / q)
 
     @cached_property
-    def boundary_sups(self):
-        """Sups over the truncation boundary, the vertices with an edge leaving the region.
-
-        That is the distance-n ring on infinite graphs (its orbits on
-        orbit-constant rows); it is empty when a finite graph fits inside
-        the ball.
-        """
-        if self.orbits is not None:
-            cols, _, dists = self.columns()
-            return np.abs(self.values[:, cols[dists == self.region.radius]]).max(axis=1)
-        if len(self.edges.bi) == 0:
-            return np.zeros(len(self.times))
-        return np.abs(self.values[:, self.edges.bi]).max(axis=1)
-
-    @cached_property
     def flux_integrals(self):
         """Time integral of the total (p-1)-power edge flux up to each time.
 
@@ -675,11 +663,19 @@ def _make_rhs(edges, degrees, p):
     return rhs
 
 
-def solve_truncated(g, u0: Field, cfg: SolverConfig, n, center=None, grow=False,
-                    partners=()):
-    """Solve the flow on ``B_n`` with zero Dirichlet exterior values.
+def solve_truncated(g, u0: Field, cfg: SolverConfig, n, center=None, partners=()):
+    """Solve the Cauchy problem on a ball that grows in place from ``B_n``.
 
-    The initial data must be supported inside the ball.  Output instants
+    The initial data must be supported inside ``B_n``.  Before each step,
+    the first one included, whose stage inputs could be nonzero on the
+    ring of the ball ``B_R`` it is on, the solve moves onto the ball of
+    radius ``ceil(RADIUS_GROWTH * R)`` and goes on there, its prefix
+    ``B_R``, with the same integrator state.  So no flux ever crosses the
+    truncation: the solution is exactly 0 outside the returned ball, and
+    the trajectories are certified at its radius.  A ball without stubs
+    (one that covers a finite graph) has no ring to reach and is never
+    left.  Raises :class:`TruncationConvergenceError` when the solution
+    would have to leave the ``max_expansions``-th ball.  Output instants
     follow the config; the row at t = 0 holds the data itself.  Each row
     and its diagnostics are final when :func:`_integrate` writes them
     (clamped at 0 for nonnegative data), one diagnostics entry per row,
@@ -689,8 +685,8 @@ def solve_truncated(g, u0: Field, cfg: SolverConfig, n, center=None, grow=False,
     solve up to rounding (bit for bit on the vertex path).  Every error
     norm divides by ``|B_n0|`` for ``n0 = first_radius(u0, cfg, center,
     partners)``, counted in ``B_n`` (all of ``B_n`` when it is the smaller
-    ball), so the steps do not depend on ``n`` or on the balls a growing
-    solve moves onto.
+    ball), so the steps do not depend on ``n`` or on the balls the solve
+    moves onto.
 
     ``partners`` are further data solved in the same :func:`_integrate`
     call, in lockstep with ``u0``: each keeps its own steps, and the
@@ -705,17 +701,6 @@ def solve_truncated(g, u0: Field, cfg: SolverConfig, n, center=None, grow=False,
     no vertex edge arrays; the trajectories keep the orbits, and their
     ``edges`` are built on first use.
 
-    A fixed ball (``grow=False``) may let the solution reach its boundary
-    ring and leak through it.  With ``grow``, the solve moves onto the ball
-    of radius ``ceil(RADIUS_GROWTH * R)`` before each step, the first one
-    included, whose stage inputs could be nonzero on the ring of ``B_R``,
-    and goes on there, its prefix ``B_R``, with the same integrator state,
-    so no flux ever crosses the truncation and the trajectories are
-    certified.  A ball
-    without stubs (one that covers a finite graph) has no ring to reach
-    and is never left.  Raises :class:`TruncationConvergenceError` when
-    the solution would have to leave the ``max_expansions``-th ball.
-
     The returned ``history`` has one record per ball the solve was on: the
     radius ``n``, its ``vertices`` and ``edges`` (internal edges plus
     stubs, ``sum |O| w(O, O') + sum |O| bw(O)`` on the quotient), the
@@ -724,9 +709,7 @@ def solve_truncated(g, u0: Field, cfg: SolverConfig, n, center=None, grow=False,
     ``accepted`` and ``rejected`` step counts and ``redone`` attempts (the
     voided ones, see :func:`_integrate`) when it was left, and the
     largest active ball the steps ran on, in ``active_vertices`` and in
-    ``unknowns`` (its orbits on the quotient, else its vertices).  The
-    record of the returned ball also has its ``boundary_leak``, the
-    largest stored boundary sup after t = 0.
+    ``unknowns`` (its orbits on the quotient, else its vertices).
     """
     center = _resolve_center(g, u0, center)
     data = [u0, *partners]
@@ -783,7 +766,7 @@ def solve_truncated(g, u0: Field, cfg: SolverConfig, n, center=None, grow=False,
     n0 = first_radius(u0, cfg, center, partners)
     solved = _integrate(rhs_on, dist, y0, float(cfg.instants[-1]), cfg.instants, cfg.rtol,
                         cfg.atol, cfg.max_steps,
-                        grow=grow_ball if grow and len(edges.bi) else None,
+                        grow=grow_ball if len(edges.bi) else None,
                         norm_size=int(np.count_nonzero(region.distances <= n0)),
                         lift=lift)
     region, edges, _, lift, first, *_ = balls[-1]
@@ -794,10 +777,9 @@ def solve_truncated(g, u0: Field, cfg: SolverConfig, n, center=None, grow=False,
         orbits = None if lift is None else (lift, first)
         traj = Trajectory(cfg, region, None if orbits else edges, times,
                           Y if orbits is None else Y[:, lift], diagnostics,
-                          certified=grow, orbits=orbits)
+                          orbits=orbits)
         traj.history = [{"n": reg.radius, "vertices": len(reg), "edges": count, **counts}
                         for (reg, _, count, *_), counts in zip(balls, diag["balls"])]
-        traj.history[-1]["boundary_leak"] = float(traj.boundary_sups[1:].max(initial=0.0))
         trajs.append(traj)
     trajs[0].partners = trajs[1:]
     return trajs[0]
@@ -806,10 +788,10 @@ def solve_truncated(g, u0: Field, cfg: SolverConfig, n, center=None, grow=False,
 def solve_cauchy(g, u0: Field, cfg: SolverConfig, center=None, partners=()):
     """Solve the Cauchy problem on a ball that grows in place.
 
-    One :func:`solve_truncated` solve with ``grow``, from ``n0`` (default:
-    the largest support radius of the data and its ``partners``, plus 8).
-    Each growth moves from ``B_R`` to ``B_ceil(1.5 R)``, and every error
-    norm divides by ``|B_n0|``.  Every
+    One :func:`solve_truncated` solve from ``B_n0``, ``n0`` the
+    :func:`first_radius` (default: the largest support radius of the data
+    and its ``partners``, plus 8).  Each growth moves from ``B_R`` to
+    ``B_ceil(1.5 R)``, and every error norm divides by ``|B_n0|``.  Every
     stage input of every step is exactly 0 on the ring of the ball the
     step ran on, so no flux crossed the truncation: the trajectory is
     certified, at the radius of the last ball, and is that of the Cauchy
@@ -819,7 +801,7 @@ def solve_cauchy(g, u0: Field, cfg: SolverConfig, center=None, partners=()):
     """
     center = _resolve_center(g, u0, center)
     return solve_truncated(g, u0, cfg, first_radius(u0, cfg, center, partners),
-                           center=center, grow=True, partners=partners)
+                           center=center, partners=partners)
 
 
 def first_radius(u0: Field, cfg: SolverConfig, center, partners=()):
@@ -857,10 +839,10 @@ def mass_radius(traj: Trajectory, eps, x0=None):
     """Minimal radii around ``x0`` holding a ``(1-eps)`` fraction of the initial mass.
 
     One integer per stored time, t = 0 first.  Raises
-    :class:`TruncationDeficitError` when the truncated ball does not even
-    hold that fraction at some stored time.  A certified trajectory loses
-    no mass through its ring, so there only integrator rounding can cause
-    that, and a larger ball would not help.
+    :class:`TruncationDeficitError` when the ball does not even hold that
+    fraction at some stored time.  No mass leaves a certified ball through
+    its ring, so for a solve only integrator rounding can cause that, and
+    a larger ball would not help.
     ``eps`` must exceed ``len(region) * 2**-53``, the rounding of a mass
     sum over the region relative to the mass: a target any closer to the
     initial mass would be met or missed by round-off alone.

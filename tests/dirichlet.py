@@ -1,0 +1,83 @@
+"""A zero-Dirichlet ball reference for the tests.
+
+The solver has one mode: its ball grows before the solution could reach
+the ring, so every solve is one of the Cauchy problem.  A test that needs
+the flow kept on a ball, whose ring the solution may reach and leak
+through, calls :func:`kept_on`: ``_integrate`` with the callbacks of
+``solve_truncated``, except that the last ball is never left.
+"""
+from typing import NamedTuple
+
+import numpy as np
+
+import graphflow as gf
+from graphflow import solver
+from graphflow.graphs import orbit_constant, orbit_quotient, region_edges
+
+
+class Kept(NamedTuple):
+    """The rows of a run kept on its last ball, with the fields of a Trajectory."""
+
+    region: object
+    times: np.ndarray
+    values: np.ndarray
+    diagnostics: dict
+    history: list
+    orbits: tuple | None
+
+
+def kept_on(g, u0, cfg, center, radii):
+    """``_integrate`` growing through the balls ``radii`` and then kept on the last.
+
+    The growth callbacks are those of ``solve_truncated``, except that the
+    last ball is never left: the run goes on there with zero Dirichlet
+    values outside, as on a fixed ball, and may leak through its ring.  One
+    radius is the fixed-ball solve.  The error norms divide by ``|B_n0|``
+    for ``n0 = first_radius``, counted in the first ball.  Data constant on
+    orbits is solved on the orbit quotient (unless ``_ORBIT_QUOTIENT`` is
+    off), as there, and the rows are lifted to the last ball.  The history
+    has one record per ball, with the keys of ``solve_truncated``'s.
+    """
+    regions = [gf.ball(g, center, n) for n in radii]
+    quotient = (solver._ORBIT_QUOTIENT and regions[0].coords is not None
+                and orbit_constant(u0.values, center))
+
+    def on(region):   # the ball's unknowns, as in solve_truncated
+        if quotient:
+            lift, first, edges = orbit_quotient(region)
+            sizes = np.bincount(lift)
+            count = int(sizes[edges.ei] @ edges.w + sizes[edges.bi] @ edges.bw)
+            dist, degrees = region.distances[first], region.degrees[first]
+        else:
+            edges, lift, first = region_edges(g, region), None, None
+            count = len(edges.ei) + len(edges.bi)
+            dist, degrees = region.distances, region.degrees
+
+        def rhs_on(m):   # through the module attribute, which tests may wrap
+            return solver._make_rhs(edges.restrict(m), degrees[:m], cfg.p)
+        balls.append((region, count, lift, first))
+        return dist, rhs_on, lift
+
+    def grow(t):
+        dist, rhs_on, lift = on(regions[len(balls)])
+        # report no ring on the last ball, so that it is never left
+        return dist, rhs_on, len(balls) < len(regions), lift
+
+    balls = []
+    dist, rhs_on, lift = on(regions[0])
+    y0 = np.zeros(len(dist))
+    for v, x in u0.values.items():
+        i = regions[0].index[v]
+        y0[i if lift is None else lift[i]] = x
+    n0 = solver.first_radius(u0, cfg, center)
+    Y, diag = solver._integrate(
+        rhs_on, dist, y0, float(cfg.instants[-1]), cfg.instants, cfg.rtol, cfg.atol,
+        cfg.max_steps, grow=grow if len(regions) > 1 else None,
+        norm_size=int(np.count_nonzero(regions[0].distances <= n0)), lift=lift)
+    region, _, lift, first = balls[-1]
+    history = [{"n": reg.radius, "vertices": len(reg), "edges": count, **counts}
+               for (reg, count, *_), counts in zip(balls, diag["balls"])]
+    return Kept(region, np.concatenate([[0.0], cfg.instants]),
+                Y if lift is None else Y[:, lift],
+                {name: diag[name] for name in solver.ROW_DIAGNOSTICS.names},
+                history, None if lift is None else (lift, first))

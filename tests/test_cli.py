@@ -87,6 +87,14 @@ def test_run_writes_artifacts(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config_hash"] == report["config_hash"]
     assert manifest["certified"]
+    # the output contract: a change to either is deliberate
+    header = (out / "trajectory.csv").read_text().splitlines()[0]
+    assert header == ("t,mass,sup,lq1.5,lq2,lq4,radius,"
+                      "accepted,rejected,max_scaled_error,clamped")
+    assert manifest["expansion_history"]
+    for record in manifest["expansion_history"]:
+        assert record.keys() == {"n", "vertices", "edges", "t", "rhs_evals", "accepted",
+                                 "rejected", "redone", "unknowns", "active_vertices"}
 
 
 def _tree_bytes(root):
@@ -153,6 +161,8 @@ def test_main_simulate_and_fit_round_trip(tmp_path, capsys):
     fit = json.loads(capsys.readouterr().out)
     # pure recomputation from the stored CSV reproduces the report slope
     assert abs(fit["slope"] - report["decay_slope"]) <= 1e-12
+    # a column the CSV no longer has is a usage error
+    assert cli.main(["fit", "--traj-dir", str(out), "--column", "boundary_sup"]) == 2
 
 
 def test_main_fk_subcommand(tmp_path):
@@ -230,8 +240,10 @@ def _vertex_outside_the_ball(run):
     (_vertex_outside_the_ball, "outside the certified ball"),
     (lambda run: _edit_manifest(run, lambda m: m["config"]["solver"].pop("t_min")),
      "lacks key 't_min'"),
+    (lambda run: _edit_manifest(run, lambda m: m.update(certified=False)),
+     "not of a certified run"),
 ], ids=["missing_dir", "missing_key", "null_radius", "no_fields", "vertex_outside_ball",
-        "no_t_min"])
+        "no_t_min", "uncertified"])
 def test_verify_bad_trajectory_dir_exits_2(tmp_path, capsys, monkeypatch, verified_run,
                                            damage, message):
     cfg_path, run = verified_run

@@ -9,6 +9,7 @@ none.
 import numpy as np
 
 import graphflow as gf
+from dirichlet import kept_on
 
 
 def _same_bits(a, b):
@@ -22,23 +23,21 @@ def test_signed_dipole_matches_full_stages():
     traj = gf.solve_cauchy(z1, u0, cfg, center=(0,))
     assert traj.certified and (traj.values < 0).any() and (traj.values > 0).any()
     assert any(h["t"] > 0.0 for h in traj.history)   # a ball left after t = 0
-    assert traj.history[-1]["boundary_leak"] == 0.0
     assert not traj.values[:, traj.region.distances == traj.certified_radius].any()
     # every ball the solve left comes within a step's reach of its ring
     # when it is kept to the end
     for h in traj.history[:-1]:
-        full = gf.solve_truncated(z1, u0, cfg, h["n"], center=(0,))
+        full = kept_on(z1, u0, cfg, (0,), [h["n"]])
         assert full.values[:, full.region.distances > h["n"] - 7].any(), h["n"]
     # the returned ball's full stage stays within the integration tolerance
-    full = gf.solve_truncated(z1, u0, cfg, traj.certified_radius, center=(0,))
+    full = kept_on(z1, u0, cfg, (0,), [traj.certified_radius])
     assert np.abs(traj.values - full.values).max() <= 10 * cfg.rtol * u0.sup_norm()
     # the balls left at t = 0 cost nothing: starting on the first ball that
     # took a step, with the error norms still divided by |B_n0|, gives the
     # same solve bit for bit
     worked = next(k for k, h in enumerate(traj.history) if h["rhs_evals"])
     assert all(h["t"] == 0.0 for h in traj.history[:worked + 1])
-    same = gf.solve_truncated(z1, u0, cfg, traj.history[worked]["n"], center=(0,),
-                              grow=True)
+    same = gf.solve_truncated(z1, u0, cfg, traj.history[worked]["n"], center=(0,))
     assert same.history == traj.history[worked:]
     assert _same_bits(same.values, traj.values)
     for key, arr in traj.diagnostics.items():

@@ -14,6 +14,7 @@ import pytest
 import graphflow as gf
 from graphflow import solver
 from graphflow.solver import TruncationConvergenceError
+from dirichlet import kept_on
 from test_resume import CASES, _case
 
 
@@ -34,10 +35,9 @@ def test_fixed_balls_take_the_same_steps(case):
     g = gf.lattice_generator(N)
     u0 = gf.Field(g, data)
     cfg = gf.SolverConfig(p=3.0, instants=gf.log_instants(1e-2, t_max, 21), n0=n0)
-    first, *larger = [gf.solve_truncated(g, u0, cfg, k * n0, center=center)
-                      for k in (1, 2, 4)]
+    first, *larger = [kept_on(g, u0, cfg, center, [k * n0]) for k in (1, 2, 4)]
     assert not first.values[:, first.region.distances > n0 - 7].any()
-    assert first.history[0]["boundary_leak"] == 0.0
+    assert not first.values[:, first.region.distances == n0].any()
     for traj in larger:
         assert _steps(traj) == _steps(first)
         m = len(first.region)   # B_n0 is the first m vertices of the larger ball
@@ -53,7 +53,8 @@ def test_growth_factor_does_not_change_the_steps(case, monkeypatch):
     for factor in (2, 1.5):
         monkeypatch.setattr(solver, "RADIUS_GROWTH", factor)
         traj = gf.solve_cauchy(g, u0, cfg, center=center)
-        assert traj.certified and traj.history[-1]["boundary_leak"] == 0.0
+        assert traj.certified
+        assert not traj.values[:, traj.region.distances == traj.certified_radius].any()
         runs[factor] = traj
     doubled, default = runs[2], runs[1.5]
     assert len(default.history) > len(doubled.history) > 1

@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 import graphflow as gf
+from graphflow import cli
 from graphflow.estimates import (balance_time_exponent, check_sup_bound,
                                  l1_sphere_count)
 
@@ -78,13 +81,26 @@ def test_sup_bound_check(medium_run, lat1):
     assert chk.stability((20.0, 200.0)) < 0.3
 
 
-def test_checks_require_certified_trajectory(z1, lat1):
+def test_checks_require_certified_trajectory(z1, lat1, tmp_path):
+    # every solve is certified; the one way other rows become a Trajectory
+    # is a run directory, and load_trajectory refuses one whose manifest
+    # is not certified, so no bound check ever sees such a run
     cfg = gf.SolverConfig(p=3.0, instants=gf.log_instants(0.1, 10.0, 9))
-    bare = gf.solve_truncated(z1, gf.delta_field(z1, (0,)), cfg, 12)
-    with pytest.raises(ValueError):
-        check_sup_bound(bare, lat1, (0.1, 10.0))
-    with pytest.raises(ValueError):
-        gf.check_lower_bound(bare, lat1)
+    traj = gf.solve_cauchy(z1, gf.delta_field(z1, (0,)), cfg)
+    cli.export_trajectory(traj, tmp_path, snapshots=True)
+    manifest = {"config": {"solver": {"p": 3.0, "t_min": 0.1, "t_max": 10.0,
+                                      "num_instants": 9}},
+                "center": "0", "certified_radius": traj.certified_radius}
+    for certified in (False, None, 1, "true"):
+        (tmp_path / "manifest.json").write_text(json.dumps({**manifest,
+                                                            "certified": certified}))
+        with pytest.raises(cli.ConfigError, match="not of a certified run"):
+            cli.load_trajectory(tmp_path, z1)
+    (tmp_path / "manifest.json").write_text(json.dumps({**manifest, "certified": True}))
+    loaded = cli.load_trajectory(tmp_path, z1)
+    assert check_sup_bound(loaded, lat1, (0.1, 10.0)).verdict == \
+        check_sup_bound(traj, lat1, (0.1, 10.0)).verdict
+    assert gf.check_lower_bound(loaded, lat1).verdict == gf.check_lower_bound(traj, lat1).verdict
 
 
 def test_sup_bound_rejects_broken_profile(medium_run):

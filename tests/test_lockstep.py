@@ -64,11 +64,11 @@ def test_partner_row_is_a_one_row_solve_with_the_pair_divisor(case):
     pair = gf.solve_cauchy(g, u01, ENSEMBLE_CFG, center=center, partners=(u02,))
     [partner] = pair.partners
     assert partner.certified and partner.region is pair.region
-    assert partner.history[-1]["boundary_leak"] == 0.0
+    assert not partner.values[:, partner.region.distances == partner.certified_radius].any()
     # one row from the pair's first ball B_10, growing by the same rule;
     # the error norm divides by |B_10| in both
     n0 = ENSEMBLE_CFG.n0
-    alone = gf.solve_truncated(g, u02, ENSEMBLE_CFG, n0, center=center, grow=True)
+    alone = gf.solve_truncated(g, u02, ENSEMBLE_CFG, n0, center=center)
     assert [h["n"] for h in alone.history] == [h["n"] for h in pair.history][:len(alone.history)]
     last, mine = alone.history[-1], partner.history[-1]
     assert (mine["accepted"], mine["rejected"]) == (last["accepted"], last["rejected"])

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 import graphflow as gf
 from graphflow import cli, solver
 from graphflow.graphs import orbit_constant, orbit_quotient, region_edges
+from dirichlet import kept_on
 from test_integration_error import sup_gaps
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -86,7 +87,8 @@ def test_the_quotient_solve_is_the_vertex_solve(N, p, shift, radius, data):
     assert gap <= max(1e-10 * max(map(abs, values)), REFINEMENT_SHARE * error)
     # the certificate carries over: an orbit is 0 iff each of its vertices is
     assert traj.certified_radius == full.certified_radius
-    assert traj.history[-1]["boundary_leak"] == full.history[-1]["boundary_leak"] == 0.0
+    for t in (traj, full):
+        assert not t.values[:, t.region.distances == t.certified_radius].any()
 
 
 def _quotient_calls(monkeypatch):
@@ -261,9 +263,8 @@ def test_a_centred_solve_stays_on_its_orbits(monkeypatch):
         e = build(z3, gf.ball(z3, (0, 0, 0), h["n"]))
         assert h["edges"] == len(e.ei) + len(e.bi)
     vertex = solver.Trajectory(cfg, traj.region, edges, traj.times, traj.values,
-                               traj.diagnostics, certified=True)
-    for name in ("sup_norms", "boundary_sups"):
-        assert _same_bits(getattr(traj, name), getattr(vertex, name)), name
+                               traj.diagnostics)
+    assert _same_bits(traj.sup_norms, vertex.sup_norms)
     for eps in (0.5, 0.1, 1e-3):
         assert _same_bits(solver.mass_radius(traj, eps), solver.mass_radius(vertex, eps))
     lq = [(traj.lq_norms(q), vertex.lq_norms(q)) for q in (1.5, 2.0, 4.0)]
@@ -275,12 +276,22 @@ def test_a_centred_solve_stays_on_its_orbits(monkeypatch):
     x0 = (1, 0, 0)
     assert _same_bits(solver.mass_radius(traj, 0.5, x0=x0),
                       solver.mass_radius(vertex, 0.5, x0=x0))
-    # on a fixed ball the solution reaches the ring, whose orbits hold the boundary sups
-    leaky = gf.solve_truncated(z3, gf.delta_field(z3, (0, 0, 0), 30.0), cfg, 3)
-    assert leaky.orbits is not None and leaky.history[-1]["boundary_leak"] > 0.0
-    vertex = solver.Trajectory(cfg, leaky.region, None, leaky.times, leaky.values,
-                               leaky.diagnostics)
-    assert _same_bits(leaky.boundary_sups, vertex.boundary_sups)
+    # kept on B_3 the solution reaches the ring: the orbit columns on ring 3
+    # read the ring's sups, and the quotient rows there are the vertex rows
+    # up to rounding
+    u0 = gf.delta_field(z3, (0, 0, 0), 30.0)
+    leaky = kept_on(z3, u0, cfg, (0, 0, 0), [3])
+    ring = leaky.region.distances == 3
+    assert leaky.orbits is not None and leaky.values[1:, ring].any()
+    cols, _, dists = solver.Trajectory(cfg, leaky.region, None, leaky.times, leaky.values,
+                                       leaky.diagnostics, orbits=leaky.orbits).columns()
+    assert _same_bits(np.abs(leaky.values[:, cols[dists == 3]]).max(axis=1),
+                      np.abs(leaky.values[:, ring]).max(axis=1))
+    monkeypatch.setattr(solver, "_ORBIT_QUOTIENT", False)
+    vertex = kept_on(z3, u0, cfg, (0, 0, 0), [3])
+    assert vertex.orbits is None
+    assert leaky.diagnostics["accepted"][-1] == vertex.diagnostics["accepted"][-1]
+    assert np.abs(leaky.values[:, ring] - vertex.values[:, ring]).max() <= 1e-10 * 30.0
 
 
 @pytest.mark.parametrize("data", [{(0, 0): 2.0, (1, 0): 1.0, (0, 1): 1.0, (-1, 0): 1.0,
@@ -303,6 +314,6 @@ def test_a_stored_trajectory_is_read_on_the_same_orbits(tmp_path, data):
         assert again.orbits is None
     else:
         assert all(map(_same_bits, again.orbits, traj.orbits))
-    for name in ("masses", "sup_norms", "boundary_sups"):
+    for name in ("masses", "sup_norms"):
         assert _same_bits(getattr(again, name), getattr(traj, name)), name
     assert _same_bits(again.lq_norms(2.0), traj.lq_norms(2.0))

@@ -4,8 +4,8 @@ Before a step whose stage inputs could reach the boundary ring of ``B_R``,
 the solve moves onto ``B_ceil(RADIUS_GROWTH * R)``: the state, the FSAL
 value and the stored rows are widened by zeros and stepping goes on with
 the same integrator state.  So the rows written before a growth are the
-rows of the same run kept on the smaller ball, and a solve that never
-grows is the fixed-ball solve, bit for bit.
+rows of the same run kept on the smaller ball (``dirichlet.kept_on``), and
+a solve that never grows is that run kept on its one ball, bit for bit.
 """
 import json
 import math
@@ -17,8 +17,9 @@ import pytest
 
 import graphflow as gf
 from graphflow import cli
-from graphflow.graphs import orbit_constant, orbit_quotient, region_edges
+from graphflow.graphs import region_edges
 from graphflow.solver import RADIUS_GROWTH, TruncationConvergenceError, _integrate, _make_rhs
+from dirichlet import kept_on
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -44,48 +45,6 @@ def _same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def _kept_on(g, u0, cfg, center, radii):
-    """``_integrate`` growing through the balls ``radii`` and then kept on the last.
-
-    The growth callbacks are those of ``solve_truncated``, except that the
-    last ball is never left: the run goes on there as on a fixed ball.
-    Data constant on orbits is solved on the orbit quotient, as there, and
-    the rows are lifted to the last ball.
-    Returns the last region, the rows and the diagnostics.
-    """
-    regions = [gf.ball(g, center, n) for n in radii]
-    quotient = orbit_constant(u0.values, center)
-
-    def unknowns(region):   # distances, rhs_on and lift, as in solve_truncated
-        if quotient:
-            lift, first, edges = orbit_quotient(region)
-            dist, degrees = region.distances[first], region.degrees[first]
-        else:
-            edges, dist, degrees, lift = (region_edges(g, region), region.distances,
-                                          region.degrees, None)
-        return dist, lambda m: _make_rhs(edges.restrict(m), degrees[:m], cfg.p), lift
-
-    def grow(t):
-        k = len(grown) + 1
-        grown.append(t)
-        dist, rhs_on, lift = unknowns(regions[k])
-        # report no ring on the last ball, so that it is never left
-        return dist, rhs_on, k + 1 < len(regions), lift
-
-    grown = []
-    dist, rhs_on, lift = unknowns(regions[0])
-    y0 = np.zeros(len(dist))
-    for v, x in u0.values.items():
-        i = regions[0].index[v]
-        y0[i if lift is None else lift[i]] = x
-    Y, diag = _integrate(rhs_on, dist, y0, float(cfg.instants[-1]), cfg.instants, cfg.rtol,
-                         cfg.atol, cfg.max_steps, grow=grow if len(regions) > 1 else None,
-                         norm_size=len(y0) if lift is None else len(lift), lift=lift)
-    if quotient:
-        Y = Y[:, unknowns(regions[-1])[2]]
-    return regions[-1], Y, diag
-
-
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_resumed_rows_are_the_previous_rows_widened_by_zeros(case):
     g, u0, cfg, center = _case(case)
@@ -95,20 +54,22 @@ def test_resumed_rows_are_the_previous_rows_widened_by_zeros(case):
     written = 0
     for k, after in enumerate(traj.history[1:], start=1):
         # the same run kept on ball k - 1 instead of moving onto ball k
-        region, Y, diag = _kept_on(g, u0, cfg, center, radii[:k])
-        if k == 1:   # that is the fixed-ball solve on the first ball
-            fixed = gf.solve_truncated(g, u0, cfg, radii[0], center=center)
-            assert _same_bits(fixed.values, Y)
+        kept = kept_on(g, u0, cfg, center, radii[:k])
         m = int(np.count_nonzero(traj.times <= after["t"] * (1 + 1e-15)))
         # each ball is the first vertices of the next
-        assert traj.region.vertices[:len(region)] == region.vertices
+        assert traj.region.vertices[:len(kept.region)] == kept.region.vertices
         widened = np.zeros((m, len(traj.region)))
-        widened[:, :len(region)] = Y[:m]
+        widened[:, :len(kept.region)] = kept.values[:m]
         assert _same_bits(traj.values[:m], widened)
         for key, arr in traj.diagnostics.items():
-            assert _same_bits(arr[:m], diag[key][:m]), key
+            assert _same_bits(arr[:m], kept.diagnostics[key][:m]), key
         written = max(written, m - 1)
     assert written > 0   # some growth came after rows had been written
+    # kept on the solve's own last ball, which it never left, the run is
+    # the solve: the reference takes the solver's callbacks, bit for bit
+    kept = kept_on(g, u0, cfg, center, radii)
+    assert kept.history == traj.history and (kept.orbits is None) == (traj.orbits is None)
+    assert _same_bits(kept.values, traj.values)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -147,19 +108,18 @@ def test_resume_needs_a_smaller_ball_about_the_same_center():
             assert (large.distances[:m] == small.distances).all()
         assert traj.values[0, traj.region.index[(0,)]] == 1.0
     with pytest.raises(ValueError, match="outside"):
-        gf.solve_truncated(z1, u0, cfg, 2, center=(5,), grow=True)
+        gf.solve_truncated(z1, u0, cfg, 2, center=(5,))
 
 
 def test_a_solve_that_never_grows_is_the_fixed_ball_solve():
     z1 = gf.lattice_generator(1)
     u0 = gf.delta_field(z1, (0,), 1.0)
     cfg = gf.SolverConfig(p=3.0, instants=gf.log_instants(1e-2, 10.0, 31), n0=24)
-    fixed = gf.solve_truncated(z1, u0, cfg, 24, center=(0,))
+    fixed = kept_on(z1, u0, cfg, (0,), [24])
     # the support stays 7 layers inside ring 24, so no step could reach it
     assert not fixed.values[:, fixed.region.distances > 24 - 7].any()
-    grown = gf.solve_truncated(z1, u0, cfg, 24, center=(0,), grow=True)
+    grown = gf.solve_truncated(z1, u0, cfg, 24, center=(0,))
     assert [h["n"] for h in grown.history] == [24] and grown.certified
-    assert not fixed.certified
     assert grown.history == fixed.history
     for traj in (grown, gf.solve_cauchy(z1, u0, cfg, center=(0,))):
         assert _same_bits(traj.values, fixed.values)
@@ -198,7 +158,7 @@ def test_first_ball_within_reach_of_the_data_is_left_before_any_work():
         assert [(h["rhs_evals"], h["accepted"]) for h in traj.history[:len(left)]] == \
             [(0, 0)] * len(left)
         # the same solve started on B_n, its error norms divided by |B_n0|
-        same = gf.solve_truncated(z1, u0, cfg, n, center=(0,), grow=True)
+        same = gf.solve_truncated(z1, u0, cfg, n, center=(0,))
         assert same.history[0]["n"] == n and same.history[0]["t"] == 0.0
         assert traj.history[len(left):] == same.history
         assert _same_bits(traj.values, same.values)
@@ -216,7 +176,7 @@ def test_propagation_config_grows_after_rows_were_written():
     assert 0.0 < after["t"] < scfg.instants[-1]
     # the fixed solve on the first ball takes the same steps up to the growth,
     # and more after it
-    fixed = gf.solve_truncated(g, u0, scfg, first["n"], center=center)
+    fixed = kept_on(g, u0, scfg, center, [first["n"]])
     assert first["accepted"] < fixed.history[0]["accepted"]
     m = int(np.count_nonzero(traj.times <= after["t"] * (1 + 1e-15)))
     assert m > 1

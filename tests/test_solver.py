@@ -11,6 +11,7 @@ from graphflow import cli
 from graphflow.solver import (ROW_DIAGNOSTICS, NonFiniteStateError, SolverError,
                               StepSizeUnderflowError, TruncationConvergenceError,
                               TruncationDeficitError, _integrate)
+from dirichlet import kept_on
 
 
 def _integrate_ode(rhs, y0, *args, **kwargs):
@@ -218,10 +219,10 @@ def test_boundary_leak_triggers_expansion(z1, short_cfg):
     # some later ball is left part way through the run
     assert traj.history[1]["t"] == 0.0
     assert any(0.0 < h["t"] < cfg.instants[-1] for h in traj.history)
-    # the fixed B_2 leaks through its ring; the grown solve's last ball does not
-    full = gf.solve_truncated(z1, gf.delta_field(z1, (0,)), cfg, 2)
-    assert full.history[0]["boundary_leak"] > 0.0
-    assert traj.history[-1]["boundary_leak"] == 0.0
+    # B_2 kept to the end leaks through its ring; the grown solve's last ball does not
+    full = kept_on(z1, gf.delta_field(z1, (0,)), cfg, (0,), [2])
+    assert full.values[1:, full.region.distances == 2].any()
+    assert not traj.values[:, traj.region.distances == traj.certified_radius].any()
 
 
 def test_truncation_convergence_failure(z1):
@@ -267,7 +268,8 @@ def test_comparison_partner_that_outgrows_u01_is_certified(z1):
     solo = gf.solve_cauchy(z1, u01, cfg)
     traj = gf.solve_cauchy(z1, u01, cfg, partners=(u02,))
     [partner] = traj.partners
-    assert partner.certified and partner.history[-1]["boundary_leak"] == 0.0
+    assert partner.certified
+    assert not partner.values[:, partner.region.distances == partner.certified_radius].any()
     assert partner.certified_radius == traj.certified_radius > solo.certified_radius
     assert gf.comparison_check(z1, u01, u02, cfg) >= -1e-8 * u01.sup_norm()
 
@@ -325,7 +327,8 @@ def test_mass_radius_eps_validation(delta_run):
 def test_mass_radius_truncation_deficit(z1):
     # a tiny absorbing ball loses most of the mass by t = 100
     cfg = gf.SolverConfig(p=3.0, instants=gf.log_instants(0.1, 100.0, 9))
-    traj = gf.solve_truncated(z1, gf.delta_field(z1, (0,)), cfg, 2)
+    kept = kept_on(z1, gf.delta_field(z1, (0,)), cfg, (0,), [2])
+    traj = gf.Trajectory(cfg, kept.region, None, kept.times, kept.values, kept.diagnostics)
     assert traj.masses[traj.locate(100.0)] < 0.5 * traj.masses[0]
     with pytest.raises(TruncationDeficitError) as info:
         gf.mass_radius(traj, 0.5)
@@ -382,7 +385,7 @@ def test_finite_graph_fully_covered_has_no_boundary():
     assert traj.certified
     # no ring to reach, so the first ball is never left and is certified
     assert [h["n"] for h in traj.history] == [2]
-    assert (traj.boundary_sups == 0.0).all()
+    assert len(traj.edges.bi) == 0
     m0 = traj.masses[0]
     assert np.abs(traj.masses - m0).max() <= 1e-12 * m0
     # the flow relaxes toward the constant state on a finite graph
