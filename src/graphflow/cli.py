@@ -443,7 +443,7 @@ def load_trajectory(run_dir, g):
         lift, first, _ = orbit_quotient(region)
         if np.array_equal(values[:, first][:, lift], values):
             orbits = lift, first
-    return solver.Trajectory(cfg, region, None, times, values, diagnostics, orbits=orbits)
+    return solver.Trajectory(cfg, region, times, values, diagnostics, orbits=orbits)
 
 
 def _check_json(check, extras=None):

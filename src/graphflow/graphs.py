@@ -19,6 +19,9 @@ integer-key lookup.  Both follow the generator's sorted table of unit
 offsets, which also orders the oracle's neighbor lists.  The ring BFS
 serves products, custom graphs and distance queries, and every other
 region takes the oracle loop for its edges.
+
+Every solve's kernel is a :class:`NeighbourTable`, built once per ball
+and sliced for the sub-balls and stacked copies a step runs on.
 """
 
 from __future__ import annotations
@@ -266,65 +269,34 @@ def _odd_power(p):
 
 
 @dataclass
-class RegionEdges:
-    """Edge arrays of a region: internal pairs (i < j) and outgoing stubs.
+class NeighbourTable:
+    """A region's ``(k, n)`` neighbour table, the edge-flux kernel of every solve.
 
-    This is the edge-flux kernel of the region: every sum over edges
-    (p-Laplacian, Dirichlet energy, edge-flux integrals) goes through
-    :meth:`divergence` or :meth:`power_sum`.  Stubs see the zero exterior
-    value of a Dirichlet truncation.  :meth:`divergence` lays the arrays
-    out again as a neighbour table, which holds each internal edge twice.
+    Column ``x`` lists the entries of vertex ``x``: a neighbour inside the
+    region, or the zero slot ``n`` for a stub (the zero exterior of a
+    Dirichlet truncation), at weight ``W``.  A short column is padded with
+    ``x`` itself at weight 0, whose difference is exactly 0 (a pad at the
+    zero slot would give ``|u|^(p-1) * 0``, a NaN once that overflows).
+    Both arrays are C-contiguous, as are those of every table made from
+    them: a strided table is several times slower to gather through.
     """
 
-    ei: np.ndarray        # internal edge tail indices
-    ej: np.ndarray        # internal edge head indices, ej > ei
-    w: np.ndarray         # internal edge weights
-    bi: np.ndarray        # region-side indices of edges leaving the region
-    bw: np.ndarray        # their weights
-    n: int                # number of region vertices
-    wj: np.ndarray | None = None   # head-side weights of directed edges (None: w)
+    nbr: np.ndarray       # (k, n) entry indices, n for a stub
+    W: np.ndarray         # (k, n) entry weights, 0 for a pad
+
+    @property
+    def n(self):
+        return self.nbr.shape[1]
 
     def divergence(self, p):
         """Kernel ``u -> sum_y w(x,y) |u(y)-u(x)|^(p-2) (u(y)-u(x))`` over the region.
 
-        Built once per exponent; the returned function maps a state of
-        length ``n`` to a fresh array holding the unnormalized p-Laplacian
-        (stubs included).  The build lays the edges out as a C-contiguous
-        ``(k, n)`` neighbour table and its weights, ``k`` the most entries
-        at any vertex; column ``x`` lists the edges where ``x`` is the
-        tail, then those where it is the head, then its stubs.  A call
-        copies the state into a scratch buffer of length ``n + 1``, gathers
-        it through the table, subtracts the state, applies the odd power
-        and the weights in place and sums down the columns.  On ``Z^1``
-        the sums are bitwise those of adding each flux at its tail and
-        subtracting it at its head.
-
-        A stub points at the buffer's last slot, which stays 0.  A column
-        shorter than ``k`` is padded with ``x`` itself at weight 0, whose
-        difference is exactly 0; a pad at the zero slot would give
-        ``|u|^(p-1) * 0``, a NaN once that overflows.  Every ``Z^N`` ball
-        and active ball has ``2N`` entries at each vertex, so its table
-        needs no padding.  The table costs ``16 k n`` bytes for as long as
-        the kernel lives, against 24 per internal edge and 16 per stub in
-        the arrays, and each call computes every internal flux twice.
-
-        With head-side weights ``wj`` (an orbit quotient, see
-        :func:`orbit_quotient`) the head's entry of an edge takes ``wj``
-        instead of ``w``; the table and the call are the same.
+        The returned function maps a state of length ``n`` to a fresh
+        array: it gathers the state through the table from a buffer whose
+        slot ``n`` stays 0, subtracts the state, applies the odd power and
+        the weights in place and sums down each column in entry order.
         """
-        n = self.n
-        # sort the entries, then the pads, by vertex, stably, and lay them
-        # out one column per vertex
-        src = np.concatenate([self.ei, self.ej, self.bi])
-        counts = np.bincount(src, minlength=n)
-        k = int(counts.max(initial=0))
-        pad = np.repeat(np.arange(n), k - counts)
-        order = np.argsort(np.concatenate([src, pad]), kind="stable")
-        nbr = np.concatenate([self.ej, self.ei, np.full(len(self.bi), n), pad])[order]
-        nbr = np.ascontiguousarray(nbr.reshape(n, k).T)
-        W = np.concatenate([self.w, self.w if self.wj is None else self.wj, self.bw,
-                            np.zeros(len(pad))])[order]
-        W = np.ascontiguousarray(W.reshape(n, k).T)
+        n, nbr, W = self.n, self.nbr, self.W
         ext = np.zeros(n + 1)   # ext[n] is the zero exterior of every stub
         odd_power = _odd_power(p)
 
@@ -338,6 +310,80 @@ class RegionEdges:
 
         return div
 
+    def restrict(self, m):
+        """The table of the sub-region of the first ``m`` vertices.
+
+        On a ball, the ball ``B_r`` of size ``m``.  Each entry keeps its
+        place; one at ``m`` or past it points at the zero slot ``m``.  So on
+        a state that is 0 from vertex ``m`` on, the whole table's first
+        ``m`` sums are bitwise these.  ``m = n`` returns ``self``.
+        """
+        if m == self.n:
+            return self
+        return NeighbourTable(np.minimum(self.nbr[:, :m], m),
+                              np.ascontiguousarray(self.W[:, :m]))
+
+    def stacked(self, k):
+        """The table of ``k`` disjoint copies of the region.
+
+        Copy ``b`` holds vertices ``b n`` to ``(b + 1) n - 1``, so ``k``
+        states stacked block by block are a state of the copies.  The table
+        is block-diagonal, every copy's stubs at one zero slot ``k n``, each
+        column in its region column's order: each block's sums round as in
+        a call on the block alone.  ``k = 1`` returns ``self``.
+        """
+        if k == 1:
+            return self
+        n = self.n
+        shifted = self.nbr[:, None] + n * np.arange(k)[:, None]
+        nbr = np.where(self.nbr[:, None] == n, k * n, shifted)
+        return NeighbourTable(nbr.reshape(len(nbr), k * n), np.tile(self.W, k))
+
+    def edge_count(self, sizes):
+        """Internal edges (once each) plus stubs of the vertices the columns stand for.
+
+        ``sizes`` counts them per column: ``|O|`` on an orbit quotient, 1 on
+        the vertices.
+        """
+        # an internal entry is half an edge, a stub a whole one; pads weigh 0
+        halves = np.count_nonzero(self.W, axis=0) + np.count_nonzero(self.nbr == self.n, axis=0)
+        return int((halves * sizes).sum()) // 2
+
+
+@dataclass
+class RegionEdges:
+    """Edge arrays of a region: internal pairs (i < j) and outgoing stubs.
+
+    They give the region's :class:`NeighbourTable` and the edge power sums
+    of energies and flux integrals.  Stubs see a zero exterior.
+    """
+
+    ei: np.ndarray        # internal edge tail indices
+    ej: np.ndarray        # internal edge head indices, ej > ei
+    w: np.ndarray         # internal edge weights
+    bi: np.ndarray        # region-side indices of edges leaving the region
+    bw: np.ndarray        # their weights
+    n: int                # number of region vertices
+
+    def table(self):
+        """The region's :class:`NeighbourTable`, ``k`` the most entries at any vertex.
+
+        Column ``x`` lists the edges where ``x`` is the tail, then those
+        where it is the head, then its stubs, each in edge order.
+        """
+        n = self.n
+        # sort the entries, then the pads, by vertex, stably, and lay them
+        # out one column per vertex
+        src = np.concatenate([self.ei, self.ej, self.bi])
+        counts = np.bincount(src, minlength=n)
+        k = int(counts.max(initial=0))
+        pad = np.repeat(np.arange(n), k - counts)
+        order = np.argsort(np.concatenate([src, pad]), kind="stable")
+        nbr = np.concatenate([self.ej, self.ei, np.full(len(self.bi), n), pad])[order]
+        W = np.concatenate([self.w, self.w, self.bw, np.zeros(len(pad))])[order]
+        return NeighbourTable(np.ascontiguousarray(nbr.reshape(n, k).T),
+                              np.ascontiguousarray(W.reshape(n, k).T))
+
     def power_sum(self, F, a):
         """``sum w |F(y)-F(x)|^a`` over internal edges plus ``bw |F(x)|^a`` over stubs.
 
@@ -346,43 +392,6 @@ class RegionEdges:
         """
         return (np.abs(F[..., self.ej] - F[..., self.ei]) ** a @ self.w
                 + np.abs(F[..., self.bi]) ** a @ self.bw)
-
-    def stacked(self, k):
-        """Edge arrays of ``k`` disjoint copies of the region.
-
-        Copy ``b`` holds vertices ``b n`` to ``(b + 1) n - 1``, so a state
-        of ``k`` states stacked block by block is a state of the copies.
-        Its :meth:`divergence` table is block-diagonal, with the stubs of
-        every copy at one shared zero slot, and each column lists its
-        entries in the order of the region's own column: each block's
-        sums round as they do in a call on the block alone.  ``k = 1``
-        returns ``self``.
-        """
-        if k == 1:
-            return self
-        shift = self.n * np.arange(k)[:, None]
-        return RegionEdges((self.ei + shift).ravel(), (self.ej + shift).ravel(),
-                           np.tile(self.w, k), (self.bi + shift).ravel(),
-                           np.tile(self.bw, k), k * self.n,
-                           None if self.wj is None else np.tile(self.wj, k))
-
-    def restrict(self, m):
-        """Edge arrays of the sub-region of the first ``m`` vertices.
-
-        On a ball that is the ball ``B_r`` of size ``m``.  Internal edges
-        keep their order; one with ``ei < m <= ej`` becomes a stub of its
-        tail, a zero exterior there, at its tail-side weight.  ``m = n``
-        returns ``self``.
-        """
-        if m == self.n:
-            return self
-        inner = self.ej < m   # then ei < m too
-        cut = (self.ei < m) & ~inner
-        stub = self.bi < m
-        return RegionEdges(self.ei[inner], self.ej[inner], self.w[inner],
-                           np.concatenate([self.bi[stub], self.ei[cut]]),
-                           np.concatenate([self.bw[stub], self.w[cut]]), m,
-                           None if self.wj is None else self.wj[inner])
 
 
 def region_edges(g, region):
@@ -456,17 +465,13 @@ def orbit_quotient(region):
     numbered by their first vertex in the ring-ordered ball, so each lies
     on one ring and the orbits of a smaller concentric ball are a prefix.
     Returns the orbit of each vertex, the first vertex of each orbit and
-    the quotient's edge arrays.  Those carry directed weights
-    ``w(O, O') = sum_{x in O, y in O'} w(x, y) / |O|`` and stubs summed
-    the same way, so a state constant on orbits evolves as its orbit values
-    do; ``|O| w(O, O')`` is symmetric, so ``sum |O| d(O) u(O)`` is
-    conserved.
-
-    The group acts transitively on each orbit, so on the unit-weight
-    lattice ``w(O, O')`` is the number of the first vertex's neighbours
-    in ``O'`` and its stubs are those past the radius: only ``2N``
-    neighbours per orbit are keyed.  No edge joins two vertices of one
-    orbit, as every edge joins adjacent rings.
+    the quotient's :class:`NeighbourTable`: column ``O`` lists the orbits
+    of the first vertex's ``2N`` neighbours in unit-offset order (the zero
+    slot past the radius), at weight 1.  The group acts transitively on
+    each orbit, so a state constant on orbits has the first vertex's sum
+    at every vertex of ``O`` and evolves as its orbit values do.
+    ``|O| w(O, O')``, ``w(O, O')`` the entries of ``O`` in ``O'``, counts
+    the edges between the orbits, so ``sum |O| d(O) u(O)`` is conserved.
     """
     coords = region.coords if region.coords is not None else np.array(region.vertices)
     center, offsets = np.array(region.center), region.generator.unit_offsets
@@ -484,21 +489,17 @@ def orbit_quotient(region):
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
     orbit_of, first, k = rank[inverse.ravel()], first[order], len(order)
-    # each first vertex's neighbours: from orbit a into the orbit b of
-    # their key inside the ball, else a stub of a
-    rel = (coords[first, None] - center + offsets).reshape(-1, N)
-    a = np.repeat(np.arange(k), len(offsets))
-    inside = np.abs(rel).sum(axis=1) <= R
+    # each first vertex's neighbours: the orbit of their key inside the
+    # ball, else a stub
+    rel = coords[first, None] - center + offsets
+    inside = np.abs(rel).sum(axis=2) <= R
     # every key inside is known, so the known keys keep their places
     _, at = np.unique(np.concatenate([known, keys_of(rel[inside])]), axis=0,
                       return_inverse=True)
-    a, b, stub = a[inside], rank[at.ravel()[k:]], np.bincount(a[~inside], minlength=k)
-    pair, at = np.unique(np.minimum(a, b) * k + np.maximum(a, b), return_inverse=True)
-    w, wj = (np.bincount(at[side], minlength=len(pair)).astype(float)
-             for side in (a < b, a > b))
-    bi = np.flatnonzero(stub)
-    return orbit_of, first, RegionEdges(pair // k, pair % k, w, bi,
-                                        stub[bi].astype(float), k, wj=wj)
+    nbr = np.full((k, len(offsets)), k)
+    nbr[inside] = rank[at.ravel()[k:]]
+    return orbit_of, first, NeighbourTable(np.ascontiguousarray(nbr.T),
+                                           np.ones((len(offsets), k)))
 
 
 @dataclass

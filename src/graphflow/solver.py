@@ -262,11 +262,11 @@ def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps, grow=None
     not reached ``t_end``, and the right-hand side is called on the rows'
     active blocks stacked into one state of length ``K m``; for ``K > 1``
     rows ``rhs_on(m, K)`` builds it on ``K`` disjoint copies of the first
-    ``m`` vertices (see :meth:`RegionEdges.stacked`).  Each row has
-    its own ``t``, step size, controller state, error norm, counters and
-    dense output, and accepts or rejects on its own error.  The active
-    ball and the growth follow the union of the rows' supports, and a
-    voided attempt is redone for every row.  A row's stages are one
+    ``m`` vertices (see :meth:`graphs.NeighbourTable.stacked`).  Each
+    row has its own ``t``, step size, controller state, error norm,
+    counters and dense output, and accepts or rejects on its own error.
+    The active ball and the growth follow the union of the rows'
+    supports, and a voided attempt is redone for every row.  A row's stages are one
     contiguous ``(7, m)`` block, so its stage products round as in a run
     of that row alone; a row leaves the stack once it reaches ``t_end``.
     With one row the arrays are those of a 1-d run.
@@ -535,17 +535,16 @@ class Trajectory:
     ``orbits`` is ``(lift, first)``, the orbit of each vertex and the
     first vertex of each orbit, when the rows are constant on the orbits
     of :func:`graphs.orbit_quotient`; ``values`` still holds every vertex
-    (see :meth:`columns`).  ``edges`` is built on first use when not given.
+    (see :meth:`columns`).  ``edges``, the region's edge arrays, are built
+    on first use.
     """
 
     certified = True
 
-    def __init__(self, config, region, edges, times, values, diagnostics,
+    def __init__(self, config, region, times, values, diagnostics,
                  history=None, orbits=None):
         self.config = config
         self.region = region
-        if edges is not None:
-            self.edges = edges
         self.times = times
         self.values = values
         self.diagnostics = diagnostics
@@ -652,8 +651,8 @@ def _resolve_center(g, u0: Field, center):
                key=lambda kv: (-abs(kv[1]), g.sort_key(kv[0])))[0]
 
 
-def _make_rhs(edges, degrees, p):
-    div = edges.divergence(p)
+def _make_rhs(table, degrees, p):
+    div = table.divergence(p)
 
     def rhs(t, u):
         out = div(u)
@@ -698,13 +697,14 @@ def solve_truncated(g, u0: Field, cfg: SolverConfig, n, center=None, partners=()
     the solve has one unknown per orbit (:func:`graphs.orbit_quotient`)
     and the stored rows are lifted to the vertices of the last ball: a
     solve on the vertices up to rounding, with the same steps.  It builds
-    no vertex edge arrays; the trajectories keep the orbits, and their
-    ``edges`` are built on first use.
+    no vertex edge arrays; the trajectories keep the orbits.  Each ball's
+    :class:`graphs.NeighbourTable` is built once; an active ball's
+    right-hand side slices it (``table.restrict(m).stacked(k)``).
 
     The returned ``history`` has one record per ball the solve was on: the
     radius ``n``, its ``vertices`` and ``edges`` (internal edges plus
-    stubs, ``sum |O| w(O, O') + sum |O| bw(O)`` on the quotient), the
-    time ``t`` the solve moved onto it (0.0 for the first),
+    stubs, read from its table, see :meth:`graphs.NeighbourTable.edge_count`),
+    the time ``t`` the solve moved onto it (0.0 for the first),
     ``rhs_evals`` (the evaluations made on it), the cumulative
     ``accepted`` and ``rejected`` step counts and ``redone`` attempts (the
     voided ones, see :func:`_integrate`) when it was left, and the
@@ -716,26 +716,23 @@ def solve_truncated(g, u0: Field, cfg: SolverConfig, n, center=None, partners=()
     region = ball(g, center, n)
     quotient = (_ORBIT_QUOTIENT and region.coords is not None
                 and all(orbit_constant(u.values, center) for u in data))
+    balls = []   # each ball the solve was on, its vertex edge count, lift and first vertices
 
     def on(region):
-        # the ball, its unknowns' edge arrays, its vertex edge count, its
-        # lift and first vertices (None on the vertices), and its unknowns'
-        # distances and rhs_on
+        # the ball's unknowns: their distances, rhs_on, whether the ball has
+        # a ring to reach and their lift (None on the vertices)
         if quotient:
-            lift, first, edges = orbit_quotient(region)
-            sizes = np.bincount(lift)   # |O| w(O, O') is the vertex edge count
-            count = int(sizes[edges.ei] @ edges.w + sizes[edges.bi] @ edges.bw)
+            lift, first, table = orbit_quotient(region)
+            sizes = np.bincount(lift)   # the vertices each orbit stands for
             dist, degrees = region.distances[first], region.degrees[first]
         else:
-            edges, lift, first = region_edges(g, region), None, None
-            count = len(edges.ei) + len(edges.bi)
+            table, lift, first, sizes = region_edges(g, region).table(), None, None, 1
             dist, degrees = region.distances, region.degrees
+        balls.append((region, table.edge_count(sizes), lift, first))
 
         def rhs_on(m, k=1):   # looks up the module's _make_rhs for every sub-ball
-            return _make_rhs(edges.restrict(m).stacked(k), np.tile(degrees[:m], k), cfg.p)
-        return region, edges, count, lift, first, dist, rhs_on
-
-    balls = [on(region)]   # each ball the solve was on
+            return _make_rhs(table.restrict(m).stacked(k), np.tile(degrees[:m], k), cfg.p)
+        return dist, rhs_on, bool((table.nbr == table.n).any()), lift
 
     def grow_ball(t):
         smaller = balls[-1][0]
@@ -743,12 +740,10 @@ def solve_truncated(g, u0: Field, cfg: SolverConfig, n, center=None, partners=()
             raise TruncationConvergenceError(
                 f"the solution reached the boundary ring of each of {len(balls)} balls "
                 f"(last radius {smaller.radius}, at t={t!r})")
-        larger = ball(g, smaller.center, math.ceil(RADIUS_GROWTH * smaller.radius))
-        balls.append(on(larger))
-        _, edges, _, lift, _, dist, rhs_on = balls[-1]
-        return dist, rhs_on, len(edges.bi) > 0, lift
+        return on(ball(g, smaller.center, math.ceil(RADIUS_GROWTH * smaller.radius)))
 
-    _, edges, _, lift, first, dist, rhs_on = balls[0]
+    dist, rhs_on, ringed, lift = on(region)
+    first = balls[0][3]
     y0 = np.zeros((len(data), len(dist)))
     for row, u in zip(y0, data):
         if lift is None:
@@ -765,21 +760,19 @@ def solve_truncated(g, u0: Field, cfg: SolverConfig, n, center=None, partners=()
                              f"B_{region.radius}({region.center!r})")
     n0 = first_radius(u0, cfg, center, partners)
     solved = _integrate(rhs_on, dist, y0, float(cfg.instants[-1]), cfg.instants, cfg.rtol,
-                        cfg.atol, cfg.max_steps,
-                        grow=grow_ball if len(edges.bi) else None,
+                        cfg.atol, cfg.max_steps, grow=grow_ball if ringed else None,
                         norm_size=int(np.count_nonzero(region.distances <= n0)),
                         lift=lift)
-    region, edges, _, lift, first, *_ = balls[-1]
+    region, _, lift, first = balls[-1]
     times = np.concatenate([[0.0], cfg.instants])
     trajs = []
     for Y, diag in solved:
         diagnostics = {name: diag[name] for name in ROW_DIAGNOSTICS.names}
         orbits = None if lift is None else (lift, first)
-        traj = Trajectory(cfg, region, None if orbits else edges, times,
-                          Y if orbits is None else Y[:, lift], diagnostics,
-                          orbits=orbits)
+        traj = Trajectory(cfg, region, times, Y if orbits is None else Y[:, lift],
+                          diagnostics, orbits=orbits)
         traj.history = [{"n": reg.radius, "vertices": len(reg), "edges": count, **counts}
-                        for (reg, _, count, *_), counts in zip(balls, diag["balls"])]
+                        for (reg, count, *_), counts in zip(balls, diag["balls"])]
         trajs.append(traj)
     trajs[0].partners = trajs[1:]
     return trajs[0]
@@ -853,9 +846,12 @@ def mass_radius(traj: Trajectory, eps, x0=None):
                          f"mass sum over {len(traj.region)} vertices, got {eps!r}")
     cols, weights, dists = traj.columns(x0)
     target = (1.0 - eps) * traj.masses[0]
-    bins = int(dists.max()) + 1
-    cum = np.cumsum([np.bincount(dists, np.abs(row[cols]) * weights, bins)
-                     for row in traj.values], axis=1)
+    # one bincount over all stored times, keyed by time and distance: each
+    # bin sums in the order of a bincount over its time's row alone
+    bins, times = int(dists.max()) + 1, len(traj.values)
+    keys = (np.arange(times)[:, None] * bins + dists).ravel()
+    cum = np.cumsum(np.bincount(keys, (np.abs(traj.values[:, cols]) * weights).ravel(),
+                                times * bins).reshape(times, bins), axis=1)
     short = np.nonzero(cum[:, -1] < target)[0]
     if len(short):
         held = cum[short[0], -1]

@@ -44,18 +44,16 @@ def kept_on(g, u0, cfg, center, radii):
 
     def on(region):   # the ball's unknowns, as in solve_truncated
         if quotient:
-            lift, first, edges = orbit_quotient(region)
+            lift, first, table = orbit_quotient(region)
             sizes = np.bincount(lift)
-            count = int(sizes[edges.ei] @ edges.w + sizes[edges.bi] @ edges.bw)
             dist, degrees = region.distances[first], region.degrees[first]
         else:
-            edges, lift, first = region_edges(g, region), None, None
-            count = len(edges.ei) + len(edges.bi)
+            table, lift, first, sizes = region_edges(g, region).table(), None, None, 1
             dist, degrees = region.distances, region.degrees
 
         def rhs_on(m):   # through the module attribute, which tests may wrap
-            return solver._make_rhs(edges.restrict(m), degrees[:m], cfg.p)
-        balls.append((region, count, lift, first))
+            return solver._make_rhs(table.restrict(m), degrees[:m], cfg.p)
+        balls.append((region, table.edge_count(sizes), lift, first))
         return dist, rhs_on, lift
 
     def grow(t):

@@ -29,17 +29,22 @@ WHOLE_REGION = 10 ** 6   # a margin that makes every active ball the whole regio
 TIGHT = 2   # the least margin: the active ball's last two rings must be 0
 
 
+def _stub_columns(table):
+    """The vertices (columns) with a stub entry, in order."""
+    return np.flatnonzero((table.nbr == table.n).any(axis=0))
+
+
 class CheckedRhs:
     """Replacement for ``solver._make_rhs`` that checks the stub invariant.
 
     Counts every RHS evaluation and records the size of each sub-ball it
     was built on, and the time and stub flag of each call to it.
-    ``partial`` tells whether the edges it is handed next belong to a
+    ``partial`` tells whether the table it is handed next belongs to a
     sub-ball smaller than the region: the stubs of the whole region are its
     own boundary, where the solution may be nonzero.  ``ring`` holds the
     positions, in that sub-ball, of the region's own stub vertices, where
     every input is checked to be exactly 0.  A growing solve restricts the
-    edges of each new ball, so the ring follows it.
+    table of each new ball, so the ring follows it.
     """
 
     def __init__(self, make_rhs):
@@ -52,10 +57,10 @@ class CheckedRhs:
         self.partial = True
         self.ring = np.empty(0, dtype=np.int64)
 
-    def __call__(self, edges, degrees, p):
-        rhs = self.make_rhs(edges, degrees, p)
+    def __call__(self, table, degrees, p):
+        rhs = self.make_rhs(table, degrees, p)
         self.sizes.append(len(degrees))
-        stubs = np.unique(edges.bi) if self.partial else None
+        stubs = _stub_columns(table) if self.partial else None
         ring = self.ring
         calls = []
         self.builds.append(calls)
@@ -104,13 +109,14 @@ def _solve(monkeypatch, g, u0, cfg, center, margin=None):
         m.setattr(solver, "_make_rhs", checked)
         if margin is not None:
             m.setattr(solver, "_ACTIVE_MARGIN", margin)
-        original_restrict = gf.graphs.RegionEdges.restrict
+        original_restrict = gf.graphs.NeighbourTable.restrict
 
-        def restrict(edges, m):   # the sub-ball of the first m vertices
-            checked.partial = m < edges.n
-            checked.ring = np.unique(edges.bi[edges.bi < m])
-            return original_restrict(edges, m)
-        m.setattr(gf.graphs.RegionEdges, "restrict", restrict)
+        def restrict(table, m):   # the sub-ball of the first m vertices
+            checked.partial = m < table.n
+            stubs = _stub_columns(table)
+            checked.ring = stubs[stubs < m]
+            return original_restrict(table, m)
+        m.setattr(gf.graphs.NeighbourTable, "restrict", restrict)
         traj = gf.solve_cauchy(g, u0, cfg, center=center)
     checked.verify(traj.history[-1]["redone"])
     return traj, checked

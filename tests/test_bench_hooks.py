@@ -73,6 +73,16 @@ def test_fields_the_tracer_reads():
     assert int(diag["accepted"][-1]) > 0 and int(diag["rejected"][-1]) >= 0
     traj = gf.solve_cauchy(z1, u0, cfg)
     assert traj.certified is True and len(traj.region) > 0
+    # the graphs.edges count reads the edge arrays region_edges returns
+    region = gf.ball(z1, (0,), 3)
+    edges = gf.graphs.region_edges(z1, region)
+    assert isinstance(edges.ei, np.ndarray) and isinstance(edges.bi, np.ndarray)
+    assert len(edges.ei) + len(edges.bi) == 8   # 6 internal edges and 2 stubs
+    # the timed right-hand side calls _make_rhs(table, degrees, p) by position
+    # and counts len(degrees) vertices per call
+    args = (edges.table(), region.degrees, 3.0)
+    inspect.signature(gf.solver._make_rhs).bind(*args)
+    assert gf.solver._make_rhs(*args)(0.0, np.ones(len(region))).shape == (len(region),)
 
 
 def test_a_growing_cauchy_solve_is_one_truncated_solve():

@@ -116,3 +116,29 @@ def test_lower_bound_support_hypothesis_is_measured_from_x0(z1_run):
     assert chk.extra["excluded"].all()
     centered = gf.check_lower_bound(z1_run, gf.FkProfile.lattice(1, 3.0))
     assert not centered.extra["excluded"].any()
+
+
+def _rowwise_mass_radius(traj, eps, x0):
+    # the per-instant loop that mass_radius's one bincount replaced
+    cols, weights, dists = traj.columns(x0)
+    target = (1.0 - eps) * traj.masses[0]
+    cum = np.cumsum([np.bincount(dists, np.abs(row[cols]) * weights, int(dists.max()) + 1)
+                     for row in traj.values], axis=1)
+    return np.argmax(cum >= target, axis=1)
+
+
+@pytest.mark.parametrize("x0", [None, (1, 0)])
+def test_mass_radius_is_the_per_instant_bincount(z2_run, x0):
+    # each bin of the one bincount over all stored times sums in the order
+    # of its own row's bincount, so the radii are equal at every eps: on the
+    # orbits, on the vertices and on random signed rows of equal mass
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal(z2_run.values.shape)
+    values *= (np.abs(values) @ z2_run.region.degrees)[:1, None] \
+        / (np.abs(values) @ z2_run.region.degrees)[:, None]
+    runs = [z2_run] + [gf.Trajectory(z2_run.config, z2_run.region, z2_run.times, v,
+                                     z2_run.diagnostics) for v in (z2_run.values, values)]
+    for traj in runs:
+        for eps in np.geomspace(1e-9, 0.9, 60):
+            assert np.array_equal(gf.mass_radius(traj, eps, x0=x0),
+                                  _rowwise_mass_radius(traj, eps, x0))

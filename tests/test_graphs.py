@@ -204,12 +204,16 @@ def test_restrict_matches_edges_of_the_sub_ball(graph):
     small = gf.ball(g, center, 3)
     m = len(small)
     assert big.vertices[:m] == small.vertices
-    sub = edges.restrict(m)
-    ref = region_edges(g, small)
-    # internal edges keep their order; cut edges become stubs of their inside end
-    for name in ("ei", "ej", "w"):
-        assert np.array_equal(getattr(sub, name), getattr(ref, name)), name
+    table = edges.table()
+    sub = table.restrict(m)
+    ref = region_edges(g, small).table()
+    # every entry keeps its place; cut edges become stubs of their inside end
     assert sub.n == ref.n == m
-    assert sorted(zip(sub.bi.tolist(), sub.bw.tolist())) == \
-        sorted(zip(ref.bi.tolist(), ref.bw.tolist()))
-    assert edges.restrict(len(big)) is edges
+    inside = table.nbr[:, :m] < m
+    assert np.array_equal(sub.nbr[inside], table.nbr[:, :m][inside])
+    assert (sub.nbr[~inside] == m).all() and np.array_equal(sub.W, table.W[:, :m])
+    # each column lists the entries of the sub-ball's own column
+    for col in range(m):
+        assert sorted(zip(sub.nbr[:, col].tolist(), sub.W[:, col].tolist())) == \
+            sorted(zip(ref.nbr[:, col].tolist(), ref.W[:, col].tolist())), col
+    assert table.restrict(len(big)) is table

@@ -147,9 +147,11 @@ def test_monotonicity_rejects_bad_domain():
 
 
 def _ball_edges(g, x0, R):
+    # the ball, its edge arrays (the oracles' input) and its neighbour table
     from graphflow.graphs import region_edges
     region = gf.ball(g, x0, R)
-    return g, region, region_edges(g, region)
+    edges = region_edges(g, region)
+    return g, region, edges, edges.table()
 
 
 def _weighted_ball_edges():
@@ -157,19 +159,23 @@ def _weighted_ball_edges():
     # c one stub (to a), and the internal edges have weights of their own
     g = gf.generator_from_edges([("o", "v", 1.5), ("o", "c", 0.75), ("v", "a", 0.5),
                                  ("v", "b", 3.0), ("c", "a", 2.0), ("a", "b", 1.25)])
-    g, region, edges = _ball_edges(g, "o", 1)
+    g, region, edges, table = _ball_edges(g, "o", 1)
     v = region.index["v"]
     assert sorted(edges.bw[edges.bi == v].tolist()) == [0.5, 3.0]
-    return g, region, edges
+    return g, region, edges, table
 
 
 def _sub_ball_edges(g, x0, R, r):
-    # B_r cut out of B_R's edge arrays, whose first |B_r| vertices it is:
-    # the cut edges become stubs of B_r
-    g, region, edges = _ball_edges(g, x0, R)
+    # B_r with its own edge arrays and the table of B_R restricted to its
+    # first |B_r| vertices, which B_r is: the cut edges become stubs of B_r
+    g, region, _, table = _ball_edges(g, x0, R)
     sub = gf.ball(g, x0, r)
     assert region.vertices[:len(sub)] == sub.vertices
-    return g, sub, edges.restrict(len(sub))
+    return g, sub, gf.graphs.region_edges(g, sub), table.restrict(len(sub))
+
+
+def _has_stubs(table):
+    return bool((table.nbr == table.n).any())
 
 
 # every maker is a lambda, so the case ids stay <lambda>0, <lambda>1, ...
@@ -186,19 +192,19 @@ def test_edge_kernel_matches_pointwise_oracle(maker, p):
     # the vectorized kernel (solver RHS, eigenvalue gradient, energies)
     # against the dict-based operators, boundary stubs included
     from graphflow.solver import _make_rhs
-    g, region, edges = maker()
-    assert len(edges.bi) > 0
+    g, region, edges, table = maker()
+    assert len(edges.bi) > 0 and _has_stubs(table)
     rng = np.random.default_rng(12)
     for _ in range(5):
         vals = rng.standard_normal(len(region))
         u = gf.Field(g, dict(zip(region.vertices, vals.tolist())))
-        div = edges.divergence(p)(vals)
+        div = table.divergence(p)(vals)
         assert div.dtype == np.float64
         lap = div / region.degrees
         oracle = np.array([gf.apply_plaplacian(g, u, p, x) for x in region.vertices])
         scale = np.abs(vals).max() ** (p - 1.0)
         assert np.abs(lap - oracle).max() <= 1e-12 * scale
-        assert np.array_equal(_make_rhs(edges, region.degrees, p)(0.0, vals), lap)
+        assert np.array_equal(_make_rhs(table, region.degrees, p)(0.0, vals), lap)
         energy = gf.dirichlet_energy(g, u, p, region)
         assert abs(2.0 * edges.power_sum(vals, p) - energy) <= 1e-12 * energy
 
@@ -236,10 +242,10 @@ def _state(seed, n):
     return u
 
 
-def _assert_agrees(edges, p, seed, rtol=1e-13):
+def _assert_agrees(edges, table, p, seed, rtol=1e-13):
     u = _state(seed, edges.n)
     want, size = bincount_divergence(edges, p, u)
-    got = edges.divergence(p)(u)
+    got = table.divergence(p)(u)
     assert got.dtype == np.float64 and got.shape == (edges.n,)
     assert np.all(np.abs(got - want) <= rtol * size)
 
@@ -250,9 +256,9 @@ def _assert_agrees(edges, p, seed, rtol=1e-13):
 def test_edge_table_is_bitwise_the_bincount_formula_on_z1(x0, R, data, p, seed):
     # every column has two terms, f(x -> x+1) and -f(x-1 -> x) or a stub's
     r = data.draw(st.integers(0, R))
-    edges = _sub_ball_edges(gf.lattice_generator(1), (x0,), R, r)[2]
+    _, _, edges, table = _sub_ball_edges(gf.lattice_generator(1), (x0,), R, r)
     u = _state(seed, edges.n)
-    assert np.array_equal(edges.divergence(p)(u), bincount_divergence(edges, p, u)[0])
+    assert np.array_equal(table.divergence(p)(u), bincount_divergence(edges, p, u)[0])
 
 
 @settings(max_examples=60, deadline=None)
@@ -264,7 +270,7 @@ def test_edge_table_agrees_with_the_bincount_formula(graph, data, p, seed):
                     "K_3 x Z^1": (gf.product_generator(gf.complete_graph(3), 1),
                                   (1, 0), 5)}[graph]
     R = data.draw(st.integers(0, R_max))   # R = 0: stubs only, no internal edges
-    _assert_agrees(_sub_ball_edges(g, x0, R, data.draw(st.integers(0, R)))[2], p, seed)
+    _assert_agrees(*_sub_ball_edges(g, x0, R, data.draw(st.integers(0, R)))[2:], p, seed)
 
 
 @settings(max_examples=60, deadline=None)
@@ -272,13 +278,13 @@ def test_edge_table_agrees_with_the_bincount_formula(graph, data, p, seed):
 def test_edge_table_on_random_weighted_graphs(edge_list, R, p, seed):
     # irregular degrees: short columns are padded, and a small ball has stubs
     g = gf.generator_from_edges(edge_list)
-    _assert_agrees(_ball_edges(g, edge_list[0][0], R)[2], p, seed)
-    whole = _ball_edges(g, edge_list[0][0], 8)[2]   # covers the graph
-    assert len(whole.bi) == 0
+    _assert_agrees(*_ball_edges(g, edge_list[0][0], R)[2:], p, seed)
+    _, _, whole, table = _ball_edges(g, edge_list[0][0], 8)   # covers the graph
+    assert len(whole.bi) == 0 and not _has_stubs(table)
     u = _state(seed, whole.n)
     _, size = bincount_divergence(whole, p, u)
     # every flux leaves one end and enters the other
-    assert abs(np.add.reduce(whole.divergence(p)(u))) <= 1e-13 * size.sum()
+    assert abs(np.add.reduce(table.divergence(p)(u))) <= 1e-13 * size.sum()
 
 
 def test_short_columns_pad_with_the_vertex_itself():
@@ -286,25 +292,28 @@ def test_short_columns_pad_with_the_vertex_itself():
     # with the zero exterior slot instead would compute (0 - 1e120)^3 * 0,
     # an overflow and a NaN, where every difference is exactly 0
     g = gf.generator_from_edges([("0", "1", 1.0), ("1", "2", 2.0), ("1", "3", 1.0)])
-    edges = _ball_edges(g, "1", 1)[2]
+    _, _, edges, table = _ball_edges(g, "1", 1)
     assert edges.n == 4 and len(edges.bi) == 0
-    assert np.array_equal(edges.divergence(4.0)(np.full(4, 1e120)), np.zeros(4))
+    pads = table.W == 0.0   # two at each leaf, pointing at the leaf itself
+    assert table.nbr.shape == (3, 4) and np.count_nonzero(pads) == 6
+    assert np.array_equal(table.nbr[pads], np.nonzero(pads)[1])
+    assert np.array_equal(table.divergence(4.0)(np.full(4, 1e120)), np.zeros(4))
     # K_4 has no short column: the same result as the bincount formula
     k4 = gf.generator_from_edges([(a, b, 1.0 + i) for i, (a, b) in enumerate(
         [("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"), ("c", "d")])])
-    edges = _ball_edges(k4, "a", 1)[2]
+    _, _, edges, table = _ball_edges(k4, "a", 1)
     const = np.full(4, 1e120)
-    assert np.array_equal(edges.divergence(4.0)(const), np.zeros(4))
+    assert np.array_equal(table.divergence(4.0)(const), np.zeros(4))
     assert np.array_equal(bincount_divergence(edges, 4.0, const)[0], np.zeros(4))
     for seed in range(5):
-        _assert_agrees(edges, 4.0, seed)
+        _assert_agrees(edges, table, 4.0, seed)
 
 
 def test_edge_table_returns_a_fresh_array():
     # _initial_step keeps f0 while it evaluates f1
-    edges = _ball_edges(gf.lattice_generator(2), (0, 0), 4)[2]
-    div = edges.divergence(3.0)
-    u0, u1 = _state(1, edges.n), _state(2, edges.n)
+    table = _ball_edges(gf.lattice_generator(2), (0, 0), 4)[3]
+    div = table.divergence(3.0)
+    u0, u1 = _state(1, table.n), _state(2, table.n)
     f0 = div(u0)
     f0_copy = f0.copy()
     f1 = div(u1)
@@ -333,19 +342,57 @@ STACKED = {
 def test_stacked_blocks_are_bitwise_their_own_calls(case, p, K):
     # a solver step evaluates the rows of a lockstep run as one state of K
     # blocks; each block must round as the call on it alone
-    g, region, edges = STACKED[case]()
-    assert len(edges.bi) > 0
-    blocks = [_state(100 * K + b, edges.n) for b in range(K)]
+    g, region, _, table = STACKED[case]()
+    assert _has_stubs(table)
+    blocks = [_state(100 * K + b, table.n) for b in range(K)]
     blocks[1][:] = 0.0   # a zero row next to nonzero ones
     blocks[-1] *= 1e-150   # and one near underflow
-    stacked = edges.stacked(K)
-    assert stacked.n == K * edges.n and edges.stacked(1) is edges
+    stacked = table.stacked(K)
+    assert stacked.n == K * table.n and table.stacked(1) is table
     got = stacked.divergence(p)(np.concatenate(blocks))
-    want = np.concatenate([edges.divergence(p)(u) for u in blocks])
+    want = np.concatenate([table.divergence(p)(u) for u in blocks])
     assert got.dtype == np.float64 and np.array_equal(got, want)
     # the solver's right-hand side divides each block by its degrees
     from graphflow.solver import _make_rhs
     rhs = _make_rhs(stacked, np.tile(region.degrees, K), p)
-    one = _make_rhs(edges, region.degrees, p)
+    one = _make_rhs(table, region.degrees, p)
     assert np.array_equal(rhs(0.0, np.concatenate(blocks)),
                           np.concatenate([one(0.0, u) for u in blocks]))
+
+
+RESTRICTED = {"Z^1": (gf.lattice_generator(1), (3,), 12),
+              "Z^2": (gf.lattice_generator(2), (1, -2), 7),
+              "Z^3": (gf.lattice_generator(3), (0, 0, 0), 5),
+              "K_3 x Z^1": (gf.product_generator(gf.complete_graph(3), 1), (1, 0), 6),
+              "weighted": (gf.generator_from_edges(
+                  [("o", "v", 1.5), ("o", "c", 0.75), ("v", "a", 0.5), ("v", "b", 3.0),
+                   ("c", "a", 2.0), ("a", "b", 1.25), ("b", "d", 0.5)]), "o", 3)}
+
+
+@pytest.mark.parametrize("case", sorted(RESTRICTED))
+def test_restricted_and_stacked_tables_are_c_contiguous(case):
+    # a strided table is several times slower to gather through
+    table = _ball_edges(*RESTRICTED[case])[3]
+    for t in (table, table.restrict(table.n - 1), table.restrict(1), table.stacked(3),
+              table.restrict(2).stacked(2)):
+        assert t.nbr.flags.c_contiguous and t.W.flags.c_contiguous
+        assert t.nbr.shape == t.W.shape and t.nbr.dtype == np.int64
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(RESTRICTED)), st.data(), exponents, st.integers(1, 3),
+       st.integers(0, 2 ** 32 - 1))
+def test_a_restricted_table_is_bitwise_the_whole_table(graph, data, p, K, seed):
+    # the active ball B_r of a step: its state vanishes from ring r + 1 on,
+    # where the whole table reads the zeros the restricted one reads at its
+    # zero slot, each entry in its place
+    g, x0, R = RESTRICTED[graph]
+    region, _, table = _ball_edges(g, x0, R)[1:]
+    r = data.draw(st.integers(0, R))
+    m = int(np.count_nonzero(region.distances <= r))
+    blocks = [_state(seed + b, len(region)) for b in range(K)]
+    for u in blocks:
+        u[m:] = 0.0
+    want = np.concatenate([table.divergence(p)(u)[:m] for u in blocks])
+    got = table.restrict(m).stacked(K).divergence(p)(np.concatenate([u[:m] for u in blocks]))
+    assert np.array_equal(got, want)

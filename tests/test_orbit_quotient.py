@@ -2,14 +2,16 @@
 
 The signed coordinate permutations about a ``Z^N`` center fix each ring
 and commute with ``Delta_p``, so data constant on their orbits stay so.
-``solve_truncated`` then integrates one unknown per orbit, on directed
-weights ``w(O, O') = sum_{x in O, y in O'} w(x, y) / |O|``, with error
-norms summed over the lifted state, and lifts the stored rows to the
-vertices of the last ball.  The sums run in another order, so the lifted
-solve equals the solve on the vertices up to rounding, with the same steps;
-any other datum takes the vertex path unchanged.  The quotient is built
-from one vertex per orbit, bitwise as the sums over the vertex edge arrays
-would give it, and the trajectory's functionals sum over the orbits.
+``solve_truncated`` then integrates one unknown per orbit, on a neighbour
+table whose column ``O`` lists the orbits of its first vertex's ``2N``
+neighbours, with error norms summed over the lifted state, and lifts the
+stored rows to the vertices of the last ball.  The sums run in another
+order, so the lifted solve equals the solve on the vertices up to
+rounding, with the same steps; any other datum takes the vertex path
+unchanged.  The table's entries count the directed weights
+``w(O, O') = sum_{x in O, y in O'} w(x, y) / |O|`` exactly as the sums over
+the vertex edge arrays give them, and the trajectory's functionals sum
+over the orbits.
 """
 
 import dataclasses
@@ -166,15 +168,17 @@ def test_the_quotient_of_a_ball(N, radius):
     assert bare.coords is None
     assert np.array_equal(orbit_quotient(bare)[0], orbit_of)
     # |O| w(O, O') is the edge weight between the two orbits, both ways
-    assert np.array_equal(sizes[e.ei] * e.w, sizes[e.ej] * e.wj)
-    assert np.array_equal(sizes[e.bi] * e.bw,
-                          np.bincount(orbit_of[edges.bi], edges.bw)[e.bi])
+    d = _directed(e)
+    assert np.array_equal(sizes[d["ei"]] * d["w"], sizes[d["ej"]] * d["wj"])
+    assert np.array_equal(sizes[d["bi"]] * d["bw"],
+                          np.bincount(orbit_of[edges.bi], edges.bw)[d["bi"]])
     # a state constant on orbits: the lifted quotient divergence is the
     # vertex divergence, on the ball and on its sub-balls
     u = np.random.default_rng(N).standard_normal(len(sizes))
+    table = edges.table()
     for m in (len(sizes), int(np.count_nonzero(distances <= radius - 3))):
         n = int(sizes[:m].sum())   # the vertices of those orbits, a prefix
-        full = edges.restrict(n).divergence(3.0)(u[orbit_of[:n]])
+        full = table.restrict(n).divergence(3.0)(u[orbit_of[:n]])
         lifted = e.restrict(m).divergence(3.0)(u[:m])[orbit_of[:n]]
         assert np.abs(full - lifted).max() <= 1e-13 * np.abs(u).max() ** 2
 
@@ -202,11 +206,12 @@ def test_shipped_config_on_the_quotient(monkeypatch, name):
 
 
 def _pair_sums(region, edges):
-    """The quotient's edge arrays summed over the vertex edge arrays: the oracle.
+    """The quotient's directed weights summed over the vertex edge arrays: the oracle.
 
     ``w(O, O') = sum_{x in O, y in O'} w(x, y) / |O|``, one entry per pair
-    of orbits with an edge between them, lower orbit first, in the order of
-    ``np.unique``; stubs summed per orbit the same way.
+    of orbits with an edge between them, lower orbit first (``ei``, ``ej``),
+    in the order of ``np.unique``, with ``wj = w(O', O)``; stubs summed per
+    orbit the same way (``bi``, ``bw``).
     """
     orbit_of = orbit_quotient(region)[0]
     k = int(orbit_of.max()) + 1
@@ -219,8 +224,19 @@ def _pair_sums(region, edges):
     oi, oj = pair // k, pair % k
     stub = np.bincount(orbit_of[edges.bi], edges.bw, minlength=k)
     bi = np.flatnonzero(stub)
-    return gf.graphs.RegionEdges(oi, oj, total / sizes[oi], bi, stub[bi] / sizes[bi], k,
-                                 wj=total / sizes[oj])
+    return {"ei": oi, "ej": oj, "w": total / sizes[oi], "wj": total / sizes[oj],
+            "bi": bi, "bw": stub[bi] / sizes[bi]}
+
+
+def _directed(table):
+    """A quotient table's entries summed per orbit pair, laid out as :func:`_pair_sums`."""
+    k = table.n
+    weights = np.zeros((k, k + 1))   # column k: the stubs
+    np.add.at(weights, (np.broadcast_to(np.arange(k), table.nbr.shape), table.nbr), table.W)
+    oi, oj = np.nonzero(np.triu(weights[:, :k], 1))
+    bi = np.flatnonzero(weights[:, k])
+    return {"ei": oi, "ej": oj, "w": weights[oi, oj], "wj": weights[oj, oi],
+            "bi": bi, "bw": weights[bi, k]}
 
 
 @pytest.mark.parametrize("N, radii", [(1, [0, 1, 2, 7, 40]), (2, [0, 1, 2, 9]),
@@ -233,11 +249,38 @@ def test_the_representative_build_is_the_pair_sum_build(N, radii, shift):
     for radius in radii:
         region = gf.ball(g, center, radius)
         for r in (region, dataclasses.replace(region)):   # int64 keys, vertex tuples
-            got, want = orbit_quotient(r)[2], _pair_sums(region, region_edges(g, region))
-            assert got.n == want.n
+            orbit_of, _, table = orbit_quotient(r)
+            got, want = _directed(table), _pair_sums(region, region_edges(g, region))
+            assert table.nbr.shape == (2 * N, orbit_of.max() + 1)
+            assert (table.W == 1.0).all() and table.nbr.flags.c_contiguous
             for name in ("ei", "ej", "w", "wj", "bi", "bw"):
-                a, b = getattr(got, name), getattr(want, name)
+                a, b = got[name], want[name]
                 assert a.dtype == b.dtype and _same_bits(a, b), (radius, name)
+
+
+
+@pytest.mark.parametrize("N, radius", [(1, 9), (2, 7), (3, 5), (4, 4)])
+@pytest.mark.parametrize("shift", [0, 3, -2])
+def test_the_quotient_table_is_the_vertex_table_at_first_vertices(N, radius, shift):
+    # on a state constant on orbits, the kernel at orbit O is the vertex
+    # kernel at its first vertex: the same 2N terms, summed in offset order
+    # on the quotient.  On Z^1 two terms, so bitwise
+    g = gf.lattice_generator(N)
+    region = gf.ball(g, tuple(shift + i for i in range(N)), radius)
+    orbit_of, first, table = orbit_quotient(region)
+    vertex = region_edges(g, region).table()
+    rng = np.random.default_rng(N * 10 + shift)
+    for p in (2.5, 3.0, 4.0):
+        u = rng.standard_normal(table.n) * 10.0 ** rng.uniform(-3.0, 3.0, table.n)
+        u[rng.random(table.n) < 0.3] = 0.0
+        got = table.divergence(p)(u)
+        want = vertex.divergence(p)(u[orbit_of])[first]
+        if N == 1:
+            assert _same_bits(got, want)
+            continue
+        ext = np.append(u[orbit_of], 0.0)
+        terms = np.abs(ext[vertex.nbr] - u[orbit_of]) ** (p - 1.0) * vertex.W
+        assert np.all(np.abs(got - want) <= 1e-13 * terms.sum(axis=0)[first])
 
 
 def test_a_centred_solve_stays_on_its_orbits(monkeypatch):
@@ -262,7 +305,7 @@ def test_a_centred_solve_stays_on_its_orbits(monkeypatch):
     for h in traj.history:
         e = build(z3, gf.ball(z3, (0, 0, 0), h["n"]))
         assert h["edges"] == len(e.ei) + len(e.bi)
-    vertex = solver.Trajectory(cfg, traj.region, edges, traj.times, traj.values,
+    vertex = solver.Trajectory(cfg, traj.region, traj.times, traj.values,
                                traj.diagnostics)
     assert _same_bits(traj.sup_norms, vertex.sup_norms)
     for eps in (0.5, 0.1, 1e-3):
@@ -283,7 +326,7 @@ def test_a_centred_solve_stays_on_its_orbits(monkeypatch):
     leaky = kept_on(z3, u0, cfg, (0, 0, 0), [3])
     ring = leaky.region.distances == 3
     assert leaky.orbits is not None and leaky.values[1:, ring].any()
-    cols, _, dists = solver.Trajectory(cfg, leaky.region, None, leaky.times, leaky.values,
+    cols, _, dists = solver.Trajectory(cfg, leaky.region, leaky.times, leaky.values,
                                        leaky.diagnostics, orbits=leaky.orbits).columns()
     assert _same_bits(np.abs(leaky.values[:, cols[dists == 3]]).max(axis=1),
                       np.abs(leaky.values[:, ring]).max(axis=1))

@@ -193,10 +193,10 @@ def _delta_on_ball(radius, amplitude, t_eval):
     """``_integrate`` arguments for a Z^1 delta at p = 3 on ``B_radius``."""
     z1 = gf.lattice_generator(1)
     region = gf.ball(z1, (0,), radius)
-    edges = region_edges(z1, region)
+    table = region_edges(z1, region).table()
 
     def rhs_on(m):
-        return _make_rhs(edges.restrict(m), region.degrees[:m], 3.0)
+        return _make_rhs(table.restrict(m), region.degrees[:m], 3.0)
     y0 = np.zeros(len(region))
     y0[region.index[(0,)]] = amplitude
     return (rhs_on, region.distances, y0, float(t_eval[-1]), t_eval, 1e-8, 1e-12, 10 ** 6)

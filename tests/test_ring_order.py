@@ -2,8 +2,8 @@
 
 ``ball(g, c, r)`` is the first ``|B_r|`` vertices of ``ball(g, c, R)`` for
 every ``R >= r``: vertices, distances, degrees and, where set, the lattice
-coordinates.  The edge arrays of ``B_R`` restricted to that prefix are the
-edge arrays of ``B_r``, the cut edges becoming stubs of their tails.
+coordinates.  The neighbour table of ``B_R`` restricted to that prefix
+lists the entries of ``B_r``'s, the cut edges becoming stubs of their tails.
 """
 
 import numpy as np
@@ -50,8 +50,10 @@ def concentric_balls(draw):
     return g, center, draw(st.integers(0, R)), R
 
 
-def _stubs(edges):
-    return sorted(zip(edges.bi.tolist(), edges.bw.tolist()))
+def _entries(table):
+    """Each column's ``(entry, weight)`` pairs, sorted, pads (weight 0) left out."""
+    return [sorted((j, w) for j, w in zip(nbr, W) if w != 0.0)
+            for nbr, W in zip(table.nbr.T.tolist(), table.W.T.tolist())]
 
 
 @SETTINGS
@@ -79,10 +81,15 @@ def test_restricted_edges_are_the_edges_of_the_smaller_ball(case):
     edges, ref = region_edges(g, big), region_edges(g, small)
     for e in (edges, ref, region_edges(g, gf.region_from_vertices(g, big.vertices))):
         assert (e.ei < e.ej).all()
-    sub = edges.restrict(len(small))
-    assert sub.n == ref.n == len(small)
-    for name in ("ei", "ej", "w"):
-        a, b = getattr(sub, name), getattr(ref, name)
-        assert a.dtype == b.dtype and np.array_equal(a, b), name
-    assert _stubs(sub) == _stubs(ref)
-    assert edges.restrict(len(big)) is edges
+    table, m = edges.table(), len(small)
+    sub = table.restrict(m)
+    assert sub.n == ref.n == m
+    assert sub.nbr.flags.c_contiguous and sub.W.flags.c_contiguous
+    # each entry keeps its place; one past the smaller ball is a stub there
+    inside = table.nbr[:, :m] < m
+    assert np.array_equal(sub.nbr[inside], table.nbr[:, :m][inside])
+    assert (sub.nbr[~inside] == m).all() and np.array_equal(sub.W, table.W[:, :m])
+    assert _entries(sub) == _entries(ref.table())
+    # the history's edge count, read from the table
+    assert sub.edge_count(1) == len(ref.ei) + len(ref.bi)
+    assert table.restrict(len(big)) is table

@@ -328,7 +328,7 @@ def test_mass_radius_truncation_deficit(z1):
     # a tiny absorbing ball loses most of the mass by t = 100
     cfg = gf.SolverConfig(p=3.0, instants=gf.log_instants(0.1, 100.0, 9))
     kept = kept_on(z1, gf.delta_field(z1, (0,)), cfg, (0,), [2])
-    traj = gf.Trajectory(cfg, kept.region, None, kept.times, kept.values, kept.diagnostics)
+    traj = gf.Trajectory(cfg, kept.region, kept.times, kept.values, kept.diagnostics)
     assert traj.masses[traj.locate(100.0)] < 0.5 * traj.masses[0]
     with pytest.raises(TruncationDeficitError) as info:
         gf.mass_radius(traj, 0.5)
