@@ -32,11 +32,9 @@ import hashlib
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
-import jsonschema
 
 from . import estimates, faberkrahn, solver
 from .fields import Field, ball_indicator_field, delta_field, vertex_from_str, vertex_to_str
@@ -160,6 +158,8 @@ class ConfigError(ValueError):
 
 def validate_config(cfg):
     """Schema-validate a config dict; returns a list of error strings."""
+    import jsonschema   # on first use: library callers that never validate skip its slow import
+
     validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
     errors = []
     for err in sorted(validator.iter_errors(cfg), key=lambda e: list(e.absolute_path)):
@@ -702,6 +702,8 @@ def _dispatch(args):
             raise ConfigError(f"configs with the same file name would share the output "
                               f"directories {shared}")
         if args.jobs > 1 and len(tasks) > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=args.jobs) as ex:
                 passes = list(ex.map(_simulate_path, tasks))
         else:

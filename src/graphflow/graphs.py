@@ -257,17 +257,6 @@ def ball_measure_profile(g, x0, R_max):
     return np.cumsum(per_radius)
 
 
-def _odd_power(p):
-    # s -> |s|^(p-2) s in place, exact and cheaper at the two integer
-    # exponents in use
-    if p == 3.0:
-        return lambda s: np.multiply(s, np.abs(s), out=s)
-    if p == 4.0:
-        return lambda s: np.multiply(s, s * s, out=s)
-    pm2 = p - 2.0
-    return lambda s: np.multiply(s, np.abs(s) ** pm2, out=s)
-
-
 @dataclass
 class NeighbourTable:
     """A region's ``(k, n)`` neighbour table, the edge-flux kernel of every solve.
@@ -283,30 +272,49 @@ class NeighbourTable:
 
     nbr: np.ndarray       # (k, n) entry indices, n for a stub
     W: np.ndarray         # (k, n) entry weights, 0 for a pad
+    unit: bool | None = None   # every weight 1 or a pad's 0: decided once, from W
+
+    def __post_init__(self):
+        if self.unit is None:
+            self.unit = bool(((self.W == 1.0) | (self.W == 0.0)).all())
 
     @property
     def n(self):
         return self.nbr.shape[1]
 
-    def divergence(self, p):
+    def divergence(self, p, degrees=None):
         """Kernel ``u -> sum_y w(x,y) |u(y)-u(x)|^(p-2) (u(y)-u(x))`` over the region.
 
-        The returned function maps a state of length ``n`` to a fresh
-        array: it gathers the state through the table from a buffer whose
-        slot ``n`` stays 0, subtracts the state, applies the odd power and
-        the weights in place and sums down each column in entry order.
+        Divided by ``degrees`` when they are given (``Delta_p u``).  The
+        returned function maps a state of length ``n`` to a fresh array: it
+        copies the state into a buffer whose slot ``n`` stays 0, gathers
+        it through the table, subtracts the state, applies the odd power
+        (``d |d|`` at p = 3, ``d (d d)`` at p = 4) and the weights in place
+        and sums down each column in entry order.  On a unit table (every
+        weight 1, or 0 at a pad, whose difference is exactly +0) the
+        weight multiply is skipped: ``x * 1.0 == x``, so the sums are the
+        same bits.
         """
-        n, nbr, W = self.n, self.nbr, self.W
+        n, nbr, W, unit = self.n, self.nbr, self.W, self.unit
         ext = np.zeros(n + 1)   # ext[n] is the zero exterior of every stub
-        odd_power = _odd_power(p)
+        head, absolute, reduce, pm2 = ext[:n], np.abs, np.add.reduce, p - 2.0
 
         def div(u):
-            ext[:n] = u
+            head[...] = u
             d = ext[nbr]
             d -= u
-            odd_power(d)
-            d *= W
-            return np.add.reduce(d, axis=0)
+            if p == 3.0:
+                d *= absolute(d)
+            elif p == 4.0:
+                d *= d * d
+            else:
+                d *= absolute(d) ** pm2
+            if not unit:
+                d *= W
+            out = reduce(d, axis=0)
+            if degrees is not None:
+                out /= degrees
+            return out
 
         return div
 
@@ -321,7 +329,7 @@ class NeighbourTable:
         if m == self.n:
             return self
         return NeighbourTable(np.minimum(self.nbr[:, :m], m),
-                              np.ascontiguousarray(self.W[:, :m]))
+                              np.ascontiguousarray(self.W[:, :m]), self.unit)
 
     def stacked(self, k):
         """The table of ``k`` disjoint copies of the region.
@@ -337,7 +345,7 @@ class NeighbourTable:
         n = self.n
         shifted = self.nbr[:, None] + n * np.arange(k)[:, None]
         nbr = np.where(self.nbr[:, None] == n, k * n, shifted)
-        return NeighbourTable(nbr.reshape(len(nbr), k * n), np.tile(self.W, k))
+        return NeighbourTable(nbr.reshape(len(nbr), k * n), np.tile(self.W, k), self.unit)
 
     def edge_count(self, sizes):
         """Internal edges (once each) plus stubs of the vertices the columns stand for.

@@ -336,7 +336,7 @@ def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps, grow=None
         if lift is None:         # sum over the prefix rounds differently)
             np.square(v, out=sq_m)
         else:   # the active vertices are a prefix of the ball's too
-            np.take(v, lift[:sq_m.shape[-1]], axis=-1, out=sq_m, mode="clip")
+            v.take(lift[:sq_m.shape[-1]], axis=-1, out=sq_m, mode="clip")
             np.square(sq_m, out=sq_m)
         sums = np.add.reduce(sq, axis=-1, keepdims=sq.ndim == 1)
         return [math.sqrt(x / size) for x in sums.tolist()]
@@ -350,8 +350,8 @@ def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps, grow=None
         # active ball) and their active part; the stages, row by row in
         # contiguous (7, m) blocks; the assignable stage rows; a stage
         # input, flat and by row; the step and error rows and the product
-        # that writes them; the stages K[:i] each input combines; the
-        # stages past K[0] on ring r
+        # that writes them; each stage's index, A_i, c_i and the stages
+        # K[:i] its input combines; the stages past K[0] on ring r
         size_sq = n if lift is None else len(lift)
         sq = np.zeros(size_sq if k == 1 else (k, size_sq))
         S = np.empty((k, 7, m))
@@ -359,20 +359,20 @@ def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps, grow=None
         step = np.empty((2, m) if k == 1 else (2, k, m))
         if k == 1:
             rhs = rhs_on(m)
-            stage, heads = S[0], [S[0, :i] for i in range(7)]
-            product = (S[0], step)
+            stage, product = S[0], (S[0], step)
         else:
             stacked = rhs_on(m, k)
 
             def rhs(t, u):   # one block per row
                 return stacked(t, u.reshape(-1)).reshape(k, m)
-            stage, heads = S.transpose(1, 0, 2), [S[:, :i] for i in range(7)]
-            product = (S, step.transpose(1, 0, 2))
+            stage, product = S.transpose(1, 0, 2), (S, step.transpose(1, 0, 2))
+        stages = [(i, _DP_A[i], _DP_C[i], product[0][..., :i, :]) for i in range(1, 7)]
         return (rhs, sq, sq[..., :active_vertices()], S, stage, yi,
-                yi.reshape(stage.shape[1:]), step, product, heads, S[:, 1:6, ring:])
+                yi.reshape(stage.shape[1:]), step, product, stages, S[:, 1:6, ring:])
 
     out = np.zeros((len(rows), n_out + 1, n))
     out[:, 0] = states
+    matmul = np.matmul   # a local: the stage loop calls it six times per attempt
     table = np.zeros((len(rows), n_out + 1), dtype=ROW_DIAGNOSTICS)   # per row of out
     floor = 1e-14 * t_end
     f = None   # the FSAL value once the first step is sized, K[0] while it has buffers
@@ -408,7 +408,7 @@ def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps, grow=None
                 f = widen(f, m)
             continue
         if rhs is None:
-            rhs, sq, sq_m, S, stage, yi, yo, step, product, heads, at_ring = build(len(live))
+            rhs, sq, sq_m, S, stage, yi, yo, step, product, stages, at_ring = build(len(live))
             if f is not None:
                 stage[0] = f
                 f = stage[0]
@@ -431,11 +431,11 @@ def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps, grow=None
             raise SolverError(f"step budget {max_steps} exhausted at t={row.t}")
         t, h = row.t, row.h   # the stage times handed to the right-hand side
         hv = h if len(live) == 1 else per_row([row.h for row in live])
-        for i in range(1, 7):   # y + h (A_i K[:i]); h A_i first would round differently
-            np.matmul(_DP_A[i], heads[i], out=yo)
+        for i, a, c, heads in stages:   # y + h (A_i K[:i]); h A_i first would round differently
+            matmul(a, heads, out=yo)
             yo *= hv
             yo += y
-            stage[i] = rhs(t + _DP_C[i] * h, yi)
+            stage[i] = rhs(t + c * h, yi)
         ball_evals += 6
         attempts += 1
         if m < n and np.count_nonzero(at_ring):   # a stage reached ring r: void, redo
@@ -652,14 +652,9 @@ def _resolve_center(g, u0: Field, center):
 
 
 def _make_rhs(table, degrees, p):
-    div = table.divergence(p)
-
-    def rhs(t, u):
-        out = div(u)
-        out /= degrees
-        return out
-
-    return rhs
+    """``rhs(t, u)``, a fresh array: the table's kernel divided by ``degrees``."""
+    div = table.divergence(p, degrees)
+    return lambda t, u: div(u)
 
 
 def solve_truncated(g, u0: Field, cfg: SolverConfig, n, center=None, partners=()):

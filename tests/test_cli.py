@@ -1,5 +1,8 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +35,21 @@ def tiny_config(**overrides):
 
 def test_validate_good_config():
     assert cli.validate_config(tiny_config()) == []
+
+
+def test_importing_the_cli_leaves_out_jsonschema_and_multiprocessing(tmp_path):
+    # both load on first use, by validate_config and by simulate --jobs: a
+    # library caller that does neither pays for neither
+    script = (
+        "import sys\n"
+        "from graphflow import cli\n"
+        "print(sorted(m for m in ('jsonschema', 'multiprocessing') if m in sys.modules))\n"
+        "print(cli.validate_config({'graph': {}}) != [], 'jsonschema' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(CONFIG_DIR.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.splitlines() == ["[]", "True True"]
 
 
 def test_validate_rejects_unknown_key():

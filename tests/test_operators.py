@@ -212,7 +212,7 @@ def test_edge_kernel_matches_pointwise_oracle(maker, p):
 # ----------------------------------------------------------------------
 # the neighbour-table kernel against a bincount oracle
 
-def _odd_power(s, p):   # as graphs._odd_power rounds it
+def _odd_power(s, p):   # as the kernel, NeighbourTable.divergence, rounds it
     if p == 3.0:
         return s * np.abs(s)
     if p == 4.0:
@@ -320,6 +320,62 @@ def test_edge_table_returns_a_fresh_array():
     assert not np.shares_memory(f0, f1)
     assert np.array_equal(f0, f0_copy)
     assert np.array_equal(div(u0), f0)
+
+
+def _random_tree_edges(seed, weighted):
+    # a random tree about "0" in B_3, 1 to 3 children a vertex and one child
+    # past the ball at each vertex of ring 3: every column lists its
+    # children, then its one parent, then at most one stub, so it sums as
+    # the bincount formula does, bit for bit.  Irregular degrees pad the
+    # short columns; the weights are random or all 1
+    rng = np.random.default_rng(seed)
+    edges, ring = [], ["0"]
+    for depth in range(4):
+        below = []
+        for v in ring:
+            for _ in range(1 if depth == 3 else int(rng.integers(1, 4))):
+                below.append(str(len(edges) + 1))
+                w = float(rng.uniform(0.25, 4.0)) if weighted else 1.0
+                edges.append((v, below[-1], w))
+        ring = below
+    return _ball_edges(gf.generator_from_edges(edges), "0", 3)
+
+
+KERNEL = {   # each table and whether its weight multiply is skipped
+    "Z^1": (lambda: _ball_edges(gf.lattice_generator(1), (0,), 6), True),
+    "weighted tree": (lambda: _random_tree_edges(3, weighted=True), False),
+    "unit tree": (lambda: _random_tree_edges(3, weighted=False), True),
+}
+
+
+@pytest.mark.parametrize("K", [1, 2])
+@pytest.mark.parametrize("p", [2.5, 3.0, 4.0])
+@pytest.mark.parametrize("case", sorted(KERNEL))
+def test_the_right_hand_side_is_bitwise_the_bincount_formula(case, p, K):
+    # the unit tables skip the weight multiply (x * 1.0 == x, and a pad's
+    # difference is exactly +0): still the formula's bits, per block
+    from graphflow.solver import _make_rhs
+    maker, unit = KERNEL[case]
+    _, region, edges, table = maker()
+    assert table.unit is unit and _has_stubs(table)
+    assert (table.W == 0.0).any() == (case != "Z^1")   # the trees have pads
+    blocks = [_state(10 * K + b, table.n) for b in range(K)]
+    rhs = _make_rhs(table.stacked(K), np.tile(region.degrees, K), p)
+    want = [bincount_divergence(edges, p, u)[0] / region.degrees for u in blocks]
+    assert np.array_equal(rhs(0.0, np.concatenate(blocks)), np.concatenate(want))
+
+
+def test_restrict_and_stacked_keep_the_unit_decision():
+    _, _, quotient = gf.graphs.orbit_quotient(gf.ball(gf.lattice_generator(2), (0, 0), 5))
+    tables = [(KERNEL[case][0]()[3], unit) for case, (_, unit) in KERNEL.items()]
+    # a weight-2 edge past the center's: its first column alone is all 1s,
+    # but the decision is the whole table's
+    g = gf.generator_from_edges([("o", "a", 1.0), ("a", "b", 2.0), ("b", "c", 1.0)])
+    for table, unit in [*tables, (quotient, True), (_ball_edges(g, "o", 3)[3], False)]:
+        assert table.unit is unit
+        for t in (table.restrict(table.n - 2), table.restrict(1), table.stacked(3),
+                  table.restrict(2).stacked(2)):
+            assert t.unit is unit
 
 
 # ----------------------------------------------------------------------
