@@ -272,11 +272,10 @@ class NeighbourTable:
 
     nbr: np.ndarray       # (k, n) entry indices, n for a stub
     W: np.ndarray         # (k, n) entry weights, 0 for a pad
-    unit: bool | None = None   # every weight 1 or a pad's 0: decided once, from W
+    unit: bool = field(init=False)   # every weight 1 or a pad's 0: decided once, from W
 
     def __post_init__(self):
-        if self.unit is None:
-            self.unit = bool(((self.W == 1.0) | (self.W == 0.0)).all())
+        self.unit = bool(((self.W == 1.0) | (self.W == 0.0)).all())
 
     @property
     def n(self):
@@ -329,7 +328,7 @@ class NeighbourTable:
         if m == self.n:
             return self
         return NeighbourTable(np.minimum(self.nbr[:, :m], m),
-                              np.ascontiguousarray(self.W[:, :m]), self.unit)
+                              np.ascontiguousarray(self.W[:, :m]))
 
     def stacked(self, k):
         """The table of ``k`` disjoint copies of the region.
@@ -345,7 +344,7 @@ class NeighbourTable:
         n = self.n
         shifted = self.nbr[:, None] + n * np.arange(k)[:, None]
         nbr = np.where(self.nbr[:, None] == n, k * n, shifted)
-        return NeighbourTable(nbr.reshape(len(nbr), k * n), np.tile(self.W, k), self.unit)
+        return NeighbourTable(nbr.reshape(len(nbr), k * n), np.tile(self.W, k))
 
     def edge_count(self, sizes):
         """Internal edges (once each) plus stubs of the vertices the columns stand for.

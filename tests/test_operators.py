@@ -365,17 +365,18 @@ def test_the_right_hand_side_is_bitwise_the_bincount_formula(case, p, K):
     assert np.array_equal(rhs(0.0, np.concatenate(blocks)), np.concatenate(want))
 
 
-def test_restrict_and_stacked_keep_the_unit_decision():
+def test_every_table_decides_unit_from_its_own_weights():
     _, _, quotient = gf.graphs.orbit_quotient(gf.ball(gf.lattice_generator(2), (0, 0), 5))
     tables = [(KERNEL[case][0]()[3], unit) for case, (_, unit) in KERNEL.items()]
-    # a weight-2 edge past the center's: its first column alone is all 1s,
-    # but the decision is the whole table's
+    # a weight-2 edge past the center's: the first column alone is all 1s
     g = gf.generator_from_edges([("o", "a", 1.0), ("a", "b", 2.0), ("b", "c", 1.0)])
-    for table, unit in [*tables, (quotient, True), (_ball_edges(g, "o", 3)[3], False)]:
+    path = _ball_edges(g, "o", 3)[3]
+    for table, unit in [*tables, (quotient, True), (path, False)]:
         assert table.unit is unit
         for t in (table.restrict(table.n - 2), table.restrict(1), table.stacked(3),
                   table.restrict(2).stacked(2)):
-            assert t.unit is unit
+            assert t.unit is (set(np.unique(t.W)) <= {0.0, 1.0})
+    assert path.restrict(1).unit and not path.restrict(2).stacked(2).unit
 
 
 # ----------------------------------------------------------------------
