@@ -1,7 +1,12 @@
 """Batch experiment runner: config ingestion, orchestration, reports.
 
 Configs are JSON documents validated against :data:`CONFIG_SCHEMA`
-(unknown keys are rejected).  A run writes, under the output directory:
+(unknown keys are rejected) by an in-house checker for the JSON Schema
+2020-12 keywords the schema uses: ``type``, ``enum``, ``required``,
+``properties``, ``additionalProperties: false``, ``items``, ``prefixItems``,
+``minItems``/``maxItems`` and ``minimum``/``maximum``/``exclusiveMinimum``/
+``exclusiveMaximum``.  It reports errors as ``jsonschema`` words them and
+raises on any other keyword.  A run writes, under the output directory:
 
 * ``manifest.json``    -- config hash, package/library versions, certified
   truncation radius, solve diagnostics (for reproducibility);
@@ -30,6 +35,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import numbers
+import operator
 import os
 import sys
 from pathlib import Path
@@ -156,15 +163,90 @@ class ConfigError(ValueError):
     pass
 
 
+_JSON_TYPES = {"array": list, "boolean": bool, "null": type(None), "object": dict,
+               "string": str}
+
+
+def _is_type(value, name):
+    # JSON Schema's types: a bool is no number, an integral float is an integer
+    if name == "integer":
+        return (isinstance(value, int) and not isinstance(value, bool)
+                or isinstance(value, float) and value.is_integer())
+    if name == "number":
+        return isinstance(value, numbers.Number) and not isinstance(value, bool)
+    return isinstance(value, _JSON_TYPES[name])
+
+
+# keyword: (the test a number fails it by, jsonschema's words for that)
+_BOUNDS = {
+    "minimum": (operator.lt, "less than the minimum"),
+    "maximum": (operator.gt, "greater than the maximum"),
+    "exclusiveMinimum": (operator.le, "less than or equal to the minimum"),
+    "exclusiveMaximum": (operator.ge, "greater than or equal to the maximum"),
+}
+
+
+def _schema_errors(schema, value, path=()):
+    """Yield ``(path, keyword, message)`` for each way ``value`` breaks ``schema``.
+
+    Follows JSON Schema 2020-12 for the keywords :data:`CONFIG_SCHEMA` uses,
+    in the order and with the words of ``jsonschema``'s ``iter_errors``; any
+    other keyword but ``$schema`` raises ``ValueError``.
+    """
+    is_object, is_array = isinstance(value, dict), isinstance(value, list)
+    for key, arg in schema.items():
+        if key == "type":
+            types = arg if isinstance(arg, list) else [arg]
+            if not any(_is_type(value, t) for t in types):
+                yield path, key, f"{value!r} is not of type {', '.join(map(repr, types))}"
+        elif key == "enum":
+            if value not in arg:
+                yield path, key, f"{value!r} is not one of {arg!r}"
+        elif key == "required":
+            if is_object:
+                yield from ((path, key, f"{name!r} is a required property")
+                            for name in arg if name not in value)
+        elif key == "properties":
+            if is_object:
+                for name, sub in arg.items():
+                    if name in value:
+                        yield from _schema_errors(sub, value[name], (*path, name))
+        elif key == "additionalProperties" and arg is False:
+            known = schema.get("properties", {})
+            extras = sorted((k for k in value if k not in known), key=str) if is_object else []
+            if extras:
+                verb = "was" if len(extras) == 1 else "were"
+                yield path, key, (f"Additional properties are not allowed "
+                                  f"({', '.join(map(repr, extras))} {verb} unexpected)")
+        elif key == "items":
+            if is_array:
+                for i in range(len(schema.get("prefixItems", ())), len(value)):
+                    yield from _schema_errors(arg, value[i], (*path, i))
+        elif key == "prefixItems":
+            if is_array:
+                for i, (item, sub) in enumerate(zip(value, arg)):
+                    yield from _schema_errors(sub, item, (*path, i))
+        elif key == "minItems":
+            if is_array and len(value) < arg:
+                words = "should be non-empty" if arg == 1 else "is too short"
+                yield path, key, f"{value!r} {words}"
+        elif key == "maxItems":
+            if is_array and len(value) > arg:
+                words = "is expected to be empty" if arg == 0 else "is too long"
+                yield path, key, f"{value!r} {words}"
+        elif key in _BOUNDS:
+            fails, words = _BOUNDS[key]
+            if _is_type(value, "number") and fails(value, arg):
+                yield path, key, f"{value!r} is {words} of {arg!r}"
+        elif key != "$schema":
+            raise ValueError(f"schema keyword {key!r}: {arg!r} is not supported")
+
+
 def validate_config(cfg):
     """Schema-validate a config dict; returns a list of error strings."""
-    import jsonschema   # on first use: library callers that never validate skip its slow import
-
-    validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
-    errors = []
-    for err in sorted(validator.iter_errors(cfg), key=lambda e: list(e.absolute_path)):
-        where = "/".join(str(p) for p in err.absolute_path) or "<root>"
-        errors.append(f"{where}: {err.message}")
+    errors = [f"{'/'.join(map(str, path)) or '<root>'}: {message}"
+              for path, _, message in sorted(_schema_errors(CONFIG_SCHEMA, cfg),
+                                             key=lambda e: e[0])]
     if errors:
         return errors
     # cross-field rules the schema cannot express
@@ -200,6 +282,9 @@ def validate_config(cfg):
                 errors.append("checks: slow_decay requires power_law initial data")
             if fam != "lattice":
                 errors.append("checks: slow_decay analytic tails require the lattice family")
+        if "window" in chk and not chk["window"][0] < chk["window"][1]:   # NaN too
+            errors.append(f"checks: {chk['type']} window {chk['window']!r} needs "
+                          f"window[0] < window[1]")
         if chk["type"] == "moment_bound" and "alpha" not in chk:
             errors.append("checks: moment_bound requires alpha")
         if chk["type"] == "propagation_fit" and 1.0 - chk.get("eps", 0.5) == 1.0:
@@ -255,6 +340,15 @@ def _slow_decay_horizon_errors(cfg, g, profile):
                 errors.append(f"checks: slow_decay needs t_max <= T({R}) = {T:.6g}, the "
                               f"balance time at the truncation radius (t_max = {t_max:g})")
     return errors
+
+
+def _run_seed(cfg, seed=None):
+    """The seed a run uses, as an int: ``seed`` if given, else the config's (0 if none).
+
+    The schema takes an integral float such as ``20245.0`` as an integer;
+    the random generators take only an int.
+    """
+    return int(cfg.get("seed", 0) if seed is None else seed)
 
 
 def config_hash(cfg):
@@ -545,8 +639,7 @@ def run(cfg, out_dir, seed=None):
     errors = validate_config(cfg)
     if errors:
         raise ConfigError("; ".join(errors))
-    if seed is None:
-        seed = cfg.get("seed", 0)
+    seed = _run_seed(cfg, seed)
     g = build_generator(cfg["graph"])
     u0, center = build_initial_field(g, cfg.get("initial_data", _DELTA_AT_ORIGIN))
     scfg = build_solver_config(cfg["solver"])
@@ -595,8 +688,7 @@ def run_fk(cfg, out_dir, seed=None):
     errors = validate_config(cfg)
     if errors:
         raise ConfigError("; ".join(errors))
-    if seed is None:
-        seed = cfg.get("seed", 0)
+    seed = _run_seed(cfg, seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     g = build_generator(cfg["graph"])
@@ -722,7 +814,7 @@ def _dispatch(args):
             raise ConfigError("; ".join(errors))
         g = build_generator(cfg["graph"])
         traj = load_trajectory(args.traj_dir, g)
-        seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+        seed = _run_seed(cfg, args.seed)
         profile = _profile_for_checks(cfg, g, seed)
         out = Path(args.out or args.traj_dir)
         results, _ = _run_checks(cfg, traj, profile, out)

@@ -1,12 +1,16 @@
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 import graphflow as gf
 from graphflow import cli, solver
@@ -38,18 +42,112 @@ def test_validate_good_config():
 
 
 def test_importing_the_cli_leaves_out_jsonschema_and_multiprocessing(tmp_path):
-    # both load on first use, by validate_config and by simulate --jobs: a
-    # library caller that does neither pays for neither
+    # validating and running a config loads no third-party module but numpy,
+    # the one runtime dependency: jsonschema is only the tests' schema oracle,
+    # and multiprocessing loads only for simulate --jobs
+    cfg = json.dumps(tiny_config())
     script = (
-        "import sys\n"
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
         "from graphflow import cli\n"
+        f"cfg = json.loads({cfg!r})\n"
+        "assert cli.validate_config(cfg) == [] and cli.validate_config({'graph': {}})\n"
+        "assert cli.run(cfg, 'run')['pass']\n"
         "print(sorted(m for m in ('jsonschema', 'multiprocessing') if m in sys.modules))\n"
-        "print(cli.validate_config({'graph': {}}) != [], 'jsonschema' in sys.modules)\n")
+        "new = {m.partition('.')[0] for m in set(sys.modules) - before}\n"
+        "print(sorted(new - set(sys.stdlib_module_names) - {'graphflow'}))\n")
     env = dict(os.environ, PYTHONPATH=str(CONFIG_DIR.parent / "src"))
     proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout.splitlines() == ["[]", "True True"]
+    assert proc.stdout.splitlines() == ["[]", "['numpy']"]
+    pyproject = (CONFIG_DIR.parent / "pyproject.toml").read_text()
+    dependencies = re.search(r"^dependencies = \[(.*?)\]", pyproject, re.M | re.S)[1]
+    assert re.findall(r'"([\w.-]+)', dependencies) == ["numpy"]
+
+
+SHIPPED_CONFIGS = {p.stem: json.loads(p.read_text()) for p in sorted(CONFIG_DIR.glob("*.json"))}
+_SCALARS = (st.none() | st.booleans() | st.integers(-2, 10) | st.integers(-2, 10).map(float)
+            | st.floats() | st.just(float("nan")) | st.sampled_from(["", "0", "delta", "x"]))
+_KEYS = st.sampled_from(["kind", "family", "N", "type", "window", "edges", "unknown"])
+# a replacement: null, bool, int, integral float, float, NaN, string, list or dict
+_JSON_VALUES = _SCALARS | st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=4)
+                                       | st.dictionaries(_KEYS, inner, max_size=3),
+                                       max_leaves=6)
+
+
+def _slots(doc):
+    """Every (container, key) pair under the JSON document ``doc``."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in list(items):
+        yield doc, key
+        if isinstance(value, (dict, list)):
+            yield from _slots(value)
+
+
+def _mutate(doc, data):
+    """Replace a value, delete a key or add an unknown key, as ``data`` draws."""
+    slots = list(_slots(doc))
+    edit = data.draw(st.sampled_from(["replace", "delete", "add"]))
+    if edit == "replace":
+        parent, key = data.draw(st.sampled_from(slots))
+        parent[key] = data.draw(_JSON_VALUES)
+        return
+    dicts = [doc] + [parent[key] for parent, key in slots if isinstance(parent[key], dict)]
+    parent = data.draw(st.sampled_from(dicts))
+    if edit == "add":
+        parent["unknown"] = data.draw(_JSON_VALUES)
+    elif parent:
+        del parent[data.draw(st.sampled_from(sorted(parent)))]
+
+
+def _assert_schema_errors_match_jsonschema(cfg):
+    # the in-house checker against the reference validator, error by error,
+    # in its order and with its words
+    reference = jsonschema.Draft202012Validator(cli.CONFIG_SCHEMA).iter_errors(cfg)
+    assert list(cli._schema_errors(cli.CONFIG_SCHEMA, cfg)) == [
+        (tuple(e.absolute_path), e.validator, e.message) for e in reference]
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_CONFIGS))
+@seed(20245)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_schema_errors_match_jsonschema(name, data):
+    # up to three random edits of a shipped config
+    cfg = json.loads(json.dumps(SHIPPED_CONFIGS[name]))
+    for _ in range(data.draw(st.integers(1, 3))):
+        _mutate(cfg, data)
+    _assert_schema_errors_match_jsonschema(cfg)
+
+
+def _product(*edges):
+    return {"family": "product", "N": 1, "H": {"edges": list(edges)}}
+
+
+@pytest.mark.parametrize("cfg", [
+    tiny_config(graph=_product()),
+    tiny_config(graph=_product(["a", "b", 1.0, 2], [True, 1.5, 0], ["a"])),
+    tiny_config(graph=_product(["a", 3, 2.0]), seed=20245.0),
+    tiny_config(graph={"family": "lattice", "N": True}, seed=-1.0),
+    tiny_config(profile={"kind": "bruteforce", "size_cap": 9}, seed=False),
+    tiny_config(checks=[{"type": "propagation_fit", "eps": 1, "window": [0.5, 20, 30]},
+                        {"type": "moment_bound", "alpha": 1.0, "window": []},
+                        {"type": "slow_decay", "q": 1, "window": [0, "1"]}]),
+    tiny_config(initial_data={"kind": "power_law", "alpha": float("nan"),
+                              "truncation_radius": 0, "center": {}}),
+], ids=["no_edges", "bad_edges", "integral_floats", "bool_N", "size_cap", "check_bounds",
+        "power_law"])
+def test_schema_errors_match_jsonschema_at_the_bounds(cfg):
+    _assert_schema_errors_match_jsonschema(cfg)
+
+
+@pytest.mark.parametrize("schema", [{"type": "string", "pattern": "^a"},
+                                    {"type": "object", "additionalProperties": {}},
+                                    {"uniqueItems": True}])
+def test_schema_errors_raise_on_an_unsupported_keyword(schema):
+    with pytest.raises(ValueError, match="is not supported"):
+        list(cli._schema_errors(schema, "b"))
 
 
 def test_validate_rejects_unknown_key():
@@ -190,6 +288,20 @@ def test_main_fk_subcommand(tmp_path):
     table = (out / "fk_profile.csv").read_text().splitlines()
     assert table[0] == "v,lambda"
     assert table[1] == "2,2"  # singleton entry (v, lambda) = (2, 2)
+
+
+def test_an_integral_float_seed_runs_as_its_int(tmp_path):
+    # 20245.0 is a JSON Schema integer, so it validates: the brute-force
+    # profile must then draw from the same stream as 20245
+    cfg = json.loads((CONFIG_DIR / "fk_lattice1d.json").read_text())
+    tables = []
+    for value in (20245, 20245.0):
+        path = tmp_path / f"{value!r}.json"
+        path.write_text(json.dumps(dict(cfg, seed=value)))
+        out = tmp_path / f"out_{value!r}"
+        assert cli.main(["fk", "--config", str(path), "--out", str(out)]) == 0
+        tables.append((out / "fk_profile.csv").read_bytes())
+    assert tables[0] == tables[1]
 
 
 def test_main_verify_subcommand(tmp_path):
@@ -367,6 +479,26 @@ def test_main_typed_solver_failures_exit_3(tmp_path, capsys, solver_cfg, checks)
     assert cli.main(["simulate", "--config", str(cfg_path),
                      "--out", str(tmp_path / "out")]) == 3
     assert "solver failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("window", [[20, 0.5], [1, 1], [float("nan"), 20]])
+def test_a_reversed_check_window_exits_2_before_the_solve(tmp_path, capsys, monkeypatch,
+                                                          window):
+    cfg = tiny_config(checks=[{"type": "decay_fit"},
+                              {"type": "sup_bound", "window": window}])
+    assert cli.validate_config(cfg) == [
+        f"checks: sup_bound window {window!r} needs window[0] < window[1]"]
+
+    def solve(*args, **kwargs):
+        raise AssertionError("solved a config that does not validate")
+
+    monkeypatch.setattr(solver, "solve_cauchy", solve)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert "needs window[0] < window[1]" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_main_eps_below_float_resolution_exits_2(tmp_path, capsys):
