@@ -242,6 +242,15 @@ def _schema_errors(schema, value, path=()):
             raise ValueError(f"schema keyword {key!r}: {arg!r} is not supported")
 
 
+def _non_finite(value, path=()):
+    """Yield ``(path, number)`` for each NaN or infinity in a parsed config."""
+    if isinstance(value, (dict, list)):
+        for key, item in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from _non_finite(item, (*path, key))
+    elif isinstance(value, float) and not np.isfinite(value):
+        yield path, value
+
+
 def validate_config(cfg):
     """Schema-validate a config dict; returns a list of error strings."""
     errors = [f"{'/'.join(map(str, path)) or '<root>'}: {message}"
@@ -250,6 +259,11 @@ def validate_config(cfg):
     if errors:
         return errors
     # cross-field rules the schema cannot express
+    for path, x in _non_finite(cfg):
+        # Python's json reads NaN and Infinity, which pass every bound; the
+        # window rule below names a NaN window bound
+        if not (path[-2:-1] == ("window",) and np.isnan(x)):
+            errors.append(f"{'/'.join(map(str, path))}: {x!r} is not a finite number")
     fam = cfg["graph"]["family"]
     if fam in ("lattice", "product") and "N" not in cfg["graph"]:
         errors.append("graph: family requires N")

@@ -270,7 +270,7 @@ def dirichlet_p_eigenvalue(g, region, p, tol=1e-10, starts=8, seed=0,
     """
     p = require_exponent(p)
     edges = region_edges(g, region)
-    divergence = edges.table().divergence(p)
+    divergence = edges.table.divergence(p)
     degs = region.degrees
     n = len(region)
     rng = np.random.default_rng(seed)

@@ -14,14 +14,15 @@ truncated region carry the same weighted degree ``d_w(x)`` as in the
 infinite graph.
 
 On ``Z^N`` a ball is the l1 ball, enumerated in closed form with numpy;
-it keeps its integer coordinates, from which its edge arrays are found by
-integer-key lookup.  Both follow the generator's sorted table of unit
+it keeps its integer coordinates, from which its neighbour table is filled
+by integer-key lookup.  Both follow the generator's sorted table of unit
 offsets, which also orders the oracle's neighbor lists.  The ring BFS
 serves products, custom graphs and distance queries, and every other
-region takes the oracle loop for its edges.
+region fills its table by one loop over the oracle.
 
-Every solve's kernel is a :class:`NeighbourTable`, built once per ball
-and sliced for the sub-balls and stacked copies a step runs on.
+Every solve's kernel is a :class:`NeighbourTable`, built once per ball by
+:func:`region_edges` and sliced for the sub-balls and stacked copies a
+step runs on; the edge arrays of the power sums are read off it.
 """
 
 from __future__ import annotations
@@ -61,8 +62,8 @@ class GraphGenerator:
 
     ``unit_offsets`` is the sorted ``(2N, N)`` table of unit offsets on the
     unit-weight lattice ``Z^N`` (set by :func:`lattice_generator`), which
-    selects the closed-form ball and the array edge build; ``None`` on
-    every other graph.
+    selects the closed-form ball and the key-lookup table build; ``None``
+    on every other graph.
     """
 
     unit_offsets = None
@@ -103,7 +104,7 @@ class Region:
     first use.
     ``coords`` is the ``(n, N)`` int64 coordinate array of a ball built by
     :func:`ball` on ``Z^N`` whose padded bounding box has int64 keys, which
-    selects the key-lookup edge build; ``None`` on every other region.
+    selects the key-lookup table build; ``None`` on every other region.
     """
 
     generator: GraphGenerator
@@ -359,37 +360,31 @@ class NeighbourTable:
 
 @dataclass
 class RegionEdges:
-    """Edge arrays of a region: internal pairs (i < j) and outgoing stubs.
+    """A region's :class:`NeighbourTable` and, read off it on first use, its edge arrays.
 
-    They give the region's :class:`NeighbourTable` and the edge power sums
-    of energies and flux integrals.  Stubs see a zero exterior.
+    Column by column in entry order: the internal entries ``x < y < n``,
+    each edge once, then the stubs, which see a zero exterior.  They give
+    the edge power sums of energies and flux integrals.
     """
 
-    ei: np.ndarray        # internal edge tail indices
-    ej: np.ndarray        # internal edge head indices, ej > ei
-    w: np.ndarray         # internal edge weights
-    bi: np.ndarray        # region-side indices of edges leaving the region
-    bw: np.ndarray        # their weights
-    n: int                # number of region vertices
+    table: NeighbourTable
 
-    def table(self):
-        """The region's :class:`NeighbourTable`, ``k`` the most entries at any vertex.
+    @property
+    def n(self):
+        return self.table.n
 
-        Column ``x`` lists the edges where ``x`` is the tail, then those
-        where it is the head, then its stubs, each in edge order.
-        """
-        n = self.n
-        # sort the entries, then the pads, by vertex, stably, and lay them
-        # out one column per vertex
-        src = np.concatenate([self.ei, self.ej, self.bi])
-        counts = np.bincount(src, minlength=n)
-        k = int(counts.max(initial=0))
-        pad = np.repeat(np.arange(n), k - counts)
-        order = np.argsort(np.concatenate([src, pad]), kind="stable")
-        nbr = np.concatenate([self.ej, self.ei, np.full(len(self.bi), n), pad])[order]
-        W = np.concatenate([self.w, self.w, self.bw, np.zeros(len(pad))])[order]
-        return NeighbourTable(np.ascontiguousarray(nbr.reshape(n, k).T),
-                              np.ascontiguousarray(W.reshape(n, k).T))
+    @cached_property
+    def _arrays(self):
+        n, nbr, W = self.n, self.table.nbr.T, self.table.W.T   # vertex by vertex
+        x = np.broadcast_to(np.arange(n)[:, None], nbr.shape)
+        inner, stub = (x < nbr) & (nbr < n), nbr == n
+        return x[inner], nbr[inner], W[inner], x[stub], W[stub]
+
+    ei = property(lambda self: self._arrays[0], doc="internal edge tail indices")
+    ej = property(lambda self: self._arrays[1], doc="internal edge head indices, ej > ei")
+    w = property(lambda self: self._arrays[2], doc="internal edge weights")
+    bi = property(lambda self: self._arrays[3], doc="region-side ends of the stubs")
+    bw = property(lambda self: self._arrays[4], doc="stub weights")
 
     def power_sum(self, F, a):
         """``sum w |F(y)-F(x)|^a`` over internal edges plus ``bw |F(x)|^a`` over stubs.
@@ -402,50 +397,40 @@ class RegionEdges:
 
 
 def region_edges(g, region):
-    """Materialize the edge structure of a region against the full graph.
+    """The :class:`RegionEdges` of a region, against the full graph.
 
-    Internal edges and stubs come in the order of a loop over the region's
-    vertices and, per vertex, over its oracle neighbors.  For a ball built
-    by :func:`ball` on ``Z^N`` the neighbors are found by integer-key lookup
-    on ``region.coords`` instead of oracle calls.
+    On a ball built by :func:`ball` on ``Z^N`` one box-key lookup on
+    ``region.coords`` fills the table in unit-offset order at weight 1;
+    elsewhere one oracle loop fills it in neighbor order, a short column
+    padded with the vertex itself at weight 0.  A stable sort per column
+    then lists the neighbors above ``x`` in neighbor order, those below it
+    by index, the stubs and the pads: the order the sums have always
+    rounded in (offset order alone moves step sizes at rounding level).
     """
     if g.unit_offsets is not None and region.coords is not None:
-        return _lattice_edges(g.unit_offsets, region.coords)
-    ei, ej, w, bi, bw = [], [], [], [], []
-    for i, x in enumerate(region.vertices):
-        for y, wt in g.neighbors(x):
-            j = region.index.get(y)
-            if j is None:
-                bi.append(i)
-                bw.append(wt)
-            elif j > i:
-                ei.append(i)
-                ej.append(j)
-                w.append(wt)
-    return RegionEdges(
-        np.array(ei, dtype=np.int64), np.array(ej, dtype=np.int64),
-        np.array(w, dtype=np.float64),
-        np.array(bi, dtype=np.int64), np.array(bw, dtype=np.float64), len(region))
-
-
-def _lattice_edges(offsets, coords):
-    # mixed-radix keys over the region's bounding box padded by one layer,
-    # last coordinate fastest, so a unit offset shifts a key by a constant
-    n, deg = len(coords), len(offsets)
-    lo = coords.min(axis=0) - 1
-    span = coords.max(axis=0) + 2 - lo
-    stride = np.append(np.cumprod(span[:0:-1])[::-1], 1)
-    keys = (coords - lo) @ stride
-    order = np.argsort(keys, kind="stable")
-    nbr = (keys[:, None] + offsets @ stride).ravel()   # oracle loop order
-    at = np.minimum(np.searchsorted(keys, nbr, sorter=order), n - 1)
-    j = order[at]
-    found = keys[j] == nbr
-    i = np.repeat(np.arange(n), deg)
-    inner = found & (j > i)
-    out = ~found
-    return RegionEdges(i[inner], j[inner], np.ones(np.count_nonzero(inner)),
-                       i[out], np.ones(np.count_nonzero(out)), n)
+        # mixed-radix keys over the region's bounding box padded by one layer,
+        # last coordinate fastest, so a unit offset shifts a key by a constant
+        n = len(region.coords)
+        lo = region.coords.min(axis=0) - 1
+        span = region.coords.max(axis=0) + 2 - lo
+        stride = np.append(np.cumprod(span[:0:-1])[::-1], 1)
+        keys = (region.coords - lo) @ stride
+        order = np.argsort(keys, kind="stable")
+        nbr = keys + (g.unit_offsets @ stride)[:, None]   # (2N, n), unit-offset order
+        j = order[np.minimum(np.searchsorted(keys, nbr, sorter=order), n - 1)]
+        nbr, W = np.where(keys[j] == nbr, j, n), np.ones(nbr.shape)
+    else:
+        n, index = len(region), region.index
+        cols = [g.neighbors(x) for x in region.vertices]
+        filled = np.arange(max(map(len, cols)))[:, None] < [len(c) for c in cols]
+        nbr, W = np.tile(np.arange(n), (len(filled), 1)), np.zeros(filled.shape)
+        nbr.T[filled.T] = [index.get(y, n) for c in cols for y, _ in c]
+        W.T[filled.T] = [w for c in cols for _, w in c]
+    x = np.arange(n)
+    key = np.where(nbr < x, nbr + 1, np.where((x < nbr) & (nbr < n), 0, n + 1))
+    order = np.argsort(key, axis=0, kind="stable")   # ties keep the fill order
+    return RegionEdges(NeighbourTable(np.take_along_axis(nbr, order, axis=0),
+                                      np.take_along_axis(W, order, axis=0)))
 
 
 def orbit_constant(values, center):

@@ -535,8 +535,8 @@ class Trajectory:
     ``orbits`` is ``(lift, first)``, the orbit of each vertex and the
     first vertex of each orbit, when the rows are constant on the orbits
     of :func:`graphs.orbit_quotient`; ``values`` still holds every vertex
-    (see :meth:`columns`).  ``edges``, the region's edge arrays, are built
-    on first use.
+    (see :meth:`columns`).  ``edges``, the region's table and edge arrays
+    (:func:`graphs.region_edges`), are built on first use.
     """
 
     certified = True
@@ -692,7 +692,7 @@ def solve_truncated(g, u0: Field, cfg: SolverConfig, n, center=None, partners=()
     the solve has one unknown per orbit (:func:`graphs.orbit_quotient`)
     and the stored rows are lifted to the vertices of the last ball: a
     solve on the vertices up to rounding, with the same steps.  It builds
-    no vertex edge arrays; the trajectories keep the orbits.  Each ball's
+    no vertex table; the trajectories keep the orbits.  Each ball's
     :class:`graphs.NeighbourTable` is built once; an active ball's
     right-hand side slices it (``table.restrict(m).stacked(k)``).
 
@@ -721,7 +721,7 @@ def solve_truncated(g, u0: Field, cfg: SolverConfig, n, center=None, partners=()
             sizes = np.bincount(lift)   # the vertices each orbit stands for
             dist, degrees = region.distances[first], region.degrees[first]
         else:
-            table, lift, first, sizes = region_edges(g, region).table(), None, None, 1
+            table, lift, first, sizes = region_edges(g, region).table, None, None, 1
             dist, degrees = region.distances, region.degrees
         balls.append((region, table.edge_count(sizes), lift, first))
 

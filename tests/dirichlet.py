@@ -48,7 +48,7 @@ def kept_on(g, u0, cfg, center, radii):
             sizes = np.bincount(lift)
             dist, degrees = region.distances[first], region.degrees[first]
         else:
-            table, lift, first, sizes = region_edges(g, region).table(), None, None, 1
+            table, lift, first, sizes = region_edges(g, region).table, None, None, 1
             dist, degrees = region.distances, region.degrees
 
         def rhs_on(m):   # through the module attribute, which tests may wrap

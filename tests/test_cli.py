@@ -501,6 +501,35 @@ def test_a_reversed_check_window_exits_2_before_the_solve(tmp_path, capsys, monk
     assert not out.exists()
 
 
+@pytest.mark.parametrize("path, value", [
+    ("checks/0/tolerance", float("nan")), ("checks/0/theoretical_slope", float("nan")),
+    ("checks/1/max_stability", float("nan")), ("solver/t_max", float("inf")),
+    ("solver/atol", float("inf")), ("solver/rtol", float("nan")),
+    ("checks/1/window/1", float("inf")), ("initial_data/amplitude", float("inf")),
+])
+def test_a_non_finite_number_exits_2_before_the_solve(tmp_path, capsys, monkeypatch,
+                                                       path, value):
+    # Python's json reads NaN and Infinity, and both pass every schema bound
+    cfg = tiny_config()
+    *keys, last = [int(k) if k.isdigit() else k for k in path.split("/")]
+    target = cfg
+    for key in keys:
+        target = target[key]
+    target[last] = value
+    assert cli.validate_config(cfg) == [f"{path}: {value!r} is not a finite number"]
+
+    def solve(*args, **kwargs):
+        raise AssertionError("solved a config that does not validate")
+
+    monkeypatch.setattr(solver, "solve_cauchy", solve)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert f"{path}: {value!r} is not a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_main_eps_below_float_resolution_exits_2(tmp_path, capsys):
     # 1 - 1e-17 rounds to 1: no truncation could ever hold the whole mass
     cfg = tiny_config(checks=[{"type": "propagation_fit", "eps": 1e-17,

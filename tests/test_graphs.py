@@ -204,9 +204,9 @@ def test_restrict_matches_edges_of_the_sub_ball(graph):
     small = gf.ball(g, center, 3)
     m = len(small)
     assert big.vertices[:m] == small.vertices
-    table = edges.table()
+    table = edges.table
     sub = table.restrict(m)
-    ref = region_edges(g, small).table()
+    ref = region_edges(g, small).table
     # every entry keeps its place; cut edges become stubs of their inside end
     assert sub.n == ref.n == m
     inside = table.nbr[:, :m] < m

@@ -151,7 +151,7 @@ def _ball_edges(g, x0, R):
     from graphflow.graphs import region_edges
     region = gf.ball(g, x0, R)
     edges = region_edges(g, region)
-    return g, region, edges, edges.table()
+    return g, region, edges, edges.table
 
 
 def _weighted_ball_edges():

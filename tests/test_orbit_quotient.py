@@ -175,7 +175,7 @@ def test_the_quotient_of_a_ball(N, radius):
     # a state constant on orbits: the lifted quotient divergence is the
     # vertex divergence, on the ball and on its sub-balls
     u = np.random.default_rng(N).standard_normal(len(sizes))
-    table = edges.table()
+    table = edges.table
     for m in (len(sizes), int(np.count_nonzero(distances <= radius - 3))):
         n = int(sizes[:m].sum())   # the vertices of those orbits, a prefix
         full = table.restrict(n).divergence(3.0)(u[orbit_of[:n]])
@@ -268,7 +268,7 @@ def test_the_quotient_table_is_the_vertex_table_at_first_vertices(N, radius, shi
     g = gf.lattice_generator(N)
     region = gf.ball(g, tuple(shift + i for i in range(N)), radius)
     orbit_of, first, table = orbit_quotient(region)
-    vertex = region_edges(g, region).table()
+    vertex = region_edges(g, region).table
     rng = np.random.default_rng(N * 10 + shift)
     for p in (2.5, 3.0, 4.0):
         u = rng.standard_normal(table.n) * 10.0 ** rng.uniform(-3.0, 3.0, table.n)
