@@ -17,12 +17,15 @@ raises on any other keyword.  A run writes, under the output directory:
 * ``plotdata.csv``     -- plot-ready columns;
 * ``report.json``      -- aggregated verdicts.
 
-Each run solves once, on the certified ball of :func:`solver.solve_cauchy`,
-and every check reads that trajectory.  The output directory is made only
-after the solve and every check have run, so a config, solver or check
-error leaves none.  In a batch, each config writes
-under ``<out>/<config file stem>``; two configs whose stems clash are a
-config error before any run starts.
+Every command that reads a config starts with :func:`_setup`, which
+validates it, builds each input once and vets the built inputs; so
+``validate-config`` exits 2 on every error ``simulate``, ``verify`` or
+``fk`` reports before its work.  Each run solves once, on the certified
+ball of :func:`solver.solve_cauchy`, and every check reads that
+trajectory.  The output directory is made only after the solve and every
+check have run, so a config, solver or check error leaves none.  In a
+batch, each config writes under ``<out>/<config file stem>``; two configs
+whose stems clash are a config error before any run starts.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage/config error,
 3 solver failure (a check that finds the ball short of a mass fraction it
@@ -252,7 +255,12 @@ def _non_finite(value, path=()):
 
 
 def validate_config(cfg):
-    """Schema-validate a config dict; returns a list of error strings."""
+    """The errors of a config dict that show without building anything.
+
+    Checks the schema, that every number is finite, and the cross-field
+    rules the schema cannot express; opens no file.  The rules that need
+    built inputs are :func:`_setup`'s.  Returns a list of error strings.
+    """
     errors = [f"{'/'.join(map(str, path)) or '<root>'}: {message}"
               for path, _, message in sorted(_schema_errors(CONFIG_SCHEMA, cfg),
                                              key=lambda e: e[0])]
@@ -273,9 +281,7 @@ def validate_config(cfg):
         errors.append("graph: custom family requires adjacency_file")
     if cfg["solver"]["t_min"] >= cfg["solver"]["t_max"]:
         errors.append("solver: need t_min < t_max")
-    prof = cfg.get("profile", {})
-    randomized = prof.get("kind") == "bruteforce"
-    if randomized and "seed" not in cfg:
+    if cfg.get("profile", {}).get("kind") == "bruteforce" and "seed" not in cfg:
         errors.append("seed: mandatory when a randomized operation is requested")
     data = cfg.get("initial_data")
     if fam != "lattice" and "center" not in (data or {}):
@@ -304,35 +310,21 @@ def validate_config(cfg):
         if chk["type"] == "propagation_fit" and 1.0 - chk.get("eps", 0.5) == 1.0:
             errors.append("checks: propagation_fit eps is below float resolution "
                           "(1 - eps == 1)")
-    prop = any(c["type"] == "propagation_fit" for c in cfg.get("checks", []))
-    if prop and not errors:
-        try:
-            errors += _propagation_eps_errors(cfg)
-        except (ValueError, OSError) as e:
-            errors.append(f"checks: propagation_fit: {e}")
-    slow = any(c["type"] == "slow_decay" for c in cfg.get("checks", []))
-    if slow and not errors and not randomized:
-        # a brute-forced profile is too costly to build here: run() tests it once built
-        try:
-            g = build_generator(cfg["graph"])
-            errors += _slow_decay_horizon_errors(cfg, g, build_profile(cfg, g))
-        except (ValueError, OSError) as e:
-            errors.append(f"checks: slow_decay: {e}")
     return errors
 
 
-def _propagation_eps_errors(cfg):
+def _propagation_eps_errors(cfg, g, u0, center, scfg):
     # every ball a solve can end on contains its first ball B_n0, so
     # mass_radius would reject an eps at or below |B_n0| 2^-53 after the solve
-    g = build_generator(cfg["graph"])
-    u0, center = build_initial_field(g, cfg.get("initial_data", _DELTA_AT_ORIGIN))
-    n0 = solver.first_radius(u0, build_solver_config(cfg["solver"]), center)
+    checks = [c for c in cfg.get("checks", []) if c["type"] == "propagation_fit"]
+    if not checks:
+        return []
+    n0 = solver.first_radius(u0, scfg, center)
     size = len(ball(g, center, n0))
     floor = size * 2.0 ** -53
     return [f"checks: propagation_fit eps {c['eps']!r} is at or below {floor!r}, the "
             f"rounding of a mass sum over the {size} vertices of the first ball B_{n0}"
-            for c in cfg["checks"]
-            if c["type"] == "propagation_fit" and c.get("eps", 0.5) <= floor]
+            for c in checks if c.get("eps", 0.5) <= floor]
 
 
 def _slow_decay_horizon_errors(cfg, g, profile):
@@ -443,22 +435,32 @@ def build_profile(cfg, g, seed=0):
 _PROFILE_CHECKS = {"sup_bound", "moment_bound", "entropy_bound", "slow_decay"}
 
 
-def _profile_for_checks(cfg, g, seed):
-    """Build the profile and vet it before the solve.
+def _setup(cfg, seed=None):
+    """Validate ``cfg``, build each input of its run once, and vet the built inputs.
 
-    A profile that fails the structural assumptions a configured check
-    needs is rejected here; the checks read the same cached report.  A
-    brute-forced profile also gets the slow-decay horizon test that
-    :func:`validate_config` leaves to this point.
+    Returns ``(g, u0, center, scfg, profile, seed)``, with the seed the run
+    uses as an int.  Raises ``ConfigError`` for what :func:`validate_config`
+    finds, for a ``propagation_fit`` eps at the rounding floor of the first
+    ball, for a ``slow_decay`` horizon past the balance time, and for a
+    profile that fails the structural assumptions a configured check rests
+    on (the checks read the same cached report).  A failing build raises
+    its own ``ValueError`` or ``OSError``.
     """
+    errors = validate_config(cfg)
+    if errors:
+        raise ConfigError("; ".join(errors))
+    seed = _run_seed(cfg, seed)
+    g = build_generator(cfg["graph"])
+    u0, center = build_initial_field(g, cfg.get("initial_data", _DELTA_AT_ORIGIN))
+    scfg = build_solver_config(cfg["solver"])
     profile = build_profile(cfg, g, seed=seed)
-    if cfg.get("profile", {}).get("kind") == "bruteforce":
-        errors = _slow_decay_horizon_errors(cfg, g, profile)
-        if errors:
-            raise ConfigError("; ".join(errors))
+    errors = (_propagation_eps_errors(cfg, g, u0, center, scfg)
+              + _slow_decay_horizon_errors(cfg, g, profile))
+    if errors:
+        raise ConfigError("; ".join(errors))
     if {c["type"] for c in cfg.get("checks", [])} & _PROFILE_CHECKS:
         estimates.require_profile(profile)
-    return profile
+    return g, u0, center, scfg, profile, seed
 
 
 # ----------------------------------------------------------------------
@@ -650,14 +652,7 @@ def _run_checks(cfg, traj, profile, out):
 
 def run(cfg, out_dir, seed=None):
     """Run one experiment config; writes artifacts and returns the report."""
-    errors = validate_config(cfg)
-    if errors:
-        raise ConfigError("; ".join(errors))
-    seed = _run_seed(cfg, seed)
-    g = build_generator(cfg["graph"])
-    u0, center = build_initial_field(g, cfg.get("initial_data", _DELTA_AT_ORIGIN))
-    scfg = build_solver_config(cfg["solver"])
-    profile = _profile_for_checks(cfg, g, seed)
+    g, u0, center, scfg, profile, seed = _setup(cfg, seed)
     out = Path(out_dir)
     traj = solver.solve_cauchy(g, u0, scfg, center=center)
     checks_json, ratio_blocks = _run_checks(cfg, traj, profile, out)
@@ -699,17 +694,11 @@ def run(cfg, out_dir, seed=None):
 
 def run_fk(cfg, out_dir, seed=None):
     """Brute-force a Faber-Krahn table for the configured graph."""
-    errors = validate_config(cfg)
-    if errors:
-        raise ConfigError("; ".join(errors))
-    seed = _run_seed(cfg, seed)
+    *_, profile, _ = _setup(cfg, seed)
+    if cfg.get("profile", {}).get("kind") != "bruteforce":
+        raise ConfigError("fk subcommand needs a profile of kind 'bruteforce'")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    g = build_generator(cfg["graph"])
-    prof_cfg = cfg.get("profile", {})
-    if prof_cfg.get("kind") != "bruteforce":
-        raise ConfigError("fk subcommand needs a profile of kind 'bruteforce'")
-    profile = build_profile(cfg, g, seed=seed)
     (out / "fk_profile.csv").write_text(profile.to_csv_text())
     report = {
         "config_hash": config_hash(cfg),
@@ -789,12 +778,7 @@ def main(argv=None):
 
 def _dispatch(args):
     if args.command == "validate-config":
-        cfg = _load_config(args.config)
-        errors = validate_config(cfg)
-        if errors:
-            for e in errors:
-                print(f"invalid: {e}", file=sys.stderr)
-            return 2
+        _setup(_load_config(args.config))
         print("ok")
         return 0
 
@@ -823,13 +807,8 @@ def _dispatch(args):
 
     if args.command == "verify":
         cfg = _load_config(args.config)
-        errors = validate_config(cfg)
-        if errors:
-            raise ConfigError("; ".join(errors))
-        g = build_generator(cfg["graph"])
+        g, *_, profile, _ = _setup(cfg, args.seed)
         traj = load_trajectory(args.traj_dir, g)
-        seed = _run_seed(cfg, args.seed)
-        profile = _profile_for_checks(cfg, g, seed)
         out = Path(args.out or args.traj_dir)
         results, _ = _run_checks(cfg, traj, profile, out)
         return 0 if all(r.get("pass", True) for r in results) else 1

@@ -562,8 +562,9 @@ class FiniteGraph:
             w = float(w)
             if u == v:
                 raise GraphError(f"self loop at {u!r}")
-            if w <= 0:
-                raise GraphError(f"nonpositive weight {w} on edge {u!r}-{v!r}")
+            if not 0 < w < np.inf:   # NaN too
+                raise GraphError(f"weight {w} on edge {u!r}-{v!r} is not positive "
+                                 f"and finite")
             for z in (u, v):
                 if z not in self._node_pos:
                     self._node_pos[z] = len(self.nodes)

@@ -406,6 +406,8 @@ def test_main_missing_input_file_exits_2(tmp_path, capsys, edit):
     assert cli.validate_config(cfg) == []
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
+    assert cli.main(["validate-config", str(cfg_path)]) == 2
+    assert "nope.csv" in capsys.readouterr().err
     assert cli.main(["simulate", "--config", str(cfg_path),
                      "--out", str(tmp_path / "out")]) == 2
     assert "nope.csv" in capsys.readouterr().err
@@ -544,16 +546,19 @@ def test_main_eps_below_float_resolution_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
     cfg["checks"][0]["eps"] = 2.0 ** -48   # above the first ball's floor 17 * 2^-53
     assert cli.validate_config(cfg) == []
+    cli._setup(cfg)
 
 
 def test_main_eps_within_the_first_balls_rounding_exits_2(tmp_path, capsys):
     # every ball the solve can end on contains B_8, whose mass sums round at
     # |B_8| 2^-53 = 1.9e-15: mass_radius would reject eps = 2^-52 after the
-    # solve, so validation rejects it before, and no output directory is made
+    # solve, so the set-up rejects it before, and no output directory is made
     cfg = tiny_config(checks=[{"type": "propagation_fit", "eps": 2.0 ** -52,
                                "window": [0.5, 20]}])
-    errors = cli.validate_config(cfg)
-    assert len(errors) == 1 and "17 vertices of the first ball B_8" in errors[0]
+    with pytest.raises(cli.ConfigError,
+                       match=r"^checks: propagation_fit eps [^;]*17 vertices of the first "
+                             r"ball B_8$"):
+        cli._setup(cfg)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     assert cli.main(["simulate", "--config", str(cfg_path),
@@ -564,9 +569,10 @@ def test_main_eps_within_the_first_balls_rounding_exits_2(tmp_path, capsys):
     del cfg["solver"]["n0"]
     cfg["initial_data"] = {"kind": "ball_indicator", "center": [0], "radius": 1}
     cfg["checks"][0]["eps"] = 19 * 2.0 ** -53
-    assert "19 vertices of the first ball B_9" in cli.validate_config(cfg)[0]
+    with pytest.raises(cli.ConfigError, match="19 vertices of the first ball B_9"):
+        cli._setup(cfg)
     cfg["checks"][0]["eps"] = 20 * 2.0 ** -53
-    assert cli.validate_config(cfg) == []
+    cli._setup(cfg)
 
 
 def test_main_eps_within_the_certified_balls_rounding_leaves_no_output(tmp_path, capsys):
@@ -579,6 +585,7 @@ def test_main_eps_within_the_certified_balls_rounding_leaves_no_output(tmp_path,
                               {"type": "propagation_fit", "eps": 4e-15,
                                "window": [0.5, 20]}])
     assert cli.validate_config(cfg) == []
+    cli._setup(cfg)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     out = tmp_path / "out"
@@ -687,7 +694,8 @@ def test_slow_decay_horizon_past_the_balance_time_exits_2(tmp_path, capsys, monk
                       "center": [0]},
         checks=[{"type": "slow_decay", "q": 4.0, "window": [10, 1000]}])
     cfg["solver"]["t_max"] = 1000.0
-    assert any("slow_decay needs t_max" in e for e in cli.validate_config(cfg))
+    with pytest.raises(cli.ConfigError, match="slow_decay needs t_max"):
+        cli._setup(cfg)
 
     def no_solve(*args, **kwargs):
         raise AssertionError("solved a config that validation rejects")
@@ -699,14 +707,17 @@ def test_slow_decay_horizon_past_the_balance_time_exits_2(tmp_path, capsys, monk
                      "--out", str(tmp_path / "out")]) == 2
     assert "slow_decay needs t_max" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
-    # a brute-forced profile is tested once built, still before the solve
+    # a brute-forced profile is tested once built, by both commands, before the solve
     brute = dict(cfg, profile={"kind": "bruteforce", "size_cap": 2})
-    assert cli.validate_config(brute) == []
+    brute_path = tmp_path / "brute.json"
+    brute_path.write_text(json.dumps(brute))
+    assert cli.main(["validate-config", str(brute_path)]) == 2
+    assert "slow_decay needs t_max" in capsys.readouterr().err
     with pytest.raises(cli.ConfigError, match="slow_decay needs t_max"):
         cli.run(brute, tmp_path / "brute")
     assert not (tmp_path / "brute").exists()
     cfg["solver"]["t_max"] = 600.0
-    assert cli.validate_config(cfg) == []
+    cli._setup(cfg)
 
 
 def test_run_verifies_the_profile_once(tmp_path, monkeypatch):
@@ -770,3 +781,138 @@ def test_non_lattice_family_requires_a_center(tmp_path, capsys, family):
                      "--out", str(tmp_path / "out")]) == 2
     assert "requires a center" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+class _Solved(Exception):
+    """Raised in place of the solve: the command got past its set-up."""
+
+
+def _solve_raises_solved(*args, **kwargs):
+    raise _Solved
+
+
+def _power_law_past_the_balance_time(tmp_path):
+    # T(1) = 666 for this data; a brute-forced profile gives the same rule
+    cfg = tiny_config(
+        initial_data={"kind": "power_law", "alpha": 0.5, "truncation_radius": 1,
+                      "center": [0]},
+        profile={"kind": "bruteforce", "size_cap": 2},
+        checks=[{"type": "slow_decay", "q": 4.0, "window": [10, 1000]}])
+    cfg["solver"]["t_max"] = 1000.0
+    return cfg
+
+
+def _tabulated_profile_failing_its_assumptions(tmp_path):
+    path = tmp_path / "dip.csv"
+    path.write_text("v,lambda\n1,1\n2,2\n4,0.1\n")
+    return tiny_config(profile={"kind": "tabulated", "path": str(path)},
+                       checks=[{"type": "sup_bound", "window": [0.5, 20]}])
+
+
+def _eps_at_the_first_balls_rounding(tmp_path):
+    return tiny_config(checks=[{"type": "propagation_fit", "eps": 2.0 ** -52}])
+
+
+def _missing_adjacency_file(tmp_path):
+    return tiny_config(graph={"family": "custom", "adjacency_file": str(tmp_path / "no.txt")},
+                       initial_data={"kind": "delta", "center": "a"},
+                       profile={"kind": "bruteforce", "size_cap": 2},
+                       checks=[{"type": "propagation_fit"}])
+
+
+def _graph_file_with_weight(weight):
+    def build(tmp_path):
+        path = tmp_path / "cycle.txt"
+        path.write_text(f"a b 1\nb c {weight}\nc d 1\nd a 1\n")
+        return tiny_config(graph={"family": "custom", "adjacency_file": str(path)},
+                           initial_data={"kind": "delta", "center": "a"},
+                           profile={"kind": "bruteforce", "size_cap": 2}, checks=[])
+    return build
+
+
+# configs that validate_config passes and the set-up rejects, once their
+# inputs are built: name -> (config builder, what the error says)
+SET_UP_ERRORS = {
+    "slow_decay_bruteforce": (_power_law_past_the_balance_time, "slow_decay needs t_max"),
+    "tabulated_sup_bound": (_tabulated_profile_failing_its_assumptions,
+                            "structural assumptions"),
+    "propagation_eps": (_eps_at_the_first_balls_rounding, "17 vertices of the first ball"),
+    "missing_adjacency_file": (_missing_adjacency_file, "no.txt"),
+    "nan_weight": (_graph_file_with_weight("nan"), "weight nan on edge 'b'-'c'"),
+    "inf_weight": (_graph_file_with_weight("inf"), "weight inf on edge 'b'-'c'"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SET_UP_ERRORS))
+def test_validate_config_and_simulate_exit_2_on_a_set_up_error(tmp_path, capsys, monkeypatch,
+                                                               name):
+    build, message = SET_UP_ERRORS[name]
+    cfg = build(tmp_path)
+    # validate_config builds nothing and opens no file
+    assert cli.validate_config(cfg) == []
+    monkeypatch.setattr(solver, "solve_cauchy", _solve_raises_solved)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert cli.main(["validate-config", str(cfg_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", [*sorted(p.stem for p in CONFIG_DIR.glob("*.json")),
+                                  "tiny", *sorted(SET_UP_ERRORS)])
+def test_validate_config_passes_exactly_what_simulate_solves(tmp_path, monkeypatch, name):
+    if name in SET_UP_ERRORS:
+        cfg = SET_UP_ERRORS[name][0](tmp_path)
+    elif name == "tiny":
+        cfg = tiny_config()
+    else:
+        cfg = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    monkeypatch.setattr(solver, "solve_cauchy", _solve_raises_solved)
+    valid = cli.main(["validate-config", str(cfg_path)]) == 0
+    try:
+        code = cli.main(["simulate", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "out")])
+    except _Solved:
+        solved = True
+    else:
+        solved = False
+        assert code == 2
+    assert valid == solved
+    assert valid == (name not in SET_UP_ERRORS)
+
+
+def test_fk_on_a_profile_that_is_not_brute_forced_leaves_no_output(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(tiny_config()))
+    out = tmp_path / "fk"
+    assert cli.main(["fk", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert "needs a profile of kind 'bruteforce'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_run_builds_each_input_once(tmp_path, monkeypatch):
+    counts = {}
+
+    def counted(name):
+        real = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(cli, name, wrapper)
+
+    builders = ["build_generator", "build_initial_field", "build_solver_config",
+                "build_profile"]
+    for name in builders:
+        counted(name)
+    monkeypatch.setattr(solver, "solve_cauchy", _solve_raises_solved)
+    for stem in ("lattice1d_p3_propagation", "lattice1d_p3_slow_decay"):
+        counts.clear()
+        with pytest.raises(_Solved):
+            cli.run(json.loads((CONFIG_DIR / f"{stem}.json").read_text()), tmp_path / stem)
+        assert counts == dict.fromkeys(builders, 1), stem

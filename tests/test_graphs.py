@@ -180,6 +180,17 @@ def test_custom_graph_rejects_malformed(tmp_path):
         g.neighbors("zz")
 
 
+@pytest.mark.parametrize("weight", ["nan", "inf", "-inf", "0"])
+def test_custom_graph_rejects_a_weight_that_is_not_positive_and_finite(tmp_path, weight):
+    # NaN fails both w <= 0 and w > 0, so only a test for 0 < w < inf catches it
+    path = tmp_path / "g.txt"
+    path.write_text(f"a b 1\nb c {weight}\n")
+    with pytest.raises(GraphError, match=f"weight {float(weight)} on edge 'b'-'c'"):
+        gf.generator_from_file(path)
+    with pytest.raises(GraphError, match="not positive and finite"):
+        gf.FiniteGraph([("a", "b", float(weight))])
+
+
 def test_region_from_vertices_canonical(z1):
     r = gf.region_from_vertices(z1, [(3,), (0,), (1,)])
     assert r.vertices == ((0,), (1,), (3,))

@@ -1,17 +1,22 @@
-"""Every name a graphflow module imports is used in that module.
+"""Every name a graphflow module imports is used, and every definition is named.
 
-No linter runs on this code base, so this guard catches the imports a
-deletion leaves behind.  ``__init__`` is left out: its imports are the
-package's public names.
+No linter runs on this code base, so these guards catch what a deletion
+leaves behind: an import the module no longer reads (``__init__`` is left
+out, as its imports are the package's public names), and a top-level
+function or class that no code, test, demo or benchmark names outside its
+own definition.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "graphflow"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "graphflow"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SEARCHED = sorted(p for d in ("src", "tests", "demos", "bench") for p in (ROOT / d).rglob("*.py"))
 
 
 def unused_imports(source):
@@ -43,3 +48,43 @@ def test_the_guard_sees_an_unused_import():
               "    import json\n"
               "    return np.zeros(ball(1))\n")
     assert unused_imports(source) == [(2, "os"), (2, "osp"), (4, "rings"), (6, "json")]
+
+
+def dead_definitions(source, others):
+    """The top-level functions and classes of ``source`` named nowhere else.
+
+    A name counts wherever it stands as a word: in ``source`` outside the
+    lines of its own definition (decorators included), or in any text of
+    ``others``.
+    """
+    lines = source.splitlines()
+    dead = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            first = min([node.lineno, *(d.lineno for d in node.decorator_list)])
+            rest = "\n".join(lines[:first - 1] + lines[node.end_lineno:])
+            word = re.compile(rf"\b{re.escape(node.name)}\b")
+            if not any(word.search(text) for text in (rest, *others)):
+                dead.append((node.lineno, node.name))
+    return dead
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_every_definition_is_named_elsewhere(path):
+    others = [p.read_text() for p in SEARCHED if p != path]
+    assert dead_definitions(path.read_text(), others) == []
+
+
+def test_the_guard_sees_a_dead_definition():
+    source = ("import functools\n"
+              "@functools.cache\n"
+              "def _helper(x):\n"
+              "    return _helper(x - 1) if x else 0\n"
+              "class Kept:\n"
+              "    pass\n"
+              "def lonely():\n"
+              "    return 1\n"
+              "def caller():\n"
+              "    return Kept()\n")
+    assert dead_definitions(source, ["caller()", "# lonely_too"]) == [(3, "_helper"),
+                                                                        (7, "lonely")]

@@ -58,10 +58,8 @@ def _flat(result, prefix):
 
 
 def _solve_and_check(cfg):
-    g = cli.build_generator(cfg["graph"])
-    u0, center = cli.build_initial_field(g, cfg["initial_data"])
-    traj = gf.solve_cauchy(g, u0, cli.build_solver_config(cfg["solver"]), center=center)
-    profile = cli._profile_for_checks(cfg, g, cfg.get("seed", 0))
+    g, u0, center, scfg, profile, _ = cli._setup(cfg)
+    traj = gf.solve_cauchy(g, u0, scfg, center=center)
     leaves = {}
     for chk in cfg["checks"]:
         result, _ = cli._run_one_check(chk, traj, profile, cfg)
