@@ -547,13 +547,13 @@ def load_trajectory(run_dir, g):
             values[k, i] = x
     table = np.zeros(len(times), dtype=solver.ROW_DIAGNOSTICS)   # snapshots carry none
     diagnostics = {name: table[name] for name in table.dtype.names}
-    # rows constant on orbits are read on them, as the solve that wrote them did
-    orbits = None
+    # rows constant on orbits are kept on them, as the solve that wrote them did
     if region.coords is not None:
         lift, first, _ = orbit_quotient(region)
         if np.array_equal(values[:, first][:, lift], values):
-            orbits = lift, first
-    return solver.Trajectory(cfg, region, times, values, diagnostics, orbits=orbits)
+            return solver.Trajectory(cfg, region, times, values[:, first], diagnostics,
+                                     orbits=(lift, first))
+    return solver.Trajectory(cfg, region, times, values, diagnostics)
 
 
 def _check_json(check, extras=None):

@@ -212,7 +212,7 @@ def check_lower_bound(traj: Trajectory, profile, x0=None, window=None,
     sups = traj.sup_norms[1:]
     radii = mass_radius(traj, eps, x0=x0)[1:]
     dists = traj.distances(x0)
-    support = np.abs(traj.values[0]) > 0
+    support = np.abs(traj.row(0)) > 0
     s0 = int(dists[support].max()) if support.any() else 0
     excluded = s0 > radii // 2
     ball_measures = np.cumsum(np.bincount(dists, traj.region.degrees))
@@ -414,7 +414,7 @@ def check_slow_decay(traj: Trajectory, spec: PowerLawSpec, q, profile,
     radii = np.empty(len(ts), dtype=int)
 
     def sides():
-        support = np.abs(traj.values[0]) > 0
+        support = np.abs(traj.row(0)) > 0
         R_cap = int(traj.region.distances[support].max())
         radii[:] = minimal_balance_radius(spec, q, ts, profile, R_cap)
         m_R = np.array([spec.partial_mass(R) for R in radii])

@@ -16,9 +16,10 @@ infinite graph.
 On ``Z^N`` a ball is the l1 ball, enumerated in closed form with numpy;
 it keeps its integer coordinates, from which its neighbour table is filled
 by integer-key lookup.  Both follow the generator's sorted table of unit
-offsets, which also orders the oracle's neighbor lists.  The ring BFS
-serves products, custom graphs and distance queries, and every other
-region fills its table by one loop over the oracle.
+offsets, which also orders the oracle's neighbor lists.  Such a ball
+builds its vertex tuples only on first use.  The ring BFS serves
+products, custom graphs and distance queries, and every other region
+fills its table by one loop over the oracle.
 
 Every solve's kernel is a :class:`NeighbourTable`, built once per ball by
 :func:`region_edges` and sliced for the sub-balls and stacked copies a
@@ -27,7 +28,7 @@ step runs on; the edge arrays of the power sums are read off it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from operator import add
 
@@ -94,6 +95,20 @@ class GraphGenerator:
         return f"GraphGenerator({self.name!r})"
 
 
+class _TuplesOfCoords:
+    """``Region.vertices`` of a keyed ball: its ``coords`` rows as tuples, on first use.
+
+    A non-data descriptor, so a region built with its tuples keeps them in
+    its ``__dict__`` and never reaches it.
+    """
+
+    def __get__(self, region, owner=None):
+        if region is None:   # no class-level value: the field has no default
+            raise AttributeError("vertices")
+        region.vertices = vertices = tuple(zip(*region.coords.T.tolist()))
+        return vertices
+
+
 @dataclass
 class Region:
     """Finite materialized vertex set with oracle degrees cached.
@@ -105,10 +120,14 @@ class Region:
     ``coords`` is the ``(n, N)`` int64 coordinate array of a ball built by
     :func:`ball` on ``Z^N`` whose padded bounding box has int64 keys, which
     selects the key-lookup table build; ``None`` on every other region.
+    Such a keyed ball builds its ``vertices``, and so its ``index``, from
+    ``coords`` on first use: a solve on its orbits reads neither.  Its
+    length is that of ``degrees``, and ``dataclasses.replace`` gives a bare
+    region (no ``coords``) with its tuples.
     """
 
     generator: GraphGenerator
-    vertices: tuple
+    vertices: tuple = _TuplesOfCoords()
     degrees: np.ndarray
     center: object = None
     radius: int | None = None
@@ -125,7 +144,7 @@ class Region:
         return float(self.degrees.sum())
 
     def __len__(self):
-        return len(self.vertices)
+        return len(self.degrees)
 
     def __contains__(self, x):
         return x in self.index
@@ -205,11 +224,12 @@ def _lattice_ball(g, x0, R):
         left = left[parent] - np.abs(c)
     order = np.argsort(R - left, kind="stable")
     coords = offs[order] + np.array(x0, dtype=np.int64)
-    region = Region(g, tuple(zip(*coords.T.tolist())),
-                    np.full(len(coords), float(len(g.unit_offsets))),
+    region = Region(g, None, np.full(len(coords), float(len(g.unit_offsets))),
                     center=x0, radius=R, distances=(R - left)[order])
-    if (2 * R + 3) ** g.dimension < _KEY_LIMIT:   # the padded box has int64 keys
-        region.coords = coords
+    region.coords = coords
+    del region.vertices   # built from coords on first use
+    if (2 * R + 3) ** g.dimension >= _KEY_LIMIT:   # the padded box has no int64 keys
+        region = replace(region)   # a bare ball, with its tuples
     return region
 
 

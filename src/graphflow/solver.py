@@ -532,25 +532,40 @@ class Trajectory:
     same ball.
     The generator and the exponent are read from the region and the config.
 
+    ``rows`` holds the stored rows as they were solved, one per time.
     ``orbits`` is ``(lift, first)``, the orbit of each vertex and the
     first vertex of each orbit, when the rows are constant on the orbits
-    of :func:`graphs.orbit_quotient`; ``values`` still holds every vertex
-    (see :meth:`columns`).  ``edges``, the region's table and edge arrays
+    of :func:`graphs.orbit_quotient`: then ``rows`` has one column per
+    orbit, and ``values``, every row on every vertex, lifts them on each
+    read (it is not cached); :meth:`row` lifts one row.  Without orbits
+    ``values`` is ``rows``.  The weighted sums read the orbit rows (see
+    :meth:`columns`).  ``edges``, the region's table and edge arrays
     (:func:`graphs.region_edges`), are built on first use.
     """
 
     certified = True
 
-    def __init__(self, config, region, times, values, diagnostics,
+    def __init__(self, config, region, times, rows, diagnostics,
                  history=None, orbits=None):
         self.config = config
         self.region = region
         self.times = times
-        self.values = values
+        # orbit rows are kept Fortran-ordered, the layout of the orbit
+        # columns of a lifted matrix: a matrix product rounds by layout
+        self.rows = rows if orbits is None else np.asfortranarray(rows)
         self.diagnostics = diagnostics
         self.history = history or []
         self.partners = []
         self.orbits = orbits
+
+    @property
+    def values(self):
+        """Every stored row on every vertex, ``(times, vertices)``; on orbits, lifted per read."""
+        return self.rows if self.orbits is None else self.rows[:, self.orbits[0]]
+
+    def row(self, k):
+        """Stored row ``k`` on the vertices."""
+        return self.rows[k] if self.orbits is None else self.rows[k, self.orbits[0]]
 
     @cached_property
     def edges(self):
@@ -587,7 +602,7 @@ class Trajectory:
                                 self.region.center if x0 is None else x0)
 
     def field_at(self, t):
-        row = self.values[self.locate(t)]
+        row = self.row(self.locate(t))
         vals = {v: row[i] for i, v in enumerate(self.region.vertices) if row[i] != 0.0}
         return Field(self.generator, vals)
 
@@ -604,6 +619,14 @@ class Trajectory:
         weights = np.bincount(lift) * self.region.degrees[first]
         return first, weights, self.region.distances[first]
 
+    def summands(self, x0=None):
+        """``values[:, cols]`` for the :meth:`columns` about ``x0``, their weights and distances.
+
+        On orbits about the center these are the orbit rows, read unlifted.
+        """
+        cols, weights, dists = self.columns(x0)
+        return self.values if isinstance(cols, slice) else self.rows, weights, dists
+
     # whole-trajectory functionals: one entry per stored time, t = 0 first.
     # Cached on first use (the stored values are final once built), so the
     # arrays are shared between callers and must not be written to.
@@ -611,19 +634,19 @@ class Trajectory:
     @cached_property
     def masses(self):
         """Weighted l1 norms ``sum |u| d_w``."""
-        cols, weights, _ = self.columns()
-        return np.abs(self.values[:, cols]) @ weights
+        rows, weights, _ = self.summands()
+        return np.abs(rows) @ weights
 
     @cached_property
     def sup_norms(self):
-        return np.abs(self.values[:, self.columns()[0]]).max(axis=1)
+        return np.abs(self.summands()[0]).max(axis=1)
 
     def lq_norms(self, q):
         """Weighted lq norms ``(sum |u|^q d_w)^(1/q)``."""
         if q < 1:
             raise ValueError("q must be >= 1")
-        cols, weights, _ = self.columns()
-        a = np.abs(self.values[:, cols])
+        rows, weights, _ = self.summands()
+        a = np.abs(rows)
         np.power(a, q, out=a, where=a > 0)   # most entries are exact zeros
         return (a @ weights) ** (1.0 / q)
 
@@ -690,9 +713,9 @@ def solve_truncated(g, u0: Field, cfg: SolverConfig, n, center=None, partners=()
     When every datum is constant on the orbits of the signed coordinate
     permutations about a ``Z^N`` center (a centred delta, radial data),
     the solve has one unknown per orbit (:func:`graphs.orbit_quotient`)
-    and the stored rows are lifted to the vertices of the last ball: a
-    solve on the vertices up to rounding, with the same steps.  It builds
-    no vertex table; the trajectories keep the orbits.  Each ball's
+    and the trajectories keep their orbit rows, whose lift to the vertices
+    of the last ball is a solve on the vertices up to rounding, with the
+    same steps.  It builds no vertex table and no vertex tuple.  Each ball's
     :class:`graphs.NeighbourTable` is built once; an active ball's
     right-hand side slices it (``table.restrict(m).stacked(k)``).
 
@@ -747,7 +770,7 @@ def solve_truncated(g, u0: Field, cfg: SolverConfig, n, center=None, partners=()
                     row[region.index[v]] = x
             held = np.count_nonzero(row)
         else:   # the data are constant on orbits: each takes its first vertex's value
-            row[:] = [u[region.vertices[i]] for i in first]
+            row[:] = [u[v] for v in map(tuple, region.coords[first].tolist())]
             held = int(np.bincount(lift)[row != 0].sum())
         if held < len(u):
             v = next(v for v in u.support() if v not in region)
@@ -764,8 +787,7 @@ def solve_truncated(g, u0: Field, cfg: SolverConfig, n, center=None, partners=()
     for Y, diag in solved:
         diagnostics = {name: diag[name] for name in ROW_DIAGNOSTICS.names}
         orbits = None if lift is None else (lift, first)
-        traj = Trajectory(cfg, region, times, Y if orbits is None else Y[:, lift],
-                          diagnostics, orbits=orbits)
+        traj = Trajectory(cfg, region, times, Y, diagnostics, orbits=orbits)
         traj.history = [{"n": reg.radius, "vertices": len(reg), "edges": count, **counts}
                         for (reg, count, *_), counts in zip(balls, diag["balls"])]
         trajs.append(traj)
@@ -820,7 +842,9 @@ def comparison_check(g, u01: Field, u02: Field, cfg: SolverConfig, center=None):
     center = _resolve_center(g, u01, center)
     traj1 = solve_cauchy(g, u01, cfg, center=center, partners=(u02,))
     [traj2] = traj1.partners
-    return float((traj1.values - traj2.values).min())
+    # one solve: both on the vertices or both on the same orbits, where a
+    # min over the orbit rows is the min over their lift
+    return float((traj1.rows - traj2.rows).min())
 
 
 def mass_radius(traj: Trajectory, eps, x0=None):
@@ -839,13 +863,13 @@ def mass_radius(traj: Trajectory, eps, x0=None):
     if not (floor < eps < 1.0):
         raise ValueError(f"eps must lie in ({floor!r}, 1), above the rounding of a "
                          f"mass sum over {len(traj.region)} vertices, got {eps!r}")
-    cols, weights, dists = traj.columns(x0)
+    rows, weights, dists = traj.summands(x0)
     target = (1.0 - eps) * traj.masses[0]
     # one bincount over all stored times, keyed by time and distance: each
     # bin sums in the order of a bincount over its time's row alone
-    bins, times = int(dists.max()) + 1, len(traj.values)
+    bins, times = int(dists.max()) + 1, len(traj.times)
     keys = (np.arange(times)[:, None] * bins + dists).ravel()
-    cum = np.cumsum(np.bincount(keys, (np.abs(traj.values[:, cols]) * weights).ravel(),
+    cum = np.cumsum(np.bincount(keys, (np.abs(rows) * weights).ravel(),
                                 times * bins).reshape(times, bins), axis=1)
     short = np.nonzero(cum[:, -1] < target)[0]
     if len(short):

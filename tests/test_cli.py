@@ -322,8 +322,9 @@ SIMULATE_CONFIGS = sorted(p.stem for p in CONFIG_DIR.glob("*.json")
 
 @pytest.mark.parametrize("name", SIMULATE_CONFIGS)
 def test_verify_writes_the_check_json_of_the_direct_run(tmp_path, name):
-    # the stored trajectory is read back on the orbits the solve ran on, so
-    # every check number comes from the same sums, bit for bit
+    # the stored trajectory is read back on the orbit rows the solve kept,
+    # in their layout, so every check number and every ratio column comes
+    # from the same sums, bit for bit (the vertex sum of the moment too)
     cfg = json.loads((CONFIG_DIR / f"{name}.json").read_text())
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
@@ -334,6 +335,9 @@ def test_verify_writes_the_check_json_of_the_direct_run(tmp_path, name):
     direct, verified = ({p.name: p.read_bytes() for p in sorted(d.glob("check_*.json"))}
                         for d in (tmp_path / "run", vout))
     assert direct and verified == direct
+    direct, verified = ({p.name: p.read_bytes() for p in sorted(d.glob("check_*.csv"))}
+                        for d in (tmp_path / "run", vout))
+    assert verified == direct
 
 
 @pytest.fixture(scope="module")

@@ -5,6 +5,8 @@ neighbor function: it carries no unit-offset table, so ``ball`` and
 ``region_edges`` take the ring BFS and the oracle loop on it.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -113,6 +115,39 @@ def test_ball_whose_box_exceeds_int64_keys_takes_the_oracle_loop():
     assert len(b) == 65 and b.coords is None
     assert_same_ball(b, gf.ball(reference(g), (7,) * 32, 1))
     assert_same_edges(g, b)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+@pytest.mark.parametrize("x0", [0, 3, -7])
+def test_lazy_vertex_tuples_match_the_eager_build(N, x0):
+    # a keyed ball builds its tuples and index from coords on first use,
+    # whichever of them, `in` or a bare copy is read first; its length
+    # reads neither
+    g = LATTICES.get(N) or gf.lattice_generator(N)
+    center = tuple(x0 + i for i in range(N))
+    for R in (0, 1, 4):
+        want = gf.ball(reference(g), center, R)
+        edge = (center[0] + R, *center[1:])
+        probes = [*want.vertices, (edge[0] + 1, *edge[1:]), (edge[0] + 0.0, *edge[1:]),
+                  center[:-1], (*center, 0), "x"]
+        for first in ("len", "vertices", "index", "in", "replace"):
+            region = gf.ball(g, center, R)
+            assert region.coords is not None
+            assert len(region) == len(want.vertices)
+            assert "vertices" not in vars(region) and "index" not in vars(region)
+            if first == "vertices":
+                assert region.vertices == want.vertices
+            elif first == "index":
+                assert region.index == want.index
+            elif first == "in":
+                assert [v in region for v in probes] == [v in want for v in probes]
+            elif first == "replace":
+                bare = dataclasses.replace(region)
+                assert bare.coords is None and "vertices" in vars(bare)
+                assert_same_ball(bare, want)
+            assert region.vertices == want.vertices and region.index == want.index
+            assert [v in region for v in probes] == [v in want for v in probes]
+            assert_same_ball(region, want)
 
 
 class Unreadable:

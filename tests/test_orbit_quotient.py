@@ -4,10 +4,10 @@ The signed coordinate permutations about a ``Z^N`` center fix each ring
 and commute with ``Delta_p``, so data constant on their orbits stay so.
 ``solve_truncated`` then integrates one unknown per orbit, on a neighbour
 table whose column ``O`` lists the orbits of its first vertex's ``2N``
-neighbours, with error norms summed over the lifted state, and lifts the
-stored rows to the vertices of the last ball.  The sums run in another
-order, so the lifted solve equals the solve on the vertices up to
-rounding, with the same steps; any other datum takes the vertex path
+neighbours, with error norms summed over the lifted state, and keeps the
+orbit rows, which ``values`` lifts to the vertices of the last ball.  The
+sums run in another order, so the lifted solve equals the solve on the
+vertices up to rounding, with the same steps; any other datum takes the vertex path
 unchanged.  The table's entries count the directed weights
 ``w(O, O') = sum_{x in O, y in O'} w(x, y) / |O|`` exactly as the sums over
 the vertex edge arrays give them, and the trajectory's functionals sum
@@ -16,6 +16,7 @@ over the orbits.
 
 import dataclasses
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -357,6 +358,79 @@ def test_a_stored_trajectory_is_read_on_the_same_orbits(tmp_path, data):
         assert again.orbits is None
     else:
         assert all(map(_same_bits, again.orbits, traj.orbits))
+        assert again.rows.flags.f_contiguous and traj.rows.flags.f_contiguous
+    assert _same_bits(again.rows, traj.rows)
+    # the moment's vertex sum rounds by the layout of the lifted rows
+    assert _same_bits(solver.moment(again, 0.5), solver.moment(traj, 0.5))
     for name in ("masses", "sup_norms"):
         assert _same_bits(getattr(again, name), getattr(traj, name)), name
     assert _same_bits(again.lq_norms(2.0), traj.lq_norms(2.0))
+
+
+def test_orbit_rows_are_lifted_on_each_read():
+    # the trajectory keeps the rows it was solved on; values lifts them on
+    # every read, in the layout of the lift the solve made before
+    z2 = gf.lattice_generator(2)
+    cfg = gf.SolverConfig(p=3.0, instants=gf.log_instants(0.1, 10.0, 9), n0=8)
+    traj = gf.solve_cauchy(z2, gf.delta_field(z2, (0, 0), 5.0), cfg)
+    lift, first = traj.orbits
+    assert traj.rows.shape == (len(traj.times), len(first)) and traj.rows.flags.f_contiguous
+    values = traj.values
+    assert traj.values is not values and "values" not in vars(traj)
+    assert values.flags.f_contiguous and _same_bits(values, traj.rows[:, lift])
+    assert _same_bits(values[:, first], traj.rows)
+    for k, t in enumerate(traj.times):
+        assert _same_bits(traj.row(k), values[k])
+        assert traj.field_at(t).values == {v: x for v, x in zip(traj.region.vertices,
+                                                                values[k]) if x != 0.0}
+
+
+CENTRED_Z3 = {
+    "graph": {"family": "lattice", "N": 3},
+    "initial_data": {"kind": "delta", "center": [0, 0, 0], "amplitude": 30.0},
+    "solver": {"p": 3.0, "t_min": 0.01, "t_max": 30.0, "num_instants": 50, "n0": 8},
+    "profile": {"kind": "lattice", "c0": 1.0},
+    "checks": [{"type": "decay_fit", "window": [1, 30]},
+               {"type": "propagation_fit", "window": [1, 30]},
+               {"type": "sup_bound", "window": [1, 30]},
+               {"type": "lower_bound"},
+               {"type": "moment_bound", "alpha": 0.5, "window": [1, 30]},
+               {"type": "entropy_bound", "window": [1, 30]}],
+}
+
+
+def test_a_centred_run_builds_no_vertex_tuples(monkeypatch, tmp_path):
+    # the quotient solve, every check and the export read the balls'
+    # coordinates, distances and degrees: none of them builds its tuples
+    built = []
+
+    def recorded(g, x0, R):
+        built.append(gf.ball(g, x0, R))
+        return built[-1]
+    monkeypatch.setattr(solver, "ball", recorded)
+    report = cli.run(CENTRED_Z3, tmp_path)
+    assert report["certified"] and len(report["checks"]) == 6 and len(built) > 1
+    for region in built:
+        assert region.coords is not None
+        assert "vertices" not in vars(region) and "index" not in vars(region)
+
+
+def test_a_centred_solve_holds_its_orbit_rows_not_vertex_rows():
+    # Z^3 B_24: 19,649 vertices in 575 orbits.  What the trajectory holds
+    # after the solve is its orbit rows, the ball's arrays and the lift;
+    # its 64 rows lifted would take 9.6 MiB, its vertex tuples about 2 MiB
+    z3 = gf.lattice_generator(3)
+    u0 = gf.delta_field(z3, (0, 0, 0), 30.0)
+    gf.solve_cauchy(z3, u0, gf.SolverConfig(p=3.0, instants=[0.01, 1.0], n0=4))   # warm
+    cfg = gf.SolverConfig(p=3.0, instants=gf.log_instants(0.01, 300.0, 63), n0=16)
+    tracemalloc.start()
+    try:
+        traj = gf.solve_cauchy(z3, u0, cfg)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    region = traj.region
+    assert region.radius == 24 and len(region) == 19_649 and traj.rows.shape == (64, 575)
+    arrays = [traj.rows, region.coords, region.degrees, region.distances, *traj.orbits]
+    assert held <= sum(a.nbytes for a in arrays) + 2 ** 18
+    assert held < traj.values.nbytes / 8
