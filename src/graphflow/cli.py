@@ -351,10 +351,17 @@ def _slow_decay_horizon_errors(cfg, g, profile):
 def _run_seed(cfg, seed=None):
     """The seed a run uses, as an int: ``seed`` if given, else the config's (0 if none).
 
-    The schema takes an integral float such as ``20245.0`` as an integer;
-    the random generators take only an int.
+    A given ``seed`` (``--seed``) must pass the schema's rule for the
+    config's.  The schema takes an integral float such as ``20245.0`` as an
+    integer; the random generators take only an int.
     """
-    return int(cfg.get("seed", 0) if seed is None else seed)
+    if seed is None:
+        return int(cfg.get("seed", 0))
+    errors = [f"--seed: {message}" for *_, message
+              in _schema_errors(CONFIG_SCHEMA["properties"]["seed"], seed)]
+    if errors:
+        raise ConfigError("; ".join(errors))
+    return int(seed)
 
 
 def config_hash(cfg):
@@ -525,7 +532,7 @@ def load_trajectory(run_dir, g):
     if certified is not True:
         raise ConfigError(f"manifest of {run_dir} is not of a certified run: "
                           f"certified={certified!r}")
-    if not isinstance(n, int) or n < 0:
+    if type(n) is not int or n < 0:   # a bool is no radius
         raise ConfigError(f"manifest of {run_dir} has no certified radius: {n!r}")
     fdir = run_dir / "fields"
     if not fdir.is_dir():
@@ -809,6 +816,12 @@ def _dispatch(args):
         cfg = _load_config(args.config)
         g, *_, profile, _ = _setup(cfg, args.seed)
         traj = load_trajectory(args.traj_dir, g)
+        # the checks read the config's data and solver: they must be the run's
+        stored = json.loads((Path(args.traj_dir) / "manifest.json").read_text())["config"]
+        differ = [k for k in ("graph", "initial_data", "solver") if stored.get(k) != cfg.get(k)]
+        if differ:
+            raise ConfigError(f"{args.config} differs from the config of the run in "
+                              f"{args.traj_dir} in: {', '.join(differ)}")
         out = Path(args.out or args.traj_dir)
         results, _ = _run_checks(cfg, traj, profile, out)
         return 0 if all(r.get("pass", True) for r in results) else 1

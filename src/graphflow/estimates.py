@@ -68,13 +68,13 @@ class ExponentFit:
         return abs(self.slope - self.theoretical) <= self.tolerance
 
 
-def fit_loglog(ts, ys, window, theoretical=None, tolerance=None, min_points=10):
+def fit_loglog(ts, ys, window, theoretical=None, tolerance=None):
     """Fit ``log y ~ slope * log t`` over ``window``; needs >= 10 points."""
     ts = np.asarray(ts, dtype=float)
     ys = np.asarray(ys, dtype=float)
     m = (ts >= window[0]) & (ts <= window[1]) & (ys > 0) & (ts > 0)
     n = int(m.sum())
-    if n < min_points:
+    if n < 10:
         raise ValueError(f"fit window {window} holds only {n} usable instants")
     x = np.log(ts[m])
     y = np.log(ys[m])
@@ -100,9 +100,9 @@ def fit_decay_exponent(traj: Trajectory, window=DEFAULT_WINDOW,
 
 
 def fit_propagation_exponent(traj: Trajectory, eps, window=DEFAULT_WINDOW,
-                             theoretical=None, tolerance=None, x0=None):
-    """Slope of log mass-confinement radius against log t on the window."""
-    radii = mass_radius(traj, eps, x0=x0)[1:].astype(float)
+                             theoretical=None, tolerance=None):
+    """Slope of log mass-confinement radius about the center against log t on the window."""
+    radii = mass_radius(traj, eps)[1:].astype(float)
     return fit_loglog(traj.instants, radii, window, theoretical, tolerance)
 
 
@@ -196,8 +196,7 @@ def check_sup_bound(traj: Trajectory, profile, window=DEFAULT_WINDOW):
         lambda: (traj.sup_norms[1:], traj.masses[0] * _decay_scale(traj, profile)))
 
 
-def check_lower_bound(traj: Trajectory, profile, x0=None, window=None,
-                      eps=0.5):
+def check_lower_bound(traj: Trajectory, profile, x0=None, window=None):
     """Constant-free lower bound through the half-mass radius.
 
     At every instant, ``sup u(t) * 2 mu_w(B_R(t)) >= m0`` with ``R(t)`` the
@@ -210,7 +209,7 @@ def check_lower_bound(traj: Trajectory, profile, x0=None, window=None,
     window = _trim_window(traj, window) if window else (float(ts[0]), float(ts[-1]))
     m0 = traj.masses[0]
     sups = traj.sup_norms[1:]
-    radii = mass_radius(traj, eps, x0=x0)[1:]
+    radii = mass_radius(traj, 0.5, x0=x0)[1:]
     dists = traj.distances(x0)
     support = np.abs(traj.row(0)) > 0
     s0 = int(dists[support].max()) if support.any() else 0
@@ -363,23 +362,21 @@ class PowerLawSpec:
         return value, err
 
 
-def slow_decay_T(spec: PowerLawSpec, q, R, profile, x0=None,
-                 annulus_radius=None, max_tail_error=0.01):
-    """Balance time of the data at radius R: tail decay vs local mass.
+def slow_decay_T(spec: PowerLawSpec, q, R, profile, annulus_radius=None):
+    """Balance time of the data at radius R about its center: tail decay vs local mass.
 
     ``T(R) = (m_R / E)^((p-2)/(q-1)) / Lambda_p((m_R E^(-1/q))^(q/(q-1)))``
     with ``m_R`` the l1 norm over ``B_R`` and ``E`` the q-th norm power
-    outside.  Nondecreasing in R and divergent as R grows; the minimal R
-    with ``T(R) >= t`` calibrates the decay envelope at time t.
+    outside, whose tail bracket must be within 1 % of it.  Nondecreasing
+    in R and divergent as R grows; the minimal R with ``T(R) >= t``
+    calibrates the decay envelope at time t.
     """
     if q <= 1:
         raise ValueError("q must exceed 1")
-    if x0 is not None and x0 != spec.center:
-        raise ValueError("x0 must be the data center")
     p = profile.p
     m_R = spec.partial_mass(R)
     E, err = spec.lq_tail(R, q, annulus_radius=annulus_radius)
-    if err > max_tail_error * E:
+    if err > 0.01 * E:
         raise ValueError(f"tail bracket too wide: {err:.3g} vs {E:.3g}")
     return (m_R / E) ** ((p - 2.0) / (q - 1.0)) \
         / profile.lambda_value((m_R * E ** (-1.0 / q)) ** (q / (q - 1.0)))

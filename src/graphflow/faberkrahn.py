@@ -213,15 +213,15 @@ def psi_inverse(profile, r, y):
     return _like(y, np.exp(u))
 
 
-def ball_radius_inverse(g, x0, v, r_cap=10 ** 6):
+def ball_radius_inverse(g, x0, v):
     """Minimal integer R with ``mu_w(B_R(x0)) >= v`` (overshoot convention).
 
     Discrete measures generically cannot hit ``v`` exactly, so the minimal
-    overshooting radius is returned.
+    overshooting radius is returned; the search stops at radius 10^6.
     """
     if v <= 0:
         raise ValueError("v must be positive")
-    total = 0.0
+    total, r_cap = 0.0, 10 ** 6
     for R, ring in enumerate(rings(g, x0, r_cap + 1)):
         if R > r_cap:
             raise ConvergenceError(f"measure {v} not reached within radius {r_cap}")
@@ -250,39 +250,40 @@ def rayleigh_quotient(g, region, f: Field, p):
     return dirichlet_energy(g, f, p, region) / denom
 
 
-def _quotient_batch(F, edges, degrees, p):
+def _quotient_batch(F, table, degrees, p):
     # F has shape (..., n); energy counts each undirected edge twice
-    return 2.0 * edges.power_sum(F, p), np.abs(F) ** p @ degrees
+    return 2.0 * table.power_sum(F, p), np.abs(F) ** p @ degrees
 
 
-def dirichlet_p_eigenvalue(g, region, p, tol=1e-10, starts=8, seed=0,
-                           max_iter=5000):
+def dirichlet_p_eigenvalue(g, region, p, seed=0):
     """Smallest Dirichlet p-Rayleigh quotient over fields on the region.
 
     Normalized gradient descent on the p-energy under the weighted p-norm
-    constraint, with multistart (the indicator of the region plus
-    ``starts`` random fields); the best converged value is returned.
+    constraint, with multistart (the indicator of the region plus 8 random
+    fields) to a relative tolerance of 1e-10; the best converged value is
+    returned.
 
     Raises
     ------
     ConvergenceError
-        If no start converges within ``max_iter`` iterations.
+        If no start converges within 5000 iterations.
     """
     p = require_exponent(p)
-    edges = region_edges(g, region)
-    divergence = edges.table.divergence(p)
+    tol = 1e-10
+    table = region_edges(g, region)
+    divergence = table.divergence(p)
     degs = region.degrees
     n = len(region)
     rng = np.random.default_rng(seed)
     starts_list = [np.ones(n)]
-    for _ in range(max(0, starts)):
+    for _ in range(8):
         starts_list.append(rng.uniform(0.05, 1.0, n))
 
     def normalize(f):
         return f / (np.abs(f) ** p * degs).sum() ** (1.0 / p)
 
     def quotient(f):
-        e, d = _quotient_batch(f, edges, degs, p)
+        e, d = _quotient_batch(f, table, degs, p)
         return e / d
 
     def grad_quotient(f):
@@ -299,7 +300,7 @@ def dirichlet_p_eigenvalue(g, region, p, tol=1e-10, starts=8, seed=0,
         step = 0.1
         flat = 0
         converged = False
-        for _ in range(max_iter):
+        for _ in range(5000):
             grad = grad_quotient(f)
             gnorm2 = (grad * grad).sum()
             if gnorm2 <= (tol * max(q, 1.0)) ** 2:
@@ -330,7 +331,7 @@ def dirichlet_p_eigenvalue(g, region, p, tol=1e-10, starts=8, seed=0,
             converged_any = True
             # max-normalization keeps unit-weight quotients exact
             fm = f / np.abs(f).max()
-            e, d = _quotient_batch(fm, edges, degs, p)
+            e, d = _quotient_batch(fm, table, degs, p)
             val = e / d
             best = val if best is None else min(best, val)
     if not converged_any:
@@ -338,24 +339,24 @@ def dirichlet_p_eigenvalue(g, region, p, tol=1e-10, starts=8, seed=0,
     return float(best)
 
 
-def eigenvalue_grid_oracle(g, region, p, step=1e-3):
+def eigenvalue_grid_oracle(g, region, p):
     """Exhaustive-grid minimum of the Rayleigh quotient, |region| <= 3.
 
     Nonnegative competitors normalized by max = 1 (the quotient is scale
     invariant and replacing f by |f| cannot increase it), gridded at
-    ``step`` on each remaining coordinate; one face per choice of the
+    step 1e-3 on each remaining coordinate; one face per choice of the
     maximal coordinate.
     """
     p = require_exponent(p)
     n = len(region)
     if n > 3:
         raise ValueError("grid oracle is limited to regions of size <= 3")
-    edges = region_edges(g, region)
+    table = region_edges(g, region)
     degs = region.degrees
     if n == 1:
-        e, d = _quotient_batch(np.ones(1), edges, degs, p)
+        e, d = _quotient_batch(np.ones(1), table, degs, p)
         return float(e / d)
-    m = int(round(1.0 / step)) + 1
+    m = 1001   # step 1e-3
     axis = np.linspace(0.0, 1.0, m)
     best = np.inf
     if n == 2:
@@ -363,7 +364,7 @@ def eigenvalue_grid_oracle(g, region, p, step=1e-3):
             F = np.empty((m, 2))
             F[:, k] = 1.0
             F[:, 1 - k] = axis
-            e, d = _quotient_batch(F, edges, degs, p)
+            e, d = _quotient_batch(F, table, degs, p)
             best = min(best, float((e / d).min()))
     else:
         g1, g2 = np.meshgrid(axis, axis, indexing="ij")
@@ -374,7 +375,7 @@ def eigenvalue_grid_oracle(g, region, p, step=1e-3):
             others = [i for i in range(3) if i != k]
             F[:, others[0]] = flat1
             F[:, others[1]] = flat2
-            e, d = _quotient_batch(F, edges, degs, p)
+            e, d = _quotient_batch(F, table, degs, p)
             best = min(best, float((e / d).min()))
     return best
 
@@ -420,7 +421,7 @@ def connected_subsets_containing(g, base, max_size):
     yield from rec([base], {base}, first_cand, set())
 
 
-def fk_profile_bruteforce(g, base, size_cap, p, tol=1e-10, starts=8, seed=0):
+def fk_profile_bruteforce(g, base, size_cap, p, seed=0):
     """Tabulated profile from small connected subsets containing ``base``.
 
     For every achievable measure: the minimum Dirichlet p-eigenvalue over
@@ -433,7 +434,7 @@ def fk_profile_bruteforce(g, base, size_cap, p, tol=1e-10, starts=8, seed=0):
     per_measure = {}
     for verts in connected_subsets_containing(g, base, size_cap):
         reg = region_from_vertices(g, verts)
-        lam = dirichlet_p_eigenvalue(g, reg, p, tol=tol, starts=starts, seed=seed)
+        lam = dirichlet_p_eigenvalue(g, reg, p, seed=seed)
         v = round(reg.measure, 9)
         if v not in per_measure or lam < per_measure[v]:
             per_measure[v] = lam
@@ -465,14 +466,16 @@ class AssumptionReport:
         return self.nd_ok and self.ni_ok and self.above_ok and self.below_ok
 
 
-def check_assumptions(profile, grid, rtol=1e-11):
+def check_assumptions(profile, grid):
     """Verify the structural profile assumptions on an evaluation grid.
 
     Checks that ``v^(-p/N)/Lambda(v)`` is nondecreasing, that
     ``v^(-omega)/Lambda(v)`` is nonincreasing, and their two pairwise
     scaling consequences (``Lambda(sa)^-1 <= s^omega Lambda(a)^-1`` for
-    s >= 1 and ``Lambda(sa)^-1 <= s^(p/N) Lambda(a)^-1`` for s <= 1).
+    s >= 1 and ``Lambda(sa)^-1 <= s^(p/N) Lambda(a)^-1`` for s <= 1),
+    each up to a relative slack of 1e-11.
     """
+    rtol = 1e-11
     grid = np.asarray(grid, dtype=float)
     if grid.size < 100:
         raise ValueError("need a grid of at least 100 points")
@@ -517,11 +520,11 @@ def check_assumptions(profile, grid, rtol=1e-11):
     return report
 
 
-def check_psi_scaling_monotone(profile, b, taus, rtol=1e-9):
+def check_psi_scaling_monotone(profile, b, taus):
     """Grid check that ``tau^nu * psi_1^{-1}(b/tau)^((p-2)/(p-1))`` is nondecreasing.
 
     ``nu = N(p-2) / ((N(p-2)+p)(p-1))``; on exact lattice power laws the
-    map is constant, so a relative slack absorbs roundoff.
+    map is constant, so a relative slack of 1e-9 absorbs roundoff.
     Returns ``(ok, worst_relative_drop, nu)``.
     """
     p, N = profile.p, profile.N
@@ -529,7 +532,7 @@ def check_psi_scaling_monotone(profile, b, taus, rtol=1e-9):
     taus = np.sort(np.asarray(taus, dtype=float))
     vals = taus ** nu * psi_inverse(profile, 1.0, b / taus) ** ((p - 2.0) / (p - 1.0))
     rel_drop = ((vals[:-1] - vals[1:]) / np.abs(vals[:-1])).max()
-    return bool(rel_drop <= rtol), float(rel_drop), nu
+    return bool(rel_drop <= 1e-9), float(rel_drop), nu
 
 
 def check_ball_measure_bound(g, x0, profile, c, s_values):

@@ -23,7 +23,8 @@ fills its table by one loop over the oracle.
 
 Every solve's kernel is a :class:`NeighbourTable`, built once per ball by
 :func:`region_edges` and sliced for the sub-balls and stacked copies a
-step runs on; the edge arrays of the power sums are read off it.
+step runs on.  It is the one edge structure: the edge arrays of the power
+sums are read off it.
 """
 
 from __future__ import annotations
@@ -289,6 +290,11 @@ class NeighbourTable:
     zero slot would give ``|u|^(p-1) * 0``, a NaN once that overflows).
     Both arrays are C-contiguous, as are those of every table made from
     them: a strided table is several times slower to gather through.
+
+    The edge arrays ``ei, ej, w, bi, bw`` are read off the table on first
+    use, column by column in entry order: the internal entries
+    ``x < y < n``, each edge once, then the stubs, which see a zero
+    exterior.  They give the edge power sums of energies and flux integrals.
     """
 
     nbr: np.ndarray       # (k, n) entry indices, n for a stub
@@ -377,25 +383,9 @@ class NeighbourTable:
         halves = np.count_nonzero(self.W, axis=0) + np.count_nonzero(self.nbr == self.n, axis=0)
         return int((halves * sizes).sum()) // 2
 
-
-@dataclass
-class RegionEdges:
-    """A region's :class:`NeighbourTable` and, read off it on first use, its edge arrays.
-
-    Column by column in entry order: the internal entries ``x < y < n``,
-    each edge once, then the stubs, which see a zero exterior.  They give
-    the edge power sums of energies and flux integrals.
-    """
-
-    table: NeighbourTable
-
-    @property
-    def n(self):
-        return self.table.n
-
     @cached_property
     def _arrays(self):
-        n, nbr, W = self.n, self.table.nbr.T, self.table.W.T   # vertex by vertex
+        n, nbr, W = self.n, self.nbr.T, self.W.T   # vertex by vertex
         x = np.broadcast_to(np.arange(n)[:, None], nbr.shape)
         inner, stub = (x < nbr) & (nbr < n), nbr == n
         return x[inner], nbr[inner], W[inner], x[stub], W[stub]
@@ -417,7 +407,7 @@ class RegionEdges:
 
 
 def region_edges(g, region):
-    """The :class:`RegionEdges` of a region, against the full graph.
+    """The :class:`NeighbourTable` of a region, against the full graph.
 
     On a ball built by :func:`ball` on ``Z^N`` one box-key lookup on
     ``region.coords`` fills the table in unit-offset order at weight 1;
@@ -449,8 +439,8 @@ def region_edges(g, region):
     x = np.arange(n)
     key = np.where(nbr < x, nbr + 1, np.where((x < nbr) & (nbr < n), 0, n + 1))
     order = np.argsort(key, axis=0, kind="stable")   # ties keep the fill order
-    return RegionEdges(NeighbourTable(np.take_along_axis(nbr, order, axis=0),
-                                      np.take_along_axis(W, order, axis=0)))
+    return NeighbourTable(np.take_along_axis(nbr, order, axis=0),
+                          np.take_along_axis(W, order, axis=0))
 
 
 def orbit_constant(values, center):
@@ -526,16 +516,15 @@ class Cutoff:
     center: object
     R1: int
     R2: int
-    _dist: dict = field(default=None, repr=False)
+    _dist: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.R1 < 0:
             raise ValueError("R1 must be >= 0")
         if self.R2 <= self.R1:
             raise ValueError(f"need R2 >= R1 + 1, got R1={self.R1}, R2={self.R2}")
-        if self._dist is None:
-            self._dist = {v: d for d, ring in enumerate(
-                rings(self.generator, self.center, self.R2)) for v in ring}
+        self._dist = {v: d for d, ring in enumerate(
+            rings(self.generator, self.center, self.R2)) for v in ring}
 
     def value(self, x):
         d = self._dist.get(x)
@@ -605,12 +594,12 @@ class FiniteGraph:
         return sum(map(len, rings(g, self.nodes[0]))) == len(self.nodes)
 
 
-def complete_graph(k, name=None):
-    """Unit-weight complete graph on ``k`` vertices labeled ``0..k-1``."""
+def complete_graph(k):
+    """Unit-weight complete graph ``K_k`` on ``k`` vertices labeled ``0..k-1``."""
     if k < 2:
         raise ValueError("need at least 2 vertices")
     edges = [(i, j, 1.0) for i in range(k) for j in range(i + 1, k)]
-    return FiniteGraph(edges, name=name or f"K_{k}")
+    return FiniteGraph(edges, name=f"K_{k}")
 
 
 def product_generator(H: FiniteGraph, N):
@@ -670,7 +659,7 @@ def generator_from_edges(edges, name="custom"):
                           sort_key=G.node_position)
 
 
-def generator_from_file(path, name=None):
+def generator_from_file(path):
     """Load a custom graph from a text file, one edge per line: ``x y weight``."""
     edges = []
     with open(path) as f:
@@ -683,4 +672,4 @@ def generator_from_file(path, name=None):
                 raise GraphError(f"{path}:{ln}: expected 'x y weight', got {line!r}")
             u, v, w = parts[0], parts[1], float(parts[2])
             edges.append((u, v, w))
-    return generator_from_edges(edges, name=name or str(path))
+    return generator_from_edges(edges, name=str(path))

@@ -108,13 +108,13 @@ def monotonicity_gamma(q, p):
     return ((q - 1.0 + p) / p) ** p / q
 
 
-def monotonicity_check(a, b, q, p, rtol=1e-12):
+def monotonicity_check(a, b, q, p):
     """Check ``(a^m - b^m)^p <= gamma(q,p) (a^q - b^q)(a-b)^(p-1)``.
 
     Here ``m = (q-1+p)/p`` and gamma is :func:`monotonicity_gamma`; the
     inequality is the elementary pointwise bound behind the energy
     estimates for the flow.  Requires ``a > b > 0``, ``q > 0``, ``p > 2``.
-    A relative slack ``rtol`` absorbs roundoff in the equality cases
+    A relative slack of 1e-12 absorbs roundoff in the equality cases
     (e.g. q = 1, where both sides coincide).
     """
     p = require_exponent(p)
@@ -125,4 +125,4 @@ def monotonicity_check(a, b, q, p, rtol=1e-12):
     m = (q - 1.0 + p) / p
     lhs = (a ** m - b ** m) ** p
     rhs = monotonicity_gamma(q, p) * (a ** q - b ** q) * (a - b) ** (p - 1.0)
-    return lhs <= rhs * (1.0 + rtol)
+    return lhs <= rhs * (1.0 + 1e-12)

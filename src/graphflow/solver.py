@@ -94,6 +94,8 @@ def log_instants(t_min, t_max, count):
 
 # factor between the radii of consecutive balls of a growing solve (rounded up)
 RADIUS_GROWTH = 1.5
+# attempts a solve may make before it fails
+MAX_STEPS = 1_000_000
 
 
 @dataclass
@@ -106,19 +108,20 @@ class SolverConfig:
     atol: float = 1e-12
     n0: int | None = None
     max_expansions: int = 13
-    max_steps: int = 1_000_000
 
     def __post_init__(self):
         self.p = require_exponent(self.p)
         self.instants = np.asarray(self.instants, dtype=float)
         if self.instants.ndim != 1 or len(self.instants) == 0:
             raise ValueError("instants must be a nonempty 1-d array")
+        if not np.isfinite(self.instants).all():
+            raise ValueError("output instants must be finite")
         if self.instants[0] <= 0:
             raise ValueError("first output instant must be > 0")
         if (np.diff(self.instants) <= 0).any():
             raise ValueError("output instants must be strictly increasing")
-        if self.rtol <= 0 or self.atol <= 0:
-            raise ValueError("tolerances must be positive")
+        if not (0 < self.rtol < math.inf and 0 < self.atol < math.inf):   # NaN too
+            raise ValueError("tolerances must be positive and finite")
         if self.n0 is not None and (self.n0 < 1 or int(self.n0) != self.n0):
             raise ValueError("n0 must be a positive integer")
         if self.max_expansions < 1 or int(self.max_expansions) != self.max_expansions:
@@ -539,14 +542,14 @@ class Trajectory:
     orbit, and ``values``, every row on every vertex, lifts them on each
     read (it is not cached); :meth:`row` lifts one row.  Without orbits
     ``values`` is ``rows``.  The weighted sums read the orbit rows (see
-    :meth:`columns`).  ``edges``, the region's table and edge arrays
-    (:func:`graphs.region_edges`), are built on first use.
+    :meth:`summands`).  ``edges``, the region's neighbour table
+    (:func:`graphs.region_edges`), whose edge arrays give the power sums, is
+    built on first use.
     """
 
     certified = True
 
-    def __init__(self, config, region, times, rows, diagnostics,
-                 history=None, orbits=None):
+    def __init__(self, config, region, times, rows, diagnostics, orbits=None):
         self.config = config
         self.region = region
         self.times = times
@@ -554,7 +557,7 @@ class Trajectory:
         # columns of a lifted matrix: a matrix product rounds by layout
         self.rows = rows if orbits is None else np.asfortranarray(rows)
         self.diagnostics = diagnostics
-        self.history = history or []
+        self.history = []
         self.partners = []
         self.orbits = orbits
 
@@ -606,26 +609,17 @@ class Trajectory:
         vals = {v: row[i] for i, v in enumerate(self.region.vertices) if row[i] != 0.0}
         return Field(self.generator, vals)
 
-    def columns(self, x0=None):
-        """The columns of ``values`` a weighted sum over the vertices reads.
+    def summands(self, x0=None):
+        """The rows a weighted sum over the vertices reads, their weights and distances from ``x0``.
 
-        Returns them, their weights and their distances from ``x0``: with
-        orbits about ``x0`` (the center), each orbit's first vertex at
-        weight ``|O| d_w(O)``, else every vertex (a slice) at ``d_w``.
+        With orbits about ``x0`` (the center), the orbit rows, read
+        unlifted, at weight ``|O| d_w(O)``; else ``values`` at ``d_w``.
         """
         if self.orbits is None or x0 not in (None, self.region.center):
-            return slice(None), self.region.degrees, self.distances(x0)
+            return self.values, self.region.degrees, self.distances(x0)
         lift, first = self.orbits
         weights = np.bincount(lift) * self.region.degrees[first]
-        return first, weights, self.region.distances[first]
-
-    def summands(self, x0=None):
-        """``values[:, cols]`` for the :meth:`columns` about ``x0``, their weights and distances.
-
-        On orbits about the center these are the orbit rows, read unlifted.
-        """
-        cols, weights, dists = self.columns(x0)
-        return self.values if isinstance(cols, slice) else self.rows, weights, dists
+        return self.rows, weights, self.region.distances[first]
 
     # whole-trajectory functionals: one entry per stored time, t = 0 first.
     # Cached on first use (the stored values are final once built), so the
@@ -744,7 +738,7 @@ def solve_truncated(g, u0: Field, cfg: SolverConfig, n, center=None, partners=()
             sizes = np.bincount(lift)   # the vertices each orbit stands for
             dist, degrees = region.distances[first], region.degrees[first]
         else:
-            table, lift, first, sizes = region_edges(g, region).table, None, None, 1
+            table, lift, first, sizes = region_edges(g, region), None, None, 1
             dist, degrees = region.distances, region.degrees
         balls.append((region, table.edge_count(sizes), lift, first))
 
@@ -778,7 +772,7 @@ def solve_truncated(g, u0: Field, cfg: SolverConfig, n, center=None, partners=()
                              f"B_{region.radius}({region.center!r})")
     n0 = first_radius(u0, cfg, center, partners)
     solved = _integrate(rhs_on, dist, y0, float(cfg.instants[-1]), cfg.instants, cfg.rtol,
-                        cfg.atol, cfg.max_steps, grow=grow_ball if ringed else None,
+                        cfg.atol, MAX_STEPS, grow=grow_ball if ringed else None,
                         norm_size=int(np.count_nonzero(region.distances <= n0)),
                         lift=lift)
     region, _, lift, first = balls[-1]

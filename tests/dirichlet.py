@@ -48,7 +48,7 @@ def kept_on(g, u0, cfg, center, radii):
             sizes = np.bincount(lift)
             dist, degrees = region.distances[first], region.degrees[first]
         else:
-            table, lift, first, sizes = region_edges(g, region).table, None, None, 1
+            table, lift, first, sizes = region_edges(g, region), None, None, 1
             dist, degrees = region.distances, region.degrees
 
         def rhs_on(m):   # through the module attribute, which tests may wrap
@@ -70,7 +70,7 @@ def kept_on(g, u0, cfg, center, radii):
     n0 = solver.first_radius(u0, cfg, center)
     Y, diag = solver._integrate(
         rhs_on, dist, y0, float(cfg.instants[-1]), cfg.instants, cfg.rtol, cfg.atol,
-        cfg.max_steps, grow=grow if len(regions) > 1 else None,
+        solver.MAX_STEPS, grow=grow if len(regions) > 1 else None,
         norm_size=int(np.count_nonzero(regions[0].distances <= n0)), lift=lift)
     region, _, lift, first = balls[-1]
     history = [{"n": reg.radius, "vertices": len(reg), "edges": count, **counts}

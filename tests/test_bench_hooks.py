@@ -80,7 +80,7 @@ def test_fields_the_tracer_reads():
     assert len(edges.ei) + len(edges.bi) == 8   # 6 internal edges and 2 stubs
     # the timed right-hand side calls _make_rhs(table, degrees, p) by position
     # and counts len(degrees) vertices per call
-    args = (edges.table, region.degrees, 3.0)
+    args = (edges, region.degrees, 3.0)
     inspect.signature(gf.solver._make_rhs).bind(*args)
     assert gf.solver._make_rhs(*args)(0.0, np.ones(len(region))).shape == (len(region),)
 

@@ -376,8 +376,10 @@ def _vertex_outside_the_ball(run):
      "lacks key 't_min'"),
     (lambda run: _edit_manifest(run, lambda m: m.update(certified=False)),
      "not of a certified run"),
+    (lambda run: _edit_manifest(run, lambda m: m.update(certified_radius=True)),
+     "has no certified radius: True"),
 ], ids=["missing_dir", "missing_key", "null_radius", "no_fields", "vertex_outside_ball",
-        "no_t_min", "uncertified"])
+        "no_t_min", "uncertified", "bool_radius"])
 def test_verify_bad_trajectory_dir_exits_2(tmp_path, capsys, monkeypatch, verified_run,
                                            damage, message):
     cfg_path, run = verified_run
@@ -392,6 +394,37 @@ def test_verify_bad_trajectory_dir_exits_2(tmp_path, capsys, monkeypatch, verifi
     assert cli.main(["verify", "--config", str(cfg_path), "--traj-dir", str(traj_dir),
                      "--out", str(tmp_path / "verify")]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, key, value", [("solver", "p", 4.0),
+                                                 ("initial_data", "amplitude", 5.0)])
+def test_verify_refuses_the_run_of_another_config(tmp_path, capsys, verified_run,
+                                                  section, key, value):
+    # the checks would read this config's exponent or mass against a
+    # trajectory solved for another
+    cfg_path, run = verified_run
+    cfg = json.loads(cfg_path.read_text())
+    cfg[section][key] = value
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps(cfg))
+    out = tmp_path / "verify"
+    assert cli.main(["verify", "--config", str(other), "--traj-dir", str(run),
+                     "--out", str(out)]) == 2
+    assert f"of the run in {run} in: {section}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "fk", "verify"])
+def test_a_negative_seed_is_a_config_error(tmp_path, capsys, verified_run, command):
+    cfg_path, run = verified_run
+    if command == "fk":
+        cfg_path = CONFIG_DIR / "fk_lattice1d.json"
+    extra = ["--traj-dir", str(run)] if command == "verify" else []
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(cfg_path), "--out", str(out), *extra,
+                     "--seed", "-3"]) == 2
+    assert "--seed: -3 is less than the minimum of 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_main_missing_config_is_usage_error(tmp_path):

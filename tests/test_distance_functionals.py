@@ -120,10 +120,10 @@ def test_lower_bound_support_hypothesis_is_measured_from_x0(z1_run):
 
 def _rowwise_mass_radius(traj, eps, x0):
     # the per-instant loop that mass_radius's one bincount replaced
-    cols, weights, dists = traj.columns(x0)
+    rows, weights, dists = traj.summands(x0)
     target = (1.0 - eps) * traj.masses[0]
-    cum = np.cumsum([np.bincount(dists, np.abs(row[cols]) * weights, int(dists.max()) + 1)
-                     for row in traj.values], axis=1)
+    cum = np.cumsum([np.bincount(dists, np.abs(row) * weights, int(dists.max()) + 1)
+                     for row in rows], axis=1)
     return np.argmax(cum >= target, axis=1)
 
 

@@ -211,13 +211,12 @@ def test_restrict_matches_edges_of_the_sub_ball(graph):
          else gf.product_generator(gf.complete_graph(3), 1))
     center = (0, 0)
     big = gf.ball(g, center, 6)
-    edges = region_edges(g, big)
+    table = region_edges(g, big)
     small = gf.ball(g, center, 3)
     m = len(small)
     assert big.vertices[:m] == small.vertices
-    table = edges.table
     sub = table.restrict(m)
-    ref = region_edges(g, small).table
+    ref = region_edges(g, small)
     # every entry keeps its place; cut edges become stubs of their inside end
     assert sub.n == ref.n == m
     inside = table.nbr[:, :m] < m

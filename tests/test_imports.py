@@ -1,10 +1,13 @@
-"""Every name a graphflow module imports is used, and every definition is named.
+"""Every name a graphflow module imports is used, every definition is named,
+and every defaulted parameter is set by some call.
 
 No linter runs on this code base, so these guards catch what a deletion
 leaves behind: an import the module no longer reads (``__init__`` is left
-out, as its imports are the package's public names), and a top-level
+out, as its imports are the package's public names), a top-level
 function or class that no code, test, demo or benchmark names outside its
-own definition.
+own definition, and a parameter with a default, or a defaulted dataclass
+field that ``__init__`` takes, that no call there ever sets: a setting
+with one value in use is a constant.
 """
 
 import ast
@@ -88,3 +91,191 @@ def test_the_guard_sees_a_dead_definition():
               "    return Kept()\n")
     assert dead_definitions(source, ["caller()", "# lonely_too"]) == [(3, "_helper"),
                                                                         (7, "lonely")]
+
+
+def _param_names(args):
+    """The defaulted parameters of ``args`` and its positional ones, in order."""
+    positional = [a.arg for a in (*args.posonlyargs, *args.args)]
+    defaulted = positional[len(positional) - len(args.defaults):] if args.defaults else []
+    defaulted += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return defaulted, positional
+
+
+def _is_dataclass(node):
+    for d in node.decorator_list:
+        d = d.func if isinstance(d, ast.Call) else d
+        if getattr(d, "id", getattr(d, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _init_field(stmt):
+    """``(name, has a default)`` of a dataclass field that ``__init__`` takes, else None."""
+    if not (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)):
+        return None
+    value = stmt.value
+    if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field":
+        kws = {k.arg: k.value for k in value.keywords}
+        if isinstance(kws.get("init"), ast.Constant) and kws["init"].value is False:
+            return None
+        return stmt.target.id, "default" in kws or "default_factory" in kws
+    return stmt.target.id, value is not None
+
+
+def _definitions(tree):
+    """``(callee names, offset, node, label, defaulted, positional)`` for each definition.
+
+    A function is called by its name; a method by its name, bound (the
+    positional ``offset`` 1); ``__init__``, or the one a dataclass
+    generates, by its class's name and by ``cls`` inside the class.
+    Dunder methods other than ``__init__`` are called by the language and
+    left out.
+    """
+    out = []
+
+    def visit(node, cls=None):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                if _is_dataclass(child):
+                    fields = [f for f in map(_init_field, child.body) if f]
+                    out.append(({child.name, ("cls", child.name)}, 0, child, child.name,
+                                [n for n, d in fields if d], [n for n, _ in fields]))
+                visit(child, child)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name, (defaulted, positional) = child.name, _param_names(child.args)
+                if cls is None:
+                    out.append(({name}, 0, child, name, defaulted, positional))
+                elif name == "__init__":
+                    out.append(({cls.name, ("cls", cls.name)}, 1, child, cls.name,
+                                defaulted, positional))
+                elif not name.startswith("__"):
+                    static = any(getattr(d, "id", None) == "staticmethod"
+                                 for d in child.decorator_list)
+                    out.append(({name}, 0 if static else 1, child, f"{cls.name}.{name}",
+                                defaulted, positional))
+                visit(child)
+            else:
+                visit(child, cls)
+
+    visit(tree)
+    return out
+
+
+def _calls(tree):
+    """``(callee name, call, enclosing function)`` for each call in ``tree``.
+
+    ``cls(...)`` inside a class is named ``("cls", <class name>)``.
+    """
+    out = []
+
+    def visit(node, func=None, cls=None):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                f = child.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                out.append((("cls", cls) if name == "cls" and cls else name, child, func))
+            is_func = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child if is_func else func,
+                  child.name if isinstance(child, ast.ClassDef) else cls)
+
+    visit(tree)
+    return out
+
+
+def unset_parameters(sources):
+    """The defaulted parameters of the definitions in ``sources`` that no call sets.
+
+    ``sources`` maps a file name to its text; calls are matched to
+    definitions by name.  A call sets a parameter by keyword or by
+    position.  A ``*`` argument sets every parameter; a ``**`` argument
+    sets every one whose name the calling file spells as a string or a
+    keyword, the keys a mapping can be given there.  An argument that is a
+    defaulted parameter of the calling function, never rebound there,
+    forwards it: it sets the parameter only once a call sets the caller's.
+    Returns sorted ``(file, line, definition, parameter)`` tuples.
+    """
+    trees = {file: ast.parse(text) for file, text in sources.items()}
+    by_name, defs = {}, []
+    for file, tree in trees.items():
+        for names, offset, node, label, defaulted, positional in _definitions(tree):
+            entry = (file, node, offset, defaulted, positional)
+            defs.append((file, node.lineno, label, node, defaulted))
+            for n in names:
+                by_name.setdefault(n, []).append(entry)
+    # (file, node, parameter) -> what sets it: True for a value, else the
+    # (file, function, parameter) it forwards
+    setters = {}
+    for file, tree in trees.items():
+        spelled = ({n.value for n in ast.walk(tree)
+                    if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+                   | {k.arg for k in ast.walk(tree) if isinstance(k, ast.keyword)})
+        for name, call, func in _calls(tree):
+            def setter(arg):
+                if func is None or not isinstance(arg, ast.Name):
+                    return True
+                rebound = any(isinstance(n, ast.Name) and n.id == arg.id
+                              and isinstance(n.ctx, ast.Store) for n in ast.walk(func))
+                forwards = arg.id in _param_names(func.args)[0] and not rebound
+                return (file, func, arg.id) if forwards else True
+
+            starred = any(isinstance(a, ast.Starred) for a in call.args)
+            for dfile, node, offset, defaulted, positional in by_name.get(name, ()):
+                passed = {p: True for p in defaulted if starred}
+                for k in call.keywords:
+                    if k.arg is not None:
+                        passed[k.arg] = setter(k.value)
+                    else:
+                        passed.update({p: True for p in defaulted if p in spelled})
+                for p, a in zip(positional[offset:], call.args):
+                    if not isinstance(a, ast.Starred):
+                        passed.setdefault(p, setter(a))
+                for p in defaulted:
+                    if p in passed:
+                        setters.setdefault((dfile, node, p), set()).add(passed[p])
+    done, grew = set(), True
+    while grew:   # a forwarded parameter is set once its caller's is
+        grew = False
+        for key, by in setters.items():
+            if key not in done and any(s is True or s in done for s in by):
+                done.add(key)
+                grew = True
+    return sorted((file, line, label, p) for file, line, label, node, defaulted in defs
+                  for p in defaulted if (file, node, p) not in done)
+
+
+def test_every_defaulted_parameter_is_set_somewhere():
+    sources = {str(p.relative_to(ROOT)): p.read_text() for p in SEARCHED}
+    package = str(PACKAGE.relative_to(ROOT))
+    assert [u for u in unset_parameters(sources) if u[0].startswith(package)] == []
+
+
+def test_the_guard_sees_an_unset_parameter():
+    lib = ("from dataclasses import dataclass, field\n"
+           "def solve(x, tol=1e-8, steps=10, *, seed=0):\n"
+           "    return inner(x, tol=tol, seed=seed)\n"
+           "def inner(x, tol=1e-8, seed=0, cap=5):\n"
+           "    return x\n"
+           "@dataclass\n"
+           "class Config:\n"
+           "    p: float\n"
+           "    rtol: float = 1e-8\n"
+           "    cache: dict = field(init=False, default=None)\n"
+           "    limit: int = 9\n"
+           "    def __repr__(self, short=True):\n"
+           "        return 'Config'\n"
+           "class Box:\n"
+           "    def __init__(self, a, b=1):\n"
+           "        self.a = a\n"
+           "    @classmethod\n"
+           "    def make(cls):\n"
+           "        return cls(1, 2)\n"
+           "    def grow(self, k=2, j=0):\n"
+           "        return self\n")
+    use = ("kw = {'rtol': 1e-9}\n"
+           "solve(1, seed=3)\n"
+           "Config(3.0, **kw)\n"
+           "Box.make().grow(*[4])\n")
+    assert unset_parameters({"lib.py": lib, "use.py": use}) == [
+        ("lib.py", 2, "solve", "steps"), ("lib.py", 2, "solve", "tol"),
+        ("lib.py", 4, "inner", "cap"), ("lib.py", 4, "inner", "tol"),
+        ("lib.py", 7, "Config", "limit")]

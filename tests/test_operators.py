@@ -147,11 +147,12 @@ def test_monotonicity_rejects_bad_domain():
 
 
 def _ball_edges(g, x0, R):
-    # the ball, its edge arrays (the oracles' input) and its neighbour table
+    # the ball and its neighbour table twice: as the edge arrays (the oracles'
+    # input) and as the kernel, the two roles _sub_ball_edges splits
     from graphflow.graphs import region_edges
     region = gf.ball(g, x0, R)
-    edges = region_edges(g, region)
-    return g, region, edges, edges.table
+    table = region_edges(g, region)
+    return g, region, table, table
 
 
 def _weighted_ball_edges():

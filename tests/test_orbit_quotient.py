@@ -152,7 +152,7 @@ def test_the_quotient_of_a_ball(N, radius):
     g = gf.lattice_generator(N)
     center = (2,) * N
     region = gf.ball(g, center, radius)
-    edges = region_edges(g, region)
+    table = region_edges(g, region)
     orbit_of, first, e = orbit_quotient(region)
     distances, degrees = region.distances[first], region.degrees[first]
     sizes = np.bincount(orbit_of)
@@ -172,11 +172,10 @@ def test_the_quotient_of_a_ball(N, radius):
     d = _directed(e)
     assert np.array_equal(sizes[d["ei"]] * d["w"], sizes[d["ej"]] * d["wj"])
     assert np.array_equal(sizes[d["bi"]] * d["bw"],
-                          np.bincount(orbit_of[edges.bi], edges.bw)[d["bi"]])
+                          np.bincount(orbit_of[table.bi], table.bw)[d["bi"]])
     # a state constant on orbits: the lifted quotient divergence is the
     # vertex divergence, on the ball and on its sub-balls
     u = np.random.default_rng(N).standard_normal(len(sizes))
-    table = edges.table
     for m in (len(sizes), int(np.count_nonzero(distances <= radius - 3))):
         n = int(sizes[:m].sum())   # the vertices of those orbits, a prefix
         full = table.restrict(n).divergence(3.0)(u[orbit_of[:n]])
@@ -269,7 +268,7 @@ def test_the_quotient_table_is_the_vertex_table_at_first_vertices(N, radius, shi
     g = gf.lattice_generator(N)
     region = gf.ball(g, tuple(shift + i for i in range(N)), radius)
     orbit_of, first, table = orbit_quotient(region)
-    vertex = region_edges(g, region).table
+    vertex = region_edges(g, region)
     rng = np.random.default_rng(N * 10 + shift)
     for p in (2.5, 3.0, 4.0):
         u = rng.standard_normal(table.n) * 10.0 ** rng.uniform(-3.0, 3.0, table.n)
@@ -327,9 +326,10 @@ def test_a_centred_solve_stays_on_its_orbits(monkeypatch):
     leaky = kept_on(z3, u0, cfg, (0, 0, 0), [3])
     ring = leaky.region.distances == 3
     assert leaky.orbits is not None and leaky.values[1:, ring].any()
-    cols, _, dists = solver.Trajectory(cfg, leaky.region, leaky.times, leaky.values,
-                                       leaky.diagnostics, orbits=leaky.orbits).columns()
-    assert _same_bits(np.abs(leaky.values[:, cols[dists == 3]]).max(axis=1),
+    rows, _, dists = solver.Trajectory(cfg, leaky.region, leaky.times,
+                                       leaky.values[:, leaky.orbits[1]], leaky.diagnostics,
+                                       orbits=leaky.orbits).summands()
+    assert _same_bits(np.abs(rows[:, dists == 3]).max(axis=1),
                       np.abs(leaky.values[:, ring]).max(axis=1))
     monkeypatch.setattr(solver, "_ORBIT_QUOTIENT", False)
     vertex = kept_on(z3, u0, cfg, (0, 0, 0), [3])

@@ -193,7 +193,7 @@ def _delta_on_ball(radius, amplitude, t_eval):
     """``_integrate`` arguments for a Z^1 delta at p = 3 on ``B_radius``."""
     z1 = gf.lattice_generator(1)
     region = gf.ball(z1, (0,), radius)
-    table = region_edges(z1, region).table
+    table = region_edges(z1, region)
 
     def rhs_on(m):
         return _make_rhs(table.restrict(m), region.degrees[:m], 3.0)

@@ -78,10 +78,10 @@ def test_smaller_ball_is_a_prefix_of_the_larger(case):
 def test_restricted_edges_are_the_edges_of_the_smaller_ball(case):
     g, center, r, R = case
     small, big = gf.ball(g, center, r), gf.ball(g, center, R)
-    edges, ref = region_edges(g, big), region_edges(g, small)
-    for e in (edges, ref, region_edges(g, gf.region_from_vertices(g, big.vertices))):
+    table, ref = region_edges(g, big), region_edges(g, small)
+    for e in (table, ref, region_edges(g, gf.region_from_vertices(g, big.vertices))):
         assert (e.ei < e.ej).all()
-    table, m = edges.table, len(small)
+    m = len(small)
     sub = table.restrict(m)
     assert sub.n == ref.n == m
     assert sub.nbr.flags.c_contiguous and sub.W.flags.c_contiguous
@@ -89,7 +89,7 @@ def test_restricted_edges_are_the_edges_of_the_smaller_ball(case):
     inside = table.nbr[:, :m] < m
     assert np.array_equal(sub.nbr[inside], table.nbr[:, :m][inside])
     assert (sub.nbr[~inside] == m).all() and np.array_equal(sub.W, table.W[:, :m])
-    assert _entries(sub) == _entries(ref.table)
+    assert _entries(sub) == _entries(ref)
     # the history's edge count, read from the table
     assert sub.edge_count(1) == len(ref.ei) + len(ref.bi)
     assert table.restrict(len(big)) is table

@@ -53,6 +53,20 @@ def test_config_validation():
         gf.log_instants(1.0, 0.1, 5)
 
 
+@pytest.mark.parametrize("kwargs, words", [
+    ({"instants": [1.0, math.inf]}, "instants must be finite"),
+    ({"instants": [1.0, math.nan]}, "instants must be finite"),
+    ({"atol": math.inf}, "tolerances must be positive and finite"),
+    ({"rtol": math.nan}, "tolerances must be positive and finite"),
+], ids=["inf_instant", "nan_instant", "inf_atol", "nan_rtol"])
+def test_config_rejects_non_finite_values(kwargs, words):
+    # a solve would take each: an infinite instant never ends, a NaN one runs
+    # through every ball to a TruncationConvergenceError, an infinite atol
+    # switches error control off and a NaN rtol fails late, on the first step
+    with pytest.raises(ValueError, match=words):
+        gf.SolverConfig(**{"p": 3.0, "instants": gf.log_instants(0.1, 10, 5), **kwargs})
+
+
 @pytest.mark.parametrize("max_expansions", [0, 2.5])
 def test_config_rejects_a_ball_cap_solve_cauchy_cannot_use(max_expansions):
     with pytest.raises(ValueError, match="max_expansions must be a positive integer"):

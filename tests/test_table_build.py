@@ -67,10 +67,10 @@ def assert_direct_is_sort_build(g, region):
         a, b = getattr(edges, name), want[name]
         assert a.dtype == b.dtype and np.array_equal(a, b), name
     table = sort_table(want, len(region))
-    assert_same_table(edges.table, table)
+    assert_same_table(edges, table)
     for m in sorted({1, len(region) // 3, len(region) // 2, len(region) - 1}):
         if m >= 1:
-            assert_same_table(edges.table.restrict(m), table.restrict(m))
+            assert_same_table(edges.restrict(m), table.restrict(m))
 
 
 @pytest.mark.parametrize("N, radii", [(1, [0, 1, 5, 30]), (2, [0, 1, 4, 9]),
@@ -104,7 +104,7 @@ def test_weighted_custom_graph_with_pads():
     for radius in (0, 1, 2):
         region = gf.ball(g, "o", radius)
         assert_direct_is_sort_build(g, region)
-    table = region_edges(g, gf.ball(g, "o", 1)).table
+    table = region_edges(g, gf.ball(g, "o", 1))
     assert (table.W == 0.0).any() and not table.unit
 
 
