@@ -18,7 +18,7 @@ raises on any other keyword.  A run writes, under the output directory:
 * ``report.json``      -- aggregated verdicts.
 
 Every command that reads a config starts with :func:`_setup`, which
-validates it, builds each input once and vets the built inputs; so
+validates it, builds each input it needs once and vets the built inputs; so
 ``validate-config`` exits 2 on every error ``simulate``, ``verify`` or
 ``fk`` reports before its work.  Each run solves once, on the certified
 ball of :func:`solver.solve_cauchy`, and every check reads that
@@ -129,10 +129,8 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "required": ["kind"],
             "properties": {
-                "kind": {"enum": ["lattice", "tabulated", "bruteforce"]},
+                "kind": {"enum": ["lattice", "bruteforce"]},
                 "c0": {"type": "number", "exclusiveMinimum": 0},
-                "path": {"type": "string"},
-                "omega_exp": {"type": "number", "exclusiveMinimum": 0},
                 "size_cap": {"type": "integer", "minimum": 1, "maximum": 8},
             },
         },
@@ -254,12 +252,19 @@ def _non_finite(value, path=()):
         yield path, value
 
 
-def validate_config(cfg):
+# checks whose bounds rest on the profile's structural assumptions, which
+# only the lattice power law meets
+_PROFILE_CHECKS = {"sup_bound", "moment_bound", "entropy_bound", "slow_decay"}
+
+
+def validate_config(cfg, seed=None):
     """The errors of a config dict that show without building anything.
 
     Checks the schema, that every number is finite, and the cross-field
-    rules the schema cannot express; opens no file.  The rules that need
-    built inputs are :func:`_setup`'s.  Returns a list of error strings.
+    rules the schema cannot express; opens no file.  ``seed`` is a
+    ``--seed`` given for the run, which stands in for the config's.  The
+    rules that need built inputs are :func:`_setup`'s.  Returns a list of
+    error strings.
     """
     errors = [f"{'/'.join(map(str, path)) or '<root>'}: {message}"
               for path, _, message in sorted(_schema_errors(CONFIG_SCHEMA, cfg),
@@ -281,8 +286,14 @@ def validate_config(cfg):
         errors.append("graph: custom family requires adjacency_file")
     if cfg["solver"]["t_min"] >= cfg["solver"]["t_max"]:
         errors.append("solver: need t_min < t_max")
-    if cfg.get("profile", {}).get("kind") == "bruteforce" and "seed" not in cfg:
-        errors.append("seed: mandatory when a randomized operation is requested")
+    if cfg.get("profile", {}).get("kind") == "bruteforce":
+        if "seed" not in cfg and seed is None:
+            errors.append("seed: mandatory when a randomized operation is requested")
+        assumed = sorted({c["type"] for c in cfg.get("checks", [])} & _PROFILE_CHECKS)
+        if assumed:
+            errors.append(f"profile: the checks {', '.join(assumed)} need the lattice "
+                          f"profile: a brute-forced table is constant past its range, so "
+                          f"v^(-p/N)/Lambda(v) decreases there and fails assumption nd")
     data = cfg.get("initial_data")
     if fam != "lattice" and "center" not in (data or {}):
         # the default center is the lattice origin
@@ -429,44 +440,37 @@ def build_profile(cfg, g, seed=0):
         if N is None:
             raise ConfigError("lattice profile needs a graph with a dimension")
         return faberkrahn.FkProfile.lattice(N, p, prof.get("c0", 1.0))
-    if prof["kind"] == "tabulated":
-        with open(prof["path"]) as f:
-            return faberkrahn.FkProfile.from_csv_text(
-                f.read(), p, g.dimension or 1, omega_exp=prof.get("omega_exp"))
     center = _parse_center(cfg.get("initial_data", {}).get("center"), g)
     return faberkrahn.fk_profile_bruteforce(g, center, prof["size_cap"], p,
                                             seed=seed)
 
 
-# checks whose bounds rest on the profile's structural assumptions
-_PROFILE_CHECKS = {"sup_bound", "moment_bound", "entropy_bound", "slow_decay"}
-
-
 def _setup(cfg, seed=None):
-    """Validate ``cfg``, build each input of its run once, and vet the built inputs.
+    """Validate ``cfg``, build each input its run reads once, and vet the built inputs.
 
     Returns ``(g, u0, center, scfg, profile, seed)``, with the seed the run
-    uses as an int.  Raises ``ConfigError`` for what :func:`validate_config`
-    finds, for a ``propagation_fit`` eps at the rounding floor of the first
-    ball, for a ``slow_decay`` horizon past the balance time, and for a
-    profile that fails the structural assumptions a configured check rests
-    on (the checks read the same cached report).  A failing build raises
+    uses as an int.  The profile is built only when a configured check reads
+    it (``lower_bound`` or one of :data:`_PROFILE_CHECKS`), else it is None;
+    :func:`validate_config` gives the checks of :data:`_PROFILE_CHECKS` only
+    the lattice power law, which meets their assumptions at every p/N.
+    Raises ``ConfigError`` for what :func:`validate_config` finds, for a
+    ``propagation_fit`` eps at the rounding floor of the first ball and for
+    a ``slow_decay`` horizon past the balance time.  A failing build raises
     its own ``ValueError`` or ``OSError``.
     """
-    errors = validate_config(cfg)
+    errors = validate_config(cfg, seed)
     if errors:
         raise ConfigError("; ".join(errors))
     seed = _run_seed(cfg, seed)
     g = build_generator(cfg["graph"])
     u0, center = build_initial_field(g, cfg.get("initial_data", _DELTA_AT_ORIGIN))
     scfg = build_solver_config(cfg["solver"])
-    profile = build_profile(cfg, g, seed=seed)
+    reads = {c["type"] for c in cfg.get("checks", [])} & (_PROFILE_CHECKS | {"lower_bound"})
+    profile = build_profile(cfg, g, seed=seed) if reads else None
     errors = (_propagation_eps_errors(cfg, g, u0, center, scfg)
               + _slow_decay_horizon_errors(cfg, g, profile))
     if errors:
         raise ConfigError("; ".join(errors))
-    if {c["type"] for c in cfg.get("checks", [])} & _PROFILE_CHECKS:
-        estimates.require_profile(profile)
     return g, u0, center, scfg, profile, seed
 
 
@@ -701,9 +705,11 @@ def run(cfg, out_dir, seed=None):
 
 def run_fk(cfg, out_dir, seed=None):
     """Brute-force a Faber-Krahn table for the configured graph."""
-    *_, profile, _ = _setup(cfg, seed)
+    g, *_, profile, seed = _setup(cfg, seed)
     if cfg.get("profile", {}).get("kind") != "bruteforce":
         raise ConfigError("fk subcommand needs a profile of kind 'bruteforce'")
+    if profile is None:
+        profile = build_profile(cfg, g, seed=seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "fk_profile.csv").write_text(profile.to_csv_text())

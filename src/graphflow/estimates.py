@@ -154,7 +154,8 @@ def require_profile(profile):
     """Raise ``ValueError`` unless ``profile`` passes its structural assumptions.
 
     The upper-bound checks rely on them; the report is computed once per
-    profile (:attr:`FkProfile.assumptions`), so every check may vet it.
+    profile (:attr:`FkProfile.assumptions`), so every check may vet it.  A
+    brute-forced table fails them: it is constant past its range.
     """
     report = profile.assumptions
     if not report.all_ok:

@@ -2,22 +2,23 @@
 
 The isoperimetric profile ``Lambda_p(v)`` bounds the Dirichlet p-Rayleigh
 quotient from below over all finite vertex sets of measure ``v``.  Unit
-lattices admit the closed form ``Lambda_p(v) = c0 * v^(-p/N)``; generic
-graphs get a tabulated profile, either supplied or brute-forced over small
-connected subsets.  The scaling function ``psi_r(s) = s^((p-2)/r) *
-Lambda_p(1/s)`` and its inverse translate the profile into time-amplitude
-decay rates.
+lattices admit the closed form ``Lambda_p(v) = c0 * v^(-p/N)``; a generic
+graph gets a table brute-forced over its small connected subsets.  The
+scaling function ``psi_r(s) = s^((p-2)/r) * Lambda_p(1/s)`` and its inverse
+translate the profile into time-amplitude decay rates.
 
 Both ``Lambda_p`` and ``psi_r`` are power laws or piecewise log-log linear,
 so their inverses are exact (closed form or one interpolation, no search).
 ``lambda_value``, ``lambda_inverse``, ``psi`` and ``psi_inverse`` take a
 scalar or an array and return a float or an array to match.
 
-Structural assumptions on a profile (``v^(-p/N)/Lambda_p(v)`` nondecreasing,
-``v^(-omega)/Lambda_p(v)`` nonincreasing) are not enforced at construction;
-:func:`check_assumptions` verifies them on an evaluation grid so that
-deliberately broken profiles can be used as counterexamples;
-:attr:`FkProfile.assumptions` caches that report on a standard grid.
+The structural assumptions on a profile (``v^(-p/N)/Lambda_p(v)``
+nondecreasing, ``v^(-omega)/Lambda_p(v)`` nonincreasing, with
+``omega = p/N``) are not enforced at construction; :func:`check_assumptions`
+verifies them on an evaluation grid so that deliberately broken profiles can
+be used as counterexamples; :attr:`FkProfile.assumptions` caches that report
+on a standard grid.  With ``omega = p/N`` they hold exactly for a power law
+``c0 v^(-p/N)``, so a table, constant beyond its range, fails them.
 """
 
 from __future__ import annotations
@@ -49,18 +50,16 @@ class FkProfile:
 
     ``kind`` is ``"closed_form"`` (lattice power law ``c0 v^(-p/N)``) or
     ``"tabulated"`` (piecewise log-log linear through ``(v, Lambda)`` pairs,
-    read from a file or brute-forced, constant beyond the table; evaluations
-    in the extended range are counted in ``extrapolations``).
+    brute-forced or given, constant beyond the table).  A profile is final
+    once built.
     """
 
-    def __init__(self, kind, p, N, omega_exp=None, c0=None, table=None):
+    def __init__(self, kind, p, N, c0=None, table=None):
         self.kind = kind
         self.p = require_exponent(p)
         if N <= 0:
             raise ValueError("N must be positive")
         self.N = float(N)
-        self.omega_exp = float(omega_exp) if omega_exp is not None else self.p / self.N
-        self.extrapolations = 0
         if kind == "closed_form":
             if c0 is None or c0 <= 0:
                 raise ValueError("closed-form profile needs c0 > 0")
@@ -90,8 +89,8 @@ class FkProfile:
         return cls("closed_form", p, N, c0=c0)
 
     @classmethod
-    def tabulated(cls, pairs, p, N, omega_exp=None):
-        return cls("tabulated", p, N, omega_exp=omega_exp, table=pairs)
+    def tabulated(cls, pairs, p, N):
+        return cls("tabulated", p, N, table=pairs)
 
     def lambda_value(self, v):
         """Evaluate ``Lambda_p(v)`` for v > 0 (scalar or array)."""
@@ -101,7 +100,6 @@ class FkProfile:
         vs, lams = self.table_v, self.table_lam
         below, above = v < vs[0], v > vs[-1]
         # constant continuation outside the tabulated range
-        self.extrapolations += int(np.count_nonzero(below | above))
         lam = np.exp(np.interp(np.log(v), self._log_v, self._log_lam))
         return _like(v, np.where(below, lams[0], np.where(above, lams[-1], lam)))
 
@@ -146,17 +144,6 @@ class FkProfile:
         for v, lam in zip(self.table_v, self.table_lam):
             lines.append(f"{v:.17g},{lam:.17g}")
         return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_csv_text(cls, text, p, N, omega_exp=None):
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines or lines[0] != "v,lambda":
-            raise ValueError("missing 'v,lambda' header")
-        pairs = []
-        for ln in lines[1:]:
-            a, b = ln.split(",")
-            pairs.append((float(a), float(b)))
-        return cls.tabulated(pairs, p, N, omega_exp=omega_exp)
 
 
 def _positive(x, name):
@@ -472,49 +459,40 @@ def check_assumptions(profile, grid):
     Checks that ``v^(-p/N)/Lambda(v)`` is nondecreasing, that
     ``v^(-omega)/Lambda(v)`` is nonincreasing, and their two pairwise
     scaling consequences (``Lambda(sa)^-1 <= s^omega Lambda(a)^-1`` for
-    s >= 1 and ``Lambda(sa)^-1 <= s^(p/N) Lambda(a)^-1`` for s <= 1),
-    each up to a relative slack of 1e-11.
+    s >= 1 and ``Lambda(sa)^-1 <= s^(p/N) Lambda(a)^-1`` for s <= 1), with
+    ``omega = p/N``, each up to a relative slack of 1e-11.  All four compare
+    ``K(v) = log(Lambda(v) v^(p/N))`` across the grid, so no exponent takes
+    them out of float range; each worst violation is the relative change of
+    the compared quantity.
     """
     rtol = 1e-11
     grid = np.asarray(grid, dtype=float)
     if grid.size < 100:
         raise ValueError("need a grid of at least 100 points")
     grid = np.sort(grid)
-    lam = profile.lambda_value(grid)
-    G_nd = grid ** (-profile.p / profile.N) / lam
-    G_ni = grid ** (-profile.omega_exp) / lam
-
-    def worst_drop(G):
-        # positive when the sequence decreases somewhere
-        rel = (G[:-1] - G[1:]) / np.maximum(np.abs(G[:-1]), 1e-300)
-        i = int(np.argmax(rel))
-        return float(rel[i]), float(grid[i + 1])
-
-    def worst_rise(G):
-        rel = (G[1:] - G[:-1]) / np.maximum(np.abs(G[:-1]), 1e-300)
-        i = int(np.argmax(rel))
-        return float(rel[i]), float(grid[i + 1])
-
-    nd_drop, nd_at = worst_drop(G_nd)
-    ni_rise, ni_at = worst_rise(G_ni)
-    # pairwise consequences over all grid pairs
-    inv = 1.0 / lam
-    ratio = inv[None, :] / inv[:, None]              # Lambda(a)^... for a=row, sa=col
-    s = grid[None, :] / grid[:, None]
-    iu = np.triu_indices(len(grid), k=1)
-    above_viol = (ratio[iu] / s[iu] ** profile.omega_exp - 1.0).max()
-    il = (iu[1], iu[0])                              # s < 1 pairs
-    below_viol = (ratio[il] / s[il] ** (profile.p / profile.N) - 1.0).max()
+    log_v = np.log(grid)
+    if profile.kind == "closed_form":
+        log_lam = math.log(profile.c0) - profile.p / profile.N * log_v
+    else:   # np.interp continues a table by its end values, as lambda_value does
+        log_lam = np.interp(log_v, profile._log_v, profile._log_lam)
+    K = log_lam + profile.p / profile.N * log_v
+    # nd: K nonincreasing step by step; ni: K nondecreasing step by step
+    steps = np.diff(K)
+    i_nd, i_ni = int(np.argmax(steps)), int(np.argmin(steps))
+    nd_drop, ni_rise = float(-np.expm1(-steps[i_nd])), float(np.expm1(-steps[i_ni]))
+    # pairwise, over all a < b: above needs K(a) <= K(b), below K(b) <= K(a)
+    above_viol = float(np.expm1((np.maximum.accumulate(K)[:-1] - K[1:]).max()))
+    below_viol = float(np.expm1((K[1:] - np.minimum.accumulate(K)[:-1]).max()))
     report = AssumptionReport(
         nd_ok=nd_drop <= rtol,
         ni_ok=ni_rise <= rtol,
         above_ok=above_viol <= rtol,
         below_ok=below_viol <= rtol,
         worst={
-            "nd": (nd_drop, nd_at),
-            "ni": (ni_rise, ni_at),
-            "above": (float(above_viol), None),
-            "below": (float(below_viol), None),
+            "nd": (nd_drop, float(grid[i_nd + 1])),
+            "ni": (ni_rise, float(grid[i_ni + 1])),
+            "above": (above_viol, None),
+            "below": (below_viol, None),
         },
     )
     return report

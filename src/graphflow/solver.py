@@ -122,9 +122,12 @@ class SolverConfig:
             raise ValueError("output instants must be strictly increasing")
         if not (0 < self.rtol < math.inf and 0 < self.atol < math.inf):   # NaN too
             raise ValueError("tolerances must be positive and finite")
-        if self.n0 is not None and (self.n0 < 1 or int(self.n0) != self.n0):
+        # a bool would pass the integer tests below as 0 or 1
+        if self.n0 is not None and (isinstance(self.n0, bool) or self.n0 < 1
+                                    or int(self.n0) != self.n0):
             raise ValueError("n0 must be a positive integer")
-        if self.max_expansions < 1 or int(self.max_expansions) != self.max_expansions:
+        if (isinstance(self.max_expansions, bool) or self.max_expansions < 1
+                or int(self.max_expansions) != self.max_expansions):
             raise ValueError("max_expansions must be a positive integer")
 
 

@@ -177,10 +177,26 @@ def test_validate_rejects_p_two():
 
 
 def test_validate_requires_seed_for_randomized_profile():
-    cfg = tiny_config(profile={"kind": "bruteforce", "size_cap": 2})
+    cfg = tiny_config(profile={"kind": "bruteforce", "size_cap": 2},
+                      checks=[{"type": "lower_bound"}])
     del cfg["seed"]
     errors = cli.validate_config(cfg)
     assert any("seed" in e for e in errors)
+    # a --seed for the run stands in for the config's
+    assert cli.validate_config(cfg, 5) == []
+
+
+def test_fk_seed_overrides_a_missing_seed_key(tmp_path, capsys):
+    cfg = json.loads((CONFIG_DIR / "fk_lattice1d.json").read_text())
+    del cfg["seed"]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "fk"
+    assert cli.main(["fk", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert "seed: mandatory" in capsys.readouterr().err
+    assert not out.exists()
+    assert cli.main(["fk", "--config", str(cfg_path), "--out", str(out), "--seed", "5"]) == 0
+    assert (out / "fk_profile.csv").read_text().splitlines()[:2] == ["v,lambda", "2,2"]
 
 
 def test_validate_cross_field_rules():
@@ -435,8 +451,7 @@ def test_main_missing_config_is_usage_error(tmp_path):
     lambda cfg, nope: cfg.update(initial_data={"kind": "file", "path": nope}),
     lambda cfg, nope: cfg.update(graph={"family": "custom", "adjacency_file": nope},
                                  initial_data={"kind": "delta", "center": "a"}),
-    lambda cfg, nope: cfg.update(profile={"kind": "tabulated", "path": nope}),
-], ids=["initial_data_file", "adjacency_file", "tabulated_profile"])
+], ids=["initial_data_file", "adjacency_file"])
 def test_main_missing_input_file_exits_2(tmp_path, capsys, edit):
     cfg = tiny_config()
     edit(cfg, str(tmp_path / "nope.csv"))
@@ -671,8 +686,10 @@ def test_run_product_graph_family(tmp_path):
     assert report["pass"]
 
 
-def test_run_custom_graph_family(tmp_path):
-    # small cycle as an adjacency file; string vertex ids throughout
+def test_run_custom_graph_family(tmp_path, monkeypatch):
+    # small cycle as an adjacency file; string vertex ids throughout; no check
+    # reads the profile, so none is brute-forced
+    monkeypatch.setattr(gf.faberkrahn, "fk_profile_bruteforce", _no_brute_force)
     path = tmp_path / "cycle.txt"
     path.write_text("a b 1\nb c 1\nc d 1\nd a 1\n")
     cfg = tiny_config(
@@ -744,15 +761,6 @@ def test_slow_decay_horizon_past_the_balance_time_exits_2(tmp_path, capsys, monk
                      "--out", str(tmp_path / "out")]) == 2
     assert "slow_decay needs t_max" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
-    # a brute-forced profile is tested once built, by both commands, before the solve
-    brute = dict(cfg, profile={"kind": "bruteforce", "size_cap": 2})
-    brute_path = tmp_path / "brute.json"
-    brute_path.write_text(json.dumps(brute))
-    assert cli.main(["validate-config", str(brute_path)]) == 2
-    assert "slow_decay needs t_max" in capsys.readouterr().err
-    with pytest.raises(cli.ConfigError, match="slow_decay needs t_max"):
-        cli.run(brute, tmp_path / "brute")
-    assert not (tmp_path / "brute").exists()
     cfg["solver"]["t_max"] = 600.0
     cli._setup(cfg)
 
@@ -771,29 +779,19 @@ def test_run_verifies_the_profile_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-def _broken_profile_file(tmp_path):
-    # a lattice power law with one bump: not v^(-p/N)/Lambda nondecreasing
-    vs = np.geomspace(1e-2, 1e4, 120)
-    lams = vs ** -3.0
-    lams[60] *= 4.0
-    path = tmp_path / "bump.csv"
-    path.write_text(gf.FkProfile.tabulated(list(zip(vs, lams)), 3.0, 1).to_csv_text())
-    return path
-
-
-def test_verify_rejects_a_broken_profile_without_writing(tmp_path, capsys):
-    good = tmp_path / "good.json"
-    good.write_text(json.dumps(tiny_config(snapshots=True)))
-    run = tmp_path / "run"
-    assert cli.main(["simulate", "--config", str(good), "--out", str(run)]) == 0
+def test_verify_rejects_a_broken_profile_without_writing(tmp_path, capsys, monkeypatch,
+                                                         verified_run):
+    # a brute-forced table fails the assumptions sup_bound rests on
+    _, run = verified_run
+    monkeypatch.setattr(gf.faberkrahn, "fk_profile_bruteforce", _no_brute_force)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(tiny_config(
-        profile={"kind": "tabulated", "path": str(_broken_profile_file(tmp_path))},
+        profile={"kind": "bruteforce", "size_cap": 2},
         checks=[{"type": "sup_bound", "window": [0.5, 20]}])))
     vout = tmp_path / "verify"
     assert cli.main(["verify", "--config", str(bad), "--traj-dir", str(run),
                      "--out", str(vout)]) == 2
-    assert "structural assumptions" in capsys.readouterr().err
+    assert "constant past its range" in capsys.readouterr().err
     assert not vout.exists()
 
 
@@ -829,20 +827,23 @@ def _solve_raises_solved(*args, **kwargs):
 
 
 def _power_law_past_the_balance_time(tmp_path):
-    # T(1) = 666 for this data; a brute-forced profile gives the same rule
+    # T(1) = 666 for this data
     cfg = tiny_config(
         initial_data={"kind": "power_law", "alpha": 0.5, "truncation_radius": 1,
                       "center": [0]},
-        profile={"kind": "bruteforce", "size_cap": 2},
         checks=[{"type": "slow_decay", "q": 4.0, "window": [10, 1000]}])
     cfg["solver"]["t_max"] = 1000.0
     return cfg
 
 
-def _tabulated_profile_failing_its_assumptions(tmp_path):
-    path = tmp_path / "dip.csv"
-    path.write_text("v,lambda\n1,1\n2,2\n4,0.1\n")
-    return tiny_config(profile={"kind": "tabulated", "path": str(path)},
+def _slow_decay_on_a_brute_forced_profile(tmp_path):
+    return dict(_power_law_past_the_balance_time(tmp_path),
+                profile={"kind": "bruteforce", "size_cap": 2})
+
+
+def _tabulated_profile(tmp_path):
+    # a profile kind the schema does not have
+    return tiny_config(profile={"kind": "tabulated", "path": str(tmp_path / "dip.csv")},
                        checks=[{"type": "sup_bound", "window": [0.5, 20]}])
 
 
@@ -870,14 +871,47 @@ def _graph_file_with_weight(weight):
 # configs that validate_config passes and the set-up rejects, once their
 # inputs are built: name -> (config builder, what the error says)
 SET_UP_ERRORS = {
-    "slow_decay_bruteforce": (_power_law_past_the_balance_time, "slow_decay needs t_max"),
-    "tabulated_sup_bound": (_tabulated_profile_failing_its_assumptions,
-                            "structural assumptions"),
+    "slow_decay_horizon": (_power_law_past_the_balance_time, "slow_decay needs t_max"),
     "propagation_eps": (_eps_at_the_first_balls_rounding, "17 vertices of the first ball"),
     "missing_adjacency_file": (_missing_adjacency_file, "no.txt"),
     "nan_weight": (_graph_file_with_weight("nan"), "weight nan on edge 'b'-'c'"),
     "inf_weight": (_graph_file_with_weight("inf"), "weight inf on edge 'b'-'c'"),
 }
+
+
+# configs that validate_config itself rejects, with nothing built: name ->
+# (config builder, what the error says)
+CONFIG_ERRORS = {
+    "slow_decay_bruteforce": (_slow_decay_on_a_brute_forced_profile,
+                              "a brute-forced table is constant past its range"),
+    "tabulated_sup_bound": (_tabulated_profile,
+                            "'tabulated' is not one of ['lattice', 'bruteforce']"),
+}
+
+
+REJECTED = {**SET_UP_ERRORS, **CONFIG_ERRORS}
+
+
+def _no_brute_force(*args, **kwargs):
+    raise AssertionError("brute-forced a profile for a config validation rejects")
+
+
+@pytest.mark.parametrize("name", sorted(CONFIG_ERRORS))
+def test_validate_config_and_simulate_exit_2_on_a_config_error(tmp_path, capsys, monkeypatch,
+                                                               name):
+    build, message = CONFIG_ERRORS[name]
+    cfg = build(tmp_path)
+    assert any(message in e for e in cli.validate_config(cfg))
+    monkeypatch.setattr(gf.faberkrahn, "fk_profile_bruteforce", _no_brute_force)
+    monkeypatch.setattr(solver, "solve_cauchy", _solve_raises_solved)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert cli.main(["validate-config", str(cfg_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("name", sorted(SET_UP_ERRORS))
@@ -899,10 +933,10 @@ def test_validate_config_and_simulate_exit_2_on_a_set_up_error(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("name", [*sorted(p.stem for p in CONFIG_DIR.glob("*.json")),
-                                  "tiny", *sorted(SET_UP_ERRORS)])
+                                  "tiny", *sorted(REJECTED)])
 def test_validate_config_passes_exactly_what_simulate_solves(tmp_path, monkeypatch, name):
-    if name in SET_UP_ERRORS:
-        cfg = SET_UP_ERRORS[name][0](tmp_path)
+    if name in REJECTED:
+        cfg = REJECTED[name][0](tmp_path)
     elif name == "tiny":
         cfg = tiny_config()
     else:
@@ -920,7 +954,94 @@ def test_validate_config_passes_exactly_what_simulate_solves(tmp_path, monkeypat
         solved = False
         assert code == 2
     assert valid == solved
-    assert valid == (name not in SET_UP_ERRORS)
+    assert valid == (name not in REJECTED)
+
+
+CHECK_TYPES = cli.CONFIG_SCHEMA["properties"]["checks"]["items"]["properties"]["type"]["enum"]
+_POWER_LAW = {"kind": "power_law", "alpha": 0.5, "truncation_radius": 4}
+
+
+def _check_of(typ):
+    # a check of this type with the keys validate_config requires of it
+    required = {"moment_bound": {"alpha": 0.5}, "slow_decay": {"q": 6.0}}
+    return {"type": typ, **required.get(typ, {})}
+
+
+@pytest.mark.parametrize("typ", sorted(cli._PROFILE_CHECKS))
+def test_a_brute_forced_profile_is_refused_to_every_assumption_check(tmp_path, capsys,
+                                                                     monkeypatch, verified_run,
+                                                                     typ):
+    _, run = verified_run
+    cfg = tiny_config(profile={"kind": "bruteforce", "size_cap": 2}, checks=[_check_of(typ)])
+    if typ == "slow_decay":
+        cfg["initial_data"] = dict(_POWER_LAW, center=[0])
+    errors = cli.validate_config(cfg)
+    assert len(errors) == 1 and errors[0].startswith(f"profile: the checks {typ} need the lattice")
+    assert "constant past its range" in errors[0] and "fails assumption nd" in errors[0]
+    monkeypatch.setattr(gf.faberkrahn, "fk_profile_bruteforce", _no_brute_force)
+    monkeypatch.setattr(solver, "solve_cauchy", _solve_raises_solved)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    for argv in (["validate-config", str(cfg_path)],
+                 ["simulate", "--config", str(cfg_path), "--out", str(out)],
+                 ["verify", "--config", str(cfg_path), "--traj-dir", str(run), "--out", str(out)]):
+        assert cli.main(argv) == 2
+        assert errors[0] in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _graph_and_center(tmp_path, graph):
+    if graph == "custom":
+        cycle = tmp_path / "cycle.txt"
+        cycle.write_text("a b 1\nb c 1\nc d 1\nd a 1\n")
+        return {"family": "custom", "adjacency_file": str(cycle)}, "a"
+    if graph == "product":
+        return _product(["a", "b", 1.0]), [0, 0]
+    N = int(graph[-1])
+    return {"family": "lattice", "N": N}, [0] * N
+
+
+# a custom graph has no dimension, so it has no lattice profile
+@pytest.mark.parametrize("graph, kind", [
+    (graph, kind) for graph in ("Z1", "Z2", "product", "custom")
+    for kind in ("lattice", "bruteforce") if (graph, kind) != ("custom", "lattice")])
+def test_no_validated_config_fails_its_profile_assumptions(tmp_path, monkeypatch, graph, kind):
+    # each check type, at p = 3 and at p/N >= 30, where v^(p/N) leaves float
+    # range on the assumption grid: validate_config rejects the config, or its
+    # set-up succeeds with a profile that meets the assumptions its checks need
+    graph_cfg, center = _graph_and_center(tmp_path, graph)
+    profile = {"kind": kind, "size_cap": 2} if kind == "bruteforce" else {"kind": kind}
+    monkeypatch.setattr(solver, "solve_cauchy", _solve_raises_solved)
+    rejected = set()
+    for typ in CHECK_TYPES:
+        for p in (3.0, 60.0):
+            data = (dict(_POWER_LAW, center=center) if typ == "slow_decay"
+                    else {"kind": "delta", "center": center})
+            cfg = tiny_config(graph=graph_cfg, initial_data=data, profile=profile,
+                              checks=[_check_of(typ)])
+            cfg["solver"]["p"] = p
+            if cli.validate_config(cfg):
+                rejected.add(typ)
+                continue
+            *_, built, _ = cli._setup(cfg)
+            if typ in cli._PROFILE_CHECKS:
+                assert built.assumptions.all_ok, (typ, p, built.assumptions.worst)
+    # slow_decay's analytic tails need the lattice family
+    expected = (cli._PROFILE_CHECKS if kind == "bruteforce"
+                else {"slow_decay"} if graph == "product" else set())
+    assert rejected == expected
+
+
+def test_the_profile_is_built_only_for_a_check_that_reads_it(tmp_path):
+    graph_cfg, center = _graph_and_center(tmp_path, "custom")
+    cfg = tiny_config(graph=graph_cfg, initial_data={"kind": "delta", "center": center},
+                      checks=[{"type": "decay_fit"}, {"type": "propagation_fit"}])
+    del cfg["profile"]   # the lattice default, which a custom graph cannot build
+    assert cli._setup(cfg)[4] is None
+    cfg["checks"].append({"type": "lower_bound"})
+    with pytest.raises(cli.ConfigError, match="needs a graph with a dimension"):
+        cli._setup(cfg)
 
 
 def test_fk_on_a_profile_that_is_not_brute_forced_leaves_no_output(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Every name a graphflow module imports is used, every definition is named,
-and every defaulted parameter is set by some call.
+every defaulted parameter is set by some call, and every config key is set
+by some config.
 
 No linter runs on this code base, so these guards catch what a deletion
 leaves behind: an import the module no longer reads (``__init__`` is left
@@ -7,7 +8,8 @@ out, as its imports are the package's public names), a top-level
 function or class that no code, test, demo or benchmark names outside its
 own definition, and a parameter with a default, or a defaulted dataclass
 field that ``__init__`` takes, that no call there ever sets: a setting
-with one value in use is a constant.
+with one value in use is a constant.  A ``CONFIG_SCHEMA`` key that no
+config sets is such a setting too.
 """
 
 import ast
@@ -15,6 +17,8 @@ import re
 from pathlib import Path
 
 import pytest
+
+from graphflow.cli import CONFIG_SCHEMA
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "graphflow"
@@ -279,3 +283,90 @@ def test_the_guard_sees_an_unset_parameter():
         ("lib.py", 2, "solve", "steps"), ("lib.py", 2, "solve", "tol"),
         ("lib.py", 4, "inner", "cap"), ("lib.py", 4, "inner", "tol"),
         ("lib.py", 7, "Config", "limit")]
+
+
+def schema_paths(schema, path=()):
+    """The property paths of a JSON schema, such as ``("checks", "type")``.
+
+    The items of an array take the array's path.
+    """
+    for name, sub in schema.get("properties", {}).items():
+        yield (*path, name)
+        yield from schema_paths(sub, (*path, name))
+    if "items" in schema:
+        yield from schema_paths(schema["items"], path)
+
+
+def _literal_paths(node):
+    """Key paths through the nested dict and list literals of an expression."""
+    if isinstance(node, ast.Dict):
+        for key, value in zip(node.keys, node.values):
+            if isinstance(key, ast.Constant) and isinstance(key.value, str):
+                yield (key.value,)
+                yield from ((key.value, *rest) for rest in _literal_paths(value))
+    elif isinstance(node, (ast.List, ast.Tuple)):
+        for item in node.elts:
+            yield from _literal_paths(item)
+
+
+def set_key_paths(source):
+    """The key paths that ``source``, Python or JSON, sets.
+
+    A key is set by a dict literal, a keyword argument (``dict(cfg, seed=1)``,
+    ``cfg.update(profile={...})``) or a subscript assignment
+    (``cfg["solver"]["t_max"] = 1.0``); the literals it is set to extend its
+    path.
+    """
+    for node in ast.walk(ast.parse(source)):
+        keys, value = (), None
+        if isinstance(node, ast.Dict):
+            yield from _literal_paths(node)
+        elif isinstance(node, ast.keyword) and node.arg is not None:
+            keys, value = (node.arg,), node.value
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                while isinstance(target, ast.Subscript):
+                    key = target.slice
+                    if isinstance(key, ast.Constant) and isinstance(key.value, str):
+                        keys = (key.value, *keys)
+                    target = target.value
+            value = node.value
+        if keys:
+            yield keys
+            yield from ((*keys, *rest) for rest in _literal_paths(value))
+
+
+def unset_schema_keys(schema, sources):
+    """The property paths of ``schema`` that no text of ``sources`` sets, as ``a/b``.
+
+    A path is set where its keys stand in a row in a key path some source
+    sets, so ``initial_data/path`` does not set ``profile/path``.
+    """
+    rows = set()
+    for text in sources:
+        for keys in set_key_paths(text):
+            rows.update(keys[i:j] for i in range(len(keys)) for j in range(i + 1, len(keys) + 1))
+    return ["/".join(path) for path in schema_paths(schema) if path not in rows]
+
+
+def test_every_schema_key_is_set_by_some_config():
+    sources = [p.read_text() for d in ("configs", "tests", "bench", "demos")
+               for p in sorted((ROOT / d).rglob("*"))
+               if p.suffix in (".py", ".json")
+               and not any(part.startswith((".", "__")) for part in p.relative_to(ROOT).parts)]
+    assert unset_schema_keys(CONFIG_SCHEMA, sources) == []
+
+
+def test_the_guard_sees_an_unset_schema_key():
+    schema = {"properties": {
+        "run": {"properties": {"path": {}, "size": {}}},
+        "data": {"properties": {"path": {}, "tag": {}, "scale": {}}},
+        "steps": {"items": {"properties": {"kind": {}, "rate": {}}}},
+        "seed": {}}}
+    sources = [
+        '{"data": {"path": "u0.csv"}, "steps": [{"kind": "fit"}], "seed": 1}\n',
+        "cfg = make(run={'size': 2})\n"
+        "cfg['data']['tag'] = 'x'\n"
+        "cfg.update(steps=[dict(rate=2)])\n"
+        "scale = 3\n"]
+    assert unset_schema_keys(schema, sources) == ["run/path", "data/scale", "steps/rate"]

@@ -74,6 +74,13 @@ def test_config_rejects_a_ball_cap_solve_cauchy_cannot_use(max_expansions):
                         max_expansions=max_expansions)
 
 
+@pytest.mark.parametrize("name", ["n0", "max_expansions"])
+def test_config_rejects_a_bool_ball_count(name):
+    # True would read as 1: a one-ball cap, or a first ball of radius 1
+    with pytest.raises(ValueError, match=f"{name} must be a positive integer"):
+        gf.SolverConfig(p=3.0, instants=gf.log_instants(0.1, 10, 5), **{name: True})
+
+
 def test_stepper_against_exact_solution():
     # y' = -y^3  =>  y(t) = (1 + 2t)^(-1/2)
     t_eval = np.geomspace(0.01, 100.0, 30)
