@@ -48,8 +48,8 @@ import numpy as np
 
 from . import estimates, faberkrahn, solver
 from .fields import Field, ball_indicator_field, delta_field, vertex_from_str, vertex_to_str
-from .graphs import (FiniteGraph, ball, generator_from_file, lattice_generator,
-                     orbit_quotient, product_generator)
+from .graphs import (FiniteGraph, OrbitQuotient, ball, generator_from_file,
+                     lattice_generator, product_generator)
 
 __version__ = "0.1.0"
 
@@ -313,6 +313,10 @@ def validate_config(cfg, seed=None):
                 errors.append("checks: slow_decay requires power_law initial data")
             if fam != "lattice":
                 errors.append("checks: slow_decay analytic tails require the lattice family")
+            N, alpha = cfg["graph"].get("N"), (data or {}).get("alpha")
+            if "q" in chk and N and alpha and chk["q"] * alpha <= N:
+                errors.append(f"checks: slow_decay needs q > N/alpha = {N / alpha!r}, else "
+                              f"the lq tail of the data diverges (q = {chk['q']!r})")
         if "window" in chk and not chk["window"][0] < chk["window"][1]:   # NaN too
             errors.append(f"checks: {chk['type']} window {chk['window']!r} needs "
                           f"window[0] < window[1]")
@@ -559,11 +563,11 @@ def load_trajectory(run_dir, g):
     table = np.zeros(len(times), dtype=solver.ROW_DIAGNOSTICS)   # snapshots carry none
     diagnostics = {name: table[name] for name in table.dtype.names}
     # rows constant on orbits are kept on them, as the solve that wrote them did
-    if region.coords is not None:
-        lift, first, _ = orbit_quotient(region)
-        if np.array_equal(values[:, first][:, lift], values):
-            return solver.Trajectory(cfg, region, times, values[:, first], diagnostics,
-                                     orbits=(lift, first))
+    if region.keyed:
+        orbits = OrbitQuotient(region)
+        rows = values[:, orbits.first]
+        if np.array_equal(rows[:, orbits.lift()], values):
+            return solver.Trajectory(cfg, region, times, rows, diagnostics, orbits=orbits)
     return solver.Trajectory(cfg, region, times, values, diagnostics)
 
 

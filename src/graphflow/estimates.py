@@ -211,11 +211,13 @@ def check_lower_bound(traj: Trajectory, profile, x0=None, window=None):
     m0 = traj.masses[0]
     sups = traj.sup_norms[1:]
     radii = mass_radius(traj, 0.5, x0=x0)[1:]
-    dists = traj.distances(x0)
-    support = np.abs(traj.row(0)) > 0
+    # on orbits, an orbit is in the support iff each of its vertices is,
+    # and its weight |O| d_w(O) sums the measure exactly (integers)
+    rows, weights, dists = traj.summands(x0)
+    support = np.abs(rows[0]) > 0
     s0 = int(dists[support].max()) if support.any() else 0
     excluded = s0 > radii // 2
-    ball_measures = np.cumsum(np.bincount(dists, traj.region.degrees))
+    ball_measures = np.cumsum(np.bincount(dists, weights))
     lhs = sups * 2.0 * ball_measures[radii]
     rhs = np.full(len(ts), m0)
     ratio = lhs / rhs
@@ -412,8 +414,8 @@ def check_slow_decay(traj: Trajectory, spec: PowerLawSpec, q, profile,
     radii = np.empty(len(ts), dtype=int)
 
     def sides():
-        support = np.abs(traj.row(0)) > 0
-        R_cap = int(traj.region.distances[support].max())
+        rows, _, dists = traj.summands()   # an orbit is in the support iff its vertices are
+        R_cap = int(dists[np.abs(rows[0]) > 0].max())
         radii[:] = minimal_balance_radius(spec, q, ts, profile, R_cap)
         m_R = np.array([spec.partial_mass(R) for R in radii])
         rhs = m_R * psi_inverse(profile, 1.0, 1.0 / (ts * m_R ** (p - 2.0)))

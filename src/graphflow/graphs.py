@@ -13,13 +13,15 @@ Degrees are always those of the full graph, so boundary vertices of a
 truncated region carry the same weighted degree ``d_w(x)`` as in the
 infinite graph.
 
-On ``Z^N`` a ball is the l1 ball, enumerated in closed form with numpy;
-it keeps its integer coordinates, from which its neighbour table is filled
-by integer-key lookup.  Both follow the generator's sorted table of unit
-offsets, which also orders the oracle's neighbor lists.  Such a ball
-builds its vertex tuples only on first use.  The ring BFS serves
-products, custom graphs and distance queries, and every other region
-fills its table by one loop over the oracle.
+On ``Z^N`` a ball is the l1 ball, in closed form: its length is ``|B_R|``,
+and each per-vertex array (coordinates, degrees, distances, vertex
+tuples) is enumerated with numpy on first read.  Its neighbour table is
+filled from the coordinates by integer-key lookup, in the order of the
+generator's sorted table of unit offsets, which also orders the oracle's
+neighbor lists.  Its :class:`OrbitQuotient` is built from the orbits'
+keys, with no vertex read.  The ring BFS serves products, custom graphs
+and distance queries, and every other region fills its table by one loop
+over the oracle.
 
 Every solve's kernel is a :class:`NeighbourTable`, built once per ball by
 :func:`region_edges` and sliced for the sub-balls and stacked copies a
@@ -29,6 +31,7 @@ sums are read off it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from operator import add
@@ -96,18 +99,80 @@ class GraphGenerator:
         return f"GraphGenerator({self.name!r})"
 
 
-class _TuplesOfCoords:
-    """``Region.vertices`` of a keyed ball: its ``coords`` rows as tuples, on first use.
+class _BuiltOnRead:
+    """A per-vertex field of a keyed ball, built by ``build(region)`` on first read.
 
-    A non-data descriptor, so a region built with its tuples keeps them in
-    its ``__dict__`` and never reaches it.
+    A non-data descriptor: a region given the field keeps it in its
+    ``__dict__`` and never reaches it.  Read on the class it is ``None``,
+    the field's default, or absent for a field without one (``required``).
     """
 
+    def __init__(self, build, required=False):
+        self.build, self.required = build, required
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
     def __get__(self, region, owner=None):
-        if region is None:   # no class-level value: the field has no default
-            raise AttributeError("vertices")
-        region.vertices = vertices = tuple(zip(*region.coords.T.tolist()))
-        return vertices
+        if region is None:
+            if self.required:
+                raise AttributeError(self.name)
+            return None
+        value = self.build(region)
+        setattr(region, self.name, value)
+        return value
+
+
+def _ball_size(N, R):
+    """``|B_R|`` on ``Z^N``: ``2^k C(N, k) C(R, k)`` vertices with ``k`` nonzero coordinates."""
+    return sum(2 ** k * math.comb(N, k) * math.comb(R, k) for k in range(min(N, R) + 1))
+
+
+def _ring_prefixes(N, lo, hi):
+    """The rings ``lo..hi`` of ``Z^N`` but for the last coordinate, in ring order.
+
+    Ring by ring, each in lexicographic order: the first ``N - 1``
+    coordinates, one int64 column each, and the l1 budget ``b`` they leave.
+    A prefix with budget ``b`` takes the values ``-b..b``, in order, next;
+    the last coordinate takes ``-b`` and ``b`` (``0`` once), so a prefix
+    stands for ``1 + (b > 0)`` vertices.
+    """
+    left, cols = np.arange(lo, hi + 1), []
+    for _ in range(N - 1):
+        width = 2 * left + 1
+        parent = np.repeat(np.arange(len(left)), width)
+        c = np.arange(len(parent)) - (np.cumsum(width) - width + left)[parent]
+        cols = [col[parent] for col in cols] + [c]
+        left = left[parent] - np.abs(c)
+    return cols, left
+
+
+def _tuples(region):
+    return tuple(zip(*region.coords.T.tolist()))
+
+
+def _degrees(region):
+    return np.full(len(region), float(len(region.generator.unit_offsets)))
+
+
+def _distances(region):
+    # ring d > 0 has 2^k C(N, k) C(d - 1, k - 1) vertices with k nonzero coordinates
+    d = np.arange(region.radius + 1)
+    sizes, c = (d == 0).astype(np.int64), (d > 0).astype(np.int64)   # c = C(d - 1, k - 1)
+    for k in range(1, region.generator.dimension + 1):
+        sizes += 2 ** k * math.comb(region.generator.dimension, k) * c
+        c = c * (d - k) // k
+    return np.repeat(d, sizes)
+
+
+def _coords(region):
+    if not region.keyed:
+        return None
+    cols, left = _ring_prefixes(region.generator.dimension, 0, region.radius)
+    width = 1 + (left > 0)
+    parent, last = np.repeat(np.arange(len(left)), width), np.repeat(left, width)
+    last[np.cumsum(width) - width] *= -1   # -b first
+    return np.column_stack([col[parent] for col in cols] + [last]) + np.array(region.center)
 
 
 @dataclass
@@ -118,22 +183,25 @@ class Region:
     ``distances`` from ``center`` are then nondecreasing (``None`` on any
     other region).  ``index`` maps each vertex to its position, built on
     first use.
-    ``coords`` is the ``(n, N)`` int64 coordinate array of a ball built by
-    :func:`ball` on ``Z^N`` whose padded bounding box has int64 keys, which
-    selects the key-lookup table build; ``None`` on every other region.
-    Such a keyed ball builds its ``vertices``, and so its ``index``, from
-    ``coords`` on first use: a solve on its orbits reads neither.  Its
-    length is that of ``degrees``, and ``dataclasses.replace`` gives a bare
-    region (no ``coords``) with its tuples.
+    A ball built by :func:`ball` on ``Z^N`` whose padded bounding box has
+    int64 keys is ``keyed``: its ``(n, N)`` int64 ``coords`` select the
+    key-lookup table build (``None`` on every other region).  A keyed ball
+    holds no per-vertex array until one is read: ``coords``,
+    ``degrees`` (all ``2N``), ``distances``, ``vertices`` and so ``index``
+    are each built from ``(N, center, radius)`` on first read, and its
+    length is the closed form ``|B_R|``.  A solve on its orbits
+    (:class:`OrbitQuotient`) reads none of them.  ``dataclasses.replace``
+    gives a bare region (not keyed, no ``coords``) with its tuples.
     """
 
     generator: GraphGenerator
-    vertices: tuple = _TuplesOfCoords()
-    degrees: np.ndarray
+    vertices: tuple = _BuiltOnRead(_tuples, required=True)
+    degrees: np.ndarray = _BuiltOnRead(_degrees, required=True)
     center: object = None
     radius: int | None = None
-    distances: np.ndarray | None = None
-    coords: np.ndarray | None = field(init=False, default=None, repr=False)
+    distances: np.ndarray | None = _BuiltOnRead(_distances)
+    keyed: bool = field(init=False, default=False, repr=False)
+    coords = _BuiltOnRead(_coords)
 
     @cached_property
     def index(self):
@@ -145,6 +213,8 @@ class Region:
         return float(self.degrees.sum())
 
     def __len__(self):
+        if self.keyed:
+            return _ball_size(self.generator.dimension, self.radius)
         return len(self.degrees)
 
     def __contains__(self, x):
@@ -191,10 +261,11 @@ _KEY_LIMIT = 2 ** 62
 def ball(g, x0, R):
     """Combinatorial ball ``B_R(x0)`` as a :class:`Region`.
 
-    On ``Z^N`` the l1 ball ``|x - x0|_1 <= R`` in closed form, elsewhere a
-    BFS from ``x0`` truncated at radius ``R``; degrees are those of the
-    full graph, not the truncation.  The vertices come in ring order, by
-    distance and then by ``g.sort_key``.
+    On ``Z^N`` the l1 ball ``|x - x0|_1 <= R`` in closed form, a keyed
+    region that builds each per-vertex array on first read (see
+    :class:`Region`); elsewhere a BFS from ``x0`` truncated at radius
+    ``R``.  Degrees are those of the full graph, not the truncation.  The
+    vertices come in ring order, by distance and then by ``g.sort_key``.
     """
     if R < 0 or int(R) != R:
         raise ValueError(f"radius must be a nonnegative integer, got {R}")
@@ -212,23 +283,10 @@ def ball(g, x0, R):
 
 
 def _lattice_ball(g, x0, R):
-    # B_R(x0) on Z^N in lexicographic order, one coordinate at a time: a
-    # prefix with l1 budget b left takes the values -b..b, in order, next;
-    # then stably by distance, into ring order
-    offs = np.zeros((1, 0), dtype=np.int64)
-    left = np.array([R], dtype=np.int64)
-    for _ in range(g.dimension):
-        width = 2 * left + 1
-        parent = np.repeat(np.arange(len(left)), width)
-        c = np.arange(len(parent)) - (np.cumsum(width) - width + left)[parent]
-        offs = np.column_stack([offs[parent], c])
-        left = left[parent] - np.abs(c)
-    order = np.argsort(R - left, kind="stable")
-    coords = offs[order] + np.array(x0, dtype=np.int64)
-    region = Region(g, None, np.full(len(coords), float(len(g.unit_offsets))),
-                    center=x0, radius=R, distances=(R - left)[order])
-    region.coords = coords
-    del region.vertices   # built from coords on first use
+    # B_R(x0) on Z^N, every per-vertex field built on first read
+    region = Region(g, None, None, center=x0, radius=R)
+    region.keyed = True
+    del region.vertices, region.degrees, region.distances
     if (2 * R + 3) ** g.dimension >= _KEY_LIMIT:   # the padded box has no int64 keys
         region = replace(region)   # a bare ball, with its tuples
     return region
@@ -417,7 +475,7 @@ def region_edges(g, region):
     by index, the stubs and the pads: the order the sums have always
     rounded in (offset order alone moves step sizes at rounding level).
     """
-    if g.unit_offsets is not None and region.coords is not None:
+    if g.unit_offsets is not None and region.keyed:
         # mixed-radix keys over the region's bounding box padded by one layer,
         # last coordinate fastest, so a unit offset shifts a key by a constant
         n = len(region.coords)
@@ -460,48 +518,107 @@ def orbit_constant(values, center):
     return True
 
 
-def orbit_quotient(region):
-    """A ``Z^N`` ball modulo the signed coordinate permutations about its center.
+def _sorted_key(cols, stride):
+    """The mixed-radix key of each row's absolute values sorted ascending.
 
-    Orbits are keyed by the sorted absolute offsets from the center and
-    numbered by their first vertex in the ring-ordered ball, so each lies
-    on one ring and the orbits of a smaller concentric ball are a prefix.
-    Returns the orbit of each vertex, the first vertex of each orbit and
-    the quotient's :class:`NeighbourTable`: column ``O`` lists the orbits
-    of the first vertex's ``2N`` neighbours in unit-offset order (the zero
-    slot past the radius), at weight 1.  The group acts transitively on
-    each orbit, so a state constant on orbits has the first vertex's sum
-    at every vertex of ``O`` and evolves as its orbit values do.
-    ``|O| w(O, O')``, ``w(O, O')`` the entries of ``O`` in ``O'``, counts
-    the edges between the orbits, so ``sum |O| d(O) u(O)`` is conserved.
+    ``cols`` holds one integer column per coordinate; an odd-even
+    transposition network of ``minimum``/``maximum`` pairs sorts them.
     """
-    coords = region.coords if region.coords is not None else np.array(region.vertices)
-    center, offsets = np.array(region.center), region.generator.unit_offsets
-    R, N = region.radius, len(region.center)
-    # (R + 1)^N < (2R + 3)^N: with int64 box keys, one int64 key per row
-    radix = None if region.coords is None else (R + 1) ** np.arange(N)
+    a = [np.abs(c) for c in cols]
+    for sweep in range(len(a)):
+        for i in range(sweep % 2, len(a) - 1, 2):
+            a[i], a[i + 1] = np.minimum(a[i], a[i + 1]), np.maximum(a[i], a[i + 1])
+    key = a[-1] * stride[-1]
+    for col, s in zip(a[:-1], stride[:-1]):
+        key += col * s
+    return key
 
-    def keys_of(rel):
-        keys = np.sort(np.abs(rel), axis=1)
-        return keys if radix is None else keys @ radix
 
-    known, first, inverse = np.unique(keys_of(coords - center), axis=0,
-                                      return_index=True, return_inverse=True)
-    order = np.argsort(first)                 # the orbits by first vertex
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    orbit_of, first, k = rank[inverse.ravel()], first[order], len(order)
-    # each first vertex's neighbours: the orbit of their key inside the
-    # ball, else a stub
-    rel = coords[first, None] - center + offsets
-    inside = np.abs(rel).sum(axis=2) <= R
-    # every key inside is known, so the known keys keep their places
-    _, at = np.unique(np.concatenate([known, keys_of(rel[inside])]), axis=0,
-                      return_inverse=True)
-    nbr = np.full((k, len(offsets)), k)
-    nbr[inside] = rank[at.ravel()[k:]]
-    return orbit_of, first, NeighbourTable(np.ascontiguousarray(nbr.T),
-                                           np.ones((len(offsets), k)))
+class OrbitQuotient:
+    """A ``Z^N`` ball ``B_R(center)`` modulo the signed coordinate permutations about its center.
+
+    Built from the orbits' keys, with no vertex read: an orbit's key is the
+    sorted absolute offset of its vertices from the center, a partition of
+    its ring ``d <= R`` into at most ``N`` parts.  ``keys`` holds one row
+    per orbit, descending; the orbit's first vertex in the ring-ordered ball
+    is ``center - key``.  Orbits are numbered by their first vertices, ring
+    by ring and each ring in lexicographic order, so each lies on one ring
+    and the orbits of a smaller concentric ball are a prefix.  ``dist`` is
+    each orbit's ring, ``sizes`` its vertex count (a multinomial times
+    ``2^(nonzero parts)``), ``ends`` their running sum (``ends[m - 1]``
+    vertices make up the first ``m`` orbits, a ball when they end a ring)
+    and ``degree`` the lattice degree ``2N``.
+
+    ``table`` is the quotient's :class:`NeighbourTable`: column ``O`` lists
+    the orbits of the first vertex's ``2N`` neighbours in unit-offset order
+    (the zero slot past the radius), at weight 1, looked up by key.  The
+    group acts transitively on each orbit, so a state constant on orbits
+    has the first vertex's sum at every vertex of ``O`` and evolves as its
+    orbit values do.  ``|O| w(O, O')``, ``w(O, O')`` the entries of ``O``
+    in ``O'``, counts the edges between the orbits, so ``sum |O| d(O) u(O)``
+    is conserved.
+
+    ``lift(n)`` is the orbit of each of the ball's first ``n`` vertices,
+    built ring by ring as far as it is read and kept; ``first`` is the
+    index of each orbit's first vertex, read off the whole lift.
+    """
+
+    def __init__(self, region):
+        offsets, R = region.generator.unit_offsets, region.radius
+        self.N = N = offsets.shape[1]
+        self.degree = float(2 * N)
+        # ring by ring, each part from min(the last part, the budget) down
+        # to the least that leaves the later parts no larger; the last part
+        # is what is left
+        left, parts = np.arange(R + 1), []
+        for i in range(N - 1):
+            hi = left if i == 0 else np.minimum(parts[-1], left)
+            width = hi - -(-left // (N - i)) + 1
+            parent = np.repeat(np.arange(len(left)), width)
+            part = (hi + np.cumsum(width) - width)[parent] - np.arange(len(parent))
+            parts = [c[parent] for c in parts] + [part]
+            left = left[parent] - part
+        parts = np.stack([*parts, left])   # (N, k): part i of each key
+        self.keys, self.dist, k = parts.T, parts.sum(axis=0), len(left)
+        # N! over the factorials of the runs of equal parts, one part at a time
+        sizes, run = np.ones(k, dtype=np.int64), np.ones(k, dtype=np.int64)
+        for i in range(1, N):
+            run = np.where(parts[i] == parts[i - 1], run + 1, 1)
+            sizes = sizes * (i + 1) // run
+        self.sizes = sizes << (parts > 0).sum(axis=0)
+        self.ends = np.cumsum(self.sizes)
+        self._ring_ends = self.ends[np.searchsorted(self.dist, np.arange(R + 1), side="right") - 1]
+        # a dense table over the ascending keys: part i of N is at most R // (N - i)
+        bounds = R // np.arange(N, 0, -1) + 1
+        self._stride = np.append(np.cumprod(bounds[:0:-1])[::-1], 1)
+        self._lookup = np.empty(int(np.prod(bounds)), dtype=np.int64)
+        self._lookup[_sorted_key(parts, self._stride)] = np.arange(k)
+        # the neighbours of each first vertex -key: offset (j, s) makes part
+        # j |s - key_j|; the orbit of their key inside the ball, else a stub
+        axis, sign = np.nonzero(offsets)[1], offsets.sum(axis=1)
+        near = np.repeat(parts[:, None], 2 * N, axis=1)   # (N, 2N, k)
+        near[axis, np.arange(2 * N)] = np.abs(parts[axis] - sign[:, None])
+        key = _sorted_key(near.reshape(N, -1), self._stride).reshape(2 * N, k)
+        nbr = np.where(near.sum(axis=0) <= R, self._lookup.take(key, mode="clip"), k)
+        self.table = NeighbourTable(nbr, np.ones((2 * N, k)))
+        self._lift, self._ring = np.empty(0, dtype=np.int64), -1
+
+    def lift(self, n=None):
+        """The orbit of each of the ball's first ``n`` vertices (default: all), ring order."""
+        n = int(self.ends[-1]) if n is None else n
+        if n > len(self._lift):
+            r = int(np.searchsorted(self._ring_ends, n))   # the ring of vertex n - 1
+            cols, left = _ring_prefixes(self.N, self._ring + 1, r)
+            # the last coordinate's two signs are one orbit
+            orbit = self._lookup[_sorted_key([*cols, left], self._stride)]
+            self._lift = np.concatenate([self._lift, np.repeat(orbit, 1 + (left > 0))])
+            self._ring = r
+        return self._lift[:n]
+
+    @cached_property
+    def first(self):
+        # orbits are numbered in the order their first vertices come
+        return np.searchsorted(np.maximum.accumulate(self.lift()), np.arange(len(self.keys)))
 
 
 @dataclass

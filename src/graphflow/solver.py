@@ -46,7 +46,7 @@ from functools import cached_property
 import numpy as np
 
 from .fields import Field
-from .graphs import ball, distances_within, orbit_constant, orbit_quotient, region_edges
+from .graphs import OrbitQuotient, ball, distances_within, orbit_constant, region_edges
 from .operators import require_exponent
 
 
@@ -236,7 +236,7 @@ class _Row:
 
 
 def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps, grow=None,
-               norm_size=None, lift=None):
+               norm_size=None, orbits=None):
     """Integrate y' = rhs(t, y) on [0, t_end], dense output at t_eval.
 
     ``dist[i]`` is the center distance of vertex ``i``, nondecreasing (a
@@ -259,9 +259,11 @@ def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps, grow=None
     for the whole run.  So the step sequence depends
     neither on the active ball nor on the balls a growing run moves onto,
     up to the rounding of sums over arrays of different length.  With
-    ``lift``, the entry of each vertex of the ball (an orbit quotient, see
-    :func:`solve_truncated`), the norms sum over the vertices in their
-    order, ``y[..., lift]``, as a solve on the vertices does.
+    ``orbits``, the ball's :class:`graphs.OrbitQuotient` (see
+    :func:`solve_truncated`), the entries are orbits, and the norms sum
+    over the ball's vertices in their order, the squared entries gathered
+    through ``orbits.lift``, as a solve on the vertices does; the lift is
+    read only as far as the active ball reaches.
 
     A 2-d ``y0`` holds ``K`` independent states, one per row, integrated
     in lockstep: one loop iteration is one attempt for every row that has
@@ -282,8 +284,8 @@ def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps, grow=None
     by at most 7), and when ``s`` lies in them the run first moves onto a
     larger ball, the current one its prefix.  ``grow(t)`` returns its
     ``dist`` and ``rhs_on``, whether it has a ring to reach (a ball
-    that covers a finite graph has none) and, with ``lift``, its
-    lift.  The state, the FSAL value and
+    that covers a finite graph has none) and, with ``orbits``, its
+    orbits.  The state, the FSAL value and
     the stored rows are padded with zero columns, and stepping goes on
     with the same step size, controller state and counters: a growth
     redoes nothing.  Without ``grow`` the ball is fixed (one without a
@@ -304,7 +306,7 @@ def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps, grow=None
     the stack), the cumulative ``accepted``,
     ``rejected`` and ``redone`` (voided) attempt counts when it was left,
     and the largest active ball, in entries (``unknowns``) and in
-    vertices (``active_vertices``, the entries without ``lift``).  The
+    vertices (``active_vertices``, the entries without ``orbits``).  The
     ``max_steps`` budget counts every attempt.
     """
     states = np.atleast_2d(y0)
@@ -325,7 +327,9 @@ def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps, grow=None
                 int(np.searchsorted(dist, r)))
 
     def widen(v, m):   # each row's block padded with zeros to length m
-        return np.pad(v, [(0, 0)] * (v.ndim - 1) + [(0, m - v.shape[-1])])
+        wide = np.zeros((*v.shape[:-1], m))
+        wide[..., :v.shape[-1]] = v
+        return wide
 
     def per_row(values):   # one value per live row, broadcast over its block
         return values[0] if len(values) == 1 else np.array(values)[:, None]
@@ -339,27 +343,31 @@ def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps, grow=None
     size = n if norm_size is None else norm_size
 
     def rms(v):   # one per live row, summed over all n entries of its row (a
-        if lift is None:         # sum over the prefix rounds differently)
+        if orbits is None:         # sum over the prefix rounds differently)
             np.square(v, out=sq_m)
-        else:   # the active vertices are a prefix of the ball's too
-            v.take(lift[:sq_m.shape[-1]], axis=-1, out=sq_m, mode="clip")
-            np.square(sq_m, out=sq_m)
+        else:   # the orbits squared, gathered onto the active vertices, a prefix of the ball's
+            np.square(v, out=sq_o)
+            sq_o.take(lift, axis=-1, out=sq_m, mode="clip")
         sums = np.add.reduce(sq, axis=-1, keepdims=sq.ndim == 1)
         return [math.sqrt(x / size) for x in sums.tolist()]
 
     def active_vertices():   # the vertices of the active ball
-        return m if lift is None else int(np.count_nonzero(lift < m))
+        return m if orbits is None else int(orbits.ends[m - 1])
 
     def build(k):
         # for k rows: the right-hand side on the active ball, on k stacked
         # copies of it; the squared entries for the RMS (zero outside the
-        # active ball) and their active part; the stages, row by row in
+        # active ball), their active part, the squared orbits and the
+        # active vertices' orbits; the stages, row by row in
         # contiguous (7, m) blocks; the assignable stage rows; a stage
         # input, flat and by row; the step and error rows and the product
         # that writes them; each stage's index, A_i, c_i and the stages
         # K[:i] its input combines; the stages past K[0] on ring r
-        size_sq = n if lift is None else len(lift)
+        size_sq = n if orbits is None else int(orbits.ends[-1])
         sq = np.zeros(size_sq if k == 1 else (k, size_sq))
+        sq_o = lift = None
+        if orbits is not None:
+            sq_o, lift = np.empty(m if k == 1 else (k, m)), orbits.lift(active_vertices())
         S = np.empty((k, 7, m))
         yi = np.empty(k * m)
         step = np.empty((2, m) if k == 1 else (2, k, m))
@@ -373,7 +381,7 @@ def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps, grow=None
                 return stacked(t, u.reshape(-1)).reshape(k, m)
             stage, product = S.transpose(1, 0, 2), (S, step.transpose(1, 0, 2))
         stages = [(i, _DP_A[i], _DP_C[i], product[0][..., :i, :]) for i in range(1, 7)]
-        return (rhs, sq, sq[..., :active_vertices()], S, stage, yi,
+        return (rhs, sq, sq[..., :active_vertices()], sq_o, lift, S, stage, yi,
                 yi.reshape(stage.shape[1:]), step, product, stages, S[:, 1:6, ring:])
 
     out = np.zeros((len(rows), n_out + 1, n))
@@ -398,8 +406,8 @@ def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps, grow=None
                     row.balls.append(record(row))
                     row.t_in = row.t
                 dist, rhs_on, ringed, *new = grow(live[0].t)
-                if lift is not None:
-                    [lift] = new
+                if orbits is not None:
+                    [orbits] = new
                 if not ringed:   # a ball without a ring is never left
                     grow = None
                 wider = np.zeros((len(rows), n_out + 1, len(dist)))
@@ -414,7 +422,8 @@ def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps, grow=None
                 f = widen(f, m)
             continue
         if rhs is None:
-            rhs, sq, sq_m, S, stage, yi, yo, step, product, stages, at_ring = build(len(live))
+            (rhs, sq, sq_m, sq_o, lift, S, stage, yi, yo, step, product, stages,
+             at_ring) = build(len(live))
             if f is not None:
                 stage[0] = f
                 f = stage[0]
@@ -539,15 +548,14 @@ class Trajectory:
     The generator and the exponent are read from the region and the config.
 
     ``rows`` holds the stored rows as they were solved, one per time.
-    ``orbits`` is ``(lift, first)``, the orbit of each vertex and the
-    first vertex of each orbit, when the rows are constant on the orbits
-    of :func:`graphs.orbit_quotient`: then ``rows`` has one column per
-    orbit, and ``values``, every row on every vertex, lifts them on each
-    read (it is not cached); :meth:`row` lifts one row.  Without orbits
-    ``values`` is ``rows``.  The weighted sums read the orbit rows (see
-    :meth:`summands`).  ``edges``, the region's neighbour table
-    (:func:`graphs.region_edges`), whose edge arrays give the power sums, is
-    built on first use.
+    ``orbits`` is the region's :class:`graphs.OrbitQuotient` when the rows
+    are constant on its orbits: then ``rows`` has one column per orbit,
+    and ``values``, every row on every vertex, lifts them through
+    ``orbits.lift()`` on each read (it is not cached); :meth:`row` lifts
+    one row.  Without orbits ``values`` is ``rows``.  The weighted sums
+    read the orbit rows (see :meth:`summands`).  ``edges``, the region's
+    neighbour table (:func:`graphs.region_edges`), whose edge arrays give
+    the power sums, is built on first use.
     """
 
     certified = True
@@ -567,11 +575,11 @@ class Trajectory:
     @property
     def values(self):
         """Every stored row on every vertex, ``(times, vertices)``; on orbits, lifted per read."""
-        return self.rows if self.orbits is None else self.rows[:, self.orbits[0]]
+        return self.rows if self.orbits is None else self.rows[:, self.orbits.lift()]
 
     def row(self, k):
         """Stored row ``k`` on the vertices."""
-        return self.rows[k] if self.orbits is None else self.rows[k, self.orbits[0]]
+        return self.rows[k] if self.orbits is None else self.rows[k, self.orbits.lift()]
 
     @cached_property
     def edges(self):
@@ -620,9 +628,7 @@ class Trajectory:
         """
         if self.orbits is None or x0 not in (None, self.region.center):
             return self.values, self.region.degrees, self.distances(x0)
-        lift, first = self.orbits
-        weights = np.bincount(lift) * self.region.degrees[first]
-        return self.rows, weights, self.region.distances[first]
+        return self.rows, self.orbits.sizes * self.orbits.degree, self.orbits.dist
 
     # whole-trajectory functionals: one entry per stored time, t = 0 first.
     # Cached on first use (the stored values are final once built), so the
@@ -680,7 +686,9 @@ def _make_rhs(table, degrees, p):
 def solve_truncated(g, u0: Field, cfg: SolverConfig, n, center=None, partners=()):
     """Solve the Cauchy problem on a ball that grows in place from ``B_n``.
 
-    The initial data must be supported inside ``B_n``.  Before each step,
+    ``n`` is ``None`` for ``B_n0``, ``n0 = first_radius(u0, cfg, center,
+    partners)``, which is computed once per solve either way.  The initial
+    data must be supported inside ``B_n``.  Before each step,
     the first one included, whose stage inputs could be nonzero on the
     ring of the ball ``B_R`` it is on, the solve moves onto the ball of
     radius ``ceil(RADIUS_GROWTH * R)`` and goes on there, its prefix
@@ -697,10 +705,9 @@ def solve_truncated(g, u0: Field, cfg: SolverConfig, n, center=None, partners=()
     center that the solution can reach (see :func:`_integrate`), a prefix
     of the ball; the stored rows are full-length and equal to a whole-ball
     solve up to rounding (bit for bit on the vertex path).  Every error
-    norm divides by ``|B_n0|`` for ``n0 = first_radius(u0, cfg, center,
-    partners)``, counted in ``B_n`` (all of ``B_n`` when it is the smaller
-    ball), so the steps do not depend on ``n`` or on the balls the solve
-    moves onto.
+    norm divides by ``|B_n0|``, counted in ``B_n`` (all of ``B_n`` when it
+    is the smaller ball), so the steps do not depend on ``n`` or on the
+    balls the solve moves onto.
 
     ``partners`` are further data solved in the same :func:`_integrate`
     call, in lockstep with ``u0``: each keeps its own steps, and the
@@ -709,10 +716,13 @@ def solve_truncated(g, u0: Field, cfg: SolverConfig, n, center=None, partners=()
 
     When every datum is constant on the orbits of the signed coordinate
     permutations about a ``Z^N`` center (a centred delta, radial data),
-    the solve has one unknown per orbit (:func:`graphs.orbit_quotient`)
-    and the trajectories keep their orbit rows, whose lift to the vertices
-    of the last ball is a solve on the vertices up to rounding, with the
-    same steps.  It builds no vertex table and no vertex tuple.  Each ball's
+    the solve has one unknown per orbit (:class:`graphs.OrbitQuotient`)
+    and the trajectories keep their orbit rows and the last ball's orbits,
+    whose lift to its vertices is a solve on the vertices up to rounding,
+    with the same steps.  It builds each ball's orbits from their keys and
+    reads no per-vertex array of a ball: no vertex table, tuple,
+    coordinate, degree or distance.  The error norms read the lift only as
+    far as the active ball reaches.  Each ball's
     :class:`graphs.NeighbourTable` is built once; an active ball's
     right-hand side slices it (``table.restrict(m).stacked(k)``).
 
@@ -728,26 +738,27 @@ def solve_truncated(g, u0: Field, cfg: SolverConfig, n, center=None, partners=()
     """
     center = _resolve_center(g, u0, center)
     data = [u0, *partners]
-    region = ball(g, center, n)
-    quotient = (_ORBIT_QUOTIENT and region.coords is not None
+    n0 = first_radius(u0, cfg, center, partners)
+    region = ball(g, center, n0 if n is None else n)
+    quotient = (_ORBIT_QUOTIENT and region.keyed
                 and all(orbit_constant(u.values, center) for u in data))
-    balls = []   # each ball the solve was on, its vertex edge count, lift and first vertices
+    balls = []   # each ball the solve was on, its vertex edge count and its orbits
 
     def on(region):
         # the ball's unknowns: their distances, rhs_on, whether the ball has
-        # a ring to reach and their lift (None on the vertices)
+        # a ring to reach and their orbits (None on the vertices)
         if quotient:
-            lift, first, table = orbit_quotient(region)
-            sizes = np.bincount(lift)   # the vertices each orbit stands for
-            dist, degrees = region.distances[first], region.degrees[first]
+            orbits = OrbitQuotient(region)
+            table, sizes, dist = orbits.table, orbits.sizes, orbits.dist
+            degrees = np.full(len(dist), orbits.degree)
         else:
-            table, lift, first, sizes = region_edges(g, region), None, None, 1
+            table, orbits, sizes = region_edges(g, region), None, 1
             dist, degrees = region.distances, region.degrees
-        balls.append((region, table.edge_count(sizes), lift, first))
+        balls.append((region, table.edge_count(sizes), orbits))
 
         def rhs_on(m, k=1):   # looks up the module's _make_rhs for every sub-ball
             return _make_rhs(table.restrict(m).stacked(k), np.tile(degrees[:m], k), cfg.p)
-        return dist, rhs_on, bool((table.nbr == table.n).any()), lift
+        return dist, rhs_on, bool((table.nbr == table.n).any()), orbits
 
     def grow_ball(t):
         smaller = balls[-1][0]
@@ -757,33 +768,33 @@ def solve_truncated(g, u0: Field, cfg: SolverConfig, n, center=None, partners=()
                 f"(last radius {smaller.radius}, at t={t!r})")
         return on(ball(g, smaller.center, math.ceil(RADIUS_GROWTH * smaller.radius)))
 
-    dist, rhs_on, ringed, lift = on(region)
-    first = balls[0][3]
+    dist, rhs_on, ringed, orbits = on(region)
     y0 = np.zeros((len(data), len(dist)))
     for row, u in zip(y0, data):
-        if lift is None:
+        if orbits is None:
             for v, x in u.values.items():
                 if v in region:
                     row[region.index[v]] = x
             held = np.count_nonzero(row)
         else:   # the data are constant on orbits: each takes its first vertex's value
-            row[:] = [u[v] for v in map(tuple, region.coords[first].tolist())]
-            held = int(np.bincount(lift)[row != 0].sum())
+            row[:] = [u[v] for v in map(tuple, (np.array(center) - orbits.keys).tolist())]
+            held = int(orbits.sizes[row != 0].sum())
         if held < len(u):
             v = next(v for v in u.support() if v not in region)
             raise ValueError(f"data support at {v!r} lies outside "
                              f"B_{region.radius}({region.center!r})")
-    n0 = first_radius(u0, cfg, center, partners)
+    if orbits is None:
+        norm_size = int(np.count_nonzero(dist <= n0))
+    else:
+        norm_size = int(orbits.sizes[dist <= n0].sum())
     solved = _integrate(rhs_on, dist, y0, float(cfg.instants[-1]), cfg.instants, cfg.rtol,
                         cfg.atol, MAX_STEPS, grow=grow_ball if ringed else None,
-                        norm_size=int(np.count_nonzero(region.distances <= n0)),
-                        lift=lift)
-    region, _, lift, first = balls[-1]
+                        norm_size=norm_size, orbits=orbits)
+    region, _, orbits = balls[-1]
     times = np.concatenate([[0.0], cfg.instants])
     trajs = []
     for Y, diag in solved:
         diagnostics = {name: diag[name] for name in ROW_DIAGNOSTICS.names}
-        orbits = None if lift is None else (lift, first)
         traj = Trajectory(cfg, region, times, Y, diagnostics, orbits=orbits)
         traj.history = [{"n": reg.radius, "vertices": len(reg), "edges": count, **counts}
                         for (reg, count, *_), counts in zip(balls, diag["balls"])]
@@ -807,8 +818,7 @@ def solve_cauchy(g, u0: Field, cfg: SolverConfig, center=None, partners=()):
     their trajectories (``traj.partners``) are certified on the same ball.
     """
     center = _resolve_center(g, u0, center)
-    return solve_truncated(g, u0, cfg, first_radius(u0, cfg, center, partners),
-                           center=center, partners=partners)
+    return solve_truncated(g, u0, cfg, None, center=center, partners=partners)
 
 
 def first_radius(u0: Field, cfg: SolverConfig, center, partners=()):

@@ -12,7 +12,7 @@ import numpy as np
 
 import graphflow as gf
 from graphflow import solver
-from graphflow.graphs import orbit_constant, orbit_quotient, region_edges
+from graphflow.graphs import OrbitQuotient, orbit_constant, region_edges
 
 
 class Kept(NamedTuple):
@@ -23,7 +23,7 @@ class Kept(NamedTuple):
     values: np.ndarray
     diagnostics: dict
     history: list
-    orbits: tuple | None
+    orbits: object
 
 
 def kept_on(g, u0, cfg, center, radii):
@@ -39,43 +39,43 @@ def kept_on(g, u0, cfg, center, radii):
     has one record per ball, with the keys of ``solve_truncated``'s.
     """
     regions = [gf.ball(g, center, n) for n in radii]
-    quotient = (solver._ORBIT_QUOTIENT and regions[0].coords is not None
+    quotient = (solver._ORBIT_QUOTIENT and regions[0].keyed
                 and orbit_constant(u0.values, center))
 
     def on(region):   # the ball's unknowns, as in solve_truncated
         if quotient:
-            lift, first, table = orbit_quotient(region)
-            sizes = np.bincount(lift)
-            dist, degrees = region.distances[first], region.degrees[first]
+            orbits = OrbitQuotient(region)
+            table, sizes, dist = orbits.table, orbits.sizes, orbits.dist
+            degrees = np.full(len(dist), orbits.degree)
         else:
-            table, lift, first, sizes = region_edges(g, region), None, None, 1
+            table, orbits, sizes = region_edges(g, region), None, 1
             dist, degrees = region.distances, region.degrees
 
         def rhs_on(m):   # through the module attribute, which tests may wrap
             return solver._make_rhs(table.restrict(m), degrees[:m], cfg.p)
-        balls.append((region, table.edge_count(sizes), lift, first))
-        return dist, rhs_on, lift
+        balls.append((region, table.edge_count(sizes), orbits))
+        return dist, rhs_on, orbits
 
     def grow(t):
-        dist, rhs_on, lift = on(regions[len(balls)])
+        dist, rhs_on, orbits = on(regions[len(balls)])
         # report no ring on the last ball, so that it is never left
-        return dist, rhs_on, len(balls) < len(regions), lift
+        return dist, rhs_on, len(balls) < len(regions), orbits
 
     balls = []
-    dist, rhs_on, lift = on(regions[0])
+    dist, rhs_on, orbits = on(regions[0])
     y0 = np.zeros(len(dist))
     for v, x in u0.values.items():
         i = regions[0].index[v]
-        y0[i if lift is None else lift[i]] = x
+        y0[i if orbits is None else orbits.lift()[i]] = x
     n0 = solver.first_radius(u0, cfg, center)
     Y, diag = solver._integrate(
         rhs_on, dist, y0, float(cfg.instants[-1]), cfg.instants, cfg.rtol, cfg.atol,
         solver.MAX_STEPS, grow=grow if len(regions) > 1 else None,
-        norm_size=int(np.count_nonzero(regions[0].distances <= n0)), lift=lift)
-    region, _, lift, first = balls[-1]
+        norm_size=int(np.count_nonzero(regions[0].distances <= n0)), orbits=orbits)
+    region, _, orbits = balls[-1]
     history = [{"n": reg.radius, "vertices": len(reg), "edges": count, **counts}
                for (reg, count, *_), counts in zip(balls, diag["balls"])]
     return Kept(region, np.concatenate([[0.0], cfg.instants]),
-                Y if lift is None else Y[:, lift],
+                Y if orbits is None else Y[:, orbits.lift()],
                 {name: diag[name] for name in solver.ROW_DIAGNOSTICS.names},
-                history, None if lift is None else (lift, first))
+                history, orbits)

@@ -841,6 +841,15 @@ def _slow_decay_on_a_brute_forced_profile(tmp_path):
                 profile={"kind": "bruteforce", "size_cap": 2})
 
 
+def _slow_decay_with_a_divergent_tail(tmp_path):
+    # on Z^2 the lq tail of |x|^-1/2 data converges only for q > 4
+    return tiny_config(
+        graph={"family": "lattice", "N": 2},
+        initial_data={"kind": "power_law", "alpha": 0.5, "truncation_radius": 1,
+                      "center": [0, 0]},
+        checks=[{"type": "slow_decay", "q": 4.0, "window": [1, 20]}])
+
+
 def _tabulated_profile(tmp_path):
     # a profile kind the schema does not have
     return tiny_config(profile={"kind": "tabulated", "path": str(tmp_path / "dip.csv")},
@@ -884,6 +893,8 @@ SET_UP_ERRORS = {
 CONFIG_ERRORS = {
     "slow_decay_bruteforce": (_slow_decay_on_a_brute_forced_profile,
                               "a brute-forced table is constant past its range"),
+    "slow_decay_divergent_tail": (_slow_decay_with_a_divergent_tail,
+                                  "slow_decay needs q > N/alpha = 4.0, else the lq tail"),
     "tabulated_sup_bound": (_tabulated_profile,
                             "'tabulated' is not one of ['lattice', 'bruteforce']"),
 }

@@ -252,3 +252,12 @@ def test_check_slow_decay_structure(z1, lat1):
     assert np.isfinite(chk.verdict)
     assert fit.passed
     assert (np.diff(chk.extra["radii"]) >= 0).all()
+    # about the origin the solve keeps orbit rows, and the support radius
+    # read off them is the vertex read's
+    traj = gf.solve_cauchy(z1, u0, cfg, center=(0,))
+    vertex = gf.Trajectory(cfg, traj.region, traj.times, traj.values, traj.diagnostics)
+    assert traj.orbits is not None and vertex.orbits is None
+    ours, _ = gf.check_slow_decay(traj, spec, 4.0, lat1, (10.0, 1e3), tolerance=0.1)
+    theirs, _ = gf.check_slow_decay(vertex, spec, 4.0, lat1, (10.0, 1e3), tolerance=0.1)
+    assert np.array_equal(ours.extra["radii"], theirs.extra["radii"])
+    assert ours.verdict == theirs.verdict and np.array_equal(ours.rhs, theirs.rhs)

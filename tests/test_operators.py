@@ -367,7 +367,7 @@ def test_the_right_hand_side_is_bitwise_the_bincount_formula(case, p, K):
 
 
 def test_every_table_decides_unit_from_its_own_weights():
-    _, _, quotient = gf.graphs.orbit_quotient(gf.ball(gf.lattice_generator(2), (0, 0), 5))
+    quotient = gf.graphs.OrbitQuotient(gf.ball(gf.lattice_generator(2), (0, 0), 5)).table
     tables = [(KERNEL[case][0]()[3], unit) for case, (_, unit) in KERNEL.items()]
     # a weight-2 edge past the center's: the first column alone is all 1s
     g = gf.generator_from_edges([("o", "a", 1.0), ("a", "b", 2.0), ("b", "c", 1.0)])

@@ -25,8 +25,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graphflow as gf
-from graphflow import cli, solver
-from graphflow.graphs import orbit_constant, orbit_quotient, region_edges
+from graphflow import cli, estimates, solver
+from graphflow.graphs import NeighbourTable, OrbitQuotient, orbit_constant, region_edges
 from dirichlet import kept_on
 from test_integration_error import sup_gaps
 
@@ -46,8 +46,40 @@ def _both(g, data, cfg, center, partners=()):
 def _orbit_data(g, center, radius, values):
     """The datum on ``B_radius(center)`` with ``values[k]`` on its ``k``-th orbit."""
     region = gf.ball(g, center, radius)
-    orbit_of = orbit_quotient(region)[0]
+    orbit_of = OrbitQuotient(region).lift()
     return {v: values[orbit_of[i]] for i, v in enumerate(region.vertices)}
+
+
+def unique_quotient(region):
+    """The orbit quotient by ``np.unique`` over the ball's vertices: the oracle.
+
+    Orbits are keyed by the sorted absolute offsets of the vertices from
+    the center and numbered by their first vertex.  Returns the orbit of
+    each vertex, the first vertex of each orbit and the quotient's table:
+    column ``O`` lists the orbits of the first vertex's ``2N`` neighbours in
+    unit-offset order (the zero slot past the radius), at weight 1.
+    """
+    coords = region.coords if region.coords is not None else np.array(region.vertices)
+    center, offsets = np.array(region.center), region.generator.unit_offsets
+    R = region.radius
+
+    def keys_of(rel):
+        return np.sort(np.abs(rel), axis=1)
+
+    known, first, inverse = np.unique(keys_of(coords - center), axis=0,
+                                      return_index=True, return_inverse=True)
+    order = np.argsort(first)                 # the orbits by first vertex
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    orbit_of, first, k = rank[inverse.ravel()], first[order], len(order)
+    rel = coords[first, None] - center + offsets
+    inside = np.abs(rel).sum(axis=2) <= R
+    _, at = np.unique(np.concatenate([known, keys_of(rel[inside])]), axis=0,
+                      return_inverse=True)
+    nbr = np.full((k, len(offsets)), k)
+    nbr[inside] = rank[at.ravel()[k:]]
+    return orbit_of, first, NeighbourTable(np.ascontiguousarray(nbr.T),
+                                           np.ones((len(offsets), k)))
 
 
 # The two solves take their steps on error estimates that round apart; where
@@ -67,7 +99,7 @@ def test_the_quotient_solve_is_the_vertex_solve(N, p, shift, radius, data):
     g = gf.lattice_generator(N)
     center = (shift,) * N
     region = gf.ball(g, center, radius)
-    k = orbit_quotient(region)[2].n
+    k = OrbitQuotient(region).table.n
     value = st.sampled_from([0.0, 0.5, -1.0, 2.0]) | st.floats(-2.0, 2.0)
     values = data.draw(st.lists(value, min_size=k, max_size=k))
     if not any(values):
@@ -96,12 +128,12 @@ def test_the_quotient_solve_is_the_vertex_solve(N, p, shift, radius, data):
 
 def _quotient_calls(monkeypatch):
     calls = []
-    build = solver.orbit_quotient
+    build = solver.OrbitQuotient
 
     def counted(region):
         calls.append(len(region))
         return build(region)
-    monkeypatch.setattr(solver, "orbit_quotient", counted)
+    monkeypatch.setattr(solver, "OrbitQuotient", counted)
     return calls
 
 
@@ -153,21 +185,24 @@ def test_the_quotient_of_a_ball(N, radius):
     center = (2,) * N
     region = gf.ball(g, center, radius)
     table = region_edges(g, region)
-    orbit_of, first, e = orbit_quotient(region)
+    q = OrbitQuotient(region)
+    orbit_of, first, e = q.lift(), q.first, q.table
     distances, degrees = region.distances[first], region.degrees[first]
     sizes = np.bincount(orbit_of)
+    assert _same_bits(sizes, q.sizes) and _same_bits(distances, q.dist)
+    assert (degrees == q.degree).all()
     # each orbit is numbered by its first vertex
     assert np.array_equal(first, np.unique(orbit_of, return_index=True)[1])
     # orbits lie on one ring, in ring order, and a smaller ball's are a prefix
     assert np.array_equal(region.distances, distances[orbit_of])
     assert (np.diff(distances) >= 0).all()
     smaller = gf.ball(g, center, radius - 2)
-    assert np.array_equal(orbit_quotient(smaller)[0], orbit_of[:len(smaller)])
+    assert np.array_equal(OrbitQuotient(smaller).lift(), orbit_of[:len(smaller)])
     assert np.array_equal(degrees, region.degrees[:len(sizes)])
     # a ball too large for int64 box keys has no coords: keyed by its vertex tuples
     bare = dataclasses.replace(region)
     assert bare.coords is None
-    assert np.array_equal(orbit_quotient(bare)[0], orbit_of)
+    assert np.array_equal(OrbitQuotient(bare).lift(), orbit_of)
     # |O| w(O, O') is the edge weight between the two orbits, both ways
     d = _directed(e)
     assert np.array_equal(sizes[d["ei"]] * d["w"], sizes[d["ej"]] * d["wj"])
@@ -181,6 +216,36 @@ def test_the_quotient_of_a_ball(N, radius):
         full = table.restrict(n).divergence(3.0)(u[orbit_of[:n]])
         lifted = e.restrict(m).divergence(3.0)(u[:m])[orbit_of[:n]]
         assert np.abs(full - lifted).max() <= 1e-13 * np.abs(u).max() ** 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 10), st.lists(st.integers(-4, 4), min_size=4,
+                                                       max_size=4), st.booleans())
+def test_the_key_build_is_the_unique_build(N, radius, shift, bare):
+    # the orbits built from their keys are the np.unique build's, bit for
+    # bit, on keyed and bare balls, each lift read whole or ring by ring
+    g = gf.lattice_generator(N)
+    center = tuple(shift[:N])
+    region = gf.ball(g, center, radius)
+    if bare:
+        region = dataclasses.replace(region)
+    orbit_of, first, table = unique_quotient(region)
+    q = OrbitQuotient(region)
+    if radius > 1:   # a prefix first, then the rest
+        assert _same_bits(q.lift(len(gf.ball(g, center, radius // 2)) + 1),
+                          orbit_of[:len(gf.ball(g, center, radius // 2)) + 1])
+    for got, want in [(q.lift(), orbit_of), (q.first, first), (q.table.nbr, table.nbr),
+                      (q.table.W, table.W), (q.sizes, np.bincount(orbit_of)),
+                      (q.dist, region.distances[first]), (q.ends, np.cumsum(q.sizes))]:
+        assert got.dtype == want.dtype and _same_bits(got, want)
+    assert q.table.nbr.flags.c_contiguous and q.table.W.flags.c_contiguous
+    assert q.degree == 2 * N and (region.degrees == q.degree).all()
+    # an orbit's first vertex is the center minus its key, the key's
+    # parts descending: the lexicographically least vertex of the orbit
+    keys = q.keys
+    assert (np.diff(keys, axis=1) <= 0).all() and (keys >= 0).all()
+    assert _same_bits(np.array(region.vertices)[first], np.array(center) - keys)
+    assert _same_bits(keys.sum(axis=1), q.dist)
 
 
 @pytest.mark.parametrize("name", ["lattice1d_p3_propagation", "lattice2d_p3_decay"])
@@ -213,7 +278,7 @@ def _pair_sums(region, edges):
     in the order of ``np.unique``, with ``wj = w(O', O)``; stubs summed per
     orbit the same way (``bi``, ``bw``).
     """
-    orbit_of = orbit_quotient(region)[0]
+    orbit_of = unique_quotient(region)[0]
     k = int(orbit_of.max()) + 1
     sizes = np.bincount(orbit_of)
     a, b = orbit_of[edges.ei], orbit_of[edges.ej]
@@ -249,9 +314,9 @@ def test_the_representative_build_is_the_pair_sum_build(N, radii, shift):
     for radius in radii:
         region = gf.ball(g, center, radius)
         for r in (region, dataclasses.replace(region)):   # int64 keys, vertex tuples
-            orbit_of, _, table = orbit_quotient(r)
+            table = OrbitQuotient(r).table
             got, want = _directed(table), _pair_sums(region, region_edges(g, region))
-            assert table.nbr.shape == (2 * N, orbit_of.max() + 1)
+            assert table.nbr.shape == (2 * N, len(OrbitQuotient(r).keys))
             assert (table.W == 1.0).all() and table.nbr.flags.c_contiguous
             for name in ("ei", "ej", "w", "wj", "bi", "bw"):
                 a, b = got[name], want[name]
@@ -267,7 +332,8 @@ def test_the_quotient_table_is_the_vertex_table_at_first_vertices(N, radius, shi
     # on the quotient.  On Z^1 two terms, so bitwise
     g = gf.lattice_generator(N)
     region = gf.ball(g, tuple(shift + i for i in range(N)), radius)
-    orbit_of, first, table = orbit_quotient(region)
+    q = OrbitQuotient(region)
+    orbit_of, first, table = q.lift(), q.first, q.table
     vertex = region_edges(g, region)
     rng = np.random.default_rng(N * 10 + shift)
     for p in (2.5, 3.0, 4.0):
@@ -327,7 +393,7 @@ def test_a_centred_solve_stays_on_its_orbits(monkeypatch):
     ring = leaky.region.distances == 3
     assert leaky.orbits is not None and leaky.values[1:, ring].any()
     rows, _, dists = solver.Trajectory(cfg, leaky.region, leaky.times,
-                                       leaky.values[:, leaky.orbits[1]], leaky.diagnostics,
+                                       leaky.values[:, leaky.orbits.first], leaky.diagnostics,
                                        orbits=leaky.orbits).summands()
     assert _same_bits(np.abs(rows[:, dists == 3]).max(axis=1),
                       np.abs(leaky.values[:, ring]).max(axis=1))
@@ -357,7 +423,8 @@ def test_a_stored_trajectory_is_read_on_the_same_orbits(tmp_path, data):
     if traj.orbits is None:   # asymmetric data: the vertices, both times
         assert again.orbits is None
     else:
-        assert all(map(_same_bits, again.orbits, traj.orbits))
+        assert _same_bits(again.orbits.lift(), traj.orbits.lift())
+        assert _same_bits(again.orbits.first, traj.orbits.first)
         assert again.rows.flags.f_contiguous and traj.rows.flags.f_contiguous
     assert _same_bits(again.rows, traj.rows)
     # the moment's vertex sum rounds by the layout of the lifted rows
@@ -373,7 +440,7 @@ def test_orbit_rows_are_lifted_on_each_read():
     z2 = gf.lattice_generator(2)
     cfg = gf.SolverConfig(p=3.0, instants=gf.log_instants(0.1, 10.0, 9), n0=8)
     traj = gf.solve_cauchy(z2, gf.delta_field(z2, (0, 0), 5.0), cfg)
-    lift, first = traj.orbits
+    lift, first = traj.orbits.lift(), traj.orbits.first
     assert traj.rows.shape == (len(traj.times), len(first)) and traj.rows.flags.f_contiguous
     values = traj.values
     assert traj.values is not values and "values" not in vars(traj)
@@ -399,26 +466,49 @@ CENTRED_Z3 = {
 }
 
 
+PER_VERTEX = {"coords", "degrees", "distances", "vertices", "index"}
+
+
 def test_a_centred_run_builds_no_vertex_tuples(monkeypatch, tmp_path):
-    # the quotient solve, every check and the export read the balls'
-    # coordinates, distances and degrees: none of them builds its tuples
-    built = []
+    # the quotient solve and the checks before the moment read the orbits:
+    # until the moment's vertex sum no ball holds a per-vertex array, and
+    # the lift reaches only the rings the error norms read.  The vertex
+    # reads after it (the moment, the entropy's edge arrays) build
+    # coordinates, distances and degrees, and none of them the tuples
+    built, rings, before = [], [], []
 
     def recorded(g, x0, R):
         built.append(gf.ball(g, x0, R))
         return built[-1]
+    prefixes = gf.graphs._ring_prefixes
+
+    def ring_prefixes(N, lo, hi):
+        rings.append(hi)
+        return prefixes(N, lo, hi)
+    vertex_sum = estimates.moment
+
+    def moment(traj, *args, **kwargs):
+        before.append((traj.region.radius, max(rings),
+                       [PER_VERTEX & set(vars(region)) for region in built]))
+        return vertex_sum(traj, *args, **kwargs)
     monkeypatch.setattr(solver, "ball", recorded)
+    monkeypatch.setattr(gf.graphs, "_ring_prefixes", ring_prefixes)
+    monkeypatch.setattr(estimates, "moment", moment)
     report = cli.run(CENTRED_Z3, tmp_path)
     assert report["certified"] and len(report["checks"]) == 6 and len(built) > 1
+    [(radius, lifted, held)] = before
+    assert lifted < radius and not any(held)
     for region in built:
-        assert region.coords is not None
+        assert region.keyed
         assert "vertices" not in vars(region) and "index" not in vars(region)
+    assert {"coords", "degrees", "distances"} <= set(vars(built[-1]))
 
 
 def test_a_centred_solve_holds_its_orbit_rows_not_vertex_rows():
     # Z^3 B_24: 19,649 vertices in 575 orbits.  What the trajectory holds
-    # after the solve is its orbit rows, the ball's arrays and the lift;
-    # its 64 rows lifted would take 9.6 MiB, its vertex tuples about 2 MiB
+    # after the solve is its orbit rows, the orbits and the part of the lift
+    # the error norms read; its 64 rows lifted would take 9.6 MiB, its
+    # vertex tuples about 2 MiB
     z3 = gf.lattice_generator(3)
     u0 = gf.delta_field(z3, (0, 0, 0), 30.0)
     gf.solve_cauchy(z3, u0, gf.SolverConfig(p=3.0, instants=[0.01, 1.0], n0=4))   # warm
@@ -431,6 +521,30 @@ def test_a_centred_solve_holds_its_orbit_rows_not_vertex_rows():
         tracemalloc.stop()
     region = traj.region
     assert region.radius == 24 and len(region) == 19_649 and traj.rows.shape == (64, 575)
-    arrays = [traj.rows, region.coords, region.degrees, region.distances, *traj.orbits]
-    assert held <= sum(a.nbytes for a in arrays) + 2 ** 18
+    # the ball holds no per-vertex array, and the lift reaches the largest
+    # active ball only
+    assert not PER_VERTEX & set(vars(region))
+    lift = traj.orbits.lift(traj.history[-1]["active_vertices"])
+    assert len(lift) < len(region)
+    assert held <= traj.rows.nbytes + lift.nbytes + 2 ** 18
     assert held < traj.values.nbytes / 8
+
+
+def test_the_lower_bound_reads_the_orbits_as_the_vertices(monkeypatch):
+    # the ball measures (exact integers) and the support radius read off
+    # the orbit rows are the vertex sums' bit for bit
+    z3 = gf.lattice_generator(3)
+    cfg = gf.SolverConfig(p=3.0, instants=gf.log_instants(0.01, 300.0, 20), n0=6)
+    u0 = _orbit_data(z3, (1, 0, -1), 1, [3.0, 0.5])
+    traj = gf.solve_cauchy(z3, gf.Field(z3, u0), cfg, center=(1, 0, -1))
+    assert traj.orbits is not None
+    vertex = solver.Trajectory(cfg, traj.region, traj.times, traj.values,
+                               traj.diagnostics)
+    profile = gf.FkProfile.lattice(3, 3.0)
+    ours, theirs = gf.check_lower_bound(traj, profile), gf.check_lower_bound(vertex, profile)
+    for name in ("lhs", "rhs", "ratio"):
+        assert _same_bits(getattr(ours, name), getattr(theirs, name)), name
+    assert ours.verdict == theirs.verdict
+    for name in ("radii", "excluded", "scaled_ratio"):
+        assert _same_bits(ours.extra[name], theirs.extra[name]), name
+    assert ours.extra["excluded"].any() and not ours.extra["excluded"].all()

@@ -295,6 +295,26 @@ def test_comparison_partner_that_outgrows_u01_is_certified(z1):
     assert gf.comparison_check(z1, u01, u02, cfg) >= -1e-8 * u01.sup_norm()
 
 
+def test_a_solve_takes_each_support_radius_once(z1, monkeypatch):
+    # with n0 unset the first ball is the data's support radius plus 8:
+    # one search per datum and solve, on the vertex path and on the orbits
+    cfg = gf.SolverConfig(p=3.0, instants=gf.log_instants(0.1, 5.0, 7))
+    calls = []
+    search = gf.Field.support_radius
+
+    def counted(field, x0):
+        calls.append(field)
+        return search(field, x0)
+    monkeypatch.setattr(gf.Field, "support_radius", counted)
+    u01, u02 = gf.Field(z1, {(0,): 1.0, (3,): 0.5}), gf.Field(z1, {(0,): 0.5})
+    traj = gf.solve_cauchy(z1, u01, cfg, center=(0,), partners=(u02,))
+    assert traj.orbits is None and calls == [u01, u02]
+    assert traj.history[0]["n"] == 3 + 8
+    calls.clear()
+    traj = gf.solve_cauchy(z1, u02, cfg)
+    assert traj.orbits is not None and calls == [u02]
+
+
 def test_comparison_partner_supported_outside_u01_ball(z1):
     # ordered data whose smaller datum lies far past u01's support: the
     # shared first ball covers both supports (radius 40 + 8), where a solve
