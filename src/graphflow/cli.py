@@ -328,13 +328,12 @@ def validate_config(cfg, seed=None):
     return errors
 
 
-def _propagation_eps_errors(cfg, g, u0, center, scfg):
+def _propagation_eps_errors(cfg, g, center, n0):
     # every ball a solve can end on contains its first ball B_n0, so
     # mass_radius would reject an eps at or below |B_n0| 2^-53 after the solve
     checks = [c for c in cfg.get("checks", []) if c["type"] == "propagation_fit"]
     if not checks:
         return []
-    n0 = solver.first_radius(u0, scfg, center)
     size = len(ball(g, center, n0))
     floor = size * 2.0 ** -53
     return [f"checks: propagation_fit eps {c['eps']!r} is at or below {floor!r}, the "
@@ -453,7 +452,8 @@ def _setup(cfg, seed=None):
     """Validate ``cfg``, build each input its run reads once, and vet the built inputs.
 
     Returns ``(g, u0, center, scfg, profile, seed)``, with the seed the run
-    uses as an int.  The profile is built only when a configured check reads
+    uses as an int, and ``scfg.n0`` set to :func:`solver.first_radius`, which
+    the solve then reads.  The profile is built only when a configured check reads
     it (``lower_bound`` or one of :data:`_PROFILE_CHECKS`), else it is None;
     :func:`validate_config` gives the checks of :data:`_PROFILE_CHECKS` only
     the lattice power law, which meets their assumptions at every p/N.
@@ -469,9 +469,10 @@ def _setup(cfg, seed=None):
     g = build_generator(cfg["graph"])
     u0, center = build_initial_field(g, cfg.get("initial_data", _DELTA_AT_ORIGIN))
     scfg = build_solver_config(cfg["solver"])
+    scfg.n0 = solver.first_radius(u0, scfg, center)   # the solve's, searched once
     reads = {c["type"] for c in cfg.get("checks", [])} & (_PROFILE_CHECKS | {"lower_bound"})
     profile = build_profile(cfg, g, seed=seed) if reads else None
-    errors = (_propagation_eps_errors(cfg, g, u0, center, scfg)
+    errors = (_propagation_eps_errors(cfg, g, center, scfg.n0)
               + _slow_decay_horizon_errors(cfg, g, profile))
     if errors:
         raise ConfigError("; ".join(errors))
@@ -547,28 +548,23 @@ def load_trajectory(run_dir, g):
         raise ConfigError("run directory has no field snapshots; re-run with snapshots=true")
     region = ball(g, center, n)
     times = np.concatenate([[0.0], cfg.instants])
-    values = np.zeros((len(times), len(region)))
+    snapshots = []
     for k in range(len(times)):
         path = fdir / f"t_{k:04d}.csv"
         try:
-            fld = Field.from_csv_text(g, path.read_text())
+            snapshots.append(Field.from_csv_text(g, path.read_text()))
         except OSError as e:
             raise ConfigError(f"cannot read snapshot {path}: {e}") from None
-        for v, x in fld.values.items():
-            i = region.index.get(v)
-            if i is None:
-                raise ConfigError(f"snapshot {path} has vertex {v!r} outside the "
-                                  f"certified ball B_{n}({center!r})")
-            values[k, i] = x
+    # rows constant on orbits are kept on them, placed as the solve places its data
+    offsets = solver._orbit_offsets(region, snapshots)
+    orbits = None if offsets is None else OrbitQuotient(region)
+    try:
+        rows = solver._place(region, orbits, snapshots, offsets)
+    except ValueError as e:
+        raise ConfigError(f"a snapshot in {fdir} lies outside the certified ball: {e}") from None
     table = np.zeros(len(times), dtype=solver.ROW_DIAGNOSTICS)   # snapshots carry none
     diagnostics = {name: table[name] for name in table.dtype.names}
-    # rows constant on orbits are kept on them, as the solve that wrote them did
-    if region.keyed:
-        orbits = OrbitQuotient(region)
-        rows = values[:, orbits.first]
-        if np.array_equal(rows[:, orbits.lift()], values):
-            return solver.Trajectory(cfg, region, times, rows, diagnostics, orbits=orbits)
-    return solver.Trajectory(cfg, region, times, values, diagnostics)
+    return solver.Trajectory(cfg, region, times, rows, diagnostics, orbits=orbits)
 
 
 def _check_json(check, extras=None):

@@ -307,9 +307,7 @@ class PowerLawSpec:
     def field(self, g, truncation_radius):
         """Truncated data on the ball of the given radius around the center."""
         reg = ball(g, self.center, truncation_radius)
-        vals = {v: self.value(int(d))
-                for v, d in zip(reg.vertices, reg.distances)}
-        return Field(g, vals)
+        return Field(g, {v: self.value(d) for v, d in zip(reg.vertices, reg.distances.tolist())})
 
     def _ring_terms(self, e, r):
         """``T[j] = |S_j| j^(-e)`` over the l1 spheres ``S_j`` for ``j = 1..len(T)-1 >= r``.

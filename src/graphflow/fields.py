@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 
+from .graphs import ball, lattice_coords, rings
+
 
 def vertex_to_str(v):
     """Canonical textual form of a vertex id (tuples join with ':')."""
@@ -31,7 +33,7 @@ def vertex_from_str(s):
 
 
 class Field:
-    """Finitely supported real function on the vertices of a generator."""
+    """Finitely supported real function on checked vertex ids; on ``Z^N`` also ``coords``."""
 
     def __init__(self, generator, values):
         self.generator = generator
@@ -43,6 +45,7 @@ class Field:
             if x != 0.0:
                 vals[v] = x
         self.values = vals
+        self.coords = lattice_coords(generator, vals)
 
     def __getitem__(self, v):
         return self.values.get(v, 0.0)
@@ -62,9 +65,19 @@ class Field:
     def scaled(self, c):
         return Field(self.generator, {v: c * x for v, x in self.values.items()})
 
+    def offsets(self, x0):
+        """The support's :func:`graphs.lattice_coords` less those of ``x0``, or ``None``."""
+        at = lattice_coords(self.generator, [x0])
+        return None if self.coords is None or at is None else self.coords - at
+
     def support_radius(self, x0):
-        """Largest graph distance from ``x0`` to a support vertex (0 without support)."""
-        from .graphs import rings
+        """Largest graph distance from ``x0`` to a support vertex (0 without support).
+
+        On ``Z^N`` the largest l1 norm of the :meth:`offsets`, elsewhere a BFS.
+        """
+        rel = self.offsets(x0)
+        if rel is not None:
+            return int(abs(rel).sum(axis=1).max(initial=0))
         remaining = set(self.values)
         for d, ring in enumerate(rings(self.generator, x0, 10 ** 6)):
             remaining.difference_update(ring)
@@ -78,16 +91,13 @@ class Field:
         """Weighted norm ``(sum |f(x)|^q d_w(x))^(1/q)``."""
         if q < 1:
             raise ValueError("q must be >= 1")
+        # fsum rounds correctly, so no order of the terms changes the sum
         g = self.generator
-        s = math.fsum(abs(x) ** q * g.degree(v) for v, x in sorted(
-            self.values.items(), key=lambda kv: g.sort_key(kv[0])))
-        return s ** (1.0 / q)
+        return math.fsum(abs(x) ** q * g.degree(v) for v, x in self.values.items()) ** (1.0 / q)
 
     def mass(self):
         """The l1 weighted norm ``sum |f(x)| d_w(x)``."""
-        g = self.generator
-        return math.fsum(abs(x) * g.degree(v) for v, x in sorted(
-            self.values.items(), key=lambda kv: g.sort_key(kv[0])))
+        return math.fsum(abs(x) * self.generator.degree(v) for v, x in self.values.items())
 
     def sup_norm(self):
         if not self.values:
@@ -121,6 +131,5 @@ def delta_field(generator, x0, amplitude=1.0):
 
 def ball_indicator_field(generator, x0, radius, amplitude=1.0):
     """Indicator of the ball ``B_radius(x0)`` scaled by ``amplitude``."""
-    from .graphs import ball
     reg = ball(generator, x0, radius)
     return Field(generator, {v: amplitude for v in reg.vertices})

@@ -13,15 +13,15 @@ Degrees are always those of the full graph, so boundary vertices of a
 truncated region carry the same weighted degree ``d_w(x)`` as in the
 infinite graph.
 
-On ``Z^N`` a ball is the l1 ball, in closed form: its length is ``|B_R|``,
-and each per-vertex array (coordinates, degrees, distances, vertex
-tuples) is enumerated with numpy on first read.  Its neighbour table is
-filled from the coordinates by integer-key lookup, in the order of the
-generator's sorted table of unit offsets, which also orders the oracle's
-neighbor lists.  Its :class:`OrbitQuotient` is built from the orbits'
-keys, with no vertex read.  The ring BFS serves products, custom graphs
-and distance queries, and every other region fills its table by one loop
-over the oracle.
+On ``Z^N`` a ball is a :class:`LatticeBall`, the l1 ball in closed form,
+whose per-vertex arrays are enumerated with numpy on first read; its
+neighbour table is filled from the coordinates by integer-key lookup, in
+the order of the generator's sorted unit offsets (the oracle's neighbor
+order), and its :class:`OrbitQuotient` is built from the orbits' keys.
+Vertex ids on ``Z^N`` are checked and held as int64 coordinate arrays
+(:func:`lattice_coords`), so data need no search there.  The ring BFS
+serves products, custom graphs and distance queries, and every other
+region fills its table by one loop over the oracle.
 
 Every solve's kernel is a :class:`NeighbourTable`, built once per ball by
 :func:`region_edges` and sliced for the sub-balls and stacked copies a
@@ -32,7 +32,7 @@ sums are read off it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from operator import add
 
@@ -99,35 +99,6 @@ class GraphGenerator:
         return f"GraphGenerator({self.name!r})"
 
 
-class _BuiltOnRead:
-    """A per-vertex field of a keyed ball, built by ``build(region)`` on first read.
-
-    A non-data descriptor: a region given the field keeps it in its
-    ``__dict__`` and never reaches it.  Read on the class it is ``None``,
-    the field's default, or absent for a field without one (``required``).
-    """
-
-    def __init__(self, build, required=False):
-        self.build, self.required = build, required
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, region, owner=None):
-        if region is None:
-            if self.required:
-                raise AttributeError(self.name)
-            return None
-        value = self.build(region)
-        setattr(region, self.name, value)
-        return value
-
-
-def _ball_size(N, R):
-    """``|B_R|`` on ``Z^N``: ``2^k C(N, k) C(R, k)`` vertices with ``k`` nonzero coordinates."""
-    return sum(2 ** k * math.comb(N, k) * math.comb(R, k) for k in range(min(N, R) + 1))
-
-
 def _ring_prefixes(N, lo, hi):
     """The rings ``lo..hi`` of ``Z^N`` but for the last coordinate, in ring order.
 
@@ -147,34 +118,6 @@ def _ring_prefixes(N, lo, hi):
     return cols, left
 
 
-def _tuples(region):
-    return tuple(zip(*region.coords.T.tolist()))
-
-
-def _degrees(region):
-    return np.full(len(region), float(len(region.generator.unit_offsets)))
-
-
-def _distances(region):
-    # ring d > 0 has 2^k C(N, k) C(d - 1, k - 1) vertices with k nonzero coordinates
-    d = np.arange(region.radius + 1)
-    sizes, c = (d == 0).astype(np.int64), (d > 0).astype(np.int64)   # c = C(d - 1, k - 1)
-    for k in range(1, region.generator.dimension + 1):
-        sizes += 2 ** k * math.comb(region.generator.dimension, k) * c
-        c = c * (d - k) // k
-    return np.repeat(d, sizes)
-
-
-def _coords(region):
-    if not region.keyed:
-        return None
-    cols, left = _ring_prefixes(region.generator.dimension, 0, region.radius)
-    width = 1 + (left > 0)
-    parent, last = np.repeat(np.arange(len(left)), width), np.repeat(left, width)
-    last[np.cumsum(width) - width] *= -1   # -b first
-    return np.column_stack([col[parent] for col in cols] + [last]) + np.array(region.center)
-
-
 @dataclass
 class Region:
     """Finite materialized vertex set with oracle degrees cached.
@@ -182,26 +125,18 @@ class Region:
     ``vertices`` are in canonical order, ring order on a ball, whose
     ``distances`` from ``center`` are then nondecreasing (``None`` on any
     other region).  ``index`` maps each vertex to its position, built on
-    first use.
-    A ball built by :func:`ball` on ``Z^N`` whose padded bounding box has
-    int64 keys is ``keyed``: its ``(n, N)`` int64 ``coords`` select the
-    key-lookup table build (``None`` on every other region).  A keyed ball
-    holds no per-vertex array until one is read: ``coords``,
-    ``degrees`` (all ``2N``), ``distances``, ``vertices`` and so ``index``
-    are each built from ``(N, center, radius)`` on first read, and its
-    length is the closed form ``|B_R|``.  A solve on its orbits
-    (:class:`OrbitQuotient`) reads none of them.  ``dataclasses.replace``
-    gives a bare region (not keyed, no ``coords``) with its tuples.
+    first use.  A ball on ``Z^N`` is a :class:`LatticeBall`, the one
+    region that is ``keyed`` and has ``coords``.
     """
 
     generator: GraphGenerator
-    vertices: tuple = _BuiltOnRead(_tuples, required=True)
-    degrees: np.ndarray = _BuiltOnRead(_degrees, required=True)
+    vertices: tuple
+    degrees: np.ndarray
     center: object = None
     radius: int | None = None
-    distances: np.ndarray | None = _BuiltOnRead(_distances)
-    keyed: bool = field(init=False, default=False, repr=False)
-    coords = _BuiltOnRead(_coords)
+    distances: np.ndarray | None = None
+    keyed = False
+    coords = None
 
     @cached_property
     def index(self):
@@ -213,12 +148,54 @@ class Region:
         return float(self.degrees.sum())
 
     def __len__(self):
-        if self.keyed:
-            return _ball_size(self.generator.dimension, self.radius)
         return len(self.degrees)
 
     def __contains__(self, x):
         return x in self.index
+
+
+class LatticeBall(Region):
+    """The l1 ball ``B_R(center)`` of ``Z^N``, from ``(N, center, R)`` alone.
+
+    Its length is the closed form ``|B_R|``.  ``coords`` (``(n, N)`` int64,
+    which select the key-lookup table build), ``vertices`` and ``index``,
+    ``degrees`` (all ``2N``) and ``distances`` are each built on first read;
+    a solve on its orbits (:class:`OrbitQuotient`) reads none of them.
+    """
+
+    keyed = True
+
+    def __init__(self, generator, center, radius):
+        self.generator, self.center, self.radius = generator, center, radius
+
+    def __len__(self):   # 2^k C(N, k) C(R, k) vertices with k nonzero coordinates
+        N, R = self.generator.dimension, self.radius
+        return sum(2 ** k * math.comb(N, k) * math.comb(R, k) for k in range(min(N, R) + 1))
+
+    @cached_property
+    def coords(self):
+        cols, left = _ring_prefixes(self.generator.dimension, 0, self.radius)
+        width = 1 + (left > 0)
+        parent, last = np.repeat(np.arange(len(left)), width), np.repeat(left, width)
+        last[np.cumsum(width) - width] *= -1   # -b first
+        return np.column_stack([col[parent] for col in cols] + [last]) + np.array(self.center)
+
+    @cached_property
+    def vertices(self):
+        return tuple(zip(*self.coords.T.tolist()))
+
+    @cached_property
+    def degrees(self):
+        return np.full(len(self), float(len(self.generator.unit_offsets)))
+
+    @cached_property
+    def distances(self):
+        return np.abs(self.coords - np.array(self.center)).sum(axis=1)
+
+    def bare(self):
+        """The same ball as a plain :class:`Region`: its tuples, no ``coords``."""
+        return Region(self.generator, self.vertices, self.degrees, self.center, self.radius,
+                      self.distances)
 
 
 def region_from_vertices(g, vertices):
@@ -258,21 +235,42 @@ def rings(g, x0, r_max=None):
 _KEY_LIMIT = 2 ** 62
 
 
+def lattice_coords(g, ids):
+    """The vertex ids ``ids`` of ``g`` on ``Z^N`` as an ``(s, N)`` int64 array, else ``None``.
+
+    ``None`` also where a coordinate reaches ``2^62 / 2N``, so that l1 norms of
+    differences fit int64.  Other ids are checked by the oracle (:class:`UnknownVertexError`).
+    """
+    ids, N = list(ids), g.dimension
+    if g.unit_offsets is not None:
+        try:
+            a = np.array(ids or np.empty((0, N), dtype=np.int64))
+        except ValueError:   # ids of different lengths
+            a = np.empty(0)
+        bound = _KEY_LIMIT // (2 * N)
+        if (a.shape == (len(ids), N) and a.dtype == np.int64
+                and -bound < a.min(initial=0) and a.max(initial=0) < bound):
+            return a
+    for v in ids:
+        g.degree(v)   # validates the id
+    return None
+
+
 def ball(g, x0, R):
     """Combinatorial ball ``B_R(x0)`` as a :class:`Region`.
 
-    On ``Z^N`` the l1 ball ``|x - x0|_1 <= R`` in closed form, a keyed
-    region that builds each per-vertex array on first read (see
-    :class:`Region`); elsewhere a BFS from ``x0`` truncated at radius
-    ``R``.  Degrees are those of the full graph, not the truncation.  The
-    vertices come in ring order, by distance and then by ``g.sort_key``.
+    On ``Z^N`` the l1 ball ``|x - x0|_1 <= R``, a :class:`LatticeBall`;
+    elsewhere a BFS from ``x0`` truncated at radius ``R``.  Degrees are
+    those of the full graph, not the truncation.  The vertices come in ring
+    order, by distance and then by ``g.sort_key``.
     """
     if R < 0 or int(R) != R:
         raise ValueError(f"radius must be a nonnegative integer, got {R}")
     if g.unit_offsets is not None:
         g.degree(x0)  # validates the id
         if max(map(abs, x0)) + R < _KEY_LIMIT:
-            return _lattice_ball(g, x0, int(R))
+            region = LatticeBall(g, x0, int(R))   # bare if its padded box has no int64 keys
+            return region if (2 * R + 3) ** g.dimension < _KEY_LIMIT else region.bare()
     verts, dists = [], []
     for d, ring in enumerate(rings(g, x0, int(R))):
         verts += sorted(ring, key=g.sort_key)
@@ -280,16 +278,6 @@ def ball(g, x0, R):
     degs = np.array([g.degree(v) for v in verts])
     return Region(g, tuple(verts), degs, center=x0, radius=int(R),
                   distances=np.array(dists, dtype=np.int64))
-
-
-def _lattice_ball(g, x0, R):
-    # B_R(x0) on Z^N, every per-vertex field built on first read
-    region = Region(g, None, None, center=x0, radius=R)
-    region.keyed = True
-    del region.vertices, region.degrees, region.distances
-    if (2 * R + 3) ** g.dimension >= _KEY_LIMIT:   # the padded box has no int64 keys
-        region = replace(region)   # a bare ball, with its tuples
-    return region
 
 
 def distance(g, x, y, r_max):
@@ -476,13 +464,11 @@ def region_edges(g, region):
     rounded in (offset order alone moves step sizes at rounding level).
     """
     if g.unit_offsets is not None and region.keyed:
-        # mixed-radix keys over the region's bounding box padded by one layer,
-        # last coordinate fastest, so a unit offset shifts a key by a constant
-        n = len(region.coords)
-        lo = region.coords.min(axis=0) - 1
-        span = region.coords.max(axis=0) + 2 - lo
-        stride = np.append(np.cumprod(span[:0:-1])[::-1], 1)
-        keys = (region.coords - lo) @ stride
+        # mixed-radix keys over the ball's box padded by one layer (2R + 3 wide
+        # on each axis), last coordinate fastest: a unit offset shifts a key by a constant
+        n, R = len(region), region.radius
+        stride = (2 * R + 3) ** np.arange(g.dimension)[::-1]
+        keys = (region.coords - region.center + R + 1) @ stride
         order = np.argsort(keys, kind="stable")
         nbr = keys + (g.unit_offsets @ stride)[:, None]   # (2N, n), unit-offset order
         j = order[np.minimum(np.searchsorted(keys, nbr, sorter=order), n - 1)]
@@ -501,21 +487,29 @@ def region_edges(g, region):
                           np.take_along_axis(W, order, axis=0))
 
 
-def orbit_constant(values, center):
-    """Whether ``values`` (a vertex -> value dict on ``Z^N``) is constant on orbits.
+def orbit_constant(offsets, values):
+    """Whether data on ``Z^N`` are constant on the orbits about a center.
 
-    The orbits are those of the signed coordinate permutations about
-    ``center``.  Exact: a vertex and its image under each generator
-    (negating the first offset, swapping the first two, shifting them
-    cyclically) carry equal values, and off the support both are 0.
+    ``offsets``: the support's ``(s, N)`` int64 offsets from it, ``values``
+    its nonzero values.  Exact: grouped by sorted absolute offset (an
+    orbit's key), each group must hold one value and its orbit's size.
     """
-    moves = [lambda d: (-d[0], *d[1:]), lambda d: (d[1], d[0], *d[2:]),
-             lambda d: (*d[1:], d[0])][:1 if len(center) == 1 else 3]
-    for v, x in values.items():
-        d = tuple(a - c for a, c in zip(v, center))
-        if any(values.get(tuple(map(add, center, move(d)))) != x for move in moves):
-            return False
-    return True
+    parts = np.sort(np.abs(offsets), axis=1)
+    order = np.lexsort(parts.T)
+    parts, values = parts[order], np.fromiter(values, float, len(parts))[order]
+    new = np.diff(parts, axis=0, prepend=-1).any(axis=1)   # a group's first row
+    starts = np.flatnonzero(new)
+    return bool((values[1:] == values[:-1])[~new[1:]].all() and np.array_equal(
+        np.diff(starts, append=len(parts)), _orbit_sizes(parts[starts].T)))
+
+
+def _orbit_sizes(parts):
+    """Orbit sizes from sorted ``(N, k)`` key parts: multinomials times ``2^(parts > 0)``."""
+    sizes, run = np.ones(parts.shape[1], dtype=np.int64), np.ones(parts.shape[1], dtype=np.int64)
+    for i in range(1, len(parts)):
+        run = np.where(parts[i] == parts[i - 1], run + 1, 1)
+        sizes = sizes * (i + 1) // run
+    return sizes << (parts > 0).sum(axis=0)
 
 
 def _sorted_key(cols, stride):
@@ -544,10 +538,9 @@ class OrbitQuotient:
     is ``center - key``.  Orbits are numbered by their first vertices, ring
     by ring and each ring in lexicographic order, so each lies on one ring
     and the orbits of a smaller concentric ball are a prefix.  ``dist`` is
-    each orbit's ring, ``sizes`` its vertex count (a multinomial times
-    ``2^(nonzero parts)``), ``ends`` their running sum (``ends[m - 1]``
-    vertices make up the first ``m`` orbits, a ball when they end a ring)
-    and ``degree`` the lattice degree ``2N``.
+    each orbit's ring, ``sizes`` its vertex count (:func:`_orbit_sizes`),
+    ``ends`` their running sum (``ends[m - 1]`` vertices make up the first
+    ``m`` orbits) and ``degree`` the lattice degree ``2N``.
 
     ``table`` is the quotient's :class:`NeighbourTable`: column ``O`` lists
     the orbits of the first vertex's ``2N`` neighbours in unit-offset order
@@ -559,8 +552,9 @@ class OrbitQuotient:
     is conserved.
 
     ``lift(n)`` is the orbit of each of the ball's first ``n`` vertices,
-    built ring by ring as far as it is read and kept; ``first`` is the
-    index of each orbit's first vertex, read off the whole lift.
+    built ring by ring as far as it is read and kept, ``orbit_of`` that of
+    any offset inside the ball, and ``first`` the index of each orbit's
+    first vertex, read off the whole lift.
     """
 
     def __init__(self, region):
@@ -580,12 +574,7 @@ class OrbitQuotient:
             left = left[parent] - part
         parts = np.stack([*parts, left])   # (N, k): part i of each key
         self.keys, self.dist, k = parts.T, parts.sum(axis=0), len(left)
-        # N! over the factorials of the runs of equal parts, one part at a time
-        sizes, run = np.ones(k, dtype=np.int64), np.ones(k, dtype=np.int64)
-        for i in range(1, N):
-            run = np.where(parts[i] == parts[i - 1], run + 1, 1)
-            sizes = sizes * (i + 1) // run
-        self.sizes = sizes << (parts > 0).sum(axis=0)
+        self.sizes = _orbit_sizes(parts)
         self.ends = np.cumsum(self.sizes)
         self._ring_ends = self.ends[np.searchsorted(self.dist, np.arange(R + 1), side="right") - 1]
         # a dense table over the ascending keys: part i of N is at most R // (N - i)
@@ -610,10 +599,14 @@ class OrbitQuotient:
             r = int(np.searchsorted(self._ring_ends, n))   # the ring of vertex n - 1
             cols, left = _ring_prefixes(self.N, self._ring + 1, r)
             # the last coordinate's two signs are one orbit
-            orbit = self._lookup[_sorted_key([*cols, left], self._stride)]
+            orbit = self.orbit_of([*cols, left])
             self._lift = np.concatenate([self._lift, np.repeat(orbit, 1 + (left > 0))])
             self._ring = r
         return self._lift[:n]
+
+    def orbit_of(self, cols):
+        """The orbit of each offset from the center inside the ball, given as ``N`` columns."""
+        return self._lookup[_sorted_key(cols, self._stride)]
 
     @cached_property
     def first(self):

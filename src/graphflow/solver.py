@@ -616,9 +616,8 @@ class Trajectory:
                                 self.region.center if x0 is None else x0)
 
     def field_at(self, t):
-        row = self.row(self.locate(t))
-        vals = {v: row[i] for i, v in enumerate(self.region.vertices) if row[i] != 0.0}
-        return Field(self.generator, vals)
+        row = self.row(self.locate(t)).tolist()
+        return Field(self.generator, dict(zip(self.region.vertices, row)))
 
     def summands(self, x0=None):
         """The rows a weighted sum over the vertices reads, their weights and distances from ``x0``.
@@ -668,13 +667,32 @@ class Trajectory:
         return np.concatenate([[0.0], np.cumsum(steps)])
 
 
-def _resolve_center(g, u0: Field, center):
-    if center is not None:
-        return center
-    if not u0.values:
-        raise ValueError("zero data needs an explicit ball center")
-    return min(u0.values.items(),
-               key=lambda kv: (-abs(kv[1]), g.sort_key(kv[0])))[0]
+def _orbit_offsets(region, data):
+    """Each datum's support offsets from the center of a keyed ball if all are orbit-constant."""
+    if _ORBIT_QUOTIENT and region.keyed:
+        offsets = [u.offsets(region.center) for u in data]
+        if all(rel is not None and orbit_constant(rel, u.values.values())
+               for rel, u in zip(offsets, data)):
+            return offsets
+    return None
+
+
+def _place(region, orbits, data, offsets):
+    """The data as rows on ``region``'s vertices, or on ``orbits`` through their ``offsets``."""
+    y0 = np.zeros((len(data), len(region) if orbits is None else orbits.table.n))
+    for k, u in enumerate(data):
+        if orbits is None:
+            inside = np.array([v in region for v in u.values], dtype=bool)
+            at = [region.index[v] for v in u.values if v in region]
+        else:
+            inside = np.abs(offsets[k]).sum(axis=1) <= region.radius
+            at = orbits.orbit_of(offsets[k][inside].T)
+        y0[k, at] = np.fromiter(u.values.values(), float, len(u))[inside]
+        if not inside.all():
+            v = next(v for v in u.support() if v not in region)
+            raise ValueError(f"data support at {v!r} lies outside "
+                             f"B_{region.radius}({region.center!r})")
+    return y0
 
 
 def _make_rhs(table, degrees, p):
@@ -719,10 +737,11 @@ def solve_truncated(g, u0: Field, cfg: SolverConfig, n, center=None, partners=()
     the solve has one unknown per orbit (:class:`graphs.OrbitQuotient`)
     and the trajectories keep their orbit rows and the last ball's orbits,
     whose lift to its vertices is a solve on the vertices up to rounding,
-    with the same steps.  It builds each ball's orbits from their keys and
-    reads no per-vertex array of a ball: no vertex table, tuple,
-    coordinate, degree or distance.  The error norms read the lift only as
-    far as the active ball reaches.  Each ball's
+    with the same steps.  The orbit test and the placement read each
+    datum's support offsets from the center (:func:`_orbit_offsets`,
+    :func:`_place`), each ball's orbits are built from their keys, and no
+    per-vertex array of a ball is read; the error norms read the lift only
+    as far as the active ball reaches.  Each ball's
     :class:`graphs.NeighbourTable` is built once; an active ball's
     right-hand side slices it (``table.restrict(m).stacked(k)``).
 
@@ -736,18 +755,20 @@ def solve_truncated(g, u0: Field, cfg: SolverConfig, n, center=None, partners=()
     largest active ball the steps ran on, in ``active_vertices`` and in
     ``unknowns`` (its orbits on the quotient, else its vertices).
     """
-    center = _resolve_center(g, u0, center)
+    if center is None:   # the first vertex of largest |u0|
+        if not u0.values:
+            raise ValueError("zero data needs an explicit ball center")
+        center = min(u0.values, key=lambda v: (-abs(u0.values[v]), g.sort_key(v)))
     data = [u0, *partners]
     n0 = first_radius(u0, cfg, center, partners)
     region = ball(g, center, n0 if n is None else n)
-    quotient = (_ORBIT_QUOTIENT and region.keyed
-                and all(orbit_constant(u.values, center) for u in data))
+    offsets = _orbit_offsets(region, data)
     balls = []   # each ball the solve was on, its vertex edge count and its orbits
 
     def on(region):
         # the ball's unknowns: their distances, rhs_on, whether the ball has
         # a ring to reach and their orbits (None on the vertices)
-        if quotient:
+        if offsets is not None:
             orbits = OrbitQuotient(region)
             table, sizes, dist = orbits.table, orbits.sizes, orbits.dist
             degrees = np.full(len(dist), orbits.degree)
@@ -769,24 +790,8 @@ def solve_truncated(g, u0: Field, cfg: SolverConfig, n, center=None, partners=()
         return on(ball(g, smaller.center, math.ceil(RADIUS_GROWTH * smaller.radius)))
 
     dist, rhs_on, ringed, orbits = on(region)
-    y0 = np.zeros((len(data), len(dist)))
-    for row, u in zip(y0, data):
-        if orbits is None:
-            for v, x in u.values.items():
-                if v in region:
-                    row[region.index[v]] = x
-            held = np.count_nonzero(row)
-        else:   # the data are constant on orbits: each takes its first vertex's value
-            row[:] = [u[v] for v in map(tuple, (np.array(center) - orbits.keys).tolist())]
-            held = int(orbits.sizes[row != 0].sum())
-        if held < len(u):
-            v = next(v for v in u.support() if v not in region)
-            raise ValueError(f"data support at {v!r} lies outside "
-                             f"B_{region.radius}({region.center!r})")
-    if orbits is None:
-        norm_size = int(np.count_nonzero(dist <= n0))
-    else:
-        norm_size = int(orbits.sizes[dist <= n0].sum())
+    y0 = _place(region, orbits, data, offsets)
+    norm_size = int(np.sum((dist <= n0) * (1 if orbits is None else orbits.sizes)))
     solved = _integrate(rhs_on, dist, y0, float(cfg.instants[-1]), cfg.instants, cfg.rtol,
                         cfg.atol, MAX_STEPS, grow=grow_ball if ringed else None,
                         norm_size=norm_size, orbits=orbits)
@@ -817,7 +822,6 @@ def solve_cauchy(g, u0: Field, cfg: SolverConfig, center=None, partners=()):
     ball.  The ``partners`` are solved in the same call, in lockstep, and
     their trajectories (``traj.partners``) are certified on the same ball.
     """
-    center = _resolve_center(g, u0, center)
     return solve_truncated(g, u0, cfg, None, center=center, partners=partners)
 
 
@@ -846,7 +850,6 @@ def comparison_check(g, u01: Field, u02: Field, cfg: SolverConfig, center=None):
     """
     if not u01.dominates(u02):
         raise ValueError("precondition u01 >= u02 violated")
-    center = _resolve_center(g, u01, center)
     traj1 = solve_cauchy(g, u01, cfg, center=center, partners=(u02,))
     [traj2] = traj1.partners
     # one solve: both on the vertices or both on the same orbits, where a

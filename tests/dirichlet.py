@@ -12,7 +12,7 @@ import numpy as np
 
 import graphflow as gf
 from graphflow import solver
-from graphflow.graphs import OrbitQuotient, orbit_constant, region_edges
+from graphflow.graphs import OrbitQuotient, region_edges
 
 
 class Kept(NamedTuple):
@@ -33,14 +33,15 @@ def kept_on(g, u0, cfg, center, radii):
     last ball is never left: the run goes on there with zero Dirichlet
     values outside, as on a fixed ball, and may leak through its ring.  One
     radius is the fixed-ball solve.  The error norms divide by ``|B_n0|``
-    for ``n0 = first_radius``, counted in the first ball.  Data constant on
-    orbits is solved on the orbit quotient (unless ``_ORBIT_QUOTIENT`` is
-    off), as there, and the rows are lifted to the last ball.  The history
+    for ``n0 = first_radius``, counted in the first ball.  The solver's own
+    orbit test and placement put the data on the orbit quotient (unless
+    ``_ORBIT_QUOTIENT`` is off) or on the vertices, as there, and orbit rows
+    are lifted to the last ball.  The history
     has one record per ball, with the keys of ``solve_truncated``'s.
     """
     regions = [gf.ball(g, center, n) for n in radii]
-    quotient = (solver._ORBIT_QUOTIENT and regions[0].keyed
-                and orbit_constant(u0.values, center))
+    offsets = solver._orbit_offsets(regions[0], [u0])
+    quotient = offsets is not None
 
     def on(region):   # the ball's unknowns, as in solve_truncated
         if quotient:
@@ -63,10 +64,7 @@ def kept_on(g, u0, cfg, center, radii):
 
     balls = []
     dist, rhs_on, orbits = on(regions[0])
-    y0 = np.zeros(len(dist))
-    for v, x in u0.values.items():
-        i = regions[0].index[v]
-        y0[i if orbits is None else orbits.lift()[i]] = x
+    [y0] = solver._place(regions[0], orbits, [u0], offsets)
     n0 = solver.first_radius(u0, cfg, center)
     Y, diag = solver._integrate(
         rhs_on, dist, y0, float(cfg.instants[-1]), cfg.instants, cfg.rtol, cfg.atol,

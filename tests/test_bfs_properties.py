@@ -49,6 +49,11 @@ def test_lattice_bfs_is_l1(case, R):
     assert list(b.distances) == [l1(x0, v) for v in inside]
     f = gf.Field(g, {v: 1.0 for v in support})
     assert f.support_radius(x0) == max(l1(x0, v) for v in support)
+    # the l1 norm of the offsets is the radius a BFS finds on the same
+    # oracle without the unit-offset table
+    bfs = gf.GraphGenerator(g.neighbors, g.name, dimension=N)
+    assert gf.Field(bfs, f.values).coords is None
+    assert gf.Field(bfs, f.values).support_radius(x0) == f.support_radius(x0)
 
 
 @SETTINGS

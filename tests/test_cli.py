@@ -1044,6 +1044,37 @@ def test_no_validated_config_fails_its_profile_assumptions(tmp_path, monkeypatch
     assert rejected == expected
 
 
+@pytest.mark.parametrize("n0", [12, None])
+@pytest.mark.parametrize("graph", ["Z1", "Z2", "product"])
+def test_a_non_vertex_in_file_data_exits_2(tmp_path, capsys, monkeypatch, graph, n0):
+    # the ids of the data are checked when the data are built, so neither
+    # command reaches a support search or a solve; a search that got past
+    # ring 100 fails the test instead of running on
+    graph_cfg, center = _graph_and_center(tmp_path, graph)
+    data = tmp_path / "u0.csv"
+    data.write_text(f"vertex_id,value\n{':'.join(map(str, center))},1.0\na,2.0\n")
+    cfg = tiny_config(graph=graph_cfg, initial_data={"kind": "file", "path": str(data),
+                                                     "center": center})
+    if n0 is None:
+        del cfg["solver"]["n0"]
+    rings = gf.graphs.rings
+
+    def capped(g, x0, r_max=None):
+        for d, ring in enumerate(rings(g, x0, r_max)):
+            assert d <= 100, "the support search ran past ring 100"
+            yield ring
+    monkeypatch.setattr(gf.fields, "rings", capped)
+    monkeypatch.setattr(gf.graphs, "rings", capped)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert cli.main(["validate-config", str(cfg_path)]) == 2
+    assert "'a'" in capsys.readouterr().err
+    assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert "'a'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_the_profile_is_built_only_for_a_check_that_reads_it(tmp_path):
     graph_cfg, center = _graph_and_center(tmp_path, "custom")
     cfg = tiny_config(graph=graph_cfg, initial_data={"kind": "delta", "center": center},

@@ -1,6 +1,9 @@
 import math
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import graphflow as gf
 from graphflow.fields import vertex_from_str, vertex_to_str
@@ -79,3 +82,17 @@ def test_constructors(z1):
 def test_support_radius(z1):
     f = gf.Field(z1, {(0,): 1.0, (5,): 1.0, (-3,): 2.0})
     assert f.support_radius((0,)) == 5
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.floats(-1e3, 1e3) | st.floats(-1e-9, 1e-9), min_size=1, max_size=25),
+       st.integers(0, 2 ** 32))
+def test_norms_do_not_depend_on_the_order_of_the_support(values, seed):
+    # math.fsum rounds the exact sum once, so the dict order cannot move a bit
+    z2 = gf.lattice_generator(2)
+    pairs = list(zip(gf.ball(z2, (0, 0), 3).vertices, values))
+    shuffled = random.Random(seed).sample(pairs, len(pairs))
+    f, g = gf.Field(z2, dict(pairs)), gf.Field(z2, dict(shuffled))
+    assert f.mass().hex() == g.mass().hex()
+    for q in (1.5, 2.0, 4.0):
+        assert f.lq_norm(q).hex() == g.lq_norm(q).hex()

@@ -5,7 +5,6 @@ neighbor function: it carries no unit-offset table, so ``ball`` and
 ``region_edges`` take the ring BFS and the oracle loop on it.
 """
 
-import dataclasses
 
 import numpy as np
 import pytest
@@ -121,7 +120,7 @@ def test_ball_whose_box_exceeds_int64_keys_takes_the_oracle_loop():
 @pytest.mark.parametrize("x0", [0, 3, -7])
 def test_lazy_vertex_tuples_match_the_eager_build(N, x0):
     # a keyed ball builds its tuples and index from coords on first use,
-    # whichever of them, `in` or a bare copy is read first; its length
+    # whichever of them, `in` or the bare region is read first; its length
     # reads neither
     g = LATTICES.get(N) or gf.lattice_generator(N)
     center = tuple(x0 + i for i in range(N))
@@ -130,7 +129,7 @@ def test_lazy_vertex_tuples_match_the_eager_build(N, x0):
         edge = (center[0] + R, *center[1:])
         probes = [*want.vertices, (edge[0] + 1, *edge[1:]), (edge[0] + 0.0, *edge[1:]),
                   center[:-1], (*center, 0), "x"]
-        for first in ("len", "vertices", "index", "in", "replace"):
+        for first in ("len", "vertices", "index", "in", "bare"):
             region = gf.ball(g, center, R)
             assert region.coords is not None
             assert len(region) == len(want.vertices)
@@ -141,8 +140,8 @@ def test_lazy_vertex_tuples_match_the_eager_build(N, x0):
                 assert region.index == want.index
             elif first == "in":
                 assert [v in region for v in probes] == [v in want for v in probes]
-            elif first == "replace":
-                bare = dataclasses.replace(region)
+            elif first == "bare":
+                bare = region.bare()
                 assert bare.coords is None and "vertices" in vars(bare)
                 assert_same_ball(bare, want)
             assert region.vertices == want.vertices and region.index == want.index

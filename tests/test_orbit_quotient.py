@@ -14,14 +14,14 @@ the vertex edge arrays give them, and the trajectory's functionals sum
 over the orbits.
 """
 
-import dataclasses
 import json
 import tracemalloc
+from operator import add
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import graphflow as gf
@@ -164,19 +164,97 @@ def test_asymmetric_data_take_the_vertex_path_bit_for_bit(monkeypatch):
     assert calls == [h["vertices"] for h in traj.history]
 
 
+def walk_orbit_constant(values, center):
+    """Whether a ``vertex -> value`` dict on ``Z^N`` is constant on orbits: the oracle.
+
+    The dict walk the solver once ran: a vertex and its image under each
+    generator of the signed coordinate permutations about ``center``
+    (negating the first offset, swapping the first two, shifting them
+    cyclically) carry equal values, and off the support both are 0.
+    """
+    moves = [lambda d: (-d[0], *d[1:]), lambda d: (d[1], d[0], *d[2:]),
+             lambda d: (*d[1:], d[0])][:1 if len(center) == 1 else 3]
+    for v, x in values.items():
+        d = tuple(a - c for a, c in zip(v, center))
+        if any(values.get(tuple(map(add, center, move(d)))) != x for move in moves):
+            return False
+    return True
+
+
+def constant_on_orbits(g, values, center):
+    """The solver's array test of the datum ``values`` about ``center``."""
+    u = gf.Field(g, values)
+    return orbit_constant(u.offsets(center), u.values.values())
+
+
 def test_orbit_constant_is_exact():
     z3 = gf.lattice_generator(3)
     center = (1, -2, 0)
     values = _orbit_data(z3, center, 2, [1.0, -0.5, 0.25, 0.25, 2.0])
-    assert orbit_constant(values, center)
-    assert not orbit_constant(values, (0, 0, 0))
+
+    def test(data, at):   # the array test, which the dict walk agrees with
+        got = constant_on_orbits(z3, data, at)
+        assert got == walk_orbit_constant(data, at)
+        return got
+    assert test(values, center)
+    assert not test(values, (0, 0, 0))
     for v in set(values) - {center}:   # a change or a removal at any other vertex breaks it
-        assert not orbit_constant({**values, v: np.nextafter(values[v], 9.0)}, center)
-        assert not orbit_constant({w: x for w, x in values.items() if w != v}, center)
+        assert not test({**values, v: np.nextafter(values[v], 9.0)}, center)
+        assert not test({w: x for w, x in values.items() if w != v}, center)
     # a datum invariant under the reflections and the swap of the first two
     # coordinates, not under the cyclic shift
-    assert not orbit_constant({(0, 0, 1): 1.0, (0, 0, -1): 1.0}, (0, 0, 0))
-    assert orbit_constant({}, center)
+    assert not test({(0, 0, 1): 1.0, (0, 0, -1): 1.0}, (0, 0, 0))
+    assert test({}, center)
+
+
+@st.composite
+def orbit_cases(draw):
+    """Data on ``Z^1``-``Z^4`` about a shifted center, as ``(N, center, radius, data)``.
+
+    Whole orbits of ``B_radius``, then perhaps an orbit cut short, one value
+    an ulp off, a vertex or an orbit past the ball, another center or no data.
+    """
+    N = draw(st.integers(1, 4))
+    center = tuple(draw(st.lists(st.integers(-3, 3), min_size=N, max_size=N)))
+    radius = draw(st.integers(0, 5 - N // 2))
+    g = gf.lattice_generator(N)
+    k = OrbitQuotient(gf.ball(g, center, radius)).table.n
+    values = draw(st.lists(st.sampled_from([0.0, 1.0, -0.5, 2.0]) | st.floats(-2.0, 2.0),
+                           min_size=k, max_size=k))
+    data = {v: x for v, x in _orbit_data(g, center, radius, values).items() if x != 0.0}
+    support = sorted(data)
+    change = draw(st.sampled_from(["none", "cut", "ulp", "past", "moved", "empty"]))
+    if change in ("cut", "ulp") and support:
+        v = draw(st.sampled_from(support))
+        data = ({w: x for w, x in data.items() if w != v} if change == "cut"
+                else {**data, v: np.nextafter(data[v], 9.0)})
+    elif change == "past":   # a whole orbit of the next ring, or one vertex of it
+        far = _orbit_data(g, center, radius + 1, [0.0] * k + [1.0] * 99)
+        far = {v: x for v, x in far.items() if x and v not in data}
+        data.update(far if draw(st.booleans()) else dict([min(far.items())]))
+    elif change == "moved":
+        center = tuple(c + draw(st.integers(-1, 1)) for c in center)
+    elif change == "empty":
+        data = {}
+    return N, center, radius, data
+
+
+@settings(max_examples=150, deadline=None)
+@given(orbit_cases())
+@example((3, (1, -2, 0), 2, _orbit_data(gf.lattice_generator(3), (1, -2, 0), 2,
+                                        [1.0, -0.5, 0.25, 0.25, 2.0])))
+@example((3, (0, 0, 0), 2, _orbit_data(gf.lattice_generator(3), (1, -2, 0), 2,
+                                       [1.0, -0.5, 0.25, 0.25, 2.0])))
+@example((3, (0, 0, 0), 1, {(0, 0, 1): 1.0, (0, 0, -1): 1.0}))
+@example((3, (1, -2, 0), 2, {}))
+def test_the_array_orbit_test_is_the_dict_walk(case):
+    # the solver's decision too: a keyed first ball, the support inside it or not
+    N, center, radius, data = case
+    g = gf.lattice_generator(N)
+    want = walk_orbit_constant(data, center)
+    assert constant_on_orbits(g, data, center) == want
+    on_orbits = solver._orbit_offsets(gf.ball(g, center, radius), [gf.Field(g, data)])
+    assert (on_orbits is not None) == want
 
 
 @pytest.mark.parametrize("N, radius", [(1, 5), (2, 6), (3, 5)])
@@ -200,7 +278,7 @@ def test_the_quotient_of_a_ball(N, radius):
     assert np.array_equal(OrbitQuotient(smaller).lift(), orbit_of[:len(smaller)])
     assert np.array_equal(degrees, region.degrees[:len(sizes)])
     # a ball too large for int64 box keys has no coords: keyed by its vertex tuples
-    bare = dataclasses.replace(region)
+    bare = region.bare()
     assert bare.coords is None
     assert np.array_equal(OrbitQuotient(bare).lift(), orbit_of)
     # |O| w(O, O') is the edge weight between the two orbits, both ways
@@ -228,7 +306,7 @@ def test_the_key_build_is_the_unique_build(N, radius, shift, bare):
     center = tuple(shift[:N])
     region = gf.ball(g, center, radius)
     if bare:
-        region = dataclasses.replace(region)
+        region = region.bare()
     orbit_of, first, table = unique_quotient(region)
     q = OrbitQuotient(region)
     if radius > 1:   # a prefix first, then the rest
@@ -313,7 +391,7 @@ def test_the_representative_build_is_the_pair_sum_build(N, radii, shift):
     center = tuple(shift + i for i in range(N))
     for radius in radii:
         region = gf.ball(g, center, radius)
-        for r in (region, dataclasses.replace(region)):   # int64 keys, vertex tuples
+        for r in (region, region.bare()):   # int64 keys, vertex tuples
             table = OrbitQuotient(r).table
             got, want = _directed(table), _pair_sums(region, region_edges(g, region))
             assert table.nbr.shape == (2 * N, len(OrbitQuotient(r).keys))
@@ -419,7 +497,7 @@ def test_a_stored_trajectory_is_read_on_the_same_orbits(tmp_path, data):
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
     again = cli.load_trajectory(tmp_path, z2)
     assert _same_bits(again.values, traj.values)
-    assert (traj.orbits is not None) == orbit_constant(data, (0, 0))
+    assert (traj.orbits is not None) == walk_orbit_constant(data, (0, 0))
     if traj.orbits is None:   # asymmetric data: the vertices, both times
         assert again.orbits is None
     else:
@@ -502,6 +580,34 @@ def test_a_centred_run_builds_no_vertex_tuples(monkeypatch, tmp_path):
         assert region.keyed
         assert "vertices" not in vars(region) and "index" not in vars(region)
     assert {"coords", "degrees", "distances"} <= set(vars(built[-1]))
+
+
+def test_a_centred_power_law_solve_sets_up_on_arrays(monkeypatch):
+    # Z^2 power-law data on B_20 (841 vertices) with n0 unset: the support
+    # radius, the orbit test and the placement read the support's offsets,
+    # so up to the integration the oracle is asked about the center only and
+    # no ball holds a per-vertex array
+    z2 = gf.lattice_generator(2)
+    u0 = estimates.PowerLawSpec(2, 1.0).field(z2, 20)
+    cfg = gf.SolverConfig(p=3.0, instants=gf.log_instants(0.01, 1.0, 5))
+    asked, built, seen = [], [], []
+    oracle = z2._neighbor_fn
+    monkeypatch.setattr(z2, "_neighbor_fn", lambda x: asked.append(x) or oracle(x))
+
+    def recorded(g, x0, R):
+        built.append(gf.ball(g, x0, R))
+        return built[-1]
+    integrate = solver._integrate
+
+    def entered(*args, **kwargs):
+        seen.append((list(asked), [PER_VERTEX & set(vars(region)) for region in built]))
+        return integrate(*args, **kwargs)
+    monkeypatch.setattr(solver, "ball", recorded)
+    monkeypatch.setattr(solver, "_integrate", entered)
+    traj = gf.solve_cauchy(z2, u0, cfg, center=(0, 0))
+    [(before, held)] = seen
+    assert traj.orbits is not None and traj.history[0]["n"] == 28
+    assert set(before) == {(0, 0)} and len(before) <= 2 and not any(held)
 
 
 def test_a_centred_solve_holds_its_orbit_rows_not_vertex_rows():

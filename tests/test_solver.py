@@ -295,7 +295,7 @@ def test_comparison_partner_that_outgrows_u01_is_certified(z1):
     assert gf.comparison_check(z1, u01, u02, cfg) >= -1e-8 * u01.sup_norm()
 
 
-def test_a_solve_takes_each_support_radius_once(z1, monkeypatch):
+def test_a_solve_takes_each_support_radius_once(z1, monkeypatch, tmp_path):
     # with n0 unset the first ball is the data's support radius plus 8:
     # one search per datum and solve, on the vertex path and on the orbits
     cfg = gf.SolverConfig(p=3.0, instants=gf.log_instants(0.1, 5.0, 7))
@@ -313,6 +313,15 @@ def test_a_solve_takes_each_support_radius_once(z1, monkeypatch):
     calls.clear()
     traj = gf.solve_cauchy(z1, u02, cfg)
     assert traj.orbits is not None and calls == [u02]
+    # a run searches once, in its set-up, whose radius the propagation eps
+    # rule and the solve both read; on a product graph the search is a BFS
+    calls.clear()
+    cfg = {"graph": {"family": "product", "N": 1, "H": {"edges": [["a", "b", 1.0]]}},
+           "initial_data": {"kind": "ball_indicator", "center": [0, 0], "radius": 2},
+           "solver": {"p": 3.0, "t_min": 0.01, "t_max": 5.0, "num_instants": 20},
+           "checks": [{"type": "propagation_fit", "window": [0.1, 5.0]}]}
+    report = cli.run(cfg, tmp_path / "run")
+    assert report["certified"] and len(calls) == 1 and calls[0].coords is None
 
 
 def test_comparison_partner_supported_outside_u01_ball(z1):
