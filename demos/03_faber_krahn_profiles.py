@@ -9,12 +9,12 @@ p = 3.0
 # --- Dirichlet p-eigenvalues of small sets --------------------------------
 for verts in ([(0,)], [(0,), (1,)], [(0,), (1,), (2,)]):
     region = gf.region_from_vertices(z1, verts)
-    lam = gf.dirichlet_p_eigenvalue(z1, region, p, seed=1)
+    lam = gf.dirichlet_p_eigenvalue(z1, region, p)
     oracle = gf.eigenvalue_grid_oracle(z1, region, p)
     print(f"|U| = {len(verts)}: descent {lam:.6f}, exhaustive grid {oracle:.6f}")
 
 # --- brute-forced profile table over connected subsets --------------------
-prof = gf.fk_profile_bruteforce(z1, (0,), size_cap=3, p=p, seed=1)
+prof = gf.fk_profile_bruteforce(z1, (0,), size_cap=3, p=p)
 print("\nbrute-forced (v, Lambda) table on Z^1 up to 3 vertices:")
 for v, lam in zip(prof.table_v, prof.table_lam):
     print(f"  mu_w = {v:g}  ->  Lambda = {lam:.6f}")

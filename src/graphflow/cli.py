@@ -30,7 +30,8 @@ whose stems clash are a config error before any run starts.
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage/config error,
 3 solver failure (a check that finds the ball short of a mass fraction it
 needs is one too).  Identical (config, seed) pairs produce byte-identical
-outputs.
+outputs; the seed reaches only the ``seed`` field of ``report.json`` and
+``manifest.json``, as no computation is randomized.
 """
 
 from __future__ import annotations
@@ -257,18 +258,25 @@ def _non_finite(value, path=()):
 _PROFILE_CHECKS = {"sup_bound", "moment_bound", "entropy_bound", "slow_decay"}
 
 
-def validate_config(cfg, seed=None):
+def _errors(schema, value):
+    """:func:`_schema_errors` as ``path: message`` strings, in path order."""
+    return [f"{'/'.join(map(str, path)) or '<root>'}: {message}"
+            for path, _, message in sorted(_schema_errors(schema, value), key=lambda e: e[0])]
+
+
+# check defaults that more than one step reads
+_PROPAGATION_EPS = 0.5
+
+
+def validate_config(cfg):
     """The errors of a config dict that show without building anything.
 
     Checks the schema, that every number is finite, and the cross-field
-    rules the schema cannot express; opens no file.  ``seed`` is a
-    ``--seed`` given for the run, which stands in for the config's.  The
-    rules that need built inputs are :func:`_setup`'s.  Returns a list of
-    error strings.
+    rules the schema cannot express; opens no file.  No rule reads the
+    seed: it only labels the run.  The rules that need built inputs are
+    :func:`_setup`'s.  Returns a list of error strings.
     """
-    errors = [f"{'/'.join(map(str, path)) or '<root>'}: {message}"
-              for path, _, message in sorted(_schema_errors(CONFIG_SCHEMA, cfg),
-                                             key=lambda e: e[0])]
+    errors = _errors(CONFIG_SCHEMA, cfg)
     if errors:
         return errors
     # cross-field rules the schema cannot express
@@ -287,8 +295,6 @@ def validate_config(cfg, seed=None):
     if cfg["solver"]["t_min"] >= cfg["solver"]["t_max"]:
         errors.append("solver: need t_min < t_max")
     if cfg.get("profile", {}).get("kind") == "bruteforce":
-        if "seed" not in cfg and seed is None:
-            errors.append("seed: mandatory when a randomized operation is requested")
         assumed = sorted({c["type"] for c in cfg.get("checks", [])} & _PROFILE_CHECKS)
         if assumed:
             errors.append(f"profile: the checks {', '.join(assumed)} need the lattice "
@@ -322,7 +328,7 @@ def validate_config(cfg, seed=None):
                           f"window[0] < window[1]")
         if chk["type"] == "moment_bound" and "alpha" not in chk:
             errors.append("checks: moment_bound requires alpha")
-        if chk["type"] == "propagation_fit" and 1.0 - chk.get("eps", 0.5) == 1.0:
+        if chk["type"] == "propagation_fit" and 1.0 - chk.get("eps", _PROPAGATION_EPS) == 1.0:
             errors.append("checks: propagation_fit eps is below float resolution "
                           "(1 - eps == 1)")
     return errors
@@ -338,7 +344,7 @@ def _propagation_eps_errors(cfg, g, center, n0):
     floor = size * 2.0 ** -53
     return [f"checks: propagation_fit eps {c['eps']!r} is at or below {floor!r}, the "
             f"rounding of a mass sum over the {size} vertices of the first ball B_{n0}"
-            for c in checks if c.get("eps", 0.5) <= floor]
+            for c in checks if c.get("eps", _PROPAGATION_EPS) <= floor]
 
 
 def _slow_decay_horizon_errors(cfg, g, profile):
@@ -352,8 +358,7 @@ def _slow_decay_horizon_errors(cfg, g, profile):
     for chk in cfg.get("checks", []):
         if chk["type"] == "slow_decay":
             data = cfg["initial_data"]   # power-law data, as validated
-            spec = estimates.PowerLawSpec(g.dimension, data["alpha"],
-                                          center_value=data.get("center_value", 1.0))
+            spec = _power_law_spec(g, data)
             R, t_max = data["truncation_radius"], cfg["solver"]["t_max"]
             T = estimates.slow_decay_T(spec, chk["q"], R, profile)
             if t_max > T:
@@ -363,11 +368,12 @@ def _slow_decay_horizon_errors(cfg, g, profile):
 
 
 def _run_seed(cfg, seed=None):
-    """The seed a run uses, as an int: ``seed`` if given, else the config's (0 if none).
+    """The seed a run records, as an int: ``seed`` if given, else the config's (0 if none).
 
-    A given ``seed`` (``--seed``) must pass the schema's rule for the
-    config's.  The schema takes an integral float such as ``20245.0`` as an
-    integer; the random generators take only an int.
+    No computation reads it; it labels the run in ``report.json`` and
+    ``manifest.json``.  A given ``seed`` (``--seed``) must pass the schema's
+    rule for the config's.  The schema takes an integral float such as
+    ``20245.0`` as an integer, which is recorded as its int.
     """
     if seed is None:
         return int(cfg.get("seed", 0))
@@ -410,6 +416,12 @@ def _parse_center(raw, g):
     return tuple(raw)
 
 
+def _power_law_spec(g, data_cfg, center=None):
+    # the spec's own center value stands where the config sets none
+    given = {"center_value": data_cfg["center_value"]} if "center_value" in data_cfg else {}
+    return estimates.PowerLawSpec(g.dimension, data_cfg["alpha"], center=center, **given)
+
+
 def build_initial_field(g, data_cfg):
     kind = data_cfg["kind"]
     center = _parse_center(data_cfg.get("center"), g)
@@ -419,9 +431,7 @@ def build_initial_field(g, data_cfg):
         return ball_indicator_field(g, center, data_cfg["radius"],
                                     data_cfg.get("amplitude", 1.0)), center
     if kind == "power_law":
-        spec = estimates.PowerLawSpec(g.dimension, data_cfg["alpha"],
-                                      center=center,
-                                      center_value=data_cfg.get("center_value", 1.0))
+        spec = _power_law_spec(g, data_cfg, center)
         return spec.field(g, data_cfg["truncation_radius"]), center
     with open(data_cfg["path"]) as f:
         return Field.from_csv_text(g, f.read()), center
@@ -435,7 +445,7 @@ def build_solver_config(solver_cfg):
     return solver.SolverConfig(p=solver_cfg["p"], instants=instants, **kwargs)
 
 
-def build_profile(cfg, g, seed=0):
+def build_profile(cfg, g):
     prof = cfg.get("profile", {"kind": "lattice"})
     p = cfg["solver"]["p"]
     if prof["kind"] == "lattice":
@@ -444,17 +454,17 @@ def build_profile(cfg, g, seed=0):
             raise ConfigError("lattice profile needs a graph with a dimension")
         return faberkrahn.FkProfile.lattice(N, p, prof.get("c0", 1.0))
     center = _parse_center(cfg.get("initial_data", {}).get("center"), g)
-    return faberkrahn.fk_profile_bruteforce(g, center, prof["size_cap"], p,
-                                            seed=seed)
+    return faberkrahn.fk_profile_bruteforce(g, center, prof["size_cap"], p)
 
 
 def _setup(cfg, seed=None):
     """Validate ``cfg``, build each input its run reads once, and vet the built inputs.
 
     Returns ``(g, u0, center, scfg, profile, seed)``, with the seed the run
-    uses as an int, and ``scfg.n0`` set to :func:`solver.first_radius`, which
-    the solve then reads.  The profile is built only when a configured check reads
-    it (``lower_bound`` or one of :data:`_PROFILE_CHECKS`), else it is None;
+    records as an int (:func:`_run_seed`; nothing built reads it), and
+    ``scfg.n0`` set to :func:`solver.first_radius`, which the solve then
+    reads.  The profile is built only when a configured check reads it
+    (``lower_bound`` or one of :data:`_PROFILE_CHECKS`), else it is None;
     :func:`validate_config` gives the checks of :data:`_PROFILE_CHECKS` only
     the lattice power law, which meets their assumptions at every p/N.
     Raises ``ConfigError`` for what :func:`validate_config` finds, for a
@@ -462,7 +472,7 @@ def _setup(cfg, seed=None):
     a ``slow_decay`` horizon past the balance time.  A failing build raises
     its own ``ValueError`` or ``OSError``.
     """
-    errors = validate_config(cfg, seed)
+    errors = validate_config(cfg)
     if errors:
         raise ConfigError("; ".join(errors))
     seed = _run_seed(cfg, seed)
@@ -471,7 +481,7 @@ def _setup(cfg, seed=None):
     scfg = build_solver_config(cfg["solver"])
     scfg.n0 = solver.first_radius(u0, scfg, center)   # the solve's, searched once
     reads = {c["type"] for c in cfg.get("checks", [])} & (_PROFILE_CHECKS | {"lower_bound"})
-    profile = build_profile(cfg, g, seed=seed) if reads else None
+    profile = build_profile(cfg, g) if reads else None
     errors = (_propagation_eps_errors(cfg, g, center, scfg.n0)
               + _slow_decay_horizon_errors(cfg, g, profile))
     if errors:
@@ -520,29 +530,54 @@ def export_trajectory(traj, out_dir, snapshots=False):
             (fdir / f"t_{k:04d}.csv").write_text(traj.field_at(t).to_csv_text())
 
 
-def load_trajectory(run_dir, g):
-    """Rebuild a Trajectory from an exported run directory (needs snapshots).
+# the shapes of the manifest values a trajectory is rebuilt from; a missing
+# key is left to the read, which names it
+_MANIFEST_SCHEMA = {"type": "object", "properties": {
+    "config": {"type": "object", "properties": {
+        "solver": {"type": "object",
+                   "properties": CONFIG_SCHEMA["properties"]["solver"]["properties"]}}},
+    "center": {"type": "string"},
+}}
 
-    Only a run whose manifest says it is certified is read: every bound
-    check needs the solution of the Cauchy problem.
+
+def _read_manifest(run_dir):
+    """``(stored config, SolverConfig, center, certified radius)`` of a run's manifest.
+
+    Only a certified run is read: every bound check needs the solution of
+    the Cauchy problem.  Raises ``ConfigError`` if the manifest cannot be
+    read, lacks a key or holds a value of the wrong shape.
     """
-    run_dir = Path(run_dir)
     try:
         manifest = json.loads((run_dir / "manifest.json").read_text())
-        scfg = manifest["config"]["solver"]
-        center = vertex_from_str(manifest["center"])
-        n = manifest["certified_radius"]
-        certified = manifest["certified"]
-        cfg = build_solver_config(scfg)
     except (OSError, json.JSONDecodeError) as e:
         raise ConfigError(f"cannot read the manifest of {run_dir}: {e}") from None
+    errors = _errors(_MANIFEST_SCHEMA, manifest)
+    if errors:
+        raise ConfigError(f"manifest of {run_dir} is malformed: {'; '.join(errors)}")
+    try:
+        config, n, certified = (manifest["config"], manifest["certified_radius"],
+                                manifest["certified"])
+        center = vertex_from_str(manifest["center"])
+        scfg = build_solver_config(config["solver"])
     except KeyError as e:
         raise ConfigError(f"manifest of {run_dir} lacks key {e}") from None
+    except ValueError as e:   # a malformed center or solver section
+        raise ConfigError(f"manifest of {run_dir} is malformed: {e}") from None
     if certified is not True:
         raise ConfigError(f"manifest of {run_dir} is not of a certified run: "
                           f"certified={certified!r}")
     if type(n) is not int or n < 0:   # a bool is no radius
         raise ConfigError(f"manifest of {run_dir} has no certified radius: {n!r}")
+    return config, scfg, center, n
+
+
+def load_trajectory(run_dir, g, manifest=None):
+    """Rebuild a Trajectory from an exported run directory (needs snapshots).
+
+    ``manifest`` is :func:`_read_manifest`'s result, read here if not given.
+    """
+    run_dir = Path(run_dir)
+    _, cfg, center, n = manifest or _read_manifest(run_dir)
     fdir = run_dir / "fields"
     if not fdir.is_dir():
         raise ConfigError("run directory has no field snapshots; re-run with snapshots=true")
@@ -605,8 +640,8 @@ def _run_one_check(chk, traj, profile, cfg):
                                            chk.get("tolerance"))
         return {"tag": "decay_fit", **_fit_json(fit)}, None
     if typ == "propagation_fit":
-        fit = estimates.fit_propagation_exponent(traj, chk.get("eps", 0.5), window,
-                                                 chk.get("theoretical_slope"),
+        fit = estimates.fit_propagation_exponent(traj, chk.get("eps", _PROPAGATION_EPS),
+                                                 window, chk.get("theoretical_slope"),
                                                  chk.get("tolerance"))
         return {"tag": "propagation_fit", **_fit_json(fit)}, None
     if typ == "sup_bound":
@@ -618,12 +653,10 @@ def _run_one_check(chk, traj, profile, cfg):
     elif typ == "entropy_bound":
         check = estimates.check_entropy_bound(traj, profile, window)
     elif typ == "slow_decay":
-        data = cfg["initial_data"]
-        spec = estimates.PowerLawSpec(traj.generator.dimension, data["alpha"],
-                                      center_value=data.get("center_value", 1.0))
-        window = tuple(chk.get("window", (1e2, 1e4)))
-        check, fit = estimates.check_slow_decay(traj, spec, chk["q"], profile,
-                                                window, chk.get("tolerance", 0.05))
+        spec = _power_law_spec(traj.generator, cfg["initial_data"])
+        window = tuple(chk.get("window", estimates.SLOW_DECAY_WINDOW))
+        tolerance = chk.get("tolerance", estimates.SLOW_DECAY_TOLERANCE)
+        check, fit = estimates.check_slow_decay(traj, spec, chk["q"], profile, window, tolerance)
         out_json = _check_json(check, {"fit": _fit_json(fit),
                                        "pass": bool(fit.passed and
                                                     np.isfinite(check.verdict))})
@@ -704,12 +737,15 @@ def run(cfg, out_dir, seed=None):
 
 
 def run_fk(cfg, out_dir, seed=None):
-    """Brute-force a Faber-Krahn table for the configured graph."""
-    g, *_, profile, seed = _setup(cfg, seed)
+    """Brute-force a Faber-Krahn table for the configured graph.
+
+    ``seed`` is vetted as :func:`run` vets it; the table does not read it.
+    """
+    g, *_, profile, _ = _setup(cfg, seed)
     if cfg.get("profile", {}).get("kind") != "bruteforce":
         raise ConfigError("fk subcommand needs a profile of kind 'bruteforce'")
     if profile is None:
-        profile = build_profile(cfg, g, seed=seed)
+        profile = build_profile(cfg, g)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "fk_profile.csv").write_text(profile.to_csv_text())
@@ -796,6 +832,8 @@ def _dispatch(args):
         return 0
 
     if args.command == "simulate":
+        if args.jobs < 1:
+            raise ConfigError(f"--jobs: {args.jobs} is less than the minimum of 1")
         multi = len(args.config) > 1
         tasks = [(path, _default_out(args, path, multi), args.seed)
                  for path in args.config]
@@ -821,13 +859,14 @@ def _dispatch(args):
     if args.command == "verify":
         cfg = _load_config(args.config)
         g, *_, profile, _ = _setup(cfg, args.seed)
-        traj = load_trajectory(args.traj_dir, g)
+        manifest = _read_manifest(Path(args.traj_dir))
         # the checks read the config's data and solver: they must be the run's
-        stored = json.loads((Path(args.traj_dir) / "manifest.json").read_text())["config"]
+        stored = manifest[0]
         differ = [k for k in ("graph", "initial_data", "solver") if stored.get(k) != cfg.get(k)]
         if differ:
             raise ConfigError(f"{args.config} differs from the config of the run in "
                               f"{args.traj_dir} in: {', '.join(differ)}")
+        traj = load_trajectory(args.traj_dir, g, manifest)
         out = Path(args.out or args.traj_dir)
         results, _ = _run_checks(cfg, traj, profile, out)
         return 0 if all(r.get("pass", True) for r in results) else 1

@@ -22,6 +22,9 @@ from .graphs import ball
 from .solver import Trajectory, mass_radius, moment
 
 DEFAULT_WINDOW = (10.0, 1e3)
+# the slow-decay check's defaults: its window and its tolerance on the rate fit
+SLOW_DECAY_WINDOW = (1e2, 1e4)
+SLOW_DECAY_TOLERANCE = 0.05
 
 
 def decay_exponent(N, p):
@@ -399,7 +402,7 @@ def minimal_balance_radius(spec, q, t, profile, R_cap):
 
 
 def check_slow_decay(traj: Trajectory, spec: PowerLawSpec, q, profile,
-                     window=(1e2, 1e4), tolerance=0.05):
+                     window=SLOW_DECAY_WINDOW, tolerance=SLOW_DECAY_TOLERANCE):
     """Decay envelope for slowly decaying data, plus the rate fit.
 
     For each instant the minimal balance radius R(t) defines the envelope

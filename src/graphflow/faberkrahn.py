@@ -242,13 +242,17 @@ def _quotient_batch(F, table, degrees, p):
     return 2.0 * table.power_sum(F, p), np.abs(F) ** p @ degrees
 
 
-def dirichlet_p_eigenvalue(g, region, p, seed=0):
-    """Smallest Dirichlet p-Rayleigh quotient over fields on the region.
+def dirichlet_p_eigenvalue(g, region, p):
+    """Smallest Dirichlet p-Rayleigh quotient over fields on a connected region.
 
     Normalized gradient descent on the p-energy under the weighted p-norm
-    constraint, with multistart (the indicator of the region plus 8 random
-    fields) to a relative tolerance of 1e-10; the best converged value is
-    returned.
+    constraint, to a relative tolerance of 1e-10, from the indicator of the
+    region.  The first Dirichlet p-eigenfunction of a connected set is
+    positive and unique up to scale, and by hidden convexity (Belloni and
+    Kawohl) every positive start descends to its quotient, so one start
+    suffices.  Only when it does not converge are 8 positive fields drawn
+    from a fixed generator tried in turn.  The value the first converging
+    start reaches is returned, so equal inputs give equal values.
 
     Raises
     ------
@@ -261,10 +265,6 @@ def dirichlet_p_eigenvalue(g, region, p, seed=0):
     divergence = table.divergence(p)
     degs = region.degrees
     n = len(region)
-    rng = np.random.default_rng(seed)
-    starts_list = [np.ones(n)]
-    for _ in range(8):
-        starts_list.append(rng.uniform(0.05, 1.0, n))
 
     def normalize(f):
         return f / (np.abs(f) ** p * degs).sum() ** (1.0 / p)
@@ -279,51 +279,45 @@ def dirichlet_p_eigenvalue(g, region, p, seed=0):
         gd = p * degs * np.sign(f) * np.abs(f) ** (p - 1.0)
         return ge - quotient(f) * gd
 
-    best = None
-    converged_any = False
-    for f0 in starts_list:
-        f = normalize(f0.copy())
+    def descend(f):
+        """The field the descent from ``f`` converges to, or None."""
+        f = normalize(f)
         q = quotient(f)
         step = 0.1
         flat = 0
-        converged = False
         for _ in range(5000):
             grad = grad_quotient(f)
             gnorm2 = (grad * grad).sum()
             if gnorm2 <= (tol * max(q, 1.0)) ** 2:
-                converged = True
-                break
-            accepted = False
+                return f
             for _ in range(60):
                 trial = normalize(f - step * grad)
                 qt = quotient(trial)
                 if qt <= q - 1e-4 * step * gnorm2:
-                    accepted = True
                     break
                 step *= 0.5
-            if not accepted:
-                converged = True  # no descent direction within float resolution
-                break
-            if q - qt <= tol * max(q, 1e-300):
-                flat += 1
-                if flat >= 3:
-                    f, q = trial, qt
-                    converged = True
-                    break
             else:
-                flat = 0
+                return f   # no descent direction within float resolution
+            flat = flat + 1 if q - qt <= tol * max(q, 1e-300) else 0
             f, q = trial, qt
+            if flat >= 3:
+                return f
             step *= 1.5
-        if converged:
-            converged_any = True
+        return None
+
+    def starts():
+        yield np.ones(n)
+        rng = np.random.default_rng(0)
+        for _ in range(8):
+            yield rng.uniform(0.05, 1.0, n)
+
+    for f0 in starts():
+        f = descend(f0)
+        if f is not None:
             # max-normalization keeps unit-weight quotients exact
-            fm = f / np.abs(f).max()
-            e, d = _quotient_batch(fm, table, degs, p)
-            val = e / d
-            best = val if best is None else min(best, val)
-    if not converged_any:
-        raise ConvergenceError("no descent start converged within the iteration cap")
-    return float(best)
+            e, d = _quotient_batch(f / np.abs(f).max(), table, degs, p)
+            return float(e / d)
+    raise ConvergenceError("no descent start converged within the iteration cap")
 
 
 def eigenvalue_grid_oracle(g, region, p):
@@ -408,20 +402,21 @@ def connected_subsets_containing(g, base, max_size):
     yield from rec([base], {base}, first_cand, set())
 
 
-def fk_profile_bruteforce(g, base, size_cap, p, seed=0):
+def fk_profile_bruteforce(g, base, size_cap, p):
     """Tabulated profile from small connected subsets containing ``base``.
 
     For every achievable measure: the minimum Dirichlet p-eigenvalue over
     the enumerated subsets of that measure, then the nonincreasing lower
     envelope in v.  Disconnected competitors decompose into components and
-    cannot beat their best component, so only connected subsets are tried.
+    cannot beat their best component, so only connected subsets are tried,
+    and each eigenvalue is :func:`dirichlet_p_eigenvalue`'s deterministic one.
     """
     if size_cap > 8:
         raise ValueError("size_cap is limited to 8 (combinatorial growth)")
     per_measure = {}
     for verts in connected_subsets_containing(g, base, size_cap):
         reg = region_from_vertices(g, verts)
-        lam = dirichlet_p_eigenvalue(g, reg, p, seed=seed)
+        lam = dirichlet_p_eigenvalue(g, reg, p)
         v = round(reg.measure, 9)
         if v not in per_measure or lam < per_measure[v]:
             per_measure[v] = lam

@@ -176,27 +176,26 @@ def test_validate_rejects_p_two():
     assert errors and any("solver/p" in e for e in errors)
 
 
-def test_validate_requires_seed_for_randomized_profile():
-    cfg = tiny_config(profile={"kind": "bruteforce", "size_cap": 2},
-                      checks=[{"type": "lower_bound"}])
-    del cfg["seed"]
-    errors = cli.validate_config(cfg)
-    assert any("seed" in e for e in errors)
-    # a --seed for the run stands in for the config's
-    assert cli.validate_config(cfg, 5) == []
-
-
-def test_fk_seed_overrides_a_missing_seed_key(tmp_path, capsys):
+def test_fk_runs_with_no_seed_key(tmp_path):
+    # no computation is randomized, so no config needs a seed
     cfg = json.loads((CONFIG_DIR / "fk_lattice1d.json").read_text())
     del cfg["seed"]
+    assert cli.validate_config(cfg) == []
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     out = tmp_path / "fk"
-    assert cli.main(["fk", "--config", str(cfg_path), "--out", str(out)]) == 2
-    assert "seed: mandatory" in capsys.readouterr().err
-    assert not out.exists()
-    assert cli.main(["fk", "--config", str(cfg_path), "--out", str(out), "--seed", "5"]) == 0
+    assert cli.main(["fk", "--config", str(cfg_path), "--out", str(out)]) == 0
     assert (out / "fk_profile.csv").read_text().splitlines()[:2] == ["v,lambda", "2,2"]
+
+
+def test_fk_tables_do_not_depend_on_the_seed(tmp_path):
+    tables = []
+    for value in ("1", "2"):
+        out = tmp_path / value
+        assert cli.main(["fk", "--config", str(CONFIG_DIR / "fk_lattice1d.json"),
+                         "--out", str(out), "--seed", value]) == 0
+        tables.append((out / "fk_profile.csv").read_bytes())
+    assert tables[0] == tables[1]
 
 
 def test_validate_cross_field_rules():
@@ -262,6 +261,16 @@ def test_simulate_jobs_matches_serial_bytes(tmp_path):
     assert _tree_bytes(tmp_path / "pool") == serial
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_simulate_rejects_jobs_below_one(tmp_path, capsys, jobs):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(tiny_config()))
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(path), "--out", str(out), "--jobs", jobs]) == 2
+    assert f"--jobs: {jobs} is less than the minimum of 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_rejects_invalid_config(tmp_path):
     cfg = tiny_config()
     cfg["solver"]["p"] = 2.0
@@ -307,17 +316,15 @@ def test_main_fk_subcommand(tmp_path):
 
 
 def test_an_integral_float_seed_runs_as_its_int(tmp_path):
-    # 20245.0 is a JSON Schema integer, so it validates: the brute-force
-    # profile must then draw from the same stream as 20245
-    cfg = json.loads((CONFIG_DIR / "fk_lattice1d.json").read_text())
-    tables = []
-    for value in (20245, 20245.0):
-        path = tmp_path / f"{value!r}.json"
-        path.write_text(json.dumps(dict(cfg, seed=value)))
-        out = tmp_path / f"out_{value!r}"
-        assert cli.main(["fk", "--config", str(path), "--out", str(out)]) == 0
-        tables.append((out / "fk_profile.csv").read_bytes())
-    assert tables[0] == tables[1]
+    # 20245.0 is a JSON Schema integer, so it validates, and the run
+    # records it as the int 20245
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(tiny_config(seed=20245.0)))
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+    for name in ("report.json", "manifest.json"):
+        recorded = json.loads((out / name).read_text())["seed"]
+        assert recorded == 20245 and type(recorded) is int, name
 
 
 def test_main_verify_subcommand(tmp_path):
@@ -410,6 +417,34 @@ def test_verify_bad_trajectory_dir_exits_2(tmp_path, capsys, monkeypatch, verifi
     assert cli.main(["verify", "--config", str(cfg_path), "--traj-dir", str(traj_dir),
                      "--out", str(tmp_path / "verify")]) == 2
     assert message in capsys.readouterr().err
+
+
+def _set_solver(manifest, value):
+    manifest["config"]["solver"] = value
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda m: m.update(center=3), "center: 3 is not of type 'string'"),
+    (lambda m: m["config"]["solver"].update(t_min="0.01"),
+     "config/solver/t_min: '0.01' is not of type 'number'"),
+    (lambda m: _set_solver(m, [0.01, 20.0]),
+     "config/solver: [0.01, 20.0] is not of type 'object'"),
+    (lambda m: m.update(config=None), "config: None is not of type 'object'"),
+], ids=["numeric_center", "string_t_min", "solver_list", "null_config"])
+def test_verify_a_malformed_manifest_exits_2(tmp_path, capsys, verified_run, edit, message):
+    # a check that fails exits 1: a manifest the run could not have written
+    # is a config error, from verify and from load_trajectory alone
+    cfg_path, run = verified_run
+    traj_dir = tmp_path / "run"
+    shutil.copytree(run, traj_dir)
+    _edit_manifest(traj_dir, edit)
+    out = tmp_path / "verify"
+    assert cli.main(["verify", "--config", str(cfg_path), "--traj-dir", str(traj_dir),
+                     "--out", str(out)]) == 2
+    assert f"is malformed: {message}" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(cli.ConfigError, match=re.escape(message)):
+        cli.load_trajectory(traj_dir, gf.lattice_generator(1))
 
 
 @pytest.mark.parametrize("section, key, value", [("solver", "p", 4.0),

@@ -370,3 +370,56 @@ def test_the_guard_sees_an_unset_schema_key():
         "cfg.update(steps=[dict(rate=2)])\n"
         "scale = 3\n"]
     assert unset_schema_keys(schema, sources) == ["run/path", "data/scale", "steps/rate"]
+
+
+def unseeded_draws(source):
+    """``(line, name)`` for each way ``source`` can draw random numbers but one.
+
+    The one allowed way is ``np.random.default_rng(<int literal>)``, so
+    equal inputs draw equal numbers.  Flagged are ``default_rng`` with any
+    other argument, every other attribute of ``np.random`` (the global
+    state and its functions, the bit generators) and imports of
+    ``random``, ``secrets`` or ``numpy.random``.
+    """
+    tree = ast.parse(source)
+    found, allowed = [], set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "default_rng"
+                and len(node.args) == 1 and not node.keywords
+                and isinstance(node.args[0], ast.Constant) and type(node.args[0].value) is int):
+            allowed.add(node.func)
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, a.name) for a in node.names
+                      if a.name in ("random", "secrets", "numpy.random")]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module, *(f"{node.module}.{a.name}" for a in node.names)]
+            found += [(node.lineno, n) for n in names
+                      if n in ("random", "secrets", "numpy.random")][:1]
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute)
+                and node.value.attr == "random"
+                and getattr(node.value.value, "id", None) in ("np", "numpy")
+                and node not in allowed):
+            found.append((node.lineno, node.attr))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_random_numbers_come_from_a_literal_seed(path):
+    assert unseeded_draws(path.read_text()) == []
+
+
+def test_the_guard_sees_an_unseeded_draw():
+    source = ("import random\n"
+              "import numpy as np\n"
+              "from numpy.random import default_rng\n"
+              "a = np.random.default_rng(0).uniform(0.05, 1.0, 3)\n"
+              "b = np.random.default_rng(seed).uniform()\n"
+              "c = np.random.default_rng()\n"
+              "d = np.random.uniform(0.0, 1.0)\n"
+              "np.random.seed(3)\n"
+              "from numpy import random as npr\n"
+              "e = np.random.default_rng(True)\n")
+    assert unseeded_draws(source) == [(1, "random"), (3, "numpy.random"), (5, "default_rng"),
+                                      (6, "default_rng"), (7, "uniform"), (8, "seed"),
+                                      (9, "numpy.random"), (10, "default_rng")]
