@@ -25,7 +25,11 @@ ball of :func:`solver.solve_cauchy`, and every check reads that
 trajectory.  The output directory is made only after the solve and every
 check have run, so a config, solver or check error leaves none.  In a
 batch, each config writes under ``<out>/<config file stem>``; two configs
-whose stems clash are a config error before any run starts.
+whose stems clash, or a config that is unreadable or fails
+:func:`validate_config`, are a config error before any run starts.  Errors
+that need built inputs (the ``propagation_fit`` eps floor, the
+``slow_decay`` horizon, an unreadable graph or data file) surface at their
+own config's run, when other configs of the batch may have written theirs.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage/config error,
 3 solver failure (a check that finds the ball short of a mass fraction it
@@ -49,8 +53,8 @@ import numpy as np
 
 from . import estimates, faberkrahn, solver
 from .fields import Field, ball_indicator_field, delta_field, vertex_from_str, vertex_to_str
-from .graphs import (FiniteGraph, OrbitQuotient, ball, generator_from_file,
-                     lattice_generator, product_generator)
+from .graphs import (FiniteGraph, ball, generator_from_file, lattice_generator,
+                     product_generator)
 
 __version__ = "0.1.0"
 
@@ -412,7 +416,7 @@ def _parse_center(raw, g):
         dim = g.dimension or 1
         return (0,) * dim
     if isinstance(raw, str):
-        return vertex_from_str(raw)
+        return vertex_from_str(raw, g)
     return tuple(raw)
 
 
@@ -540,8 +544,8 @@ _MANIFEST_SCHEMA = {"type": "object", "properties": {
 }}
 
 
-def _read_manifest(run_dir):
-    """``(stored config, SolverConfig, center, certified radius)`` of a run's manifest.
+def _read_manifest(run_dir, g):
+    """``(stored config, SolverConfig, center, certified radius)`` of a run's manifest on ``g``.
 
     Only a certified run is read: every bound check needs the solution of
     the Cauchy problem.  Raises ``ConfigError`` if the manifest cannot be
@@ -557,11 +561,12 @@ def _read_manifest(run_dir):
     try:
         config, n, certified = (manifest["config"], manifest["certified_radius"],
                                 manifest["certified"])
-        center = vertex_from_str(manifest["center"])
+        center = vertex_from_str(manifest["center"], g)
+        g.degree(center)   # an id g has not raises
         scfg = build_solver_config(config["solver"])
     except KeyError as e:
         raise ConfigError(f"manifest of {run_dir} lacks key {e}") from None
-    except ValueError as e:   # a malformed center or solver section
+    except ValueError as e:   # a center off g or a malformed solver section
         raise ConfigError(f"manifest of {run_dir} is malformed: {e}") from None
     if certified is not True:
         raise ConfigError(f"manifest of {run_dir} is not of a certified run: "
@@ -577,7 +582,7 @@ def load_trajectory(run_dir, g, manifest=None):
     ``manifest`` is :func:`_read_manifest`'s result, read here if not given.
     """
     run_dir = Path(run_dir)
-    _, cfg, center, n = manifest or _read_manifest(run_dir)
+    _, cfg, center, n = manifest or _read_manifest(run_dir, g)
     fdir = run_dir / "fields"
     if not fdir.is_dir():
         raise ConfigError("run directory has no field snapshots; re-run with snapshots=true")
@@ -591,10 +596,8 @@ def load_trajectory(run_dir, g, manifest=None):
         except OSError as e:
             raise ConfigError(f"cannot read snapshot {path}: {e}") from None
     # rows constant on orbits are kept on them, placed as the solve places its data
-    offsets = solver._orbit_offsets(region, snapshots)
-    orbits = None if offsets is None else OrbitQuotient(region)
     try:
-        rows = solver._place(region, orbits, snapshots, offsets)
+        rows, orbits = solver._rows(region, snapshots)
     except ValueError as e:
         raise ConfigError(f"a snapshot in {fdir} lies outside the certified ball: {e}") from None
     table = np.zeros(len(times), dtype=solver.ROW_DIAGNOSTICS)   # snapshots carry none
@@ -774,11 +777,9 @@ def _default_out(args, cfg_path, multi=False):
     return str(Path(root) / Path(cfg_path).stem)
 
 
-def _simulate_path(task):
-    path, out, seed = task
-    cfg = _load_config(path)
-    report = run(cfg, out, seed=seed)
-    return report["pass"]
+def _simulate(task):
+    cfg, out, seed = task
+    return run(cfg, out, seed=seed)["pass"]
 
 
 def main(argv=None):
@@ -835,20 +836,24 @@ def _dispatch(args):
         if args.jobs < 1:
             raise ConfigError(f"--jobs: {args.jobs} is less than the minimum of 1")
         multi = len(args.config) > 1
-        tasks = [(path, _default_out(args, path, multi), args.seed)
+        tasks = [(_load_config(path), _default_out(args, path, multi), args.seed)
                  for path in args.config]
         outs = [out for _, out, _ in tasks]
         shared = sorted({out for out in outs if outs.count(out) > 1})
         if shared:
             raise ConfigError(f"configs with the same file name would share the output "
                               f"directories {shared}")
+        for path, (cfg, *_) in zip(args.config, tasks):
+            errors = validate_config(cfg)
+            if errors:
+                raise ConfigError(f"{path}: {'; '.join(errors)}")
         if args.jobs > 1 and len(tasks) > 1:
             from concurrent.futures import ProcessPoolExecutor
 
             with ProcessPoolExecutor(max_workers=args.jobs) as ex:
-                passes = list(ex.map(_simulate_path, tasks))
+                passes = list(ex.map(_simulate, tasks))
         else:
-            passes = [_simulate_path(t) for t in tasks]
+            passes = [_simulate(t) for t in tasks]
         return 0 if all(passes) else 1
 
     if args.command == "fk":
@@ -859,7 +864,7 @@ def _dispatch(args):
     if args.command == "verify":
         cfg = _load_config(args.config)
         g, *_, profile, _ = _setup(cfg, args.seed)
-        manifest = _read_manifest(Path(args.traj_dir))
+        manifest = _read_manifest(Path(args.traj_dir), g)
         # the checks read the config's data and solver: they must be the run's
         stored = manifest[0]
         differ = [k for k in ("graph", "initial_data", "solver") if stored.get(k) != cfg.get(k)]

@@ -21,15 +21,18 @@ def vertex_to_str(v):
     return str(v)
 
 
-def vertex_from_str(s):
-    """Inverse of :func:`vertex_to_str`; integer tuples are recognized."""
-    parts = s.split(":")
+def vertex_from_str(s, generator):
+    """Inverse of :func:`vertex_to_str` on the ids of ``generator``.
+
+    The integer tuple ``s`` spells if ``generator`` has that vertex, else
+    ``s`` as written (a custom graph's ids are text, such as ``"1"``).
+    """
     try:
-        return tuple(int(p) for p in parts)
+        v = tuple(int(p) for p in s.split(":"))
+        generator.degree(v)   # raises UnknownVertexError, a ValueError, if it has not
+        return v
     except ValueError:
-        if len(parts) == 1:
-            return s
-        raise ValueError(f"malformed vertex id {s!r}") from None
+        return s
 
 
 class Field:
@@ -120,7 +123,11 @@ class Field:
             raise ValueError("missing 'vertex_id,value' header")
         for ln in lines[1:]:
             key, val = ln.rsplit(",", 1)
-            values[vertex_from_str(key)] = float(val)
+            v = vertex_from_str(key, generator)
+            if v in values:
+                raise ValueError(f"vertex id {vertex_to_str(v)!r} is listed twice "
+                                 f"(the second time as {key!r})")
+            values[v] = float(val)
         return cls(generator, values)
 
 

@@ -487,22 +487,6 @@ def region_edges(g, region):
                           np.take_along_axis(W, order, axis=0))
 
 
-def orbit_constant(offsets, values):
-    """Whether data on ``Z^N`` are constant on the orbits about a center.
-
-    ``offsets``: the support's ``(s, N)`` int64 offsets from it, ``values``
-    its nonzero values.  Exact: grouped by sorted absolute offset (an
-    orbit's key), each group must hold one value and its orbit's size.
-    """
-    parts = np.sort(np.abs(offsets), axis=1)
-    order = np.lexsort(parts.T)
-    parts, values = parts[order], np.fromiter(values, float, len(parts))[order]
-    new = np.diff(parts, axis=0, prepend=-1).any(axis=1)   # a group's first row
-    starts = np.flatnonzero(new)
-    return bool((values[1:] == values[:-1])[~new[1:]].all() and np.array_equal(
-        np.diff(starts, append=len(parts)), _orbit_sizes(parts[starts].T)))
-
-
 def _orbit_sizes(parts):
     """Orbit sizes from sorted ``(N, k)`` key parts: multinomials times ``2^(parts > 0)``."""
     sizes, run = np.ones(parts.shape[1], dtype=np.int64), np.ones(parts.shape[1], dtype=np.int64)
@@ -552,9 +536,8 @@ class OrbitQuotient:
     is conserved.
 
     ``lift(n)`` is the orbit of each of the ball's first ``n`` vertices,
-    built ring by ring as far as it is read and kept, ``orbit_of`` that of
-    any offset inside the ball, and ``first`` the index of each orbit's
-    first vertex, read off the whole lift.
+    built ring by ring as far as it is read and kept, and ``orbit_of`` that
+    of any offset inside the ball.
     """
 
     def __init__(self, region):
@@ -607,11 +590,6 @@ class OrbitQuotient:
     def orbit_of(self, cols):
         """The orbit of each offset from the center inside the ball, given as ``N`` columns."""
         return self._lookup[_sorted_key(cols, self._stride)]
-
-    @cached_property
-    def first(self):
-        # orbits are numbered in the order their first vertices come
-        return np.searchsorted(np.maximum.accumulate(self.lift()), np.arange(len(self.keys)))
 
 
 @dataclass

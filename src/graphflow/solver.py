@@ -46,7 +46,7 @@ from functools import cached_property
 import numpy as np
 
 from .fields import Field
-from .graphs import OrbitQuotient, ball, distances_within, orbit_constant, region_edges
+from .graphs import OrbitQuotient, ball, distances_within, region_edges
 from .operators import require_exponent
 
 
@@ -667,32 +667,40 @@ class Trajectory:
         return np.concatenate([[0.0], np.cumsum(steps)])
 
 
-def _orbit_offsets(region, data):
-    """Each datum's support offsets from the center of a keyed ball if all are orbit-constant."""
-    if _ORBIT_QUOTIENT and region.keyed:
-        offsets = [u.offsets(region.center) for u in data]
-        if all(rel is not None and orbit_constant(rel, u.values.values())
-               for rel, u in zip(offsets, data)):
-            return offsets
-    return None
+def _rows(region, data):
+    """``(rows, orbits)``: the data on ``region``'s orbits if constant on them, else its vertices.
 
-
-def _place(region, orbits, data, offsets):
-    """The data as rows on ``region``'s vertices, or on ``orbits`` through their ``offsets``."""
-    y0 = np.zeros((len(data), len(region) if orbits is None else orbits.table.n))
-    for k, u in enumerate(data):
-        if orbits is None:
-            inside = np.array([v in region for v in u.values], dtype=bool)
-            at = [region.index[v] for v in u.values if v in region]
-        else:
-            inside = np.abs(offsets[k]).sum(axis=1) <= region.radius
-            at = orbits.orbit_of(offsets[k][inside].T)
-        y0[k, at] = np.fromiter(u.values.values(), float, len(u))[inside]
-        if not inside.all():
-            v = next(v for v in u.support() if v not in region)
+    On a keyed ball whose every datum has offsets from the center, the
+    :class:`graphs.OrbitQuotient` places them by ``orbit_of``; its rows are
+    kept when each orbit a datum meets is met at all ``|O|`` of its
+    vertices, with one value.  Else ``orbits`` is None and the rows lie on
+    the vertices.  Support outside the ball is a ``ValueError`` either way.
+    """
+    offsets = [u.offsets(region.center) if region.keyed else None for u in data]
+    for u, rel in zip(data, offsets):
+        inside = (np.abs(rel).sum(axis=1) <= region.radius if rel is not None
+                  else [v in region for v in u.values])
+        if not np.all(inside):
+            v = min((v for v, ok in zip(u.values, inside) if not ok),
+                    key=region.generator.sort_key)
             raise ValueError(f"data support at {v!r} lies outside "
                              f"B_{region.radius}({region.center!r})")
-    return y0
+    values = [np.fromiter(u.values.values(), float, len(u)) for u in data]
+    if _ORBIT_QUOTIENT and all(rel is not None for rel in offsets):
+        orbits = OrbitQuotient(region)
+        rows = np.zeros((len(data), len(orbits.sizes)))
+        for row, rel, x in zip(rows, offsets, values):
+            at = orbits.orbit_of(rel.T)
+            row[at] = x
+            if not (np.array_equal(np.bincount(at, minlength=len(row))[at], orbits.sizes[at])
+                    and np.array_equal(row[at], x)):
+                break
+        else:
+            return rows, orbits
+    rows = np.zeros((len(data), len(region)))
+    for row, u, x in zip(rows, data, values):
+        row[[region.index[v] for v in u.values]] = x
+    return rows, None
 
 
 def _make_rhs(table, degrees, p):
@@ -737,10 +745,11 @@ def solve_truncated(g, u0: Field, cfg: SolverConfig, n, center=None, partners=()
     the solve has one unknown per orbit (:class:`graphs.OrbitQuotient`)
     and the trajectories keep their orbit rows and the last ball's orbits,
     whose lift to its vertices is a solve on the vertices up to rounding,
-    with the same steps.  The orbit test and the placement read each
-    datum's support offsets from the center (:func:`_orbit_offsets`,
-    :func:`_place`), each ball's orbits are built from their keys, and no
-    per-vertex array of a ball is read; the error norms read the lift only
+    with the same steps.  One function tests and places the data
+    (:func:`_rows`): each datum's support offsets from the center are
+    looked up in the first ball's quotient, which the solve then runs on.
+    Each later ball's orbits are built from their keys, and no per-vertex
+    array of a ball is read; the error norms read the lift only
     as far as the active ball reaches.  Each ball's
     :class:`graphs.NeighbourTable` is built once; an active ball's
     right-hand side slices it (``table.restrict(m).stacked(k)``).
@@ -762,18 +771,17 @@ def solve_truncated(g, u0: Field, cfg: SolverConfig, n, center=None, partners=()
     data = [u0, *partners]
     n0 = first_radius(u0, cfg, center, partners)
     region = ball(g, center, n0 if n is None else n)
-    offsets = _orbit_offsets(region, data)
+    y0, orbits = _rows(region, data)
     balls = []   # each ball the solve was on, its vertex edge count and its orbits
 
-    def on(region):
+    def on(region, orbits):
         # the ball's unknowns: their distances, rhs_on, whether the ball has
         # a ring to reach and their orbits (None on the vertices)
-        if offsets is not None:
-            orbits = OrbitQuotient(region)
+        if orbits is not None:
             table, sizes, dist = orbits.table, orbits.sizes, orbits.dist
             degrees = np.full(len(dist), orbits.degree)
         else:
-            table, orbits, sizes = region_edges(g, region), None, 1
+            table, sizes = region_edges(g, region), 1
             dist, degrees = region.distances, region.degrees
         balls.append((region, table.edge_count(sizes), orbits))
 
@@ -787,10 +795,10 @@ def solve_truncated(g, u0: Field, cfg: SolverConfig, n, center=None, partners=()
             raise TruncationConvergenceError(
                 f"the solution reached the boundary ring of each of {len(balls)} balls "
                 f"(last radius {smaller.radius}, at t={t!r})")
-        return on(ball(g, smaller.center, math.ceil(RADIUS_GROWTH * smaller.radius)))
+        bigger = ball(g, smaller.center, math.ceil(RADIUS_GROWTH * smaller.radius))
+        return on(bigger, None if balls[-1][2] is None else OrbitQuotient(bigger))
 
-    dist, rhs_on, ringed, orbits = on(region)
-    y0 = _place(region, orbits, data, offsets)
+    dist, rhs_on, ringed, orbits = on(region, orbits)
     norm_size = int(np.sum((dist <= n0) * (1 if orbits is None else orbits.sizes)))
     solved = _integrate(rhs_on, dist, y0, float(cfg.instants[-1]), cfg.instants, cfg.rtol,
                         cfg.atol, MAX_STEPS, grow=grow_ball if ringed else None,

@@ -34,22 +34,20 @@ def kept_on(g, u0, cfg, center, radii):
     values outside, as on a fixed ball, and may leak through its ring.  One
     radius is the fixed-ball solve.  The error norms divide by ``|B_n0|``
     for ``n0 = first_radius``, counted in the first ball.  The solver's own
-    orbit test and placement put the data on the orbit quotient (unless
-    ``_ORBIT_QUOTIENT`` is off) or on the vertices, as there, and orbit rows
-    are lifted to the last ball.  The history
-    has one record per ball, with the keys of ``solve_truncated``'s.
+    ``_rows`` puts the data on the orbit quotient (unless ``_ORBIT_QUOTIENT``
+    is off) or on the vertices, as there, and orbit rows are lifted to the
+    last ball.  The history has one record per ball, with the keys of
+    ``solve_truncated``'s.
     """
     regions = [gf.ball(g, center, n) for n in radii]
-    offsets = solver._orbit_offsets(regions[0], [u0])
-    quotient = offsets is not None
+    [y0], orbits = solver._rows(regions[0], [u0])
 
-    def on(region):   # the ball's unknowns, as in solve_truncated
-        if quotient:
-            orbits = OrbitQuotient(region)
+    def on(region, orbits):   # the ball's unknowns, as in solve_truncated
+        if orbits is not None:
             table, sizes, dist = orbits.table, orbits.sizes, orbits.dist
             degrees = np.full(len(dist), orbits.degree)
         else:
-            table, orbits, sizes = region_edges(g, region), None, 1
+            table, sizes = region_edges(g, region), 1
             dist, degrees = region.distances, region.degrees
 
         def rhs_on(m):   # through the module attribute, which tests may wrap
@@ -58,13 +56,13 @@ def kept_on(g, u0, cfg, center, radii):
         return dist, rhs_on, orbits
 
     def grow(t):
-        dist, rhs_on, orbits = on(regions[len(balls)])
+        region = regions[len(balls)]
+        dist, rhs_on, orbits = on(region, None if balls[-1][2] is None else OrbitQuotient(region))
         # report no ring on the last ball, so that it is never left
         return dist, rhs_on, len(balls) < len(regions), orbits
 
     balls = []
-    dist, rhs_on, orbits = on(regions[0])
-    [y0] = solver._place(regions[0], orbits, [u0], offsets)
+    dist, rhs_on, orbits = on(regions[0], orbits)
     n0 = solver.first_radius(u0, cfg, center)
     Y, diag = solver._integrate(
         rhs_on, dist, y0, float(cfg.instants[-1]), cfg.instants, cfg.rtol, cfg.atol,

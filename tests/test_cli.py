@@ -523,6 +523,73 @@ def test_main_configs_sharing_an_output_directory_exit_2(tmp_path, capsys, jobs)
     assert not (tmp_path / "out").exists()   # no run started
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("bad_first", [False, True])
+def test_a_batch_with_an_invalid_config_runs_none(tmp_path, capsys, jobs, bad_first):
+    # every config is validated before the first run: no output directory
+    good, bad = tiny_config(), tiny_config()
+    bad["solver"]["t_min"] = bad["solver"]["t_max"]
+    paths = []
+    for name, cfg in (("a", good), ("b", bad)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(cfg))
+    bad_path = paths[1]
+    if bad_first:
+        paths.reverse()
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", *map(str, paths), "--jobs", jobs,
+                     "--out", str(out)]) == 2
+    assert f"{bad_path}: solver: need t_min < t_max" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_custom_graph_with_numeral_ids(tmp_path, capsys):
+    # ids such as "1" are the custom graph's text, in the config's center,
+    # a data file, the snapshots and the manifest
+    cycle = tmp_path / "cycle.txt"
+    cycle.write_text("".join(f"{k} {k % 5 + 1} 1.0\n" for k in range(1, 6)))
+    data = tmp_path / "u0.csv"
+    data.write_text("vertex_id,value\n1,1.0\n3,0.5\n")
+    solver_cfg = {"p": 3.0, "t_min": 0.01, "t_max": 5.0, "num_instants": 12, "n0": 2}
+    for initial in ({"kind": "delta", "center": "1"},
+                    {"kind": "file", "path": str(data), "center": "1"}):
+        cfg = {"graph": {"family": "custom", "adjacency_file": str(cycle)},
+               "initial_data": initial, "solver": solver_cfg, "snapshots": True}
+        cfg_path, run = tmp_path / "cfg.json", tmp_path / initial["kind"]
+        cfg_path.write_text(json.dumps(cfg))
+        assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(run)]) == 0
+        assert json.loads((run / "manifest.json").read_text())["center"] == "1"
+        snapshot = (run / "fields" / "t_0000.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in snapshot[1:]] == (
+            ["1"] if initial["kind"] == "delta" else ["1", "3"])
+        assert cli.main(["verify", "--config", str(cfg_path), "--traj-dir", str(run),
+                         "--out", str(tmp_path / "verify")]) == 0, capsys.readouterr().err
+        traj = cli.load_trajectory(run, cli.build_generator(cfg["graph"]))
+        assert traj.region.center == "1" and traj.orbits is None
+
+
+def test_a_repeated_vertex_in_a_field_file_exits_2(tmp_path, capsys, verified_run):
+    # 01 and 1 are one vertex of Z^1: a data file or a snapshot that lists
+    # a vertex twice is a config error
+    data = tmp_path / "u0.csv"
+    data.write_text("vertex_id,value\n1,1.0\n01,0.5\n")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(tiny_config(initial_data={"kind": "file",
+                                                             "path": str(data)})))
+    assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    assert "vertex id '1' is listed twice" in capsys.readouterr().err
+    verified_cfg, run = verified_run
+    traj_dir = tmp_path / "run"
+    shutil.copytree(run, traj_dir)
+    with open(traj_dir / "fields" / "t_0003.csv", "a") as f:
+        f.write("-0,0.5\n")
+    out = tmp_path / "verify"
+    assert cli.main(["verify", "--config", str(verified_cfg), "--traj-dir", str(traj_dir),
+                     "--out", str(out)]) == 2
+    assert "vertex id '0' is listed twice (the second time as '-0')" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_lower_bound_reads_its_window(tmp_path):
     cfg = tiny_config(checks=[{"type": "lower_bound", "window": [2.0, 20.0]}])
     cli.run(cfg, tmp_path / "out")

@@ -53,10 +53,31 @@ def test_dominates_and_scaled(z1):
     assert f.scaled(0.5)[(0,)] == 1.0
 
 
-def test_vertex_str_round_trip():
-    assert vertex_from_str(vertex_to_str((1, -2))) == (1, -2)
-    assert vertex_from_str(vertex_to_str((0,))) == (0,)
-    assert vertex_from_str(vertex_to_str("node_a")) == "node_a"
+def test_vertex_str_round_trip(z1):
+    z2 = gf.lattice_generator(2)
+    assert vertex_from_str(vertex_to_str((1, -2)), z2) == (1, -2)
+    assert vertex_from_str(vertex_to_str((0,)), z1) == (0,)
+    product = gf.product_generator(gf.complete_graph(3), 1)
+    assert vertex_from_str(vertex_to_str((2, -5)), product) == (2, -5)
+    # a custom graph's ids are text, numerals too: a tuple only where the graph has it
+    custom = gf.graphs.generator_from_edges([("1", "node_a", 1.0), ("node_a", "2:3", 1.0)])
+    for v in ("node_a", "1", "2:3"):
+        assert vertex_from_str(vertex_to_str(v), custom) == v
+    # text that is no vertex stays text, for the field to refuse
+    assert vertex_from_str("node_a", z1) == "node_a"
+    assert vertex_from_str("1:2", z1) == "1:2"
+    with pytest.raises(gf.graphs.UnknownVertexError):
+        gf.Field(z1, {vertex_from_str("1:2", z1): 1.0})
+
+
+def test_csv_rejects_a_repeated_vertex(z1):
+    # 01 and 1 are both the vertex (1,) of Z^1
+    twice = r"vertex id '1' is listed twice \(the second time as '01'\)"
+    with pytest.raises(ValueError, match=twice):
+        gf.Field.from_csv_text(z1, "vertex_id,value\n1,1.0\n0,2.0\n01,3.0\n")
+    with pytest.raises(ValueError, match="vertex id 'a' is listed twice"):
+        custom = gf.graphs.generator_from_edges([("a", "b", 1.0)])
+        gf.Field.from_csv_text(custom, "vertex_id,value\na,1.0\na,1.0\n")
 
 
 @pytest.mark.parametrize("value", [0.1, 1.0 / 3.0, 1e-300, -1.2345678901234567e300,

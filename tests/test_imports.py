@@ -6,10 +6,11 @@ No linter runs on this code base, so these guards catch what a deletion
 leaves behind: an import the module no longer reads (``__init__`` is left
 out, as its imports are the package's public names), a top-level
 function or class that no code, test, demo or benchmark names outside its
-own definition, and a parameter with a default, or a defaulted dataclass
-field that ``__init__`` takes, that no call there ever sets: a setting
-with one value in use is a constant.  A ``CONFIG_SCHEMA`` key that no
-config sets is such a setting too.
+own definition, a method or property that none reads as ``.name``, and a
+parameter with a default, or a defaulted dataclass field that ``__init__``
+takes, that no call there ever sets: a setting with one value in use is a
+constant.  A ``CONFIG_SCHEMA`` key that no config sets is such a setting
+too.
 """
 
 import ast
@@ -58,21 +59,41 @@ def test_the_guard_sees_an_unused_import():
 
 
 def dead_definitions(source, others):
-    """The top-level functions and classes of ``source`` named nowhere else.
+    """The top-level functions and classes of ``source`` and their members named nowhere else.
 
-    A name counts wherever it stands as a word: in ``source`` outside the
-    lines of its own definition (decorators included), or in any text of
-    ``others``.
+    A member is a method, a property or a cached property of a top-level
+    class (dunder methods are called by the language); one assigned as
+    ``name = property(...)`` counts too.  A top-level name counts wherever
+    it stands as a word, a member wherever ``.name`` stands: in ``source``
+    outside the lines of its own definition (decorators included), or in
+    any text of ``others``.  Members are labelled ``Class.name``.
     """
     lines = source.splitlines()
     dead = []
+
+    def named(node, pattern):
+        first = min([node.lineno, *(d.lineno for d in getattr(node, "decorator_list", ()))])
+        rest = "\n".join(lines[:first - 1] + lines[node.end_lineno:])
+        return any(pattern.search(text) for text in (rest, *others))
+
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            first = min([node.lineno, *(d.lineno for d in node.decorator_list)])
-            rest = "\n".join(lines[:first - 1] + lines[node.end_lineno:])
-            word = re.compile(rf"\b{re.escape(node.name)}\b")
-            if not any(word.search(text) for text in (rest, *others)):
+            if not named(node, re.compile(rf"\b{re.escape(node.name)}\b")):
                 dead.append((node.lineno, node.name))
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for member in node.body:
+            if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = [member.name]
+            elif (isinstance(member, ast.Assign) and isinstance(member.value, ast.Call)
+                  and getattr(member.value.func, "id", None) == "property"):
+                names = [t.id for t in member.targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if not name.startswith("__") and not named(
+                        member, re.compile(rf"\.{re.escape(name)}\b")):
+                    dead.append((member.lineno, f"{node.name}.{name}"))
     return dead
 
 
@@ -95,6 +116,28 @@ def test_the_guard_sees_a_dead_definition():
               "    return Kept()\n")
     assert dead_definitions(source, ["caller()", "# lonely_too"]) == [(3, "_helper"),
                                                                         (7, "lonely")]
+
+
+def test_the_guard_sees_a_dead_member():
+    source = ("from functools import cached_property\n"
+              "class Box:\n"
+              "    def __len__(self):\n"
+              "        return self.size\n"
+              "    def grow(self):\n"
+              "        return self.grow()\n"
+              "    @property\n"
+              "    def size(self):\n"
+              "        return 1\n"
+              "    @cached_property\n"
+              "    def table(self):\n"
+              "        return {}\n"
+              "    def shrink(self):\n"
+              "        return 0\n"
+              "    edge = property(lambda self: 0)\n"
+              "    tail = property(lambda self: 1)\n")
+    # a bare word is no read of a member, nor is a read inside its own body
+    assert dead_definitions(source, ["Box().table", "b.tail", "shrink()"]) == [
+        (5, "Box.grow"), (13, "Box.shrink"), (15, "Box.edge")]
 
 
 def _param_names(args):

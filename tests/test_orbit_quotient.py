@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 import graphflow as gf
 from graphflow import cli, estimates, solver
-from graphflow.graphs import NeighbourTable, OrbitQuotient, orbit_constant, region_edges
+from graphflow.graphs import NeighbourTable, OrbitQuotient, region_edges
 from dirichlet import kept_on
 from test_integration_error import sup_gaps
 
@@ -48,6 +48,12 @@ def _orbit_data(g, center, radius, values):
     region = gf.ball(g, center, radius)
     orbit_of = OrbitQuotient(region).lift()
     return {v: values[orbit_of[i]] for i, v in enumerate(region.vertices)}
+
+
+def first_vertices(orbits):
+    """The index of each orbit's first vertex in its ball, read off the whole lift."""
+    # orbits are numbered in the order their first vertices come
+    return np.searchsorted(np.maximum.accumulate(orbits.lift()), np.arange(len(orbits.keys)))
 
 
 def unique_quotient(region):
@@ -149,17 +155,21 @@ def test_asymmetric_data_take_the_vertex_path_bit_for_bit(monkeypatch):
     # symmetric under the reflections, not under the swap of coordinates
     u0 = {(1, 0): 1.0, (-1, 0): 1.0, (0, 0): 2.0}
     traj, full = _both(z2, u0, cfg, (0, 0))
-    assert calls == []
+    # the first ball's quotient, which the orbit test reads, is the only one built
+    assert calls == [traj.history[0]["vertices"]] and traj.orbits is None
     assert _same_bits(traj.values, full.values)
     # one asymmetric row of a lockstep call puts every row on the vertices
     sym = _orbit_data(z2, (0, 0), 1, [2.0, 1.0])
     partner = gf.Field(z2, {**sym, (0, 1): 0.5})
+    calls.clear()
     traj, full = _both(z2, sym, cfg, (0, 0), partners=(partner,))
-    assert calls == []
+    assert calls == [traj.history[0]["vertices"]] and traj.orbits is None
     for a, b in [(traj, full), (traj.partners[0], full.partners[0])]:
         assert _same_bits(a.values, b.values)
         assert a.history == b.history
-    # the symmetric datum alone takes the quotient, on each ball it grows through
+    # the symmetric datum alone takes the quotient, built once on each ball
+    # it grows through
+    calls.clear()
     traj, _ = _both(z2, sym, cfg, (0, 0))
     assert calls == [h["vertices"] for h in traj.history]
 
@@ -181,10 +191,23 @@ def walk_orbit_constant(values, center):
     return True
 
 
+def placed(region, data):
+    """``solver._rows`` of ``data`` dicts on ``region``, and the same on the vertices."""
+    fields = [gf.Field(region.generator, d) for d in data]
+    rows, orbits = solver._rows(region, fields)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(solver, "_ORBIT_QUOTIENT", False)
+        vertex, none = solver._rows(region, fields)
+    assert none is None and vertex.shape == (len(data), len(region))
+    # orbit rows lifted to the vertices are the vertex placement, bit for bit
+    assert _same_bits(vertex if orbits is None else rows[:, orbits.lift()], vertex)
+    return rows, orbits
+
+
 def constant_on_orbits(g, values, center):
-    """The solver's array test of the datum ``values`` about ``center``."""
-    u = gf.Field(g, values)
-    return orbit_constant(u.offsets(center), u.values.values())
+    """The solver's orbit test of ``values`` on the ball about ``center`` that holds them."""
+    radius = gf.Field(g, values).support_radius(center)
+    return placed(gf.ball(g, center, radius), [values])[1] is not None
 
 
 def test_orbit_constant_is_exact():
@@ -192,7 +215,7 @@ def test_orbit_constant_is_exact():
     center = (1, -2, 0)
     values = _orbit_data(z3, center, 2, [1.0, -0.5, 0.25, 0.25, 2.0])
 
-    def test(data, at):   # the array test, which the dict walk agrees with
+    def test(data, at):   # the solver's test, which the dict walk agrees with
         got = constant_on_orbits(z3, data, at)
         assert got == walk_orbit_constant(data, at)
         return got
@@ -205,6 +228,40 @@ def test_orbit_constant_is_exact():
     # coordinates, not under the cyclic shift
     assert not test({(0, 0, 1): 1.0, (0, 0, -1): 1.0}, (0, 0, 0))
     assert test({}, center)
+
+
+def test_rows_of_a_lockstep_call():
+    # one asymmetric datum puts every row on the vertices; the zero field is
+    # constant on orbits
+    z2 = gf.lattice_generator(2)
+    region = gf.ball(z2, (0, 0), 3)
+    sym = _orbit_data(z2, (0, 0), 1, [2.0, 1.0])
+    rows, orbits = placed(region, [sym, {**sym, (0, 1): 0.5}])
+    assert orbits is None and rows.shape == (2, len(region))
+    rows, orbits = placed(region, [sym, {}, sym])
+    assert orbits is not None and rows.shape == (3, len(orbits.keys))
+    assert not rows[1].any() and _same_bits(rows[0], rows[2])
+    # off Z^N, or on a ball with no int64 keys, the rows lie on the vertices
+    for region in (region.bare(), gf.ball(gf.product_generator(gf.complete_graph(2), 1),
+                                          (0, 0), 2)):
+        rows, orbits = solver._rows(region, [gf.Field(region.generator, {})])
+        assert orbits is None and rows.shape == (1, len(region)) and not rows.any()
+
+
+@pytest.mark.parametrize("quotient", [True, False])
+def test_rows_refuse_support_past_the_ball(monkeypatch, quotient):
+    # the same message whether the data would lie on orbits or on the vertices
+    monkeypatch.setattr(solver, "_ORBIT_QUOTIENT", quotient)
+    z2 = gf.lattice_generator(2)
+    region = gf.ball(z2, (0, 0), 1)
+    sym = _orbit_data(z2, (0, 0), 2, [2.0, 1.0, 0.5, 0.5])
+    for r in (region, region.bare()):
+        for data in ([sym], [{(0, 0): 1.0}, {(0, 0): 1.0, (2, 0): 1.0, (0, -2): 1.0}]):
+            with pytest.raises(ValueError, match=r"support at \(-2, 0\)|support at \(0, -2\)"):
+                solver._rows(r, [gf.Field(z2, d) for d in data])
+    message = r"^data support at \(0, -2\) lies outside B_1\(\(0, 0\)\)$"
+    with pytest.raises(ValueError, match=message):
+        solver._rows(region, [gf.Field(z2, {(0, -2): 1.0, (2, 0): 1.0})])
 
 
 @st.composite
@@ -248,13 +305,19 @@ def orbit_cases(draw):
 @example((3, (0, 0, 0), 1, {(0, 0, 1): 1.0, (0, 0, -1): 1.0}))
 @example((3, (1, -2, 0), 2, {}))
 def test_the_array_orbit_test_is_the_dict_walk(case):
-    # the solver's decision too: a keyed first ball, the support inside it or not
+    # the solver's decision on the ball that holds the support, and on the
+    # keyed ball B_radius: the same decision when it holds the support,
+    # else the support-outside error
     N, center, radius, data = case
     g = gf.lattice_generator(N)
     want = walk_orbit_constant(data, center)
     assert constant_on_orbits(g, data, center) == want
-    on_orbits = solver._orbit_offsets(gf.ball(g, center, radius), [gf.Field(g, data)])
-    assert (on_orbits is not None) == want
+    region = gf.ball(g, center, radius)
+    if gf.Field(g, data).support_radius(center) <= radius:
+        assert (placed(region, [data])[1] is not None) == want
+    else:
+        with pytest.raises(ValueError, match="lies outside"):
+            solver._rows(region, [gf.Field(g, data)])
 
 
 @pytest.mark.parametrize("N, radius", [(1, 5), (2, 6), (3, 5)])
@@ -264,7 +327,7 @@ def test_the_quotient_of_a_ball(N, radius):
     region = gf.ball(g, center, radius)
     table = region_edges(g, region)
     q = OrbitQuotient(region)
-    orbit_of, first, e = q.lift(), q.first, q.table
+    orbit_of, first, e = q.lift(), first_vertices(q), q.table
     distances, degrees = region.distances[first], region.degrees[first]
     sizes = np.bincount(orbit_of)
     assert _same_bits(sizes, q.sizes) and _same_bits(distances, q.dist)
@@ -312,7 +375,7 @@ def test_the_key_build_is_the_unique_build(N, radius, shift, bare):
     if radius > 1:   # a prefix first, then the rest
         assert _same_bits(q.lift(len(gf.ball(g, center, radius // 2)) + 1),
                           orbit_of[:len(gf.ball(g, center, radius // 2)) + 1])
-    for got, want in [(q.lift(), orbit_of), (q.first, first), (q.table.nbr, table.nbr),
+    for got, want in [(q.lift(), orbit_of), (first_vertices(q), first), (q.table.nbr, table.nbr),
                       (q.table.W, table.W), (q.sizes, np.bincount(orbit_of)),
                       (q.dist, region.distances[first]), (q.ends, np.cumsum(q.sizes))]:
         assert got.dtype == want.dtype and _same_bits(got, want)
@@ -411,7 +474,7 @@ def test_the_quotient_table_is_the_vertex_table_at_first_vertices(N, radius, shi
     g = gf.lattice_generator(N)
     region = gf.ball(g, tuple(shift + i for i in range(N)), radius)
     q = OrbitQuotient(region)
-    orbit_of, first, table = q.lift(), q.first, q.table
+    orbit_of, first, table = q.lift(), first_vertices(q), q.table
     vertex = region_edges(g, region)
     rng = np.random.default_rng(N * 10 + shift)
     for p in (2.5, 3.0, 4.0):
@@ -471,8 +534,8 @@ def test_a_centred_solve_stays_on_its_orbits(monkeypatch):
     ring = leaky.region.distances == 3
     assert leaky.orbits is not None and leaky.values[1:, ring].any()
     rows, _, dists = solver.Trajectory(cfg, leaky.region, leaky.times,
-                                       leaky.values[:, leaky.orbits.first], leaky.diagnostics,
-                                       orbits=leaky.orbits).summands()
+                                       leaky.values[:, first_vertices(leaky.orbits)],
+                                       leaky.diagnostics, orbits=leaky.orbits).summands()
     assert _same_bits(np.abs(rows[:, dists == 3]).max(axis=1),
                       np.abs(leaky.values[:, ring]).max(axis=1))
     monkeypatch.setattr(solver, "_ORBIT_QUOTIENT", False)
@@ -502,7 +565,7 @@ def test_a_stored_trajectory_is_read_on_the_same_orbits(tmp_path, data):
         assert again.orbits is None
     else:
         assert _same_bits(again.orbits.lift(), traj.orbits.lift())
-        assert _same_bits(again.orbits.first, traj.orbits.first)
+        assert _same_bits(first_vertices(again.orbits), first_vertices(traj.orbits))
         assert again.rows.flags.f_contiguous and traj.rows.flags.f_contiguous
     assert _same_bits(again.rows, traj.rows)
     # the moment's vertex sum rounds by the layout of the lifted rows
@@ -518,7 +581,7 @@ def test_orbit_rows_are_lifted_on_each_read():
     z2 = gf.lattice_generator(2)
     cfg = gf.SolverConfig(p=3.0, instants=gf.log_instants(0.1, 10.0, 9), n0=8)
     traj = gf.solve_cauchy(z2, gf.delta_field(z2, (0, 0), 5.0), cfg)
-    lift, first = traj.orbits.lift(), traj.orbits.first
+    lift, first = traj.orbits.lift(), first_vertices(traj.orbits)
     assert traj.rows.shape == (len(traj.times), len(first)) and traj.rows.flags.f_contiguous
     values = traj.values
     assert traj.values is not values and "values" not in vars(traj)
