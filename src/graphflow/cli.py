@@ -308,6 +308,11 @@ def validate_config(cfg):
     if fam != "lattice" and "center" not in (data or {}):
         # the default center is the lattice origin
         errors.append(f"initial_data: the {fam} family requires a center")
+    if fam == "custom" and isinstance((data or {}).get("center"), list):
+        # a list names the coordinates of a lattice or product vertex
+        text = ":".join(map(str, data["center"]))
+        errors.append(f"initial_data: a custom graph's center is its vertex id as text, "
+                      f"such as {json.dumps(text)}, not the list {json.dumps(data['center'])}")
     if data:
         kind = data["kind"]
         needs = {"delta": ["center"], "ball_indicator": ["center", "radius"],

@@ -358,21 +358,29 @@ class NeighbourTable:
         """Kernel ``u -> sum_y w(x,y) |u(y)-u(x)|^(p-2) (u(y)-u(x))`` over the region.
 
         Divided by ``degrees`` when they are given (``Delta_p u``).  The
-        returned function maps a state of length ``n`` to a fresh array: it
-        copies the state into a buffer whose slot ``n`` stays 0, gathers
-        it through the table, subtracts the state, applies the odd power
-        (``d |d|`` at p = 3, ``d (d d)`` at p = 4) and the weights in place
-        and sums down each column in entry order.  On a unit table (every
-        weight 1, or 0 at a pad, whose difference is exactly +0) the
-        weight multiply is skipped: ``x * 1.0 == x``, so the sums are the
-        same bits.
+        returned function ``div(u, out=None)`` maps a state of length ``n``
+        to ``out``, or to a fresh array without it: it copies the state
+        into a buffer whose slot ``n`` stays 0, gathers it through the
+        table, subtracts the state, applies the odd power (``d |d|`` at
+        p = 3, ``d (d d)`` at p = 4) and the weights in place and sums down
+        each column in entry order.  The buffer's first ``n`` slots are
+        ``div.input``: a state written there is read in place, with no
+        copy.  On a unit table (every weight 1, or 0 at a pad, whose
+        difference is exactly +0) the weight multiply is skipped:
+        ``x * 1.0 == x``, so the sums are the same bits.  A table of two
+        entries per column (every ``Z^1`` table) sums them with one add:
+        the reduction's bits, but for a column of two -0 terms, which the
+        reduction, starting from +0, sums to +0.  The solver adds each
+        stage to a state that is never -0, so its rows are the same bits.
         """
         n, nbr, W, unit = self.n, self.nbr, self.W, self.unit
         ext = np.zeros(n + 1)   # ext[n] is the zero exterior of every stub
-        head, absolute, reduce, pm2 = ext[:n], np.abs, np.add.reduce, p - 2.0
+        head, absolute, pm2 = ext[:n], np.abs, p - 2.0
+        plus, reduce, two = np.add, np.add.reduce, len(nbr) == 2
 
-        def div(u):
-            head[...] = u
+        def div(u, out=None):
+            if u is not head:
+                head[...] = u
             d = ext[nbr]
             d -= u
             if p == 3.0:
@@ -383,11 +391,12 @@ class NeighbourTable:
                 d *= absolute(d) ** pm2
             if not unit:
                 d *= W
-            out = reduce(d, axis=0)
+            out = plus(d[0], d[1], out=out) if two else reduce(d, axis=0, out=out)
             if degrees is not None:
                 out /= degrees
             return out
 
+        div.input = head
         return div
 
     def restrict(self, m):

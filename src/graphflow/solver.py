@@ -253,8 +253,14 @@ def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps, grow=None
     every stage input, ``y_new`` included, is exactly 0 from ring ``r``
     on, and the cut edges are exact Dirichlet stubs.  The right-hand side
     and the stage buffers are built right before the first attempt on an
-    active ball.  Error norms are RMS values: sums of squares over all
-    entries of the ball the step runs on (zero past the active ball),
+    active ball.  The stages are evaluated as ``rhs(t, u, out=K[i])``: a
+    right-hand side with an ``input`` buffer (see :func:`_make_rhs`) has
+    each stage input written into that buffer and its stage written into
+    the stage row, with no copy.  A plain ``rhs(t, u)`` (a test's ODE, a
+    wrapper) is adapted once per build: it gets a stage input of its own,
+    and its value is copied into the row; called without ``out``, either
+    returns a fresh array.  Error norms are RMS values: sums of squares
+    over all entries of the ball the step runs on (zero past the active ball),
     divided by ``norm_size`` (default ``len(y0)``, the first ball's size)
     for the whole run.  So the step sequence depends
     neither on the active ball nor on the balls a growing run moves onto,
@@ -359,17 +365,16 @@ def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps, grow=None
         # copies of it; the squared entries for the RMS (zero outside the
         # active ball), their active part, the squared orbits and the
         # active vertices' orbits; the stages, row by row in
-        # contiguous (7, m) blocks; the assignable stage rows; a stage
-        # input, flat and by row; the step and error rows and the product
-        # that writes them; each stage's index, A_i, c_i and the stages
-        # K[:i] its input combines; the stages past K[0] on ring r
+        # contiguous (7, m) blocks; the assignable stage rows; the stage
+        # input, by row; the step and error rows and the product
+        # that writes them; each stage's A_i, c_i, the stages K[:i] its
+        # input combines and its row K[i]; the stages past K[0] on ring r
         size_sq = n if orbits is None else int(orbits.ends[-1])
         sq = np.zeros(size_sq if k == 1 else (k, size_sq))
         sq_o = lift = None
         if orbits is not None:
             sq_o, lift = np.empty(m if k == 1 else (k, m)), orbits.lift(active_vertices())
         S = np.empty((k, 7, m))
-        yi = np.empty(k * m)
         step = np.empty((2, m) if k == 1 else (2, k, m))
         if k == 1:
             rhs = rhs_on(m)
@@ -380,9 +385,19 @@ def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps, grow=None
             def rhs(t, u):   # one block per row
                 return stacked(t, u.reshape(-1)).reshape(k, m)
             stage, product = S.transpose(1, 0, 2), (S, step.transpose(1, 0, 2))
-        stages = [(i, _DP_A[i], _DP_C[i], product[0][..., :i, :]) for i in range(1, 7)]
-        return (rhs, sq, sq[..., :active_vertices()], sq_o, lift, S, stage, yi,
-                yi.reshape(stage.shape[1:]), step, product, stages, S[:, 1:6, ring:])
+        yi = getattr(rhs, "input", None)   # the stage input, read where it is written
+        if yi is None:   # a plain rhs(t, u): an input of its own, its value copied to out
+            plain, yi = rhs, np.empty(stage.shape[1:])
+
+            def rhs(t, u, out=None):
+                value = plain(t, u)
+                if out is None:
+                    return value
+                out[...] = value
+                return out
+        stages = [(_DP_A[i], _DP_C[i], product[0][..., :i, :], stage[i]) for i in range(1, 7)]
+        return (rhs, sq, sq[..., :active_vertices()], sq_o, lift, S, stage, yi, step,
+                product, stages, S[:, 1:6, ring:])
 
     out = np.zeros((len(rows), n_out + 1, n))
     out[:, 0] = states
@@ -422,14 +437,13 @@ def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps, grow=None
                 f = widen(f, m)
             continue
         if rhs is None:
-            (rhs, sq, sq_m, sq_o, lift, S, stage, yi, yo, step, product, stages,
+            (rhs, sq, sq_m, sq_o, lift, S, stage, yi, step, product, stages,
              at_ring) = build(len(live))
             if f is not None:
                 stage[0] = f
                 f = stage[0]
         if f is None:   # size the first steps on the ball they run on
-            stage[0] = rhs(live[0].t, y)
-            f = stage[0]
+            f = rhs(live[0].t, y, out=stage[0])
             if not np.isfinite(f).all():
                 raise NonFiniteStateError(live[0].t)
             for row, h in zip(live, _initial_step(rhs, y, f, t_end, rtol, atol, rms,
@@ -446,11 +460,11 @@ def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps, grow=None
             raise SolverError(f"step budget {max_steps} exhausted at t={row.t}")
         t, h = row.t, row.h   # the stage times handed to the right-hand side
         hv = h if len(live) == 1 else per_row([row.h for row in live])
-        for i, a, c, heads in stages:   # y + h (A_i K[:i]); h A_i first would round differently
-            matmul(a, heads, out=yo)
-            yo *= hv
-            yo += y
-            stage[i] = rhs(t + c * h, yi)
+        for a, c, heads, k_i in stages:   # y + h (A_i K[:i]); h A_i first would round differently
+            matmul(a, heads, out=yi)
+            yi *= hv
+            yi += y
+            rhs(t + c * h, yi, out=k_i)
         ball_evals += 6
         attempts += 1
         if m < n and np.count_nonzero(at_ring):   # a stage reached ring r: void, redo
@@ -704,9 +718,18 @@ def _rows(region, data):
 
 
 def _make_rhs(table, degrees, p):
-    """``rhs(t, u)``, a fresh array: the table's kernel divided by ``degrees``."""
+    """``rhs(t, u, out=None)``: the table's kernel divided by ``degrees``.
+
+    It writes into ``out``, or returns a fresh array without it.  Its
+    ``input`` is the kernel's state buffer, read in place (see
+    :meth:`graphs.NeighbourTable.divergence`).
+    """
     div = table.divergence(p, degrees)
-    return lambda t, u: div(u)
+
+    def rhs(t, u, out=None):
+        return div(u, out)
+    rhs.input = div.input
+    return rhs
 
 
 def solve_truncated(g, u0: Field, cfg: SolverConfig, n, center=None, partners=()):

@@ -37,11 +37,13 @@ def _stub_columns(table):
 class CheckedRhs:
     """Replacement for ``solver._make_rhs`` that checks the stub invariant.
 
-    Counts every RHS evaluation and records the size of each sub-ball it
-    was built on, and the time and stub flag of each call to it.
-    ``partial`` tells whether the table it is handed next belongs to a
-    sub-ball smaller than the region: the stubs of the whole region are its
-    own boundary, where the solution may be nonzero.  ``ring`` holds the
+    The checked right-hand side forwards the kernel's ``input`` and
+    ``out``, so a checked solve takes the in-place stage path of an
+    unchecked one.  Counts every RHS evaluation and records the size of
+    each sub-ball it was built on, and the time and stub flag of each call
+    to it.  ``partial`` tells whether the table it is handed next belongs
+    to a sub-ball smaller than the region: the stubs of the whole region
+    are its own boundary, where the solution may be nonzero.  ``ring`` holds the
     positions, in that sub-ball, of the region's own stub vertices, where
     every input is checked to be exactly 0.  A growing solve restricts the
     table of each new ball, so the ring follows it.
@@ -65,7 +67,7 @@ class CheckedRhs:
         calls = []
         self.builds.append(calls)
 
-        def checked(t, u):
+        def checked(t, u, out=None):
             self.calls += 1
             calls.append((t, stubs is not None and bool(u[stubs].any())))
             if stubs is not None:
@@ -73,7 +75,8 @@ class CheckedRhs:
             if len(ring):
                 assert not u[ring].any(), "nonzero input on the stage's ring"
                 self.ring_checked += 1
-            return rhs(t, u)
+            return rhs(t, u, out)
+        checked.input = rhs.input
         return checked
 
     def voided(self):

@@ -568,6 +568,31 @@ def test_a_custom_graph_with_numeral_ids(tmp_path, capsys):
         assert traj.region.center == "1" and traj.orbits is None
 
 
+def test_a_list_center_on_a_custom_graph_exits_2(tmp_path, capsys):
+    # a list names lattice or product coordinates; a custom graph's center
+    # is its id as text, which the message spells
+    cycle = tmp_path / "cycle.txt"
+    cycle.write_text("".join(f"{k} {k % 5 + 1} 1.0\n" for k in range(1, 6)))
+    cfg = {"graph": {"family": "custom", "adjacency_file": str(cycle)},
+           "initial_data": {"kind": "delta", "center": ["1"]},
+           "solver": {"p": 3.0, "t_min": 0.01, "t_max": 5.0, "num_instants": 12, "n0": 2}}
+    assert cli.validate_config(cfg) == [
+        "initial_data: a custom graph's center is its vertex id as text, such as \"1\", "
+        "not the list [\"1\"]"]
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "out"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert 'such as "1"' in capsys.readouterr().err
+    assert not out.exists()
+    # lattice and product centers are lists of coordinates, as before
+    z2 = gf.lattice_generator(2)
+    assert cli._parse_center([3, -1], z2) == (3, -1) == cli._parse_center("3:-1", z2)
+    product = cli.build_generator({"family": "product", "N": 1,
+                                   "H": {"edges": [["a", "b", 1.0]]}})
+    assert cli._parse_center([1, 4], product) == (1, 4) == cli._parse_center("1:4", product)
+    assert cli.validate_config(tiny_config(initial_data={"kind": "delta", "center": [2]})) == []
+
+
 def test_a_repeated_vertex_in_a_field_file_exits_2(tmp_path, capsys, verified_run):
     # 01 and 1 are one vertex of Z^1: a data file or a snapshot that lists
     # a vertex twice is a config error

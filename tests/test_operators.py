@@ -454,3 +454,98 @@ def test_a_restricted_table_is_bitwise_the_whole_table(graph, data, p, K, seed):
     want = np.concatenate([table.divergence(p)(u)[:m] for u in blocks])
     got = table.restrict(m).stacked(K).divergence(p)(np.concatenate([u[:m] for u in blocks]))
     assert np.array_equal(got, want)
+
+
+# ----------------------------------------------------------------------
+# the kernel's input buffer, its out= and its two-entry sum
+
+def _z1_vertex_table(R):
+    _, region, _, table = _ball_edges(gf.lattice_generator(1), (2,), R)
+    return table, region.degrees
+
+
+def _z1_orbit_table(R):
+    # the quotient of a centred Z^1 ball: orbit 0 meets orbit 1 twice
+    orbits = gf.graphs.OrbitQuotient(gf.ball(gf.lattice_generator(1), (0,), R))
+    return orbits.table, np.full(orbits.table.n, orbits.degree)
+
+
+def _weighted_cycle_table(R):
+    # a ball on a cycle with weights 0.25 to 2: two weighted entries a column
+    g = gf.generator_from_edges([(str(k), str((k + 1) % 8), 0.25 * (k + 1))
+                                 for k in range(8)])
+    region, _, table = _ball_edges(g, "0", R)[1:]
+    return table, region.degrees
+
+
+TWO_ENTRY = {
+    "Z^1 vertices": _z1_vertex_table,
+    "Z^1 orbits": _z1_orbit_table,
+    "weighted cycle": _weighted_cycle_table,
+}
+
+
+def reduced_divergence(table, p, u, degrees=None):
+    """The kernel's terms summed down each column by ``np.add.reduce``, and
+    the columns whose terms are all -0: the reduction starts from +0, so it
+    sums them to +0 where one add of two -0 terms gives -0."""
+    d = _odd_power(np.append(u, 0.0)[table.nbr] - u, p) * table.W
+    out = np.add.reduce(d, axis=0)
+    negative_zeros = ((d == 0.0) & np.signbit(d)).all(axis=0)
+    return (out if degrees is None else out / degrees), negative_zeros
+
+
+def _assert_the_reduction(got, want, negative_zeros):
+    # bit for bit, NaNs too, but -0 for the reduction's +0 on a column of -0 terms
+    assert got.tobytes() == np.where(negative_zeros, -0.0, want).tobytes()
+
+
+def _wide_state(seed, n, low):
+    # magnitudes 10^low to 10^(low + 40) with random signs and exact zeros
+    rng = np.random.default_rng(seed)
+    u = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(low, low + 40.0, n)
+    u[rng.random(n) < 0.2] = 0.0
+    return u
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(TWO_ENTRY)), st.integers(0, 9), st.data(), exponents,
+       st.floats(-200.0, 80.0), st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_the_two_entry_sum_is_the_reduction_in_place_or_not(case, R, data, p, low, divide,
+                                                            seed):
+    # the stage loop's call (the state in the kernel's input, the value
+    # into out) and a call on a copy give the same bits, and one add of two
+    # entries is np.add.reduce's sum of them; subnormal and infinite terms too
+    table, degrees = TWO_ENTRY[case](R)
+    table = table.restrict(data.draw(st.integers(1, table.n)))
+    degrees = degrees[:table.n] if divide else None
+    assert len(table.nbr) == 2
+    u = _wide_state(seed, table.n, low)
+    div = table.divergence(p, degrees)
+    with np.errstate(over="ignore", invalid="ignore"):   # (1e120)^3 is inf
+        want = reduced_divergence(table, p, u, degrees)
+        div.input[...] = u
+        _assert_the_reduction(div(div.input), *want)
+        assert div.input.tobytes() == u.tobytes()
+        out = np.empty(table.n)
+        assert div(u, out=out) is out
+        _assert_the_reduction(out, *want)
+        _assert_the_reduction(div(u.copy()), *want)
+
+
+@pytest.mark.parametrize("case", sorted(TWO_ENTRY))
+def test_subnormal_fluxes_sum_as_the_reduction(case):
+    # differences of 1e-160 to 1e-154 square below the normal range at p = 3
+    table, degrees = TWO_ENTRY[case](6)
+    u = _state(5, table.n) * 1e-157
+    got = table.divergence(3.0, degrees)(u)
+    tiny = np.finfo(float).tiny
+    assert ((got != 0.0) & (np.abs(got) < tiny)).any()
+    _assert_the_reduction(got, *reduced_divergence(table, 3.0, u, degrees))
+    # 0 between two values of -1e-170: both terms underflow to -0
+    u = np.full(table.n, -1e-170)
+    u[0] = 0.0
+    got = table.divergence(3.0, degrees)(u)
+    want, negative_zeros = reduced_divergence(table, 3.0, u, degrees)
+    assert negative_zeros[0] and np.signbit(got[0]) and not np.signbit(want[0])
+    _assert_the_reduction(got, want, negative_zeros)

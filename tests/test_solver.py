@@ -2,12 +2,13 @@ import gc
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import graphflow as gf
-from graphflow import cli
+from graphflow import cli, solver
 from graphflow.solver import (ROW_DIAGNOSTICS, NonFiniteStateError, SolverError,
                               StepSizeUnderflowError, TruncationConvergenceError,
                               TruncationDeficitError, _integrate)
@@ -466,3 +467,99 @@ def test_a_growing_solve_leaves_no_reference_cycles(z1):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _shipped(name):
+    # the graph, data, center and solver config of a shipped config's run
+    path = Path(__file__).resolve().parents[1] / "configs" / f"{name}.json"
+    return cli._setup(json.loads(path.read_text()))[:4]
+
+
+@pytest.mark.parametrize("name", ["lattice1d_p3_decay", "lattice2d_p3_decay"])
+def test_stages_are_evaluated_in_place(monkeypatch, name):
+    # a one-row solve writes each stage input into the kernel's own buffer
+    # and each stage into its row of the stage buffer: no copy either way
+    g, u0, center, cfg = _shipped(name)
+    divergence = gf.graphs.NeighbourTable.divergence
+    calls = []   # per kernel call: whether it read its input in place, the stage row of out
+
+    def recorded(table, p, degrees=None):
+        div = divergence(table, p, degrees)
+
+        def call(u, out=None):
+            row = None
+            if out is not None:   # a row of the (1, 7, m) stage buffer
+                m = len(u)
+                assert out.shape == (m,) and out.base.shape == (1, 7, m)
+                assert out.flags.c_contiguous
+                row, rest = divmod(out.ctypes.data - out.base.ctypes.data, 8 * m)
+                assert rest == 0
+            calls.append((u is div.input, row))
+            return div(u, out)
+        call.input = div.input
+        return call
+    monkeypatch.setattr(gf.graphs.NeighbourTable, "divergence", recorded)
+    traj = gf.solve_cauchy(g, u0, cfg, center=center)
+    evals = sum(h["rhs_evals"] for h in traj.history)
+    assert len(traj.history) > 1 and len(calls) == evals
+    # the first step is sized on K[0] = f(y), written to its row, and on one
+    # more value; every later call is a stage of an attempt
+    assert calls[:2] == [(False, 0), (False, None)]
+    assert calls[2:] == [(True, i) for i in range(1, 7)] * ((evals - 2) // 6)
+
+
+@pytest.mark.parametrize("name", ["lattice1d_p3_decay", "lattice2d_p3_decay"])
+def test_a_plain_rhs_solves_as_the_kernel_does(monkeypatch, name):
+    # _integrate adapts an rhs(t, u) without an input buffer or out, as the
+    # bench tracer wraps _make_rhs: the same bits, and every evaluation made
+    g, u0, center, cfg = _shipped(name)
+    want = gf.solve_cauchy(g, u0, cfg, center=center)
+    make_rhs, calls = solver._make_rhs, [0]
+
+    def plain(table, degrees, p):
+        rhs = make_rhs(table, degrees, p)
+
+        def call(t, u):
+            calls[0] += 1
+            return rhs(t, u)
+        return call
+    monkeypatch.setattr(solver, "_make_rhs", plain)
+    got = gf.solve_cauchy(g, u0, cfg, center=center)
+    assert calls[0] == sum(h["rhs_evals"] for h in got.history)
+    assert got.rows.tobytes() == want.rows.tobytes()
+    assert got.history == want.history
+    for key, values in want.diagnostics.items():
+        assert got.diagnostics[key].tobytes() == values.tobytes()
+
+
+@pytest.mark.parametrize("p", [3.0, 4.0])
+def test_the_two_entry_sum_solves_as_the_reduction(monkeypatch, z1, p):
+    # one add of a Z^1 column's two terms is np.add.reduce's sum but for a
+    # column of two -0 terms (-0, where the reduction gives +0), such as at
+    # the bump of 1e-170 below.  A stage only enters sums and is added to a
+    # state that is never -0, so the rows are those of a kernel that
+    # reduces, bit for bit
+    from test_operators import _assert_the_reduction, reduced_divergence
+    u0 = gf.Field(z1, {(0,): 1.0, (1,): 0.5, (6,): 1e-170})
+    cfg = gf.SolverConfig(p=p, instants=gf.log_instants(0.01, 5.0, 12))
+    want = gf.solve_cauchy(z1, u0, cfg, center=(0,))
+    divergence, differ = gf.graphs.NeighbourTable.divergence, [0]
+
+    def reducing(table, p, degrees=None):
+        div = divergence(table, p, degrees)
+
+        def call(u, out=None):
+            got = div(u, out)
+            reduced, negative_zeros = reduced_divergence(table, p, u, degrees)
+            _assert_the_reduction(got, reduced, negative_zeros)
+            differ[0] += int(np.count_nonzero(got.view(np.int64) != reduced.view(np.int64)))
+            got[...] = reduced
+            return got
+        call.input = div.input
+        return call
+    monkeypatch.setattr(gf.graphs.NeighbourTable, "divergence", reducing)
+    got = gf.solve_cauchy(z1, u0, cfg, center=(0,))
+    assert differ[0] > 0 and want.orbits is None
+    assert got.rows.tobytes() == want.rows.tobytes()
+    assert got.history == want.history
+    assert not np.signbit(want.rows).any()
