@@ -1,9 +1,12 @@
-"""Graph families, combinatorial balls, and radial cutoffs.
+"""Graph families, combinatorial balls, and their measures.
 
 Every graph is a neighbor oracle; only balls ever get materialized, and
 degrees always come from the full oracle (so truncation boundaries keep
-their infinite-graph measure).
+their infinite-graph measure).  A ball lists its vertices ring by ring,
+so the least radius whose ball reaches a measure is a sorted search.
 """
+import numpy as np
+
 import graphflow as gf
 
 # --- the standard lattice ------------------------------------------------
@@ -27,8 +30,7 @@ prod = gf.product_generator(gf.complete_graph(2), 1)
 print("\nK_2 x Z^1: every vertex has 3 unit-weight neighbors, e.g. (0,5) ->",
       prod.neighbors((0, 5)))
 
-# --- radial cutoff: 1 on B_2, 0 outside B_5, linear in between -----------
-cut = gf.Cutoff(z1, (0,), R1=2, R2=5)
-print("\ncutoff profile along Z^1:",
-      {x: round(cut.value((x,)), 3) for x in range(0, 7)})
-print("edge increments never exceed 1/(R2-R1) =", round(1 / 3, 4))
+# --- measure to radius: the least R with mu_w(B_R) >= v ------------------
+print("\nleast R with mu_w(B_R) >= v on Z^1, searched in the measures above:",
+      {v: int(np.searchsorted(profile, v)) for v in (1, 10, 25)})
+print("ring distances of B_3(0) in Z^2, ring by ring:", b.distances.tolist())

@@ -2,16 +2,20 @@
 import numpy as np
 
 import graphflow as gf
+from graphflow.graphs import region_edges
 
 z1 = gf.lattice_generator(1)
 p = 3.0
 
 # --- Dirichlet p-eigenvalues of small sets --------------------------------
+# the Rayleigh quotient reads the region's edge-flux kernel: twice its
+# power sum over the p-mass; the indicator's quotient bounds the eigenvalue
 for verts in ([(0,)], [(0,), (1,)], [(0,), (1,), (2,)]):
     region = gf.region_from_vertices(z1, verts)
     lam = gf.dirichlet_p_eigenvalue(z1, region, p)
-    oracle = gf.eigenvalue_grid_oracle(z1, region, p)
-    print(f"|U| = {len(verts)}: descent {lam:.6f}, exhaustive grid {oracle:.6f}")
+    ones = np.ones(len(region))
+    indicator = 2.0 * region_edges(z1, region).power_sum(ones, p) / (ones @ region.degrees)
+    print(f"|U| = {len(verts)}: descent {lam:.6f}, indicator's quotient {indicator:.6f}")
 
 # --- brute-forced profile table over connected subsets --------------------
 prof = gf.fk_profile_bruteforce(z1, (0,), size_cap=3, p=p)
@@ -40,7 +44,3 @@ bad = gf.FkProfile.tabulated(pairs, p, 1)
 rep = gf.check_assumptions(bad, vs)
 print("profile with an artificial bump: growth comparison ok =", rep.nd_ok,
       f"(worst violation {rep.worst['nd'][0]:.2f} near v = {rep.worst['nd'][1]:.1f})")
-
-# --- measure-to-radius inversion ------------------------------------------
-print("\nminimal R with mu_w(B_R) >= 10 on Z^1:",
-      gf.ball_radius_inverse(z1, (0,), 10.0))

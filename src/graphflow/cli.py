@@ -34,8 +34,11 @@ own config's run, when other configs of the batch may have written theirs.
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage/config error,
 3 solver failure (a check that finds the ball short of a mass fraction it
 needs is one too).  Identical (config, seed) pairs produce byte-identical
-outputs; the seed reaches only the ``seed`` field of ``report.json`` and
-``manifest.json``, as no computation is randomized.
+outputs under one OpenBLAS kernel; the seed reaches only the ``seed`` field
+of ``report.json`` and ``manifest.json``, as no computation is randomized.
+Across kernels the bytes can differ: under ``OPENBLAS_CORETYPE=SandyBridge``
+or ``Prescott`` the shipped decay configs write other bytes than under
+SkylakeX, with the same verdicts and step counts.
 """
 
 from __future__ import annotations

@@ -7,6 +7,10 @@ graph gets a table brute-forced over its small connected subsets.  The
 scaling function ``psi_r(s) = s^((p-2)/r) * Lambda_p(1/s)`` and its inverse
 translate the profile into time-amplitude decay rates.
 
+A region's Rayleigh quotients are read off its :class:`NeighbourTable`,
+the solver's edge-flux kernel: the energy is twice the table's
+``power_sum`` and the descent's gradient its ``divergence``.
+
 Both ``Lambda_p`` and ``psi_r`` are power laws or piecewise log-log linear,
 so their inverses are exact (closed form or one interpolation, no search).
 ``lambda_value``, ``lambda_inverse``, ``psi`` and ``psi_inverse`` take a
@@ -29,9 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .fields import Field
-from .graphs import ball_measure_profile, region_edges, region_from_vertices, rings
-from .operators import dirichlet_energy, require_exponent
+from .graphs import region_edges, region_from_vertices, require_exponent
 
 
 class ConvergenceError(RuntimeError):
@@ -200,41 +202,8 @@ def psi_inverse(profile, r, y):
     return _like(y, np.exp(u))
 
 
-def ball_radius_inverse(g, x0, v):
-    """Minimal integer R with ``mu_w(B_R(x0)) >= v`` (overshoot convention).
-
-    Discrete measures generically cannot hit ``v`` exactly, so the minimal
-    overshooting radius is returned; the search stops at radius 10^6.
-    """
-    if v <= 0:
-        raise ValueError("v must be positive")
-    total, r_cap = 0.0, 10 ** 6
-    for R, ring in enumerate(rings(g, x0, r_cap + 1)):
-        if R > r_cap:
-            raise ConvergenceError(f"measure {v} not reached within radius {r_cap}")
-        for y in ring:
-            total += g.degree(y)
-        if total >= v:
-            return R
-    raise ValueError(f"graph component measure {total} is below v={v}")
-
-
 # ----------------------------------------------------------------------
 # Rayleigh quotients and eigenvalues
-
-
-def rayleigh_quotient(g, region, f: Field, p):
-    """Dirichlet p-energy of ``f`` over its p-norm mass on the region."""
-    p = require_exponent(p)
-    denom = 0.0
-    for v in f.support():
-        if v not in region:
-            raise ValueError(f"field has support at {v!r} outside the region")
-    for i, v in enumerate(region.vertices):
-        denom += abs(f[v]) ** p * region.degrees[i]
-    if denom == 0.0:
-        raise ValueError("zero field has no Rayleigh quotient")
-    return dirichlet_energy(g, f, p, region) / denom
 
 
 def _quotient_batch(F, table, degrees, p):
@@ -318,47 +287,6 @@ def dirichlet_p_eigenvalue(g, region, p):
             e, d = _quotient_batch(f / np.abs(f).max(), table, degs, p)
             return float(e / d)
     raise ConvergenceError("no descent start converged within the iteration cap")
-
-
-def eigenvalue_grid_oracle(g, region, p):
-    """Exhaustive-grid minimum of the Rayleigh quotient, |region| <= 3.
-
-    Nonnegative competitors normalized by max = 1 (the quotient is scale
-    invariant and replacing f by |f| cannot increase it), gridded at
-    step 1e-3 on each remaining coordinate; one face per choice of the
-    maximal coordinate.
-    """
-    p = require_exponent(p)
-    n = len(region)
-    if n > 3:
-        raise ValueError("grid oracle is limited to regions of size <= 3")
-    table = region_edges(g, region)
-    degs = region.degrees
-    if n == 1:
-        e, d = _quotient_batch(np.ones(1), table, degs, p)
-        return float(e / d)
-    m = 1001   # step 1e-3
-    axis = np.linspace(0.0, 1.0, m)
-    best = np.inf
-    if n == 2:
-        for k in range(2):
-            F = np.empty((m, 2))
-            F[:, k] = 1.0
-            F[:, 1 - k] = axis
-            e, d = _quotient_batch(F, table, degs, p)
-            best = min(best, float((e / d).min()))
-    else:
-        g1, g2 = np.meshgrid(axis, axis, indexing="ij")
-        flat1, flat2 = g1.ravel(), g2.ravel()
-        for k in range(3):
-            F = np.empty((m * m, 3))
-            F[:, k] = 1.0
-            others = [i for i in range(3) if i != k]
-            F[:, others[0]] = flat1
-            F[:, others[1]] = flat2
-            e, d = _quotient_batch(F, table, degs, p)
-            best = min(best, float((e / d).min()))
-    return best
 
 
 # ----------------------------------------------------------------------
@@ -491,56 +419,3 @@ def check_assumptions(profile, grid):
         },
     )
     return report
-
-
-def check_psi_scaling_monotone(profile, b, taus):
-    """Grid check that ``tau^nu * psi_1^{-1}(b/tau)^((p-2)/(p-1))`` is nondecreasing.
-
-    ``nu = N(p-2) / ((N(p-2)+p)(p-1))``; on exact lattice power laws the
-    map is constant, so a relative slack of 1e-9 absorbs roundoff.
-    Returns ``(ok, worst_relative_drop, nu)``.
-    """
-    p, N = profile.p, profile.N
-    nu = N * (p - 2.0) / ((N * (p - 2.0) + p) * (p - 1.0))
-    taus = np.sort(np.asarray(taus, dtype=float))
-    vals = taus ** nu * psi_inverse(profile, 1.0, b / taus) ** ((p - 2.0) / (p - 1.0))
-    rel_drop = ((vals[:-1] - vals[1:]) / np.abs(vals[:-1])).max()
-    return bool(rel_drop <= 1e-9), float(rel_drop), nu
-
-
-def check_ball_measure_bound(g, x0, profile, c, s_values):
-    """Ball-measure scaling check behind the constant-free lower bound.
-
-    For ``R^p = c * s * psi_1^{-1}(1/s)^(p-2)`` the measure of ``B_floor(R)``
-    is bounded by a stable multiple of ``psi_1^{-1}(1/s)^{-1}``; the fitted
-    multiple ``gamma = mu_w(B_floor(R)) * psi_1^{-1}(1/s)`` is returned per
-    sample together with its spread around the midpoint.
-    """
-    if c < 1:
-        raise ValueError("c must be >= 1")
-    s_values = np.asarray(s_values, dtype=float)
-    lam = psi_inverse(profile, 1.0, 1.0 / s_values)
-    R = (c * s_values * lam ** (profile.p - 2.0)) ** (1.0 / profile.p)
-    radii = np.floor(R).astype(int)
-    measures = ball_measure_profile(g, x0, int(radii.max()))
-    gamma = measures[radii] * lam
-    mid = 0.5 * (gamma.max() + gamma.min())
-    return {
-        "s": s_values,
-        "R": R,
-        "gamma": gamma,
-        "spread": float((gamma.max() - mid) / mid),
-    }
-
-
-def linf_lq_bound(profile, f: Field, q):
-    """Pointwise bound ``||f||_inf <= Lambda_p^{-1}(2)^{-1/q} ||f||_q``.
-
-    Returns ``(holds, lhs, rhs)``; a consequence of every vertex having
-    degree at least ``Lambda_p^{-1}(2)``.
-    """
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    lhs = f.sup_norm()
-    rhs = profile.lambda_inverse(2.0) ** (-1.0 / q) * f.lq_norm(q)
-    return lhs <= rhs * (1 + 1e-12), lhs, rhs

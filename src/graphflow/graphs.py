@@ -1,4 +1,4 @@
-"""Weighted-graph neighbor oracles, metric balls, regions and cutoffs.
+"""Weighted-graph neighbor oracles, metric balls, regions and the edge-flux kernel.
 
 Infinite graphs are represented by a neighbor oracle ``x -> [(y, w), ...]``
 and are never materialized globally; only combinatorial balls are turned
@@ -325,6 +325,13 @@ def ball_measure_profile(g, x0, R_max):
     return np.cumsum(per_radius)
 
 
+def require_exponent(p):
+    """``p`` as a float, for an exponent of the degenerate regime ``2 < p < inf``."""
+    if not (2 < p < math.inf):
+        raise ValueError(f"exponent p must satisfy 2 < p < inf, got {p}")
+    return float(p)
+
+
 @dataclass
 class NeighbourTable:
     """A region's ``(k, n)`` neighbour table, the edge-flux kernel of every solve.
@@ -599,37 +606,6 @@ class OrbitQuotient:
     def orbit_of(self, cols):
         """The orbit of each offset from the center inside the ball, given as ``N`` columns."""
         return self._lookup[_sorted_key(cols, self._stride)]
-
-
-@dataclass
-class Cutoff:
-    """Radial cutoff: 1 on ``B_{R1}``, 0 outside ``B_{R2}``, linear between.
-
-    Satisfies the edge-Lipschitz bound ``|z(y) - z(x)| <= 1/(R2 - R1)``
-    for every edge ``x ~ y``.
-    """
-
-    generator: GraphGenerator
-    center: object
-    R1: int
-    R2: int
-    _dist: dict = field(init=False, repr=False)
-
-    def __post_init__(self):
-        if self.R1 < 0:
-            raise ValueError("R1 must be >= 0")
-        if self.R2 <= self.R1:
-            raise ValueError(f"need R2 >= R1 + 1, got R1={self.R1}, R2={self.R2}")
-        self._dist = {v: d for d, ring in enumerate(
-            rings(self.generator, self.center, self.R2)) for v in ring}
-
-    def value(self, x):
-        d = self._dist.get(x)
-        if d is None:
-            return 0.0
-        if d <= self.R1:
-            return 1.0
-        return (self.R2 - d) / (self.R2 - self.R1)
 
 
 # ----------------------------------------------------------------------

@@ -46,8 +46,7 @@ from functools import cached_property
 import numpy as np
 
 from .fields import Field
-from .graphs import OrbitQuotient, ball, distances_within, region_edges
-from .operators import require_exponent
+from .graphs import OrbitQuotient, ball, distances_within, region_edges, require_exponent
 
 
 class SolverError(RuntimeError):

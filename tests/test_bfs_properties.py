@@ -59,10 +59,14 @@ def test_lattice_bfs_is_l1(case, R):
 @SETTINGS
 @given(st.integers(1, 3), st.floats(0.5, 3000.0))
 def test_lattice_ball_radius_inverse(N, v):
+    # the minimal R with mu_w(B_R) >= v: a sorted search in the ball measures
     g = gf.lattice_generator(N)
     x0 = (0,) * N
-    R = gf.ball_radius_inverse(g, x0, v)
     measure = lambda r: 2 * N * sum(l1_sphere_count(N, k) for k in range(r + 1))
+    cap = 1
+    while measure(cap) < v:
+        cap *= 2
+    R = int(np.searchsorted(gf.ball_measure_profile(g, x0, cap), v))
     assert measure(R) >= v
     assert R == 0 or measure(R - 1) < v
 
@@ -109,8 +113,10 @@ def test_finite_graph_bfs_against_bellman_ford(edges, R, v):
     f = gf.Field(g, {y: 1.0 for y in nodes[1:]})
     assert f.support_radius(x0) == max(dist[x0, y] for y in nodes[1:])
     measure = lambda r: sum(g.degree(y) for y in nodes if dist[x0, y] <= r)
+    measures = gf.ball_measure_profile(g, x0, len(nodes))
+    assert np.allclose(measures, [measure(r) for r in range(len(nodes) + 1)], rtol=1e-12)
     if measure(len(nodes)) >= v:
-        R_inv = gf.ball_radius_inverse(g, x0, v)
+        R_inv = int(np.searchsorted(measures, v))
         assert measure(R_inv) >= v and (R_inv == 0 or measure(R_inv - 1) < v)
 
 

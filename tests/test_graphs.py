@@ -124,30 +124,35 @@ def test_weight_symmetry_exact(maker):
 
 
 def test_cutoff_values(z1):
-    c = gf.Cutoff(z1, (0,), 2, 4)
-    assert c.value((1,)) == 1.0
-    assert c.value((3,)) == 0.5  # (R2 - d)/(R2 - R1)
-    assert c.value((5,)) == 0.0
-    assert c.value((-7,)) == 0.0
+    # the radial cutoff of a vertex, read off its distance: 1 on B_R1, linear
+    # down to 0 at R2, and 0 where no distance is found within R2
+    R1, R2 = 2, 4
+
+    def cut(x):
+        d = gf.distance(z1, (0,), x, R2)
+        return 0.0 if d is None else min(1.0, (R2 - d) / (R2 - R1))
+
+    assert cut((1,)) == 1.0
+    assert cut((3,)) == 0.5
+    assert cut((5,)) == 0.0
+    assert cut((-7,)) == 0.0
 
 
 @pytest.mark.parametrize("dim,R1,R2", [(1, 2, 5), (2, 1, 4)])
 def test_cutoff_edge_lipschitz_exhaustive(dim, R1, R2):
+    # the radial cutoff, 1 on B_R1, 0 outside B_R2 and linear between, read
+    # off a ball's ring distances: they move by at most 1 along an edge, so
+    # the cutoff moves by at most 1/(R2 - R1)
     g = gf.lattice_generator(dim)
     x0 = (0,) * dim
-    c = gf.Cutoff(g, x0, R1, R2)
+    region = gf.ball(g, x0, R2 + 2)
+    values = np.clip((R2 - region.distances) / (R2 - R1), 0.0, 1.0)
+    cut = dict(zip(region.vertices, values))
+    assert values.max() == 1.0 and values.min() == 0.0
     bound = 1.0 / (R2 - R1)
-    region = gf.ball(g, x0, R2 + 1)
-    for x in region.vertices:
+    for x in gf.ball(g, x0, R2 + 1).vertices:
         for y, _ in g.neighbors(x):
-            assert abs(c.value(y) - c.value(x)) <= bound + 1e-15
-
-
-def test_cutoff_rejects_bad_radii(z1):
-    with pytest.raises(ValueError):
-        gf.Cutoff(z1, (0,), 3, 3)
-    with pytest.raises(ValueError):
-        gf.Cutoff(z1, (0,), 4, 2)
+            assert abs(cut[y] - cut[x]) <= bound + 1e-15
 
 
 def test_custom_graph_from_file(tmp_path):

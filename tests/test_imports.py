@@ -10,7 +10,8 @@ own definition, a method or property that none reads as ``.name``, and a
 parameter with a default, or a defaulted dataclass field that ``__init__``
 takes, that no call there ever sets: a setting with one value in use is a
 constant.  A ``CONFIG_SCHEMA`` key that no config sets is such a setting
-too.
+too.  A top-level definition that only tests name belongs in the tests,
+unless :data:`ONLY_TESTS` states why the package keeps it.
 """
 
 import ast
@@ -25,6 +26,8 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "graphflow"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 SEARCHED = sorted(p for d in ("src", "tests", "demos", "bench") for p in (ROOT / d).rglob("*.py"))
+# the code that runs the package: its modules, the bench and the demos
+REACHING = sorted({*MODULES, *(p for d in ("demos", "bench") for p in (ROOT / d).rglob("*.py"))})
 
 
 def unused_imports(source):
@@ -138,6 +141,53 @@ def test_the_guard_sees_a_dead_member():
     # a bare word is no read of a member, nor is a read inside its own body
     assert dead_definitions(source, ["Box().table", "b.tail", "shrink()"]) == [
         (5, "Box.grow"), (13, "Box.shrink"), (15, "Box.edge")]
+
+
+def reached_only_from_tests(source, reaching):
+    """The top-level functions and classes of ``source`` that no text of ``reaching`` names.
+
+    As in :func:`dead_definitions`, a name counts in ``source`` outside its
+    own definition.  ``reaching`` is the code that runs the package: its
+    other modules (not ``__init__``, whose re-exports name every public
+    definition), the bench and the demos.
+    """
+    return [name for _, name in dead_definitions(source, reaching) if "." not in name]
+
+
+# the definitions the package keeps although only tests name them, and why
+ONLY_TESTS = {
+    "decay_exponent": "the paper's sup-decay rate N/(N(p-2)+p), which the decay fits "
+                      "of criterion 3 are held to",
+    "propagation_exponent": "the paper's propagation rate 1/(N(p-2)+p), whose value at "
+                            "N = 1, p = 3 is criterion 4's +0.25",
+    "balance_time_exponent": "the paper's balance-time growth alpha(p-2)+p, which the "
+                             "balance-time fit of criterion 10 is held to",
+}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_every_definition_is_reached_outside_the_tests(path):
+    source = path.read_text()
+    reached_only = reached_only_from_tests(source, [p.read_text() for p in REACHING
+                                                    if p != path])
+    kept = [name for name in ONLY_TESTS if re.search(rf"^def {name}\b", source, re.M)]
+    assert sorted(reached_only) == sorted(kept)
+
+
+def test_the_guard_sees_a_definition_only_tests_reach():
+    source = ("def solve():\n"
+              "    return _step()\n"
+              "def _step():\n"
+              "    return 1\n"
+              "def oracle():\n"
+              "    return 2\n"
+              "class Report:\n"
+              "    def unread(self):\n"
+              "        return 3\n"
+              "def exponent(N):\n"
+              "    return 1 / N\n")
+    # members are dead_definitions' concern; tests name oracle and exponent
+    assert reached_only_from_tests(source, ["solve()", "Report()"]) == ["oracle", "exponent"]
 
 
 def _param_names(args):

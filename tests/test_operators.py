@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graphflow as gf
-from graphflow.operators import monotonicity_gamma, phi
+from lemmas import monotonicity_check, monotonicity_gamma
+from oracles import apply_plaplacian, dirichlet_energy, phi, summation_by_parts_defect
 from test_bfs_properties import finite_graph   # random connected weighted graphs
 
 exponents = st.sampled_from([2.5, 3.0, 4.0])
@@ -35,26 +36,26 @@ def test_plaplacian_constant_field_vanishes(z2):
     u = gf.Field(z2, {v: 3.7 for v in region.vertices})
     # interior vertices: all neighbors carry the same value
     for x in [(0, 0), (1, 0), (0, -1)]:
-        assert gf.apply_plaplacian(z2, u, 3, x) == 0.0
+        assert apply_plaplacian(z2, u, 3, x) == 0.0
 
 
 def test_plaplacian_point_mass_hand_values(z1):
     u = gf.delta_field(z1, (0,))
-    assert gf.apply_plaplacian(z1, u, 3, (0,)) == -1.0
-    assert gf.apply_plaplacian(z1, u, 3, (1,)) == 0.5
+    assert apply_plaplacian(z1, u, 3, (0,)) == -1.0
+    assert apply_plaplacian(z1, u, 3, (1,)) == 0.5
 
 
 def test_plaplacian_rejects_small_p(z1):
     u = gf.delta_field(z1, (0,))
     with pytest.raises(ValueError):
-        gf.apply_plaplacian(z1, u, 2.0, (0,))
+        apply_plaplacian(z1, u, 2.0, (0,))
 
 
 def test_dirichlet_energy_point_mass(z1):
     region = gf.region_from_vertices(z1, [(0,)])
     f = gf.Field(z1, {(0,): 1.0})
     # two incident edges, each counted twice as ordered pairs
-    assert gf.dirichlet_energy(z1, f, 3, region) == 4.0
+    assert dirichlet_energy(z1, f, 3, region) == 4.0
 
 
 @pytest.mark.parametrize("p", [2.5, 3.0, 4.0])
@@ -62,19 +63,19 @@ def test_dirichlet_energy_adjacent_pair(z1, p):
     region = gf.region_from_vertices(z1, [(0,), (1,)])
     f = gf.Field(z1, {(0,): 1.0, (1,): 1.0})
     # only the two boundary edges contribute, doubled
-    assert gf.dirichlet_energy(z1, f, p, region) == 4.0
+    assert dirichlet_energy(z1, f, p, region) == 4.0
 
 
 def test_dirichlet_energy_zero_field(z1):
     region = gf.region_from_vertices(z1, [(0,), (1,)])
-    assert gf.dirichlet_energy(z1, gf.Field(z1, {}), 3, region) == 0.0
+    assert dirichlet_energy(z1, gf.Field(z1, {}), 3, region) == 0.0
 
 
 def test_dirichlet_energy_rejects_outside_support(z1):
     region = gf.region_from_vertices(z1, [(0,)])
     f = gf.Field(z1, {(2,): 1.0})
     with pytest.raises(ValueError):
-        gf.dirichlet_energy(z1, f, 3, region)
+        dirichlet_energy(z1, f, 3, region)
 
 
 def test_dirichlet_energy_homogeneous(z2):
@@ -82,46 +83,20 @@ def test_dirichlet_energy_homogeneous(z2):
     region = gf.ball(z2, (0, 0), 2)
     f = random_field(z2, region, rng)
     for p in (2.5, 3.0, 4.0):
-        e1 = gf.dirichlet_energy(z2, f, p, region)
+        e1 = dirichlet_energy(z2, f, p, region)
         lam = 1.7
-        e2 = gf.dirichlet_energy(z2, f.scaled(lam), p, region)
+        e2 = dirichlet_energy(z2, f.scaled(lam), p, region)
         assert abs(e2 - abs(lam) ** p * e1) <= 1e-12 * e2
-
-
-def test_sbp_zero_test_function_is_exact_zero(z2):
-    rng = np.random.default_rng(1)
-    region = gf.ball(z2, (0, 0), 3)
-    u = random_field(z2, region, rng)
-    assert gf.summation_by_parts_residual(z2, u, gf.Field(z2, {}), 3) == 0.0
-
-
-def test_sbp_residual_random_pairs(z2):
-    rng = np.random.default_rng(2)
-    region = gf.ball(z2, (0, 0), 3)
-    for _ in range(20):
-        u = random_field(z2, region, rng)
-        f = random_field(z2, region, rng)
-        assert gf.summation_by_parts_residual(z2, u, f, 3, relative=True) <= 1e-12
-
-
-def test_sbp_with_ball_indicator(z2):
-    # f = indicator of B_n turns the identity into the exact boundary-flux
-    # balance; the residual stays at roundoff level
-    rng = np.random.default_rng(3)
-    region = gf.ball(z2, (0, 0), 4)
-    u = random_field(z2, region, rng)
-    f = gf.ball_indicator_field(z2, (0, 0), 2)
-    assert gf.summation_by_parts_residual(z2, u, f, 3, relative=True) <= 1e-12
 
 
 def test_monotonicity_hand_example():
     # q=1, p=3: both sides equal (a-b)^p, gamma = 1
     assert monotonicity_gamma(1, 3) == 1.0
-    assert gf.monotonicity_check(2.0, 1.0, 1.0, 3.0)
+    assert monotonicity_check(2.0, 1.0, 1.0, 3.0)
 
 
 def test_monotonicity_near_equal_arguments():
-    assert gf.monotonicity_check(1.0 + 1e-9, 1.0, 2.0, 3.0)
+    assert monotonicity_check(1.0 + 1e-9, 1.0, 2.0, 3.0)
 
 
 def test_monotonicity_random_sweep():
@@ -133,17 +108,17 @@ def test_monotonicity_random_sweep():
             continue
         q = float(rng.uniform(1e-6, 5.0))
         p = float(rng.uniform(2.0 + 1e-9, 6.0))
-        assert gf.monotonicity_check(float(hi), float(lo), q, p)
+        assert monotonicity_check(float(hi), float(lo), q, p)
         count += 1
 
 
 def test_monotonicity_rejects_bad_domain():
     with pytest.raises(ValueError):
-        gf.monotonicity_check(1.0, 2.0, 1.0, 3.0)
+        monotonicity_check(1.0, 2.0, 1.0, 3.0)
     with pytest.raises(ValueError):
-        gf.monotonicity_check(2.0, 1.0, 0.0, 3.0)
+        monotonicity_check(2.0, 1.0, 0.0, 3.0)
     with pytest.raises(ValueError):
-        gf.monotonicity_check(2.0, 1.0, 1.0, 2.0)
+        monotonicity_check(2.0, 1.0, 1.0, 2.0)
 
 
 def _ball_edges(g, x0, R):
@@ -191,7 +166,7 @@ def _has_stubs(table):
 @pytest.mark.parametrize("p", [2.5, 3.0, 4.0])
 def test_edge_kernel_matches_pointwise_oracle(maker, p):
     # the vectorized kernel (solver RHS, eigenvalue gradient, energies)
-    # against the dict-based operators, boundary stubs included
+    # against the pointwise oracles, boundary stubs included
     from graphflow.solver import _make_rhs
     g, region, edges, table = maker()
     assert len(edges.bi) > 0 and _has_stubs(table)
@@ -202,11 +177,11 @@ def test_edge_kernel_matches_pointwise_oracle(maker, p):
         div = table.divergence(p)(vals)
         assert div.dtype == np.float64
         lap = div / region.degrees
-        oracle = np.array([gf.apply_plaplacian(g, u, p, x) for x in region.vertices])
+        oracle = np.array([apply_plaplacian(g, u, p, x) for x in region.vertices])
         scale = np.abs(vals).max() ** (p - 1.0)
         assert np.abs(lap - oracle).max() <= 1e-12 * scale
         assert np.array_equal(_make_rhs(table, region.degrees, p)(0.0, vals), lap)
-        energy = gf.dirichlet_energy(g, u, p, region)
+        energy = dirichlet_energy(g, u, p, region)
         assert abs(2.0 * edges.power_sum(vals, p) - energy) <= 1e-12 * energy
 
 
@@ -454,6 +429,52 @@ def test_a_restricted_table_is_bitwise_the_whole_table(graph, data, p, K, seed):
     want = np.concatenate([table.divergence(p)(u)[:m] for u in blocks])
     got = table.restrict(m).stacked(K).divergence(p)(np.concatenate([u[:m] for u in blocks]))
     assert np.array_equal(got, want)
+
+
+# ----------------------------------------------------------------------
+# summation by parts on the kernel, stubs included
+
+# the weighted graph's ring 3 is the vertex d, so B_0 to B_2 have stubs
+SBP = {"K_2 x Z^1": (gf.product_generator(gf.complete_graph(2), 1), (0, 0), 5),
+       **{graph: RESTRICTED[graph] for graph in ("Z^1", "Z^2", "weighted")}}
+
+
+def _sbp_case(graph, data):
+    # B_r, r < R, with its own edge arrays and the table of B_R restricted
+    # to it: the edges B_r cuts are stubs of both
+    g, x0, R = SBP[graph]
+    _, sub, edges, table = _sub_ball_edges(g, x0, R, data.draw(st.integers(0, R - 1)))
+    assert len(edges.bi) > 0 and _has_stubs(table)
+    return len(sub), edges, table
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(SBP)), st.data(), exponents, st.integers(0, 2 ** 32 - 1))
+def test_sbp_zero_test_function_is_exact_zero(graph, data, p, seed):
+    n, edges, table = _sbp_case(graph, data)
+    defect, _ = summation_by_parts_defect(table, edges, _state(seed, n), np.zeros(n), p)
+    assert defect == 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(SBP)), st.data(), exponents, st.integers(0, 2 ** 32 - 1))
+def test_sbp_residual_random_pairs(graph, data, p, seed):
+    n, edges, table = _sbp_case(graph, data)
+    defect, scale = summation_by_parts_defect(table, edges, _state(seed, n),
+                                              _state(seed + 1, n), p)
+    assert defect <= 1e-12 * scale
+
+
+def test_sbp_with_ball_indicator(z2):
+    # f = indicator of B_2 turns the identity into the exact boundary-flux
+    # balance; the residual stays at roundoff level
+    rng = np.random.default_rng(3)
+    _, region, edges, table = _ball_edges(z2, (0, 0), 4)
+    u = rng.standard_normal(len(region))
+    f = (region.distances <= 2).astype(float)
+    for p in (2.5, 3.0, 4.0):
+        defect, scale = summation_by_parts_defect(table, edges, u, f, p)
+        assert defect <= 1e-12 * scale
 
 
 # ----------------------------------------------------------------------

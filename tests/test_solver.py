@@ -13,6 +13,7 @@ from graphflow.solver import (ROW_DIAGNOSTICS, NonFiniteStateError, SolverError,
                               StepSizeUnderflowError, TruncationConvergenceError,
                               TruncationDeficitError, _integrate)
 from dirichlet import kept_on
+from oracles import apply_plaplacian
 
 
 def _integrate_ode(rhs, y0, *args, **kwargs):
@@ -52,6 +53,20 @@ def test_config_validation():
         gf.SolverConfig(p=3.0, instants=good, n0=0)
     with pytest.raises(ValueError):
         gf.log_instants(1.0, 0.1, 5)
+
+
+@pytest.mark.parametrize("p", [math.inf, math.nan, 2.0])
+def test_the_exponent_is_finite_and_above_2(z1, p):
+    # inf > 2 holds, yet the flow, a profile and an eigenvalue need a finite
+    # p: unchecked, a solve kept every sup norm at 1, a lattice profile read
+    # Lambda = 0 and an eigenvalue came out as 1.0 with a RuntimeWarning
+    words = "exponent p must satisfy 2 < p < inf"
+    with pytest.raises(ValueError, match=words):
+        gf.solve_cauchy(z1, gf.delta_field(z1, (0,)), gf.SolverConfig(p=p, instants=[1.0]))
+    with pytest.raises(ValueError, match=words):
+        gf.FkProfile.lattice(1, p).lambda_value(2.0)
+    with pytest.raises(ValueError, match=words):
+        gf.dirichlet_p_eigenvalue(z1, gf.region_from_vertices(z1, [(0,), (1,)]), p)
 
 
 @pytest.mark.parametrize("kwargs, words", [
@@ -176,7 +191,7 @@ def test_mass_conservation_and_monotone_norms(delta_run):
 def test_first_step_consistency_first_order(z1):
     # (u(t1) - u0)/t1 approaches the generator value with observed order >= 1
     u0 = gf.delta_field(z1, (0,))
-    target = gf.apply_plaplacian(z1, u0, 3, (0,))
+    target = apply_plaplacian(z1, u0, 3, (0,))
     errs = []
     for t1 in (1e-3, 5e-4, 2.5e-4):
         cfg = gf.SolverConfig(p=3.0, instants=np.array([t1]))
