@@ -12,9 +12,9 @@ the solver's edge-flux kernel: the energy is twice the table's
 ``power_sum`` and the descent's gradient its ``divergence``.
 
 Both ``Lambda_p`` and ``psi_r`` are power laws or piecewise log-log linear,
-so their inverses are exact (closed form or one interpolation, no search).
-``lambda_value``, ``lambda_inverse``, ``psi`` and ``psi_inverse`` take a
-scalar or an array and return a float or an array to match.
+so ``psi_inverse`` is exact (closed form or one interpolation, no search).
+``lambda_value``, ``psi`` and ``psi_inverse`` take a scalar or an array
+and return a float or an array to match.
 
 The structural assumptions on a profile (``v^(-p/N)/Lambda_p(v)``
 nondecreasing, ``v^(-omega)/Lambda_p(v)`` nonincreasing, with
@@ -104,29 +104,6 @@ class FkProfile:
         # constant continuation outside the tabulated range
         lam = np.exp(np.interp(np.log(v), self._log_v, self._log_lam))
         return _like(v, np.where(below, lams[0], np.where(above, lams[-1], lam)))
-
-    def lambda_inverse(self, y):
-        """Largest ``v`` with ``Lambda_p(v) >= y`` (scalar or array ``y``).
-
-        On a table this is the crossing on the segment after the last knot
-        with ``Lambda >= y``, which is also the right end of a plateau at
-        ``y``.  No such ``v`` exists when ``y <= Lambda(v_max)`` (the
-        constant continuation never drops below ``y``) or when ``y`` is above
-        every knot.
-        """
-        y = _positive(y, "y")
-        if self.kind == "closed_form":
-            return _like(y, (y / self.c0) ** (-self.N / self.p))
-        lams, lv, ll = self.table_lam, self._log_v, self._log_lam
-        if (y <= lams[-1]).any():
-            raise ConvergenceError(f"Lambda never drops below {np.min(y)}")
-        # tail_max[k] = max(Lambda at knots k, k+1, ...) is nonincreasing
-        tail_max = np.maximum.accumulate(lams[::-1])[::-1]
-        if (y > tail_max[0]).any():
-            raise ConvergenceError(f"Lambda never reaches {np.max(y)}")
-        k = np.searchsorted(-tail_max, -y, side="right") - 1
-        frac = (np.log(y) - ll[k]) / (ll[k + 1] - ll[k])
-        return _like(y, np.exp(lv[k] + frac * (lv[k + 1] - lv[k])))
 
     @cached_property
     def assumptions(self):

@@ -1,10 +1,8 @@
-"""Finitely supported vertex functions and their weighted norms.
+"""Finitely supported vertex functions and their CSV form.
 
 A :class:`Field` is a sparse map ``vertex -> value``; reads off the support
-return 0.  Norms use the weighted counting measure: ``||f||_q^q =
-sum |f(x)|^q d_w(x)`` and ``||f||_inf = sup |f|``.  Serialization is a
-"vertex_id,value" CSV with 17 significant digits, which round-trips
-float64 bit-exactly.
+return 0.  Serialization is a "vertex_id,value" CSV with 17 significant
+digits, which round-trips float64 bit-exactly.
 """
 
 from __future__ import annotations
@@ -65,9 +63,6 @@ class Field:
         keys = set(self.values) | set(other.values)
         return all(self[v] >= other[v] for v in keys)
 
-    def scaled(self, c):
-        return Field(self.generator, {v: c * x for v, x in self.values.items()})
-
     def offsets(self, x0):
         """The support's :func:`graphs.lattice_coords` less those of ``x0``, or ``None``."""
         at = lattice_coords(self.generator, [x0])
@@ -87,20 +82,6 @@ class Field:
             if not remaining:
                 return d
         raise ValueError(f"{len(remaining)} support vertices unreachable from {x0!r}")
-
-    # -- weighted norms -------------------------------------------------
-
-    def lq_norm(self, q):
-        """Weighted norm ``(sum |f(x)|^q d_w(x))^(1/q)``."""
-        if q < 1:
-            raise ValueError("q must be >= 1")
-        # fsum rounds correctly, so no order of the terms changes the sum
-        g = self.generator
-        return math.fsum(abs(x) ** q * g.degree(v) for v, x in self.values.items()) ** (1.0 / q)
-
-    def mass(self):
-        """The l1 weighted norm ``sum |f(x)| d_w(x)``."""
-        return math.fsum(abs(x) * self.generator.degree(v) for v, x in self.values.items())
 
     def sup_norm(self):
         if not self.values:

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -158,6 +158,19 @@ _DP_P = np.array([
     [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
     [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
 ])
+
+
+def _times(w, k, m):
+    """``product(K, out=...)``: the weights ``w`` times the stages ``K`` of ``k`` rows of ``m``.
+
+    ``w.dot`` for one row of ``m > 1``: the BLAS call of ``np.matmul``
+    without its ufunc dispatch, the same bits.  (At ``m = 1`` ``dot``
+    multiplies a one-entry product as scalars, keeping the sign of a zero
+    that ``matmul``'s sum drops.)  ``np.matmul`` broadcasts over ``k > 1``
+    rows, each a contiguous ``(7, m)`` block that rounds as one row alone.
+    """
+    return w.dot if k == 1 < m else partial(np.matmul, w)
+
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -278,11 +291,17 @@ def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps, grow=None
     ``m`` vertices (see :meth:`graphs.NeighbourTable.stacked`).  Each
     row has its own ``t``, step size, controller state, error norm,
     counters and dense output, and accepts or rejects on its own error.
-    The active ball and the growth follow the union of the rows'
-    supports, and a voided attempt is redone for every row.  A row's stages are one
-    contiguous ``(7, m)`` block, so its stage products round as in a run
-    of that row alone; a row leaves the stack once it reaches ``t_end``.
-    With one row the arrays are those of a 1-d run.
+    But one call hands the right-hand side one time for all rows (the
+    last live row's stage times, and the first row's starting step), so
+    a ``K``-row call needs an autonomous right-hand side, as every one
+    :func:`solve_truncated` builds is.  The active ball and the growth
+    follow the union of the rows' supports, and a voided attempt is
+    redone for every row.  A row's stages are one contiguous ``(7, m)``
+    block, and its products with the tableau (a broadcast ``np.matmul``)
+    make the BLAS call of a one-row run's ``ndarray.dot`` (see
+    :func:`_times`), so they round as in a run of that row alone; a row
+    leaves the stack once it reaches ``t_end``.  With one row the arrays
+    are those of a 1-d run.
 
     With ``grow``, the outer ring ``dist.max()`` keeps the a priori rule:
     the rim also holds its last 7 layers (one step spreads exact nonzeros
@@ -366,8 +385,9 @@ def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps, grow=None
         # active vertices' orbits; the stages, row by row in
         # contiguous (7, m) blocks; the assignable stage rows; the stage
         # input, by row; the step and error rows and the product
-        # that writes them; each stage's A_i, c_i, the stages K[:i] its
-        # input combines and its row K[i]; the stages past K[0] on ring r
+        # that writes them; each stage's product with A_i (see _times), c_i,
+        # the stages K[:i] its input combines and its row K[i]; the stages
+        # past K[0] on ring r
         size_sq = n if orbits is None else int(orbits.ends[-1])
         sq = np.zeros(size_sq if k == 1 else (k, size_sq))
         sq_o = lift = None
@@ -394,13 +414,13 @@ def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps, grow=None
                     return value
                 out[...] = value
                 return out
-        stages = [(_DP_A[i], _DP_C[i], product[0][..., :i, :], stage[i]) for i in range(1, 7)]
+        stages = [(_times(_DP_A[i], k, m), _DP_C[i], product[0][..., :i, :], stage[i])
+                  for i in range(1, 7)]
         return (rhs, sq, sq[..., :active_vertices()], sq_o, lift, S, stage, yi, step,
-                product, stages, S[:, 1:6, ring:])
+                (_times(_DP_BE, k, m), *product), stages, S[:, 1:6, ring:])
 
     out = np.zeros((len(rows), n_out + 1, n))
     out[:, 0] = states
-    matmul = np.matmul   # a local: the stage loop calls it six times per attempt
     table = np.zeros((len(rows), n_out + 1), dtype=ROW_DIAGNOSTICS)   # per row of out
     floor = 1e-14 * t_end
     f = None   # the FSAL value once the first step is sized, K[0] while it has buffers
@@ -436,7 +456,7 @@ def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps, grow=None
                 f = widen(f, m)
             continue
         if rhs is None:
-            (rhs, sq, sq_m, sq_o, lift, S, stage, yi, step, product, stages,
+            (rhs, sq, sq_m, sq_o, lift, S, stage, yi, step, (weigh, ks, into), stages,
              at_ring) = build(len(live))
             if f is not None:
                 stage[0] = f
@@ -459,8 +479,8 @@ def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps, grow=None
             raise SolverError(f"step budget {max_steps} exhausted at t={row.t}")
         t, h = row.t, row.h   # the stage times handed to the right-hand side
         hv = h if len(live) == 1 else per_row([row.h for row in live])
-        for a, c, heads, k_i in stages:   # y + h (A_i K[:i]); h A_i first would round differently
-            matmul(a, heads, out=yi)
+        for a_times, c, heads, k_i in stages:   # y + h (A_i K[:i]); h A_i would round apart
+            a_times(heads, out=yi)
             yi *= hv
             yi += y
             rhs(t + c * h, yi, out=k_i)
@@ -471,7 +491,7 @@ def _integrate(rhs_on, dist, y0, t_end, t_eval, rtol, atol, max_steps, grow=None
             r, m, rim, ring = activate(min(r + _ACTIVE_MARGIN, r_max))
             y, f, rhs = widen(y, m), widen(f, m), None
             continue
-        np.matmul(_DP_BE, product[0], out=product[1])   # the step and the error, one product
+        weigh(ks, out=into)   # the step and the error, one product with _DP_BE
         step *= hv
         y_new = y + step[0]
         scale = np.maximum(np.abs(y), np.abs(y_new))

@@ -2,11 +2,15 @@
 
 :func:`apply_plaplacian` and :func:`dirichlet_energy` loop over a ``Field``
 and the neighbor oracle, summing over ordered pairs (each edge twice).
+:func:`lq_norm` and :func:`lambda_inverse` are the norms and the profile
+inverse of the paper's lemmas, which no command of the package evaluates.
 """
+
+import math
 
 import numpy as np
 
-from graphflow.faberkrahn import _quotient_batch
+from graphflow.faberkrahn import ConvergenceError, _like, _positive, _quotient_batch
 from graphflow.graphs import region_edges, require_exponent
 
 
@@ -87,3 +91,36 @@ def eigenvalue_grid_oracle(g, region, p):
         e, d = _quotient_batch(np.insert(rest, k, 1.0, axis=1), table, region.degrees, p)
         best = min(best, float((e / d).min()))
     return best
+
+
+def lq_norm(f, q):
+    """Weighted norm ``(sum |f(x)|^q d_w(x))^(1/q)`` of a ``Field``; ``q = 1`` is its mass."""
+    if q < 1:
+        raise ValueError("q must be >= 1")
+    # fsum rounds correctly, so no order of the terms changes the sum
+    g = f.generator
+    return math.fsum(abs(x) ** q * g.degree(v) for v, x in f.values.items()) ** (1.0 / q)
+
+
+def lambda_inverse(profile, y):
+    """Largest ``v`` with ``Lambda_p(v) >= y`` on an ``FkProfile`` (scalar or array ``y``).
+
+    On a table this is the crossing on the segment after the last knot
+    with ``Lambda >= y``, which is also the right end of a plateau at
+    ``y``.  No such ``v`` exists when ``y <= Lambda(v_max)`` (the
+    constant continuation never drops below ``y``) or when ``y`` is above
+    every knot.
+    """
+    y = _positive(y, "y")
+    if profile.kind == "closed_form":
+        return _like(y, (y / profile.c0) ** (-profile.N / profile.p))
+    lams, lv, ll = profile.table_lam, profile._log_v, profile._log_lam
+    if (y <= lams[-1]).any():
+        raise ConvergenceError(f"Lambda never drops below {np.min(y)}")
+    # tail_max[k] = max(Lambda at knots k, k+1, ...) is nonincreasing
+    tail_max = np.maximum.accumulate(lams[::-1])[::-1]
+    if (y > tail_max[0]).any():
+        raise ConvergenceError(f"Lambda never reaches {np.max(y)}")
+    k = np.searchsorted(-tail_max, -y, side="right") - 1
+    frac = (np.log(y) - ll[k]) / (ll[k + 1] - ll[k])
+    return _like(y, np.exp(lv[k] + frac * (lv[k + 1] - lv[k])))

@@ -7,6 +7,7 @@ import graphflow as gf
 from graphflow import cli
 from graphflow.estimates import (balance_time_exponent, check_sup_bound,
                                  l1_sphere_count)
+from oracles import lq_norm
 
 
 @pytest.fixture(scope="module")
@@ -167,7 +168,7 @@ def test_power_law_spec_validation():
 def test_partial_mass_matches_field_mass(z1):
     spec = gf.PowerLawSpec(1, 0.5)
     f = spec.field(z1, 30)
-    assert abs(spec.partial_mass(30) - f.mass()) <= 1e-12 * f.mass()
+    assert abs(spec.partial_mass(30) - lq_norm(f, 1)) <= 1e-12 * lq_norm(f, 1)
     assert f[(0,)] == 1.0
     assert f[(9,)] == 9.0 ** -0.5
 
@@ -176,7 +177,7 @@ def test_partial_mass_2d_matches_field_mass():
     z2 = gf.lattice_generator(2)
     spec = gf.PowerLawSpec(2, 1.2)
     f = spec.field(z2, 10)
-    assert abs(spec.partial_mass(10) - f.mass()) <= 1e-12 * f.mass()
+    assert abs(spec.partial_mass(10) - lq_norm(f, 1)) <= 1e-12 * lq_norm(f, 1)
 
 
 def test_lq_tail_against_direct_summation():

@@ -8,7 +8,7 @@ import pytest
 
 import graphflow as gf
 from lemmas import check_ball_measure_bound, check_psi_scaling_monotone
-from oracles import eigenvalue_grid_oracle
+from oracles import eigenvalue_grid_oracle, lambda_inverse, lq_norm
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "configs"
@@ -270,7 +270,7 @@ def test_bruteforce_table_bounds_sampled_quotients(z1):
 
 def test_lattice_profile_values(lat1):
     assert lat1.lambda_value(8.0) == 1.0 / 512.0
-    assert lat1.lambda_inverse(2.0) == (2.0) ** (-1 / 3.0)
+    assert lambda_inverse(lat1, 2.0) == (2.0) ** (-1 / 3.0)
 
 
 def test_psi_closed_form(lat1):
@@ -341,14 +341,14 @@ def test_psi_inverse_rejects_decreasing_table():
 def test_lambda_inverse_is_exact_on_a_table():
     profile = _power_table(1e-3, 1e2, 40)
     vs = np.geomspace(2e-3, 50.0, 31)
-    back = profile.lambda_inverse(profile.lambda_value(vs))
+    back = lambda_inverse(profile, profile.lambda_value(vs))
     assert np.allclose(back, vs, rtol=1e-13, atol=0.0)
-    scalars = [profile.lambda_inverse(float(y)) for y in profile.lambda_value(vs)]
+    scalars = [lambda_inverse(profile, float(y)) for y in profile.lambda_value(vs)]
     assert np.allclose(back, scalars, rtol=1e-15, atol=0.0)
     with pytest.raises(gf.faberkrahn.ConvergenceError):
-        profile.lambda_inverse(profile.table_lam[-1])       # never drops below
+        lambda_inverse(profile, profile.table_lam[-1])       # never drops below
     with pytest.raises(gf.faberkrahn.ConvergenceError):
-        profile.lambda_inverse(2.0 * profile.table_lam[0])  # never reached
+        lambda_inverse(profile, 2.0 * profile.table_lam[0])  # never reached
 
 
 def test_lambda_inverse_returns_right_end_of_plateau():
@@ -360,14 +360,14 @@ def test_lambda_inverse_returns_right_end_of_plateau():
     vs, lams = prof.table_v, prof.table_lam
     k = int(np.flatnonzero(vs == 13.0)[0])
     assert lams[k - 1] == lams[k] > lams[k + 1]
-    assert abs(prof.lambda_inverse(lams[k]) - 13.0) <= 1e-13 * 13.0
+    assert abs(lambda_inverse(prof, lams[k]) - 13.0) <= 1e-13 * 13.0
     # just above the plateau the crossing lies on the segment before it
-    v = prof.lambda_inverse(lams[k] * (1 + 1e-9))
+    v = lambda_inverse(prof, lams[k] * (1 + 1e-9))
     assert vs[k - 2] < v < vs[k - 1]
     # a table that is not monotone: the last knot with Lambda >= y wins
     bumpy = gf.FkProfile.tabulated([(1.0, 4.0), (2.0, 1.0), (3.0, 2.0), (4.0, 0.5)],
                                    3.0, 1)
-    v = bumpy.lambda_inverse(1.5)
+    v = lambda_inverse(bumpy, 1.5)
     assert 3.0 < v < 4.0 and abs(bumpy.lambda_value(v) - 1.5) <= 1e-13 * 1.5
 
 
@@ -490,7 +490,7 @@ def test_ball_measure_bound_stable(z1):
 def test_linf_lq_nesting(z1):
     # every degree is at least Lambda_p^{-1}(2), so ||f||_inf <= Lambda_p^{-1}(2)^{-1/q} ||f||_q
     prof = gf.fk_profile_bruteforce(z1, (0,), 2, 3.0)
-    bound = prof.lambda_inverse(2.0) ** (-1.0 / 2.0)
+    bound = lambda_inverse(prof, 2.0) ** (-1.0 / 2.0)
     rng = np.random.default_rng(6)
     for _ in range(20):
         vals = {(int(k),): float(x) for k, x in
@@ -498,4 +498,4 @@ def test_linf_lq_nesting(z1):
         if not vals:
             continue
         f = gf.Field(z1, vals)
-        assert f.sup_norm() <= bound * f.lq_norm(2.0) * (1 + 1e-12)
+        assert f.sup_norm() <= bound * lq_norm(f, 2.0) * (1 + 1e-12)

@@ -144,17 +144,18 @@ def test_the_guard_sees_a_dead_member():
 
 
 def reached_only_from_tests(source, reaching):
-    """The top-level functions and classes of ``source`` that no text of ``reaching`` names.
+    """The top-level definitions of ``source`` and their members that no text of ``reaching`` names.
 
-    As in :func:`dead_definitions`, a name counts in ``source`` outside its
-    own definition.  ``reaching`` is the code that runs the package: its
-    other modules (not ``__init__``, whose re-exports name every public
-    definition), the bench and the demos.
+    As in :func:`dead_definitions`, a top-level name counts as a word and a
+    member as ``.name``, in ``source`` outside its own definition, and
+    members are labelled ``Class.name``.  ``reaching`` is the code that
+    runs the package: its other modules (not ``__init__``, whose re-exports
+    name every public definition), the bench and the demos.
     """
-    return [name for _, name in dead_definitions(source, reaching) if "." not in name]
+    return [name for _, name in dead_definitions(source, reaching)]
 
 
-# the definitions the package keeps although only tests name them, and why
+# the top-level definitions the package keeps although only tests name them, and why
 ONLY_TESTS = {
     "decay_exponent": "the paper's sup-decay rate N/(N(p-2)+p), which the decay fits "
                       "of criterion 3 are held to",
@@ -182,12 +183,17 @@ def test_the_guard_sees_a_definition_only_tests_reach():
               "def oracle():\n"
               "    return 2\n"
               "class Report:\n"
-              "    def unread(self):\n"
+              "    def read(self):\n"
+              "        return self.total()\n"
+              "    def total(self):\n"
               "        return 3\n"
+              "    def unread(self):\n"
+              "        return 4\n"
               "def exponent(N):\n"
               "    return 1 / N\n")
-    # members are dead_definitions' concern; tests name oracle and exponent
-    assert reached_only_from_tests(source, ["solve()", "Report()"]) == ["oracle", "exponent"]
+    # tests name oracle, exponent and Report.unread
+    assert reached_only_from_tests(source, ["solve()", "Report().read()"]) == [
+        "oracle", "Report.unread", "exponent"]
 
 
 def _param_names(args):

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import graphflow as gf
 from graphflow import cli, solver
@@ -289,7 +291,8 @@ def test_comparison_scaled_pair(z1):
     cfg = gf.SolverConfig(p=3.0, instants=gf.log_instants(0.1, 5.0, 7),
                           rtol=1e-10, atol=1e-14)
     u02 = gf.Field(z1, {(0,): 0.5, (2,): 0.25})
-    gap = gf.comparison_check(z1, u02.scaled(2.0), u02, cfg)
+    u01 = gf.Field(z1, {v: 2.0 * x for v, x in u02.values.items()})
+    gap = gf.comparison_check(z1, u01, u02, cfg)
     assert gap >= -1e-8 * 1.0
 
 
@@ -578,3 +581,31 @@ def test_the_two_entry_sum_solves_as_the_reduction(monkeypatch, z1, p):
     assert got.rows.tobytes() == want.rows.tobytes()
     assert got.history == want.history
     assert not np.signbit(want.rows).any()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 700), st.integers(2, 4), st.integers(-310, 100), st.integers(-310, 100),
+       st.floats(0.0, 0.5), st.integers(0, 2 ** 32 - 1))
+@example(1, 3, 0, 0, 0.5, 0)   # ndarray.dot gives 0.2 * -0 = -0 for stage 1 at m = 1
+def test_dot_and_matmul_stage_products_agree(m, k, lo, hi, zeros, seed):
+    # an attempt on one row forms its stage sums and its step and error with
+    # ndarray.dot, one on k rows with a broadcast np.matmul (solver._times).
+    # Both make the same BLAS call, so each row of a k-row product is
+    # bitwise its one-row product, and np.matmul's: at magnitudes from
+    # 1e-310 to 1e100, with exact zeros of either sign
+    rng = np.random.default_rng(seed)
+    lo, hi = sorted((lo, hi))
+    S = rng.choice([-1.0, 1.0], (k, 7, m)) * 10.0 ** rng.uniform(lo, hi, (k, 7, m))
+    S[rng.random(S.shape) < zeros] = 0.0
+    S[rng.random(S.shape) < zeros / 2] = -0.0
+    products = [(a, S[:, :i]) for i, a in enumerate(solver._DP_A) if i]
+    for w, heads in [*products, (solver._DP_BE, S)]:
+        lead = w.shape[:-1]   # () for a stage sum, (2,) for the step and the error
+        stacked = np.empty((*lead, k, m))   # as _integrate's k-row outputs
+        solver._times(w, k, m)(heads, out=np.moveaxis(stacked, -2, 0))
+        for r in range(k):
+            one, ref = np.empty((*lead, m)), np.empty((*lead, m))
+            solver._times(w, 1, m)(heads[r], out=one)
+            np.matmul(w, heads[r], out=ref)
+            assert np.array_equal(one.view(np.int64), ref.view(np.int64))
+            assert np.array_equal(one.view(np.int64), stacked[..., r, :].view(np.int64))
