@@ -26,7 +26,9 @@ region fills its table by one loop over the oracle.
 Every solve's kernel is a :class:`NeighbourTable`, built once per ball by
 :func:`region_edges` and sliced for the sub-balls and stacked copies a
 step runs on.  It is the one edge structure: the edge arrays of the power
-sums are read off it.
+sums are read off it.  A table that is a path in index order, such as the
+orbit quotient of a centred ``Z^1`` ball, takes each edge's flux once,
+from shifted differences with no gather.
 """
 
 from __future__ import annotations
@@ -344,6 +346,13 @@ class NeighbourTable:
     Both arrays are C-contiguous, as are those of every table made from
     them: a strided table is several times slower to gather through.
 
+    The table is a ``path`` (decided once, from the table alone) when each
+    column ``x`` lists ``x + 1`` (the zero slot ``n`` past the last column)
+    and then ``x - 1`` at unit weights, column 0's second entry any slot:
+    the orbit quotient of a centred ``Z^1`` ball, whose orbit 0 lists
+    orbit 1 twice, and each restriction of it.  Its kernel takes each
+    edge's flux once (see :meth:`divergence`).
+
     The edge arrays ``ei, ej, w, bi, bw`` are read off the table on first
     use, column by column in entry order: the internal entries
     ``x < y < n``, each edge once, then the stubs, which see a zero
@@ -353,9 +362,13 @@ class NeighbourTable:
     nbr: np.ndarray       # (k, n) entry indices, n for a stub
     W: np.ndarray         # (k, n) entry weights, 0 for a pad
     unit: bool = field(init=False)   # every weight 1 or a pad's 0: decided once, from W
+    path: bool = field(init=False)   # a unit path in index order: decided once, from the table
 
     def __post_init__(self):
         self.unit = bool(((self.W == 1.0) | (self.W == 0.0)).all())
+        n, nbr = self.n, self.nbr
+        self.path = (self.unit and len(nbr) == 2 and np.array_equal(nbr[0], np.arange(1, n + 1))
+                     and np.array_equal(nbr[1, 1:], np.arange(n - 1)))
 
     @property
     def n(self):
@@ -375,21 +388,37 @@ class NeighbourTable:
         copy.  On a unit table (every weight 1, or 0 at a pad, whose
         difference is exactly +0) the weight multiply is skipped:
         ``x * 1.0 == x``, so the sums are the same bits.  A table of two
-        entries per column (every ``Z^1`` table) sums them with one add:
+        entries per column (a ``Z^1`` vertex table) sums them with one add:
         the reduction's bits, but for a column of two -0 terms, which the
-        reduction, starting from +0, sums to +0.  The solver adds each
-        stage to a state that is never -0, so its rows are the same bits.
+        reduction, starting from +0, sums to +0.
+
+        On a path the buffer is ``[ghost | u | 0]`` and ``div.input`` its
+        middle ``n`` slots.  Each call copies the slot column 0's second
+        entry names into the ghost and takes ``e = buffer[1:] -
+        buffer[:-1]``, each edge's difference once, with no gather; after
+        the odd power in place, ``out = e[1:] - e[:-1]``.  The power is odd
+        and ``a - b == a + (-b)``, so each entry is the gathered column's
+        two-entry sum bit for bit, but where the backward difference is
+        exactly 0 and the forward flux underflows to -0: the column sums
+        to +0, the path to -0.  The solver adds each stage to a state that
+        is never -0, so its rows are the same bits either way.
         """
-        n, nbr, W, unit = self.n, self.nbr, self.W, self.unit
-        ext = np.zeros(n + 1)   # ext[n] is the zero exterior of every stub
-        head, absolute, pm2 = ext[:n], np.abs, p - 2.0
-        plus, reduce, two = np.add, np.add.reduce, len(nbr) == 2
+        n, nbr, W, unit, path = self.n, self.nbr, self.W, self.unit, self.path
+        ext = np.zeros(n + 1 + path)   # [ghost |] the state | the zero slot of every stub
+        head, absolute, pm2 = ext[path:n + path], np.abs, p - 2.0
+        plus, minus, reduce, two = np.add, np.subtract, np.add.reduce, len(nbr) == 2
+        if path:   # e[x]: the difference from x - 1 (the ghost at x = 0) to x
+            e, hi, lo, ghost = np.empty(n + 1), ext[1:], ext[:-1], int(nbr[1, 0]) + 1
 
         def div(u, out=None):
             if u is not head:
                 head[...] = u
-            d = ext[nbr]
-            d -= u
+            if path:
+                ext[0] = ext[ghost]
+                d = minus(hi, lo, out=e)
+            else:
+                d = ext[nbr]
+                d -= u
             if p == 3.0:
                 d *= absolute(d)
             elif p == 4.0:
@@ -398,7 +427,12 @@ class NeighbourTable:
                 d *= absolute(d) ** pm2
             if not unit:
                 d *= W
-            out = plus(d[0], d[1], out=out) if two else reduce(d, axis=0, out=out)
+            if path:
+                out = minus(d[1:], d[:-1], out=out)
+            elif two:
+                out = plus(d[0], d[1], out=out)
+            else:
+                out = reduce(d, axis=0, out=out)
             if degrees is not None:
                 out /= degrees
             return out

@@ -13,10 +13,13 @@ nonzero on the active ball's last two rings, so its first stage is 0 on
 ring ``r``; and an attempt whose later stages are nonzero on ring ``r``
 is voided and redone on ``B_{r+4}``.  So every stage input of a step
 that counts is exactly 0 on ring ``r`` and beyond, and the cut edges are
-exact zero-exterior stubs.  Exact nonzeros spread far less than the 7
-layers a step could reach, so a voided attempt is rare.  The boundary
-ring of ``B_R`` keeps the a priori rule: no step starts with a nonzero
-within 7 layers of it (six stage inputs plus the FSAL evaluation).
+exact zero-exterior stubs.  Every solve voids its first attempt:
+``_initial_step`` sizes a step whose later stages reach ring ``s + 4``,
+so it is redone (``redone`` 1 in ``history``).  Exact nonzeros spread
+far less than the 7 layers a step could reach, so later voided attempts
+are rare.  The boundary ring of ``B_R`` keeps the a priori rule: no
+step starts with a nonzero within 7 layers of it (six stage inputs plus
+the FSAL evaluation).
 Before a step that rule forbids, the first one included, the ball
 becomes ``B_ceil(1.5 R)`` (``RADIUS_GROWTH``).  A ball lists its
 vertices ring by ring, so the active ball and every smaller ball are

@@ -539,7 +539,8 @@ def test_the_two_entry_sum_is_the_reduction_in_place_or_not(case, R, data, p, lo
     # into out) and a call on a copy give the same bits, and one add of two
     # entries is np.add.reduce's sum of them; subnormal and infinite terms too
     table, degrees = TWO_ENTRY[case](R)
-    table = table.restrict(data.draw(st.integers(1, table.n)))
+    # the table body: a Z^1 quotient's path body is checked against it below
+    table = table_body(table.restrict(data.draw(st.integers(1, table.n))))
     degrees = degrees[:table.n] if divide else None
     assert len(table.nbr) == 2
     u = _wide_state(seed, table.n, low)
@@ -571,3 +572,94 @@ def test_subnormal_fluxes_sum_as_the_reduction(case):
     want, negative_zeros = reduced_divergence(table, 3.0, u, degrees)
     assert negative_zeros[0] and np.signbit(got[0]) and not np.signbit(want[0])
     _assert_the_reduction(got, want, negative_zeros)
+
+
+# ----------------------------------------------------------------------
+# a path in index order: each edge's flux once, from shifted differences
+
+def table_body(table):
+    """The table with its path decision turned off: the gather and the column sums."""
+    forced = gf.graphs.NeighbourTable(table.nbr, table.W)
+    forced.path = False
+    return forced
+
+
+def _end_ball_table(L, R):
+    # the path 0 - 1 - ... - L balled from its end 0: column 0 pads, and
+    # the last column has a stub (R < L) or a pad (R >= L), listed first
+    g = gf.generator_from_edges([(str(k), str(k + 1), 1.0) for k in range(L)])
+    region, _, table = _ball_edges(g, "0", R)[1:]
+    return table, region.degrees
+
+
+def _path_state(rng, n, lo, hi):
+    # magnitudes 10^lo to 10^hi with random signs, exact zeros and plateaus
+    u = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(lo, hi, n)
+    u[rng.random(n) < 0.2] = 0.0
+    for start in rng.integers(0, n, rng.integers(0, 4)):
+        u[start:start + int(rng.integers(2, 6))] = u[start]
+    return u
+
+
+def _assert_same_but_zero_signs(got, want):
+    assert np.array_equal(got, want, equal_nan=True)
+    signed = got != 0.0   # a zero may carry either sign; NaNs keep their bits
+    assert got[signed].tobytes() == want[signed].tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["Z^1 orbits", "end ball"]), st.integers(1, 300), st.data(),
+       st.sampled_from([2.5, 3.0, 4.0, 7.0]), st.integers(-320, 120), st.integers(-320, 120),
+       st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_the_path_body_is_the_table_body_but_for_zero_signs(case, size, data, p, lo, hi,
+                                                            divide, seed):
+    # one flux per edge, F(e[x + 1]) - F(e[x]), against the gathered
+    # column's F(e[x + 1]) + F(-e[x]): the same bits, but for a +0 backward
+    # difference beside a forward flux that underflows to -0.  On the
+    # stage loop's call, its out= call and a fresh call
+    if case == "Z^1 orbits":   # radius size
+        table, degrees = _z1_orbit_table(size)
+    else:   # a path of size edges, balled to a stub end or to all of it
+        table, degrees = _end_ball_table(size, data.draw(st.integers(0, size + 1)))
+    m = data.draw(st.integers(1, table.n))
+    table, degrees = table.restrict(m), degrees[:m] if divide else None
+    u = _path_state(np.random.default_rng(seed), m, *sorted((lo, hi)))
+    div, gather = table.divergence(p, degrees), table_body(table).divergence(p, degrees)
+    with np.errstate(over="ignore", invalid="ignore"):   # (1e120)^6 is inf
+        want = gather(u)
+        div.input[...] = u
+        _assert_same_but_zero_signs(div(div.input), want)
+        assert div.input.tobytes() == u.tobytes()
+        out = np.empty(m)
+        assert div(u, out=out) is out
+        _assert_same_but_zero_signs(out, want)
+        fresh = div(u.copy())
+        _assert_same_but_zero_signs(fresh, want)
+        assert not np.shares_memory(fresh, out) and not np.shares_memory(fresh, div.input)
+
+
+def test_a_path_is_decided_from_the_table_alone():
+    z1 = gf.lattice_generator(1)
+    for R in (0, 1, 2, 9, 60):
+        quotient = _z1_orbit_table(R)[0]
+        assert all(quotient.restrict(m).path for m in range(1, quotient.n + 1))
+        assert not quotient.stacked(2).path and not quotient.restrict(1).stacked(2).path
+    # orbit 0 lists orbit 1 twice; past the radius, the zero slot
+    assert _z1_orbit_table(5)[0].nbr[:, 0].tolist() == [1, 1]
+    assert _z1_orbit_table(0)[0].nbr[:, 0].tolist() == [1, 1]
+    not_paths = [_ball_edges(z1, (2,), R)[3] for R in (1, 2, 5)]   # ring order
+    not_paths += [_ball_edges(gf.lattice_generator(2), (0, 0), 3)[3],
+                  _ball_edges(gf.lattice_generator(3), (0, 0, 0), 2)[3],
+                  gf.graphs.OrbitQuotient(gf.ball(gf.lattice_generator(2), (0, 0), 4)).table,
+                  gf.graphs.OrbitQuotient(gf.ball(gf.lattice_generator(3), (0, 0, 0), 4)).table]
+    weighted = gf.generator_from_edges([(str(k), str(k + 1), 1.0 + (k == 2)) for k in range(6)])
+    not_paths.append(_ball_edges(weighted, "0", 4)[3].restrict(4))
+    line = gf.generator_from_edges([(str(k), str(k + 1), 1.0) for k in range(6)])
+    not_paths.append(_ball_edges(line, "3", 2)[3])   # from an interior vertex
+    for table in not_paths:   # two vertices of a line are a path
+        assert not any(table.restrict(m).path for m in range(3, table.n + 1))
+    # from an end: the last column lists its stub or pad after x - 1, so the
+    # whole ball is no path in index order, but each restriction is one
+    for R in (2, 6):
+        table = _end_ball_table(6, R)[0]
+        assert not table.path and all(table.restrict(m).path for m in range(1, table.n))

@@ -583,6 +583,48 @@ def test_the_two_entry_sum_solves_as_the_reduction(monkeypatch, z1, p):
     assert not np.signbit(want.rows).any()
 
 
+@pytest.mark.parametrize("p", [3.0, 4.0])
+def test_the_path_body_solves_as_the_table_body(monkeypatch, z1, p):
+    # a centred Z^1 solve runs on its orbit quotient, a path: each edge's
+    # flux once.  Beside a plateau, a forward flux that underflows to -0
+    # gives -0 where the gathered column's two terms give +0 (the outer
+    # edge of the 1e-170 bump below).  A stage only enters sums and is
+    # added to a state that is never -0, so the rows, history and
+    # diagnostics are those of the table body, bit for bit
+    from test_operators import _assert_same_but_zero_signs, table_body
+    u0 = gf.Field(z1, {**{(k,): 1.0 for k in range(-2, 3)},
+                       **{(k,): 1e-170 for k in (-6, -5, 5, 6)}})
+    cfg = gf.SolverConfig(p=p, instants=gf.log_instants(0.01, 5.0, 12))
+    want = gf.solve_cauchy(z1, u0, cfg, center=(0,))
+    divergence, differ = gf.graphs.NeighbourTable.divergence, [0, 0]
+
+    def gathering(table, p, degrees=None):
+        div = divergence(table, p, degrees)
+        if not table.path:
+            return div
+        gather = divergence(table_body(table), p, degrees)
+
+        def call(u, out=None):
+            reference = gather(u)
+            got = div(u, out)
+            _assert_same_but_zero_signs(got, reference)
+            differ[0] += 1
+            differ[1] += int(np.count_nonzero(got.view(np.int64) != reference.view(np.int64)))
+            got[...] = reference
+            return got
+        call.input = div.input
+        return call
+    monkeypatch.setattr(gf.graphs.NeighbourTable, "divergence", gathering)
+    got = gf.solve_cauchy(z1, u0, cfg, center=(0,))
+    assert want.orbits is not None and differ[0] == sum(h["rhs_evals"] for h in got.history)
+    assert differ[1] > 0
+    assert got.rows.tobytes() == want.rows.tobytes()
+    assert got.history == want.history
+    for key, values in want.diagnostics.items():
+        assert got.diagnostics[key].tobytes() == values.tobytes()
+    assert not np.signbit(want.rows).any()
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 700), st.integers(2, 4), st.integers(-310, 100), st.integers(-310, 100),
        st.floats(0.0, 0.5), st.integers(0, 2 ** 32 - 1))
